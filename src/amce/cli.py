@@ -10,17 +10,15 @@ Subcommands::
     amce converge --config cfg.json   grid refinement study; converge.csv
     amce fixture  --config cfg.json   list fixtures / dump sampled fields
 
-Every subcommand takes ``--config`` (required) plus ``--out``, ``--seed``,
-and ``--threads`` overrides.  Field dumps are CSV with an ``x,y,value``
-header at 17 significant digits, node rows first, then boundary hit rows.
+Every subcommand takes ``--config`` (required) plus ``--out`` and ``--seed``
+overrides.  Field dumps are CSV with an ``x,y,value`` header at 17
+significant digits, node rows first, then boundary hit rows.
 Each run writes ``report.json`` embedding the canonical config; wall time
 lives only under the ``"timing"`` key so that identical configs produce
 byte-identical reports after dropping that key.
 
 Exit codes: 0 on success, 2 when an iteration fails to converge (or the
 operator degenerates mid-solve), 3 for invalid configs, domains, or data.
-``--threads`` parallelizes the per-height hull fits of the sections scan;
-everything else is single-threaded.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,14 +59,9 @@ from .geometry import build_domain
 from .grid import Grid, ScalarField, build_grid
 from .lma import CofactorField, LMAProblem, solve_lma
 from .ma import MAProblem, MASolveOptions, solve_ma
-from .operators import discrete_hessian, value_and_gradient_at
+from .operators import discrete_hessian
 from .regularity import verify
-from .sections import (
-    extract_section,
-    localization_scan,
-    maximal_height,
-    normalize_section,
-)
+from .sections import localization_scan, maximal_height, normalize_section
 
 __all__ = ["main"]
 
@@ -358,27 +350,12 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
                 )
         results["outputs"].append("sections.csv")
 
-        # hull polygons, one file per kept height (fits may run in parallel)
-        val, grad = value_and_gradient_at(u, x0)
-        kept = [row["h"] for row in scan.kept_rows()]
-
-        def hull_for(h):
-            return extract_section(
-                u, x0, h, center_value=val, center_gradient=grad
-            ).hull_points
-
-        if cfg.threads > 1 and len(kept) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                hulls = list(pool.map(hull_for, kept))
-        else:
-            hulls = [hull_for(h) for h in kept]
+        # hull polygons, one file per kept height
         hull_files = []
-        for k, (h, hull) in enumerate(zip(kept, hulls)):
-            if hull is None:
-                continue
+        for k, (row, hull) in enumerate(zip(scan.kept_rows(), scan.hulls)):
             name = f"hull_{k:03d}.csv"
             _write_hull_csv(os.path.join(out_dir, name), hull)
-            hull_files.append({"h": h, "file": name, "n_vertices": len(hull)})
+            hull_files.append({"h": row["h"], "file": name, "n_vertices": len(hull)})
         results["outputs"].extend(e["file"] for e in hull_files)
         results["boundary_scan"] = {
             "x0": list(map(float, x0)),
@@ -528,9 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument(
-            "--threads", type=int, help="worker threads for section fits"
-        )
     return parser
 
 
@@ -551,10 +525,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")
             cfg.seed = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads must be >= 1")
-            cfg.threads = args.threads
 
         out_dir = cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)

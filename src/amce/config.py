@@ -209,7 +209,6 @@ _TOP_KEYS = {
     "lma",
     "output_dir",
     "seed",
-    "threads",
 }
 
 _SOLVER_DEFAULTS = {
@@ -240,7 +239,6 @@ class RunConfig:
     lma: dict | None
     output_dir: str
     seed: int
-    threads: int
     raw: dict = dc_field(repr=False, default_factory=dict)
 
     def canonical(self) -> dict:
@@ -255,7 +253,6 @@ class RunConfig:
             "verify": dict(self.verify),
             "output_dir": self.output_dir,
             "seed": self.seed,
-            "threads": self.threads,
         }
         if self.problem is not None:
             p = dict(self.problem)
@@ -422,9 +419,6 @@ def parse_config(obj: dict) -> RunConfig:
     seed = _integer(top.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    threads = _integer(top.get("threads", 1), "threads")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
 
     return RunConfig(
         domain_kind=kind,
@@ -440,7 +434,6 @@ def parse_config(obj: dict) -> RunConfig:
         lma=lma,
         output_dir=output_dir,
         seed=seed,
-        threads=threads,
         raw=top,
     )
 

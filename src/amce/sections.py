@@ -192,83 +192,137 @@ def extract_section(
 # ---------------------------------------------------------------------------
 
 
-def mvee(points, tol: float = 1e-6, max_iters: int = 200000, center=None):
+#: Certified duality gap m/t (m points) at which the barrier path stops.
+_MVEE_GAP = 1e-13
+#: Growth of the barrier weight t between centerings.
+_MVEE_T_GROWTH = 20.0
+#: A centering ends when the squared Newton decrement falls below this.
+_MVEE_CENTERED = 1e-10
+
+
+def mvee(points, center=None):
     """Minimum-volume ellipsoid { (y-c)^T M (y-c) <= 1 } enclosing ``points``.
 
-    Frank-Wolfe iteration with away steps on the dual D-optimal design
-    problem (plain Frank-Wolfe stalls at O(1/k) on hulls with many
-    near-active vertices, e.g. fine polygonal approximations of a circular
-    arc), followed by multiplicative weight sweeps that polish the fit to
-    round-off on symmetric inputs.  With ``center`` given, the center is
-    pinned and only the shape matrix is optimized.
+    One log-barrier Newton path (Boyd & Vandenberghe, *Convex
+    Optimization*, 8.4.1) minimizes ``-log det N`` over symmetric ``N``
+    subject to ``q_k^T N q_k <= 1``.  With ``center`` given, ``q_k`` are the
+    points relative to it (``n = 2``) and ``M = N``.  A free fit is the
+    same centered fit of the lifted points ``q_k = (p_k, 1)`` (``n = 3``):
+    with ``V = N^-1`` scaled to ``V[2,2] = 1``, the center is ``c = V[:2,2]``
+    and ``M = inv(V[:2,:2] - c c^T) / 2``.  The fit is affine equivariant,
+    so it runs on the points shifted to the pinned center (or their mean)
+    and whitened to unit second moment; thin hulls would otherwise make
+    ``N`` ill-conditioned.
 
-    Returns ``(center, M, iterations, max_violation)`` where
-    ``max_violation`` is the largest relative ellipsoid-membership excess
-    over the input points (nonpositive means every point is enclosed).
+    The unknowns are the 3 or 6 entries of ``N``.  Each centering minimizes
+    ``t * (-log det N) - sum_k log s_k`` with slacks ``s_k = 1 - q_k^T N q_k``
+    by Newton steps that backtrack to keep ``N`` positive definite (a
+    Cholesky test: a negative-definite 2x2 matrix has a positive
+    determinant) and every slack positive, then ``t`` grows.  The slacks
+    are carried along the steps instead of being recomputed from ``N``, so
+    they keep full relative precision as they shrink.  The path stops when
+    the certified duality gap ``m / t`` (``m`` points) reaches round-off,
+    or earlier if the Newton matrix stops being positive definite in
+    floating point.
+
+    Returns ``(center, M, iterations, max_violation)``: ``iterations`` counts
+    Newton steps and ``max_violation`` is the largest relative
+    ellipsoid-membership excess over the input points (nonpositive means
+    every point is enclosed).  Fewer than two points, non-finite
+    coordinates, and collinear or coincident points raise
+    :class:`DegenerateSectionError`.
     """
     P = np.asarray(points, float)
     if P.ndim != 2 or P.shape[1] != 2 or P.shape[0] < 2:
         raise DegenerateSectionError(
             f"need at least 2 planar points for an ellipsoid fit, got shape {P.shape}"
         )
-    if center is not None:
-        Q = (P - np.asarray(center, float)).T  # (2, K)
-        dd = 2
-    else:
-        Q = np.vstack([P.T, np.ones(P.shape[0])])  # (3, K)
-        dd = 3
-    K = P.shape[0]
-    w = np.full(K, 1.0 / K)
-    iterations = 0
-    try:
-        for iterations in range(1, max_iters + 1):
-            V = Q @ (w[:, None] * Q.T)
-            g = np.einsum("ik,ij,jk->k", Q, np.linalg.inv(V), Q)
-            j_add = int(np.argmax(g))
-            eps_add = g[j_add] / dd - 1.0
-            support = np.flatnonzero(w > 0.0)
-            j_drop = int(support[np.argmin(g[support])])
-            eps_drop = 1.0 - g[j_drop] / dd
-            if max(eps_add, eps_drop) <= tol:
-                break
-            if eps_add >= eps_drop:
-                j, gj = j_add, g[j_add]
-                step = (gj - dd) / (dd * (gj - 1.0))
-            else:
-                # away step: unload an interior-certified support point;
-                # clipping at -w_j/(1 - w_j) zeroes its weight exactly
-                j, gj = j_drop, g[j_drop]
-                if gj <= 1.0:
-                    step = -w[j] / (1.0 - w[j])
-                else:
-                    step = max(
-                        (gj - dd) / (dd * (gj - 1.0)), -w[j] / (1.0 - w[j])
-                    )
-            w *= 1.0 - step
-            w[j] += step
-        # multiplicative polish: monotone for the design objective and
-        # exact-symmetric in the weights, which drives spurious asymmetry
-        # of the fit (e.g. a tilt of a symmetric hull) to round-off
-        for _ in range(500):
-            V = Q @ (w[:, None] * Q.T)
-            g = np.einsum("ik,ij,jk->k", Q, np.linalg.inv(V), Q)
-            if abs(g.max() / dd - 1.0) <= 1e-14:
-                break
-            w = w * g / dd
-            w /= w.sum()
-        V = Q @ (w[:, None] * Q.T)
-        if center is None:
-            c = P.T @ w
-            M = np.linalg.inv(P.T @ (w[:, None] * P) - np.outer(c, c)) / 2.0
-        else:
-            c = np.asarray(center, float)
-            M = np.linalg.inv(V) / 2.0
-        g = np.einsum("ik,ij,jk->k", Q, np.linalg.inv(V), Q)
-    except np.linalg.LinAlgError as exc:
+    pinned = center is not None
+    ref = np.asarray(center, float) if pinned else P.mean(axis=0)
+    if not (np.isfinite(P).all() and np.isfinite(ref).all()):
+        raise DegenerateSectionError("ellipsoid fit input is not finite")
+    Z = P - ref
+    U, S, Vt = np.linalg.svd(Z, full_matrices=False)
+    if S[1] <= S[0] * max(Z.shape) * np.finfo(float).eps:
         raise DegenerateSectionError(
             "ellipsoid fit is singular (collinear or coincident points)"
-        ) from exc
-    return c, M, iterations, float(g.max() / dd - 1.0)
+        )
+    # whitened points W = T (p - ref), one per column
+    W = np.sqrt(len(Z)) * U.T
+    T = (np.sqrt(len(Z)) / S)[:, None] * Vt
+    Q = W if pinned else np.vstack([W, np.ones(len(Z))])
+    n, m = Q.shape
+
+    # N = sum_a x_a E_a over a basis of symmetric matrices, so that the
+    # constraints q_k^T N q_k <= 1 are linear: A x <= 1
+    iu, ju = np.triu_indices(n)
+    E = np.zeros((iu.size, n, n))
+    E[np.arange(iu.size), iu, ju] = 1.0
+    E[np.arange(iu.size), ju, iu] = 1.0
+    A = np.einsum("ik,aij,jk->ka", Q, E, Q)
+    x = np.eye(n)[iu, ju] / (2.0 * (Q * Q).sum(axis=0).max())
+    s = 1.0 - A @ x
+
+    def barrier(x, s, t):
+        if s.min() <= 0.0:
+            return np.inf
+        try:
+            L = np.linalg.cholesky(np.tensordot(x, E, axes=1))
+        except np.linalg.LinAlgError:
+            return np.inf
+        return -2.0 * t * np.log(L.diagonal()).sum() - np.log(s).sum()
+
+    t, iterations, done = 1.0, 0, False
+    while not done:
+        f = barrier(x, s, t)
+        lam2_prev = np.inf
+        while True:
+            G = np.linalg.inv(np.tensordot(x, E, axes=1)) @ E
+            grad = -t * np.einsum("aii->a", G) + A.T @ (1.0 / s)
+            hess = t * np.einsum("aij,bji->ab", G, G) + (A.T / s**2) @ A
+            try:
+                L = np.linalg.cholesky(hess)
+            except np.linalg.LinAlgError:
+                # the 1/s^2 terms have swamped the t-weighted curvature
+                done = True
+                break
+            w = np.linalg.solve(L, grad)
+            dx = -np.linalg.solve(L.T, w)
+            lam2 = w @ w  # squared Newton decrement
+            # inside the quadratic region (lam2 <= 1/16) a full step is
+            # feasible in exact arithmetic and needs no decrease test, which
+            # round-off in f would defeat; there lam2 shrinks quadratically
+            # until it stalls at round-off
+            quadratic = 16.0 * lam2 <= 1.0
+            if not lam2 > _MVEE_CENTERED or (quadratic and lam2 >= lam2_prev):
+                break
+            lam2_prev = lam2
+            ds = -A @ dx
+            for step in 0.5 ** np.arange(40):
+                f_new = barrier(x + step * dx, s + step * ds, t)
+                if f_new < np.inf and (
+                    quadratic or f_new <= f - 0.25 * step * lam2
+                ):
+                    break
+            else:
+                break  # no step makes progress: round-off floor
+            iterations += 1
+            x, s, f = x + step * dx, s + step * ds, f_new
+        done = done or m / t <= _MVEE_GAP
+        t *= _MVEE_T_GROWTH
+
+    # center and shape in whitened coordinates, then mapped back
+    N = np.tensordot(x, E, axes=1)
+    if pinned:
+        cw, Mw = np.zeros(2), N
+    else:
+        V = np.linalg.inv(N)
+        V /= V[2, 2]
+        cw = V[:2, 2]
+        Mw = np.linalg.inv(V[:2, :2] - np.outer(cw, cw)) / 2.0
+    z = W.T - cw
+    violation = np.einsum("ki,ij,kj->k", z, Mw, z).max() - 1.0
+    return ref + np.linalg.solve(T, cw), T.T @ Mw @ T, iterations, float(violation)
 
 
 @dataclass
@@ -352,7 +406,6 @@ def fit_john_ellipsoid(
     section: Section,
     center=None,
     normal=None,
-    tol: float = 1e-6,
     grid: Grid | None = None,
 ) -> EllipsoidFit:
     """Fit the minimum-volume enclosing ellipsoid of a section hull.
@@ -368,7 +421,7 @@ def fit_john_ellipsoid(
         raise DegenerateSectionError(
             "section has no usable hull (empty or degenerate point cloud)"
         )
-    c, M, iterations, viol = mvee(section.hull_points, tol=tol, center=center)
+    c, M, iterations, viol = mvee(section.hull_points, center=center)
 
     R = _normal_rotation(normal if normal is not None else (0.0, 1.0))
     Mr = R.T @ M @ R
@@ -412,7 +465,6 @@ def fit_john_ellipsoid(
 def maximal_height(
     u: ScalarField,
     y,
-    rel_tol: float = 1e-6,
     center_value: float | None = None,
     center_gradient=None,
 ):
@@ -420,11 +472,11 @@ def maximal_height(
 
     A section escapes the domain exactly when some boundary hit point has
     negative section gap, so the escape height of each hit is its tangent
-    gap; the maximal height is located by bisection between a contained
-    and an escaped height, to relative tolerance ``rel_tol``.
+    gap and the maximal height is the smallest of them (0 when that is not
+    positive).
 
     Returns ``(hbar, touch_point)`` where ``touch_point`` is the boundary
-    hit realizing (numerically) the first contact.
+    hit realizing the first contact.
     """
     y = np.asarray(y, float)
     grid = u.grid
@@ -448,26 +500,8 @@ def maximal_height(
         - (center_value + (grid.hit_points - y) @ center_gradient)
     )
     touch = int(np.argmin(gaps))
-
-    def contained(h: float) -> bool:
-        return bool((gaps >= h).all())
-
-    lo = 0.0
-    hi = max(float(gaps[touch]), np.finfo(float).tiny)
-    for _ in range(80):
-        if not contained(hi):
-            break
-        lo = hi
-        hi *= 2.0
-    for _ in range(200):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if contained(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(lo), grid.hit_points[touch]
+    hbar = float(gaps[touch])
+    return (hbar if hbar > 0.0 else 0.0), grid.hit_points[touch]
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +601,14 @@ class LocalizationScan:
     sliding coefficient tau, volume ratio against the model value pi*h,
     and the hull dilation bracket.  ``slide_c0 + slide_c1 * |log h|`` is
     the least-squares fit of |tau| against |log h| over the kept rows.
+    ``hulls`` holds the section hull polygon of each kept row, in order;
+    it is kept apart from ``rows``, which are plain report data.
     """
 
     x0: np.ndarray
     normal: np.ndarray
     rows: list[dict] = field(default_factory=list)
+    hulls: list[np.ndarray] = field(default_factory=list)
     slide_c0: float = np.nan
     slide_c1: float = np.nan
     slide_r2: float = np.nan
@@ -586,7 +623,6 @@ def localization_scan(
     heights,
     min_nodes: int = 12,
     separation_check: bool = True,
-    mvee_tol: float = 1e-7,
 ) -> LocalizationScan:
     """Scan pinned-center section ellipsoids at boundary point ``x0``.
 
@@ -626,15 +662,14 @@ def localization_scan(
             row["skipped"] = True
             scan.rows.append(row)
             continue
-        fit = fit_john_ellipsoid(
-            sec, center=x0, normal=normal, tol=mvee_tol, grid=grid
-        )
+        fit = fit_john_ellipsoid(sec, center=x0, normal=normal, grid=grid)
         row["tau"] = fit.tau
         row["vol_ratio"] = fit.volume / (np.pi * h)
         row["k_inner"] = fit.k_inner
         row["k_outer"] = fit.k_outer
         row["norm_A"] = float(np.linalg.norm(fit.A, 2))
         scan.rows.append(row)
+        scan.hulls.append(sec.hull_points)
 
     kept = scan.kept_rows()
     if len(kept) >= 2:
@@ -756,7 +791,6 @@ def normalize_section(
     u: ScalarField,
     y,
     target_n: int = 65,
-    rel_tol: float = 1e-6,
 ) -> NormalizedSection:
     """Renormalize the maximal section of ``u`` at interior point ``y``.
 
@@ -771,7 +805,7 @@ def normalize_section(
     """
     y = np.asarray(y, float)
     grid = u.grid
-    hbar, touch = maximal_height(u, y, rel_tol=rel_tol)
+    hbar, touch = maximal_height(u, y)
     val, grad = value_and_gradient_at(u, y)
     sec = extract_section(
         u, y, hbar, center_value=val, center_gradient=grad

@@ -231,7 +231,7 @@ def test_sections_command_boundary_scan(tmp_path):
         },
     )
     out = str(tmp_path / "o")
-    assert main(["sections", "--config", cfg, "--out", out, "--threads", "2"]) == 0
+    assert main(["sections", "--config", cfg, "--out", out]) == 0
     results = read_report(out)["results"]
     with open(os.path.join(out, "sections.csv")) as fh:
         header = fh.readline().strip()

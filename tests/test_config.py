@@ -36,7 +36,6 @@ RICH_CONFIG = {
     "lma": {"u_csv": "u.csv", "psi": {"const": 2.0}},
     "output_dir": "results",
     "seed": 7,
-    "threads": 2,
 }
 
 
@@ -154,7 +153,6 @@ def test_empty_config_materializes_defaults():
     assert cfg.verify == {"boundary_alpha": 1.0}
     assert cfg.output_dir == "out"
     assert cfg.seed == 0
-    assert cfg.threads == 1
 
 
 def test_sections_defaults():

@@ -27,7 +27,7 @@ from amce.errors import DegenerateSectionError
 def test_mvee_free_recovers_ellipse():
     t = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
     pts = np.stack([2.0 * np.cos(t) + 0.3, 0.5 * np.sin(t) - 0.1], axis=1)
-    c, M, _, viol = mvee(pts, tol=1e-9)
+    c, M, _, viol = mvee(pts)
     np.testing.assert_allclose(c, [0.3, -0.1], atol=1e-9)
     np.testing.assert_allclose(M, np.diag([0.25, 4.0]), atol=1e-8)
     assert viol < 1e-9
@@ -41,7 +41,7 @@ def test_mvee_pinned_half_disk_is_full_disk():
     pts = np.vstack(
         [np.stack([np.cos(th), np.sin(th)], axis=1), [[1.0, 0.0], [-1.0, 0.0]]]
     )
-    _, M, _, viol = mvee(pts, tol=1e-9, center=[0.0, 0.0])
+    _, M, _, viol = mvee(pts, center=[0.0, 0.0])
     np.testing.assert_allclose(M, np.eye(2), atol=1e-9)
     assert viol < 1e-9
 
@@ -51,15 +51,49 @@ def test_mvee_rejects_degenerate_input():
         mvee(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # collinear
 
 
-def test_mvee_away_steps_converge_on_arc_hulls():
-    """Dense near-circular hulls are the slow case for plain Frank-Wolfe;
-    away steps must still reach the tolerance (symmetric input -> no tilt)."""
+@pytest.mark.parametrize("center", [None, [0.0, 0.0]])
+def test_mvee_rejects_coincident_points(center):
+    with pytest.raises(DegenerateSectionError):
+        mvee(np.full((5, 2), 0.25), center=center)
+
+
+@pytest.mark.parametrize(
+    "pts, center",
+    [
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.5, np.nan]], None),
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.5, np.nan]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.5, -0.5]], [np.nan, 0.0]),
+    ],
+)
+def test_mvee_rejects_non_finite_input(pts, center):
+    with pytest.raises(DegenerateSectionError):
+        mvee(np.array(pts), center=center)
+
+
+def test_mvee_converges_on_arc_hulls():
+    """Dense near-circular hulls have many near-active vertices, the slow
+    case for first-order fits; the fit must still reach the tolerance
+    (symmetric input -> no tilt)."""
     t = np.linspace(0.05, np.pi - 0.05, 400)
     pts = np.stack([np.cos(t), np.sin(t)], axis=1)
     pts = np.vstack([pts, [[0.9, 0.02], [-0.9, 0.02]]])
-    _, M, iters, viol = mvee(pts, tol=1e-9, center=[0.0, 0.0])
+    _, M, iters, viol = mvee(pts, center=[0.0, 0.0])
     assert viol <= 1e-9
     assert abs(M[0, 1]) < 1e-7 * abs(M[0, 0])
+
+
+def test_mvee_free_fit_encloses_dense_section_hull(grid64):
+    """The free fit of a maximal-section hull with hundreds of vertices
+    encloses every vertex to round-off."""
+    from amce import get_fixture
+
+    u = ScalarField.from_callable(grid64, get_fixture("sheared_half", theta=0.25).u)
+    y = np.array([0.5, 0.0])
+    hbar, _ = maximal_height(u, y)
+    hull = extract_section(u, y, hbar).hull_points
+    assert len(hull) > 300
+    _, _, _, viol = mvee(hull)
+    assert viol <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +209,24 @@ def test_boundary_scan_centered_quadratic_no_tilt(r2_64_exact):
         assert row["vol_ratio"] == pytest.approx(1.0, abs=0.01)
         assert row["k_outer"] >= 1.0 - 1e-9
         assert row["k_inner"] <= 1.0 + 1e-9
+
+
+def test_boundary_scan_keeps_row_hulls(r2_64_exact):
+    """The scan keeps one hull per kept row: the hull of that row's section."""
+    from amce import value_and_gradient_at
+
+    x0 = np.array([0.0, -1.0])
+    heights = [0.125, 1e-4]  # the second section is too small and skipped
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scan = localization_scan(r2_64_exact, x0, heights)
+    assert [r["skipped"] for r in scan.rows] == [False, True]
+    assert len(scan.hulls) == 1
+    val, grad = value_and_gradient_at(r2_64_exact, x0)
+    sec = extract_section(
+        r2_64_exact, x0, 0.125, center_value=val, center_gradient=grad
+    )
+    np.testing.assert_array_equal(scan.hulls[0], sec.hull_points)
 
 
 def test_boundary_scan_recovers_shear(grid64):
