@@ -122,38 +122,44 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
     """Read an ``x,y,value`` dump back onto a grid.
 
     Rows are matched to lattice nodes by index and to boundary hits by
-    nearest point.  Missing nodes or hits raise IncompleteDataError —
-    the dump must come from the same domain/spacing combination.
+    nearest point, all rows at once.  Non-finite entries, unmatched rows
+    and missing nodes or hits raise IncompleteDataError — the dump must
+    come from the same domain/spacing combination.
     """
     try:
         data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
     except OSError as exc:
         raise ConfigError(f"cannot read field csv {path}: {exc}") from exc
     data = np.atleast_2d(data)
-    if data.ndim != 2 or data.shape[1] != 3 or np.isnan(data).any():
+    if data.ndim != 2 or data.shape[1] != 3 or not np.isfinite(data).all():
         raise IncompleteDataError(f"{path} is not a valid x,y,value table")
 
-    values = np.full(grid.n_nodes, np.nan)
-    hit_values = np.full(grid.n_hits, np.nan)
-    hit_tree = None
-    if grid.n_hits:
+    pts, vals = data[:, :2], data[:, 2]
+    tol = 1e-9 * max(1.0, float(np.abs(grid.nodes).max(initial=1.0)))
+    node = grid.ids_at(np.rint(pts / grid.h))
+    on_node = node >= 0
+    # the tolerance rule of Grid.node_at, applied to all rows at once
+    on_node[on_node] = np.max(
+        np.abs(grid.nodes[node[on_node]] - pts[on_node]), axis=1
+    ) <= tol * max(1.0, grid.h)
+    hit = np.full(len(data), -1)
+    rest = np.nonzero(~on_node)[0]
+    if grid.n_hits and rest.size:
         from scipy.spatial import cKDTree
 
-        hit_tree = cKDTree(grid.hit_points)
-    tol = 1e-9 * max(1.0, float(np.abs(grid.nodes).max(initial=1.0)))
-    for x, y, v in data:
-        node = grid.node_at((x, y), tol=tol)
-        if node is not None:
-            values[node] = v
-            continue
-        if hit_tree is not None:
-            dist, hid = hit_tree.query([x, y])
-            if dist <= tol:
-                hit_values[hid] = v
-                continue
+        dist, hid = cKDTree(grid.hit_points).query(pts[rest])
+        hit[rest[dist <= tol]] = hid[dist <= tol]
+    unmatched = np.nonzero(~on_node & (hit < 0))[0]
+    if unmatched.size:
+        x, y = pts[unmatched[0]]
         raise IncompleteDataError(
             f"{path}: row ({x:.17g}, {y:.17g}) matches no node or hit of the grid"
         )
+    values = np.full(grid.n_nodes, np.nan)
+    values[node[on_node]] = vals[on_node]
+    on_hit = hit >= 0
+    hit_values = np.full(grid.n_hits, np.nan)
+    hit_values[hit[on_hit]] = vals[on_hit]
     if np.isnan(values).any():
         missing = int(np.isnan(values).sum())
         raise IncompleteDataError(f"{path}: {missing} grid nodes have no value")
@@ -188,11 +194,7 @@ def _coupled_options(cfg: RunConfig) -> CoupledOptions:
         max_outer_iters=s["max_outer_iters"],
         relaxation=s["relaxation"],
         lma_tol=s["lma_tol"],
-        ma=MASolveOptions(
-            newton_tol=s["newton_tol"],
-            max_iters=s["max_newton_iters"],
-            eps_clamp=s["eps_clamp"],
-        ),
+        ma=_ma_options(cfg),
     )
 
 
@@ -210,7 +212,6 @@ def _coupled_problem(cfg: RunConfig, grid: Grid) -> ProblemData:
             f_fn=pb["f"].to_callable(),
             phi_fn=pb["phi"].to_callable(),
             psi_fn=pb["psi"].to_callable(),
-            p_norm=pb["p"],
         )
     if cfg.fixture is not None:
         return problem_from_exact(grid, _fixture_exact(cfg))

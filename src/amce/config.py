@@ -13,6 +13,7 @@ canonical config are byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
@@ -44,9 +45,15 @@ def _check_keys(d: dict, allowed: set[str], ctx: str) -> None:
 
 
 def _number(value, ctx: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{ctx} must be a number, got {value!r}")
-    return float(value)
+    """A finite float; JSON ``NaN`` and ``Infinity`` are rejected."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer past the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{ctx} must be a finite number, got {value!r}")
 
 
 def _integer(value, ctx: str) -> int:
@@ -56,13 +63,9 @@ def _integer(value, ctx: str) -> int:
 
 
 def _point(value, ctx: str) -> list[float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{ctx} must be a pair of numbers, got {value!r}")
-    return [float(value[0]), float(value[1])]
+    return [_number(v, f"{ctx}[{i}]") for i, v in enumerate(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ class FieldSpec:
 
 _DOMAIN_KINDS = {"disk", "ellipse", "levelset"}
 _FIXTURE_FIELD_KEYS = {"name", "theta"}
-_PROBLEM_KEYS = {"theta", "f", "phi", "psi", "p"}
+_PROBLEM_KEYS = {"theta", "f", "phi", "psi"}
 _SOLVER_KEYS = {
     "outer_tol",
     "max_outer_iters",
@@ -313,7 +316,6 @@ def parse_config(obj: dict) -> RunConfig:
             "f": FieldSpec.parse(pb["f"], "problem.f"),
             "phi": FieldSpec.parse(pb["phi"], "problem.phi"),
             "psi": FieldSpec.parse(pb["psi"], "problem.psi"),
-            "p": _number(pb.get("p", 2.0), "problem.p"),
         }
 
     fixture = None

@@ -48,7 +48,6 @@ class ProblemData:
     f: ScalarField
     phi_hits: Array
     psi_hits: Array
-    p_norm: float = 2.0
 
     def __post_init__(self):
         check_theta(self.theta)
@@ -75,7 +74,6 @@ class ProblemData:
         f_fn: Callable[[Array], Array],
         phi_fn: Callable[[Array], Array],
         psi_fn: Callable[[Array], Array],
-        p_norm: float = 2.0,
     ) -> "ProblemData":
         return cls(
             grid=grid,
@@ -83,7 +81,6 @@ class ProblemData:
             f=ScalarField.from_callable(grid, f_fn),
             phi_hits=np.asarray(phi_fn(grid.hit_points), dtype=float),
             psi_hits=np.asarray(psi_fn(grid.hit_points), dtype=float),
-            p_norm=float(p_norm),
         )
 
 
@@ -269,14 +266,10 @@ def affine_mean_curvature(u: ScalarField, w: ScalarField) -> Array:
     linear solver tolerance.
     """
     coeff = CofactorField.from_hessian(discrete_hessian(u))
-    Hw = discrete_hessian(w)
-    L = coeff.c11 * Hw.hxx + 2.0 * coeff.c12 * Hw.hxy + coeff.c22 * Hw.hyy
-    return -L / 3.0
+    return -lma_residual(w, coeff, 0.0) / 3.0
 
 
-def problem_from_exact(
-    grid: Grid, exact, theta: float | None = None, p_norm: float = 2.0
-) -> ProblemData:
+def problem_from_exact(grid: Grid, exact, theta: float | None = None) -> ProblemData:
     """Problem data whose exact solution is the given manufactured bundle."""
     th = exact.theta if theta is None else float(theta)
     return ProblemData.from_callables(
@@ -285,5 +278,4 @@ def problem_from_exact(
         f_fn=exact.f,
         phi_fn=exact.u,
         psi_fn=exact.w,
-        p_norm=p_norm,
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidShearError, NonConvexProfileError
 from .geometry import Disk, Domain
+from .lma import cofactor_matrix
 
 Array = np.ndarray
 
@@ -54,12 +55,7 @@ class ExactSolution:
     r_max: float
 
     def cofactor(self, pts: Array) -> Array:
-        H = self.hess_u(pts)
-        U = np.empty_like(H)
-        U[:, 0, 0] = H[:, 1, 1]
-        U[:, 1, 1] = H[:, 0, 0]
-        U[:, 0, 1] = U[:, 1, 0] = -H[:, 0, 1]
-        return U
+        return cofactor_matrix(self.hess_u(pts))
 
     def sign_audit(
         self, domain: Domain | None = None, n: int = 10_000, seed: int = 0

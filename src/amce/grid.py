@@ -35,11 +35,20 @@ _BISECT_ITERS = 60  # 2**-60 of an arm length is far below the 1e-12 target
 
 @dataclass
 class Grid:
+    """Interior nodes, their eight arms and the boundary hits of the arms.
+
+    ``id_map`` covers the lattice box ``id_origin + [0, shape)`` that
+    contains every node and its eight neighbors: cell ``ij - id_origin``
+    holds the id of the node at lattice index ``ij``, or -1 where there is
+    none.  Look ids up through :meth:`ids_at`, which bounds-checks.
+    """
+
     domain: Domain
     h: float
     nodes: Array  # (N, 2) coordinates
     lattice: Array  # (N, 2) integer lattice indices
-    index: dict  # (i, j) -> node id
+    id_map: Array  # (I, J) node id per lattice cell of the box, -1 if none
+    id_origin: Array  # (2,) lattice index of id_map[0, 0]
     arm_kind: Array  # (N, 8) ARM_INTERIOR or ARM_HIT
     arm_ref: Array  # (N, 8) neighbor node id or hit id
     arm_frac: Array  # (N, 8) fractional arm length in (0, 1]
@@ -65,16 +74,29 @@ class Grid:
         """Nodes whose eight arms all reach interior neighbors."""
         return (self.arm_kind == ARM_INTERIOR).all(axis=1)
 
+    def ids_at(self, ij) -> Array:
+        """Node ids at lattice indices ``ij`` of shape (..., 2), -1 where none.
+
+        Indices outside the box, and non-finite ones, map to -1.
+        """
+        return _ids_at(self.id_map, self.id_origin, ij)
+
     def node_at(self, point, tol: float = 1e-9) -> int | None:
         """Node id at the given coordinates, or None."""
         p = np.asarray(point, dtype=float)
-        ij = np.rint(p / self.h).astype(int)
-        nid = self.index.get((int(ij[0]), int(ij[1])))
-        if nid is None:
-            return None
-        if np.max(np.abs(self.nodes[nid] - p)) > tol * max(1.0, self.h):
+        nid = int(self.ids_at(np.rint(p / self.h)))
+        if nid < 0 or np.max(np.abs(self.nodes[nid] - p)) > tol * max(1.0, self.h):
             return None
         return nid
+
+
+def _ids_at(id_map: Array, origin: Array, ij) -> Array:
+    k = np.asarray(ij) - origin
+    inside = np.all((k >= 0) & (k < id_map.shape), axis=-1)
+    ids = np.full(inside.shape, -1, dtype=np.int64)
+    kk = k[inside].astype(np.int64)
+    ids[inside] = id_map[kk[:, 0], kk[:, 1]]
+    return ids
 
 
 def build_grid(domain: Domain, h: float) -> Grid:
@@ -108,7 +130,10 @@ def build_grid(domain: Domain, h: float) -> Grid:
             f"no lattice point of spacing {h} lies strictly inside the domain"
         )
 
-    index = {(int(i), int(j)): k for k, (i, j) in enumerate(lattice)}
+    id_origin = np.array([i_range[0], j_range[0]])
+    id_map = np.full(len(lattice_all), -1, dtype=np.int64)
+    id_map[inside] = np.arange(n)
+    id_map = id_map.reshape(len(i_range), len(j_range))
 
     arm_kind = np.zeros((n, 8), dtype=np.uint8)
     arm_ref = np.zeros((n, 8), dtype=np.int64)
@@ -119,10 +144,7 @@ def build_grid(domain: Domain, h: float) -> Grid:
 
     for d in range(8):
         step = DIRS[d]
-        nbr_lattice = lattice + step
-        nbr_ids = np.array(
-            [index.get((int(i), int(j)), -1) for i, j in nbr_lattice], dtype=np.int64
-        )
+        nbr_ids = _ids_at(id_map, id_origin, lattice + step)
         is_int = nbr_ids >= 0
         arm_kind[is_int, d] = ARM_INTERIOR
         arm_ref[is_int, d] = nbr_ids[is_int]
@@ -157,7 +179,8 @@ def build_grid(domain: Domain, h: float) -> Grid:
         h=float(h),
         nodes=nodes,
         lattice=lattice,
-        index=index,
+        id_map=id_map,
+        id_origin=id_origin,
         arm_kind=arm_kind,
         arm_ref=arm_ref,
         arm_frac=arm_frac,

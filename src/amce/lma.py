@@ -5,9 +5,9 @@ dimensions the cofactor of ``[[a, b], [b, c]]`` is ``[[c, -b], [-b, a]]``;
 its rows are divergence-free for exact Hessians, which is what puts the
 operator in both divergence and non-divergence form in the continuum.  The
 discretization here is the non-divergence form with node-wise frozen
-coefficients, assembled from the same cut-cell second-difference operators
-used by the nonlinear solver, and solved with a sparse direct
-factorization.  The matrix is not symmetric and carries no M-matrix
+coefficients, assembled from the cut-cell second-difference operators by
+:func:`assemble_lma` (the Newton step of the nonlinear solver factors the
+same operator), and solved with a sparse direct factorization.  The matrix is not symmetric and carries no M-matrix
 guarantee; a sign-pattern audit and a condition estimate are reported
 instead of a monotonicity assumption.
 """

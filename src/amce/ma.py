@@ -8,7 +8,8 @@ determinant is the cofactor contraction
 
 so each Newton step solves the sparse linearized problem
 ``(U11 Dxx + 2 U12 Dxy + U22 Dyy) delta = -(det H(u) - g)`` with the
-cofactor frozen at the current iterate.  Eigenvalues of ``H`` are clamped
+cofactor frozen at the current iterate: the operator of
+:func:`amce.lma.assemble_lma`.  Eigenvalues of ``H`` are clamped
 from below before forming ``U`` so the linearization stays elliptic when an
 iterate grazes the convexity boundary; a backtracking line search enforces
 decrease of the residual sup norm.
@@ -22,12 +23,12 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConvexityFailureError, InvalidProblemError, NonConvergenceError
 from .grid import Grid, ScalarField
-from .operators import HessianField, discrete_hessian, grid_operators, solve_poisson
+from .lma import CofactorField, assemble_lma
+from .operators import discrete_hessian, solve_poisson
 
 Array = np.ndarray
 
@@ -97,18 +98,6 @@ def ma_residual(u: ScalarField, g: ScalarField) -> Array:
     return discrete_hessian(u).det() - g.values
 
 
-def _linearization(grid: Grid, H: HessianField, eps_clamp: float) -> sp.csc_matrix:
-    Hc = H.clamped(eps_clamp)
-    ops = grid_operators(grid)
-    # cofactor of the clamped Hessian: U11 = hyy, U22 = hxx, U12 = -hxy
-    J = (
-        sp.diags(Hc.hyy) @ ops["dxx"].D
-        - 2.0 * sp.diags(Hc.hxy) @ ops["dxy"].D
-        + sp.diags(Hc.hxx) @ ops["dyy"].D
-    )
-    return J.tocsc()
-
-
 def solve_ma(
     problem: MAProblem,
     options: MASolveOptions | None = None,
@@ -141,7 +130,7 @@ def solve_ma(
                 f"{opts.max_iters} iterations (last residual {res_norm:.3e})",
                 history=history,
             )
-        J = _linearization(problem.grid, H, opts.eps_clamp)
+        J, _ = assemble_lma(CofactorField.from_hessian(H.clamped(opts.eps_clamp)))
         delta = splu(J).solve(-res)
 
         alpha = 1.0

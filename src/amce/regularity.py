@@ -354,19 +354,9 @@ class SobolevMonitor:
 
 def _offset_table(grid: Grid, radius: int = 2):
     offs = range(-radius, radius + 1)
-    table = {}
-    lat = grid.lattice
-    for dx in offs:
-        for dy in offs:
-            ids = np.fromiter(
-                (
-                    grid.index.get((int(i + dx), int(j + dy)), -1)
-                    for i, j in lat
-                ),
-                dtype=np.int64,
-                count=grid.n_nodes,
-            )
-            table[(dx, dy)] = ids
+    table = {
+        (dx, dy): grid.ids_at(grid.lattice + (dx, dy)) for dx in offs for dy in offs
+    }
     covered = np.ones(grid.n_nodes, dtype=bool)
     for ids in table.values():
         covered &= ids >= 0

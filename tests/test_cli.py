@@ -59,6 +59,21 @@ def test_invalid_theta_reported(tmp_path, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+def test_non_finite_config_number_is_invalid_input(tmp_path, capsys):
+    # json.load accepts the NaN literal; a NaN weight trace used to escape
+    # the solver as an uncaught "Factor is exactly singular".
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"domain": {"kind": "disk", "params": {"radius": 1.0}, "h_grid": 0.125},'
+        ' "problem": {"theta": 0.25, "f": {"const": -1.0},'
+        ' "phi": {"poly": {"20": 0.5, "02": 0.5}}, "psi": {"const": NaN}}}'
+    )
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "problem.psi.const" in err
+
+
 def test_solve_without_problem_or_fixture(tmp_path):
     cfg = write_cfg(tmp_path, {"domain": DISK16})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -20,7 +20,6 @@ RICH_CONFIG = {
         "f": {"gaussian": {"amplitude": -0.5, "sigma": 0.4, "center": [0.1, -0.2]}},
         "phi": {"poly": {"20": 0.5, "02": 0.5}},
         "psi": {"const": 1.0},
-        "p": 2.0,
     },
     "solver": {"outer_tol": 1e-7, "max_outer_iters": 64},
     "verify": {"boundary_alpha": 0.5},
@@ -57,6 +56,7 @@ RICH_CONFIG = {
         ({"converge": {"hs": [0.1, 0.05]}}, "converge"),
         ({"ma": {"rhs": {"const": 1.0}}}, "ma"),
         ({"lma": {"u": "u.csv"}}, "lma"),
+        ({"problem": {"theta": 0.25, "f": {"const": 0.0}, "phi": {"const": 0.0}, "psi": {"const": 1.0}, "p": 2.0}}, "problem"),
     ],
 )
 def test_unknown_keys_rejected(obj, fragment):
@@ -186,6 +186,10 @@ def test_sections_defaults():
         {"seed": -1},
         {"seed": True},
         {"threads": 0},
+        {"problem": {"theta": 0.25, "f": {"gaussian": {"amplitude": float("nan")}}, "phi": {"const": 0.0}, "psi": {"const": 1.0}}},
+        {"problem": {"theta": 0.25, "f": {"const": 0.0}, "phi": {"const": 0.0}, "psi": {"const": float("nan")}}},
+        {"domain": {"kind": "disk", "params": {}, "h_grid": float("inf")}},
+        {"sections": {"boundary_point": [0.0, float("-inf")]}},
     ],
 )
 def test_out_of_range_values_rejected(obj):

@@ -70,3 +70,38 @@ def test_node_lookup(grid16):
     nid = g.n_nodes // 3
     assert g.node_at(g.nodes[nid]) == nid
     assert g.node_at(g.nodes[nid] + 0.4 * g.h) is None
+
+
+def test_lattice_id_map(grid16):
+    g = grid16
+    assert np.array_equal(g.ids_at(g.lattice), np.arange(g.n_nodes))
+    # lattice points of the box that are not interior nodes
+    box = np.stack(
+        np.meshgrid(
+            *(np.arange(n) + o for n, o in zip(g.id_map.shape, g.id_origin)),
+            indexing="ij",
+        ),
+        axis=-1,
+    ).reshape(-1, 2)
+    outside = box[~g.domain.contains(box * g.h)]
+    assert len(outside) > 0
+    assert (g.ids_at(outside) == -1).all()
+    # beyond every edge of the box, including negative offsets into the map:
+    # (-I, 0) and (0, -J) would wrap around onto the center node (0, 0)
+    shape = g.id_map.shape
+    lo = g.id_origin
+    hi = lo + np.array(shape) - 1
+    beyond = np.array(
+        [[lo[0] - 1, 0], [hi[0] + 1, 0], [0, lo[1] - 1], [0, hi[1] + 1],
+         [lo[0] - 3, lo[1] - 3], [hi[0] + 50, hi[1] + 50],
+         [-shape[0], 0], [0, -shape[1]]]
+    )
+    assert g.ids_at([0, 0]) >= 0
+    assert (g.ids_at(beyond) == -1).all()
+    assert g.node_at((5.0, -5.0)) is None
+    # reference: a Python dict over the lattice, for every offset in [-2, 2]^2
+    ref = {(int(i), int(j)): k for k, (i, j) in enumerate(g.lattice)}
+    for off in np.ndindex(5, 5):
+        shifted = g.lattice + np.array(off) - 2
+        expect = [ref.get((int(i), int(j)), -1) for i, j in shifted]
+        assert np.array_equal(g.ids_at(shifted), expect)

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -29,3 +31,25 @@ def test_run_localization_smoke():
     assert len(rows) == 4
     assert not any("skipped" in row for row in rows)
     assert lines[header + 5].startswith("sliding fit")
+
+
+def test_run_convergence_smoke():
+    proc = run_script("run_convergence.py", "--h", "0.125", "0.0625")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["h", "nodes"])
+    rows = lines[header + 1 : header + 3]
+    assert [float(row.split()[0]) for row in rows] == [0.125, 0.0625]
+    assert not any("failed" in row for row in rows)
+    assert any(line.startswith("observed orders (u)") for line in lines)
+
+
+def test_run_forcing_family_smoke():
+    # at h = 1/16 the fitted beta of the second member is NaN
+    proc = run_script("run_forcing_family.py", "--members", "2", "--h-grid", "0.03125")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[:5] == ["k", "sigma", "sup|f|", "L2(f)", "beta"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["0", "1"]
+    assert all(np.isfinite(float(row[4])) for row in rows)
