@@ -138,11 +138,8 @@ def w_from_u(u: ScalarField, theta: float) -> ScalarField:
             f"cannot form the weight: min det H = {det.min():.3e} <= 0"
         )
     grid = u.grid
-    hit_vals = np.empty(grid.n_hits)
-    for k in range(grid.n_hits):
-        _, _, Hk = local_quadratic_fit(u, grid.hit_points[k])
-        dk = Hk[0, 0] * Hk[1, 1] - Hk[0, 1] ** 2
-        hit_vals[k] = dk
+    _, _, Hk = local_quadratic_fit(u, grid.hit_points)
+    hit_vals = Hk[:, 0, 0] * Hk[:, 1, 1] - Hk[:, 0, 1] ** 2
     if hit_vals.size and hit_vals.min() <= 0.0:
         raise ConvexityFailureError(
             "one-sided boundary determinant is not positive"

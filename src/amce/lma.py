@@ -168,7 +168,10 @@ def solve_lma(
     D, B = assemble_lma(coeff)
     psi = problem.psi_hits
     rhs = problem.g - (B @ psi if grid.n_hits else 0.0)
-    lu = splu(D)
+    try:
+        lu = splu(D)
+    except RuntimeError as exc:
+        raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
     v = lu.solve(rhs)
     prev = np.inf
     for _ in range(4):

@@ -25,7 +25,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .errors import ConvexityFailureError, InvalidProblemError, NonConvergenceError
+from .errors import (
+    ConvexityFailureError,
+    DegenerateOperatorError,
+    InvalidProblemError,
+    NonConvergenceError,
+)
 from .grid import Grid, ScalarField
 from .lma import CofactorField, assemble_lma
 from .operators import discrete_hessian, solve_poisson
@@ -131,7 +136,11 @@ def solve_ma(
                 history=history,
             )
         J, _ = assemble_lma(CofactorField.from_hessian(H.clamped(opts.eps_clamp)))
-        delta = splu(J).solve(-res)
+        try:
+            # bind no name to the factor: two would be alive at the next splu
+            delta = splu(J).solve(-res)
+        except RuntimeError as exc:
+            raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
 
         alpha = 1.0
         accepted = False

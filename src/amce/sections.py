@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     ConvexityViolationError,
@@ -554,9 +554,7 @@ def quadratic_separation(
 
     pts = grid.hit_points[idx]
     vals = u.hit_values[idx]
-    grads = np.empty((idx.size, 2))
-    for k, p in enumerate(pts):
-        _, grads[k], _ = local_quadratic_fit(u, p)
+    _, grads, _ = local_quadratic_fit(u, pts)
 
     diff = pts[None, :, :] - pts[:, None, :]  # x - x0, axis 0 = x0
     dist2 = (diff**2).sum(-1)
@@ -622,20 +620,16 @@ def localization_scan(
     x0,
     heights,
     min_nodes: int = 12,
-    separation_check: bool = True,
 ) -> LocalizationScan:
     """Scan pinned-center section ellipsoids at boundary point ``x0``.
 
     ``x0`` must lie on (numerically: within round-off of) the domain
     boundary.  Sections with fewer than ``min_nodes`` member nodes are
-    skipped with a warning — their hulls are grid noise.  When
-    ``separation_check`` is set, a quadratic-separation audit runs first
-    and its failure aborts the scan.
+    skipped with a warning — their hulls are grid noise.
     """
     grid = u.grid
     x0 = np.asarray(x0, float)
-    if separation_check:
-        quadratic_separation(u)
+    quadratic_separation(u)
 
     val, grad = value_and_gradient_at(u, x0)
     normal = grid.domain.inner_normal(x0[None, :])[0]
@@ -716,56 +710,6 @@ class NormalizedSection:
     fit: EllipsoidFit
 
 
-def _resample_quadratic_mls(u: ScalarField, points, radius_factor: float = 3.5):
-    """Resample a grid field at arbitrary points by moving least squares.
-
-    Each point gets the constant term of a quadratic fitted to nearby node
-    and boundary values under the smooth weight ``(1 - (d/r)^2)^2``.  The
-    smooth weight makes the resampled value a C^1 function of the point,
-    so finite differences of the result converge; interpolating the
-    scattered data piecewise instead leaves O(1) noise in the second
-    differences.  Points outside the domain, or with fewer than ten
-    weighted neighbours, resample to NaN.
-    """
-    grid = u.grid
-    pts = np.asarray(points, dtype=float)
-    data_pts = np.vstack([grid.nodes, grid.hit_points])
-    data_val = np.concatenate([u.values, u.require_hit_values()])
-    tree = cKDTree(data_pts)
-    out = np.full(len(pts), np.nan)
-    inside = grid.domain.contains(pts)
-    where = np.flatnonzero(inside)
-    r = radius_factor * grid.h
-    neighbours = tree.query_ball_point(pts[inside], r)
-    for k, ids in enumerate(neighbours):
-        ids = np.asarray(ids, dtype=int)
-        if len(ids) < 10:
-            continue
-        p = pts[where[k]]
-        d = (data_pts[ids] - p) / grid.h
-        rho2 = (d * d).sum(axis=1) / radius_factor**2
-        wts = np.maximum(1.0 - rho2, 0.0) ** 2
-        keep = wts > 0.0
-        if keep.sum() < 10:
-            continue
-        d, wts, vals = d[keep], wts[keep], data_val[ids[keep]]
-        basis = np.stack(
-            [
-                np.ones(len(d)),
-                d[:, 0],
-                d[:, 1],
-                0.5 * d[:, 0] ** 2,
-                d[:, 0] * d[:, 1],
-                0.5 * d[:, 1] ** 2,
-            ],
-            axis=1,
-        )
-        sw = np.sqrt(wts)
-        coef, *_ = np.linalg.lstsq(basis * sw[:, None], vals * sw, rcond=None)
-        out[where[k]] = coef[0]
-    return out
-
-
 def _masked_fd(values2d, mask2d, spacing):
     """Centered first/second differences where the 5-point stencil is valid."""
     ok = (
@@ -835,7 +779,7 @@ def normalize_section(
     lattice = np.column_stack([X.ravel(), Y.ravel()])
     phys = y + lattice @ T.T
 
-    raw = _resample_quadratic_mls(u, phys)
+    raw, _, _ = local_quadratic_fit(u, phys, smooth=True)
 
     gap = raw - (val + (phys - y) @ grad)
     values = gap / hbar

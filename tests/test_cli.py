@@ -74,6 +74,27 @@ def test_non_finite_config_number_is_invalid_input(tmp_path, capsys):
     assert "problem.psi.const" in err
 
 
+def test_singular_operator_is_degenerate_not_a_crash(tmp_path, capsys):
+    # A tiny but finite weight trace makes the LMA matrix exactly singular
+    # in floating point; splu's RuntimeError used to escape with exit 1.
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": {"kind": "disk", "params": {"radius": 1.0}, "h_grid": 0.125},
+            "problem": {
+                "theta": 0.25,
+                "f": {"gaussian": {"amplitude": -0.128, "sigma": 0.625}},
+                "phi": {"poly": {"20": 0.5, "02": 0.5}},
+                "psi": {"const": 1e-300},
+            },
+        },
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "singular" in err
+
+
 def test_solve_without_problem_or_fixture(tmp_path):
     cfg = write_cfg(tmp_path, {"domain": DISK16})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from amce import (
     Disk,
+    IncompleteDataError,
     ScalarField,
     build_grid,
     discrete_gradient,
@@ -55,16 +56,65 @@ def test_poisson_solver_second_order():
     assert min(rates) > 1.7
 
 
+def _quadratic(p):
+    return 1.0 + p[:, 0] + 0.5 * p[:, 0] ** 2 + 0.25 * p[:, 1] ** 2
+
+
+def _quadratic_gradient(p):
+    return np.column_stack([1.0 + p[:, 0], 0.5 * p[:, 1]])
+
+
 def test_local_quadratic_fit_recovers_coefficients(grid32):
-    u = ScalarField.from_callable(
-        grid32, lambda p: 1.0 + p[:, 0] + 0.5 * p[:, 0] ** 2 + 0.25 * p[:, 1] ** 2
-    )
+    u = ScalarField.from_callable(grid32, _quadratic)
     val, grad, hess = local_quadratic_fit(u, np.array([0.21, -0.13]))
     assert val == pytest.approx(
         1.0 + 0.21 + 0.5 * 0.21**2 + 0.25 * 0.13**2, abs=1e-9
     )
     np.testing.assert_allclose(grad, [1.0 + 0.21, -0.5 * 0.13], atol=1e-8)
     np.testing.assert_allclose(hess, [[1.0, 0.0], [0.0, 0.5]], atol=1e-7)
+
+    # a batch mixing non-node interior points, hit points and (0, -1)
+    pts = np.vstack(
+        [[[0.21, -0.13], [-0.6, 0.45]], grid32.hit_points[::40], [[0.0, -1.0]]]
+    )
+    vals, grads, hesses = local_quadratic_fit(u, pts)
+    assert vals[0] == val
+    np.testing.assert_allclose(vals, _quadratic(pts), atol=1e-9)
+    np.testing.assert_allclose(grads, _quadratic_gradient(pts), atol=1e-8)
+    np.testing.assert_allclose(
+        hesses, np.broadcast_to([[1.0, 0.0], [0.0, 0.5]], hesses.shape), atol=1e-7
+    )
+
+
+def test_local_quadratic_fit_widens_per_point(grid32):
+    """Without hit values, points past the boundary need the box widened
+    0, 1 and 2 times; a batch gives each point its own single-point fit,
+    and a point with no data within the widest box raises."""
+    u = ScalarField(grid32, _quadratic(grid32.nodes))
+    pts = np.array([[0.21, -0.13], [1.05, 0.0], [1.2, 0.0]])
+    vals, grads, hesses = local_quadratic_fit(u, pts)
+    for k, p in enumerate(pts):
+        val, grad, hess = local_quadratic_fit(u, p)
+        assert vals[k] == val
+        assert (grads[k] == grad).all() and (hesses[k] == hess).all()
+    with pytest.raises(IncompleteDataError):
+        local_quadratic_fit(u, np.array([[0.0, 0.0], [5.0, 5.0]]))
+
+
+def test_local_quadratic_fit_smooth_rule(grid32):
+    """The smoothly weighted fit is exact on a quadratic inside the domain
+    and NaN at points outside it (the boundary point (0, -1) included)."""
+    u = ScalarField.from_callable(grid32, _quadratic)
+    inside = np.array([[0.21, -0.13], [-0.6, 0.45], [0.0, 0.97]])
+    outside = np.array([[1.2, 0.0], [0.0, -1.0]])
+    vals, grads, hesses = local_quadratic_fit(
+        u, np.vstack([inside, outside]), smooth=True
+    )
+    np.testing.assert_allclose(vals[:3], _quadratic(inside), atol=1e-9)
+    np.testing.assert_allclose(grads[:3], _quadratic_gradient(inside), atol=1e-8)
+    np.testing.assert_allclose(hesses[:3], [[[1.0, 0.0], [0.0, 0.5]]] * 3, atol=1e-7)
+    assert np.isnan(vals[3:]).all()
+    assert np.isnan(grads[3:]).all() and np.isnan(hesses[3:]).all()
 
 
 def test_value_and_gradient_at_boundary_point(grid32):
