@@ -15,7 +15,10 @@ overrides.  Field dumps are CSV with an ``x,y,value`` header at 17
 significant digits, node rows first, then boundary hit rows.
 Each run writes ``report.json`` embedding the canonical config; wall time
 lives only under the ``"timing"`` key so that identical configs produce
-byte-identical reports after dropping that key.
+byte-identical reports after dropping that key.  A run that fails once its
+output directory exists writes one too, with ``"status"`` (``"exit 2"`` or
+``"exit 3"``) and ``"error"`` (class, message and, for a non-convergence,
+the residual history) in place of ``"results"``.
 
 Exit codes: 0 on success, 2 when an iteration fails to converge (or the
 operator degenerates mid-solve), 3 for invalid configs, domains, or data.
@@ -175,6 +178,15 @@ def _write_json(path: str, obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(_jsonable(obj)))
         fh.write("\n")
+
+
+def _write_report(
+    out_dir: str, command: str, cfg: RunConfig, t0: float, **body
+) -> None:
+    """``report.json``: command, canonical config, ``body``, wall time since t0."""
+    report = {"command": command, "config": cfg.canonical(), **body}
+    report["timing"] = {"wall_time_s": time.perf_counter() - t0}
+    _write_json(os.path.join(out_dir, "report.json"), report)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +530,7 @@ def main(argv=None) -> int:
         # with the invalid-input code and let --help keep its clean exit
         return 0 if exc.code == 0 else 3
 
+    out_dir = None
     try:
         cfg = load_config(args.config)
         if args.out is not None:
@@ -527,30 +540,29 @@ def main(argv=None) -> int:
                 raise ConfigError("seed must be nonnegative")
             cfg.seed = args.seed
 
+        os.makedirs(cfg.output_dir, exist_ok=True)
         out_dir = cfg.output_dir
-        os.makedirs(out_dir, exist_ok=True)
 
         t0 = time.perf_counter()
         results, code = _DISPATCH[args.command](cfg, out_dir)
-        wall = time.perf_counter() - t0
-
-        report = {
-            "command": args.command,
-            "config": cfg.canonical(),
-            "results": results,
-            "timing": {"wall_time_s": wall},
-        }
-        _write_json(os.path.join(out_dir, "report.json"), report)
+        _write_report(out_dir, args.command, cfg, t0, results=results)
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{args.command}: {status}, outputs in {out_dir}")
         return code
     except _CONVERGE_EXIT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error, code, message = exc, 2, str(exc)
     except _INVALID_EXIT as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"error: {detail}", file=sys.stderr)
-        return 3
+        error, code = exc, 3
+        message = str(exc.args[0] if exc.args else exc)
+    print(f"error: {message}", file=sys.stderr)
+    if out_dir is not None:
+        detail = {"class": type(error).__name__, "message": message}
+        if getattr(error, "history", None) is not None:
+            detail["history"] = error.history
+        _write_report(
+            out_dir, args.command, cfg, t0, status=f"exit {code}", error=detail
+        )
+    return code
 
 
 if __name__ == "__main__":

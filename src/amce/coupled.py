@@ -30,7 +30,14 @@ import numpy as np
 from .errors import ConvexityFailureError, InvalidProblemError, NonConvergenceError
 from .geometry import Domain
 from .grid import Grid, ScalarField, build_grid
-from .lma import CofactorField, LMAProblem, LMAReport, lma_residual, solve_lma
+from .lma import (
+    CofactorField,
+    FactorSlot,
+    LMAProblem,
+    LMAReport,
+    lma_residual,
+    solve_lma,
+)
 from .ma import MAProblem, MAReport, MASolveOptions, ma_residual, solve_ma
 from .operators import discrete_hessian, local_quadratic_fit, solve_poisson
 
@@ -112,6 +119,7 @@ class SolveReport:
     min_hessian_eigenvalue: float
     newton_iterations_total: int
     hypothesis_flags: dict
+    factorizations: int = 0  # every LU factorization, the Poisson starts included
     wall_time_s: float = 0.0
 
     def as_dict(self) -> dict:
@@ -125,6 +133,7 @@ class SolveReport:
             "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
             "newton_iterations_total": self.newton_iterations_total,
             "hypothesis_flags": self.hypothesis_flags,
+            "factorizations": self.factorizations,
         }
 
 
@@ -174,7 +183,12 @@ def harmonic_extension(grid: Grid, hit_values: Array) -> ScalarField:
 def solve_system(
     data: ProblemData, options: CoupledOptions | None = None
 ) -> tuple[ScalarField, ScalarField, SolveReport]:
-    """Alternating solve of the coupled system; returns ``(u, w, report)``."""
+    """Alternating solve of the coupled system; returns ``(u, w, report)``.
+
+    Each sweep's linear step leaves its LU factor in a :class:`FactorSlot`
+    for the next sweep's first Newton step, which starts from the same
+    ``u`` and so, unless the eigenvalue clamp acts, factors the same matrix.
+    """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
         raise InvalidProblemError(f"relaxation must be in (0, 1], got {opts.relaxation}")
@@ -194,19 +208,24 @@ def solve_system(
     u: ScalarField | None = None
     history: list[float] = []
     newton_total = 0
+    # the Poisson solves of the harmonic extension and of the first Newton start
+    factorizations = 2
+    slot = FactorSlot()
     ma_rep: MAReport | None = None
     converged = False
 
     for _ in range(opts.max_outer_iters):
         g = g_from_w(w, data.theta)
         problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
-        u, ma_rep = solve_ma(problem, opts.ma, initial=u)
+        u, ma_rep = solve_ma(problem, opts.ma, initial=u, slot=slot)
         newton_total += ma_rep.iterations
         coeff = CofactorField.from_hessian(discrete_hessian(u))
         w_half, _ = solve_lma(
             LMAProblem(coeff=coeff, g=data.f.values, psi_hits=data.psi_hits),
             tol=opts.lma_tol,
+            slot=slot,
         )
+        factorizations += ma_rep.factorizations + 1
         new_vals = (1.0 - sigma) * w.values + sigma * w_half.values
         if float(new_vals.min()) <= 0.0:
             new_vals = np.maximum(new_vals, w_floor)
@@ -227,7 +246,8 @@ def solve_system(
     # Final polish: one undamped pass so both sub-equations sit at their
     # algebraic floor for the reported residuals.
     g = g_from_w(w, data.theta)
-    u, ma_rep = solve_ma(MAProblem(grid=grid, g=g, phi_hits=data.phi_hits), opts.ma, initial=u)
+    problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
+    u, ma_rep = solve_ma(problem, opts.ma, initial=u, slot=slot)
     newton_total += ma_rep.iterations
     H = discrete_hessian(u)
     coeff = CofactorField.from_hessian(H)
@@ -235,6 +255,7 @@ def solve_system(
         LMAProblem(coeff=coeff, g=data.f.values, psi_hits=data.psi_hits),
         tol=opts.lma_tol,
     )
+    factorizations += ma_rep.factorizations + 1
     if float(w.values.min()) <= 0.0:
         flags["w_floor_applied"] = True
         w.values = np.maximum(w.values, w_floor)
@@ -251,6 +272,7 @@ def solve_system(
         min_hessian_eigenvalue=H.min_eigenvalue(),
         newton_iterations_total=newton_total,
         hypothesis_flags=flags,
+        factorizations=factorizations,
         wall_time_s=time.perf_counter() - t0,
     )
     return u, w, report

@@ -9,7 +9,8 @@ coefficients, assembled from the cut-cell second-difference operators by
 :func:`assemble_lma` (the Newton step of the nonlinear solver factors the
 same operator), and solved with a sparse direct factorization.  The matrix is not symmetric and carries no M-matrix
 guarantee; a sign-pattern audit and a condition estimate are reported
-instead of a monotonicity assumption.
+instead of a monotonicity assumption.  A :class:`FactorSlot` hands the
+factorization on to a Newton step that needs the same matrix.
 """
 from __future__ import annotations
 
@@ -73,6 +74,49 @@ class CofactorField:
         lo = self.min_eigenvalue_per_node()
         hi = self.c11 + self.c22 - lo
         return float(lo.min()), float(hi.max())
+
+
+class FactorSlot:
+    """Holds at most one LU factor of :func:`assemble_lma`'s matrix.
+
+    The coupled iteration's linear step factors the operator of
+    ``cof H(u)``; the first Newton step of the next sweep starts from the
+    same ``u`` and, when the eigenvalue clamp is a no-op, factors the very
+    same matrix.  :func:`solve_lma` puts its factor here and
+    :func:`amce.ma.solve_ma` takes it.  :meth:`take` hands the factor over
+    only for bitwise equal coefficients on the same grid, and ``solve_ma``
+    empties the slot even when it takes no Newton step, so the held factor
+    is never alive at the next factorization.
+    """
+
+    def __init__(self) -> None:
+        self._held: tuple[CofactorField, object] | None = None
+
+    def put(self, coeff: CofactorField, lu) -> None:
+        # copies: an in-place change of the caller's arrays must not match
+        kept = CofactorField(
+            coeff.grid, coeff.c11.copy(), coeff.c12.copy(), coeff.c22.copy()
+        )
+        self._held = (kept, lu)
+
+    def clear(self) -> None:
+        self._held = None
+
+    def take(self, coeff: CofactorField):
+        """The held factor if it was made from ``coeff`` exactly, else None."""
+        held, self._held = self._held, None
+        if held is None:
+            return None
+        kept, lu = held
+        same = kept.grid is coeff.grid and all(
+            _same_bits(getattr(kept, c), getattr(coeff, c))
+            for c in ("c11", "c12", "c22")
+        )
+        return lu if same else None
+
+
+def _same_bits(a: Array, b: Array) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @dataclass
@@ -151,6 +195,7 @@ def solve_lma(
     problem: LMAProblem,
     tol: float = 1e-10,
     report_condition: bool = False,
+    slot: FactorSlot | None = None,
 ) -> tuple[ScalarField, LMAReport]:
     """Direct solve of the frozen-coefficient problem.
 
@@ -160,7 +205,8 @@ def solve_lma(
     ``max_i |r_i| / (|D||v| + |B||psi| + |g|)_i``, which stays near
     machine epsilon even on cut cells whose stencil weights are huge; the
     reported residual is recomputed through the discrete Hessian route,
-    i.e. it is ``U : H(v) - g`` node-wise.
+    i.e. it is ``U : H(v) - g`` node-wise.  A successful solve leaves its
+    factor in ``slot`` when one is given.
     """
     coeff = problem.coeff
     coeff.check_positive_definite()
@@ -204,6 +250,8 @@ def solve_lma(
         sign_audit=offdiagonal_sign_audit(D),
         condition_estimate=cond,
     )
+    if slot is not None:
+        slot.put(coeff, lu)
     return field, report
 
 

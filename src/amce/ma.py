@@ -32,7 +32,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .grid import Grid, ScalarField
-from .lma import CofactorField, assemble_lma
+from .lma import CofactorField, FactorSlot, assemble_lma
 from .operators import discrete_hessian, solve_poisson
 
 Array = np.ndarray
@@ -80,6 +80,7 @@ class MAReport:
     residual_history: list[float]
     min_hessian_eigenvalue: float
     backtracks: int = 0
+    factorizations: int = 0  # Newton steps that factored their matrix
     wall_time_s: float = 0.0
 
     def as_dict(self) -> dict:
@@ -88,6 +89,7 @@ class MAReport:
             "residual_history": [float(r) for r in self.residual_history],
             "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
             "backtracks": self.backtracks,
+            "factorizations": self.factorizations,
         }
 
 
@@ -107,8 +109,13 @@ def solve_ma(
     problem: MAProblem,
     options: MASolveOptions | None = None,
     initial: ScalarField | None = None,
+    slot: FactorSlot | None = None,
 ) -> tuple[ScalarField, MAReport]:
     """Damped Newton solve; returns the solution field and an iteration report.
+
+    The first Newton step takes the factor held in ``slot`` when it was
+    made from its exact coefficients, instead of factoring them again; the
+    slot is empty on return.
 
     Raises NonConvergenceError when the iteration budget or the line search
     is exhausted, and ConvexityFailureError if the converged discrete
@@ -127,7 +134,7 @@ def solve_ma(
     res_norm = float(np.max(np.abs(res)))
     history.append(res_norm)
 
-    iters = 0
+    iters = factorizations = 0
     while res_norm > opts.newton_tol:
         if iters >= opts.max_iters:
             raise NonConvergenceError(
@@ -135,12 +142,17 @@ def solve_ma(
                 f"{opts.max_iters} iterations (last residual {res_norm:.3e})",
                 history=history,
             )
-        J, _ = assemble_lma(CofactorField.from_hessian(H.clamped(opts.eps_clamp)))
-        try:
-            # bind no name to the factor: two would be alive at the next splu
-            delta = splu(J).solve(-res)
-        except RuntimeError as exc:
-            raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
+        coeff = CofactorField.from_hessian(H.clamped(opts.eps_clamp))
+        lu = slot.take(coeff) if slot is not None else None
+        if lu is None:
+            J, _ = assemble_lma(coeff)
+            try:
+                lu = splu(J)
+            except RuntimeError as exc:
+                raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
+            factorizations += 1
+        delta = lu.solve(-res)
+        del lu  # two factors would be alive at the next splu
 
         alpha = 1.0
         accepted = False
@@ -162,6 +174,8 @@ def solve_ma(
         res_norm = trial_norm
         history.append(res_norm)
         iters += 1
+    if slot is not None:
+        slot.clear()  # a solve without Newton steps leaves it unused
 
     min_eig = H.min_eigenvalue()
     if min_eig <= 0.0:
@@ -173,6 +187,7 @@ def solve_ma(
         residual_history=history,
         min_hessian_eigenvalue=min_eig,
         backtracks=total_backtracks,
+        factorizations=factorizations,
         wall_time_s=time.perf_counter() - t0,
     )
     return u, report

@@ -111,6 +111,14 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     )
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "error" in capsys.readouterr().err
+    report = read_report(tmp_path / "o")
+    assert report["status"] == "exit 2"
+    assert report["command"] == "solve"
+    assert report["config"]["solver"]["max_outer_iters"] == 1
+    assert report["error"]["class"] == "NonConvergenceError"
+    assert len(report["error"]["history"]) > 0
+    assert "results" not in report
+    assert report["timing"]["wall_time_s"] > 0.0
 
 
 def test_override_validation(tmp_path):

@@ -132,3 +132,33 @@ def test_relaxation_out_of_range_rejected(grid16):
     problem = problem_from_exact(grid16, get_fixture("paraboloid", theta=0.25))
     with pytest.raises(InvalidProblemError):
         solve_system(problem, CoupledOptions(relaxation=1.5))
+
+
+def test_lma_factor_handed_to_next_newton_step(grid16, monkeypatch):
+    """Each sweep's LMA factor serves the next sweep's first Newton step.
+
+    Without the hand-off the same solve makes 144 factorizations: 92 Newton
+    steps, 50 LMA solves and 2 Poisson solves.
+    """
+    import amce.lma
+    import amce.ma
+    import amce.operators
+
+    calls = []
+
+    def counted(splu):
+        def wrapper(A):
+            calls.append(A.shape)
+            return splu(A)
+
+        return wrapper
+
+    for mod in (amce.ma, amce.lma, amce.operators):
+        monkeypatch.setattr(mod, "splu", counted(mod.splu))
+    problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
+    _, _, report = solve_system(problem)
+    assert report.outer_iterations == 49
+    assert report.newton_iterations_total == 92
+    assert len(calls) == 95
+    assert report.factorizations == 95
+    assert report.as_dict()["factorizations"] == 95

@@ -8,9 +8,12 @@ from amce import (
     Disk,
     InvalidProblemError,
     NonConvergenceError,
+    ScalarField,
     build_grid,
 )
+from amce.lma import CofactorField, FactorSlot, LMAProblem, solve_lma
 from amce.ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
+from amce.operators import discrete_hessian
 
 
 def _quad_phi(p):
@@ -82,3 +85,73 @@ def test_anisotropic_domain_solve():
     assert report.residual_history[-1] < 1e-10
     exact = phi(grid.nodes)
     assert np.abs(u.values - exact).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# factor hand-off from the linear solver
+# ---------------------------------------------------------------------------
+
+
+def _handoff_case(grid):
+    """A problem, a convex start that needs Newton steps, and its cofactor."""
+    g = lambda p: 1.0 + 0.5 * np.exp(-4.0 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+    problem = MAProblem.from_callables(grid, g, _quad_phi)
+    start = initial_guess(problem)
+    coeff = CofactorField.from_hessian(discrete_hessian(start))
+    assert coeff.min_eigenvalue_per_node().min() > MASolveOptions().eps_clamp
+    return problem, start, coeff
+
+
+def _fill(slot, coeff):
+    grid = coeff.grid
+    ones = np.ones(grid.n_nodes), np.ones(grid.n_hits)
+    solve_lma(LMAProblem(coeff=coeff, g=ones[0], psi_hits=ones[1]), slot=slot)
+
+
+def test_matching_factor_handoff_is_bitwise_neutral(grid32):
+    problem, start, coeff = _handoff_case(grid32)
+    u_ref, rep_ref = solve_ma(problem, initial=start)
+    slot = FactorSlot()
+    _fill(slot, coeff)
+    u, rep = solve_ma(problem, initial=start, slot=slot)
+    assert rep_ref.iterations >= 2
+    assert u.values.tobytes() == u_ref.values.tobytes()
+    assert rep.residual_history == rep_ref.residual_history
+    assert rep_ref.factorizations == rep_ref.iterations
+    assert rep.factorizations == rep.iterations - 1
+    assert slot.take(coeff) is None
+
+
+@pytest.mark.parametrize("how", ["other coefficients", "arrays changed after put"])
+def test_foreign_factor_is_not_used(grid32, how):
+    problem, start, coeff = _handoff_case(grid32)
+    u_ref, rep_ref = solve_ma(problem, initial=start)
+    bowl = ScalarField.from_callable(
+        grid32, lambda p: p[:, 0] ** 2 + 0.25 * p[:, 1] ** 2
+    )
+    other = CofactorField.from_hessian(discrete_hessian(bowl))
+    held = CofactorField(grid32, other.c11.copy(), other.c12.copy(), other.c22.copy())
+    slot = FactorSlot()
+    _fill(slot, other)
+    if how == "arrays changed after put":
+        # the caller's arrays now equal the target, the held factor does not
+        for name in ("c11", "c12", "c22"):
+            getattr(other, name)[:] = getattr(coeff, name)
+        assert other.c11.tobytes() == coeff.c11.tobytes()
+    u, rep = solve_ma(problem, initial=start, slot=slot)
+    assert u.values.tobytes() == u_ref.values.tobytes()
+    assert rep.residual_history == rep_ref.residual_history
+    assert rep.factorizations == rep.iterations
+    assert slot.take(held) is None
+
+
+def test_slot_emptied_without_newton_steps(grid16):
+    """A start already at tolerance takes no step and still drops the factor."""
+    problem = MAProblem.from_callables(grid16, lambda p: np.ones(len(p)), _quad_phi)
+    exact = ScalarField.from_callable(grid16, _quad_phi)
+    coeff = CofactorField.from_hessian(discrete_hessian(exact))
+    slot = FactorSlot()
+    _fill(slot, coeff)
+    _, rep = solve_ma(problem, initial=exact, slot=slot)
+    assert rep.iterations == 0 and rep.factorizations == 0
+    assert slot.take(coeff) is None
