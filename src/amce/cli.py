@@ -35,12 +35,7 @@ import numpy as np
 
 from .config import FieldSpec, RunConfig, canonical_json, load_config
 from .convergence import convergence_study
-from .coupled import (
-    CoupledOptions,
-    ProblemData,
-    problem_from_exact,
-    solve_system,
-)
+from .coupled import ProblemData, problem_from_exact, solve_system
 from .errors import (
     AmceError,
     ConfigError,
@@ -61,7 +56,7 @@ from .fixtures import fixture_names, forcing_from_exact, get_fixture
 from .geometry import build_domain
 from .grid import Grid, ScalarField, build_grid
 from .lma import CofactorField, LMAProblem, solve_lma
-from .ma import MAProblem, MASolveOptions, solve_ma
+from .ma import MAProblem, solve_ma
 from .operators import discrete_hessian
 from .regularity import verify
 from .sections import localization_scan, maximal_height, normalize_section
@@ -109,16 +104,27 @@ def _jsonable(obj):
     return obj
 
 
+def _write_csv(path: str, header: str, columns) -> None:
+    """``header``, then one row per index of the equal-length ``columns``.
+
+    Every entry is written with ``{:.17g}``: floats round-trip exactly and
+    integers print as integers.
+    """
+    cols = [np.asarray(c).tolist() for c in columns]
+    fmt = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(fmt.format(*row) for row in zip(*cols))
+
+
 def write_field_csv(path: str, field: ScalarField) -> None:
     """Dump a scalar field as ``x,y,value`` rows: nodes first, then hits."""
     grid = field.grid
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,value\n")
-        for p, v in zip(grid.nodes, field.values):
-            fh.write(f"{p[0]:.17g},{p[1]:.17g},{v:.17g}\n")
-        if field.hit_values is not None:
-            for p, v in zip(grid.hit_points, field.hit_values):
-                fh.write(f"{p[0]:.17g},{p[1]:.17g},{v:.17g}\n")
+    pts, vals = grid.nodes, field.values
+    if field.hit_values is not None:
+        pts = np.concatenate([pts, grid.hit_points])
+        vals = np.concatenate([vals, field.hit_values])
+    _write_csv(path, "x,y,value", [pts[:, 0], pts[:, 1], vals])
 
 
 def read_field_csv(path: str, grid: Grid) -> ScalarField:
@@ -199,17 +205,6 @@ def _make_grid(cfg: RunConfig) -> Grid:
     return build_grid(domain, cfg.h)
 
 
-def _coupled_options(cfg: RunConfig) -> CoupledOptions:
-    s = cfg.solver
-    return CoupledOptions(
-        outer_tol=s["outer_tol"],
-        max_outer_iters=s["max_outer_iters"],
-        relaxation=s["relaxation"],
-        lma_tol=s["lma_tol"],
-        ma=_ma_options(cfg),
-    )
-
-
 def _fixture_exact(cfg: RunConfig):
     theta = cfg.fixture.get("theta", _DEFAULT_FIXTURE_THETA)
     return get_fixture(cfg.fixture["name"], theta=theta)
@@ -249,15 +244,6 @@ def _ma_problem(cfg: RunConfig, grid: Grid) -> MAProblem:
     raise ConfigError("the ma command needs an 'ma' or 'fixture' config block")
 
 
-def _ma_options(cfg: RunConfig) -> MASolveOptions:
-    s = cfg.solver
-    return MASolveOptions(
-        newton_tol=s["newton_tol"],
-        max_iters=s["max_newton_iters"],
-        eps_clamp=s["eps_clamp"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands (each returns (results dict, exit code))
 # ---------------------------------------------------------------------------
@@ -266,7 +252,7 @@ def _ma_options(cfg: RunConfig) -> MASolveOptions:
 def _cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
-    u, w, report = solve_system(problem, _coupled_options(cfg))
+    u, w, report = solve_system(problem, cfg.coupled_options())
     write_field_csv(os.path.join(out_dir, "u.csv"), u)
     write_field_csv(os.path.join(out_dir, "w.csv"), w)
     results = {
@@ -283,7 +269,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
 def _cmd_ma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _ma_problem(cfg, grid)
-    u, report = solve_ma(problem, _ma_options(cfg))
+    u, report = solve_ma(problem, cfg.coupled_options().ma)
     write_field_csv(os.path.join(out_dir, "u.csv"), u)
     results = dict(report.as_dict())
     results.update(
@@ -302,7 +288,7 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         u = read_field_csv(lma_cfg["u_csv"], grid)
         u_source = lma_cfg["u_csv"]
     elif cfg.ma is not None or cfg.fixture is not None:
-        u, _ = solve_ma(_ma_problem(cfg, grid), _ma_options(cfg))
+        u, _ = solve_ma(_ma_problem(cfg, grid), cfg.coupled_options().ma)
         u_source = "ma-solve"
     else:
         raise ConfigError(
@@ -327,20 +313,13 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     return results, 0
 
 
-def _write_hull_csv(path: str, hull_points: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for p in hull_points:
-            fh.write(f"{p[0]:.17g},{p[1]:.17g}\n")
-
-
 def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     if cfg.sections is None:
         raise ConfigError("the sections command needs a 'sections' config block")
     sc = cfg.sections
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
-    u, _, solve_report = solve_system(problem, _coupled_options(cfg))
+    u, _, solve_report = solve_system(problem, cfg.coupled_options())
 
     results: dict = {
         "solve": solve_report.as_dict(),
@@ -353,21 +332,19 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         scan = localization_scan(
             u, x0, sc["heights"], min_nodes=sc["min_nodes"]
         )
-        csv_path = os.path.join(out_dir, "sections.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("h,tau,vol_ratio,k_inner,k_outer\n")
-            for row in scan.kept_rows():
-                fh.write(
-                    f"{row['h']:.17g},{row['tau']:.17g},{row['vol_ratio']:.17g},"
-                    f"{row['k_inner']:.17g},{row['k_outer']:.17g}\n"
-                )
+        keys = ["h", "tau", "vol_ratio", "k_inner", "k_outer"]
+        _write_csv(
+            os.path.join(out_dir, "sections.csv"),
+            ",".join(keys),
+            [[row[k] for row in scan.kept_rows()] for k in keys],
+        )
         results["outputs"].append("sections.csv")
 
         # hull polygons, one file per kept height
         hull_files = []
         for k, (row, hull) in enumerate(zip(scan.kept_rows(), scan.hulls)):
             name = f"hull_{k:03d}.csv"
-            _write_hull_csv(os.path.join(out_dir, name), hull)
+            _write_csv(os.path.join(out_dir, name), "x,y", hull.T)
             hull_files.append({"h": row["h"], "file": name, "n_vertices": len(hull)})
         results["outputs"].extend(e["file"] for e in hull_files)
         results["boundary_scan"] = {
@@ -409,7 +386,7 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
 def _cmd_verify(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
-    u, w, solve_report = solve_system(problem, _coupled_options(cfg))
+    u, w, solve_report = solve_system(problem, cfg.coupled_options())
     checks = verify(
         problem,
         u,
@@ -444,16 +421,14 @@ def _cmd_converge(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         cfg.converge["h_list"],
         theta=theta,
         domain=domain,
-        options=_coupled_options(cfg),
+        options=cfg.coupled_options(),
     )
-    csv_path = os.path.join(out_dir, "converge.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("h,n_nodes,err_u,err_w,outer_iterations\n")
-        for row in study.rows:
-            fh.write(
-                f"{row.h:.17g},{row.n_nodes},{row.err_u:.17g},{row.err_w:.17g},"
-                f"{row.outer_iterations}\n"
-            )
+    keys = ["h", "n_nodes", "err_u", "err_w", "outer_iterations"]
+    _write_csv(
+        os.path.join(out_dir, "converge.csv"),
+        ",".join(keys),
+        [[getattr(row, k) for row in study.rows] for k in keys],
+    )
     results = dict(study.as_dict())
     results["outputs"] = ["converge.csv"]
     return results, 2 if study.partial else 0

@@ -19,7 +19,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .coupled import CoupledOptions
 from .errors import ConfigError
+from .ma import MASolveOptions
 
 __all__ = [
     "FieldSpec",
@@ -180,15 +182,6 @@ class FieldSpec:
 _DOMAIN_KINDS = {"disk", "ellipse", "levelset"}
 _FIXTURE_FIELD_KEYS = {"name", "theta"}
 _PROBLEM_KEYS = {"theta", "f", "phi", "psi"}
-_SOLVER_KEYS = {
-    "outer_tol",
-    "max_outer_iters",
-    "relaxation",
-    "newton_tol",
-    "max_newton_iters",
-    "eps_clamp",
-    "lma_tol",
-}
 _VERIFY_KEYS = {"boundary_alpha"}
 _SECTIONS_KEYS = {
     "interior_points",
@@ -214,15 +207,30 @@ _TOP_KEYS = {
     "seed",
 }
 
-_SOLVER_DEFAULTS = {
-    "outer_tol": 1e-8,
-    "max_outer_iters": 200,
-    "relaxation": 0.5,
-    "newton_tol": 1e-10,
-    "max_newton_iters": 50,
-    "eps_clamp": 1e-10,
-    "lma_tol": 1e-10,
+
+# config key -> CoupledOptions attribute (``ma.`` is the Newton part); the
+# option classes own the defaults
+_SOLVER_FIELDS = {
+    "outer_tol": "outer_tol",
+    "max_outer_iters": "max_outer_iters",
+    "relaxation": "relaxation",
+    "newton_tol": "ma.newton_tol",
+    "max_newton_iters": "ma.max_iters",
+    "eps_clamp": "ma.eps_clamp",
+    "lma_tol": "lma_tol",
 }
+
+
+def _option_value(opts: CoupledOptions, path: str) -> Any:
+    for name in path.split("."):
+        opts = getattr(opts, name)
+    return opts
+
+
+_SOLVER_DEFAULTS = {
+    key: _option_value(CoupledOptions(), path) for key, path in _SOLVER_FIELDS.items()
+}
+_SOLVER_KEYS = set(_SOLVER_DEFAULTS)
 
 
 @dataclass
@@ -243,6 +251,15 @@ class RunConfig:
     output_dir: str
     seed: int
     raw: dict = dc_field(repr=False, default_factory=dict)
+
+    def coupled_options(self) -> CoupledOptions:
+        """Solver options of the ``solver`` block; ``.ma`` is the Newton part."""
+        top: dict[str, Any] = {}
+        ma: dict[str, Any] = {}
+        for key, path in _SOLVER_FIELDS.items():
+            head, _, attr = path.rpartition(".")
+            (ma if head else top)[attr] = self.solver[key]
+        return CoupledOptions(ma=MASolveOptions(**ma), **top)
 
     def canonical(self) -> dict:
         """Canonical JSON object: defaults filled, stable key content."""

@@ -9,9 +9,12 @@ is split into the two second-order problems solved alternately: given the
 current weight ``w``, the nonlinear step solves ``det D^2 u = w^(1/(theta-1))``
 for ``u``; given ``u``, the linear step solves ``U^ij w_ij = f`` with frozen
 cofactor for a new weight.  A relaxation factor damps the weight update.
-The iteration starts from the harmonic extension of ``psi`` and stops when
-the weight stops moving in sup norm, after which one undamped linear solve
-polishes ``w`` so both sub-equation residuals are reported at their floor.
+The iteration starts from the harmonic extension of ``psi``.  Once the
+weight stops moving in sup norm, one more sweep runs undamped (the polish)
+and its linear solution is the returned ``w``, so both sub-equation
+residuals are reported at their floor.  A sweep whose Newton solve takes
+no step leaves ``u`` bitwise unchanged and reuses the previous linear
+solution instead of solving for it again.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -27,18 +30,22 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvexityFailureError, InvalidProblemError, NonConvergenceError
-from .geometry import Domain
-from .grid import Grid, ScalarField, build_grid
+from .errors import (
+    ConvexityFailureError,
+    DegenerateOperatorError,
+    InvalidProblemError,
+    NonConvergenceError,
+)
+from .grid import Grid, ScalarField
 from .lma import (
     CofactorField,
     FactorSlot,
+    LMA_TOL,
     LMAProblem,
-    LMAReport,
     lma_residual,
     solve_lma,
 )
-from .ma import MAProblem, MAReport, MASolveOptions, ma_residual, solve_ma
+from .ma import MAProblem, MASolveOptions, ma_residual, solve_ma
 from .operators import discrete_hessian, local_quadratic_fit, solve_poisson
 
 Array = np.ndarray
@@ -104,7 +111,7 @@ class CoupledOptions:
     outer_tol: float = 1e-8
     max_outer_iters: int = 200
     relaxation: float = 0.5
-    lma_tol: float = 1e-10
+    lma_tol: float = LMA_TOL
     ma: MASolveOptions = dc_field(default_factory=MASolveOptions)
 
 
@@ -168,11 +175,17 @@ def g_from_w(w: ScalarField, theta: float) -> ScalarField:
             f"weight must be positive to invert, min w = {w.values.min()}"
         )
     expo = 1.0 / (theta - 1.0)
-    return ScalarField(
-        grid=w.grid,
-        values=w.values**expo,
-        hit_values=None if w.hit_values is None else w.hit_values**expo,
-    )
+    with np.errstate(over="ignore"):
+        values = w.values**expo
+        hit_values = None if w.hit_values is None else w.hit_values**expo
+    if not np.isfinite(values).all() or (
+        hit_values is not None and not np.isfinite(hit_values).all()
+    ):
+        raise DegenerateOperatorError(
+            "determinant target w^(1/(theta-1)) overflows: the weight is too "
+            "small and the operator would be singular"
+        )
+    return ScalarField(grid=w.grid, values=values, hit_values=hit_values)
 
 
 def harmonic_extension(grid: Grid, hit_values: Array) -> ScalarField:
@@ -185,9 +198,18 @@ def solve_system(
 ) -> tuple[ScalarField, ScalarField, SolveReport]:
     """Alternating solve of the coupled system; returns ``(u, w, report)``.
 
-    Each sweep's linear step leaves its LU factor in a :class:`FactorSlot`
-    for the next sweep's first Newton step, which starts from the same
-    ``u`` and so, unless the eigenvalue clamp acts, factors the same matrix.
+    One loop: damped sweeps until the weight change is at most
+    ``outer_tol``, then one undamped sweep whose linear solution is ``w``.
+    Raises :class:`NonConvergenceError` with the change history when
+    ``max_outer_iters`` damped sweeps do not get there.  A sweep whose
+    Newton solve takes no step, typically the undamped one, skips its
+    linear step: ``u``, hence the operator and the solution, is unchanged.
+
+    Each damped sweep's linear step leaves its LU factor in a
+    :class:`FactorSlot` for the next sweep's first Newton step, which starts
+    from the same ``u`` and so, unless the eigenvalue clamp acts, factors the
+    same matrix.  The undamped sweep's linear step has no successor and
+    keeps no factor.
     """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
@@ -206,26 +228,33 @@ def solve_system(
         flags["w_floor_applied"] = True
 
     u: ScalarField | None = None
+    w_half: ScalarField | None = None
     history: list[float] = []
     newton_total = 0
     # the Poisson solves of the harmonic extension and of the first Newton start
     factorizations = 2
     slot = FactorSlot()
-    ma_rep: MAReport | None = None
-    converged = False
+    polish = False
 
-    for _ in range(opts.max_outer_iters):
+    while True:
         g = g_from_w(w, data.theta)
         problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
         u, ma_rep = solve_ma(problem, opts.ma, initial=u, slot=slot)
         newton_total += ma_rep.iterations
-        coeff = CofactorField.from_hessian(discrete_hessian(u))
-        w_half, _ = solve_lma(
-            LMAProblem(coeff=coeff, g=data.f.values, psi_hits=data.psi_hits),
-            tol=opts.lma_tol,
-            slot=slot,
-        )
-        factorizations += ma_rep.factorizations + 1
+        factorizations += ma_rep.factorizations
+        # a solve without Newton steps returns the u of the last linear
+        # step bitwise, so that step's w_half stands
+        if w_half is None or ma_rep.iterations:
+            H = discrete_hessian(u)
+            coeff = CofactorField.from_hessian(H)
+            w_half, _ = solve_lma(
+                LMAProblem(coeff=coeff, g=data.f.values, psi_hits=data.psi_hits),
+                tol=opts.lma_tol,
+                slot=None if polish else slot,
+            )
+            factorizations += 1
+        if polish:
+            break
         new_vals = (1.0 - sigma) * w.values + sigma * w_half.values
         if float(new_vals.min()) <= 0.0:
             new_vals = np.maximum(new_vals, w_floor)
@@ -234,28 +263,15 @@ def solve_system(
         history.append(change)
         w = ScalarField(grid=grid, values=new_vals, hit_values=data.psi_hits.copy())
         if change <= opts.outer_tol:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(
-            f"outer iteration did not contract below {opts.outer_tol} in "
-            f"{opts.max_outer_iters} sweeps (last change {history[-1]:.3e})",
-            history=history,
-        )
+            polish = True
+        elif len(history) >= opts.max_outer_iters:
+            raise NonConvergenceError(
+                f"outer iteration did not contract below {opts.outer_tol} in "
+                f"{opts.max_outer_iters} sweeps (last change {change:.3e})",
+                history=history,
+            )
 
-    # Final polish: one undamped pass so both sub-equations sit at their
-    # algebraic floor for the reported residuals.
-    g = g_from_w(w, data.theta)
-    problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
-    u, ma_rep = solve_ma(problem, opts.ma, initial=u, slot=slot)
-    newton_total += ma_rep.iterations
-    H = discrete_hessian(u)
-    coeff = CofactorField.from_hessian(H)
-    w, lma_rep = solve_lma(
-        LMAProblem(coeff=coeff, g=data.f.values, psi_hits=data.psi_hits),
-        tol=opts.lma_tol,
-    )
-    factorizations += ma_rep.factorizations + 1
+    w = w_half
     if float(w.values.min()) <= 0.0:
         flags["w_floor_applied"] = True
         w.values = np.maximum(w.values, w_floor)

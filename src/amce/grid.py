@@ -31,6 +31,7 @@ ARM_INTERIOR = 0
 ARM_HIT = 1
 
 _BISECT_ITERS = 60  # 2**-60 of an arm length is far below the 1e-12 target
+_NODE_TOL = 1e-9  # coordinate match tolerance of node_at, relative to max(1, h)
 
 
 @dataclass
@@ -65,11 +66,6 @@ class Grid:
     def n_hits(self) -> int:
         return len(self.hit_points)
 
-    def boundary_adjacent(self) -> Array:
-        """Node ids with at least one axis arm ending on the boundary."""
-        cut = (self.arm_kind[:, :4] == ARM_HIT).any(axis=1)
-        return np.nonzero(cut)[0]
-
     def full_stencil_mask(self) -> Array:
         """Nodes whose eight arms all reach interior neighbors."""
         return (self.arm_kind == ARM_INTERIOR).all(axis=1)
@@ -81,11 +77,12 @@ class Grid:
         """
         return _ids_at(self.id_map, self.id_origin, ij)
 
-    def node_at(self, point, tol: float = 1e-9) -> int | None:
+    def node_at(self, point) -> int | None:
         """Node id at the given coordinates, or None."""
         p = np.asarray(point, dtype=float)
         nid = int(self.ids_at(np.rint(p / self.h)))
-        if nid < 0 or np.max(np.abs(self.nodes[nid] - p)) > tol * max(1.0, self.h):
+        tol = _NODE_TOL * max(1.0, self.h)
+        if nid < 0 or np.max(np.abs(self.nodes[nid] - p)) > tol:
             return None
         return nid
 
@@ -261,8 +258,9 @@ class ScalarField:
             trace=self.trace,
         )
 
-    def sup_norm(self, include_boundary: bool = True) -> float:
+    def sup_norm(self) -> float:
+        """Largest magnitude over the nodes and, when sampled, the boundary."""
         m = float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-        if include_boundary and self.hit_values is not None and len(self.hit_values):
+        if self.hit_values is not None and len(self.hit_values):
             m = max(m, float(np.max(np.abs(self.hit_values))))
         return m

@@ -26,6 +26,9 @@ from .operators import HessianField, discrete_hessian, grid_operators
 
 Array = np.ndarray
 
+#: Default bound on the componentwise backward error of :func:`solve_lma`.
+LMA_TOL = 1e-10
+
 
 def cofactor_matrix(H: Array) -> Array:
     """Cofactor (adjugate) of symmetric 2x2 matrices, shape (..., 2, 2)."""
@@ -69,11 +72,6 @@ class CofactorField:
                 node=k,
                 point=(float(x), float(y)),
             )
-
-    def ellipticity_bounds(self) -> tuple[float, float]:
-        lo = self.min_eigenvalue_per_node()
-        hi = self.c11 + self.c22 - lo
-        return float(lo.min()), float(hi.max())
 
 
 class FactorSlot:
@@ -193,7 +191,7 @@ def offdiagonal_sign_audit(D: sp.spmatrix) -> dict:
 
 def solve_lma(
     problem: LMAProblem,
-    tol: float = 1e-10,
+    tol: float = LMA_TOL,
     report_condition: bool = False,
     slot: FactorSlot | None = None,
 ) -> tuple[ScalarField, LMAReport]:

@@ -64,14 +64,18 @@ class MAProblem:
         )
 
 
+# backtracking line search: step shrink factor, shrinks per step, and the
+# sufficient-decrease constant of the residual sup norm
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 30
+_ARMIJO = 1e-4
+
+
 @dataclass
 class MASolveOptions:
     newton_tol: float = 1e-10
     max_iters: int = 50
     eps_clamp: float = 1e-10
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
-    armijo: float = 1e-4
 
 
 @dataclass
@@ -156,14 +160,14 @@ def solve_ma(
 
         alpha = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             trial = u.with_values(u.values + alpha * delta)
             H_trial = discrete_hessian(trial)
             trial_norm = float(np.max(np.abs(H_trial.det() - problem.g.values)))
-            if trial_norm <= (1.0 - opts.armijo * alpha) * res_norm:
+            if trial_norm <= (1.0 - _ARMIJO * alpha) * res_norm:
                 accepted = True
                 break
-            alpha *= opts.backtrack_factor
+            alpha *= _BACKTRACK_FACTOR
             total_backtracks += 1
         if not accepted:
             raise NonConvergenceError(

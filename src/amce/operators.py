@@ -143,13 +143,6 @@ class HessianField:
         lo, _ = self.eigenvalues()
         return float(lo.min())
 
-    def as_matrices(self) -> Array:
-        H = np.empty((self.grid.n_nodes, 2, 2))
-        H[:, 0, 0] = self.hxx
-        H[:, 0, 1] = H[:, 1, 0] = self.hxy
-        H[:, 1, 1] = self.hyy
-        return H
-
     def clamped(self, eps: float) -> "HessianField":
         """Eigenvalues clamped from below at ``eps`` (same eigenvectors)."""
         lo, hi = self.eigenvalues()

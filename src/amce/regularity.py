@@ -41,6 +41,14 @@ __all__ = [
 #: as-is in ``raw_slope`` but capped in ``beta``.
 _BETA_CAP = 1.05
 
+#: Anchors of the interior fit: nodes at extreme field values (half at each
+#: end) plus a seeded random sample of the rest.
+_N_EXTREME_ANCHORS = 32
+_N_RANDOM_ANCHORS = 168
+
+#: Allowance below the structural threshold in the boundary check.
+_BOUNDARY_SLACK = 0.05
+
 
 # ---------------------------------------------------------------------------
 # modulus-of-continuity fits
@@ -52,7 +60,7 @@ class HolderFit:
     """Log-log fit of the maximal oscillation against pair distance.
 
     Oscillations |v(x) - v(a)| over anchor/target pairs are binned by
-    distance into dyadic bins spanning ``[bin_lo, bin_hi]``; ``beta`` is
+    distance into dyadic bins spanning ``[4h, diam/4]``; ``beta`` is
     the least-squares slope of log(max oscillation) versus log(distance),
     capped at 1.05.  ``degenerate`` marks fits with too few usable bins or
     a non-increasing modulus (e.g. constant fields).
@@ -69,13 +77,14 @@ class HolderFit:
     degenerate: bool
 
 
-def _oscillation_fit(
-    anchor_pts, anchor_vals, target_pts, target_vals, bin_lo, bin_hi
-) -> HolderFit:
-    diff = target_pts[None, :, :] - anchor_pts[:, None, :]
+def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
+    """Modulus fit over pairs of the anchors and every node of ``field``."""
+    grid = field.grid
+    diff = grid.nodes[None, :, :] - anchor_pts[:, None, :]
     dist = np.sqrt((diff**2).sum(-1)).ravel()
-    osc = np.abs(target_vals[None, :] - anchor_vals[:, None]).ravel()
+    osc = np.abs(field.values[None, :] - anchor_vals[:, None]).ravel()
 
+    bin_lo, bin_hi = 4.0 * grid.h, grid.domain.diameter / 4.0
     edges = [bin_lo]
     while edges[-1] * 2.0 <= bin_hi * (1.0 + 1e-12):
         edges.append(edges[-1] * 2.0)
@@ -126,39 +135,25 @@ def _oscillation_fit(
     )
 
 
-def fit_holder_exponent(
-    field: ScalarField,
-    seed: int = 0,
-    n_random_anchors: int = 168,
-    n_extreme_anchors: int = 32,
-    bin_lo: float | None = None,
-    bin_hi: float | None = None,
-) -> HolderFit:
+def fit_holder_exponent(field: ScalarField, seed: int = 0) -> HolderFit:
     """Fit an interior modulus-of-continuity exponent for a grid field.
 
     Anchors mix nodes at extreme field values (where oscillation peaks
-    live) with a seeded random sample; targets are all nodes.  Distance
-    bins default to dyadic bins spanning ``[4h, diam/4]``.
+    live) with a seeded random sample; targets are all nodes.
     """
     grid = field.grid
     v = field.values
     n = grid.n_nodes
     order = np.argsort(v)
-    k = min(n_extreme_anchors // 2, n // 2)
+    k = min(_N_EXTREME_ANCHORS // 2, n // 2)
     extreme = np.concatenate([order[:k], order[-k:]])
     rng = np.random.default_rng(seed)
     rest = np.setdiff1d(np.arange(n), extreme)
-    n_rand = min(n_random_anchors, rest.size)
+    n_rand = min(_N_RANDOM_ANCHORS, rest.size)
     anchors = np.concatenate(
         [extreme, rng.choice(rest, size=n_rand, replace=False)]
     )
-    if bin_lo is None:
-        bin_lo = 4.0 * grid.h
-    if bin_hi is None:
-        bin_hi = grid.domain.diameter / 4.0
-    return _oscillation_fit(
-        grid.nodes[anchors], v[anchors], grid.nodes, v, bin_lo, bin_hi
-    )
+    return _oscillation_fit(field, grid.nodes[anchors], v[anchors])
 
 
 @dataclass
@@ -178,13 +173,7 @@ class BoundaryHolderReport:
     passed: bool
 
 
-def boundary_holder_check(
-    field: ScalarField,
-    alpha: float,
-    slack: float = 0.05,
-    bin_lo: float | None = None,
-    bin_hi: float | None = None,
-) -> BoundaryHolderReport:
+def boundary_holder_check(field: ScalarField, alpha: float) -> BoundaryHolderReport:
     """Fit the boundary-anchored modulus of ``field`` and test the threshold.
 
     All boundary hit points serve as anchors, all interior nodes as
@@ -195,17 +184,15 @@ def boundary_holder_check(
         raise ValueError(f"boundary data exponent must be in (0, 1], got {alpha}")
     grid = field.grid
     vals = field.require_hit_values()
-    if bin_lo is None:
-        bin_lo = 4.0 * grid.h
-    if bin_hi is None:
-        bin_hi = grid.domain.diameter / 4.0
-    fit = _oscillation_fit(
-        grid.hit_points, vals, grid.nodes, field.values, bin_lo, bin_hi
-    )
+    fit = _oscillation_fit(field, grid.hit_points, vals)
     threshold = alpha / (alpha + 2.0)
-    passed = (not fit.degenerate) and fit.beta >= threshold - slack
+    passed = (not fit.degenerate) and fit.beta >= threshold - _BOUNDARY_SLACK
     return BoundaryHolderReport(
-        fit=fit, alpha=alpha, threshold=threshold, slack=slack, passed=passed
+        fit=fit,
+        alpha=alpha,
+        threshold=threshold,
+        slack=_BOUNDARY_SLACK,
+        passed=passed,
     )
 
 

@@ -51,6 +51,14 @@ __all__ = [
 #: scale) are treated as lying *on* the boundary when classifying hull edges.
 _BOUNDARY_EDGE_TOL = 1e-7
 
+#: Boundary hits sampled as anchors by the quadratic-separation audit, and
+#: its separation floor in grid spacings.
+_SEPARATION_ANCHORS = 128
+_SEPARATION_FLOOR_H = 2.0
+
+#: Points per axis of the lattice a normalized section is resampled on.
+_NORMALIZED_N = 65
+
 
 # ---------------------------------------------------------------------------
 # section extraction
@@ -526,12 +534,7 @@ class SeparationReport:
     worst_gap: float
 
 
-def quadratic_separation(
-    u: ScalarField,
-    max_anchors: int = 128,
-    min_separation: float | None = None,
-    seed: int = 0,
-) -> SeparationReport:
+def quadratic_separation(u: ScalarField, seed: int = 0) -> SeparationReport:
     """Audit two-sided quadratic separation over boundary anchor pairs.
 
     Anchors are boundary hit points (deterministically subsampled).  A
@@ -540,15 +543,14 @@ def quadratic_separation(
     """
     grid = u.grid
     u.require_hit_values()
-    if min_separation is None:
-        min_separation = 2.0 * grid.h
+    min_separation = _SEPARATION_FLOOR_H * grid.h
 
     n_hits = grid.n_hits
     if n_hits < 2:
         raise DegenerateSectionError("need at least two boundary hits")
-    if n_hits > max_anchors:
+    if n_hits > _SEPARATION_ANCHORS:
         rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n_hits, size=max_anchors, replace=False))
+        idx = np.sort(rng.choice(n_hits, size=_SEPARATION_ANCHORS, replace=False))
     else:
         idx = np.arange(n_hits)
 
@@ -731,16 +733,12 @@ def _masked_fd(values2d, mask2d, spacing):
     return det, ok
 
 
-def normalize_section(
-    u: ScalarField,
-    y,
-    target_n: int = 65,
-) -> NormalizedSection:
+def normalize_section(u: ScalarField, y) -> NormalizedSection:
     """Renormalize the maximal section of ``u`` at interior point ``y``.
 
     Fits the free minimum-volume ellipsoid of the maximal section, splits
     off the sqrt(hbar) dilation from the unimodular shape factor, and
-    resamples  (u - tangent plane)/hbar  on a ``target_n``-squared lattice
+    resamples  (u - tangent plane)/hbar  on a square lattice
     in normalized coordinates via smoothly weighted local quadratic fits
     of the grid data.  Reports the inner/outer ball radii of the
     normalized section and the Hessian-determinant range before and after
@@ -773,7 +771,7 @@ def normalize_section(
     c_inner, _ = _hull_dilations(hull_n, np.zeros(2), np.eye(2))
 
     half = 1.02 * c_outer
-    axis = np.linspace(-half, half, target_n)
+    axis = np.linspace(-half, half, _NORMALIZED_N)
     spacing = float(axis[1] - axis[0])
     X, Y = np.meshgrid(axis, axis, indexing="ij")
     lattice = np.column_stack([X.ravel(), Y.ravel()])
@@ -786,8 +784,8 @@ def normalize_section(
     mask = np.isfinite(values) & (values < 1.0 + 1e-9)
     values = np.where(mask, values, np.nan)
 
-    v2 = values.reshape(target_n, target_n)
-    m2 = mask.reshape(target_n, target_n)
+    v2 = values.reshape(_NORMALIZED_N, _NORMALIZED_N)
+    m2 = mask.reshape(_NORMALIZED_N, _NORMALIZED_N)
     det_n, ok = _masked_fd(v2, m2, spacing)
     # compare determinant ranges on the well-interior sublevel: near the
     # section edge the resampling stencil straddles exterior data and its
@@ -812,7 +810,7 @@ def normalize_section(
     else:
         det_orig = (np.nan, np.nan)
 
-    ic = target_n // 2
+    ic = _NORMALIZED_N // 2
     if m2[ic - 1 : ic + 2, ic - 1 : ic + 2].all():
         gx = (v2[ic + 1, ic] - v2[ic - 1, ic]) / (2 * spacing)
         gy = (v2[ic, ic + 1] - v2[ic, ic - 1]) / (2 * spacing)

@@ -141,8 +141,13 @@ def test_field_csv_round_trip_exact(tmp_path):
     )
     path = str(tmp_path / "f.csv")
     write_field_csv(path, field)
+    pts = np.concatenate([grid.nodes, grid.hit_points])
+    vals = np.concatenate([field.values, field.hit_values])
+    reference = "x,y,value\n" + "".join(
+        f"{p[0]:.17g},{p[1]:.17g},{v:.17g}\n" for p, v in zip(pts, vals)
+    )
     with open(path) as fh:
-        assert fh.readline() == "x,y,value\n"
+        assert fh.read() == reference
     back = read_field_csv(path, grid)
     assert np.array_equal(back.values, field.values)
     assert np.array_equal(back.hit_values, field.hit_values)
@@ -326,6 +331,11 @@ def test_converge_command_table(tmp_path):
         rows = [line for line in fh if line.strip()]
     assert header == "h,n_nodes,err_u,err_w,outer_iterations"
     assert len(rows) == 2
+    assert rows == [
+        f"{r['h']:.17g},{r['n_nodes']},{r['err_u']:.17g},{r['err_w']:.17g},"
+        f"{r['outer_iterations']}\n"
+        for r in results["rows"]
+    ]
 
 
 def test_fixture_command_dumps_exact_fields(tmp_path):

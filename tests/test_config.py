@@ -155,6 +155,15 @@ def test_empty_config_materializes_defaults():
     assert cfg.seed == 0
 
 
+def test_default_solver_block_is_default_options():
+    from amce.coupled import CoupledOptions
+    from amce.ma import MASolveOptions
+
+    opts = parse_config({}).coupled_options()
+    assert opts == CoupledOptions()
+    assert opts.ma == MASolveOptions()
+
+
 def test_sections_defaults():
     cfg = parse_config({"sections": {"boundary_point": [0.0, -1.0]}})
     assert cfg.sections["heights"] == [2.0**-k for k in range(3, 7)]

@@ -35,6 +35,26 @@ def test_w_g_round_trip(value, theta):
     assert back[0] == pytest.approx(value, rel=1e-13)
 
 
+def test_overflowing_determinant_target_is_degenerate(grid16):
+    """A tiny weight overflows w^(1/(theta-1)); rejected there, no warning."""
+    import warnings
+
+    from amce import DegenerateOperatorError, ScalarField
+
+    w = ScalarField(
+        grid=grid16,
+        values=np.full(grid16.n_nodes, 1e-300),
+        hit_values=np.full(grid16.n_hits, 1e-300),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateOperatorError, match="singular"):
+            g_from_w(w, theta=0.25)
+        w.values[:] = 1.0  # only the boundary trace overflows
+        with pytest.raises(DegenerateOperatorError):
+            g_from_w(w, theta=0.25)
+
+
 def test_w_g_field_round_trip(grid16):
     from amce import ScalarField
 
@@ -134,6 +154,20 @@ def test_relaxation_out_of_range_rejected(grid16):
         solve_system(problem, CoupledOptions(relaxation=1.5))
 
 
+def test_sweep_budget_counts_damped_sweeps(grid16):
+    """The budget error carries the history; the last allowed sweep may converge."""
+    from amce import NonConvergenceError
+
+    problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
+    _, _, report = solve_system(problem)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_system(problem, CoupledOptions(max_outer_iters=3))
+    assert info.value.history == report.w_change_history[:3]
+    budget = CoupledOptions(max_outer_iters=report.outer_iterations)
+    _, _, exact_budget = solve_system(problem, budget)
+    assert exact_budget.w_change_history == report.w_change_history
+
+
 def test_lma_factor_handed_to_next_newton_step(grid16, monkeypatch):
     """Each sweep's LMA factor serves the next sweep's first Newton step.
 
@@ -162,3 +196,38 @@ def test_lma_factor_handed_to_next_newton_step(grid16, monkeypatch):
     assert len(calls) == 95
     assert report.factorizations == 95
     assert report.as_dict()["factorizations"] == 95
+
+
+def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
+    """A polish without Newton steps keeps the last sweep's linear solution.
+
+    ``sheared_half`` converges in one sweep and its polish takes no Newton
+    step; solving the linear step again would make 8 factorizations.
+    """
+    import amce.lma
+    import amce.ma
+    import amce.operators
+    from amce import CofactorField, LMAProblem, discrete_hessian, solve_lma
+
+    calls = []
+
+    def counted(splu):
+        def wrapper(A):
+            calls.append(A.shape)
+            return splu(A)
+
+        return wrapper
+
+    for mod in (amce.ma, amce.lma, amce.operators):
+        monkeypatch.setattr(mod, "splu", counted(mod.splu))
+    problem = problem_from_exact(grid16, get_fixture("sheared_half", theta=0.25))
+    u, w, report = solve_system(problem)
+    assert report.outer_iterations == 1
+    assert len(calls) == 7
+    assert report.factorizations == 7
+    coeff = CofactorField.from_hessian(discrete_hessian(u))
+    fresh, _ = solve_lma(
+        LMAProblem(coeff=coeff, g=problem.f.values, psi_hits=problem.psi_hits)
+    )
+    assert w.values.tobytes() == fresh.values.tobytes()
+    assert w.hit_values.tobytes() == fresh.hit_values.tobytes()
