@@ -53,7 +53,6 @@ from .fixtures import (
 from .geometry import Disk, Domain, Ellipse, LevelSetDomain, build_domain
 from .grid import Grid, ScalarField, build_grid
 from .lma import (
-    CofactorField,
     LMAProblem,
     LMAReport,
     assemble_lma,

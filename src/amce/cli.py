@@ -35,7 +35,13 @@ import numpy as np
 
 from .config import FieldSpec, RunConfig, canonical_json, load_config
 from .convergence import convergence_study
-from .coupled import ProblemData, problem_from_exact, solve_system
+from .coupled import (
+    ProblemData,
+    forcing_nonpositive,
+    g_from_w,
+    problem_from_exact,
+    solve_system,
+)
 from .errors import (
     AmceError,
     ConfigError,
@@ -55,7 +61,7 @@ from .errors import (
 from .fixtures import fixture_names, forcing_from_exact, get_fixture
 from .geometry import build_domain
 from .grid import Grid, ScalarField, build_grid
-from .lma import CofactorField, LMAProblem, solve_lma
+from .lma import LMAProblem, solve_lma
 from .ma import MAProblem, solve_ma
 from .operators import discrete_hessian
 from .regularity import verify
@@ -75,8 +81,6 @@ _INVALID_EXIT = (
     IncompleteDataError,
     ConvexityViolationError,
     NonConvexProfileError,
-    ValueError,
-    KeyError,
 )
 
 _DEFAULT_FIXTURE_THETA = 0.25
@@ -139,6 +143,10 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
         data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
     except OSError as exc:
         raise ConfigError(f"cannot read field csv {path}: {exc}") from exc
+    except ValueError as exc:  # genfromtxt's error for ragged rows
+        raise IncompleteDataError(
+            f"{path} is not a valid x,y,value table: rows of unequal length"
+        ) from exc
     data = np.atleast_2d(data)
     if data.ndim != 2 or data.shape[1] != 3 or not np.isfinite(data).all():
         raise IncompleteDataError(f"{path} is not a valid x,y,value table")
@@ -234,13 +242,9 @@ def _ma_problem(cfg: RunConfig, grid: Grid) -> MAProblem:
         )
     if cfg.fixture is not None:
         exact = _fixture_exact(cfg)
-        theta = exact.theta
-
-        def g_fn(p):
-            # w = det^(theta-1) pins down the determinant target
-            return np.asarray(exact.w(p), float) ** (1.0 / (theta - 1.0))
-
-        return MAProblem.from_callables(grid, g_fn=g_fn, phi_fn=exact.u)
+        # w = det^(theta-1) pins down the determinant target
+        g = g_from_w(ScalarField.from_callable(grid, exact.w), exact.theta)
+        return MAProblem(grid=grid, g=g, phi_hits=exact.u(grid.hit_points))
     raise ConfigError("the ma command needs an 'ma' or 'fixture' config block")
 
 
@@ -295,10 +299,9 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
             "the lma command needs coefficients: lma.u_csv, an 'ma' block, "
             "or a 'fixture' block"
         )
-    coeff = CofactorField.from_hessian(discrete_hessian(u))
     g = lma_cfg["g"].to_callable()(grid.nodes)
     psi = lma_cfg["psi"].to_callable()(grid.hit_points)
-    problem = LMAProblem(coeff=coeff, g=g, psi_hits=psi)
+    problem = LMAProblem(hessian=discrete_hessian(u), g=g, psi_hits=psi)
     v, report = solve_lma(problem, tol=cfg.solver["lma_tol"], report_condition=True)
     write_field_csv(os.path.join(out_dir, "v.csv"), v)
     results = dict(report.as_dict())
@@ -453,7 +456,7 @@ def _cmd_fixture(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
             "name": exact.name,
             "theta": exact.theta,
             "forcing_route_gap": route_gap,
-            "f_nonpositive": bool(np.all(f.values <= 1e-12)),
+            "f_nonpositive": forcing_nonpositive(f.values),
             "sup_u": u.sup_norm(),
             "sup_w": w.sup_norm(),
         }

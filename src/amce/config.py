@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from .coupled import CoupledOptions
 from .errors import ConfigError
+from .fixtures import fixture_names
 from .ma import MASolveOptions
 
 __all__ = [
@@ -70,6 +71,19 @@ def _point(value, ctx: str) -> list[float]:
     return [_number(v, f"{ctx}[{i}]") for i, v in enumerate(value)]
 
 
+def _poly_coeffs(value, ctx: str) -> dict[str, float]:
+    """Non-empty ``{"ij": c}`` monomial coefficients, keys sorted."""
+    p = _require_mapping(value, ctx)
+    coeffs = {}
+    for key, val in p.items():
+        if not isinstance(key, str) or len(key) != 2 or not key.isdigit():
+            raise ConfigError(f"{ctx} keys must be two-digit strings 'ij', got {key!r}")
+        coeffs[key] = _number(val, f"{ctx}[{key}]")
+    if not coeffs:
+        raise ConfigError(f"{ctx} must not be empty")
+    return dict(sorted(coeffs.items()))
+
+
 # ---------------------------------------------------------------------------
 # scalar field specifications
 # ---------------------------------------------------------------------------
@@ -105,21 +119,7 @@ class FieldSpec:
         if kind == "const":
             return FieldSpec("const", _number(payload, f"{ctx}.const"))
         if kind == "poly":
-            p = _require_mapping(payload, f"{ctx}.poly")
-            coeffs = {}
-            for key, val in p.items():
-                if (
-                    not isinstance(key, str)
-                    or len(key) != 2
-                    or not key.isdigit()
-                ):
-                    raise ConfigError(
-                        f"{ctx}.poly keys must be two-digit strings 'ij', got {key!r}"
-                    )
-                coeffs[key] = _number(val, f"{ctx}.poly[{key}]")
-            if not coeffs:
-                raise ConfigError(f"{ctx}.poly must not be empty")
-            return FieldSpec("poly", dict(sorted(coeffs.items())))
+            return FieldSpec("poly", _poly_coeffs(payload, f"{ctx}.poly"))
         if kind == "gaussian":
             p = _require_mapping(payload, f"{ctx}.gaussian")
             _check_keys(p, {"amplitude", "sigma", "center"}, f"{ctx}.gaussian")
@@ -148,6 +148,21 @@ class FieldSpec:
         return {self.kind: self.payload}
 
     def to_callable(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The field as a function of points ``(n, 2)``.
+
+        Floating-point warnings are off while it runs: a pole or an
+        overflow gives inf or NaN, which the problem classes reject as
+        non-finite sampled data.
+        """
+        formula = self._formula()
+
+        def sampled(p):
+            with np.errstate(all="ignore"):
+                return formula(p)
+
+        return sampled
+
+    def _formula(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.kind == "const":
             v = self.payload
             return lambda p: np.full(len(p), v, dtype=float)
@@ -179,7 +194,12 @@ class FieldSpec:
 # run configuration
 # ---------------------------------------------------------------------------
 
-_DOMAIN_KINDS = {"disk", "ellipse", "levelset"}
+# domain kind -> its params, each parsed by a function of (value, ctx)
+_DOMAIN_PARAMS = {
+    "disk": {"radius": _number, "center": _point},
+    "ellipse": {"a": _number, "b": _number, "center": _point},
+    "levelset": {"coeffs": _poly_coeffs, "level": _number, "center": _point},
+}
 _FIXTURE_FIELD_KEYS = {"name", "theta"}
 _PROBLEM_KEYS = {"theta", "f", "phi", "psi"}
 _VERIFY_KEYS = {"boundary_alpha"}
@@ -250,7 +270,6 @@ class RunConfig:
     lma: dict | None
     output_dir: str
     seed: int
-    raw: dict = dc_field(repr=False, default_factory=dict)
 
     def coupled_options(self) -> CoupledOptions:
         """Solver options of the ``solver`` block; ``.ma`` is the Newton part."""
@@ -311,11 +330,20 @@ def parse_config(obj: dict) -> RunConfig:
     )
     _check_keys(dom, {"kind", "params", "h_grid"}, "domain")
     kind = dom.get("kind")
-    if kind not in _DOMAIN_KINDS:
+    if not isinstance(kind, str) or kind not in _DOMAIN_PARAMS:
         raise ConfigError(
-            f"domain.kind must be one of {sorted(_DOMAIN_KINDS)}, got {kind!r}"
+            f"domain.kind must be one of {sorted(_DOMAIN_PARAMS)}, got {kind!r}"
         )
-    params = _require_mapping(dom.get("params", {}), "domain.params")
+    params_in = _require_mapping(dom.get("params", {}), "domain.params")
+    _check_keys(params_in, set(_DOMAIN_PARAMS[kind]), "domain.params")
+    # only the given keys: build_domain owns the defaults
+    params = {
+        key: parse(params_in[key], f"domain.params.{key}")
+        for key, parse in sorted(_DOMAIN_PARAMS[kind].items())
+        if key in params_in
+    }
+    if kind == "levelset" and "coeffs" not in params:
+        raise ConfigError("domain.params.coeffs is required for a levelset domain")
 
     h = _number(dom.get("h_grid", 1.0 / 32.0), "domain.h_grid")
     if h <= 0:
@@ -341,6 +369,11 @@ def parse_config(obj: dict) -> RunConfig:
         _check_keys(fx, _FIXTURE_FIELD_KEYS, "fixture")
         if "name" not in fx or not isinstance(fx["name"], str):
             raise ConfigError("fixture.name must be a string")
+        if fx["name"] not in fixture_names():
+            raise ConfigError(
+                f"unknown fixture {fx['name']!r}; available: "
+                f"{', '.join(fixture_names())}"
+            )
         fixture = {"name": fx["name"]}
         if "theta" in fx:
             fixture["theta"] = _number(fx["theta"], "fixture.theta")
@@ -393,7 +426,14 @@ def parse_config(obj: dict) -> RunConfig:
         if any(x <= 0 for x in sections["heights"]):
             raise ConfigError("sections.heights must be positive")
         sections["min_nodes"] = _integer(sc.get("min_nodes", 12), "sections.min_nodes")
-        sections["normalize"] = bool(sc.get("normalize", False))
+        if sections["min_nodes"] < 1:
+            raise ConfigError("sections.min_nodes must be >= 1")
+        normalize = sc.get("normalize", False)
+        if not isinstance(normalize, bool):
+            raise ConfigError(
+                f"sections.normalize must be true or false, got {normalize!r}"
+            )
+        sections["normalize"] = normalize
 
     converge = None
     if "converge" in top:
@@ -441,7 +481,7 @@ def parse_config(obj: dict) -> RunConfig:
 
     return RunConfig(
         domain_kind=kind,
-        domain_params={k: params[k] for k in sorted(params)},
+        domain_params=params,
         h=h,
         problem=problem,
         fixture=fixture,
@@ -453,7 +493,6 @@ def parse_config(obj: dict) -> RunConfig:
         lma=lma,
         output_dir=output_dir,
         seed=seed,
-        raw=top,
     )
 
 

@@ -36,15 +36,8 @@ from .errors import (
     InvalidProblemError,
     NonConvergenceError,
 )
-from .grid import Grid, ScalarField
-from .lma import (
-    CofactorField,
-    FactorSlot,
-    LMA_TOL,
-    LMAProblem,
-    lma_residual,
-    solve_lma,
-)
+from .grid import Grid, ScalarField, require_finite
+from .lma import FactorSlot, LMA_TOL, LMAProblem, lma_residual, solve_lma
 from .ma import MAProblem, MASolveOptions, ma_residual, solve_ma
 from .operators import discrete_hessian, local_quadratic_fit, solve_poisson
 
@@ -70,6 +63,7 @@ class ProblemData:
         m = self.grid.n_hits
         if self.phi_hits.shape != (m,) or self.psi_hits.shape != (m,):
             raise ValueError("boundary data length does not match the grid")
+        require_finite(f=self.f, phi=self.phi_hits, psi=self.psi_hits)
         if float(self.psi_hits.min()) <= 0.0:
             raise InvalidProblemError(
                 f"weight boundary data must be positive, min psi = {self.psi_hits.min()}"
@@ -77,8 +71,7 @@ class ProblemData:
 
     @property
     def f_nonpositive(self) -> bool:
-        fmax = float(self.f.values.max())
-        return fmax <= 1e-12 * max(1.0, float(np.abs(self.f.values).max()))
+        return forcing_nonpositive(self.f.values)
 
     @classmethod
     def from_callables(
@@ -96,6 +89,15 @@ class ProblemData:
             phi_hits=np.asarray(phi_fn(grid.hit_points), dtype=float),
             psi_hits=np.asarray(psi_fn(grid.hit_points), dtype=float),
         )
+
+
+def forcing_nonpositive(f: Array) -> bool:
+    """Whether sampled forcing values are ``<= 0`` up to round-off.
+
+    The tolerance is ``1e-12 max(1, max |f|)``.
+    """
+    f = np.asarray(f, dtype=float)
+    return float(f.max()) <= 1e-12 * max(1.0, float(np.abs(f).max()))
 
 
 def check_theta(theta: float) -> None:
@@ -246,9 +248,8 @@ def solve_system(
         # step bitwise, so that step's w_half stands
         if w_half is None or ma_rep.iterations:
             H = discrete_hessian(u)
-            coeff = CofactorField.from_hessian(H)
             w_half, _ = solve_lma(
-                LMAProblem(coeff=coeff, g=data.f.values, psi_hits=data.psi_hits),
+                LMAProblem(hessian=H, g=data.f.values, psi_hits=data.psi_hits),
                 tol=opts.lma_tol,
                 slot=None if polish else slot,
             )
@@ -277,7 +278,7 @@ def solve_system(
         w.values = np.maximum(w.values, w_floor)
 
     final_ma = float(np.max(np.abs(ma_residual(u, g_from_w(w, data.theta)))))
-    final_lma = float(np.max(np.abs(lma_residual(w, coeff, data.f.values))))
+    final_lma = float(np.max(np.abs(lma_residual(w, H, data.f.values))))
     report = SolveReport(
         outer_iterations=len(history),
         w_change_history=history,
@@ -300,8 +301,7 @@ def affine_mean_curvature(u: ScalarField, w: ScalarField) -> Array:
     At a solution of the coupled system this equals ``-f / 3`` up to the
     linear solver tolerance.
     """
-    coeff = CofactorField.from_hessian(discrete_hessian(u))
-    return -lma_residual(w, coeff, 0.0) / 3.0
+    return -lma_residual(w, discrete_hessian(u), 0.0) / 3.0
 
 
 def problem_from_exact(grid: Grid, exact, theta: float | None = None) -> ProblemData:

@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
+from .coupled import forcing_nonpositive
 from .errors import InvalidShearError, NonConvexProfileError
 from .geometry import Disk, Domain
-from .lma import cofactor_matrix
 
 Array = np.ndarray
 
@@ -54,9 +54,6 @@ class ExactSolution:
     f_fd: Callable[[Array], Array]  # finite-difference route
     r_max: float
 
-    def cofactor(self, pts: Array) -> Array:
-        return cofactor_matrix(self.hess_u(pts))
-
     def sign_audit(
         self, domain: Domain | None = None, n: int = 10_000, seed: int = 0
     ) -> dict:
@@ -67,14 +64,11 @@ class ExactSolution:
         dom = domain if domain is not None else Disk(radius=self.r_max)
         pts = _sample_domain(dom, n, seed)
         vals = self.f(pts)
-        fmax = float(vals.max())
-        fmin = float(vals.min())
-        tol = 1e-12 * max(1.0, abs(fmin))
         return {
-            "f_min": fmin,
-            "f_max": fmax,
+            "f_min": float(vals.min()),
+            "f_max": float(vals.max()),
             "n_samples": int(n),
-            "nonpositive": bool(fmax <= tol),
+            "nonpositive": forcing_nonpositive(vals),
         }
 
 

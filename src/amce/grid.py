@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyGridError, IncompleteDataError
+from .errors import EmptyGridError, IncompleteDataError, InvalidProblemError
 from .geometry import Domain
 
 Array = np.ndarray
@@ -264,3 +264,15 @@ class ScalarField:
         if self.hit_values is not None and len(self.hit_values):
             m = max(m, float(np.max(np.abs(self.hit_values))))
         return m
+
+
+def require_finite(**samples) -> None:
+    """Raise InvalidProblemError if a named sample holds NaN or infinity.
+
+    A :class:`ScalarField` counts with its boundary trace.
+    """
+    for name, vals in samples.items():
+        field = isinstance(vals, ScalarField)
+        parts = (vals.values, vals.hit_values) if field else (vals,)
+        if not all(np.isfinite(a).all() for a in parts if a is not None):
+            raise InvalidProblemError(f"{name} has non-finite sampled values")

@@ -1,15 +1,18 @@
 """Linearized Monge-Ampere solver: U^ij v_ij = g with frozen coefficients.
 
-The coefficient field is the cofactor of a discrete Hessian.  In two
-dimensions the cofactor of ``[[a, b], [b, c]]`` is ``[[c, -b], [-b, a]]``;
-its rows are divergence-free for exact Hessians, which is what puts the
-operator in both divergence and non-divergence form in the continuum.  The
-discretization here is the non-divergence form with node-wise frozen
-coefficients, assembled from the cut-cell second-difference operators by
-:func:`assemble_lma` (the Newton step of the nonlinear solver factors the
-same operator), and solved with a sparse direct factorization.  The matrix is not symmetric and carries no M-matrix
-guarantee; a sign-pattern audit and a condition estimate are reported
-instead of a monotonicity assumption.  A :class:`FactorSlot` hands the
+The coefficients are ``U = cof H`` for a discrete Hessian ``H``, so the
+operator is ``cof H : D^2``.  In two dimensions the cofactor of
+``[[a, b], [b, c]]`` is ``[[c, -b], [-b, a]]``, a relabelling of the entries
+of ``H``, so every function here takes the :class:`HessianField` itself.
+The rows of ``cof H`` are divergence-free for exact Hessians, which is what
+puts the operator in both divergence and non-divergence form in the
+continuum.  The discretization here is the non-divergence form with
+node-wise frozen coefficients, assembled from the cut-cell second-difference
+operators by :func:`assemble_lma` (the Newton step of the nonlinear solver
+factors the same operator), and solved with a sparse direct factorization.
+The matrix is not symmetric and carries no M-matrix guarantee; a
+sign-pattern audit and a condition estimate are reported instead of a
+monotonicity assumption.  A :class:`FactorSlot` hands the
 factorization on to a Newton step that needs the same matrix.
 """
 from __future__ import annotations
@@ -21,57 +24,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import DegenerateOperatorError, NonConvergenceError
-from .grid import Grid, ScalarField
+from .grid import ScalarField, require_finite
 from .operators import HessianField, discrete_hessian, grid_operators
 
 Array = np.ndarray
 
 #: Default bound on the componentwise backward error of :func:`solve_lma`.
 LMA_TOL = 1e-10
-
-
-def cofactor_matrix(H: Array) -> Array:
-    """Cofactor (adjugate) of symmetric 2x2 matrices, shape (..., 2, 2)."""
-    U = np.empty_like(H)
-    U[..., 0, 0] = H[..., 1, 1]
-    U[..., 1, 1] = H[..., 0, 0]
-    U[..., 0, 1] = -H[..., 0, 1]
-    U[..., 1, 0] = -H[..., 1, 0]
-    return U
-
-
-@dataclass
-class CofactorField:
-    """Node-wise cofactor coefficients U11, U12, U22."""
-
-    grid: Grid
-    c11: Array
-    c12: Array
-    c22: Array
-
-    @classmethod
-    def from_hessian(cls, H: HessianField) -> "CofactorField":
-        return cls(grid=H.grid, c11=H.hyy, c12=-H.hxy, c22=H.hxx)
-
-    def det(self) -> Array:
-        return self.c11 * self.c22 - self.c12**2
-
-    def min_eigenvalue_per_node(self) -> Array:
-        mean = 0.5 * (self.c11 + self.c22)
-        rad = np.sqrt((0.5 * (self.c11 - self.c22)) ** 2 + self.c12**2)
-        return mean - rad
-
-    def check_positive_definite(self) -> None:
-        lo = self.min_eigenvalue_per_node()
-        k = int(np.argmin(lo))
-        if lo[k] <= 0.0:
-            x, y = self.grid.nodes[k]
-            raise DegenerateOperatorError(
-                f"coefficient matrix not positive definite at node {k} "
-                f"({x:.6g}, {y:.6g}): min eigenvalue {lo[k]:.3e}",
-                node=k,
-                point=(float(x), float(y)),
-            )
 
 
 class FactorSlot:
@@ -82,33 +41,33 @@ class FactorSlot:
     same ``u`` and, when the eigenvalue clamp is a no-op, factors the very
     same matrix.  :func:`solve_lma` puts its factor here and
     :func:`amce.ma.solve_ma` takes it.  :meth:`take` hands the factor over
-    only for bitwise equal coefficients on the same grid, and ``solve_ma``
+    only for a bitwise equal Hessian on the same grid, and ``solve_ma``
     empties the slot even when it takes no Newton step, so the held factor
     is never alive at the next factorization.
     """
 
     def __init__(self) -> None:
-        self._held: tuple[CofactorField, object] | None = None
+        self._held: tuple[HessianField, object] | None = None
 
-    def put(self, coeff: CofactorField, lu) -> None:
+    def put(self, hessian: HessianField, lu) -> None:
         # copies: an in-place change of the caller's arrays must not match
-        kept = CofactorField(
-            coeff.grid, coeff.c11.copy(), coeff.c12.copy(), coeff.c22.copy()
+        kept = HessianField(
+            hessian.grid, hessian.hxx.copy(), hessian.hxy.copy(), hessian.hyy.copy()
         )
         self._held = (kept, lu)
 
     def clear(self) -> None:
         self._held = None
 
-    def take(self, coeff: CofactorField):
-        """The held factor if it was made from ``coeff`` exactly, else None."""
+    def take(self, hessian: HessianField):
+        """The held factor if it was made from ``hessian`` exactly, else None."""
         held, self._held = self._held, None
         if held is None:
             return None
         kept, lu = held
-        same = kept.grid is coeff.grid and all(
-            _same_bits(getattr(kept, c), getattr(coeff, c))
-            for c in ("c11", "c12", "c22")
+        same = kept.grid is hessian.grid and all(
+            _same_bits(getattr(kept, c), getattr(hessian, c))
+            for c in ("hxx", "hxy", "hyy")
         )
         return lu if same else None
 
@@ -119,20 +78,21 @@ def _same_bits(a: Array, b: Array) -> bool:
 
 @dataclass
 class LMAProblem:
-    """U^ij v_ij = g in the domain, v = psi on the boundary."""
+    """U^ij v_ij = g in the domain, v = psi on the boundary, U = cof H."""
 
-    coeff: CofactorField
+    hessian: HessianField
     g: Array
     psi_hits: Array
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
         self.psi_hits = np.asarray(self.psi_hits, dtype=float)
-        grid = self.coeff.grid
+        grid = self.hessian.grid
         if self.g.shape != (grid.n_nodes,):
             raise ValueError("g length does not match the grid")
         if self.psi_hits.shape != (grid.n_hits,):
             raise ValueError("psi_hits length does not match the grid")
+        require_finite(g=self.g, psi=self.psi_hits)
 
 
 @dataclass
@@ -153,18 +113,21 @@ class LMAReport:
         return out
 
 
-def assemble_lma(coeff: CofactorField) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """Interior matrix and boundary map of the frozen-coefficient operator."""
-    ops = grid_operators(coeff.grid)
+def assemble_lma(H: HessianField) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """Interior matrix and boundary map of ``cof H : D^2``.
+
+    ``hyy Dxx - 2 hxy Dxy + hxx Dyy``, node-wise.
+    """
+    ops = grid_operators(H.grid)
     D = (
-        sp.diags(coeff.c11) @ ops["dxx"].D
-        + 2.0 * sp.diags(coeff.c12) @ ops["dxy"].D
-        + sp.diags(coeff.c22) @ ops["dyy"].D
+        sp.diags(H.hyy) @ ops["dxx"].D
+        - 2.0 * sp.diags(H.hxy) @ ops["dxy"].D
+        + sp.diags(H.hxx) @ ops["dyy"].D
     ).tocsc()
     B = (
-        sp.diags(coeff.c11) @ ops["dxx"].B
-        + 2.0 * sp.diags(coeff.c12) @ ops["dxy"].B
-        + sp.diags(coeff.c22) @ ops["dyy"].B
+        sp.diags(H.hyy) @ ops["dxx"].B
+        - 2.0 * sp.diags(H.hxy) @ ops["dxy"].B
+        + sp.diags(H.hxx) @ ops["dyy"].B
     ).tocsr()
     return D, B
 
@@ -206,10 +169,20 @@ def solve_lma(
     i.e. it is ``U : H(v) - g`` node-wise.  A successful solve leaves its
     factor in ``slot`` when one is given.
     """
-    coeff = problem.coeff
-    coeff.check_positive_definite()
-    grid = coeff.grid
-    D, B = assemble_lma(coeff)
+    H = problem.hessian
+    grid = H.grid
+    # cof H has the eigenvalues of H
+    lo, _ = H.eigenvalues()
+    k = int(np.argmin(lo))
+    if lo[k] <= 0.0:
+        x, y = grid.nodes[k]
+        raise DegenerateOperatorError(
+            f"coefficient matrix not positive definite at node {k} "
+            f"({x:.6g}, {y:.6g}): min eigenvalue {lo[k]:.3e}",
+            node=k,
+            point=(float(x), float(y)),
+        )
+    D, B = assemble_lma(H)
     psi = problem.psi_hits
     rhs = problem.g - (B @ psi if grid.n_hits else 0.0)
     try:
@@ -227,7 +200,7 @@ def solve_lma(
         prev = rn
 
     field = ScalarField(grid=grid, values=v, hit_values=psi.copy())
-    resid = lma_residual(field, coeff, problem.g)
+    resid = lma_residual(field, H, problem.g)
     resid_sup = float(np.max(np.abs(resid)))
     denom = abs(D) @ np.abs(v) + np.abs(problem.g)
     if grid.n_hits:
@@ -249,14 +222,14 @@ def solve_lma(
         condition_estimate=cond,
     )
     if slot is not None:
-        slot.put(coeff, lu)
+        slot.put(H, lu)
     return field, report
 
 
-def lma_residual(v: ScalarField, coeff: CofactorField, g: Array) -> Array:
-    """Node-wise ``U11 v_xx + 2 U12 v_xy + U22 v_yy - g``."""
-    H = discrete_hessian(v)
-    return coeff.c11 * H.hxx + 2.0 * coeff.c12 * H.hxy + coeff.c22 * H.hyy - np.asarray(g)
+def lma_residual(v: ScalarField, H: HessianField, g: Array) -> Array:
+    """Node-wise ``cof H : D^2 v - g = hyy v_xx - 2 hxy v_xy + hxx v_yy - g``."""
+    Hv = discrete_hessian(v)
+    return H.hyy * Hv.hxx - 2.0 * H.hxy * Hv.hxy + H.hxx * Hv.hyy - np.asarray(g)
 
 
 def _condition_estimate(D: sp.csc_matrix, lu) -> float:
@@ -267,14 +240,14 @@ def _condition_estimate(D: sp.csc_matrix, lu) -> float:
     return float(onenormest(D) * onenormest(inv))
 
 
-def divergence_of_cofactor(coeff: CofactorField) -> tuple[Array, Array]:
-    """Discrete row divergences of the cofactor field on full-stencil nodes.
+def divergence_of_cofactor(H: HessianField) -> tuple[Array, Array]:
+    """Discrete row divergences of ``U = cof H`` on full-stencil nodes.
 
     Returns ``(div, mask)`` where ``div[:, j] = d/dx U(1j) + d/dy U(2j)``
     and the mask marks nodes whose first-difference stencils stay interior
     (the cofactor has no boundary trace to difference through).
     """
-    grid = coeff.grid
+    grid = H.grid
     ops = grid_operators(grid)
     # Valid rows need interior axis neighbors whose own Hessian stencils are
     # full, so the differenced coefficients carry a smooth error expansion.
@@ -288,7 +261,7 @@ def divergence_of_cofactor(coeff: CofactorField) -> tuple[Array, Array]:
     zeros = np.zeros(grid.n_hits)
     ddx = lambda vals: ops["dx"].apply(vals, zeros)
     ddy = lambda vals: ops["dy"].apply(vals, zeros)
-    div1 = ddx(coeff.c11) + ddy(coeff.c12)
-    div2 = ddx(coeff.c12) + ddy(coeff.c22)
+    div1 = ddx(H.hyy) - ddy(H.hxy)
+    div2 = ddy(H.hxx) - ddx(H.hxy)
     div = np.stack([div1, div2], axis=1)
     return div, mask

@@ -31,8 +31,8 @@ from .errors import (
     InvalidProblemError,
     NonConvergenceError,
 )
-from .grid import Grid, ScalarField
-from .lma import CofactorField, FactorSlot, assemble_lma
+from .grid import Grid, ScalarField, require_finite
+from .lma import FactorSlot, assemble_lma
 from .operators import discrete_hessian, solve_poisson
 
 Array = np.ndarray
@@ -50,6 +50,7 @@ class MAProblem:
         self.phi_hits = np.asarray(self.phi_hits, dtype=float)
         if self.phi_hits.shape != (self.grid.n_hits,):
             raise ValueError("phi_hits length does not match the grid")
+        require_finite(g=self.g, phi=self.phi_hits)
         if float(self.g.values.min()) <= 0.0:
             raise InvalidProblemError(
                 f"right-hand side must be positive, min g = {self.g.values.min()}"
@@ -118,8 +119,8 @@ def solve_ma(
     """Damped Newton solve; returns the solution field and an iteration report.
 
     The first Newton step takes the factor held in ``slot`` when it was
-    made from its exact coefficients, instead of factoring them again; the
-    slot is empty on return.
+    made from its exact clamped Hessian, instead of factoring it again;
+    the slot is empty on return.
 
     Raises NonConvergenceError when the iteration budget or the line search
     is exhausted, and ConvexityFailureError if the converged discrete
@@ -137,6 +138,10 @@ def solve_ma(
     res = H.det() - problem.g.values
     res_norm = float(np.max(np.abs(res)))
     history.append(res_norm)
+    if not np.isfinite(res_norm):
+        raise NonConvergenceError(
+            f"Newton residual is not finite ({res_norm})", history=history
+        )
 
     iters = factorizations = 0
     while res_norm > opts.newton_tol:
@@ -146,10 +151,10 @@ def solve_ma(
                 f"{opts.max_iters} iterations (last residual {res_norm:.3e})",
                 history=history,
             )
-        coeff = CofactorField.from_hessian(H.clamped(opts.eps_clamp))
-        lu = slot.take(coeff) if slot is not None else None
+        H_clamped = H.clamped(opts.eps_clamp)
+        lu = slot.take(H_clamped) if slot is not None else None
         if lu is None:
-            J, _ = assemble_lma(coeff)
+            J, _ = assemble_lma(H_clamped)
             try:
                 lu = splu(J)
             except RuntimeError as exc:

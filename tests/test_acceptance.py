@@ -18,7 +18,7 @@ from amce.coupled import ProblemData, problem_from_exact, solve_system
 from amce.fixtures import fixture_names, get_fixture
 from amce.geometry import Disk
 from amce.grid import ScalarField, build_grid
-from amce.lma import CofactorField, LMAProblem, solve_lma
+from amce.lma import LMAProblem, solve_lma
 from amce.operators import discrete_hessian
 from amce.regularity import (
     abp_chain_report,
@@ -228,17 +228,17 @@ def test_criterion_8_boundary_modulus_thresholds(grid32):
         0.5 * (grid32.nodes**2).sum(axis=1),
         0.5 * (grid32.hit_points**2).sum(axis=1),
     )
-    coeff = CofactorField.from_hessian(discrete_hessian(quad))
+    H = discrete_hessian(quad)
     zero = np.zeros(grid32.n_nodes)
 
     v_lip, _ = solve_lma(
-        LMAProblem(coeff=coeff, g=zero, psi_hits=2.0 + grid32.hit_points[:, 0])
+        LMAProblem(hessian=H, g=zero, psi_hits=2.0 + grid32.hit_points[:, 0])
     )
     rep_lip = boundary_holder_check(v_lip, alpha=1.0)
 
     v_half, _ = solve_lma(
         LMAProblem(
-            coeff=coeff,
+            hessian=H,
             g=zero,
             psi_hits=2.0 + np.sqrt(np.abs(grid32.hit_points[:, 0])),
         )

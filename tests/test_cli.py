@@ -1,10 +1,16 @@
 """End-to-end tests of the command line interface and its file formats."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amce.cli import main, read_field_csv, write_field_csv
 from amce.errors import IncompleteDataError
@@ -95,6 +101,48 @@ def test_singular_operator_is_degenerate_not_a_crash(tmp_path, capsys):
     assert "singular" in err
 
 
+POLE = {"abs_pow": {"power": -1}}  # +inf on the axis x = 0
+QUAD = {"poly": {"20": 0.5, "02": 0.5}}
+DISK8 = {"kind": "disk", "params": {"radius": 1.0}, "h_grid": 0.125}
+
+
+@pytest.mark.parametrize(
+    "command, blocks",
+    [
+        ("ma", {"ma": {"g": POLE}}),
+        (
+            "solve",
+            {"problem": {"theta": 0.25, "f": POLE, "phi": QUAD, "psi": {"const": 1.0}}},
+        ),
+        (
+            "solve",
+            {"problem": {"theta": 0.25, "f": {"const": -1.0}, "phi": POLE, "psi": {"const": 1.0}}},
+        ),
+        ("lma", {"fixture": {"name": "paraboloid"}, "lma": {"g": POLE}}),
+    ],
+    ids=["ma-g", "solve-f", "solve-phi", "lma-g"],
+)
+def test_non_finite_sampled_data_is_invalid_input(tmp_path, capsys, command, blocks):
+    # A pole of the data used to give a NaN solution with exit 0 (ma) or a
+    # "backward error nan" / singular factor with exit 2.
+    cfg = write_cfg(tmp_path, {"domain": DISK8, **blocks})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "non-finite" in err
+    assert read_report(out)["error"]["class"] == "InvalidProblemError"
+    assert not (out / "u.csv").exists()
+
+
+def test_ma_fixture_theta_outside_window_is_invalid_input(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path, {"domain": DISK8, "fixture": {"name": "paraboloid", "theta": 0.6}}
+    )
+    assert main(["ma", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "theta" in capsys.readouterr().err
+
+
 def test_solve_without_problem_or_fixture(tmp_path):
     cfg = write_cfg(tmp_path, {"domain": DISK16})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -171,6 +219,19 @@ def test_field_csv_malformed_rejected(tmp_path):
     path.write_text("x,y,value\n0.0,0.0\n")
     with pytest.raises(IncompleteDataError):
         read_field_csv(str(path), grid)
+
+
+def test_field_csv_ragged_rows_rejected(tmp_path, capsys):
+    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
+    path = tmp_path / "ragged.csv"
+    path.write_text("x,y,value\n0.0,0.0,1.0\n0.0,0.125\n0.125,0.0,1.0\n")
+    with pytest.raises(IncompleteDataError, match="unequal length"):
+        read_field_csv(str(path), grid)
+    cfg = write_cfg(tmp_path, {"domain": DISK8, "lma": {"u_csv": str(path)}})
+    assert main(["lma", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +418,84 @@ def test_fixture_command_lists_names(tmp_path):
     assert main(["fixture", "--config", cfg, "--out", out]) == 0
     names = read_report(out)["results"]["available"]
     assert "paraboloid" in names and "radial_quartic" in names
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under mutated configs
+# ---------------------------------------------------------------------------
+
+# Small valid configs at h = 1/8; no mutation below makes the grid finer
+# or the sweep budget larger.
+_FUZZ_BASE = {
+    "fixture": {"domain": DISK8, "fixture": {"name": "radial_mild"}},
+    "ma": {"domain": DISK8, "ma": {"g": {"const": 1.0}, "phi": QUAD}},
+    "lma": {
+        "domain": DISK8,
+        "fixture": {"name": "paraboloid"},
+        "lma": {"g": {"const": -1.0}, "psi": {"const": 1.0}},
+    },
+    "solve": {
+        "domain": DISK8,
+        "problem": {
+            "theta": 0.25,
+            "f": {"gaussian": {"amplitude": -0.128, "sigma": 0.625}},
+            "phi": QUAD,
+            "psi": {"const": 1.0},
+        },
+        "solver": {"max_outer_iters": 3},
+    },
+}
+_KEEP = {("domain",), ("domain", "h_grid"), ("solver", "max_outer_iters")}
+_BAD_VALUES = ["x", [], {}, None, True, float("nan"), float("inf"), float("-inf"), 0, 0.0]
+
+
+def _paths(obj, prefix=()):
+    for key, val in obj.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    cfg = copy.deepcopy(_FUZZ_BASE[command])
+    for _ in range(draw(st.integers(1, 2))):
+        paths = [p for p in _paths(cfg) if p != ("solver",)]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        *head, key = path
+        parent = cfg
+        for k in head:
+            parent = parent[k]
+        op = draw(st.sampled_from(["drop", "value", "negate", "unknown key", "fixture"]))
+        if op == "drop" and path not in _KEEP:
+            del parent[key]
+        elif op == "value":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
+        elif op == "negate" and isinstance(parent[key], (int, float)):
+            parent[key] = -parent[key]
+        elif op == "unknown key" and isinstance(parent[key], dict):
+            parent[key]["bogus"] = 1.0
+        elif op == "fixture":
+            cfg["fixture"] = {"name": draw(st.sampled_from(["nope", "paraboloid_r2"]))}
+    return command, cfg
+
+
+@settings(max_examples=200)
+@given(_mutated())
+def test_mutated_configs_keep_the_exit_code_contract(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)  # NaN and Infinity as JSON literals
+        out = os.path.join(tmp, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path, "--out", out])
+        assert code in (0, 2, 3), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if os.path.isdir(out):
+            assert os.path.exists(os.path.join(out, "report.json"))

@@ -57,6 +57,9 @@ RICH_CONFIG = {
         ({"ma": {"rhs": {"const": 1.0}}}, "ma"),
         ({"lma": {"u": "u.csv"}}, "lma"),
         ({"problem": {"theta": 0.25, "f": {"const": 0.0}, "phi": {"const": 0.0}, "psi": {"const": 1.0}, "p": 2.0}}, "problem"),
+        ({"domain": {"kind": "disk", "params": {"radus": 2}}}, "domain.params"),
+        ({"domain": {"kind": "ellipse", "params": {"a": 2.0, "radius": 1.0}}}, "domain.params"),
+        ({"domain": {"kind": "levelset", "params": {"coeffs": {"20": 1.0, "02": 1.0}, "b": 1.0}}}, "domain.params"),
     ],
 )
 def test_unknown_keys_rejected(obj, fragment):
@@ -199,11 +202,36 @@ def test_sections_defaults():
         {"problem": {"theta": 0.25, "f": {"const": 0.0}, "phi": {"const": 0.0}, "psi": {"const": float("nan")}}},
         {"domain": {"kind": "disk", "params": {}, "h_grid": float("inf")}},
         {"sections": {"boundary_point": [0.0, float("-inf")]}},
+        {"domain": {"kind": "disk", "params": {"radius": True}}},
+        {"domain": {"kind": "disk", "params": {"radius": [1]}}},
+        {"domain": {"kind": "levelset", "params": {"coeffs": {"20": 1.0, "02": 1.0}, "level": [1]}}},
+        {"domain": {"kind": "levelset", "params": {"coeffs": [1, 2]}}},
+        {"domain": {"kind": "levelset", "params": {"coeffs": {"2": 1.0}}}},
+        {"domain": {"kind": "levelset", "params": {}}},
+        {"domain": {"kind": "disk", "params": {"center": [1]}}},
+        {"sections": {"normalize": "no"}},
+        {"sections": {"min_nodes": 0}},
+        {"fixture": {"name": "nope"}},
     ],
 )
 def test_out_of_range_values_rejected(obj):
     with pytest.raises(ConfigError):
         parse_config(obj)
+
+
+def test_domain_params_parsed_per_kind():
+    """Only given keys are kept, each as a float; build_domain owns defaults."""
+    cfg = parse_config(
+        {"domain": {"kind": "levelset", "params": {"level": 2, "coeffs": {"20": 1, "02": 2}}}}
+    )
+    assert cfg.domain_params == {"coeffs": {"02": 2.0, "20": 1.0}, "level": 2.0}
+    assert canonical_json(cfg.canonical()["domain"]["params"]) == canonical_json(
+        {"coeffs": {"02": 2.0, "20": 1.0}, "level": 2.0}
+    )
+    assert parse_config({"domain": {"kind": "disk", "params": {}}}).domain_params == {}
+    ellipse = parse_config({"domain": {"kind": "ellipse", "params": {"a": 2, "center": [0, 1]}}})
+    assert ellipse.domain_params == {"a": 2.0, "center": [0.0, 1.0]}
+    assert all(type(v) is float for v in ellipse.domain_params["center"])
 
 
 def test_eps_clamp_may_be_zero():

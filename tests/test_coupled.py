@@ -111,6 +111,21 @@ def test_positive_forcing_flagged_not_fatal(grid16):
     assert report.hypothesis_flags["f_le_0_violated"]
 
 
+def test_forcing_sign_has_one_rule(grid16):
+    """ProblemData, the fixture sign audit and ``amce fixture`` agree."""
+    from amce.coupled import forcing_nonpositive
+
+    # round-off above zero counts relative to the size of the forcing
+    assert forcing_nonpositive(np.array([-100.0, 1e-11]))
+    assert not forcing_nonpositive(np.array([-1.0, 1e-11]))
+    assert forcing_nonpositive(np.array([0.0, 1e-12]))
+    for name in ("paraboloid", "radial_mild", "radial_quartic", "sheared_half"):
+        exact = get_fixture(name, theta=0.25)
+        problem = problem_from_exact(grid16, exact)
+        assert problem.f_nonpositive == exact.sign_audit()["nonpositive"]
+        assert problem.f_nonpositive == (name != "radial_quartic")
+
+
 def test_affine_mean_curvature_matches_forcing(mild32):
     """At the fixed point, -(1/3) U^ij w_ij recovers -f/3 on interior nodes."""
     problem, u, w, _ = mild32
@@ -207,7 +222,7 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     import amce.lma
     import amce.ma
     import amce.operators
-    from amce import CofactorField, LMAProblem, discrete_hessian, solve_lma
+    from amce import LMAProblem, discrete_hessian, solve_lma
 
     calls = []
 
@@ -225,9 +240,8 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     assert report.outer_iterations == 1
     assert len(calls) == 7
     assert report.factorizations == 7
-    coeff = CofactorField.from_hessian(discrete_hessian(u))
     fresh, _ = solve_lma(
-        LMAProblem(coeff=coeff, g=problem.f.values, psi_hits=problem.psi_hits)
+        LMAProblem(hessian=discrete_hessian(u), g=problem.f.values, psi_hits=problem.psi_hits)
     )
     assert w.values.tobytes() == fresh.values.tobytes()
     assert w.hit_values.tobytes() == fresh.hit_values.tobytes()

@@ -1,56 +1,27 @@
-"""Frozen-coefficient linear solve: algebra, maximum principle, audits."""
+"""Frozen-coefficient linear solve: exactness, maximum principle, audits."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from amce import Disk, ScalarField, build_grid
 from amce.errors import DegenerateOperatorError
 from amce.lma import (
-    CofactorField,
     LMAProblem,
-    cofactor_matrix,
     divergence_of_cofactor,
     offdiagonal_sign_audit,
     solve_lma,
 )
 from amce.operators import discrete_hessian
 
-spd = st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(-0.9, 0.9))
-
-
-@given(spd)
-def test_cofactor_matrix_algebra(abc):
-    a, c, t = abc
-    b = t * np.sqrt(a * c)  # keeps the matrix positive definite
-    H = np.array([[[a, b], [b, c]]])
-    U = cofactor_matrix(H)
-    # U = det(H) H^{-1}: product must be det * I
-    prod = U[0] @ H[0]
-    det = a * c - b * b
-    np.testing.assert_allclose(prod, det * np.eye(2), atol=1e-12)
-
-
-def test_cofactor_det_identity(grid16):
-    """In 2D, det U = det D^2 u node-wise (exactly, by the formula)."""
-    u = ScalarField.from_callable(
-        grid16, lambda p: 0.6 * p[:, 0] ** 2 + 0.2 * p[:, 0] * p[:, 1] + 0.5 * p[:, 1] ** 2
-    )
-    H = discrete_hessian(u)
-    cf = CofactorField.from_hessian(H)
-    np.testing.assert_allclose(cf.det(), H.det(), atol=1e-12)
-
-
 def test_quadratic_solution_reproduced(grid32):
     """With identity coefficients, the solve is a Poisson solve: the
     quadratic with trace g is reproduced through the boundary data."""
     uq = ScalarField.from_callable(grid32, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
-    coeff = CofactorField.from_hessian(discrete_hessian(uq))
+    H = discrete_hessian(uq)
     target = lambda p: 0.3 * p[:, 0] ** 2 - 0.1 * p[:, 1] ** 2 + p[:, 0]
     g = np.full(grid32.n_nodes, 2 * 0.3 - 2 * 0.1)
     v, report = solve_lma(
-        LMAProblem(coeff=coeff, g=g, psi_hits=target(grid32.hit_points))
+        LMAProblem(hessian=H, g=g, psi_hits=target(grid32.hit_points))
     )
     assert np.abs(v.values - target(grid32.nodes)).max() < 1e-9
     assert report.backward_error < 1e-12
@@ -58,10 +29,10 @@ def test_quadratic_solution_reproduced(grid32):
 
 def test_maximum_principle_nonnegative_g(grid32):
     uq = ScalarField.from_callable(grid32, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
-    coeff = CofactorField.from_hessian(discrete_hessian(uq))
+    H = discrete_hessian(uq)
     g = np.abs(np.sin(3.0 * grid32.nodes[:, 0]))
     psi = 1.0 + 0.2 * grid32.hit_points[:, 0]
-    v, _ = solve_lma(LMAProblem(coeff=coeff, g=g, psi_hits=psi))
+    v, _ = solve_lma(LMAProblem(hessian=H, g=g, psi_hits=psi))
     assert v.values.max() <= psi.max() + 10.0 * grid32.h**2
 
 
@@ -74,7 +45,7 @@ def test_divergence_of_cofactor_second_order():
     for h in (1 / 8, 1 / 16, 1 / 32):
         grid = build_grid(Disk(radius=1.0), h)
         u = ScalarField.from_callable(grid, fn)
-        div, mask = divergence_of_cofactor(CofactorField.from_hessian(discrete_hessian(u)))
+        div, mask = divergence_of_cofactor(discrete_hessian(u))
         sups.append(float(np.abs(div[mask]).max()))
     rates = [np.log2(sups[i] / sups[i + 1]) for i in range(len(sups) - 1)]
     assert min(rates) > 1.5
@@ -88,26 +59,26 @@ def test_sign_audit_reports_offdiagonal_violations(grid16):
         grid16,
         lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2) + 0.45 * p[:, 0] * p[:, 1],
     )
-    coeff = CofactorField.from_hessian(discrete_hessian(us))
+    H = discrete_hessian(us)
     from amce.lma import assemble_lma
 
-    D, _ = assemble_lma(coeff)
+    D, _ = assemble_lma(H)
     audit = offdiagonal_sign_audit(D)
     assert audit["rows_with_negative_offdiagonal"] > 0
     # identity coefficients keep the clean sign pattern away from shear
     uq = ScalarField.from_callable(grid16, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
-    D2, _ = assemble_lma(CofactorField.from_hessian(discrete_hessian(uq)))
+    D2, _ = assemble_lma(discrete_hessian(uq))
     audit2 = offdiagonal_sign_audit(D2)
     assert audit2["rows_with_negative_offdiagonal"] == 0
 
 
 def test_indefinite_coefficients_rejected(grid16):
     saddle = ScalarField.from_callable(grid16, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
-    coeff = CofactorField.from_hessian(discrete_hessian(saddle))
+    H = discrete_hessian(saddle)
     with pytest.raises(DegenerateOperatorError):
         solve_lma(
             LMAProblem(
-                coeff=coeff,
+                hessian=H,
                 g=np.zeros(grid16.n_nodes),
                 psi_hits=np.ones(grid16.n_hits),
             )
@@ -116,10 +87,10 @@ def test_indefinite_coefficients_rejected(grid16):
 
 def test_report_carries_backward_error_and_condition(grid16):
     uq = ScalarField.from_callable(grid16, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
-    coeff = CofactorField.from_hessian(discrete_hessian(uq))
+    H = discrete_hessian(uq)
     _, report = solve_lma(
         LMAProblem(
-            coeff=coeff,
+            hessian=H,
             g=np.zeros(grid16.n_nodes),
             psi_hits=np.ones(grid16.n_hits),
         ),

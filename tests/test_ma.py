@@ -11,9 +11,9 @@ from amce import (
     ScalarField,
     build_grid,
 )
-from amce.lma import CofactorField, FactorSlot, LMAProblem, solve_lma
+from amce.lma import FactorSlot, LMAProblem, solve_lma
 from amce.ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
-from amce.operators import discrete_hessian
+from amce.operators import HessianField, discrete_hessian
 
 
 def _quad_phi(p):
@@ -70,6 +70,24 @@ def test_nonpositive_g_rejected(grid16):
         MAProblem.from_callables(grid16, lambda p: np.zeros(len(p)), _quad_phi)
 
 
+def test_non_finite_data_rejected(grid16):
+    pole = lambda p: 1.0 / np.abs(p[:, 0])
+    with np.errstate(divide="ignore"):
+        with pytest.raises(InvalidProblemError, match="non-finite"):
+            MAProblem.from_callables(grid16, pole, _quad_phi)
+        with pytest.raises(InvalidProblemError, match="non-finite"):
+            MAProblem.from_callables(grid16, lambda p: np.ones(len(p)), pole)
+
+
+def test_nan_residual_is_not_convergence(grid16):
+    """A NaN residual used to end the Newton loop as if converged."""
+    problem = MAProblem.from_callables(grid16, lambda p: np.ones(len(p)), _quad_phi)
+    start = initial_guess(problem)
+    start.values[3] = np.nan
+    with pytest.raises(NonConvergenceError, match="not finite"):
+        solve_ma(problem, initial=start)
+
+
 def test_iteration_budget_exhaustion_raises(grid32):
     g = lambda p: 1.0 + 0.9 * np.sin(3.0 * p[:, 0]) ** 2
     problem = MAProblem.from_callables(grid32, g, _quad_phi)
@@ -93,51 +111,64 @@ def test_anisotropic_domain_solve():
 
 
 def _handoff_case(grid):
-    """A problem, a convex start that needs Newton steps, and its cofactor."""
+    """A problem, a convex start that needs Newton steps, and its Hessian."""
     g = lambda p: 1.0 + 0.5 * np.exp(-4.0 * (p[:, 0] ** 2 + p[:, 1] ** 2))
     problem = MAProblem.from_callables(grid, g, _quad_phi)
     start = initial_guess(problem)
-    coeff = CofactorField.from_hessian(discrete_hessian(start))
-    assert coeff.min_eigenvalue_per_node().min() > MASolveOptions().eps_clamp
-    return problem, start, coeff
+    H = discrete_hessian(start)
+    assert H.min_eigenvalue() > MASolveOptions().eps_clamp
+    return problem, start, H
 
 
-def _fill(slot, coeff):
-    grid = coeff.grid
+def _fill(slot, H):
+    grid = H.grid
     ones = np.ones(grid.n_nodes), np.ones(grid.n_hits)
-    solve_lma(LMAProblem(coeff=coeff, g=ones[0], psi_hits=ones[1]), slot=slot)
+    solve_lma(LMAProblem(hessian=H, g=ones[0], psi_hits=ones[1]), slot=slot)
 
 
 def test_matching_factor_handoff_is_bitwise_neutral(grid32):
-    problem, start, coeff = _handoff_case(grid32)
+    problem, start, H = _handoff_case(grid32)
     u_ref, rep_ref = solve_ma(problem, initial=start)
     slot = FactorSlot()
-    _fill(slot, coeff)
+    _fill(slot, H)
     u, rep = solve_ma(problem, initial=start, slot=slot)
     assert rep_ref.iterations >= 2
     assert u.values.tobytes() == u_ref.values.tobytes()
     assert rep.residual_history == rep_ref.residual_history
     assert rep_ref.factorizations == rep_ref.iterations
     assert rep.factorizations == rep.iterations - 1
-    assert slot.take(coeff) is None
+    assert slot.take(H) is None
 
 
-@pytest.mark.parametrize("how", ["other coefficients", "arrays changed after put"])
+@pytest.mark.parametrize(
+    "how",
+    [
+        "other coefficients",
+        "arrays changed after put",
+        "only hxx differs",
+        "only hxy differs",
+        "only hyy differs",
+    ],
+)
 def test_foreign_factor_is_not_used(grid32, how):
-    problem, start, coeff = _handoff_case(grid32)
+    problem, start, H = _handoff_case(grid32)
     u_ref, rep_ref = solve_ma(problem, initial=start)
     bowl = ScalarField.from_callable(
         grid32, lambda p: p[:, 0] ** 2 + 0.25 * p[:, 1] ** 2
     )
-    other = CofactorField.from_hessian(discrete_hessian(bowl))
-    held = CofactorField(grid32, other.c11.copy(), other.c12.copy(), other.c22.copy())
+    other = discrete_hessian(bowl)
+    if how.startswith("only"):
+        # every entry of the Hessian takes part in the comparison
+        other = HessianField(grid32, H.hxx.copy(), H.hxy.copy(), H.hyy.copy())
+        getattr(other, how.split()[1])[:] += 0.05
+    held = HessianField(grid32, other.hxx.copy(), other.hxy.copy(), other.hyy.copy())
     slot = FactorSlot()
     _fill(slot, other)
     if how == "arrays changed after put":
         # the caller's arrays now equal the target, the held factor does not
-        for name in ("c11", "c12", "c22"):
-            getattr(other, name)[:] = getattr(coeff, name)
-        assert other.c11.tobytes() == coeff.c11.tobytes()
+        for name in ("hxx", "hxy", "hyy"):
+            getattr(other, name)[:] = getattr(H, name)
+        assert other.hxx.tobytes() == H.hxx.tobytes()
     u, rep = solve_ma(problem, initial=start, slot=slot)
     assert u.values.tobytes() == u_ref.values.tobytes()
     assert rep.residual_history == rep_ref.residual_history
@@ -149,9 +180,9 @@ def test_slot_emptied_without_newton_steps(grid16):
     """A start already at tolerance takes no step and still drops the factor."""
     problem = MAProblem.from_callables(grid16, lambda p: np.ones(len(p)), _quad_phi)
     exact = ScalarField.from_callable(grid16, _quad_phi)
-    coeff = CofactorField.from_hessian(discrete_hessian(exact))
+    H = discrete_hessian(exact)
     slot = FactorSlot()
-    _fill(slot, coeff)
+    _fill(slot, H)
     _, rep = solve_ma(problem, initial=exact, slot=slot)
     assert rep.iterations == 0 and rep.factorizations == 0
-    assert slot.take(coeff) is None
+    assert slot.take(H) is None
