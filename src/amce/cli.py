@@ -37,6 +37,7 @@ from .config import FieldSpec, RunConfig, canonical_json, load_config
 from .convergence import convergence_study
 from .coupled import (
     ProblemData,
+    check_theta,
     forcing_nonpositive,
     g_from_w,
     problem_from_exact,
@@ -215,6 +216,7 @@ def _make_grid(cfg: RunConfig) -> Grid:
 
 def _fixture_exact(cfg: RunConfig):
     theta = cfg.fixture.get("theta", _DEFAULT_FIXTURE_THETA)
+    check_theta(theta)
     return get_fixture(cfg.fixture["name"], theta=theta)
 
 

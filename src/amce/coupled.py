@@ -5,16 +5,26 @@ The fourth-order problem
     U^ij w_ij = f,   w = (det D^2 u)^(theta - 1),   U = cof D^2 u,
     u = phi and w = psi on the boundary,
 
-is split into the two second-order problems solved alternately: given the
-current weight ``w``, the nonlinear step solves ``det D^2 u = w^(1/(theta-1))``
-for ``u``; given ``u``, the linear step solves ``U^ij w_ij = f`` with frozen
-cofactor for a new weight.  A relaxation factor damps the weight update.
-The iteration starts from the harmonic extension of ``psi``.  Once the
-weight stops moving in sup norm, one more sweep runs undamped (the polish)
-and its linear solution is the returned ``w``, so both sub-equation
-residuals are reported at their floor.  A sweep whose Newton solve takes
-no step leaves ``u`` bitwise unchanged and reuses the previous linear
-solution instead of solving for it again.
+is solved as the discrete system
+
+    F1 = det H(u) - w^e = 0,   F2 = cof H(u) : H(w) - f = 0,   e = 1/(theta - 1),
+
+with ``H`` the cut-cell discrete Hessian.  The iteration starts from the
+harmonic extension of ``psi`` with one damped sweep of the splitting: given
+the weight, the nonlinear step solves ``det D^2 u = w^e`` for ``u``; given
+``u``, the linear step solves ``U^ij w_ij = f`` with frozen cofactor, and the
+weight moves part of the way to that solution.  From there on it takes
+exact Newton steps on ``(u, w)`` together (Newton-Krylov with the splitting
+as preconditioner, after Knoll and Keyes, J. Comput. Phys. 193, 2004).  In
+two dimensions ``cof H(u) : H(w)`` is bilinear and symmetric in ``(u, w)``,
+so every Jacobian block is an operator the linear step already assembles.
+GMRES solves the Newton system, preconditioned by the block lower-triangular
+splitting applied through the LU factor of the damped sweep's linear step.
+A Newton step that GMRES cannot solve, or that would lose convexity or the
+weight's sign, is replaced by a damped sweep.  Once the weight stops moving
+in sup norm, one more sweep runs undamped (the polish) and its linear
+solution is the returned ``w``, so both sub-equation residuals are reported
+at their floor.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -29,6 +39,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (
     ConvexityFailureError,
@@ -37,7 +48,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .grid import Grid, ScalarField, require_finite
-from .lma import FactorSlot, LMA_TOL, LMAProblem, lma_residual, solve_lma
+from .lma import FactorSlot, LMA_TOL, LMAProblem, assemble_lma, lma_residual, solve_lma
 from .ma import MAProblem, MASolveOptions, ma_residual, solve_ma
 from .operators import discrete_hessian, local_quadratic_fit, solve_poisson
 
@@ -129,6 +140,9 @@ class SolveReport:
     newton_iterations_total: int
     hypothesis_flags: dict
     factorizations: int = 0  # every LU factorization, the Poisson starts included
+    coupled_newton_steps: int = 0  # Newton steps on (u, w) together
+    krylov_iterations_total: int = 0  # GMRES iterations of those steps
+    backtracks_total: int = 0  # line-search backtracks of the determinant solves
     wall_time_s: float = 0.0
 
     def as_dict(self) -> dict:
@@ -143,6 +157,9 @@ class SolveReport:
             "newton_iterations_total": self.newton_iterations_total,
             "hypothesis_flags": self.hypothesis_flags,
             "factorizations": self.factorizations,
+            "coupled_newton_steps": self.coupled_newton_steps,
+            "krylov_iterations_total": self.krylov_iterations_total,
+            "backtracks_total": self.backtracks_total,
         }
 
 
@@ -195,23 +212,99 @@ def harmonic_extension(grid: Grid, hit_values: Array) -> ScalarField:
     return ScalarField(grid=grid, values=vals, hit_values=np.asarray(hit_values, float))
 
 
+# coupled Newton step: GMRES restart length, its tolerance on the residual
+# 2-norm relative to |F|, and the restart cycles before the step falls back
+_KRYLOV_RESTART = 10
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_CYCLES = 10
+
+
+def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, lu, cap: float):
+    """One exact Newton step on ``F(u, w) = 0``, or None when it is unusable.
+
+    ``F1 = det H(u) - w^e`` and ``F2 = cof H(u) : H(w) - f`` with
+    ``e = 1/(theta-1)``; the Jacobian ``[[A, -diag(e w^(e-1))], [C, A]]``
+    has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
+    it, left-preconditioned by ``[[A', 0], [C, A']]`` through the LU factor
+    ``lu`` of a nearby ``A'``.  The step is scaled so the weight moves by at
+    most ``cap`` in sup norm.  Returns ``(u, w, change, krylov_iterations)``;
+    None when GMRES fails or the trial loses ``det H(u) > 0`` or ``w > 0``.
+    """
+    n = data.grid.n_nodes
+    e = 1.0 / (data.theta - 1.0)
+    Hu = discrete_hessian(u)
+    A, _ = assemble_lma(Hu)
+    C, _ = assemble_lma(discrete_hessian(w))
+    with np.errstate(over="ignore"):
+        we = w.values**e
+        dw_coef = -e * we / w.values
+    if not (np.isfinite(we).all() and np.isfinite(dw_coef).all()):
+        return None
+    F = np.concatenate([Hu.det() - we, lma_residual(w, Hu, data.f.values)])
+
+    def jacobian(x):
+        xu, xw = x[:n], x[n:]
+        return np.concatenate([A @ xu + dw_coef * xw, C @ xu + A @ xw])
+
+    def precondition(r):
+        yu = lu.solve(r[:n])
+        return np.concatenate([yu, lu.solve(r[n:] - C @ yu)])
+
+    krylov = 0
+
+    def count(_):
+        nonlocal krylov
+        krylov += 1
+
+    shape = (2 * n, 2 * n)
+    delta, info = gmres(
+        LinearOperator(shape, matvec=jacobian, dtype=float),
+        -F,
+        rtol=_KRYLOV_RTOL,
+        restart=_KRYLOV_RESTART,
+        maxiter=_KRYLOV_CYCLES,
+        M=LinearOperator(shape, matvec=precondition, dtype=float),
+        callback=count,
+        callback_type="pr_norm",
+    )
+    if info != 0:
+        return None
+    size = float(np.max(np.abs(delta[n:])))
+    alpha = min(1.0, cap / size) if size > 0.0 else 1.0
+    u_new = u.with_values(u.values + alpha * delta[:n])
+    w_new = w.with_values(w.values + alpha * delta[n:])
+    if (
+        float(w_new.values.min()) <= 0.0
+        or float(discrete_hessian(u_new).det().min()) <= 0.0
+    ):
+        return None
+    return u_new, w_new, alpha * size, krylov
+
+
 def solve_system(
     data: ProblemData, options: CoupledOptions | None = None
 ) -> tuple[ScalarField, ScalarField, SolveReport]:
-    """Alternating solve of the coupled system; returns ``(u, w, report)``.
+    """Coupled solve; returns ``(u, w, report)``.
 
-    One loop: damped sweeps until the weight change is at most
-    ``outer_tol``, then one undamped sweep whose linear solution is ``w``.
+    One loop whose first iteration is a damped sweep: solve the
+    determinant equation for ``u`` with the current weight, solve the
+    linear equation for ``w_half`` with the cofactor of ``u``, and move
+    ``w`` a fraction ``relaxation`` towards ``w_half``.  Every later
+    iteration is an exact Newton step on both unknowns (see
+    :func:`_newton_step`), preconditioned by the LU factor the last damped
+    sweep's linear step left in a :class:`FactorSlot`; the step is capped so
+    the weight change never exceeds the previous one.  An iteration whose
+    Newton step is unusable runs the damped sweep instead.  Once the weight
+    change is at most ``outer_tol``, one undamped sweep (the polish)
+    re-solves both equations and its linear solution is the returned ``w``.
     Raises :class:`NonConvergenceError` with the change history when
-    ``max_outer_iters`` damped sweeps do not get there.  A sweep whose
-    Newton solve takes no step, typically the undamped one, skips its
-    linear step: ``u``, hence the operator and the solution, is unchanged.
+    ``max_outer_iters`` iterations do not get there.
 
-    Each damped sweep's linear step leaves its LU factor in a
-    :class:`FactorSlot` for the next sweep's first Newton step, which starts
-    from the same ``u`` and so, unless the eigenvalue clamp acts, factors the
-    same matrix.  The undamped sweep's linear step has no successor and
-    keeps no factor.
+    A sweep whose determinant solve takes no Newton step leaves ``u``
+    bitwise unchanged and keeps the previous linear solution; a sweep that
+    follows a Newton step always solves the linear equation.  The damped
+    sweep's factor also serves the next sweep's first determinant Newton
+    step when ``u`` has not moved in between (:meth:`FactorSlot.take`).
     """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
@@ -232,43 +325,54 @@ def solve_system(
     u: ScalarField | None = None
     w_half: ScalarField | None = None
     history: list[float] = []
-    newton_total = 0
+    newton_total = backtracks = coupled_steps = krylov_total = 0
     # the Poisson solves of the harmonic extension and of the first Newton start
     factorizations = 2
     slot = FactorSlot()
     polish = False
 
     while True:
-        g = g_from_w(w, data.theta)
-        problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
-        u, ma_rep = solve_ma(problem, opts.ma, initial=u, slot=slot)
-        newton_total += ma_rep.iterations
-        factorizations += ma_rep.factorizations
-        # a solve without Newton steps returns the u of the last linear
-        # step bitwise, so that step's w_half stands
-        if w_half is None or ma_rep.iterations:
-            H = discrete_hessian(u)
-            w_half, _ = solve_lma(
-                LMAProblem(hessian=H, g=data.f.values, psi_hits=data.psi_hits),
-                tol=opts.lma_tol,
-                slot=None if polish else slot,
-            )
-            factorizations += 1
-        if polish:
-            break
-        new_vals = (1.0 - sigma) * w.values + sigma * w_half.values
-        if float(new_vals.min()) <= 0.0:
-            new_vals = np.maximum(new_vals, w_floor)
-            flags["w_floor_applied"] = True
-        change = float(np.max(np.abs(new_vals - w.values)))
+        step = None
+        if history and not polish:
+            # the slot holds the factor of the last damped sweep
+            step = _newton_step(data, u, w, slot.peek(), cap=history[-1])
+        if step is not None:
+            u, w, change, krylov = step
+            w_half = None  # the last linear solution belongs to the old u
+            coupled_steps += 1
+            krylov_total += krylov
+        else:
+            g = g_from_w(w, data.theta)
+            problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
+            u, ma_rep = solve_ma(problem, opts.ma, initial=u, slot=slot)
+            newton_total += ma_rep.iterations
+            backtracks += ma_rep.backtracks
+            factorizations += ma_rep.factorizations
+            # a solve without Newton steps returns the u of the last linear
+            # step bitwise, so that step's w_half stands
+            if w_half is None or ma_rep.iterations:
+                H = discrete_hessian(u)
+                w_half, _ = solve_lma(
+                    LMAProblem(hessian=H, g=data.f.values, psi_hits=data.psi_hits),
+                    tol=opts.lma_tol,
+                    slot=None if polish else slot,
+                )
+                factorizations += 1
+            if polish:
+                break
+            new_vals = (1.0 - sigma) * w.values + sigma * w_half.values
+            if float(new_vals.min()) <= 0.0:
+                new_vals = np.maximum(new_vals, w_floor)
+                flags["w_floor_applied"] = True
+            change = float(np.max(np.abs(new_vals - w.values)))
+            w = ScalarField(grid=grid, values=new_vals, hit_values=data.psi_hits.copy())
         history.append(change)
-        w = ScalarField(grid=grid, values=new_vals, hit_values=data.psi_hits.copy())
         if change <= opts.outer_tol:
             polish = True
         elif len(history) >= opts.max_outer_iters:
             raise NonConvergenceError(
                 f"outer iteration did not contract below {opts.outer_tol} in "
-                f"{opts.max_outer_iters} sweeps (last change {change:.3e})",
+                f"{opts.max_outer_iters} iterations (last change {change:.3e})",
                 history=history,
             )
 
@@ -290,6 +394,9 @@ def solve_system(
         newton_iterations_total=newton_total,
         hypothesis_flags=flags,
         factorizations=factorizations,
+        coupled_newton_steps=coupled_steps,
+        krylov_iterations_total=krylov_total,
+        backtracks_total=backtracks,
         wall_time_s=time.perf_counter() - t0,
     )
     return u, w, report

@@ -13,7 +13,8 @@ factors the same operator), and solved with a sparse direct factorization.
 The matrix is not symmetric and carries no M-matrix guarantee; a
 sign-pattern audit and a condition estimate are reported instead of a
 monotonicity assumption.  A :class:`FactorSlot` hands the
-factorization on to a Newton step that needs the same matrix.
+factorization on to a Newton step that needs the same matrix, or to a
+preconditioner that needs a nearby one.
 """
 from __future__ import annotations
 
@@ -43,7 +44,8 @@ class FactorSlot:
     :func:`amce.ma.solve_ma` takes it.  :meth:`take` hands the factor over
     only for a bitwise equal Hessian on the same grid, and ``solve_ma``
     empties the slot even when it takes no Newton step, so the held factor
-    is never alive at the next factorization.
+    is never alive at the next factorization.  The coupled Newton steps in
+    between read it with :meth:`peek` as their preconditioner.
     """
 
     def __init__(self) -> None:
@@ -70,6 +72,13 @@ class FactorSlot:
             for c in ("hxx", "hxy", "hyy")
         )
         return lu if same else None
+
+    def peek(self):
+        """The held factor, left in the slot, whatever Hessian it came from.
+
+        For a preconditioner, which needs only a nearby matrix.
+        """
+        return None if self._held is None else self._held[1]
 
 
 def _same_bits(a: Array, b: Array) -> bool:

@@ -143,6 +143,17 @@ def test_ma_fixture_theta_outside_window_is_invalid_input(tmp_path, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", [1000.0, 0.75])
+def test_fixture_command_theta_outside_window_is_invalid_input(tmp_path, capsys, theta):
+    cfg = write_cfg(
+        tmp_path, {"domain": DISK8, "fixture": {"name": "radial_mild", "theta": theta}}
+    )
+    out = tmp_path / "o"
+    assert main(["fixture", "--config", cfg, "--out", str(out)]) == 3
+    assert "theta" in capsys.readouterr().err
+    assert not (out / "u_exact.csv").exists()
+
+
 def test_solve_without_problem_or_fixture(tmp_path):
     cfg = write_cfg(tmp_path, {"domain": DISK16})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -444,8 +455,30 @@ _FUZZ_BASE = {
         },
         "solver": {"max_outer_iters": 3},
     },
+    "sections": {
+        "domain": DISK8,
+        "fixture": {"name": "radial_mild"},
+        "sections": {
+            "boundary_point": [0.0, -1.0],
+            "heights": [0.25],
+            "interior_points": [[0.0, 0.0]],
+        },
+    },
+    "verify": {"domain": DISK8, "fixture": {"name": "radial_quartic"}},
+    "converge": {
+        "domain": DISK8,
+        "fixture": {"name": "radial_mild"},
+        "converge": {"h_list": [0.25, 0.125]},
+        "solver": {"max_outer_iters": 8},
+    },
 }
-_KEEP = {("domain",), ("domain", "h_grid"), ("solver", "max_outer_iters")}
+_KEEP = {
+    ("domain",),
+    ("domain", "h_grid"),
+    ("solver", "max_outer_iters"),
+    ("converge",),
+    ("converge", "h_list"),
+}
 _BAD_VALUES = ["x", [], {}, None, True, float("nan"), float("inf"), float("-inf"), 0, 0.0]
 
 

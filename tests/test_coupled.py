@@ -183,15 +183,9 @@ def test_sweep_budget_counts_damped_sweeps(grid16):
     assert exact_budget.w_change_history == report.w_change_history
 
 
-def test_lma_factor_handed_to_next_newton_step(grid16, monkeypatch):
-    """Each sweep's LMA factor serves the next sweep's first Newton step.
-
-    Without the hand-off the same solve makes 144 factorizations: 92 Newton
-    steps, 50 LMA solves and 2 Poisson solves.
-    """
-    import amce.lma
-    import amce.ma
-    import amce.operators
+def _count_splu(monkeypatch) -> list:
+    """Record the shape of every ``splu`` call made by any amce module."""
+    import sys
 
     calls = []
 
@@ -202,15 +196,77 @@ def test_lma_factor_handed_to_next_newton_step(grid16, monkeypatch):
 
         return wrapper
 
-    for mod in (amce.ma, amce.lma, amce.operators):
-        monkeypatch.setattr(mod, "splu", counted(mod.splu))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("amce") and hasattr(mod, "splu"):
+            monkeypatch.setattr(mod, "splu", counted(mod.splu))
+    return calls
+
+
+def test_lma_factor_handed_to_next_newton_step(grid16, monkeypatch):
+    """The damped sweep's LMA factor preconditions every coupled Newton step.
+
+    The 4 factorizations are the 2 Poisson solves and the linear steps of
+    the damped sweep and of the polish.  Factoring the Jacobian's diagonal
+    block afresh at each of the 7 Newton steps would make 11.
+    """
+    calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
     _, _, report = solve_system(problem)
+    assert report.outer_iterations == 8
+    assert report.coupled_newton_steps == 7
+    assert report.newton_iterations_total == 0
+    assert len(calls) == 4
+    assert report.factorizations == 4
+    d = report.as_dict()
+    assert d["factorizations"] == 4
+    assert d["coupled_newton_steps"] == 7
+    assert d["krylov_iterations_total"] == report.krylov_iterations_total > 0
+
+
+def _failing_gmres(A, b, **kwargs):
+    return np.zeros_like(b), 1
+
+
+def _nonconvex_gmres(A, b, **kwargs):
+    # leaves w alone, so the step is not capped, and breaks the convexity of u
+    step = np.zeros_like(b)
+    step[: len(b) // 2] = -1e3
+    step[: len(b) // 4] = 1e3
+    return step, 0
+
+
+@pytest.mark.parametrize("gmres", [_failing_gmres, _nonconvex_gmres])
+def test_unusable_newton_step_falls_back_to_damped_sweeps(grid16, monkeypatch, gmres):
+    """Every unusable Newton step is a damped sweep: the splitting's 49 sweeps.
+
+    The sweeps stop about 1e-8 short of the discrete solution that Newton
+    reaches.  The determinant solves' steps and backtracks are summed.
+    """
+    import amce.coupled
+
+    problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
+    u_newton, w_newton, _ = solve_system(problem)
+    ma_reports = []
+
+    def recorded(*args, **kwargs):
+        u, rep = solve_ma(*args, **kwargs)
+        ma_reports.append(rep)
+        return u, rep
+
+    solve_ma = amce.coupled.solve_ma
+    monkeypatch.setattr(amce.coupled, "solve_ma", recorded)
+    monkeypatch.setattr(amce.coupled, "gmres", gmres)
+    calls = _count_splu(monkeypatch)
+    u, w, report = solve_system(problem)
     assert report.outer_iterations == 49
     assert report.newton_iterations_total == 92
-    assert len(calls) == 95
-    assert report.factorizations == 95
-    assert report.as_dict()["factorizations"] == 95
+    assert report.coupled_newton_steps == 0
+    assert report.krylov_iterations_total == 0
+    assert report.factorizations == len(calls) == 95
+    assert report.newton_iterations_total == sum(r.iterations for r in ma_reports)
+    assert report.backtracks_total == sum(r.backtracks for r in ma_reports)
+    assert np.abs(u.values - u_newton.values).max() < 1e-8
+    assert np.abs(w.values - w_newton.values).max() < 1e-8
 
 
 def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
@@ -219,22 +275,9 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     ``sheared_half`` converges in one sweep and its polish takes no Newton
     step; solving the linear step again would make 8 factorizations.
     """
-    import amce.lma
-    import amce.ma
-    import amce.operators
     from amce import LMAProblem, discrete_hessian, solve_lma
 
-    calls = []
-
-    def counted(splu):
-        def wrapper(A):
-            calls.append(A.shape)
-            return splu(A)
-
-        return wrapper
-
-    for mod in (amce.ma, amce.lma, amce.operators):
-        monkeypatch.setattr(mod, "splu", counted(mod.splu))
+    calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("sheared_half", theta=0.25))
     u, w, report = solve_system(problem)
     assert report.outer_iterations == 1
