@@ -45,7 +45,6 @@ from .errors import (
 from .fixtures import (
     ExactSolution,
     fixture_names,
-    forcing_from_exact,
     get_fixture,
     radial_solution,
     sheared_quadratic,

@@ -59,7 +59,7 @@ from .errors import (
     NonConvexProfileError,
     TooCloseToBoundaryError,
 )
-from .fixtures import fixture_names, forcing_from_exact, get_fixture
+from .fixtures import fixture_names, get_fixture
 from .geometry import build_domain
 from .grid import Grid, ScalarField, build_grid
 from .lma import LMAProblem, solve_lma
@@ -450,9 +450,8 @@ def _cmd_fixture(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         for name, field in (("u_exact", u), ("w_exact", w), ("f_exact", f)):
             write_field_csv(os.path.join(out_dir, f"{name}.csv"), field)
             results["outputs"].append(f"{name}.csv")
-        f_fd = forcing_from_exact(exact, method="fd8")
         route_gap = float(
-            np.max(np.abs(f.values - np.asarray(f_fd(grid.nodes), float)))
+            np.max(np.abs(f.values - np.asarray(exact.f_fd(grid.nodes), float)))
         )
         results["fixture"] = {
             "name": exact.name,

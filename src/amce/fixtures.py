@@ -241,19 +241,6 @@ def sheared_quadratic(
     )
 
 
-def forcing_from_exact(exact: ExactSolution, method: str = "auto"):
-    """Forcing callable for an exact solution.
-
-    ``auto`` prefers the closed form; ``fd8`` forces the finite-difference
-    route (step 1e-3), which is the independent cross-check.
-    """
-    if method in ("auto", "closed_form"):
-        return exact.f
-    if method == "fd8":
-        return exact.f_fd
-    raise ValueError(f"unknown forcing method {method!r}")
-
-
 # Named fixture registry used by configs and the command line.
 _REGISTRY: dict[str, Callable[[float], ExactSolution]] = {
     # u = |x|^2/2: sections are disks of radius sqrt(2 h), separation 1/2.

@@ -17,7 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyGridError, IncompleteDataError, InvalidProblemError
+from .errors import (
+    EmptyGridError,
+    IncompleteDataError,
+    InvalidDomainError,
+    InvalidProblemError,
+)
 from .geometry import Domain
 
 Array = np.ndarray
@@ -99,9 +104,11 @@ def _ids_at(id_map: Array, origin: Array, ij) -> Array:
 def build_grid(domain: Domain, h: float) -> Grid:
     """Construct the cut-cell grid for the domain at lattice spacing ``h``.
 
-    Raises EmptyGridError when no lattice point is strictly inside.  A
-    spacing coarser than a quarter of the diameter is allowed but warned
-    about, since single-node grids are only useful as degenerate cases.
+    Raises EmptyGridError when no lattice point is strictly inside, and
+    InvalidDomainError, before allocating anything, when an index bound of
+    the lattice box is not an int64.  A spacing coarser than a quarter of
+    the diameter is allowed but warned about, since single-node grids are
+    only useful as degenerate cases.
     """
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"h must be positive, got {h}")
@@ -113,8 +120,18 @@ def build_grid(domain: Domain, h: float) -> Grid:
         )
 
     xmin, xmax, ymin, ymax = domain.bbox()
-    i_range = np.arange(int(np.ceil(xmin / h)) - 1, int(np.floor(xmax / h)) + 2)
-    j_range = np.arange(int(np.ceil(ymin / h)) - 1, int(np.floor(ymax / h)) + 2)
+    # index range of the lattice box; an overflowing quotient is inf, which
+    # fails the int64 test like nan
+    with np.errstate(over="ignore"):
+        lo_i, hi_i = np.ceil(xmin / h) - 1, np.floor(xmax / h) + 1
+        lo_j, hi_j = np.ceil(ymin / h) - 1, np.floor(ymax / h) + 1
+    if not all(abs(b) < 2.0**63 for b in (lo_i, hi_i, lo_j, hi_j)):
+        raise InvalidDomainError(
+            f"lattice of spacing {h} over the box [{xmin:.3g}, {xmax:.3g}] x "
+            f"[{ymin:.3g}, {ymax:.3g}] has indices beyond the int64 range"
+        )
+    i_range = np.arange(int(lo_i), int(hi_i) + 1)
+    j_range = np.arange(int(lo_j), int(hi_j) + 1)
     II, JJ = np.meshgrid(i_range, j_range, indexing="ij")
     lattice_all = np.stack([II.ravel(), JJ.ravel()], axis=1)
     pts_all = lattice_all * h

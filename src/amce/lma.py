@@ -12,9 +12,8 @@ operators by :func:`assemble_lma` (the Newton step of the nonlinear solver
 factors the same operator), and solved with a sparse direct factorization.
 The matrix is not symmetric and carries no M-matrix guarantee; a
 sign-pattern audit and a condition estimate are reported instead of a
-monotonicity assumption.  A :class:`FactorSlot` hands the
-factorization on to a Newton step that needs the same matrix, or to a
-preconditioner that needs a nearby one.
+monotonicity assumption.  Each call of :func:`solve_lma` makes its own
+factorization and drops it on return.
 """
 from __future__ import annotations
 
@@ -32,57 +31,6 @@ Array = np.ndarray
 
 #: Default bound on the componentwise backward error of :func:`solve_lma`.
 LMA_TOL = 1e-10
-
-
-class FactorSlot:
-    """Holds at most one LU factor of :func:`assemble_lma`'s matrix.
-
-    The coupled iteration's linear step factors the operator of
-    ``cof H(u)``; the first Newton step of the next sweep starts from the
-    same ``u`` and, when the eigenvalue clamp is a no-op, factors the very
-    same matrix.  :func:`solve_lma` puts its factor here and
-    :func:`amce.ma.solve_ma` takes it.  :meth:`take` hands the factor over
-    only for a bitwise equal Hessian on the same grid, and ``solve_ma``
-    empties the slot even when it takes no Newton step, so the held factor
-    is never alive at the next factorization.  The coupled Newton steps in
-    between read it with :meth:`peek` as their preconditioner.
-    """
-
-    def __init__(self) -> None:
-        self._held: tuple[HessianField, object] | None = None
-
-    def put(self, hessian: HessianField, lu) -> None:
-        # copies: an in-place change of the caller's arrays must not match
-        kept = HessianField(
-            hessian.grid, hessian.hxx.copy(), hessian.hxy.copy(), hessian.hyy.copy()
-        )
-        self._held = (kept, lu)
-
-    def clear(self) -> None:
-        self._held = None
-
-    def take(self, hessian: HessianField):
-        """The held factor if it was made from ``hessian`` exactly, else None."""
-        held, self._held = self._held, None
-        if held is None:
-            return None
-        kept, lu = held
-        same = kept.grid is hessian.grid and all(
-            _same_bits(getattr(kept, c), getattr(hessian, c))
-            for c in ("hxx", "hxy", "hyy")
-        )
-        return lu if same else None
-
-    def peek(self):
-        """The held factor, left in the slot, whatever Hessian it came from.
-
-        For a preconditioner, which needs only a nearby matrix.
-        """
-        return None if self._held is None else self._held[1]
-
-
-def _same_bits(a: Array, b: Array) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @dataclass
@@ -165,7 +113,6 @@ def solve_lma(
     problem: LMAProblem,
     tol: float = LMA_TOL,
     report_condition: bool = False,
-    slot: FactorSlot | None = None,
 ) -> tuple[ScalarField, LMAReport]:
     """Direct solve of the frozen-coefficient problem.
 
@@ -175,8 +122,7 @@ def solve_lma(
     ``max_i |r_i| / (|D||v| + |B||psi| + |g|)_i``, which stays near
     machine epsilon even on cut cells whose stencil weights are huge; the
     reported residual is recomputed through the discrete Hessian route,
-    i.e. it is ``U : H(v) - g`` node-wise.  A successful solve leaves its
-    factor in ``slot`` when one is given.
+    i.e. it is ``U : H(v) - g`` node-wise.
     """
     H = problem.hessian
     grid = H.grid
@@ -230,8 +176,6 @@ def solve_lma(
         sign_audit=offdiagonal_sign_audit(D),
         condition_estimate=cond,
     )
-    if slot is not None:
-        slot.put(H, lu)
     return field, report
 
 

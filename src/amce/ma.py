@@ -9,10 +9,10 @@ determinant is the cofactor contraction
 so each Newton step solves the sparse linearized problem
 ``(U11 Dxx + 2 U12 Dxy + U22 Dyy) delta = -(det H(u) - g)`` with the
 cofactor frozen at the current iterate: the operator of
-:func:`amce.lma.assemble_lma`.  Eigenvalues of ``H`` are clamped
-from below before forming ``U`` so the linearization stays elliptic when an
-iterate grazes the convexity boundary; a backtracking line search enforces
-decrease of the residual sup norm.
+:func:`amce.lma.assemble_lma`, factored afresh at every step.  Eigenvalues
+of ``H`` are clamped from below before forming ``U`` so the linearization
+stays elliptic when an iterate grazes the convexity boundary; a
+backtracking line search enforces decrease of the residual sup norm.
 
 The initial iterate solves ``lap u0 = 2 sqrt(g)``, which matches the target
 determinant where the Hessian is isotropic and is exact for quadratic data.
@@ -32,7 +32,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .grid import Grid, ScalarField, require_finite
-from .lma import FactorSlot, assemble_lma
+from .lma import assemble_lma
 from .operators import discrete_hessian, solve_poisson
 
 Array = np.ndarray
@@ -85,7 +85,7 @@ class MAReport:
     residual_history: list[float]
     min_hessian_eigenvalue: float
     backtracks: int = 0
-    factorizations: int = 0  # Newton steps that factored their matrix
+    factorizations: int = 0  # one per Newton step
     wall_time_s: float = 0.0
 
     def as_dict(self) -> dict:
@@ -114,13 +114,11 @@ def solve_ma(
     problem: MAProblem,
     options: MASolveOptions | None = None,
     initial: ScalarField | None = None,
-    slot: FactorSlot | None = None,
 ) -> tuple[ScalarField, MAReport]:
     """Damped Newton solve; returns the solution field and an iteration report.
 
-    The first Newton step takes the factor held in ``slot`` when it was
-    made from its exact clamped Hessian, instead of factoring it again;
-    the slot is empty on return.
+    Every Newton step factors its own clamped matrix and drops the factor
+    before the line search, so ``report.factorizations == report.iterations``.
 
     Raises NonConvergenceError when the iteration budget or the line search
     is exhausted, and ConvexityFailureError if the converged discrete
@@ -143,7 +141,7 @@ def solve_ma(
             f"Newton residual is not finite ({res_norm})", history=history
         )
 
-    iters = factorizations = 0
+    iters = 0
     while res_norm > opts.newton_tol:
         if iters >= opts.max_iters:
             raise NonConvergenceError(
@@ -151,15 +149,11 @@ def solve_ma(
                 f"{opts.max_iters} iterations (last residual {res_norm:.3e})",
                 history=history,
             )
-        H_clamped = H.clamped(opts.eps_clamp)
-        lu = slot.take(H_clamped) if slot is not None else None
-        if lu is None:
-            J, _ = assemble_lma(H_clamped)
-            try:
-                lu = splu(J)
-            except RuntimeError as exc:
-                raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
-            factorizations += 1
+        J, _ = assemble_lma(H.clamped(opts.eps_clamp))
+        try:
+            lu = splu(J)
+        except RuntimeError as exc:
+            raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
         delta = lu.solve(-res)
         del lu  # two factors would be alive at the next splu
 
@@ -183,8 +177,6 @@ def solve_ma(
         res_norm = trial_norm
         history.append(res_norm)
         iters += 1
-    if slot is not None:
-        slot.clear()  # a solve without Newton steps leaves it unused
 
     min_eig = H.min_eigenvalue()
     if min_eig <= 0.0:
@@ -196,7 +188,7 @@ def solve_ma(
         residual_history=history,
         min_hessian_eigenvalue=min_eig,
         backtracks=total_backtracks,
-        factorizations=factorizations,
+        factorizations=iters,
         wall_time_s=time.perf_counter() - t0,
     )
     return u, report

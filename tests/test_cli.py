@@ -80,6 +80,26 @@ def test_non_finite_config_number_is_invalid_input(tmp_path, capsys):
     assert "problem.psi.const" in err
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        {"kind": "disk", "params": {"radius": 1.0}, "h_grid": 1e-300},
+        {"kind": "disk", "params": {"radius": 1e300}, "h_grid": 0.0625},
+        {"kind": "ellipse", "params": {"a": 1e300, "b": 1.0}, "h_grid": 0.0625},
+        {"kind": "disk", "params": {"center": [1e300, 0.0]}, "h_grid": 0.0625},
+    ],
+    ids=["h_1e-300", "radius_1e300", "ellipse_a_1e300", "center_1e300"],
+)
+def test_lattice_beyond_int64_is_invalid_input(tmp_path, capsys, domain):
+    # These used to fail in build_grid's np.arange, or to build an
+    # object-dtype lattice, with a traceback and exit 1.
+    cfg = write_cfg(tmp_path, {"domain": domain, "fixture": {"name": "paraboloid"}})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_report(out)["error"]["class"] == "InvalidDomainError"
+
+
 def test_singular_operator_is_degenerate_not_a_crash(tmp_path, capsys):
     # A tiny but finite weight trace makes the LMA matrix exactly singular
     # in floating point; splu's RuntimeError used to escape with exit 1.

@@ -202,12 +202,12 @@ def _count_splu(monkeypatch) -> list:
     return calls
 
 
-def test_lma_factor_handed_to_next_newton_step(grid16, monkeypatch):
-    """The damped sweep's LMA factor preconditions every coupled Newton step.
+def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
+    """Every coupled Newton step is preconditioned by a factor of its own ``A``.
 
-    The 4 factorizations are the 2 Poisson solves and the linear steps of
-    the damped sweep and of the polish.  Factoring the Jacobian's diagonal
-    block afresh at each of the 7 Newton steps would make 11.
+    The 11 factorizations are the 2 Poisson solves, the linear steps of the
+    damped sweep and of the polish, and one per Newton step (7).  GMRES
+    then needs 47 iterations in all, the same at h = 1/32 and 1/64.
     """
     calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -215,10 +215,11 @@ def test_lma_factor_handed_to_next_newton_step(grid16, monkeypatch):
     assert report.outer_iterations == 8
     assert report.coupled_newton_steps == 7
     assert report.newton_iterations_total == 0
-    assert len(calls) == 4
-    assert report.factorizations == 4
+    assert len(calls) == 11
+    assert report.factorizations == 11
+    assert report.krylov_iterations_total == 47
     d = report.as_dict()
-    assert d["factorizations"] == 4
+    assert d["factorizations"] == 11
     assert d["coupled_newton_steps"] == 7
     assert d["krylov_iterations_total"] == report.krylov_iterations_total > 0
 
@@ -235,12 +236,28 @@ def _nonconvex_gmres(A, b, **kwargs):
     return step, 0
 
 
-@pytest.mark.parametrize("gmres", [_failing_gmres, _nonconvex_gmres])
-def test_unusable_newton_step_falls_back_to_damped_sweeps(grid16, monkeypatch, gmres):
+def _raising_splu(A):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize(
+    "name, replacement",
+    [
+        pytest.param("gmres", _failing_gmres, id="_failing_gmres"),
+        pytest.param("gmres", _nonconvex_gmres, id="_nonconvex_gmres"),
+        pytest.param("splu", _raising_splu, id="_raising_splu"),
+    ],
+)
+def test_unusable_newton_step_falls_back_to_damped_sweeps(
+    grid16, monkeypatch, name, replacement
+):
     """Every unusable Newton step is a damped sweep: the splitting's 49 sweeps.
 
     The sweeps stop about 1e-8 short of the discrete solution that Newton
-    reaches.  The determinant solves' steps and backtracks are summed.
+    reaches.  The determinant solves' steps and backtracks are summed.  The
+    192 factorizations are the 95 of the splitting alone, the factor of each
+    of the 48 failed Newton steps, and 49 first determinant Newton steps of
+    a sweep, which factor again the matrix of the linear step before them.
     """
     import amce.coupled
 
@@ -255,14 +272,14 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(grid16, monkeypatch, g
 
     solve_ma = amce.coupled.solve_ma
     monkeypatch.setattr(amce.coupled, "solve_ma", recorded)
-    monkeypatch.setattr(amce.coupled, "gmres", gmres)
+    monkeypatch.setattr(amce.coupled, name, replacement)
     calls = _count_splu(monkeypatch)
     u, w, report = solve_system(problem)
     assert report.outer_iterations == 49
     assert report.newton_iterations_total == 92
     assert report.coupled_newton_steps == 0
     assert report.krylov_iterations_total == 0
-    assert report.factorizations == len(calls) == 95
+    assert report.factorizations == len(calls) == 192
     assert report.newton_iterations_total == sum(r.iterations for r in ma_reports)
     assert report.backtracks_total == sum(r.backtracks for r in ma_reports)
     assert np.abs(u.values - u_newton.values).max() < 1e-8
