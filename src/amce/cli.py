@@ -47,17 +47,9 @@ from .errors import (
     AmceError,
     ConfigError,
     ConvexityFailureError,
-    ConvexityViolationError,
     DegenerateOperatorError,
-    DegenerateSectionError,
-    EmptyGridError,
     IncompleteDataError,
-    InvalidDomainError,
-    InvalidProblemError,
-    InvalidShearError,
     NonConvergenceError,
-    NonConvexProfileError,
-    TooCloseToBoundaryError,
 )
 from .fixtures import fixture_names, get_fixture
 from .geometry import build_domain
@@ -70,19 +62,9 @@ from .sections import localization_scan, maximal_height, normalize_section
 
 __all__ = ["main"]
 
+# exit 2: non-convergence or a degenerate operator; every other package
+# error is invalid input (exit 3)
 _CONVERGE_EXIT = (NonConvergenceError, ConvexityFailureError, DegenerateOperatorError)
-_INVALID_EXIT = (
-    ConfigError,
-    InvalidProblemError,
-    InvalidDomainError,
-    EmptyGridError,
-    InvalidShearError,
-    TooCloseToBoundaryError,
-    DegenerateSectionError,
-    IncompleteDataError,
-    ConvexityViolationError,
-    NonConvexProfileError,
-)
 
 _DEFAULT_FIXTURE_THETA = 0.25
 
@@ -125,10 +107,8 @@ def _write_csv(path: str, header: str, columns) -> None:
 def write_field_csv(path: str, field: ScalarField) -> None:
     """Dump a scalar field as ``x,y,value`` rows: nodes first, then hits."""
     grid = field.grid
-    pts, vals = grid.nodes, field.values
-    if field.hit_values is not None:
-        pts = np.concatenate([pts, grid.hit_points])
-        vals = np.concatenate([vals, field.hit_values])
+    pts = np.concatenate([grid.nodes, grid.hit_points])
+    vals = np.concatenate([field.values, field.hit_values])
     _write_csv(path, "x,y,value", [pts[:, 0], pts[:, 1], vals])
 
 
@@ -162,7 +142,7 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
     ) <= tol * max(1.0, grid.h)
     hit = np.full(len(data), -1)
     rest = np.nonzero(~on_node)[0]
-    if grid.n_hits and rest.size:
+    if rest.size:
         from scipy.spatial import cKDTree
 
         dist, hid = cKDTree(grid.hit_points).query(pts[rest])
@@ -181,12 +161,10 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
     if np.isnan(values).any():
         missing = int(np.isnan(values).sum())
         raise IncompleteDataError(f"{path}: {missing} grid nodes have no value")
-    if grid.n_hits and np.isnan(hit_values).any():
+    if np.isnan(hit_values).any():
         missing = int(np.isnan(hit_values).sum())
         raise IncompleteDataError(f"{path}: {missing} boundary hits have no value")
-    return ScalarField(
-        grid=grid, values=values, hit_values=hit_values if grid.n_hits else None
-    )
+    return ScalarField(grid=grid, values=values, hit_values=hit_values)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -530,7 +508,7 @@ def main(argv=None) -> int:
         return code
     except _CONVERGE_EXIT as exc:
         error, code, message = exc, 2, str(exc)
-    except _INVALID_EXIT as exc:
+    except AmceError as exc:
         error, code = exc, 3
         message = str(exc.args[0] if exc.args else exc)
     print(f"error: {message}", file=sys.stderr)

@@ -175,14 +175,14 @@ def w_from_u(u: ScalarField, theta: float) -> ScalarField:
     grid = u.grid
     _, _, Hk = local_quadratic_fit(u, grid.hit_points)
     hit_vals = Hk[:, 0, 0] * Hk[:, 1, 1] - Hk[:, 0, 1] ** 2
-    if hit_vals.size and hit_vals.min() <= 0.0:
+    if hit_vals.min() <= 0.0:
         raise ConvexityFailureError(
             "one-sided boundary determinant is not positive"
         )
     return ScalarField(
         grid=grid,
         values=det ** (theta - 1.0),
-        hit_values=hit_vals ** (theta - 1.0) if hit_vals.size else None,
+        hit_values=hit_vals ** (theta - 1.0),
     )
 
 
@@ -196,10 +196,8 @@ def g_from_w(w: ScalarField, theta: float) -> ScalarField:
     expo = 1.0 / (theta - 1.0)
     with np.errstate(over="ignore"):
         values = w.values**expo
-        hit_values = None if w.hit_values is None else w.hit_values**expo
-    if not np.isfinite(values).all() or (
-        hit_values is not None and not np.isfinite(hit_values).all()
-    ):
+        hit_values = w.hit_values**expo
+    if not (np.isfinite(values).all() and np.isfinite(hit_values).all()):
         raise DegenerateOperatorError(
             "determinant target w^(1/(theta-1)) overflows: the weight is too "
             "small and the operator would be singular"
@@ -355,7 +353,7 @@ def solve_system(
             u, ma_rep = solve_ma(problem, opts.ma, initial=u)
             newton_total += ma_rep.iterations
             backtracks += ma_rep.backtracks
-            factorizations += ma_rep.factorizations
+            factorizations += ma_rep.iterations  # one factor per Newton step
             # a solve without Newton steps returns the u of the last linear
             # step bitwise, so that step's w_half stands
             if w_half is None or ma_rep.iterations:

@@ -19,7 +19,7 @@ class EmptyGridError(AmceError):
 
 
 class IncompleteDataError(AmceError):
-    """An operation needs boundary values that the field does not carry."""
+    """Data an operation needs is missing: field dump rows, or local-fit points."""
 
 
 class InvalidProblemError(AmceError):

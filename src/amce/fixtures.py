@@ -46,7 +46,6 @@ class ExactSolution:
     name: str
     theta: float
     u: Callable[[Array], Array]
-    grad_u: Callable[[Array], Array]
     hess_u: Callable[[Array], Array]
     det_hess: Callable[[Array], Array]
     w: Callable[[Array], Array]
@@ -145,10 +144,6 @@ def radial_solution(
         s = s_of(p)
         return 0.5 * c1 * s + 0.25 * c2 * s**2
 
-    def grad_u(p):
-        s = s_of(p)
-        return (c1 + c2 * s)[:, None] * p
-
     def hess_u(p):
         s = s_of(p)
         H = np.zeros((len(p), 2, 2))
@@ -182,7 +177,6 @@ def radial_solution(
         name=name or f"radial(c1={c1}, c2={c2})",
         theta=float(theta),
         u=u,
-        grad_u=grad_u,
         hess_u=hess_u,
         det_hess=det_hess,
         w=w,
@@ -212,9 +206,6 @@ def sheared_quadratic(
     def u(p):
         return 0.5 * np.einsum("ij,jk,ik->i", p, M, p)
 
-    def grad_u(p):
-        return p @ M
-
     def hess_u(p):
         return np.broadcast_to(M, (len(p), 2, 2)).copy()
 
@@ -231,7 +222,6 @@ def sheared_quadratic(
         name=name or f"sheared(tau={A[0, 1]})",
         theta=float(theta),
         u=u,
-        grad_u=grad_u,
         hess_u=hess_u,
         det_hess=det_hess,
         w=w,

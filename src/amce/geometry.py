@@ -155,15 +155,6 @@ class Domain:
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         return float(np.sqrt(d2.max()))
 
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": [float(self.center[0]), float(self.center[1])],
-            "rho_dom": self.rho_dom,
-            "circumradius": self.circumradius,
-            "diameter": self.diameter,
-        }
-
 
 @dataclass(frozen=True)
 class Disk(Domain):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     EmptyGridError,
-    IncompleteDataError,
     InvalidDomainError,
     InvalidProblemError,
 )
@@ -206,17 +205,17 @@ def build_grid(domain: Domain, h: float) -> Grid:
 
 @dataclass
 class ScalarField:
-    """Grid function: interior values plus an optional boundary trace.
+    """Grid function: values at the interior nodes and at the boundary hits.
 
-    ``hit_values`` holds the trace sampled at the grid's boundary hit
-    points; ``trace`` optionally keeps the generating callable so the field
-    can be re-sampled at arbitrary boundary points.
+    ``values`` holds one value per node and ``hit_values`` one per boundary
+    hit point of the grid, so every field carries its Dirichlet data.  Every
+    grid has hits: the node of largest lattice ``i`` has no ``+x``
+    neighbor, so its ``+x`` arm crosses the boundary.
     """
 
     grid: Grid
     values: Array
-    hit_values: Array | None = None
-    trace: Callable[[Array], Array] | None = None
+    hit_values: Array
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -224,63 +223,28 @@ class ScalarField:
             raise ValueError(
                 f"values shape {self.values.shape} != ({self.grid.n_nodes},)"
             )
-        if self.hit_values is None and self.trace is not None:
-            self.hit_values = self._sample_trace()
-        if self.hit_values is not None:
-            self.hit_values = np.asarray(self.hit_values, dtype=float)
-            if self.hit_values.shape != (self.grid.n_hits,):
-                raise ValueError("hit_values length does not match grid hits")
-
-    def _sample_trace(self) -> Array:
-        if self.grid.n_hits == 0:
-            return np.zeros(0)
-        return np.asarray(self.trace(self.grid.hit_points), dtype=float)
+        self.hit_values = np.asarray(self.hit_values, dtype=float)
+        if self.hit_values.shape != (self.grid.n_hits,):
+            raise ValueError("hit_values length does not match grid hits")
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable[[Array], Array]) -> "ScalarField":
-        return cls(
-            grid=grid,
-            values=np.asarray(fn(grid.nodes), dtype=float),
-            trace=fn,
-        )
-
-    @classmethod
-    def constant(cls, grid: Grid, c: float) -> "ScalarField":
-        return cls(
-            grid=grid,
-            values=np.full(grid.n_nodes, float(c)),
-            hit_values=np.full(grid.n_hits, float(c)),
-        )
-
-    def require_hit_values(self) -> Array:
-        if self.hit_values is None:
-            raise IncompleteDataError(
-                "operation needs boundary values but the field has no trace"
-            )
-        return self.hit_values
+        """``fn`` sampled at the nodes and at the boundary hits."""
+        return cls(grid=grid, values=fn(grid.nodes), hit_values=fn(grid.hit_points))
 
     def copy(self) -> "ScalarField":
-        return ScalarField(
-            grid=self.grid,
-            values=self.values.copy(),
-            hit_values=None if self.hit_values is None else self.hit_values.copy(),
-            trace=self.trace,
-        )
+        return self.with_values(self.values.copy())
 
     def with_values(self, values: Array) -> "ScalarField":
         return ScalarField(
             grid=self.grid,
             values=np.asarray(values, dtype=float),
-            hit_values=None if self.hit_values is None else self.hit_values.copy(),
-            trace=self.trace,
+            hit_values=self.hit_values.copy(),
         )
 
     def sup_norm(self) -> float:
-        """Largest magnitude over the nodes and, when sampled, the boundary."""
-        m = float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-        if self.hit_values is not None and len(self.hit_values):
-            m = max(m, float(np.max(np.abs(self.hit_values))))
-        return m
+        """Largest magnitude over the nodes and the boundary hits."""
+        return float(max(np.abs(self.values).max(), np.abs(self.hit_values).max()))
 
 
 def require_finite(**samples) -> None:
@@ -291,5 +255,5 @@ def require_finite(**samples) -> None:
     for name, vals in samples.items():
         field = isinstance(vals, ScalarField)
         parts = (vals.values, vals.hit_values) if field else (vals,)
-        if not all(np.isfinite(a).all() for a in parts if a is not None):
+        if not all(np.isfinite(a).all() for a in parts):
             raise InvalidProblemError(f"{name} has non-finite sampled values")

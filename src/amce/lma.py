@@ -139,7 +139,7 @@ def solve_lma(
         )
     D, B = assemble_lma(H)
     psi = problem.psi_hits
-    rhs = problem.g - (B @ psi if grid.n_hits else 0.0)
+    rhs = problem.g - B @ psi
     try:
         lu = splu(D)
     except RuntimeError as exc:
@@ -157,9 +157,7 @@ def solve_lma(
     field = ScalarField(grid=grid, values=v, hit_values=psi.copy())
     resid = lma_residual(field, H, problem.g)
     resid_sup = float(np.max(np.abs(resid)))
-    denom = abs(D) @ np.abs(v) + np.abs(problem.g)
-    if grid.n_hits:
-        denom = denom + abs(B) @ np.abs(psi)
+    denom = abs(D) @ np.abs(v) + np.abs(problem.g) + abs(B) @ np.abs(psi)
     denom = np.maximum(denom, np.finfo(float).tiny)
     backward = float(np.max(np.abs(resid) / denom))
     if not np.isfinite(backward) or backward > tol:

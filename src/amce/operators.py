@@ -38,13 +38,9 @@ class OpPair:
     D: sp.csr_matrix  # (N, N) interior part
     B: sp.csr_matrix  # (N, M) boundary part
 
-    def apply(self, values: Array, hit_values: Array | None) -> Array:
-        out = self.D @ values
-        if self.B.shape[1]:
-            if hit_values is None:
-                raise ValueError("operator touches the boundary but no trace given")
-            out = out + self.B @ hit_values
-        return out
+    def apply(self, values: Array, hit_values: Array) -> Array:
+        """Node values of the operator: ``D @ values + B @ hit_values``."""
+        return self.D @ values + self.B @ hit_values
 
 
 def _line_ops(grid: Grid, d_plus: int, d_minus: int, arm_len: float, order: int) -> OpPair:
@@ -86,13 +82,10 @@ def _line_ops(grid: Grid, d_plus: int, d_minus: int, arm_len: float, order: int)
         (np.concatenate(vals_d), (np.concatenate(rows_d), np.concatenate(cols_d))),
         shape=(n, n),
     )
-    if rows_b and len(np.concatenate(rows_b)):
-        B = sp.csr_matrix(
-            (np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-            shape=(n, m),
-        )
-    else:
-        B = sp.csr_matrix((n, m))
+    B = sp.csr_matrix(
+        (np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
+        shape=(n, m),
+    )
     return OpPair(D=D, B=B)
 
 
@@ -130,9 +123,6 @@ class HessianField:
 
     def det(self) -> Array:
         return self.hxx * self.hyy - self.hxy**2
-
-    def trace(self) -> Array:
-        return self.hxx + self.hyy
 
     def eigenvalues(self) -> tuple[Array, Array]:
         mean = 0.5 * (self.hxx + self.hyy)
@@ -172,23 +162,21 @@ def discrete_hessian(field: ScalarField) -> HessianField:
     """Node-wise discrete Hessian; exact on quadratic polynomials."""
     grid = field.grid
     ops = grid_operators(grid)
-    hits = field.require_hit_values() if grid.n_hits else None
+    vals, hits = field.values, field.hit_values
     return HessianField(
         grid=grid,
-        hxx=ops["dxx"].apply(field.values, hits),
-        hxy=ops["dxy"].apply(field.values, hits),
-        hyy=ops["dyy"].apply(field.values, hits),
+        hxx=ops["dxx"].apply(vals, hits),
+        hxy=ops["dxy"].apply(vals, hits),
+        hyy=ops["dyy"].apply(vals, hits),
     )
 
 
 def discrete_gradient(field: ScalarField) -> Array:
     """Node-wise first derivatives, (N, 2)."""
-    grid = field.grid
-    ops = grid_operators(grid)
-    hits = field.require_hit_values() if grid.n_hits else None
+    ops = grid_operators(field.grid)
+    vals, hits = field.values, field.hit_values
     return np.stack(
-        [ops["dx"].apply(field.values, hits), ops["dy"].apply(field.values, hits)],
-        axis=1,
+        [ops["dx"].apply(vals, hits), ops["dy"].apply(vals, hits)], axis=1
     )
 
 
@@ -196,9 +184,7 @@ def solve_poisson(grid: Grid, rhs: Array, hit_values: Array) -> Array:
     """Solve the discrete Poisson problem ``lap u = rhs`` with Dirichlet data."""
     ops = grid_operators(grid)
     lap = ops["lap"]
-    b = np.asarray(rhs, dtype=float).copy()
-    if grid.n_hits:
-        b = b - lap.B @ np.asarray(hit_values, dtype=float)
+    b = np.asarray(rhs, dtype=float) - lap.B @ np.asarray(hit_values, dtype=float)
     try:
         lu = splu(lap.D.tocsc())
     except RuntimeError as exc:
@@ -210,8 +196,8 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     """Least-squares quadratic models of the field around arbitrary points.
 
     ``points`` is one point ``(2,)`` or a batch ``(K, 2)``.  Each point is
-    fitted to the nearby interior nodes and boundary hit values (when the
-    field carries them), found by one KD-tree query for the whole batch.
+    fitted to the nearby interior node values and boundary hit values,
+    found by one KD-tree query for the whole batch.
 
     The default box rule takes the data within ``3.5 h`` in the max norm
     with unit weights, widening the box by 1.6 (up to four tries) until it
@@ -231,10 +217,8 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 2)
-    data_pts, data_val = grid.nodes, field.values
-    if smooth or field.hit_values is not None:
-        data_pts = np.vstack([grid.nodes, grid.hit_points])
-        data_val = np.concatenate([field.values, field.require_hit_values()])
+    data_pts = np.vstack([grid.nodes, grid.hit_points])
+    data_val = np.concatenate([field.values, field.hit_values])
     tree = cKDTree(data_pts)
     r = _FIT_RADIUS * grid.h
     if smooth:
@@ -289,18 +273,13 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
 def value_and_gradient_at(field: ScalarField, point) -> tuple[float, Array]:
     """Field value and gradient at an arbitrary point of the closed domain.
 
-    At an interior node the non-uniform centered differences are used; at
-    boundary points the value comes from the trace when available and the
-    gradient from a one-sided local quadratic fit.
+    At an interior node the value is the node's and the gradient comes from
+    the non-uniform centered differences; anywhere else, boundary points
+    included, both come from the local quadratic fit of nodes and hits.
     """
-    grid = field.grid
     p = np.asarray(point, dtype=float)
-    nid = grid.node_at(p)
+    nid = field.grid.node_at(p)
     if nid is not None:
-        g = discrete_gradient(field)[nid]
-        return float(field.values[nid]), g
+        return float(field.values[nid]), discrete_gradient(field)[nid]
     value, grad, _ = local_quadratic_fit(field, p)
-    lvl = float(grid.domain.level(p[None, :])[0])
-    if abs(lvl) < 1e-9 and field.trace is not None:
-        value = float(field.trace(p[None, :])[0])
     return value, grad

@@ -182,9 +182,7 @@ def boundary_holder_check(field: ScalarField, alpha: float) -> BoundaryHolderRep
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"boundary data exponent must be in (0, 1], got {alpha}")
-    grid = field.grid
-    vals = field.require_hit_values()
-    fit = _oscillation_fit(field, grid.hit_points, vals)
+    fit = _oscillation_fit(field, field.grid.hit_points, field.hit_values)
     threshold = alpha / (alpha + 2.0)
     passed = (not fit.degenerate) and fit.beta >= threshold - _BOUNDARY_SLACK
     return BoundaryHolderReport(
@@ -285,9 +283,7 @@ class AbpChainReport:
 
 def abp_chain_report(problem: ProblemData, w: ScalarField) -> AbpChainReport:
     kappa = abp_exponent(problem.theta)
-    sup_w = float(np.abs(w.values).max())
-    if w.hit_values is not None:
-        sup_w = max(sup_w, float(np.abs(w.hit_values).max()))
+    sup_w = w.sup_norm()
     sup_psi = float(np.abs(problem.psi_hits).max())
     areas = cell_areas(problem.grid)
     integrand = np.abs(problem.f.values) * np.abs(w.values) ** kappa
@@ -533,9 +529,7 @@ def verify(
         )
     )
 
-    min_w_all = float(w.values.min())
-    if w.hit_values is not None:
-        min_w_all = min(min_w_all, float(w.hit_values.min()))
+    min_w_all = float(min(w.values.min(), w.hit_values.min()))
     checks.append(
         CheckResult(
             name="w_positivity",

@@ -94,11 +94,7 @@ def _section_values(u: ScalarField, center, center_value, center_gradient, h):
     """Gap values s = u - tangent - h at nodes and at boundary hits."""
     g = u.grid
     sn = u.values - (center_value + (g.nodes - center) @ center_gradient) - h
-    sh = (
-        u.require_hit_values()
-        - (center_value + (g.hit_points - center) @ center_gradient)
-        - h
-    )
+    sh = u.hit_values - (center_value + (g.hit_points - center) @ center_gradient) - h
     return sn, sh
 
 
@@ -360,10 +356,6 @@ class EllipsoidFit:
     iterations: int
     max_violation: float
 
-    def contains(self, points, scale: float = 1.0) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(points, float)) - self.center
-        return np.einsum("ki,ij,kj->k", z, self.M, z) <= scale**2
-
 
 def _normal_rotation(normal) -> np.ndarray:
     """Proper rotation whose columns are (tangent, normal)."""
@@ -470,12 +462,7 @@ def fit_john_ellipsoid(
 # ---------------------------------------------------------------------------
 
 
-def maximal_height(
-    u: ScalarField,
-    y,
-    center_value: float | None = None,
-    center_gradient=None,
-):
+def maximal_height(u: ScalarField, y):
     """Largest height h with the section of ``u`` at interior ``y`` inside the domain.
 
     A section escapes the domain exactly when some boundary hit point has
@@ -497,16 +484,8 @@ def maximal_height(
             f"base point {y.tolist()} is within one cell of the boundary; "
             "maximal sections are not resolved there"
         )
-    if center_value is None or center_gradient is None:
-        cv, cg = value_and_gradient_at(u, y)
-        center_value = cv if center_value is None else center_value
-        center_gradient = cg if center_gradient is None else center_gradient
-    center_gradient = np.asarray(center_gradient, float)
-
-    gaps = (
-        u.require_hit_values()
-        - (center_value + (grid.hit_points - y) @ center_gradient)
-    )
+    center_value, center_gradient = value_and_gradient_at(u, y)
+    gaps = u.hit_values - (center_value + (grid.hit_points - y) @ center_gradient)
     touch = int(np.argmin(gaps))
     hbar = float(gaps[touch])
     return (hbar if hbar > 0.0 else 0.0), grid.hit_points[touch]
@@ -542,7 +521,6 @@ def quadratic_separation(u: ScalarField, seed: int = 0) -> SeparationReport:
     discretization budget — raises :class:`ConvexityViolationError`.
     """
     grid = u.grid
-    u.require_hit_values()
     min_separation = _SEPARATION_FLOOR_H * grid.h
 
     n_hits = grid.n_hits

@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amce import cli
 from amce.cli import main, read_field_csv, write_field_csv
-from amce.errors import IncompleteDataError
+from amce.errors import AmceError, IncompleteDataError
 from amce.geometry import Disk
 from amce.grid import ScalarField, build_grid
 
@@ -198,6 +201,70 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert len(report["error"]["history"]) > 0
     assert "results" not in report
     assert report["timing"]["wall_time_s"] > 0.0
+
+
+def _package_errors(cls=AmceError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _package_errors(sub)
+
+
+@pytest.mark.parametrize(
+    "error", sorted(set(_package_errors()), key=lambda c: c.__name__),
+    ids=lambda c: c.__name__,
+)
+def test_every_package_error_keeps_the_exit_code_contract(
+    tmp_path, capsys, monkeypatch, error
+):
+    """A package error raised inside a command exits 2 when it is a
+    non-convergence or a degenerate operator and 3 otherwise, without a
+    traceback, and the failed run's report names the error class."""
+
+    def fail(cfg, out_dir):
+        raise error("injected failure")
+
+    monkeypatch.setitem(cli._DISPATCH, "fixture", fail)
+    cfg = write_cfg(tmp_path, {"domain": DISK16, "fixture": {"name": "paraboloid"}})
+    code = main(["fixture", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == (2 if error in cli._CONVERGE_EXIT else 3)
+    assert "Traceback" not in capsys.readouterr().err
+    report = read_report(tmp_path / "o")
+    assert report["status"] == f"exit {code}"
+    assert report["error"]["class"] == error.__name__
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DISK8 = dict(DISK16, h_grid=0.125)
+
+
+@pytest.mark.parametrize(
+    "command, config, status",
+    [
+        ("fixture", {"domain": DISK8, "fixture": {"name": "paraboloid"}}, 0),
+        (
+            "solve",
+            {
+                "domain": DISK8,
+                "fixture": {"name": "radial_quartic", "theta": 0.25},
+                "solver": {"max_outer_iters": 1, "outer_tol": 1e-14},
+            },
+            2,
+        ),
+        ("solve", {"domain": DISK8, "mesh": {}}, 3),
+    ],
+    ids=["ok", "nonconvergence", "unknown_key"],
+)
+def test_process_exit_status(tmp_path, command, config, status):
+    """``python -m amce.cli`` hands main's code to the process exit status."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    cfg = write_cfg(tmp_path, config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "amce.cli", command, "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == status, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_override_validation(tmp_path):

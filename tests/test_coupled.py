@@ -305,3 +305,32 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     )
     assert w.values.tobytes() == fresh.values.tobytes()
     assert w.hit_values.tobytes() == fresh.hit_values.tobytes()
+
+
+def test_newton_stall_at_roundoff_floor_is_accepted(monkeypatch):
+    """paraboloid_r2 at h = 1/88, the coarsest spacing where its Newton line
+    search stalls above newton_tol: each stall is within the round-off
+    floor, so the solve is accepted and reproduces the quadratic; with the
+    acceptance switched off it exits as before."""
+    import amce.ma
+    from amce import Disk, NonConvergenceError, build_grid
+
+    grid = build_grid(Disk(radius=1.0), 1.0 / 88.0)
+    exact = get_fixture("paraboloid_r2", theta=0.25)
+    problem = problem_from_exact(grid, exact)
+    stalls = []
+    floor = amce.ma.roundoff_floor
+
+    def recorded(u, H, g):
+        stalls.append(np.abs(H.det() - g).max())
+        return floor(u, H, g)
+
+    monkeypatch.setattr(amce.ma, "roundoff_floor", recorded)
+    u, w, report = solve_system(problem)
+    assert stalls and min(stalls) > amce.ma.MASolveOptions().newton_tol
+    assert np.abs(u.values - exact.u(grid.nodes)).max() < 1e-10
+    assert np.abs(w.values - exact.w(grid.nodes)).max() < 1e-10
+
+    monkeypatch.setattr(amce.ma, "_FLOOR_FACTOR", 0.0)
+    with pytest.raises(NonConvergenceError, match="line search stalled"):
+        solve_system(problem)

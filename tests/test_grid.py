@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amce import Disk, Ellipse, EmptyGridError, ScalarField, build_grid
+from amce.geometry import polynomial_levelset
 from amce.grid import ARM_HIT, ARM_INTERIOR, DIRS
 
 
@@ -57,9 +58,33 @@ def test_empty_grid_raises():
         build_grid(Disk(radius=0.01, center_xy=(0.625, 0.37)), 0.25)
 
 
+_DOMAINS = {
+    "disk": Disk(radius=1.0),
+    "offcentre_ellipse": Ellipse(a=1.5, b=0.6, center_xy=(0.3, -0.2)),
+    "levelset": polynomial_levelset({"20": 1.0, "02": 2.0, "40": 0.5}),
+}
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 8, 0.3, 0.75])
+@pytest.mark.parametrize("name", sorted(_DOMAINS))
+def test_every_grid_has_a_boundary_hit(name, h):
+    """The node of largest lattice i has no +x neighbor, so its +x arm
+    crosses the boundary: every grid, down to a single coarse node, has a
+    hit for a field's boundary values."""
+    domain = _DOMAINS[name]
+    if h >= domain.diameter / 4.0:
+        with pytest.warns(UserWarning, match="coarse"):
+            g = build_grid(domain, h)
+    else:
+        g = build_grid(domain, h)
+    assert g.n_hits >= 1
+    last = int(np.argmax(g.lattice[:, 0]))
+    assert g.arm_kind[last, 0] == ARM_HIT
+
+
 def test_scalar_field_from_callable_and_sup(grid16):
     f = ScalarField.from_callable(grid16, lambda p: p[:, 0])
-    assert f.hit_values is not None
+    assert np.array_equal(f.hit_values, grid16.hit_points[:, 0])
     assert f.sup_norm() == pytest.approx(
         max(np.abs(f.values).max(), np.abs(f.hit_values).max())
     )

@@ -87,10 +87,10 @@ def test_local_quadratic_fit_recovers_coefficients(grid32):
 
 
 def test_local_quadratic_fit_widens_per_point(grid32):
-    """Without hit values, points past the boundary need the box widened
-    0, 1 and 2 times; a batch gives each point its own single-point fit,
-    and a point with no data within the widest box raises."""
-    u = ScalarField(grid32, _quadratic(grid32.nodes))
+    """With the hit values among the data, the three points need the box
+    widened 0, 0 and 2 times; a batch gives each point its own single-point
+    fit, and a point with no data within the widest box raises."""
+    u = ScalarField(grid32, _quadratic(grid32.nodes), _quadratic(grid32.hit_points))
     pts = np.array([[0.21, -0.13], [1.05, 0.0], [1.2, 0.0]])
     vals, grads, hesses = local_quadratic_fit(u, pts)
     for k, p in enumerate(pts):
