@@ -72,13 +72,11 @@ from .operators import (
 from .regularity import (
     CheckResult,
     HolderFit,
-    SobolevMonitor,
     abp_exponent,
     boundary_holder_check,
     cell_areas,
     fit_holder_exponent,
     min_principle_check,
-    sobolev_monitor,
     verify,
 )
 from .sections import (

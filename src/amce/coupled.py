@@ -164,7 +164,11 @@ class SolveReport:
 
 
 def w_from_u(u: ScalarField, theta: float) -> ScalarField:
-    """Weight ``(det H(u))^(theta-1)`` with boundary trace from one-sided fits."""
+    """Weight ``(det H(u))^(theta-1)`` with boundary trace from one-sided fits.
+
+    No command calls it; it is kept as the test oracle of the weight's
+    defining identity.
+    """
     check_theta(theta)
     H = discrete_hessian(u)
     det = H.det()
@@ -411,7 +415,8 @@ def affine_mean_curvature(u: ScalarField, w: ScalarField) -> Array:
     """Node-wise affine mean curvature ``-(1/3) U^ij w_ij`` (n = 2).
 
     At a solution of the coupled system this equals ``-f / 3`` up to the
-    linear solver tolerance.
+    linear solver tolerance; no command calls it, it is kept as the test
+    oracle of that identity.
     """
     return -lma_residual(w, discrete_hessian(u), 0.0) / 3.0
 

@@ -59,6 +59,8 @@ class ExactSolution:
         """Sample the forcing on the domain and report its sign.
 
         The nonpositivity flag gates every check that assumes ``f <= 0``.
+        No command calls it; it is kept as the continuum route that tests
+        compare the grid's sign rule against.
         """
         dom = domain if domain is not None else Disk(radius=self.r_max)
         pts = _sample_domain(dom, n, seed)

@@ -2,17 +2,8 @@
 
 A domain is described by a smooth defining function ``F`` with ``F < 0``
 inside, ``F = 0`` on the boundary and ``grad F != 0`` there.  Uniform
-convexity is quantified by ``rho_dom``, the largest radius ``r`` such that
-an interior tangent disk of radius ``r`` fits at every boundary point.  By
-the rolling-disk theorem for convex bodies this equals the minimum radius
-of curvature of the boundary, so for a disk ``rho_dom`` is the radius and
-for an ellipse with semi-axes ``a >= b`` it is ``b**2 / a``.
-
-The domain size is reported separately from ``rho_dom``: ``circumradius``
-is the radius of the smallest ball around the center containing the domain.
-Callers that need a single smallness parameter can combine the two; keeping
-them apart avoids conflating the interior-ball radius with the bound on the
-domain diameter.
+convexity means the boundary curve ``F = 0`` has positive curvature
+everywhere; :func:`build_domain` checks it for level-set domains.
 """
 from __future__ import annotations
 
@@ -136,19 +127,6 @@ class Domain:
         return tree
 
     @property
-    def rho_dom(self) -> float:
-        """Interior tangent-ball radius (minimum radius of boundary curvature)."""
-        kappa = self.boundary_curvature(self.boundary_samples())
-        if kappa.min() <= 0.0:
-            raise InvalidDomainError("boundary is not uniformly convex")
-        return float(1.0 / kappa.max())
-
-    @property
-    def circumradius(self) -> float:
-        pts = self.boundary_samples()
-        return float(np.linalg.norm(pts - self.center, axis=1).max())
-
-    @property
     def diameter(self) -> float:
         pts = self.boundary_samples(512)
         # Max pairwise distance over a dense boundary sample.
@@ -177,14 +155,6 @@ class Disk(Domain):
     def hess(self, pts: Array) -> Array:
         p = _as_points(pts)
         return np.broadcast_to(2.0 * np.eye(2), (len(p), 2, 2)).copy()
-
-    @property
-    def rho_dom(self) -> float:
-        return float(self.radius)
-
-    @property
-    def circumradius(self) -> float:
-        return float(self.radius)
 
     @property
     def diameter(self) -> float:
@@ -230,15 +200,6 @@ class Ellipse(Domain):
         H[:, 0, 0] = 2.0 / self.a**2
         H[:, 1, 1] = 2.0 / self.b**2
         return H
-
-    @property
-    def rho_dom(self) -> float:
-        lo, hi = min(self.a, self.b), max(self.a, self.b)
-        return float(lo**2 / hi)
-
-    @property
-    def circumradius(self) -> float:
-        return float(max(self.a, self.b))
 
     @property
     def diameter(self) -> float:

@@ -36,6 +36,9 @@ ARM_HIT = 1
 
 _BISECT_ITERS = 60  # 2**-60 of an arm length is far below the 1e-12 target
 _NODE_TOL = 1e-9  # coordinate match tolerance of node_at, relative to max(1, h)
+# build_grid peaks at about 255 bytes per cell of the lattice box, so this
+# caps it near 4 GiB; h = 1/512 on the unit disk takes 1.05e6 cells
+_MAX_BOX_CELLS = 2**24
 
 
 @dataclass
@@ -58,8 +61,6 @@ class Grid:
     arm_ref: Array  # (N, 8) neighbor node id or hit id
     arm_frac: Array  # (N, 8) fractional arm length in (0, 1]
     hit_points: Array  # (M, 2) boundary crossings
-    hit_node: Array  # (M,) owning node id
-    hit_dir: Array  # (M,) arm direction index
     _ops: dict = dc_field(default_factory=dict, repr=False)
 
     @property
@@ -105,7 +106,8 @@ def build_grid(domain: Domain, h: float) -> Grid:
 
     Raises EmptyGridError when no lattice point is strictly inside, and
     InvalidDomainError, before allocating anything, when an index bound of
-    the lattice box is not an int64.  A spacing coarser than a quarter of
+    the lattice box is not an int64 or the box has more than
+    ``_MAX_BOX_CELLS`` cells.  A spacing coarser than a quarter of
     the diameter is allowed but warned about, since single-node grids are
     only useful as degenerate cases.
     """
@@ -128,6 +130,12 @@ def build_grid(domain: Domain, h: float) -> Grid:
         raise InvalidDomainError(
             f"lattice of spacing {h} over the box [{xmin:.3g}, {xmax:.3g}] x "
             f"[{ymin:.3g}, {ymax:.3g}] has indices beyond the int64 range"
+        )
+    cells = (hi_i - lo_i + 1.0) * (hi_j - lo_j + 1.0)
+    if cells > _MAX_BOX_CELLS:
+        raise InvalidDomainError(
+            f"lattice of spacing {h} has a box of {cells:.3g} cells, more "
+            f"than the {_MAX_BOX_CELLS} that fit the memory budget"
         )
     i_range = np.arange(int(lo_i), int(hi_i) + 1)
     j_range = np.arange(int(lo_j), int(hi_j) + 1)
@@ -152,8 +160,6 @@ def build_grid(domain: Domain, h: float) -> Grid:
     arm_ref = np.zeros((n, 8), dtype=np.int64)
     arm_frac = np.ones((n, 8), dtype=float)
     hit_points: list[Array] = []
-    hit_node: list[int] = []
-    hit_dir: list[int] = []
 
     for d in range(8):
         step = DIRS[d]
@@ -178,14 +184,12 @@ def build_grid(domain: Domain, h: float) -> Grid:
             t_hi = np.where(neg, t_hi, t_mid)
         t = t_hi  # first nonnegative level along the arm
         crossings = p0 + t[:, None] * delta
-        base = len(hit_node)
+        base = len(hit_points)
         ids = base + np.arange(len(cut))
         arm_kind[cut, d] = ARM_HIT
         arm_ref[cut, d] = ids
         arm_frac[cut, d] = t
         hit_points.extend(crossings)
-        hit_node.extend(cut.tolist())
-        hit_dir.extend([d] * len(cut))
 
     return Grid(
         domain=domain,
@@ -198,8 +202,6 @@ def build_grid(domain: Domain, h: float) -> Grid:
         arm_ref=arm_ref,
         arm_frac=arm_frac,
         hit_points=np.array(hit_points).reshape(-1, 2),
-        hit_node=np.array(hit_node, dtype=np.int64),
-        hit_dir=np.array(hit_dir, dtype=np.int64),
     )
 
 

@@ -196,7 +196,9 @@ def divergence_of_cofactor(H: HessianField) -> tuple[Array, Array]:
 
     Returns ``(div, mask)`` where ``div[:, j] = d/dx U(1j) + d/dy U(2j)``
     and the mask marks nodes whose first-difference stencils stay interior
-    (the cofactor has no boundary trace to difference through).
+    (the cofactor has no boundary trace to difference through).  No command
+    calls it; it is kept as the test oracle of the Piola identity
+    ``d_i U^ij = 0``.
     """
     grid = H.grid
     ops = grid_operators(grid)

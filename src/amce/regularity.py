@@ -1,20 +1,18 @@
 """Numerical regularity audits: Hölder fits, extremum principles, norm chains.
 
 These routines *measure* qualitative properties of computed solutions —
-modulus-of-continuity exponents, boundary-data extremum principles, the
-sup-norm chain for the weight, and high-order difference norms — and
-package them as pass/fail/skip checks with explicit margins.
+modulus-of-continuity exponents, boundary-data extremum principles and
+the sup-norm chain for the weight — and package them as pass/fail/skip
+checks with explicit margins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coupled import ProblemData
-from .errors import DegenerateOperatorError
 from .grid import Grid, ScalarField
 from .sections import quadratic_separation
 from .operators import discrete_hessian
@@ -24,14 +22,12 @@ __all__ = [
     "BoundaryHolderReport",
     "MinPrincipleReport",
     "AbpChainReport",
-    "SobolevMonitor",
     "CheckResult",
     "fit_holder_exponent",
     "boundary_holder_check",
     "min_principle_check",
     "abp_chain_report",
     "abp_exponent",
-    "sobolev_monitor",
     "cell_areas",
     "verify",
 ]
@@ -299,100 +295,6 @@ def abp_chain_report(problem: ProblemData, w: ScalarField) -> AbpChainReport:
         forcing_norm=forcing_norm,
         fitted_constant=fitted,
         forcing_vanishes=vanishes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# high-order difference monitor
-# ---------------------------------------------------------------------------
-
-_STENCILS_1D = {
-    0: (np.array([0]), np.array([1.0])),
-    1: (np.arange(-1, 2), np.array([-0.5, 0.0, 0.5])),
-    2: (np.arange(-1, 2), np.array([1.0, -2.0, 1.0])),
-    3: (np.arange(-2, 3), np.array([-0.5, 1.0, 0.0, -1.0, 0.5])),
-    4: (np.arange(-2, 3), np.array([1.0, -4.0, 6.0, -4.0, 1.0])),
-}
-
-
-@dataclass
-class SobolevMonitor:
-    """Centered high-order difference norms on the full interior lattice box.
-
-    For each order ``m <= max_order``, all mixed partials of that order
-    are formed by tensor products of centered one-dimensional stencils on
-    nodes whose full ``[-2, 2]^2`` lattice neighborhood exists;
-    ``l2_norms[m]`` is the multinomial-weighted L2 norm of the order-m
-    differential, ``sup_norms[m]`` the pointwise sup, ``coverage`` the
-    covered fraction of nodes.
-    """
-
-    orders: list[int]
-    l2_norms: dict[int, float]
-    sup_norms: dict[int, float]
-    coverage: float
-    n_covered: int
-    partials: dict[tuple[int, int], np.ndarray] = field(repr=False, default_factory=dict)
-
-
-def _offset_table(grid: Grid, radius: int = 2):
-    offs = range(-radius, radius + 1)
-    table = {
-        (dx, dy): grid.ids_at(grid.lattice + (dx, dy)) for dx in offs for dy in offs
-    }
-    covered = np.ones(grid.n_nodes, dtype=bool)
-    for ids in table.values():
-        covered &= ids >= 0
-    return table, covered
-
-
-def sobolev_monitor(field: ScalarField, max_order: int = 4) -> SobolevMonitor:
-    if not 1 <= max_order <= 4:
-        raise ValueError("max_order must be between 1 and 4")
-    grid = field.grid
-    table, covered = _offset_table(grid, radius=2)
-    idx = np.where(covered)[0]
-    if idx.size == 0:
-        raise DegenerateOperatorError(
-            "no node has a full [-2,2]^2 lattice neighborhood"
-        )
-    v = field.values
-    h = grid.h
-
-    partials: dict[tuple[int, int], np.ndarray] = {}
-    for m in range(1, max_order + 1):
-        for a in range(m + 1):
-            b = m - a
-            ox, wx = _STENCILS_1D[a]
-            oy, wy = _STENCILS_1D[b]
-            acc = np.zeros(idx.size)
-            for i, cx in zip(ox, wx):
-                if cx == 0.0:
-                    continue
-                for j, cy in zip(oy, wy):
-                    if cy == 0.0:
-                        continue
-                    acc += cx * cy * v[table[(int(i), int(j))][idx]]
-            partials[(a, b)] = acc / h**m
-
-    areas = cell_areas(grid)[idx]
-    l2, sup = {}, {}
-    for m in range(1, max_order + 1):
-        sq = np.zeros(idx.size)
-        mx = 0.0
-        for a in range(m + 1):
-            arr = partials[(a, m - a)]
-            sq += comb(m, a) * arr**2
-            mx = max(mx, float(np.abs(arr).max()))
-        l2[m] = float(np.sqrt((sq * areas).sum()))
-        sup[m] = mx
-    return SobolevMonitor(
-        orders=list(range(1, max_order + 1)),
-        l2_norms=l2,
-        sup_norms=sup,
-        coverage=float(idx.size / grid.n_nodes),
-        n_covered=int(idx.size),
-        partials=partials,
     )
 
 

@@ -23,6 +23,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import (
     ConvexityViolationError,
     DegenerateSectionError,
+    InvalidProblemError,
     TooCloseToBoundaryError,
 )
 from .grid import DIRS, ARM_INTERIOR, ARM_HIT, Grid, ScalarField
@@ -604,11 +605,20 @@ def localization_scan(
     """Scan pinned-center section ellipsoids at boundary point ``x0``.
 
     ``x0`` must lie on (numerically: within round-off of) the domain
-    boundary.  Sections with fewer than ``min_nodes`` member nodes are
-    skipped with a warning — their hulls are grid noise.
+    boundary, else InvalidProblemError.  Sections with fewer than
+    ``min_nodes`` member nodes are skipped with a warning — their hulls are
+    grid noise.
     """
     grid = u.grid
     x0 = np.asarray(x0, float)
+    level = float(grid.domain.level(x0)[0])
+    slope = float(np.linalg.norm(grid.domain.grad(x0)[0]))
+    # a NaN level or slope fails the comparison too
+    if not abs(level) <= 1e-9 * max(1.0, float(np.abs(x0).max())) * slope:
+        raise InvalidProblemError(
+            f"boundary point {x0.tolist()} is not on the domain boundary "
+            f"(F = {level:.3g}, |grad F| = {slope:.3g})"
+        )
     quadratic_separation(u)
 
     val, grad = value_and_gradient_at(u, x0)

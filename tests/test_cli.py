@@ -90,12 +90,14 @@ def test_non_finite_config_number_is_invalid_input(tmp_path, capsys):
         {"kind": "disk", "params": {"radius": 1e300}, "h_grid": 0.0625},
         {"kind": "ellipse", "params": {"a": 1e300, "b": 1.0}, "h_grid": 0.0625},
         {"kind": "disk", "params": {"center": [1e300, 0.0]}, "h_grid": 0.0625},
+        {"kind": "disk", "params": {"radius": 1.0}, "h_grid": 1e-5},
     ],
-    ids=["h_1e-300", "radius_1e300", "ellipse_a_1e300", "center_1e300"],
+    ids=["h_1e-300", "radius_1e300", "ellipse_a_1e300", "center_1e300", "h_1e-5"],
 )
 def test_lattice_beyond_int64_is_invalid_input(tmp_path, capsys, domain):
     # These used to fail in build_grid's np.arange, or to build an
-    # object-dtype lattice, with a traceback and exit 1.
+    # object-dtype lattice, with a traceback and exit 1; h = 1e-5 fits
+    # int64 but its box would take hundreds of GiB.
     cfg = write_cfg(tmp_path, {"domain": domain, "fixture": {"name": "paraboloid"}})
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
@@ -451,6 +453,26 @@ def test_sections_command_boundary_scan(tmp_path):
         assert os.path.exists(os.path.join(out, fname))
     hulls = [f for f in results["outputs"] if f.startswith("hull_")]
     assert len(hulls) == len(kept)
+
+
+@pytest.mark.parametrize(
+    "point", [[0.0, 0.0], [0.0, -0.5]], ids=["center", "interior"]
+)
+def test_sections_off_boundary_point_is_invalid_input(tmp_path, capsys, point):
+    # At the center grad F = 0, so the normal was NaN and the fit crashed
+    # with exit 1; an interior point used to exit 0 with a "boundary" scan.
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "fixture": {"name": "paraboloid_r2"},
+            "sections": {"boundary_point": point, "heights": [0.125]},
+        },
+    )
+    out = str(tmp_path / "o")
+    assert main(["sections", "--config", cfg, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_report(out)["error"]["class"] == "InvalidProblemError"
 
 
 def test_verify_command_writes_battery(tmp_path):

@@ -16,8 +16,6 @@ def test_disk_membership_and_radii():
         False,
     ]
     assert d.diameter == pytest.approx(4.0)
-    assert d.circumradius == pytest.approx(2.0)
-    assert d.rho_dom == pytest.approx(2.0)
 
 
 def test_disk_distance_and_boundary_point():
@@ -67,7 +65,6 @@ def test_ellipse_curvature_and_rho():
     # max curvature at the flat-side vertex (a, 0): a/b^2; min at (0, b): b/a^2
     k = e.boundary_curvature(np.array([[2.0, 0.0], [0.0, 1.0]]))
     np.testing.assert_allclose(k, [2.0, 0.25], rtol=1e-9)
-    assert e.rho_dom == pytest.approx(0.5)  # b^2/a: tangent-ball radius
 
 
 @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0))

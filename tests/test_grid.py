@@ -1,9 +1,18 @@
 """Cut-cell grid construction: arms, hit points, refinement scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from amce import Disk, Ellipse, EmptyGridError, ScalarField, build_grid
+from amce import (
+    Disk,
+    Ellipse,
+    EmptyGridError,
+    InvalidDomainError,
+    ScalarField,
+    build_grid,
+)
 from amce.geometry import polynomial_levelset
 from amce.grid import ARM_HIT, ARM_INTERIOR, DIRS
 
@@ -26,14 +35,17 @@ def test_arm_references_are_consistent(grid32):
     for node in (0, g.n_nodes // 2, g.n_nodes - 1):
         for d in range(8):
             ref = g.arm_ref[node, d]
+            step = DIRS[d] * g.h
             if g.arm_kind[node, d] == ARM_INTERIOR:
-                step = DIRS[d] * g.h
                 np.testing.assert_allclose(
                     g.nodes[ref], g.nodes[node] + step, atol=1e-12
                 )
             else:
-                assert g.hit_node[ref] == node
-                assert g.hit_dir[ref] == d
+                np.testing.assert_allclose(
+                    g.hit_points[ref],
+                    g.nodes[node] + g.arm_frac[node, d] * step,
+                    atol=1e-12,
+                )
 
 
 def test_refinement_quadruples_interior_nodes():
@@ -50,6 +62,19 @@ def test_anisotropic_domain_grid():
     g = build_grid(Ellipse(a=1.5, b=0.6), 1 / 16)
     assert g.n_nodes > 0
     assert g.domain.contains(g.nodes).all()
+
+
+def test_oversized_lattice_box_is_refused_before_allocating():
+    # h = 1e-5 on the unit disk is a 4e10-cell box, ~10 TB at build_grid's
+    # peak per cell
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDomainError, match="memory budget"):
+            build_grid(Disk(radius=1.0), 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_empty_grid_raises():

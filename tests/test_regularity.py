@@ -14,7 +14,6 @@ from amce.regularity import (
     cell_areas,
     fit_holder_exponent,
     min_principle_check,
-    sobolev_monitor,
     verify,
 )
 
@@ -200,34 +199,6 @@ def test_cell_areas_sum_to_domain_area(grid16, grid32, grid64):
         assert err < 2.5 * grid.h
         errors.append(err)
     assert errors[0] > errors[1] > errors[2]
-
-
-def test_sobolev_monitor_quartic_fourth_difference_exact(grid16):
-    fld = ScalarField(grid16, grid16.nodes[:, 0] ** 4, grid16.hit_points[:, 0] ** 4)
-    mon = sobolev_monitor(fld, max_order=4)
-    assert np.all(mon.partials[(4, 0)] == 24.0)
-    assert mon.sup_norms[4] == 24.0
-
-
-def test_sobolev_monitor_annihilates_quadratics(grid16):
-    def quad(p):
-        return 1.3 * p[:, 0] ** 2 - 0.4 * p[:, 0] * p[:, 1] + 0.8 * p[:, 1] ** 2 + 0.3 * p[:, 0] - 2.0
-
-    fld = ScalarField(grid16, quad(grid16.nodes), quad(grid16.hit_points))
-    mon = sobolev_monitor(fld, max_order=4)
-    assert mon.sup_norms[3] < 1e-8
-    assert mon.sup_norms[4] < 1e-8
-    assert mon.sup_norms[2] == pytest.approx(2.6, rel=1e-10)
-    assert 0.0 < mon.coverage < 1.0
-    assert mon.n_covered == int(round(mon.coverage * grid16.n_nodes))
-
-
-def test_sobolev_monitor_order_validation(grid16):
-    fld = ScalarField(grid16, grid16.nodes[:, 0], grid16.hit_points[:, 0])
-    with pytest.raises(ValueError):
-        sobolev_monitor(fld, max_order=5)
-    with pytest.raises(ValueError):
-        sobolev_monitor(fld, max_order=0)
 
 
 # ---------------------------------------------------------------------------
