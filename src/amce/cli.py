@@ -58,7 +58,13 @@ from .lma import LMAProblem, solve_lma
 from .ma import MAProblem, solve_ma
 from .operators import discrete_hessian
 from .regularity import verify
-from .sections import localization_scan, maximal_height, normalize_section
+from .sections import (
+    localization_scan,
+    maximal_height,
+    normalize_section,
+    require_boundary_point,
+    require_interior_point,
+)
 
 __all__ = ["main"]
 
@@ -301,6 +307,11 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         raise ConfigError("the sections command needs a 'sections' config block")
     sc = cfg.sections
     grid = _make_grid(cfg)
+    # the points are checked before the solve, which they do not depend on
+    if "boundary_point" in sc:
+        require_boundary_point(grid, sc["boundary_point"])
+    for y in sc.get("interior_points", []):
+        require_interior_point(grid, y)
     problem = _coupled_problem(cfg, grid)
     u, _, solve_report = solve_system(problem, cfg.coupled_options())
 

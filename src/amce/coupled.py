@@ -22,9 +22,10 @@ GMRES solves the Newton system, preconditioned by the block lower-triangular
 splitting applied through an LU factor of the step's own ``cof H(u) : D^2``.
 A Newton step whose operator cannot be factored, that GMRES cannot solve,
 or that would lose convexity or the weight's sign, is replaced by a damped
-sweep.  Once the weight stops moving in sup norm, one more sweep runs
-undamped (the polish) and its linear solution is the returned ``w``, so
-both sub-equation residuals are reported at their floor.
+sweep, and a sweep whose weight is not positive ends the solve.  Once the
+weight stops moving in sup norm, one more sweep runs undamped (the polish)
+and its linear solution is the returned ``w``, so both sub-equation
+residuals are reported at their floor.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -292,6 +293,15 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
     return u_new, w_new, alpha * size, krylov
 
 
+def _require_positive(w: ScalarField, history: list[float]) -> ScalarField:
+    """``w``; NonConvergenceError with the change history unless ``w > 0``."""
+    if float(w.values.min()) <= 0.0:
+        raise NonConvergenceError(
+            f"weight is not positive, min w = {w.values.min():.3e}", history=history
+        )
+    return w
+
+
 def solve_system(
     data: ProblemData, options: CoupledOptions | None = None
 ) -> tuple[ScalarField, ScalarField, SolveReport]:
@@ -302,14 +312,13 @@ def solve_system(
     linear equation for ``w_half`` with the cofactor of ``u``, and move
     ``w`` a fraction ``relaxation`` towards ``w_half``.  Every later
     iteration is an exact Newton step on both unknowns (see
-    :func:`_newton_step`), preconditioned through a factor of its own
-    iterate's operator; the step is capped so the weight change never
-    exceeds the previous one.  An iteration whose Newton step is unusable
-    runs the damped sweep instead.  Once the weight change is at most
-    ``outer_tol``, one undamped sweep (the polish) re-solves both equations
-    and its linear solution is the returned ``w``.
-    Raises :class:`NonConvergenceError` with the change history when
-    ``max_outer_iters`` iterations do not get there.
+    :func:`_newton_step`), capped so the weight change never exceeds the
+    previous one, or the damped sweep when that step is unusable.  Once
+    the weight change is at most ``outer_tol``, one undamped sweep (the
+    polish) re-solves both equations and its linear solution is the
+    returned ``w``.  Raises :class:`NonConvergenceError` with the change
+    history when ``max_outer_iters`` iterations do not get there, or once
+    a weight is not positive: no weight is ever clipped.
 
     A sweep whose determinant solve takes no Newton step leaves ``u``
     bitwise unchanged and keeps the previous linear solution; a sweep that
@@ -324,15 +333,8 @@ def solve_system(
     grid = data.grid
     sigma = opts.relaxation
 
-    flags = {"f_le_0_violated": not data.f_nonpositive, "w_floor_applied": False}
+    flags = {"f_le_0_violated": not data.f_nonpositive}
     w = harmonic_extension(grid, data.psi_hits)
-    w_floor = 1e-8 * float(data.psi_hits.min())
-    if float(w.values.min()) <= 0.0:
-        # Harmonic extension of positive data should be positive; guard the
-        # exponentiation against round-off at extreme aspect ratios anyway.
-        w.values = np.maximum(w.values, w_floor)
-        flags["w_floor_applied"] = True
-
     u: ScalarField | None = None
     w_half: ScalarField | None = None
     history: list[float] = []
@@ -342,6 +344,7 @@ def solve_system(
     polish = False
 
     while True:
+        _require_positive(w, history)
         step = None
         if history and not polish:
             step = _newton_step(data, u, w, cap=history[-1])
@@ -370,9 +373,6 @@ def solve_system(
             if polish:
                 break
             new_vals = (1.0 - sigma) * w.values + sigma * w_half.values
-            if float(new_vals.min()) <= 0.0:
-                new_vals = np.maximum(new_vals, w_floor)
-                flags["w_floor_applied"] = True
             change = float(np.max(np.abs(new_vals - w.values)))
             w = ScalarField(grid=grid, values=new_vals, hit_values=data.psi_hits.copy())
         history.append(change)
@@ -385,11 +385,7 @@ def solve_system(
                 history=history,
             )
 
-    w = w_half
-    if float(w.values.min()) <= 0.0:
-        flags["w_floor_applied"] = True
-        w.values = np.maximum(w.values, w_floor)
-
+    w = _require_positive(w_half, history)
     final_ma = float(np.max(np.abs(ma_residual(u, g_from_w(w, data.theta)))))
     final_lma = float(np.max(np.abs(lma_residual(w, H, data.f.values))))
     report = SolveReport(

@@ -1,11 +1,12 @@
 """Cut-cell finite difference grid inside a convex domain.
 
 Interior nodes are the points of the absolute square lattice ``(i*h, j*h)``
-that lie strictly inside the domain.  From every interior node eight arms
-are cast: four along the axes and four along the diagonals.  Because the
-domain is convex, each arm either reaches another interior node at the full
-spacing or crosses the boundary exactly once; the crossing is located by
-bisection to a fractional distance ``s in (0, 1]`` of the full arm length.
+that lie strictly inside the domain, farther than round-off from its
+boundary.  From every interior node eight arms are cast: four along the
+axes and four along the diagonals.  Because the domain is convex, each arm
+either reaches another interior node at the full spacing or crosses the
+boundary exactly once; the crossing is located by bisection to a
+fractional distance ``s in (0, 1]`` of the full arm length.
 Axis arms drive the one-dimensional second differences, diagonal arms the
 cross derivative, so every node has a complete (possibly shortened) stencil.
 """
@@ -36,6 +37,9 @@ ARM_HIT = 1
 
 _BISECT_ITERS = 60  # 2**-60 of an arm length is far below the 1e-12 target
 _NODE_TOL = 1e-9  # coordinate match tolerance of node_at, relative to max(1, h)
+# a lattice point within this many h of the boundary, to first order, lies on
+# it up to round-off and is not a node
+_ON_BOUNDARY_TOL = 1e-9
 # build_grid peaks at about 255 bytes per cell of the lattice box, so this
 # caps it near 4 GiB; h = 1/512 on the unit disk takes 1.05e6 cells
 _MAX_BOX_CELLS = 2**24
@@ -104,6 +108,10 @@ def _ids_at(id_map: Array, origin: Array, ij) -> Array:
 def build_grid(domain: Domain, h: float) -> Grid:
     """Construct the cut-cell grid for the domain at lattice spacing ``h``.
 
+    A lattice point inside the domain whose first-order distance
+    ``-F / |grad F|`` to the boundary is at most ``1e-9 h`` lies on it up
+    to round-off, and is not a node: its arms would be round-off long.
+
     Raises EmptyGridError when no lattice point is strictly inside, and
     InvalidDomainError, before allocating anything, when an index bound of
     the lattice box is not an int64 or the box has more than
@@ -142,7 +150,12 @@ def build_grid(domain: Domain, h: float) -> Grid:
     II, JJ = np.meshgrid(i_range, j_range, indexing="ij")
     lattice_all = np.stack([II.ravel(), JJ.ravel()], axis=1)
     pts_all = lattice_all * h
-    inside = domain.level(pts_all) < 0.0
+    level = domain.level(pts_all)
+    inside = level < 0.0
+    # first-order distance -F / |grad F|, evaluated on the candidates only
+    cand = np.nonzero(inside)[0]
+    slope = np.linalg.norm(domain.grad(pts_all[cand]), axis=1)
+    inside[cand[-level[cand] <= _ON_BOUNDARY_TOL * h * slope]] = False
     lattice = lattice_all[inside]
     nodes = pts_all[inside]
     n = len(nodes)

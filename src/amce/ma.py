@@ -11,8 +11,10 @@ so each Newton step solves the sparse linearized problem
 cofactor frozen at the current iterate: the operator of
 :func:`amce.lma.assemble_lma`, factored afresh at every step.  Eigenvalues
 of ``H`` are clamped from below before forming ``U`` so the linearization
-stays elliptic when an iterate grazes the convexity boundary; a
-backtracking line search enforces decrease of the residual sup norm.
+stays elliptic when an iterate grazes the convexity boundary.  One number
+measures every iterate, the backward error ``max_i |det H(u) - g|_i /
+floor_i`` (:func:`roundoff_floor`): a backtracking line search enforces
+its decrease, and Newton stops once it is at most ``BERR_TOL``.
 
 The initial iterate solves ``lap u0 = 2 sqrt(g)``, which matches the target
 determinant where the Hessian is isotropic and is exact for quadratic data.
@@ -66,12 +68,12 @@ class MAProblem:
 
 
 # backtracking line search: step shrink factor, shrinks per step, and the
-# sufficient-decrease constant of the residual sup norm
+# sufficient-decrease constant of the backward error
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 30
 _ARMIJO = 1e-4
-# stalled line searches are accepted within this multiple of roundoff_floor
-_FLOOR_FACTOR = 4096.0
+# Newton stops once every node's residual is within this many round-off floors
+BERR_TOL = 4.0
 
 
 @dataclass
@@ -144,20 +146,13 @@ def solve_ma(
     before the line search, so each of ``report.iterations`` made one LU
     factorization.
 
-    Newton stops when ``max |det H(u) - g| <= newton_tol``.  A line search
-    that stalls above that is accepted when every node's residual is
-    within ``_FLOOR_FACTOR = 4096`` times its :func:`roundoff_floor`: the
-    iterate is then as exact as its data lets it be.  On ``paraboloid_r2``
-    (theta = 1/4) at h = 1/88 to 1/256, where Newton stalls above
-    ``newton_tol``, the largest ratio ``|res_i| / floor_i`` is 0.47-8.3 at
-    the stall of the first sweep and 133-1032 at the stall of the polish.
-    There the target ``g`` has moved by the linear solve's error, at nodes
-    near the origin whose floor is only about 12 eps because ``u ~ 0``.
-    4096 is four times the largest ratio.
+    Newton stops when the backward error is at most ``BERR_TOL`` or when
+    ``max |det H(u) - g| <= newton_tol``; the line search measures each
+    trial against the floor of the iterate it steps from.
 
     Raises NonConvergenceError when the iteration budget is exhausted or
-    the line search stalls above the floor, and ConvexityFailureError if
-    the converged discrete Hessian is not positive definite.
+    the line search stalls, and ConvexityFailureError if the converged
+    discrete Hessian is not positive definite.
     """
     opts = options or MASolveOptions()
     t0 = time.perf_counter()
@@ -165,19 +160,20 @@ def solve_ma(
     if initial is not None:
         u.hit_values = problem.phi_hits.copy()
 
-    history: list[float] = []
-    total_backtracks = 0
+    g = problem.g.values
     H = discrete_hessian(u)
-    res = H.det() - problem.g.values
+    res = H.det() - g
     res_norm = float(np.max(np.abs(res)))
-    history.append(res_norm)
+    history = [res_norm]
     if not np.isfinite(res_norm):
         raise NonConvergenceError(
             f"Newton residual is not finite ({res_norm})", history=history
         )
+    floor = roundoff_floor(u, H, g)
+    berr = float(np.max(np.abs(res) / floor))
 
-    iters = 0
-    while res_norm > opts.newton_tol:
+    iters = total_backtracks = 0
+    while res_norm > opts.newton_tol and berr > BERR_TOL:
         if iters >= opts.max_iters:
             raise NonConvergenceError(
                 f"Newton did not reach tol {opts.newton_tol} in "
@@ -193,27 +189,23 @@ def solve_ma(
         del lu  # two factors would be alive at the next splu
 
         alpha = 1.0
-        accepted = False
         for _ in range(_MAX_BACKTRACKS + 1):
             trial = u.with_values(u.values + alpha * delta)
             H_trial = discrete_hessian(trial)
-            trial_norm = float(np.max(np.abs(H_trial.det() - problem.g.values)))
-            if trial_norm <= (1.0 - _ARMIJO * alpha) * res_norm:
-                accepted = True
+            res_trial = H_trial.det() - g
+            if np.max(np.abs(res_trial) / floor) <= (1.0 - _ARMIJO * alpha) * berr:
                 break
             alpha *= _BACKTRACK_FACTOR
             total_backtracks += 1
-        if not accepted:
-            floor = roundoff_floor(u, H, problem.g.values)
-            if (np.abs(res) <= _FLOOR_FACTOR * floor).all():
-                break
+        else:
             raise NonConvergenceError(
-                f"line search stalled at residual {res_norm:.3e}", history=history
+                f"line search stalled at {berr:.3g} round-off floors", history=history
             )
-        u, H = trial, H_trial
-        res = H_trial.det() - problem.g.values
-        res_norm = trial_norm
+        u, H, res = trial, H_trial, res_trial
+        res_norm = float(np.max(np.abs(res)))
         history.append(res_norm)
+        floor = roundoff_floor(u, H, g)
+        berr = float(np.max(np.abs(res) / floor))
         iters += 1
 
     min_eig = H.min_eigenvalue()

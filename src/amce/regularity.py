@@ -14,6 +14,7 @@ import numpy as np
 
 from .coupled import ProblemData
 from .grid import Grid, ScalarField
+from .lma import LMA_TOL
 from .sections import quadratic_separation
 from .operators import discrete_hessian
 
@@ -59,7 +60,10 @@ class HolderFit:
     distance into dyadic bins spanning ``[4h, diam/4]``; ``beta`` is
     the least-squares slope of log(max oscillation) versus log(distance),
     capped at 1.05.  ``degenerate`` marks fits with too few usable bins or
-    a non-increasing modulus (e.g. constant fields).
+    a non-increasing modulus (e.g. constant fields).  ``flat`` marks a field
+    whose every bin peak is at most ``LMA_TOL`` times its sup norm: a
+    computed weight comes from a linear solve accepted at that backward
+    error, so smaller variation is not resolved and the slope fits noise.
     """
 
     beta: float
@@ -71,6 +75,7 @@ class HolderFit:
     bin_centers: np.ndarray
     bin_oscillation: np.ndarray
     degenerate: bool
+    flat: bool
 
 
 def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
@@ -97,6 +102,7 @@ def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
 
     centers = np.asarray(centers)
     peaks = np.asarray(peaks)
+    flat = peaks.size > 0 and bool((peaks <= LMA_TOL * field.sup_norm()).all())
     if len(centers) < 2 or (peaks <= 0.0).any():
         return HolderFit(
             beta=np.nan,
@@ -108,6 +114,7 @@ def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
             bin_centers=centers,
             bin_oscillation=peaks,
             degenerate=True,
+            flat=flat,
         )
     lx, ly = np.log(centers), np.log(peaks)
     coeffs, res = np.polyfit(lx, ly, 1, full=True)[:2]
@@ -128,6 +135,7 @@ def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
         bin_centers=centers,
         bin_oscillation=peaks,
         degenerate=degenerate,
+        flat=flat,
     )
 
 
@@ -335,6 +343,7 @@ def verify(
     the weight, boundary modulus of the weight against the
     ``alpha/(alpha+2)`` threshold, two-sided quadratic separation of the
     convex component, discrete Hessian positivity, and weight positivity.
+    Both modulus checks are skipped for a flat weight (see :class:`HolderFit`).
     """
     checks: list[CheckResult] = []
     grid = problem.grid
@@ -377,7 +386,7 @@ def verify(
     checks.append(
         CheckResult(
             name="interior_holder_w",
-            status="pass" if hf_ok else "fail",
+            status="skip" if hf.flat else ("pass" if hf_ok else "fail"),
             margin=0.0 if hf.degenerate else hf.beta,
             details={
                 "beta": None if np.isnan(hf.beta) else hf.beta,
@@ -385,6 +394,7 @@ def verify(
                 "r2": None if np.isnan(hf.r2) else hf.r2,
                 "n_bins": hf.n_bins,
                 "degenerate": hf.degenerate,
+                "flat": hf.flat,
             },
         )
     )
@@ -393,7 +403,7 @@ def verify(
     checks.append(
         CheckResult(
             name="boundary_holder_w",
-            status="pass" if bh.passed else "fail",
+            status="skip" if bh.fit.flat else ("pass" if bh.passed else "fail"),
             margin=(0.0 if bh.fit.degenerate else bh.fit.beta)
             - (bh.threshold - bh.slack),
             details={
@@ -401,6 +411,7 @@ def verify(
                 "threshold": bh.threshold,
                 "beta": None if np.isnan(bh.fit.beta) else bh.fit.beta,
                 "r2": None if np.isnan(bh.fit.r2) else bh.fit.r2,
+                "flat": bh.fit.flat,
             },
         )
     )

@@ -46,6 +46,8 @@ __all__ = [
     "quadratic_separation",
     "localization_scan",
     "normalize_section",
+    "require_boundary_point",
+    "require_interior_point",
 ]
 
 #: Points closer to the domain boundary than this (relative to the hull
@@ -463,6 +465,22 @@ def fit_john_ellipsoid(
 # ---------------------------------------------------------------------------
 
 
+def require_interior_point(grid: Grid, y) -> np.ndarray:
+    """``y`` as an array; TooCloseToBoundaryError unless it is interior to
+    the domain and more than one cell ``h`` from its boundary."""
+    y = np.asarray(y, float)
+    if grid.domain.level(y[None, :])[0] >= 0.0:
+        raise TooCloseToBoundaryError(
+            f"base point {y.tolist()} is not interior to the domain"
+        )
+    if grid.domain.distance_to_boundary(y[None, :])[0] <= grid.h:
+        raise TooCloseToBoundaryError(
+            f"base point {y.tolist()} is within one cell of the boundary; "
+            "maximal sections are not resolved there"
+        )
+    return y
+
+
 def maximal_height(u: ScalarField, y):
     """Largest height h with the section of ``u`` at interior ``y`` inside the domain.
 
@@ -474,17 +492,8 @@ def maximal_height(u: ScalarField, y):
     Returns ``(hbar, touch_point)`` where ``touch_point`` is the boundary
     hit realizing the first contact.
     """
-    y = np.asarray(y, float)
     grid = u.grid
-    if grid.domain.level(y[None, :])[0] >= 0.0:
-        raise TooCloseToBoundaryError(
-            f"base point {y.tolist()} is not interior to the domain"
-        )
-    if grid.domain.distance_to_boundary(y[None, :])[0] <= grid.h:
-        raise TooCloseToBoundaryError(
-            f"base point {y.tolist()} is within one cell of the boundary; "
-            "maximal sections are not resolved there"
-        )
+    y = require_interior_point(grid, y)
     center_value, center_gradient = value_and_gradient_at(u, y)
     gaps = u.hit_values - (center_value + (grid.hit_points - y) @ center_gradient)
     touch = int(np.argmin(gaps))
@@ -596,6 +605,21 @@ class LocalizationScan:
         return [r for r in self.rows if not r["skipped"]]
 
 
+def require_boundary_point(grid: Grid, x0) -> np.ndarray:
+    """``x0`` as an array; InvalidProblemError unless it lies on the domain
+    boundary up to round-off: ``|F(x0)| <= 1e-9 max(1, |x0|_inf) |grad F(x0)|``."""
+    x0 = np.asarray(x0, float)
+    level = float(grid.domain.level(x0)[0])
+    slope = float(np.linalg.norm(grid.domain.grad(x0)[0]))
+    # a NaN level or slope fails the comparison too
+    if not abs(level) <= 1e-9 * max(1.0, float(np.abs(x0).max())) * slope:
+        raise InvalidProblemError(
+            f"boundary point {x0.tolist()} is not on the domain boundary "
+            f"(F = {level:.3g}, |grad F| = {slope:.3g})"
+        )
+    return x0
+
+
 def localization_scan(
     u: ScalarField,
     x0,
@@ -610,15 +634,7 @@ def localization_scan(
     grid noise.
     """
     grid = u.grid
-    x0 = np.asarray(x0, float)
-    level = float(grid.domain.level(x0)[0])
-    slope = float(np.linalg.norm(grid.domain.grad(x0)[0]))
-    # a NaN level or slope fails the comparison too
-    if not abs(level) <= 1e-9 * max(1.0, float(np.abs(x0).max())) * slope:
-        raise InvalidProblemError(
-            f"boundary point {x0.tolist()} is not on the domain boundary "
-            f"(F = {level:.3g}, |grad F| = {slope:.3g})"
-        )
+    x0 = require_boundary_point(grid, x0)
     quadratic_separation(u)
 
     val, grad = value_and_gradient_at(u, x0)

@@ -269,6 +269,68 @@ def test_process_exit_status(tmp_path, command, config, status):
     assert "Traceback" not in proc.stderr
 
 
+ELLIPSE = {"kind": "ellipse", "params": {"a": 1.2, "b": 0.9}}
+
+
+@pytest.mark.parametrize("h", [0.02, 0.03, 0.06, 0.12])
+def test_lattice_point_on_the_boundary_is_not_a_node(tmp_path, capsys, h):
+    """On this ellipse (-0.72, -0.72) has F = -1.1e-16: kept as a node with a
+    round-off arm, it made exact quadratic data exit 2, not convex."""
+    cfg = write_cfg(
+        tmp_path,
+        {"domain": dict(ELLIPSE, h_grid=h), "fixture": {"name": "paraboloid"}},
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [10.0, 20.0])
+def test_nonpositive_weight_is_nonconvergence(tmp_path, capsys, value):
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "problem": {
+                "theta": 0.25,
+                "f": {"const": value},
+                "phi": {"poly": {"20": 0.5, "02": 0.5}},
+                "psi": {"const": 1.0},
+            },
+            "solver": {"relaxation": 0.5},
+        },
+    )
+    out = str(tmp_path / "o")
+    assert main(["solve", "--config", cfg, "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    error = read_report(out)["error"]
+    assert error["class"] == "NonConvergenceError"
+    assert "weight is not positive" in error["message"]
+    assert 1 <= len(error["history"]) <= 3
+
+
+@pytest.mark.parametrize(
+    "command, blocks",
+    [
+        ("lma", {"fixture": {"name": "radial_mild"}, "lma": {"g": {"const": -1.0}}}),
+        ("ma", {"fixture": {"name": "radial_mild"}}),
+    ],
+    ids=["lma", "ma"],
+)
+def test_repeated_runs_write_identical_reports(tmp_path, command, blocks):
+    """Reports repeat byte for byte apart from "timing"; the condition
+    estimate of ``lma`` used to vary with numpy's global random state."""
+    cfg = write_cfg(tmp_path, dict(blocks, domain=DISK16))
+    texts = []
+    for k in range(3):
+        out = str(tmp_path / f"o{k}")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        report = read_report(out)
+        report.pop("timing")
+        report["config"].pop("output_dir", None)
+        texts.append(json.dumps(report, sort_keys=True))
+    assert texts[0] == texts[1] == texts[2]
+
+
 def test_override_validation(tmp_path):
     cfg = write_cfg(tmp_path, {"domain": DISK16, "fixture": {"name": "paraboloid"}})
     out = str(tmp_path / "o")
@@ -458,9 +520,13 @@ def test_sections_command_boundary_scan(tmp_path):
 @pytest.mark.parametrize(
     "point", [[0.0, 0.0], [0.0, -0.5]], ids=["center", "interior"]
 )
-def test_sections_off_boundary_point_is_invalid_input(tmp_path, capsys, point):
+def test_sections_off_boundary_point_is_invalid_input(
+    tmp_path, capsys, monkeypatch, point
+):
     # At the center grad F = 0, so the normal was NaN and the fit crashed
     # with exit 1; an interior point used to exit 0 with a "boundary" scan.
+    # The point is refused before the coupled solve.
+    monkeypatch.setattr(cli, "solve_system", _no_solve)
     cfg = write_cfg(
         tmp_path,
         {
@@ -473,6 +539,28 @@ def test_sections_off_boundary_point_is_invalid_input(tmp_path, capsys, point):
     assert main(["sections", "--config", cfg, "--out", out]) == 3
     assert "Traceback" not in capsys.readouterr().err
     assert read_report(out)["error"]["class"] == "InvalidProblemError"
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the coupled solve ran")
+
+
+def test_sections_interior_point_near_the_boundary_is_refused_before_the_solve(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "solve_system", _no_solve)
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "fixture": {"name": "paraboloid"},
+            "sections": {"interior_points": [[0.0, 0.0], [0.999, 0.0]]},
+        },
+    )
+    out = str(tmp_path / "o")
+    assert main(["sections", "--config", cfg, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_report(out)["error"]["class"] == "TooCloseToBoundaryError"
 
 
 def test_verify_command_writes_battery(tmp_path):

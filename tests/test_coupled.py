@@ -307,30 +307,82 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     assert w.hit_values.tobytes() == fresh.hit_values.tobytes()
 
 
-def test_newton_stall_at_roundoff_floor_is_accepted(monkeypatch):
-    """paraboloid_r2 at h = 1/88, the coarsest spacing where its Newton line
-    search stalls above newton_tol: each stall is within the round-off
-    floor, so the solve is accepted and reproduces the quadratic; with the
-    acceptance switched off it exits as before."""
-    import amce.ma
-    from amce import Disk, NonConvergenceError, build_grid
+def _paraboloid_r2_88():
+    from amce import Disk, build_grid
 
     grid = build_grid(Disk(radius=1.0), 1.0 / 88.0)
     exact = get_fixture("paraboloid_r2", theta=0.25)
-    problem = problem_from_exact(grid, exact)
-    stalls = []
-    floor = amce.ma.roundoff_floor
+    return grid, exact, problem_from_exact(grid, exact)
 
-    def recorded(u, H, g):
-        stalls.append(np.abs(H.det() - g).max())
-        return floor(u, H, g)
 
-    monkeypatch.setattr(amce.ma, "roundoff_floor", recorded)
+def test_newton_stops_at_its_backward_error(monkeypatch):
+    """paraboloid_r2 at h = 1/88, where both determinant solves stop above
+    newton_tol: each stops within BERR_TOL round-off floors at every node,
+    without a backtrack, and the solve reproduces the quadratic."""
+    import amce.coupled
+    import amce.ma
+
+    grid, exact, problem = _paraboloid_r2_88()
+    ends = []
+
+    def recorded(ma_problem, options=None, initial=None):
+        u, rep = solve_ma(ma_problem, options, initial)
+        g = ma_problem.g.values
+        H = amce.ma.discrete_hessian(u)
+        res = np.abs(H.det() - g)
+        ends.append((res.max(), (res / amce.ma.roundoff_floor(u, H, g)).max()))
+        return u, rep
+
+    solve_ma = amce.coupled.solve_ma
+    monkeypatch.setattr(amce.coupled, "solve_ma", recorded)
     u, w, report = solve_system(problem)
-    assert stalls and min(stalls) > amce.ma.MASolveOptions().newton_tol
+    tol = amce.ma.MASolveOptions().newton_tol
+    assert report.backtracks_total == 0
+    assert len(ends) == 2
+    for sup, berr in ends:
+        assert berr <= amce.ma.BERR_TOL or sup <= tol
+    assert min(sup for sup, _ in ends) > tol
     assert np.abs(u.values - exact.u(grid.nodes)).max() < 1e-10
     assert np.abs(w.values - exact.w(grid.nodes)).max() < 1e-10
 
-    monkeypatch.setattr(amce.ma, "_FLOOR_FACTOR", 0.0)
+
+def test_newton_stall_above_the_floor_raises(monkeypatch):
+    """With every round-off floor a millionth of its size, the same solve
+    cannot reach BERR_TOL, and its stalled line search raises."""
+    import amce.ma
+    from amce import NonConvergenceError
+
+    _, _, problem = _paraboloid_r2_88()
+    floor = amce.ma.roundoff_floor
+    monkeypatch.setattr(
+        amce.ma, "roundoff_floor", lambda u, H, g: 1e-6 * floor(u, H, g)
+    )
     with pytest.raises(NonConvergenceError, match="line search stalled"):
         solve_system(problem)
+
+
+def _constant_forcing(grid, value):
+    return ProblemData.from_callables(
+        grid,
+        0.25,
+        f_fn=lambda p: np.full(len(p), value),
+        phi_fn=lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2),
+        psi_fn=lambda p: np.ones(len(p)),
+    )
+
+
+def test_a_nonpositive_weight_ends_the_solve(grid16):
+    """Constant forcing f = +10 or +20 drives the first sweep's weight below
+    zero; the solve raises with the change history at once, instead of
+    clipping the weight and running out the iteration budget.  f = +6 keeps
+    the weight positive and solves."""
+    from amce import NonConvergenceError
+
+    options = CoupledOptions(relaxation=0.5)
+    _, _, report = solve_system(_constant_forcing(grid16, 6.0), options)
+    assert report.min_w > 0.0
+    assert report.hypothesis_flags == {"f_le_0_violated": True}
+    for value in (10.0, 20.0):
+        with pytest.raises(NonConvergenceError, match="weight is not positive") as info:
+            solve_system(_constant_forcing(grid16, value), options)
+        assert 1 <= len(info.value.history) <= 3

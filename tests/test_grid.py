@@ -77,6 +77,29 @@ def test_oversized_lattice_box_is_refused_before_allocating():
     assert peak < 2**20
 
 
+def test_lattice_point_on_the_boundary_up_to_roundoff_is_dropped():
+    """(-0.72, -0.72) is on the ellipse a = 1.2, b = 0.9 with F = -1.1e-16."""
+    grid = build_grid(Ellipse(a=1.2, b=0.9), 0.06)
+    assert grid.node_at([-0.72, -0.72]) is None
+    assert grid.arm_frac.min() > 1e-2
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize(
+    "domain",
+    [Disk(radius=1.0), Disk(radius=0.8, center_xy=(0.13, -0.07))],
+    ids=["unit", "off_center"],
+)
+def test_disk_grids_lose_no_node_to_the_boundary_rule(monkeypatch, domain, n):
+    import amce.grid
+
+    grid = build_grid(domain, 1.0 / n)
+    monkeypatch.setattr(amce.grid, "_ON_BOUNDARY_TOL", 0.0)
+    plain = build_grid(domain, 1.0 / n)
+    assert grid.nodes.tobytes() == plain.nodes.tobytes()
+    assert grid.hit_points.tobytes() == plain.hit_points.tobytes()
+
+
 def test_empty_grid_raises():
     # domain so small and off-lattice that no lattice point is interior
     with pytest.raises(EmptyGridError), pytest.warns(UserWarning):

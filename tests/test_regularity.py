@@ -101,6 +101,22 @@ def test_holder_fit_constant_field_degenerate(grid16):
     assert np.isnan(fit.beta)
 
 
+def test_flat_weight_skips_both_modulus_checks(grid16):
+    """paraboloid's weight is constant; computed, it spreads by about 1e-14.
+    That noise has no modulus to fit, so both checks skip instead."""
+    exact = get_fixture("paraboloid", theta=0.25)
+    problem = problem_from_exact(grid16, exact)
+    u = ScalarField.from_callable(grid16, exact.u)
+    w = ScalarField.from_callable(grid16, exact.w)
+    w.values += 1e-14 * np.random.default_rng(0).standard_normal(grid16.n_nodes)
+    assert fit_holder_exponent(w, seed=0).flat
+    assert boundary_holder_check(w, alpha=1.0).fit.flat
+    checks = {c.name: c for c in verify(problem, u, w, seed=0)}
+    for name in ("interior_holder_w", "boundary_holder_w"):
+        assert checks[name].status == "skip"
+        assert checks[name].details["flat"] is True
+
+
 # ---------------------------------------------------------------------------
 # boundary modulus against the alpha/(alpha+2) threshold
 # ---------------------------------------------------------------------------
