@@ -152,7 +152,6 @@ def build_grid(domain: Domain, h: float) -> Grid:
     pts_all = lattice_all * h
     level = domain.level(pts_all)
     inside = level < 0.0
-    # first-order distance -F / |grad F|, evaluated on the candidates only
     cand = np.nonzero(inside)[0]
     slope = np.linalg.norm(domain.grad(pts_all[cand]), axis=1)
     inside[cand[-level[cand] <= _ON_BOUNDARY_TOL * h * slope]] = False
