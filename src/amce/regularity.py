@@ -46,6 +46,9 @@ _N_RANDOM_ANCHORS = 168
 #: Allowance below the structural threshold in the boundary check.
 _BOUNDARY_SLACK = 0.05
 
+#: Most anchor/node pairs the oscillation fit holds in memory at once.
+_PAIR_BUDGET = 2**19
+
 
 # ---------------------------------------------------------------------------
 # modulus-of-continuity fits
@@ -59,11 +62,14 @@ class HolderFit:
     Oscillations |v(x) - v(a)| over anchor/target pairs are binned by
     distance into dyadic bins spanning ``[4h, diam/4]``; ``beta`` is
     the least-squares slope of log(max oscillation) versus log(distance),
-    capped at 1.05.  ``degenerate`` marks fits with too few usable bins or
-    a non-increasing modulus (e.g. constant fields).  ``flat`` marks a field
-    whose every bin peak is at most ``LMA_TOL`` times its sup norm: a
-    computed weight comes from a linear solve accepted at that backward
-    error, so smaller variation is not resolved and the slope fits noise.
+    capped at 1.05.  The pairs are streamed in chunks of at most
+    ``_PAIR_BUDGET`` (one anchor's row on a larger grid), so memory does
+    not grow with anchors times nodes.  ``degenerate`` marks fits with too
+    few usable bins or a non-increasing modulus (e.g. constant fields).
+    ``flat`` marks a field whose every bin peak is at most ``LMA_TOL``
+    times its sup norm: a computed weight comes from a linear solve
+    accepted at that backward error, so smaller variation is not resolved
+    and the slope fits noise.
     """
 
     beta: float
@@ -79,29 +85,52 @@ class HolderFit:
 
 
 def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
-    """Modulus fit over pairs of the anchors and every node of ``field``."""
-    grid = field.grid
-    diff = grid.nodes[None, :, :] - anchor_pts[:, None, :]
-    dist = np.sqrt((diff**2).sum(-1)).ravel()
-    osc = np.abs(field.values[None, :] - anchor_vals[:, None]).ravel()
+    """Modulus fit over pairs of the anchors and every node of ``field``.
 
+    Anchors are taken in chunks of ``_PAIR_BUDGET // n_nodes`` (at least
+    one), so at most ``_PAIR_BUDGET`` pairs are held at once unless a
+    single anchor's row is longer.  Each bin keeps a running pair count
+    and peak, which equal those of the whole pair set exactly.
+    """
+    grid = field.grid
     bin_lo, bin_hi = 4.0 * grid.h, grid.domain.diameter / 4.0
     edges = [bin_lo]
     while edges[-1] * 2.0 <= bin_hi * (1.0 + 1e-12):
         edges.append(edges[-1] * 2.0)
     edges = np.asarray(edges)
 
-    centers, peaks, n_pairs = [], [], 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        sel = (dist >= a) & (dist < b)
-        if not sel.any():
+    nb = edges.size - 1
+    counts = np.zeros(nb, dtype=np.int64)
+    peaks = np.full(nb, -np.inf)
+    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+    step = max(1, _PAIR_BUDGET // grid.n_nodes)
+    for s in range(0, len(anchor_vals), step):
+        chunk = slice(s, s + step)
+        # sqrt(dx*dx + dy*dy), the same floats, in two chunk-sized buffers
+        dist = x - anchor_pts[chunk, 0, None]
+        dist *= dist
+        osc = y - anchor_pts[chunk, 1, None]
+        osc *= osc
+        dist += osc
+        dist = np.sqrt(dist, out=dist).ravel()
+        np.subtract(field.values, anchor_vals[chunk, None], out=osc)
+        osc = np.abs(osc, out=osc).ravel()
+        keep = (dist >= edges[0]) & (dist < edges[-1])
+        if not keep.any():
             continue
-        centers.append(np.sqrt(a * b))
-        peaks.append(osc[sel].max())
-        n_pairs += int(sel.sum())
+        dist, osc = dist[keep], osc[keep]
+        bins = np.searchsorted(edges, dist, side="right") - 1
+        counts += np.bincount(bins, minlength=nb)
+        order = np.argsort(bins, kind="stable")
+        bins, osc = bins[order], osc[order]
+        starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
+        hit = bins[starts]
+        peaks[hit] = np.maximum(peaks[hit], np.maximum.reduceat(osc, starts))
 
-    centers = np.asarray(centers)
-    peaks = np.asarray(peaks)
+    used = counts > 0
+    centers = np.sqrt(edges[:-1] * edges[1:])[used]
+    peaks = peaks[used]
+    n_pairs = int(counts.sum())
     flat = peaks.size > 0 and bool((peaks <= LMA_TOL * field.sup_norm()).all())
     if len(centers) < 2 or (peaks <= 0.0).any():
         return HolderFit(
@@ -311,6 +340,14 @@ def abp_chain_report(problem: ProblemData, w: ScalarField) -> AbpChainReport:
 # ---------------------------------------------------------------------------
 
 
+def _unresolved(fit: HolderFit) -> bool:
+    """A fit with no slope to judge: a flat field or fewer than two bins.
+
+    The bins span ``[4h, diam/4]``, so the unit disk needs h <= 1/32 for two.
+    """
+    return fit.flat or fit.n_bins < 2
+
+
 @dataclass
 class CheckResult:
     """One verification check: name, pass/fail/skip, margin, diagnostics."""
@@ -343,7 +380,8 @@ def verify(
     the weight, boundary modulus of the weight against the
     ``alpha/(alpha+2)`` threshold, two-sided quadratic separation of the
     convex component, discrete Hessian positivity, and weight positivity.
-    Both modulus checks are skipped for a flat weight (see :class:`HolderFit`).
+    Both modulus checks are skipped for a flat weight (see :class:`HolderFit`)
+    and on a grid too coarse to give their fit two distance bins.
     """
     checks: list[CheckResult] = []
     grid = problem.grid
@@ -386,7 +424,7 @@ def verify(
     checks.append(
         CheckResult(
             name="interior_holder_w",
-            status="skip" if hf.flat else ("pass" if hf_ok else "fail"),
+            status="skip" if _unresolved(hf) else ("pass" if hf_ok else "fail"),
             margin=0.0 if hf.degenerate else hf.beta,
             details={
                 "beta": None if np.isnan(hf.beta) else hf.beta,
@@ -403,7 +441,7 @@ def verify(
     checks.append(
         CheckResult(
             name="boundary_holder_w",
-            status="skip" if bh.fit.flat else ("pass" if bh.passed else "fail"),
+            status="skip" if _unresolved(bh.fit) else ("pass" if bh.passed else "fail"),
             margin=(0.0 if bh.fit.degenerate else bh.fit.beta)
             - (bh.threshold - bh.slack),
             details={

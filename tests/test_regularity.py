@@ -1,13 +1,19 @@
 """Tests for regularity audits: modulus fits, extremum checks, norm chains."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import amce.regularity
 from amce.coupled import problem_from_exact
 from amce.fixtures import get_fixture
-from amce.grid import ScalarField
+from amce.geometry import Disk, Ellipse
+from amce.grid import ScalarField, build_grid
+from amce.lma import LMA_TOL
 from amce.regularity import (
+    HolderFit,
     abp_chain_report,
     abp_exponent,
     boundary_holder_check,
@@ -117,6 +123,40 @@ def test_flat_weight_skips_both_modulus_checks(grid16):
         assert checks[name].details["flat"] is True
 
 
+@pytest.mark.parametrize(
+    "name, n, n_bins", [("radial_quartic", 16, 1), ("paraboloid", 8, 0)]
+)
+def test_too_coarse_grid_skips_both_modulus_checks(name, n, n_bins):
+    """Bins span [4h, diam/4]: the unit disk has one at h = 1/16, none at 1/8.
+    Without two bins there is no slope, so the checks skip, not fail."""
+    grid = build_grid(Disk(radius=1.0), 1.0 / n)
+    exact = get_fixture(name, theta=0.25)
+    problem = problem_from_exact(grid, exact)
+    u = ScalarField.from_callable(grid, exact.u)
+    w = ScalarField.from_callable(grid, exact.w)
+    assert fit_holder_exponent(w, seed=0).n_bins == n_bins
+    assert boundary_holder_check(w, alpha=1.0).fit.n_bins == n_bins
+    checks = {c.name: c for c in verify(problem, u, w, seed=0)}
+    for check in ("interior_holder_w", "boundary_holder_w"):
+        assert checks[check].status == "skip"
+        assert checks[check].details["flat"] is False
+
+
+def test_degenerate_fit_with_bins_still_fails(grid32):
+    """A spike of w near the boundary gives equal or zero bin peaks: both
+    fits have bins but no increasing modulus, and both checks fail."""
+    exact = get_fixture("paraboloid", theta=0.25)
+    problem = problem_from_exact(grid32, exact)
+    u = ScalarField.from_callable(grid32, exact.u)
+    w = ScalarField.from_callable(grid32, exact.w)
+    w.values[grid32.node_at([0.75, 0.0])] += 1.0
+    for fit in (fit_holder_exponent(w, seed=0), boundary_holder_check(w, 1.0).fit):
+        assert fit.degenerate and fit.n_bins >= 2 and not fit.flat
+    checks = {c.name: c for c in verify(problem, u, w, seed=0)}
+    assert checks["interior_holder_w"].status == "fail"
+    assert checks["boundary_holder_w"].status == "fail"
+
+
 # ---------------------------------------------------------------------------
 # boundary modulus against the alpha/(alpha+2) threshold
 # ---------------------------------------------------------------------------
@@ -154,6 +194,119 @@ def test_boundary_holder_threshold_monotone(grid16, alpha_pair):
     assert r_hi.threshold == pytest.approx(a_hi / (a_hi + 2.0))
     if a_hi > a_lo:
         assert r_hi.threshold > r_lo.threshold
+
+
+# ---------------------------------------------------------------------------
+# streamed oscillation fit against the all-pairs reference
+# ---------------------------------------------------------------------------
+
+
+def _all_pairs_oscillation_fit(field, anchor_pts, anchor_vals):
+    """Reference: every anchor/node pair at once, one mask per dyadic bin."""
+    grid = field.grid
+    diff = grid.nodes[None, :, :] - anchor_pts[:, None, :]
+    dist = np.sqrt((diff**2).sum(-1)).ravel()
+    osc = np.abs(field.values[None, :] - anchor_vals[:, None]).ravel()
+
+    bin_lo, bin_hi = 4.0 * grid.h, grid.domain.diameter / 4.0
+    edges = [bin_lo]
+    while edges[-1] * 2.0 <= bin_hi * (1.0 + 1e-12):
+        edges.append(edges[-1] * 2.0)
+    edges = np.asarray(edges)
+
+    centers, peaks, n_pairs = [], [], 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        sel = (dist >= a) & (dist < b)
+        if not sel.any():
+            continue
+        centers.append(np.sqrt(a * b))
+        peaks.append(osc[sel].max())
+        n_pairs += int(sel.sum())
+
+    centers = np.asarray(centers)
+    peaks = np.asarray(peaks)
+    flat = peaks.size > 0 and bool((peaks <= LMA_TOL * field.sup_norm()).all())
+    if len(centers) < 2 or (peaks <= 0.0).any():
+        nan = np.nan
+        return HolderFit(nan, nan, nan, nan, n_pairs, len(centers), centers,
+                         peaks, True, flat)
+    lx, ly = np.log(centers), np.log(peaks)
+    coeffs, res = np.polyfit(lx, ly, 1, full=True)[:2]
+    slope = float(coeffs[0])
+    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    r2 = 1.0 - (float(res[0]) if res.size else 0.0) / ss_tot if ss_tot > 0 else 1.0
+    degenerate = slope <= 0.0
+    beta = np.nan if degenerate else min(slope, amce.regularity._BETA_CAP)
+    constant = np.nan if degenerate else float(np.max(peaks / centers**beta))
+    return HolderFit(beta, slope, constant, float(r2), n_pairs, len(centers),
+                     centers, peaks, degenerate, flat)
+
+
+def _assert_same_fit(got, want):
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(other, value), name
+        elif isinstance(value, float) and np.isnan(value):
+            assert np.isnan(other), name
+        else:
+            assert other == value, name
+
+
+_PROFILES = {
+    "half_power": lambda p: np.sqrt(np.abs(p[:, 0])),
+    "smooth": lambda p: (p**2).sum(axis=1),
+    "constant": lambda p: np.full(len(p), 3.7),
+}
+
+
+@pytest.fixture(scope="module", params=[
+    (Disk(radius=1.0), 4), (Disk(radius=1.0), 16), (Disk(radius=1.0), 32),
+    (Ellipse(a=1.2, b=0.9), 16), (Ellipse(a=1.2, b=0.9), 32),
+], ids=["disk-4", "disk-16", "disk-32", "ellipse-16", "ellipse-32"])
+def audit_grid(request):
+    domain, n = request.param
+    return build_grid(domain, 1.0 / n)
+
+
+@pytest.mark.parametrize("budget", ["default", "one_anchor"])
+@pytest.mark.parametrize("profile", sorted(_PROFILES))
+def test_streamed_fit_equals_all_pairs_reference(
+    monkeypatch, audit_grid, profile, budget
+):
+    """Both callers give the all-pairs HolderFit bit for bit, chunked or not."""
+    if budget == "one_anchor":
+        monkeypatch.setattr(amce.regularity, "_PAIR_BUDGET", 1)
+    prof = _PROFILES[profile]
+    fld = ScalarField(audit_grid, prof(audit_grid.nodes), prof(audit_grid.hit_points))
+    got_interior = fit_holder_exponent(fld, seed=0)
+    got_boundary = boundary_holder_check(fld, alpha=0.5).fit
+    monkeypatch.setattr(amce.regularity, "_oscillation_fit", _all_pairs_oscillation_fit)
+    _assert_same_fit(got_interior, fit_holder_exponent(fld, seed=0))
+    _assert_same_fit(got_boundary, boundary_holder_check(fld, alpha=0.5).fit)
+
+
+def test_reference_cases_cover_ragged_chunks_and_empty_bins(grid32):
+    """The 1/32 disk's hits fill several chunks, the last one partly; the
+    1/4 disk has no dyadic bin between 4h and diam/4 at all."""
+    step = amce.regularity._PAIR_BUDGET // grid32.n_nodes
+    assert grid32.n_hits > step and grid32.n_hits % step != 0
+    coarse = build_grid(Disk(radius=1.0), 0.25)
+    fld = ScalarField(coarse, coarse.nodes[:, 0], coarse.hit_points[:, 0])
+    fit = boundary_holder_check(fld, alpha=1.0).fit
+    assert fit.n_bins == 0 and fit.n_pairs == 0 and fit.degenerate
+
+
+def test_boundary_holder_memory_does_not_scale_with_pairs(grid64):
+    # 1232 hits x 12849 nodes: the all-pairs fit peaked at about 604 MiB
+    fld = ScalarField(grid64, grid64.nodes[:, 0], grid64.hit_points[:, 0])
+    tracemalloc.start()
+    try:
+        boundary_holder_check(fld, alpha=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
