@@ -27,6 +27,7 @@ operator degenerates mid-solve), 3 for invalid configs, domains, or data.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -81,7 +82,9 @@ _DEFAULT_FIXTURE_THETA = 0.25
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
+    """Recursively convert dataclasses and numpy scalars/arrays for json.dumps."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -248,7 +251,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     results = {
         "n_nodes": grid.n_nodes,
         "n_hits": grid.n_hits,
-        "solve": report.as_dict(),
+        "solve": report,
         "sup_u": u.sup_norm(),
         "sup_w": w.sup_norm(),
         "outputs": ["u.csv", "w.csv"],
@@ -259,9 +262,9 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
 def _cmd_ma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _ma_problem(cfg, grid)
-    u, report = solve_ma(problem, cfg.coupled_options().ma)
+    u, report = solve_ma(problem, cfg.coupled_options())
     write_field_csv(os.path.join(out_dir, "u.csv"), u)
-    results = dict(report.as_dict())
+    results = dataclasses.asdict(report)
     results.update(
         {"n_nodes": grid.n_nodes, "n_hits": grid.n_hits, "outputs": ["u.csv"]}
     )
@@ -270,6 +273,7 @@ def _cmd_ma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
 
 def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
+    opts = cfg.coupled_options()
     lma_cfg = cfg.lma or {
         "g": FieldSpec("const", 0.0),
         "psi": FieldSpec("const", 1.0),
@@ -278,7 +282,7 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         u = read_field_csv(lma_cfg["u_csv"], grid)
         u_source = lma_cfg["u_csv"]
     elif cfg.ma is not None or cfg.fixture is not None:
-        u, _ = solve_ma(_ma_problem(cfg, grid), cfg.coupled_options().ma)
+        u, _ = solve_ma(_ma_problem(cfg, grid), opts)
         u_source = "ma-solve"
     else:
         raise ConfigError(
@@ -288,9 +292,9 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     g = lma_cfg["g"].to_callable()(grid.nodes)
     psi = lma_cfg["psi"].to_callable()(grid.hit_points)
     problem = LMAProblem(hessian=discrete_hessian(u), g=g, psi_hits=psi)
-    v, report = solve_lma(problem, tol=cfg.solver["lma_tol"], report_condition=True)
+    v, report = solve_lma(problem, tol=opts.lma_tol, report_condition=True)
     write_field_csv(os.path.join(out_dir, "v.csv"), v)
-    results = dict(report.as_dict())
+    results = dataclasses.asdict(report)
     results.update(
         {
             "u_source": u_source,
@@ -316,7 +320,7 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     u, _, solve_report = solve_system(problem, cfg.coupled_options())
 
     results: dict = {
-        "solve": solve_report.as_dict(),
+        "solve": solve_report,
         "heights": sc["heights"],
         "outputs": [],
     }
@@ -389,14 +393,14 @@ def _cmd_verify(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         seed=cfg.seed,
     )
     summary = {
-        "checks": [c.as_dict() for c in checks],
+        "checks": checks,
         "n_pass": sum(c.status == "pass" for c in checks),
         "n_fail": sum(c.status == "fail" for c in checks),
         "n_skip": sum(c.status == "skip" for c in checks),
     }
     _write_json(os.path.join(out_dir, "verify.json"), summary)
     results = {
-        "solve": solve_report.as_dict(),
+        "solve": solve_report,
         "verify": summary,
         "outputs": ["verify.json"],
     }
@@ -423,7 +427,7 @@ def _cmd_converge(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         ",".join(keys),
         [[getattr(row, k) for row in study.rows] for k in keys],
     )
-    results = dict(study.as_dict())
+    results = dataclasses.asdict(study)
     results["outputs"] = ["converge.csv"]
     return results, 2 if study.partial else 0
 
@@ -502,13 +506,18 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.out is not None:
+            if not args.out:
+                raise ConfigError("--out must be a non-empty path")
             cfg.output_dir = args.out
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")
             cfg.seed = args.seed
 
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        try:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         out_dir = cfg.output_dir
 
         t0 = time.perf_counter()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from .coupled import CoupledOptions
 from .errors import ConfigError
 from .fixtures import fixture_names
-from .ma import MASolveOptions
 
 __all__ = [
     "FieldSpec",
@@ -228,28 +227,8 @@ _TOP_KEYS = {
 }
 
 
-# config key -> CoupledOptions attribute (``ma.`` is the Newton part); the
-# option classes own the defaults
-_SOLVER_FIELDS = {
-    "outer_tol": "outer_tol",
-    "max_outer_iters": "max_outer_iters",
-    "relaxation": "relaxation",
-    "newton_tol": "ma.newton_tol",
-    "max_newton_iters": "ma.max_iters",
-    "eps_clamp": "ma.eps_clamp",
-    "lma_tol": "lma_tol",
-}
-
-
-def _option_value(opts: CoupledOptions, path: str) -> Any:
-    for name in path.split("."):
-        opts = getattr(opts, name)
-    return opts
-
-
-_SOLVER_DEFAULTS = {
-    key: _option_value(CoupledOptions(), path) for key, path in _SOLVER_FIELDS.items()
-}
+# the option class owns the keys and their defaults
+_SOLVER_DEFAULTS = asdict(CoupledOptions())
 _SOLVER_KEYS = set(_SOLVER_DEFAULTS)
 
 
@@ -272,13 +251,7 @@ class RunConfig:
     seed: int
 
     def coupled_options(self) -> CoupledOptions:
-        """Solver options of the ``solver`` block; ``.ma`` is the Newton part."""
-        top: dict[str, Any] = {}
-        ma: dict[str, Any] = {}
-        for key, path in _SOLVER_FIELDS.items():
-            head, _, attr = path.rpartition(".")
-            (ma if head else top)[attr] = self.solver[key]
-        return CoupledOptions(ma=MASolveOptions(**ma), **top)
+        return CoupledOptions(**self.solver)
 
     def canonical(self) -> dict:
         """Canonical JSON object: defaults filled, stable key content."""
@@ -502,7 +475,7 @@ def load_config(path: str) -> RunConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(obj)
 

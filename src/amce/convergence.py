@@ -8,7 +8,6 @@ the already-computed rows in place and marks the table partial.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,19 +29,7 @@ class ConvergenceRow:
     err_w: float = np.nan
     outer_iterations: int = 0
     newton_iterations_total: int = 0
-    wall_time_s: float = 0.0
     failed: str | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "n_nodes": self.n_nodes,
-            "err_u": self.err_u,
-            "err_w": self.err_w,
-            "outer_iterations": self.outer_iterations,
-            "newton_iterations_total": self.newton_iterations_total,
-            "failed": self.failed,
-        }
 
 
 @dataclass
@@ -60,16 +47,6 @@ class ConvergenceStudy:
     orders_u: list[float] = field(default_factory=list)
     orders_w: list[float] = field(default_factory=list)
     partial: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "theta": self.theta,
-            "rows": [r.as_dict() for r in self.rows],
-            "orders_u": self.orders_u,
-            "orders_w": self.orders_w,
-            "partial": self.partial,
-        }
 
 
 def _observed_orders(rows: list[ConvergenceRow], attr: str) -> list[float]:
@@ -106,7 +83,6 @@ def convergence_study(
     for h in h_list:
         row = ConvergenceRow(h=float(h))
         study.rows.append(row)
-        t0 = time.perf_counter()
         try:
             grid = build_grid(domain, float(h))
             row.n_nodes = grid.n_nodes
@@ -121,9 +97,7 @@ def convergence_study(
         except AmceError as exc:
             row.failed = f"{type(exc).__name__}: {exc}"
             study.partial = True
-            row.wall_time_s = time.perf_counter() - t0
             break
-        row.wall_time_s = time.perf_counter() - t0
 
     study.orders_u = _observed_orders(study.rows, "err_u")
     study.orders_w = _observed_orders(study.rows, "err_w")

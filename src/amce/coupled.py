@@ -35,8 +35,7 @@ since the minimum principle and related checks assume ``f <= 0``.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -121,12 +120,13 @@ def check_theta(theta: float) -> None:
 
 
 @dataclass
-class CoupledOptions:
+class CoupledOptions(MASolveOptions):
+    """The ``solver`` config block: the Newton options plus the outer loop's."""
+
     outer_tol: float = 1e-8
     max_outer_iters: int = 200
     relaxation: float = 0.5
     lma_tol: float = LMA_TOL
-    ma: MASolveOptions = dc_field(default_factory=MASolveOptions)
 
 
 @dataclass
@@ -144,24 +144,6 @@ class SolveReport:
     coupled_newton_steps: int = 0  # Newton steps on (u, w) together
     krylov_iterations_total: int = 0  # GMRES iterations of those steps
     backtracks_total: int = 0  # line-search backtracks of the determinant solves
-    wall_time_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "outer_iterations": self.outer_iterations,
-            "w_change_history": [float(x) for x in self.w_change_history],
-            "final_ma_residual": self.final_ma_residual,
-            "final_lma_residual": self.final_lma_residual,
-            "min_w": self.min_w,
-            "max_w": self.max_w,
-            "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
-            "newton_iterations_total": self.newton_iterations_total,
-            "hypothesis_flags": self.hypothesis_flags,
-            "factorizations": self.factorizations,
-            "coupled_newton_steps": self.coupled_newton_steps,
-            "krylov_iterations_total": self.krylov_iterations_total,
-            "backtracks_total": self.backtracks_total,
-        }
 
 
 def w_from_u(u: ScalarField, theta: float) -> ScalarField:
@@ -329,7 +311,6 @@ def solve_system(
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
         raise InvalidProblemError(f"relaxation must be in (0, 1], got {opts.relaxation}")
-    t0 = time.perf_counter()
     grid = data.grid
     sigma = opts.relaxation
 
@@ -357,7 +338,7 @@ def solve_system(
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
-            u, ma_rep = solve_ma(problem, opts.ma, initial=u)
+            u, ma_rep = solve_ma(problem, opts, initial=u)
             newton_total += ma_rep.iterations
             backtracks += ma_rep.backtracks
             factorizations += ma_rep.iterations  # one factor per Newton step
@@ -402,7 +383,6 @@ def solve_system(
         coupled_newton_steps=coupled_steps,
         krylov_iterations_total=krylov_total,
         backtracks_total=backtracks,
-        wall_time_s=time.perf_counter() - t0,
     )
     return u, w, report
 

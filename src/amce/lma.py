@@ -59,16 +59,6 @@ class LMAReport:
     sign_audit: dict
     condition_estimate: float | None = None
 
-    def as_dict(self) -> dict:
-        out = {
-            "residual_sup": self.residual_sup,
-            "backward_error": self.backward_error,
-            "sign_audit": self.sign_audit,
-        }
-        if self.condition_estimate is not None:
-            out["condition_estimate"] = self.condition_estimate
-        return out
-
 
 def assemble_lma(H: HessianField) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """Interior matrix and boundary map of ``cof H : D^2``.

@@ -21,8 +21,7 @@ determinant where the Hessian is isotropic and is exact for quadratic data.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -79,7 +78,7 @@ BERR_TOL = 4.0
 @dataclass
 class MASolveOptions:
     newton_tol: float = 1e-10
-    max_iters: int = 50
+    max_newton_iters: int = 50
     eps_clamp: float = 1e-10
 
 
@@ -89,15 +88,6 @@ class MAReport:
     residual_history: list[float]
     min_hessian_eigenvalue: float
     backtracks: int = 0
-    wall_time_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_history": [float(r) for r in self.residual_history],
-            "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
-            "backtracks": self.backtracks,
-        }
 
 
 def initial_guess(problem: MAProblem) -> ScalarField:
@@ -155,7 +145,6 @@ def solve_ma(
     discrete Hessian is not positive definite.
     """
     opts = options or MASolveOptions()
-    t0 = time.perf_counter()
     u = initial.copy() if initial is not None else initial_guess(problem)
     if initial is not None:
         u.hit_values = problem.phi_hits.copy()
@@ -174,10 +163,10 @@ def solve_ma(
 
     iters = total_backtracks = 0
     while res_norm > opts.newton_tol and berr > BERR_TOL:
-        if iters >= opts.max_iters:
+        if iters >= opts.max_newton_iters:
             raise NonConvergenceError(
                 f"Newton did not reach tol {opts.newton_tol} in "
-                f"{opts.max_iters} iterations (last residual {res_norm:.3e})",
+                f"{opts.max_newton_iters} iterations (last residual {res_norm:.3e})",
                 history=history,
             )
         J, _ = assemble_lma(H.clamped(opts.eps_clamp))
@@ -218,6 +207,5 @@ def solve_ma(
         residual_history=history,
         min_hessian_eigenvalue=min_eig,
         backtracks=total_backtracks,
-        wall_time_s=time.perf_counter() - t0,
     )
     return u, report

@@ -357,14 +357,6 @@ class CheckResult:
     margin: float
     details: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "margin": self.margin,
-            "details": self.details,
-        }
-
 
 def verify(
     problem: ProblemData,

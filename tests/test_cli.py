@@ -269,6 +269,39 @@ def test_process_exit_status(tmp_path, command, config, status):
     assert "Traceback" not in proc.stderr
 
 
+def _unusable_out(tmp_path, case):
+    """An ``--out`` that names no directory that can be made."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return {"empty": "", "file": str(blocker), "under_file": str(blocker / "sub")}[case]
+
+
+UNUSABLE_OUT = ["empty", "file", "under_file"]
+
+
+@pytest.mark.parametrize("case", UNUSABLE_OUT)
+def test_unusable_out_is_invalid_input(tmp_path, capsys, case):
+    cfg = write_cfg(tmp_path, {"domain": DISK8, "fixture": {"name": "paraboloid"}})
+    assert main(["fixture", "--config", cfg, "--out", _unusable_out(tmp_path, case)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", UNUSABLE_OUT)
+def test_unusable_out_process_exit_status(tmp_path, case):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    cfg = write_cfg(tmp_path, {"domain": DISK8, "fixture": {"name": "paraboloid"}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "amce.cli", "fixture", "--config", cfg,
+         "--out", _unusable_out(tmp_path, case)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 ELLIPSE = {"kind": "ellipse", "params": {"a": 1.2, "b": 0.9}}
 
 

@@ -1,5 +1,6 @@
 """Tests for strict JSON configuration parsing and canonical serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -160,11 +161,38 @@ def test_empty_config_materializes_defaults():
 
 def test_default_solver_block_is_default_options():
     from amce.coupled import CoupledOptions
-    from amce.ma import MASolveOptions
 
-    opts = parse_config({}).coupled_options()
-    assert opts == CoupledOptions()
-    assert opts.ma == MASolveOptions()
+    cfg = parse_config({})
+    assert cfg.coupled_options() == CoupledOptions()
+    assert cfg.canonical()["solver"] == dataclasses.asdict(CoupledOptions())
+
+
+# one non-default value per solver key
+SOLVER_NON_DEFAULTS = {
+    "outer_tol": 1e-7,
+    "max_outer_iters": 17,
+    "relaxation": 0.75,
+    "newton_tol": 1e-9,
+    "max_newton_iters": 9,
+    "eps_clamp": 1e-8,
+    "lma_tol": 1e-9,
+}
+
+
+@pytest.mark.parametrize("key", sorted(SOLVER_NON_DEFAULTS))
+def test_solver_key_reaches_same_named_option(key):
+    value = SOLVER_NON_DEFAULTS[key]
+    cfg = parse_config({"solver": {key: value}})
+    opts = cfg.coupled_options()
+    assert getattr(opts, key) == value != getattr(type(opts)(), key)
+    assert type(getattr(opts, key)) is type(value)
+    assert cfg.canonical()["solver"] == dataclasses.asdict(opts)
+
+
+def test_solver_block_is_the_option_fields():
+    cfg = parse_config({"solver": SOLVER_NON_DEFAULTS})
+    assert dataclasses.asdict(cfg.coupled_options()) == SOLVER_NON_DEFAULTS
+    assert cfg.canonical()["solver"] == dataclasses.asdict(cfg.coupled_options())
 
 
 def test_sections_defaults():
@@ -295,5 +323,12 @@ def test_load_config_missing_file(tmp_path):
 def test_load_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(path))
+
+
+def test_load_config_not_utf8(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"domain": {"kind": "disk"\xff}}')
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(path))

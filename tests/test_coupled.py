@@ -1,5 +1,7 @@
 """Coupled outer iteration: fixed points, conversions, hypothesis gating."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -146,9 +148,7 @@ def test_solution_matches_exact(mild32):
 
 def test_report_excludes_wall_time_from_dict(mild32):
     _, _, _, report = mild32
-    d = report.as_dict()
-    assert "wall_time_s" not in d
-    assert report.wall_time_s > 0.0
+    assert "wall_time_s" not in dataclasses.asdict(report)
 
 
 def test_psi_must_be_positive(grid16):
@@ -218,7 +218,7 @@ def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
     assert len(calls) == 11
     assert report.factorizations == 11
     assert report.krylov_iterations_total == 47
-    d = report.as_dict()
+    d = dataclasses.asdict(report)
     assert d["factorizations"] == 11
     assert d["coupled_newton_steps"] == 7
     assert d["krylov_iterations_total"] == report.krylov_iterations_total > 0

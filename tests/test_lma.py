@@ -1,5 +1,7 @@
 """Frozen-coefficient linear solve: exactness, maximum principle, audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ def test_report_carries_backward_error_and_condition(grid16):
         ),
         report_condition=True,
     )
-    d = report.as_dict()
+    d = dataclasses.asdict(report)
     assert d["backward_error"] < 1e-12
     assert d["condition_estimate"] > 1.0
     assert "sign_audit" in d

@@ -102,7 +102,7 @@ def test_iteration_budget_exhaustion_raises(grid32):
     g = lambda p: 1.0 + 0.9 * np.sin(3.0 * p[:, 0]) ** 2
     problem = MAProblem.from_callables(grid32, g, _quad_phi)
     with pytest.raises((NonConvergenceError, ConvexityFailureError)):
-        solve_ma(problem, MASolveOptions(max_iters=1, newton_tol=1e-14))
+        solve_ma(problem, MASolveOptions(max_newton_iters=1, newton_tol=1e-14))
 
 
 def test_anisotropic_domain_solve():

@@ -1,5 +1,6 @@
 """Tests for regularity audits: modulus fits, extremum checks, norm chains."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -383,5 +384,5 @@ def test_verify_battery_passes_on_solved_problem(mild32):
     assert all(s == "pass" for s in statuses.values()), statuses
     for c in checks:
         assert np.isfinite(c.margin)
-        d = c.as_dict()
+        d = dataclasses.asdict(c)
         assert set(d) == {"name", "status", "margin", "details"}
