@@ -74,6 +74,7 @@ from .regularity import (
     HolderFit,
     abp_exponent,
     boundary_holder_check,
+    boundary_holder_fit,
     cell_areas,
     fit_holder_exponent,
     min_principle_check,

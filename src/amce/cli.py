@@ -44,14 +44,7 @@ from .coupled import (
     problem_from_exact,
     solve_system,
 )
-from .errors import (
-    AmceError,
-    ConfigError,
-    ConvexityFailureError,
-    DegenerateOperatorError,
-    IncompleteDataError,
-    NonConvergenceError,
-)
+from .errors import SOLVE_FAILURES, AmceError, ConfigError, IncompleteDataError
 from .fixtures import fixture_names, get_fixture
 from .geometry import build_domain
 from .grid import Grid, ScalarField, build_grid
@@ -68,10 +61,6 @@ from .sections import (
 )
 
 __all__ = ["main"]
-
-# exit 2: non-convergence or a degenerate operator; every other package
-# error is invalid input (exit 3)
-_CONVERGE_EXIT = (NonConvergenceError, ConvexityFailureError, DegenerateOperatorError)
 
 _DEFAULT_FIXTURE_THETA = 0.25
 
@@ -326,9 +315,8 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     }
 
     if "boundary_point" in sc:
-        x0 = np.asarray(sc["boundary_point"], float)
         scan = localization_scan(
-            u, x0, sc["heights"], min_nodes=sc["min_nodes"]
+            u, sc["boundary_point"], sc["heights"], min_nodes=sc["min_nodes"]
         )
         keys = ["h", "tau", "vol_ratio", "k_inner", "k_outer"]
         _write_csv(
@@ -345,15 +333,7 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
             _write_csv(os.path.join(out_dir, name), "x,y", hull.T)
             hull_files.append({"h": row["h"], "file": name, "n_vertices": len(hull)})
         results["outputs"].extend(e["file"] for e in hull_files)
-        results["boundary_scan"] = {
-            "x0": list(map(float, x0)),
-            "normal": list(map(float, scan.normal)),
-            "rows": scan.rows,
-            "slide_c0": scan.slide_c0,
-            "slide_c1": scan.slide_c1,
-            "slide_r2": scan.slide_r2,
-            "hulls": hull_files,
-        }
+        results["boundary_scan"] = dataclasses.replace(scan, hulls=hull_files)
 
     if "interior_points" in sc:
         interior = []
@@ -363,18 +343,7 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
             entry["hbar"] = hbar
             entry["touch_point"] = list(map(float, touch))
             if sc["normalize"]:
-                ns = normalize_section(u, y)
-                entry["normalized"] = {
-                    "c_inner": ns.c_inner,
-                    "c_outer": ns.c_outer,
-                    "grad_at_center": list(map(float, ns.grad_at_center)),
-                    "det_range_original": list(map(float, ns.det_range_original)),
-                    "det_range_normalized": list(
-                        map(float, ns.det_range_normalized)
-                    ),
-                    "tau": ns.fit.tau,
-                    "h_eff": ns.fit.h_eff,
-                }
+                entry["normalized"] = normalize_section(u, y)
             interior.append(entry)
         results["interior_points"] = interior
 
@@ -413,11 +382,9 @@ def _cmd_converge(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     if cfg.fixture is None:
         raise ConfigError("the converge command needs a 'fixture' config block")
     domain = build_domain(cfg.domain_kind, cfg.domain_params)
-    theta = cfg.fixture.get("theta", _DEFAULT_FIXTURE_THETA)
     study = convergence_study(
-        cfg.fixture["name"],
+        _fixture_exact(cfg),
         cfg.converge["h_list"],
-        theta=theta,
         domain=domain,
         options=cfg.coupled_options(),
     )
@@ -526,7 +493,7 @@ def main(argv=None) -> int:
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{args.command}: {status}, outputs in {out_dir}")
         return code
-    except _CONVERGE_EXIT as exc:
+    except SOLVE_FAILURES as exc:
         error, code, message = exc, 2, str(exc)
     except AmceError as exc:
         error, code = exc, 3

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupled import CoupledOptions, problem_from_exact, solve_system
-from .errors import AmceError
+from .errors import SOLVE_FAILURES
 from .fixtures import ExactSolution, get_fixture
 from .geometry import Disk, Domain
 from .grid import ScalarField, build_grid
@@ -70,9 +70,10 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Run the coupled solver against a manufactured fixture per spacing.
 
-    Any solver error aborts the remaining grids: the row that failed
-    carries the message, earlier rows stay valid, and the study is marked
-    partial.
+    A solve that fails to converge or degenerates (``SOLVE_FAILURES``)
+    aborts the remaining grids: the row that failed carries the message,
+    earlier rows stay valid, and the study is marked partial.  Any other
+    error, such as invalid solver options, propagates.
     """
     exact = fixture if isinstance(fixture, ExactSolution) else get_fixture(fixture, theta=theta)
     study = ConvergenceStudy(fixture=exact.name, theta=exact.theta)
@@ -94,7 +95,7 @@ def convergence_study(
             row.err_w = float(np.max(np.abs(w.values - w_star.values)))
             row.outer_iterations = rep.outer_iterations
             row.newton_iterations_total = rep.newton_iterations_total
-        except AmceError as exc:
+        except SOLVE_FAILURES as exc:
             row.failed = f"{type(exc).__name__}: {exc}"
             study.partial = True
             break

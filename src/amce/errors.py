@@ -69,3 +69,8 @@ class InvalidShearError(AmceError):
 
 class ConfigError(AmceError):
     """A run configuration failed validation."""
+
+
+#: A run that failed to converge or whose operator degenerated mid-solve
+#: (exit 2); every other package error is invalid input (exit 3).
+SOLVE_FAILURES = (NonConvergenceError, ConvexityFailureError, DegenerateOperatorError)

@@ -20,11 +20,9 @@ from .operators import discrete_hessian
 
 __all__ = [
     "HolderFit",
-    "BoundaryHolderReport",
-    "MinPrincipleReport",
-    "AbpChainReport",
     "CheckResult",
     "fit_holder_exponent",
+    "boundary_holder_fit",
     "boundary_holder_check",
     "min_principle_check",
     "abp_chain_report",
@@ -189,41 +187,70 @@ def fit_holder_exponent(field: ScalarField, seed: int = 0) -> HolderFit:
     return _oscillation_fit(field, grid.nodes[anchors], v[anchors])
 
 
-@dataclass
-class BoundaryHolderReport:
-    """Boundary modulus fit of a field against the structural threshold.
-
-    For boundary data of Hölder exponent ``alpha``, the weight inherits
-    interior-to-boundary continuity with exponent at least
-    ``alpha / (alpha + 2)``; the check passes when the fitted exponent
-    clears that threshold minus ``slack``.
-    """
-
-    fit: HolderFit
-    alpha: float
-    threshold: float
-    slack: float
-    passed: bool
-
-
-def boundary_holder_check(field: ScalarField, alpha: float) -> BoundaryHolderReport:
-    """Fit the boundary-anchored modulus of ``field`` and test the threshold.
+def boundary_holder_fit(field: ScalarField) -> HolderFit:
+    """Fit the boundary-anchored modulus of continuity of ``field``.
 
     All boundary hit points serve as anchors, all interior nodes as
     targets, so the fit captures the worst interior-to-boundary
     oscillation at each scale.
     """
+    return _oscillation_fit(field, field.grid.hit_points, field.hit_values)
+
+
+# ---------------------------------------------------------------------------
+# audit records
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CheckResult:
+    """One verification check: name, pass/fail/skip, margin, diagnostics."""
+
+    name: str
+    status: str
+    margin: float
+    details: dict
+
+
+def _unresolved(fit: HolderFit) -> bool:
+    """A fit with no slope to judge: a flat field or fewer than two bins.
+
+    The bins span ``[4h, diam/4]``, so the unit disk needs h <= 1/32 for two.
+    """
+    return fit.flat or fit.n_bins < 2
+
+
+def _or_none(x: float) -> float | None:
+    """``x``, or None for NaN (a fit value that does not exist)."""
+    return None if np.isnan(x) else x
+
+
+def boundary_holder_check(field: ScalarField, alpha: float) -> CheckResult:
+    """Boundary modulus of ``field`` against the structural threshold.
+
+    For boundary data of Hölder exponent ``alpha``, the weight inherits
+    interior-to-boundary continuity with exponent at least
+    ``alpha / (alpha + 2)``; the check passes when the exponent of
+    :func:`boundary_holder_fit` clears that threshold minus a slack, and
+    its margin is the exponent's excess over the slackened threshold.  It
+    skips a flat or unbinned fit (see :func:`verify`).
+    """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"boundary data exponent must be in (0, 1], got {alpha}")
-    fit = _oscillation_fit(field, field.grid.hit_points, field.hit_values)
+    fit = boundary_holder_fit(field)
     threshold = alpha / (alpha + 2.0)
     passed = (not fit.degenerate) and fit.beta >= threshold - _BOUNDARY_SLACK
-    return BoundaryHolderReport(
-        fit=fit,
-        alpha=alpha,
-        threshold=threshold,
-        slack=_BOUNDARY_SLACK,
-        passed=passed,
+    return CheckResult(
+        name="boundary_holder_w",
+        status="skip" if _unresolved(fit) else ("pass" if passed else "fail"),
+        margin=(0.0 if fit.degenerate else fit.beta) - (threshold - _BOUNDARY_SLACK),
+        details={
+            "alpha": alpha,
+            "threshold": threshold,
+            "beta": _or_none(fit.beta),
+            "r2": _or_none(fit.r2),
+            "flat": fit.flat,
+        },
     )
 
 
@@ -232,39 +259,29 @@ def boundary_holder_check(field: ScalarField, alpha: float) -> BoundaryHolderRep
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MinPrincipleReport:
+def min_principle_check(problem: ProblemData, w: ScalarField) -> CheckResult:
     """Interior minimum of the weight versus its boundary minimum.
 
     With nonpositive right-hand side the weight cannot dip below its
-    boundary data; ``margin = min_w - min_psi`` is allowed a ``-10 h^2``
-    discretization budget.  Skipped (``applicable=False``) when the
-    right-hand side changes sign.
+    boundary data; ``min_w - min_psi`` is allowed a ``-10 h^2``
+    discretization budget, and the margin is its excess over the budget.
+    Skipped when the right-hand side changes sign.
     """
-
-    applicable: bool
-    passed: bool
-    margin: float
-    min_w: float
-    min_psi: float
-    budget: float
-
-
-def min_principle_check(problem: ProblemData, w: ScalarField) -> MinPrincipleReport:
-    grid = problem.grid
-    budget = -10.0 * grid.h**2
+    budget = -10.0 * problem.grid.h**2
     min_w = float(w.values.min())
     min_psi = float(problem.psi_hits.min())
-    margin = min_w - min_psi
     applicable = problem.f_nonpositive
-    passed = bool(applicable and margin >= budget)
-    return MinPrincipleReport(
-        applicable=applicable,
-        passed=passed,
-        margin=margin,
-        min_w=min_w,
-        min_psi=min_psi,
-        budget=budget,
+    passed = min_w - min_psi >= budget
+    return CheckResult(
+        name="min_principle",
+        status="skip" if not applicable else ("pass" if passed else "fail"),
+        margin=(min_w - min_psi) - budget,
+        details={
+            "min_w": min_w,
+            "min_psi": min_psi,
+            "budget": budget,
+            "applicable": applicable,
+        },
     )
 
 
@@ -293,28 +310,14 @@ def cell_areas(grid: Grid) -> np.ndarray:
     return grid.h**2 * fx * fy
 
 
-@dataclass
-class AbpChainReport:
+def abp_chain_report(problem: ProblemData, w: ScalarField) -> CheckResult:
     """Measured pieces of the sup-norm chain for the weight.
 
-    ``fitted_constant`` is the smallest constant making the chain
-    inequality an equality: ``max(0, sup_w - sup_psi) / ||f w^kappa||_L2``,
-    zero by convention for (numerically) vanishing right-hand side.
+    The margin is the fitted constant, the smallest constant making the
+    chain inequality an equality: ``max(0, sup_w - sup_psi) /
+    ||f w^kappa||_L2``, zero by convention for (numerically) vanishing
+    right-hand side.  The check passes when it is finite.
     """
-
-    kappa: float
-    sup_w: float
-    sup_psi: float
-    forcing_norm: float
-    fitted_constant: float
-    forcing_vanishes: bool
-
-    @property
-    def excess(self) -> float:
-        return max(0.0, self.sup_w - self.sup_psi)
-
-
-def abp_chain_report(problem: ProblemData, w: ScalarField) -> AbpChainReport:
     kappa = abp_exponent(problem.theta)
     sup_w = w.sup_norm()
     sup_psi = float(np.abs(problem.psi_hits).max())
@@ -325,37 +328,24 @@ def abp_chain_report(problem: ProblemData, w: ScalarField) -> AbpChainReport:
     vanishes = forcing_norm <= 1e-14 * scale
     excess = max(0.0, sup_w - sup_psi)
     fitted = 0.0 if vanishes else excess / forcing_norm
-    return AbpChainReport(
-        kappa=kappa,
-        sup_w=sup_w,
-        sup_psi=sup_psi,
-        forcing_norm=forcing_norm,
-        fitted_constant=fitted,
-        forcing_vanishes=vanishes,
+    return CheckResult(
+        name="abp_chain",
+        status="pass" if np.isfinite(fitted) else "fail",
+        margin=fitted,
+        details={
+            "kappa": kappa,
+            "sup_w": sup_w,
+            "sup_psi": sup_psi,
+            "forcing_norm": forcing_norm,
+            "fitted_constant": fitted,
+            "forcing_vanishes": vanishes,
+        },
     )
 
 
 # ---------------------------------------------------------------------------
 # verification battery
 # ---------------------------------------------------------------------------
-
-
-def _unresolved(fit: HolderFit) -> bool:
-    """A fit with no slope to judge: a flat field or fewer than two bins.
-
-    The bins span ``[4h, diam/4]``, so the unit disk needs h <= 1/32 for two.
-    """
-    return fit.flat or fit.n_bins < 2
-
-
-@dataclass
-class CheckResult:
-    """One verification check: name, pass/fail/skip, margin, diagnostics."""
-
-    name: str
-    status: str
-    margin: float
-    details: dict
 
 
 def verify(
@@ -375,41 +365,7 @@ def verify(
     Both modulus checks are skipped for a flat weight (see :class:`HolderFit`)
     and on a grid too coarse to give their fit two distance bins.
     """
-    checks: list[CheckResult] = []
-    grid = problem.grid
-
-    mp = min_principle_check(problem, w)
-    checks.append(
-        CheckResult(
-            name="min_principle",
-            status="pass" if mp.passed else ("skip" if not mp.applicable else "fail"),
-            margin=mp.margin - mp.budget,
-            details={
-                "min_w": mp.min_w,
-                "min_psi": mp.min_psi,
-                "budget": mp.budget,
-                "applicable": mp.applicable,
-            },
-        )
-    )
-
-    abp = abp_chain_report(problem, w)
-    abp_ok = np.isfinite(abp.fitted_constant)
-    checks.append(
-        CheckResult(
-            name="abp_chain",
-            status="pass" if abp_ok else "fail",
-            margin=abp.fitted_constant,
-            details={
-                "kappa": abp.kappa,
-                "sup_w": abp.sup_w,
-                "sup_psi": abp.sup_psi,
-                "forcing_norm": abp.forcing_norm,
-                "fitted_constant": abp.fitted_constant,
-                "forcing_vanishes": abp.forcing_vanishes,
-            },
-        )
-    )
+    checks = [min_principle_check(problem, w), abp_chain_report(problem, w)]
 
     hf = fit_holder_exponent(w, seed=seed)
     hf_ok = (not hf.degenerate) and 0.0 < hf.beta <= _BETA_CAP
@@ -419,39 +375,22 @@ def verify(
             status="skip" if _unresolved(hf) else ("pass" if hf_ok else "fail"),
             margin=0.0 if hf.degenerate else hf.beta,
             details={
-                "beta": None if np.isnan(hf.beta) else hf.beta,
-                "raw_slope": None if np.isnan(hf.raw_slope) else hf.raw_slope,
-                "r2": None if np.isnan(hf.r2) else hf.r2,
+                "beta": _or_none(hf.beta),
+                "raw_slope": _or_none(hf.raw_slope),
+                "r2": _or_none(hf.r2),
                 "n_bins": hf.n_bins,
                 "degenerate": hf.degenerate,
                 "flat": hf.flat,
             },
         )
     )
-
-    bh = boundary_holder_check(w, alpha=boundary_alpha)
-    checks.append(
-        CheckResult(
-            name="boundary_holder_w",
-            status="skip" if _unresolved(bh.fit) else ("pass" if bh.passed else "fail"),
-            margin=(0.0 if bh.fit.degenerate else bh.fit.beta)
-            - (bh.threshold - bh.slack),
-            details={
-                "alpha": bh.alpha,
-                "threshold": bh.threshold,
-                "beta": None if np.isnan(bh.fit.beta) else bh.fit.beta,
-                "r2": None if np.isnan(bh.fit.r2) else bh.fit.r2,
-                "flat": bh.fit.flat,
-            },
-        )
-    )
+    checks.append(boundary_holder_check(w, alpha=boundary_alpha))
 
     sep = quadratic_separation(u, seed=seed)
-    sep_ok = sep.rho_low > 0.0
     checks.append(
         CheckResult(
             name="quadratic_separation",
-            status="pass" if sep_ok else "fail",
+            status="pass" if sep.rho_low > 0.0 else "fail",
             margin=sep.rho_low,
             details={
                 "rho_low": sep.rho_low,
@@ -462,13 +401,13 @@ def verify(
         )
     )
 
-    min_eig = discrete_hessian(u).min_eigenvalue()
+    min_eig = float(discrete_hessian(u).min_eigenvalue())
     checks.append(
         CheckResult(
             name="hessian_positivity",
             status="pass" if min_eig > 0.0 else "fail",
-            margin=float(min_eig),
-            details={"min_eigenvalue": float(min_eig)},
+            margin=min_eig,
+            details={"min_eigenvalue": min_eig},
         )
     )
 
@@ -478,7 +417,7 @@ def verify(
             name="w_positivity",
             status="pass" if min_w_all > 0.0 else "fail",
             margin=min_w_all,
-            details={"min_w": min_w_all, "grid_h": grid.h},
+            details={"min_w": min_w_all, "grid_h": problem.grid.h},
         )
     )
     return checks

@@ -79,14 +79,9 @@ class Section:
     when the section reaches the domain boundary.
     """
 
-    center: np.ndarray
-    height: float
-    center_value: float
-    center_gradient: np.ndarray
     node_ids: np.ndarray
     hull_points: np.ndarray | None
     boundary_clipped: bool
-    empty: bool
 
     @property
     def n_nodes(self) -> int:
@@ -183,14 +178,9 @@ def extract_section(
             stacklevel=2,
         )
     return Section(
-        center=x,
-        height=float(h),
-        center_value=float(center_value),
-        center_gradient=center_gradient,
         node_ids=node_ids,
         hull_points=hull_points,
         boundary_clipped=boundary_clipped,
-        empty=empty,
     )
 
 
@@ -336,9 +326,10 @@ def mvee(points, center=None):
 class EllipsoidFit:
     """Ellipsoid fit of a section hull with its sliding-map factorization.
 
-    The ellipsoid is ``E = { y : (y-center)^T M (y-center) <= 1 }``.  In the
-    rotated frame sending ``normal`` to the second axis, the shape matrix
-    factors as ``M' = (A^T A) / (h * det-scale)`` with
+    The ellipsoid is the :func:`mvee` fit ``E = { y : (y-c)^T M (y-c) <= 1 }``
+    of volume ``volume``.  In the rotated frame (``rotation``) sending
+    ``normal`` to the second axis, ``M`` factors as
+    ``M' = (A^T A) / (h * det-scale)`` with
 
         A = [[sqrt(p/s), sqrt(p/s) * tau], [0, sqrt(q/s)]],   det A = 1,
 
@@ -347,8 +338,6 @@ class EllipsoidFit:
     ``k_inner * E ⊂ hull ⊂ k_outer * E`` up to boundary-clipped edges.
     """
 
-    center: np.ndarray
-    M: np.ndarray
     volume: float
     rotation: np.ndarray
     tau: float
@@ -356,8 +345,6 @@ class EllipsoidFit:
     h_eff: float
     k_inner: float
     k_outer: float
-    iterations: int
-    max_violation: float
 
 
 def _normal_rotation(normal) -> np.ndarray:
@@ -424,7 +411,7 @@ def fit_john_ellipsoid(
         raise DegenerateSectionError(
             "section has no usable hull (empty or degenerate point cloud)"
         )
-    c, M, iterations, viol = mvee(section.hull_points, center=center)
+    c, M, _, _ = mvee(section.hull_points, center=center)
 
     R = _normal_rotation(normal if normal is not None else (0.0, 1.0))
     Mr = R.T @ M @ R
@@ -446,8 +433,6 @@ def fit_john_ellipsoid(
     k_inner, k_outer = _hull_dilations(section.hull_points, c, M, level=level)
 
     return EllipsoidFit(
-        center=np.asarray(c, float),
-        M=M,
         volume=float(volume),
         rotation=R,
         tau=float(tau),
@@ -455,8 +440,6 @@ def fit_john_ellipsoid(
         h_eff=float(h_eff),
         k_inner=k_inner,
         k_outer=k_outer,
-        iterations=iterations,
-        max_violation=viol,
     )
 
 
@@ -692,28 +675,22 @@ def localization_scan(
 class NormalizedSection:
     """A maximal section rescaled to unit height and round shape.
 
-    The affine change of variables ``x = origin + T xt`` maps normalized
-    coordinates ``xt`` to the original plane; ``values`` on the masked
-    ``lattice`` hold  (u(x) - tangent(x)) / hbar,  so the normalized
-    section is {values < 1}, contains B(0, c_inner), is contained in
-    B(0, c_outer), vanishes at the origin with zero gradient, and — the
-    map being unimodular up to the sqrt(hbar) dilation — has the same
-    Hessian determinant range as the original section.
+    An affine change of variables ``x = y + T xt`` maps normalized
+    coordinates ``xt`` to the original plane, where the section is
+    {(u(x) - tangent(x)) / hbar < 1}.  It contains B(0, c_inner) and lies
+    in B(0, c_outer); ``grad_at_center``, the measured gradient at the
+    origin, should vanish; and the Hessian determinant ranges before and
+    after should match, the map being unimodular up to the sqrt(hbar)
+    dilation.  ``tau`` and ``h_eff`` come from the section's ellipsoid fit.
     """
 
-    origin: np.ndarray
-    T: np.ndarray
-    hbar: float
-    lattice: np.ndarray
-    values: np.ndarray
-    mask: np.ndarray
-    spacing: float
     c_inner: float
     c_outer: float
     grad_at_center: np.ndarray
     det_range_original: tuple[float, float]
     det_range_normalized: tuple[float, float]
-    fit: EllipsoidFit
+    tau: float
+    h_eff: float
 
 
 def _masked_fd(values2d, mask2d, spacing):
@@ -823,17 +800,11 @@ def normalize_section(u: ScalarField, y) -> NormalizedSection:
         grad0 = np.array([np.nan, np.nan])
 
     return NormalizedSection(
-        origin=y,
-        T=T,
-        hbar=hbar,
-        lattice=lattice,
-        values=values,
-        mask=mask,
-        spacing=spacing,
         c_inner=float(c_inner),
         c_outer=c_outer,
         grad_at_center=grad0,
         det_range_original=det_orig,
         det_range_normalized=det_norm,
-        fit=fit,
+        tau=fit.tau,
+        h_eff=fit.h_eff,
     )

@@ -107,8 +107,9 @@ def test_criterion_3_weight_minimum_principle(solved32, tmp_path):
         if not exact.sign_audit()["nonpositive"]:
             continue
         report = min_principle_check(problem, w)
-        ok = ok and report.applicable and report.passed
-        parts.append(f"{name}: margin={report.margin:+.1e}")
+        d = report.details
+        ok = ok and d["applicable"] and report.status == "pass"
+        parts.append(f"{name}: margin={d['min_w'] - d['min_psi']:+.1e}")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps(
@@ -140,9 +141,9 @@ def test_criterion_4_weight_power_in_sup_chain(solved32):
     ok = k14 == 2.0 / 3.0 and k0 == 0.5
     parts = []
     for name, (_, problem, _, w, _) in solved32.items():
-        chain = abp_chain_report(problem, w)
-        ok = ok and np.isfinite(chain.fitted_constant) and chain.fitted_constant >= 0.0
-        parts.append(f"{name}: C={chain.fitted_constant:.3f}")
+        c = abp_chain_report(problem, w).details["fitted_constant"]
+        ok = ok and np.isfinite(c) and c >= 0.0
+        parts.append(f"{name}: C={c:.3f}")
     _line(
         4,
         ok,
@@ -246,17 +247,17 @@ def test_criterion_8_boundary_modulus_thresholds(grid32):
     rep_half = boundary_holder_check(v_half, alpha=0.5)
 
     ok = (
-        rep_lip.passed
-        and rep_lip.threshold == pytest.approx(1.0 / 3.0)
-        and rep_half.passed
-        and rep_half.threshold == pytest.approx(0.2)
+        rep_lip.status == "pass"
+        and rep_lip.details["threshold"] == pytest.approx(1.0 / 3.0)
+        and rep_half.status == "pass"
+        and rep_half.details["threshold"] == pytest.approx(0.2)
     )
     _line(
         8,
         ok,
         "harmonic boundary moduli — Lipschitz data: beta="
-        f"{rep_lip.fit.beta:.3f} vs threshold 1/3; half-power data: beta="
-        f"{rep_half.fit.beta:.3f} vs threshold 0.2",
+        f"{rep_lip.details['beta']:.3f} vs threshold 1/3; half-power data: beta="
+        f"{rep_half.details['beta']:.3f} vs threshold 0.2",
     )
     assert ok, (rep_lip, rep_half)
 
@@ -286,7 +287,7 @@ def test_criterion_9_forcing_family_stability(grid64):
         betas.append(fit.beta)
         raws.append(fit.raw_slope)
         c_hold.append(fit.constant)
-        c_abp.append(chain.fitted_constant)
+        c_abp.append(chain.details["fitted_constant"])
         sups.append(float(np.abs(problem.f.values).max()))
         l2s.append(float(np.sqrt((problem.f.values**2 * areas).sum())))
     # the spread is measured on the raw fitted slopes: the reported

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from amce import cli
 from amce.cli import main, read_field_csv, write_field_csv
-from amce.errors import AmceError, IncompleteDataError
+from amce.errors import SOLVE_FAILURES, AmceError, IncompleteDataError
 from amce.geometry import Disk
 from amce.grid import ScalarField, build_grid
 
@@ -228,7 +228,7 @@ def test_every_package_error_keeps_the_exit_code_contract(
     monkeypatch.setitem(cli._DISPATCH, "fixture", fail)
     cfg = write_cfg(tmp_path, {"domain": DISK16, "fixture": {"name": "paraboloid"}})
     code = main(["fixture", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == (2 if error in cli._CONVERGE_EXIT else 3)
+    assert code == (2 if error in SOLVE_FAILURES else 3)
     assert "Traceback" not in capsys.readouterr().err
     report = read_report(tmp_path / "o")
     assert report["status"] == f"exit {code}"
@@ -638,6 +638,102 @@ def test_converge_command_table(tmp_path):
         f"{r['outer_iterations']}\n"
         for r in results["rows"]
     ]
+
+
+@pytest.mark.parametrize(
+    "block, value",
+    [("solver", {"relaxation": 1.5}), ("fixture", {"name": "radial_mild", "theta": 0.7})],
+    ids=["relaxation", "theta"],
+)
+def test_converge_invalid_input_exits_3(tmp_path, capsys, block, value):
+    """Invalid input found by the study is not a failed grid: it exits 3
+    like ``amce solve`` does, not 2 with a ``failed`` row."""
+    config = {
+        "domain": DISK16,
+        "fixture": {"name": "radial_mild", "theta": 0.25},
+        "converge": {"h_list": [0.125, 0.0625]},
+    }
+    config[block] = value
+    out = str(tmp_path / "o")
+    assert main(["converge", "--config", write_cfg(tmp_path, config), "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = read_report(out)
+    assert report["status"] == "exit 3"
+    assert report["error"]["class"] == "InvalidProblemError"
+
+
+def test_converge_partial_study_exits_2(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "fixture": {"name": "radial_quartic", "theta": 0.25},
+            "converge": {"h_list": [0.125, 0.0625]},
+            "solver": {"max_outer_iters": 1},
+        },
+    )
+    out = str(tmp_path / "o")
+    assert main(["converge", "--config", cfg, "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    results = read_report(out)["results"]
+    assert results["partial"] is True
+    assert results["rows"][0]["failed"].startswith("NonConvergenceError")
+
+
+_CHECK_DETAIL_KEYS = {
+    "min_principle": {"min_w", "min_psi", "budget", "applicable"},
+    "abp_chain": {
+        "kappa", "sup_w", "sup_psi", "forcing_norm", "fitted_constant",
+        "forcing_vanishes",
+    },
+    "interior_holder_w": {"beta", "raw_slope", "r2", "n_bins", "degenerate", "flat"},
+    "boundary_holder_w": {"alpha", "threshold", "beta", "r2", "flat"},
+    "quadratic_separation": {"rho_low", "rho_high", "n_pairs", "worst_gap"},
+    "hessian_positivity": {"min_eigenvalue"},
+    "w_positivity": {"min_w", "grid_h"},
+}
+
+
+def test_report_key_sets(tmp_path):
+    """The audit records are serialized whole, so a field added to one
+    would reach the reports; these are the keys they carry."""
+    cfg = write_cfg(
+        tmp_path,
+        {"domain": DISK16, "fixture": {"name": "radial_mild", "theta": 0.25}},
+    )
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "verify.json")) as fh:
+        checks = json.load(fh)["checks"]
+    assert [c["name"] for c in checks] == list(_CHECK_DETAIL_KEYS)
+    for check in checks:
+        assert set(check) == {"name", "status", "margin", "details"}
+        assert set(check["details"]) == _CHECK_DETAIL_KEYS[check["name"]]
+
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "fixture": {"name": "sheared_half"},
+            "sections": {
+                "boundary_point": [0.0, -1.0],
+                "heights": [0.125, 0.0625],
+                "interior_points": [[0.0, 0.0]],
+                "normalize": True,
+            },
+        },
+        name="sections.json",
+    )
+    out = str(tmp_path / "s")
+    assert main(["sections", "--config", cfg, "--out", out]) == 0
+    results = read_report(out)["results"]
+    assert set(results["boundary_scan"]) == {
+        "x0", "normal", "rows", "slide_c0", "slide_c1", "slide_r2", "hulls",
+    }
+    assert set(results["interior_points"][0]["normalized"]) == {
+        "c_inner", "c_outer", "grad_at_center", "det_range_original",
+        "det_range_normalized", "tau", "h_eff",
+    }
 
 
 def test_fixture_command_dumps_exact_fields(tmp_path):

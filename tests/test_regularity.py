@@ -18,6 +18,7 @@ from amce.regularity import (
     abp_chain_report,
     abp_exponent,
     boundary_holder_check,
+    boundary_holder_fit,
     cell_areas,
     fit_holder_exponent,
     min_principle_check,
@@ -117,7 +118,7 @@ def test_flat_weight_skips_both_modulus_checks(grid16):
     w = ScalarField.from_callable(grid16, exact.w)
     w.values += 1e-14 * np.random.default_rng(0).standard_normal(grid16.n_nodes)
     assert fit_holder_exponent(w, seed=0).flat
-    assert boundary_holder_check(w, alpha=1.0).fit.flat
+    assert boundary_holder_fit(w).flat
     checks = {c.name: c for c in verify(problem, u, w, seed=0)}
     for name in ("interior_holder_w", "boundary_holder_w"):
         assert checks[name].status == "skip"
@@ -136,7 +137,7 @@ def test_too_coarse_grid_skips_both_modulus_checks(name, n, n_bins):
     u = ScalarField.from_callable(grid, exact.u)
     w = ScalarField.from_callable(grid, exact.w)
     assert fit_holder_exponent(w, seed=0).n_bins == n_bins
-    assert boundary_holder_check(w, alpha=1.0).fit.n_bins == n_bins
+    assert boundary_holder_fit(w).n_bins == n_bins
     checks = {c.name: c for c in verify(problem, u, w, seed=0)}
     for check in ("interior_holder_w", "boundary_holder_w"):
         assert checks[check].status == "skip"
@@ -151,7 +152,7 @@ def test_degenerate_fit_with_bins_still_fails(grid32):
     u = ScalarField.from_callable(grid32, exact.u)
     w = ScalarField.from_callable(grid32, exact.w)
     w.values[grid32.node_at([0.75, 0.0])] += 1.0
-    for fit in (fit_holder_exponent(w, seed=0), boundary_holder_check(w, 1.0).fit):
+    for fit in (fit_holder_exponent(w, seed=0), boundary_holder_fit(w)):
         assert fit.degenerate and fit.n_bins >= 2 and not fit.flat
     checks = {c.name: c for c in verify(problem, u, w, seed=0)}
     assert checks["interior_holder_w"].status == "fail"
@@ -166,9 +167,9 @@ def test_degenerate_fit_with_bins_still_fails(grid32):
 def test_boundary_holder_lipschitz_field_passes(grid32):
     fld = ScalarField(grid32, grid32.nodes[:, 0], grid32.hit_points[:, 0])
     report = boundary_holder_check(fld, alpha=1.0)
-    assert report.threshold == pytest.approx(1.0 / 3.0)
-    assert report.fit.beta == pytest.approx(1.0, abs=0.02)
-    assert report.passed
+    assert report.details["threshold"] == pytest.approx(1.0 / 3.0)
+    assert report.details["beta"] == pytest.approx(1.0, abs=0.02)
+    assert report.status == "pass"
 
 
 def test_boundary_holder_alpha_validation(grid16):
@@ -189,12 +190,12 @@ def test_boundary_holder_threshold_monotone(grid16, alpha_pair):
     """The structural threshold alpha/(alpha+2) increases with alpha."""
     fld = ScalarField(grid16, grid16.nodes[:, 0], grid16.hit_points[:, 0])
     a_lo, a_hi = sorted(alpha_pair)
-    r_lo = boundary_holder_check(fld, alpha=a_lo)
-    r_hi = boundary_holder_check(fld, alpha=a_hi)
-    assert r_lo.threshold == pytest.approx(a_lo / (a_lo + 2.0))
-    assert r_hi.threshold == pytest.approx(a_hi / (a_hi + 2.0))
+    t_lo = boundary_holder_check(fld, alpha=a_lo).details["threshold"]
+    t_hi = boundary_holder_check(fld, alpha=a_hi).details["threshold"]
+    assert t_lo == pytest.approx(a_lo / (a_lo + 2.0))
+    assert t_hi == pytest.approx(a_hi / (a_hi + 2.0))
     if a_hi > a_lo:
-        assert r_hi.threshold > r_lo.threshold
+        assert t_hi > t_lo
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +282,10 @@ def test_streamed_fit_equals_all_pairs_reference(
     prof = _PROFILES[profile]
     fld = ScalarField(audit_grid, prof(audit_grid.nodes), prof(audit_grid.hit_points))
     got_interior = fit_holder_exponent(fld, seed=0)
-    got_boundary = boundary_holder_check(fld, alpha=0.5).fit
+    got_boundary = boundary_holder_fit(fld)
     monkeypatch.setattr(amce.regularity, "_oscillation_fit", _all_pairs_oscillation_fit)
     _assert_same_fit(got_interior, fit_holder_exponent(fld, seed=0))
-    _assert_same_fit(got_boundary, boundary_holder_check(fld, alpha=0.5).fit)
+    _assert_same_fit(got_boundary, boundary_holder_fit(fld))
 
 
 def test_reference_cases_cover_ragged_chunks_and_empty_bins(grid32):
@@ -294,7 +295,7 @@ def test_reference_cases_cover_ragged_chunks_and_empty_bins(grid32):
     assert grid32.n_hits > step and grid32.n_hits % step != 0
     coarse = build_grid(Disk(radius=1.0), 0.25)
     fld = ScalarField(coarse, coarse.nodes[:, 0], coarse.hit_points[:, 0])
-    fit = boundary_holder_check(fld, alpha=1.0).fit
+    fit = boundary_holder_fit(fld)
     assert fit.n_bins == 0 and fit.n_pairs == 0 and fit.degenerate
 
 
@@ -318,11 +319,13 @@ def test_boundary_holder_memory_does_not_scale_with_pairs(grid64):
 def test_min_principle_on_solved_weight(mild32):
     problem, _, w, _ = mild32
     report = min_principle_check(problem, w)
-    assert report.applicable
-    assert report.passed
-    assert report.budget == pytest.approx(-10.0 * problem.grid.h**2)
-    assert report.margin >= report.budget
-    assert report.min_w == pytest.approx(float(w.values.min()))
+    d = report.details
+    assert d["applicable"]
+    assert report.status == "pass"
+    assert d["budget"] == pytest.approx(-10.0 * problem.grid.h**2)
+    assert d["min_w"] - d["min_psi"] >= d["budget"]
+    assert report.margin == (d["min_w"] - d["min_psi"]) - d["budget"]
+    assert d["min_w"] == pytest.approx(float(w.values.min()))
 
 
 def test_min_principle_skips_sign_changing_forcing(grid16):
@@ -330,29 +333,29 @@ def test_min_principle_skips_sign_changing_forcing(grid16):
     problem = problem_from_exact(grid16, exact)
     w = ScalarField(grid16, exact.w(grid16.nodes), exact.w(grid16.hit_points))
     report = min_principle_check(problem, w)
-    assert not report.applicable
-    assert not report.passed
+    assert not report.details["applicable"]
+    assert report.status == "skip"
 
 
 def test_abp_chain_vanishing_forcing_convention(grid16):
     exact = get_fixture("paraboloid", theta=0.25)
     problem = problem_from_exact(grid16, exact)
     w = ScalarField(grid16, exact.w(grid16.nodes), exact.w(grid16.hit_points))
-    report = abp_chain_report(problem, w)
-    assert report.kappa == 2.0 / 3.0
-    assert report.forcing_vanishes
-    assert report.fitted_constant == 0.0
-    assert report.excess >= 0.0
+    d = abp_chain_report(problem, w).details
+    assert d["kappa"] == 2.0 / 3.0
+    assert d["forcing_vanishes"]
+    assert d["fitted_constant"] == 0.0
+    assert max(0.0, d["sup_w"] - d["sup_psi"]) >= 0.0
 
 
 def test_abp_chain_finite_on_solved_problem(mild32):
     problem, _, w, _ = mild32
-    report = abp_chain_report(problem, w)
-    assert not report.forcing_vanishes
-    assert report.forcing_norm > 0.0
-    assert np.isfinite(report.fitted_constant)
-    assert report.fitted_constant == pytest.approx(
-        report.excess / report.forcing_norm
+    d = abp_chain_report(problem, w).details
+    assert not d["forcing_vanishes"]
+    assert d["forcing_norm"] > 0.0
+    assert np.isfinite(d["fitted_constant"])
+    assert d["fitted_constant"] == pytest.approx(
+        max(0.0, d["sup_w"] - d["sup_psi"]) / d["forcing_norm"]
     )
 
 
