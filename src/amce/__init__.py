@@ -21,7 +21,6 @@ from .coupled import (
     affine_mean_curvature,
     check_theta,
     g_from_w,
-    harmonic_extension,
     problem_from_exact,
     solve_system,
     w_from_u,

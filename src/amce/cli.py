@@ -119,15 +119,16 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
     come from the same domain/spacing combination.
     """
     try:
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read field csv {path}: {exc}") from exc
-    except ValueError as exc:  # genfromtxt's error for ragged rows
+    except ValueError as exc:
+        # loadtxt reports a ragged row by its column count, a bad token by itself
+        fault = "rows of unequal length" if "number of columns" in str(exc) else exc
         raise IncompleteDataError(
-            f"{path} is not a valid x,y,value table: rows of unequal length"
+            f"{path} is not a valid x,y,value table: {fault}"
         ) from exc
-    data = np.atleast_2d(data)
-    if data.ndim != 2 or data.shape[1] != 3 or not np.isfinite(data).all():
+    if data.shape[1] != 3 or not np.isfinite(data).all():
         raise IncompleteDataError(f"{path} is not a valid x,y,value table")
 
     pts, vals = data[:, :2], data[:, 2]

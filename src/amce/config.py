@@ -361,6 +361,8 @@ def parse_config(obj: dict) -> RunConfig:
                 raise ConfigError(f"solver.{key} must be >= 1")
         else:
             solver[key] = _number(val, f"solver.{key}")
+            if key == "relaxation" and not 0.0 < solver[key] <= 1.0:
+                raise ConfigError("solver.relaxation must be in (0, 1]")
             if solver[key] <= 0 and key != "eps_clamp":
                 raise ConfigError(f"solver.{key} must be positive")
 

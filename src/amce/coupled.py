@@ -49,8 +49,8 @@ from .errors import (
 )
 from .grid import Grid, ScalarField, require_finite
 from .lma import LMA_TOL, LMAProblem, assemble_lma, lma_residual, solve_lma
-from .ma import MAProblem, MASolveOptions, ma_residual, solve_ma
-from .operators import discrete_hessian, local_quadratic_fit, solve_poisson
+from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
+from .operators import discrete_hessian, factor_lu, local_quadratic_fit, poisson_solver
 
 Array = np.ndarray
 
@@ -140,10 +140,11 @@ class SolveReport:
     min_hessian_eigenvalue: float
     newton_iterations_total: int
     hypothesis_flags: dict
-    factorizations: int = 0  # every LU factorization, the Poisson starts included
+    factorizations: int = 0  # every LU factorization, the Poisson factor included
     coupled_newton_steps: int = 0  # Newton steps on (u, w) together
     krylov_iterations_total: int = 0  # GMRES iterations of those steps
     backtracks_total: int = 0  # line-search backtracks of the determinant solves
+    pivoting_refactors: int = 0  # default-pivoting retries among the factorizations
 
 
 def w_from_u(u: ScalarField, theta: float) -> ScalarField:
@@ -192,11 +193,6 @@ def g_from_w(w: ScalarField, theta: float) -> ScalarField:
     return ScalarField(grid=w.grid, values=values, hit_values=hit_values)
 
 
-def harmonic_extension(grid: Grid, hit_values: Array) -> ScalarField:
-    vals = solve_poisson(grid, np.zeros(grid.n_nodes), hit_values)
-    return ScalarField(grid=grid, values=vals, hit_values=np.asarray(hit_values, float))
-
-
 # coupled Newton step: GMRES restart length, its tolerance on the residual
 # 2-norm relative to |F|, and the restart cycles before the step falls back
 _KRYLOV_RESTART = 10
@@ -211,25 +207,27 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
     ``e = 1/(theta-1)``; the Jacobian ``[[A, -diag(e w^(e-1))], [C, A]]``
     has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
     it, left-preconditioned by ``[[A, 0], [C, A]]`` through one LU factor of
-    ``A``, made first and dropped on return: every call factors exactly once.
+    ``A``, made first and dropped on return: every call factors exactly
+    once, and once more when :func:`amce.operators.factor_lu` retries.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
-    Returns ``(u, w, change, krylov_iterations)``; None when ``A`` cannot be
-    factored, GMRES fails or the trial loses ``det H(u) > 0`` or ``w > 0``.
+    Returns ``(step, refactors)``: ``step`` is ``(u, w, change,
+    krylov_iterations)``, or None when ``A`` cannot be factored, GMRES fails
+    or the trial loses ``det H(u) > 0`` or ``w > 0``; ``refactors`` is 0 or 1.
     """
     n = data.grid.n_nodes
     e = 1.0 / (data.theta - 1.0)
     Hu = discrete_hessian(u)
     A, _ = assemble_lma(Hu)
     try:
-        lu = splu(A)
+        lu, refactors = factor_lu(splu, A)
     except RuntimeError:
-        return None
+        return None, 1
     C, _ = assemble_lma(discrete_hessian(w))
     with np.errstate(over="ignore"):
         we = w.values**e
         dw_coef = -e * we / w.values
     if not (np.isfinite(we).all() and np.isfinite(dw_coef).all()):
-        return None
+        return None, refactors
     F = np.concatenate([Hu.det() - we, lma_residual(w, Hu, data.f.values)])
 
     def jacobian(x):
@@ -262,7 +260,7 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
     # the solve's peak RSS by about 5 MiB
     del lu
     if info != 0:
-        return None
+        return None, refactors
     size = float(np.max(np.abs(delta[n:])))
     alpha = min(1.0, cap / size) if size > 0.0 else 1.0
     u_new = u.with_values(u.values + alpha * delta[:n])
@@ -271,8 +269,8 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
         float(w_new.values.min()) <= 0.0
         or float(discrete_hessian(u_new).det().min()) <= 0.0
     ):
-        return None
-    return u_new, w_new, alpha * size, krylov
+        return None, refactors
+    return (u_new, w_new, alpha * size, krylov), refactors
 
 
 def _require_positive(w: ScalarField, history: list[float]) -> ScalarField:
@@ -305,8 +303,13 @@ def solve_system(
     A sweep whose determinant solve takes no Newton step leaves ``u``
     bitwise unchanged and keeps the previous linear solution; a sweep that
     follows a Newton step always solves the linear equation.
-    ``report.factorizations`` counts every ``splu`` call: the two Poisson
-    solves, one per coupled Newton step tried, and those of the sweeps.
+    ``report.factorizations`` counts every ``splu`` call: the Laplacian's,
+    one per coupled Newton step tried, those of the sweeps, and the
+    ``report.pivoting_refactors`` retries among them.  The one Laplacian
+    factor solves for the harmonic extension of ``psi``, the first weight,
+    and then for the determinant solve's Poisson start (see
+    :func:`amce.ma.initial_guess`); it is dropped before any other factor
+    is made.
     """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
@@ -315,21 +318,28 @@ def solve_system(
     sigma = opts.relaxation
 
     flags = {"f_le_0_violated": not data.f_nonpositive}
-    w = harmonic_extension(grid, data.psi_hits)
-    u: ScalarField | None = None
-    w_half: ScalarField | None = None
     history: list[float] = []
+    poisson, refactors = poisson_solver(grid)
+    w = ScalarField(
+        grid=grid,
+        values=poisson(np.zeros(grid.n_nodes), data.psi_hits),
+        hit_values=data.psi_hits.copy(),
+    )
+    g = g_from_w(_require_positive(w, history), data.theta)
+    u = initial_guess(MAProblem(grid=grid, g=g, phi_hits=data.phi_hits), poisson)
+    del poisson  # its factor's memory serves the next factorization
+    w_half: ScalarField | None = None
     newton_total = backtracks = coupled_steps = krylov_total = 0
-    # the Poisson solves of the harmonic extension and of the first Newton start
-    factorizations = 2
+    factorizations = 1  # the Laplacian's
     polish = False
 
     while True:
         _require_positive(w, history)
         step = None
         if history and not polish:
-            step = _newton_step(data, u, w, cap=history[-1])
+            step, retried = _newton_step(data, u, w, cap=history[-1])
             factorizations += 1
+            refactors += retried
         if step is not None:
             u, w, change, krylov = step
             w_half = None  # the last linear solution belongs to the old u
@@ -342,15 +352,17 @@ def solve_system(
             newton_total += ma_rep.iterations
             backtracks += ma_rep.backtracks
             factorizations += ma_rep.iterations  # one factor per Newton step
+            refactors += ma_rep.pivoting_refactors
             # a solve without Newton steps returns the u of the last linear
             # step bitwise, so that step's w_half stands
             if w_half is None or ma_rep.iterations:
                 H = discrete_hessian(u)
-                w_half, _ = solve_lma(
+                w_half, lma_rep = solve_lma(
                     LMAProblem(hessian=H, g=data.f.values, psi_hits=data.psi_hits),
                     tol=opts.lma_tol,
                 )
                 factorizations += 1
+                refactors += lma_rep.pivoting_refactors
             if polish:
                 break
             new_vals = (1.0 - sigma) * w.values + sigma * w_half.values
@@ -379,10 +391,11 @@ def solve_system(
         min_hessian_eigenvalue=H.min_eigenvalue(),
         newton_iterations_total=newton_total,
         hypothesis_flags=flags,
-        factorizations=factorizations,
+        factorizations=factorizations + refactors,
         coupled_newton_steps=coupled_steps,
         krylov_iterations_total=krylov_total,
         backtracks_total=backtracks,
+        pivoting_refactors=refactors,
     )
     return u, w, report
 

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DegenerateOperatorError, NonConvergenceError
 from .grid import ScalarField, require_finite
-from .operators import HessianField, discrete_hessian, grid_operators
+from .operators import HessianField, discrete_hessian, factor_lu, grid_operators
 
 Array = np.ndarray
 
@@ -58,6 +58,7 @@ class LMAReport:
     backward_error: float
     sign_audit: dict
     condition_estimate: float | None = None
+    pivoting_refactors: int = 0  # default-pivoting retries of the factor
 
 
 def assemble_lma(H: HessianField) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -113,6 +114,12 @@ def solve_lma(
     machine epsilon even on cut cells whose stencil weights are huge; the
     reported residual is recomputed through the discrete Hessian route,
     i.e. it is ``U : H(v) - g`` node-wise.
+
+    The factor is made by :func:`amce.operators.factor_lu`.  Symmetric mode
+    keeps a diagonal pivot however small, so when its solve leaves the
+    backward error above ``tol``, ``D`` is factored once more with partial
+    pivoting and solved again; ``report.pivoting_refactors`` counts either
+    retry.  The tolerance then judges the second solve.
     """
     H = problem.hessian
     grid = H.grid
@@ -128,28 +135,17 @@ def solve_lma(
             point=(float(x), float(y)),
         )
     D, B = assemble_lma(H)
-    psi = problem.psi_hits
-    rhs = problem.g - B @ psi
     try:
-        lu = splu(D)
+        lu, refactors = factor_lu(splu, D)
     except RuntimeError as exc:
         raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
-    v = lu.solve(rhs)
-    prev = np.inf
-    for _ in range(4):
-        r = rhs - D @ v
-        rn = float(np.max(np.abs(r)))
-        if not np.isfinite(rn) or rn >= prev:
-            break
-        v = v + lu.solve(r)
-        prev = rn
-
-    field = ScalarField(grid=grid, values=v, hit_values=psi.copy())
-    resid = lma_residual(field, H, problem.g)
-    resid_sup = float(np.max(np.abs(resid)))
-    denom = abs(D) @ np.abs(v) + np.abs(problem.g) + abs(B) @ np.abs(psi)
-    denom = np.maximum(denom, np.finfo(float).tiny)
-    backward = float(np.max(np.abs(resid) / denom))
+    field, resid_sup, backward = _refined_solve(problem, D, B, lu)
+    if not backward <= tol and not refactors:
+        try:
+            lu, refactors = splu(D), 1
+        except RuntimeError as exc:
+            raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
+        field, resid_sup, backward = _refined_solve(problem, D, B, lu)
     if not np.isfinite(backward) or backward > tol:
         raise NonConvergenceError(
             f"direct solve left componentwise backward error {backward:.3e} "
@@ -163,8 +159,30 @@ def solve_lma(
         backward_error=backward,
         sign_audit=offdiagonal_sign_audit(D),
         condition_estimate=cond,
+        pivoting_refactors=refactors,
     )
     return field, report
+
+
+def _refined_solve(problem: LMAProblem, D, B, lu) -> tuple[ScalarField, float, float]:
+    """``(v, residual sup, componentwise backward error)`` through ``lu``."""
+    psi = problem.psi_hits
+    rhs = problem.g - B @ psi
+    v = lu.solve(rhs)
+    prev = np.inf
+    for _ in range(4):
+        r = rhs - D @ v
+        rn = float(np.max(np.abs(r)))
+        if not np.isfinite(rn) or rn >= prev:
+            break
+        v = v + lu.solve(r)
+        prev = rn
+
+    field = ScalarField(grid=problem.hessian.grid, values=v, hit_values=psi.copy())
+    resid = lma_residual(field, problem.hessian, problem.g)
+    denom = abs(D) @ np.abs(v) + np.abs(problem.g) + abs(B) @ np.abs(psi)
+    denom = np.maximum(denom, np.finfo(float).tiny)
+    return field, float(np.max(np.abs(resid))), float(np.max(np.abs(resid) / denom))
 
 
 def lma_residual(v: ScalarField, H: HessianField, g: Array) -> Array:

@@ -34,7 +34,13 @@ from .errors import (
 )
 from .grid import Grid, ScalarField, require_finite
 from .lma import assemble_lma
-from .operators import HessianField, discrete_hessian, grid_operators, solve_poisson
+from .operators import (
+    HessianField,
+    discrete_hessian,
+    factor_lu,
+    grid_operators,
+    solve_poisson,
+)
 
 Array = np.ndarray
 
@@ -88,12 +94,20 @@ class MAReport:
     residual_history: list[float]
     min_hessian_eigenvalue: float
     backtracks: int = 0
+    pivoting_refactors: int = 0  # default-pivoting retries of a step's factor
 
 
-def initial_guess(problem: MAProblem) -> ScalarField:
-    """Poisson start: solve ``lap u0 = 2 sqrt(g)`` with the same boundary data."""
+def initial_guess(problem: MAProblem, poisson=None) -> ScalarField:
+    """Poisson start: solve ``lap u0 = 2 sqrt(g)`` with the same boundary data.
+
+    ``poisson`` is a solver from :func:`amce.operators.poisson_solver` to
+    reuse; without one, a Laplacian is factored for this solve alone.
+    """
     rhs = 2.0 * np.sqrt(problem.g.values)
-    vals = solve_poisson(problem.grid, rhs, problem.phi_hits)
+    if poisson is None:
+        vals = solve_poisson(problem.grid, rhs, problem.phi_hits)
+    else:
+        vals = poisson(rhs, problem.phi_hits)
     return ScalarField(grid=problem.grid, values=vals, hit_values=problem.phi_hits)
 
 
@@ -134,7 +148,8 @@ def solve_ma(
 
     Every Newton step factors its own clamped matrix and drops the factor
     before the line search, so each of ``report.iterations`` made one LU
-    factorization.
+    factorization, and one more for each of ``report.pivoting_refactors``
+    (see :func:`amce.operators.factor_lu`).
 
     Newton stops when the backward error is at most ``BERR_TOL`` or when
     ``max |det H(u) - g| <= newton_tol``; the line search measures each
@@ -161,7 +176,7 @@ def solve_ma(
     floor = roundoff_floor(u, H, g)
     berr = float(np.max(np.abs(res) / floor))
 
-    iters = total_backtracks = 0
+    iters = total_backtracks = refactors = 0
     while res_norm > opts.newton_tol and berr > BERR_TOL:
         if iters >= opts.max_newton_iters:
             raise NonConvergenceError(
@@ -171,9 +186,10 @@ def solve_ma(
             )
         J, _ = assemble_lma(H.clamped(opts.eps_clamp))
         try:
-            lu = splu(J)
+            lu, retried = factor_lu(splu, J)
         except RuntimeError as exc:
             raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
+        refactors += retried
         delta = lu.solve(-res)
         del lu  # two factors would be alive at the next splu
 
@@ -207,5 +223,6 @@ def solve_ma(
         residual_history=history,
         min_hessian_eigenvalue=min_eig,
         backtracks=total_backtracks,
+        pivoting_refactors=refactors,
     )
     return u, report

@@ -500,9 +500,7 @@ class SeparationReport:
 
     rho_low: float
     rho_high: float
-    n_anchors: int
     n_pairs: int
-    min_separation: float
     worst_gap: float
 
 
@@ -552,9 +550,7 @@ def quadratic_separation(u: ScalarField, seed: int = 0) -> SeparationReport:
     return SeparationReport(
         rho_low=float(ratios.min()),
         rho_high=float(ratios.max()),
-        n_anchors=int(idx.size),
         n_pairs=int(keep.sum()),
-        min_separation=float(min_separation),
         worst_gap=worst,
     )
 

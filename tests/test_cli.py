@@ -416,6 +416,21 @@ def test_field_csv_malformed_rejected(tmp_path):
         read_field_csv(str(path), grid)
 
 
+def test_field_csv_non_numeric_token_rejected(tmp_path, capsys):
+    """A bad token is reported as itself, not as a ragged table."""
+    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
+    path = tmp_path / "token.csv"
+    path.write_text("x,y,value\n0.0,0.0,1.0\n0.0,abc,1.0\n")
+    with pytest.raises(IncompleteDataError, match="'abc'") as info:
+        read_field_csv(str(path), grid)
+    assert "unequal length" not in str(info.value)
+    cfg = write_cfg(tmp_path, {"domain": DISK8, "lma": {"u_csv": str(path)}})
+    assert main(["lma", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_field_csv_ragged_rows_rejected(tmp_path, capsys):
     grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
     path = tmp_path / "ragged.csv"
@@ -448,6 +463,96 @@ def test_solve_command_outputs(tmp_path):
     w = read_field_csv(os.path.join(out, "w.csv"), grid)
     assert np.allclose(u.values, 0.5 * (grid.nodes**2).sum(axis=1), atol=1e-8)
     assert np.allclose(w.values, 1.0, atol=1e-8)
+
+
+def _patch_symmetric_factor(monkeypatch, modules, replace):
+    """Give the first symmetric-mode factorization in ``modules`` to ``replace``.
+
+    Every other call, the default-pivoting retry included, is SciPy's own.
+    """
+    from scipy.sparse.linalg import splu
+
+    calls = []
+
+    def patched(A, **kwargs):
+        calls.append(bool(kwargs))
+        if kwargs and calls.count(True) == 1:
+            return replace(splu, A, **kwargs)
+        return splu(A, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "splu", patched)
+    return calls
+
+
+def _raise_singular(splu, A, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _factor_of_double(splu, A, **kwargs):
+    # solves with this factor return half the solution, and four passes of
+    # refinement leave a backward error near 2^-5, far above lma_tol
+    return splu(2.0 * A, **kwargs)
+
+
+def test_symmetric_factor_that_raises_is_refactored_once(tmp_path, monkeypatch):
+    """The raise is retried with partial pivoting; both factors count."""
+    import amce.coupled
+    import amce.lma
+    import amce.ma
+    import amce.operators
+
+    cfg = write_cfg(
+        tmp_path, {"domain": DISK16, "fixture": {"name": "radial_quartic", "theta": 0.25}}
+    )
+    ref = str(tmp_path / "ref")
+    assert main(["solve", "--config", cfg, "--out", ref]) == 0
+    modules = [amce.operators, amce.ma, amce.lma, amce.coupled]
+    calls = _patch_symmetric_factor(monkeypatch, modules, _raise_singular)
+    out = str(tmp_path / "o")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    solve = read_report(out)["results"]["solve"]
+    assert solve["pivoting_refactors"] == 1
+    assert solve["factorizations"] == len(calls) == 11
+    assert calls[:2] == [True, False]
+    expected = read_report(ref)["results"]["solve"]
+    assert expected["pivoting_refactors"] == 0
+    assert expected["factorizations"] == 10
+    assert solve["outer_iterations"] == expected["outer_iterations"]
+    grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
+    for name in ("u.csv", "w.csv"):
+        got = read_field_csv(os.path.join(out, name), grid)
+        want = read_field_csv(os.path.join(ref, name), grid)
+        assert np.abs(got.values - want.values).max() < 1e-12
+
+
+def test_lma_factor_failing_backward_error_is_refactored_once(tmp_path, monkeypatch):
+    """A symmetric-mode factor whose solve misses ``lma_tol`` is replaced by
+    one with partial pivoting, and the tolerance judges that solve."""
+    import amce.lma
+
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "fixture": {"name": "paraboloid"},
+            "lma": {"g": {"const": -1.0}, "psi": {"const": 1.0}},
+        },
+    )
+    ref = str(tmp_path / "ref")
+    assert main(["lma", "--config", cfg, "--out", ref]) == 0
+    calls = _patch_symmetric_factor(monkeypatch, [amce.lma], _factor_of_double)
+    out = str(tmp_path / "o")
+    assert main(["lma", "--config", cfg, "--out", out]) == 0
+    assert calls == [True, False]
+    results = read_report(out)["results"]
+    assert results["pivoting_refactors"] == 1
+    assert results["backward_error"] <= 1e-10
+    assert read_report(ref)["results"]["pivoting_refactors"] == 0
+    grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
+    got = read_field_csv(os.path.join(out, "v.csv"), grid)
+    want = read_field_csv(os.path.join(ref, "v.csv"), grid)
+    assert np.abs(got.values - want.values).max() < 1e-12
 
 
 def test_report_bytes_reproducible(tmp_path):
@@ -642,8 +747,8 @@ def test_converge_command_table(tmp_path):
 
 @pytest.mark.parametrize(
     "block, value",
-    [("solver", {"relaxation": 1.5}), ("fixture", {"name": "radial_mild", "theta": 0.7})],
-    ids=["relaxation", "theta"],
+    [("fixture", {"name": "radial_mild", "theta": 0.7})],
+    ids=["theta"],
 )
 def test_converge_invalid_input_exits_3(tmp_path, capsys, block, value):
     """Invalid input found by the study is not a failed grid: it exits 3
@@ -660,6 +765,24 @@ def test_converge_invalid_input_exits_3(tmp_path, capsys, block, value):
     report = read_report(out)
     assert report["status"] == "exit 3"
     assert report["error"]["class"] == "InvalidProblemError"
+
+
+@pytest.mark.parametrize("command", ["solve", "ma", "converge"])
+def test_relaxation_rejected_at_parse_time(tmp_path, capsys, command):
+    """``relaxation`` outside (0, 1] is invalid input found while parsing:
+    exit 3 before the output directory exists, so no report is left."""
+    config = {
+        "domain": DISK16,
+        "fixture": {"name": "radial_mild", "theta": 0.25},
+        "converge": {"h_list": [0.125, 0.0625]},
+        "solver": {"relaxation": 1.5},
+    }
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_cfg(tmp_path, config), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "solver.relaxation must be in (0, 1]" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_converge_partial_study_exits_2(tmp_path, capsys):
@@ -733,6 +856,32 @@ def test_report_key_sets(tmp_path):
     assert set(results["interior_points"][0]["normalized"]) == {
         "c_inner", "c_outer", "grad_at_center", "det_range_original",
         "det_range_normalized", "tau", "h_eff",
+    }
+
+    fixture = {"domain": DISK16, "fixture": {"name": "paraboloid"}}
+    cfg = write_cfg(tmp_path, fixture, name="solve.json")
+    out = str(tmp_path / "solve")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    assert set(read_report(out)["results"]["solve"]) == {
+        "outer_iterations", "w_change_history", "final_ma_residual",
+        "final_lma_residual", "min_w", "max_w", "min_hessian_eigenvalue",
+        "newton_iterations_total", "hypothesis_flags", "factorizations",
+        "coupled_newton_steps", "krylov_iterations_total", "backtracks_total",
+        "pivoting_refactors",
+    }
+    cfg = write_cfg(tmp_path, fixture, name="ma.json")
+    out = str(tmp_path / "ma")
+    assert main(["ma", "--config", cfg, "--out", out]) == 0
+    assert set(read_report(out)["results"]) == {
+        "iterations", "residual_history", "min_hessian_eigenvalue",
+        "backtracks", "pivoting_refactors", "n_nodes", "n_hits", "outputs",
+    }
+    cfg = write_cfg(tmp_path, fixture, name="lma.json")
+    out = str(tmp_path / "lma")
+    assert main(["lma", "--config", cfg, "--out", out]) == 0
+    assert set(read_report(out)["results"]) == {
+        "residual_sup", "backward_error", "sign_audit", "condition_estimate",
+        "pivoting_refactors", "u_source", "n_nodes", "n_hits", "outputs",
     }
 
 

@@ -213,6 +213,7 @@ def test_sections_defaults():
         {"solver": {"max_outer_iters": 0}},
         {"solver": {"max_outer_iters": 2.5}},
         {"solver": {"relaxation": 0.0}},
+        {"solver": {"relaxation": 1.5}},
         {"solver": {"outer_tol": -1e-8}},
         {"verify": {"boundary_alpha": 0.0}},
         {"verify": {"boundary_alpha": 1.5}},

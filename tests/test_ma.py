@@ -35,9 +35,9 @@ def test_newton_history_strictly_decreasing(grid32, monkeypatch):
 
     calls = []
 
-    def counted(A):
+    def counted(A, **kwargs):
         calls.append(A.shape)
-        return splu(A)
+        return splu(A, **kwargs)
 
     monkeypatch.setattr(amce.ma, "splu", counted)
     g = lambda p: 1.0 + 0.5 * np.exp(-4.0 * (p[:, 0] ** 2 + p[:, 1] ** 2))
