@@ -14,7 +14,8 @@ Every subcommand takes ``--config`` (required) plus ``--out`` and ``--seed``
 overrides.  Field dumps are CSV with an ``x,y,value`` header at 17
 significant digits, node rows first, then boundary hit rows.
 Each run writes ``report.json`` embedding the canonical config; wall time
-lives only under the ``"timing"`` key so that identical configs produce
+lives only under the ``"timing"`` key (``verify`` adds its ``solve_s`` and
+``checks_s`` phases there) so that identical configs produce
 byte-identical reports after dropping that key.  A run that fails once its
 output directory exists writes one too, with ``"status"`` (``"exit 2"`` or
 ``"exit 3"``) and ``"error"`` (class, message and, for a non-convergence,
@@ -173,11 +174,12 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _write_report(
-    out_dir: str, command: str, cfg: RunConfig, t0: float, **body
+    out_dir: str, command: str, cfg: RunConfig, t0: float, timing: dict, **body
 ) -> None:
-    """``report.json``: command, canonical config, ``body``, wall time since t0."""
+    """``report.json``: command, canonical config, ``body``, and under
+    ``"timing"`` the wall time since t0 beside the command's phase times."""
     report = {"command": command, "config": cfg.canonical(), **body}
-    report["timing"] = {"wall_time_s": time.perf_counter() - t0}
+    report["timing"] = {"wall_time_s": time.perf_counter() - t0, **timing}
     _write_json(os.path.join(out_dir, "report.json"), report)
 
 
@@ -232,7 +234,7 @@ def _ma_problem(cfg: RunConfig, grid: Grid) -> MAProblem:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
+def _cmd_solve(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
     u, w, report = solve_system(problem, cfg.coupled_options())
@@ -249,7 +251,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_ma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
+def _cmd_ma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _ma_problem(cfg, grid)
     u, report = solve_ma(problem, cfg.coupled_options())
@@ -261,7 +263,7 @@ def _cmd_ma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
+def _cmd_lma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     opts = cfg.coupled_options()
     lma_cfg = cfg.lma or {
@@ -296,7 +298,7 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
+def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     if cfg.sections is None:
         raise ConfigError("the sections command needs a 'sections' config block")
     sc = cfg.sections
@@ -351,10 +353,13 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_verify(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
+def _cmd_verify(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
+    t = time.perf_counter()
     u, w, solve_report = solve_system(problem, cfg.coupled_options())
+    timing["solve_s"] = time.perf_counter() - t
+    t = time.perf_counter()
     checks = verify(
         problem,
         u,
@@ -362,6 +367,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         boundary_alpha=cfg.verify["boundary_alpha"],
         seed=cfg.seed,
     )
+    timing["checks_s"] = time.perf_counter() - t
     summary = {
         "checks": checks,
         "n_pass": sum(c.status == "pass" for c in checks),
@@ -377,7 +383,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_converge(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
+def _cmd_converge(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     if cfg.converge is None:
         raise ConfigError("the converge command needs a 'converge' config block")
     if cfg.fixture is None:
@@ -400,7 +406,7 @@ def _cmd_converge(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     return results, 2 if study.partial else 0
 
 
-def _cmd_fixture(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
+def _cmd_fixture(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     results: dict = {"available": fixture_names(), "outputs": []}
     if cfg.fixture is not None:
         exact = _fixture_exact(cfg)
@@ -488,9 +494,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
         out_dir = cfg.output_dir
 
-        t0 = time.perf_counter()
-        results, code = _DISPATCH[args.command](cfg, out_dir)
-        _write_report(out_dir, args.command, cfg, t0, results=results)
+        t0, timing = time.perf_counter(), {}
+        results, code = _DISPATCH[args.command](cfg, out_dir, timing)
+        _write_report(out_dir, args.command, cfg, t0, timing, results=results)
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{args.command}: {status}, outputs in {out_dir}")
         return code
@@ -505,7 +511,13 @@ def main(argv=None) -> int:
         if getattr(error, "history", None) is not None:
             detail["history"] = error.history
         _write_report(
-            out_dir, args.command, cfg, t0, status=f"exit {code}", error=detail
+            out_dir,
+            args.command,
+            cfg,
+            t0,
+            timing,
+            status=f"exit {code}",
+            error=detail,
         )
     return code
 

@@ -53,6 +53,8 @@ class Grid:
     contains every node and its eight neighbors: cell ``ij - id_origin``
     holds the id of the node at lattice index ``ij``, or -1 where there is
     none.  Look ids up through :meth:`ids_at`, which bounds-checks.
+    ``build_grid`` emits nodes in lattice ``(i, j)`` order, so
+    ``nodes[:, 0]`` is non-decreasing.
     """
 
     domain: Domain

@@ -47,6 +47,12 @@ _BOUNDARY_SLACK = 0.05
 #: Most anchor/node pairs the oscillation fit holds in memory at once.
 _PAIR_BUDGET = 2**19
 
+#: Side of an anchor tile of the oscillation fit, as a fraction of its reach.
+_TILE_SIDE = 0.5
+
+#: Most anchors of one tile that the oscillation fit streams at once.
+_TILE_CHUNK = 16
+
 
 # ---------------------------------------------------------------------------
 # modulus-of-continuity fits
@@ -60,9 +66,15 @@ class HolderFit:
     Oscillations |v(x) - v(a)| over anchor/target pairs are binned by
     distance into dyadic bins spanning ``[4h, diam/4]``; ``beta`` is
     the least-squares slope of log(max oscillation) versus log(distance),
-    capped at 1.05.  The pairs are streamed in chunks of at most
-    ``_PAIR_BUDGET`` (one anchor's row on a larger grid), so memory does
-    not grow with anchors times nodes.  ``degenerate`` marks fits with too
+    capped at 1.05.  Only pairs that can land in a bin are computed: the
+    anchors are grouped into square tiles of side ``reach / 2``, with
+    ``reach = edges[-1] + 2h``, and each tile meets only the nodes within
+    ``reach`` of its anchors in x and in y.  A pair left out is at least
+    ``edges[-1]`` apart as computed, so it was never binned, and every
+    count and peak is that of the whole pair set.  A tile streams its
+    anchors in chunks of at most 16 and at most ``_PAIR_BUDGET`` pairs
+    (one anchor's row when its nodes alone are more), so memory does not
+    grow with anchors times nodes.  ``degenerate`` marks fits with too
     few usable bins or a non-increasing modulus (e.g. constant fields).
     ``flat`` marks a field whose every bin peak is at most ``LMA_TOL``
     times its sup norm: a computed weight comes from a linear solve
@@ -82,13 +94,45 @@ class HolderFit:
     flat: bool
 
 
-def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
-    """Modulus fit over pairs of the anchors and every node of ``field``.
+def _anchor_tiles(nodes, anchor_pts, reach: float):
+    """Group the anchors into tiles and find the nodes each tile can reach.
 
-    Anchors are taken in chunks of ``_PAIR_BUDGET // n_nodes`` (at least
-    one), so at most ``_PAIR_BUDGET`` pairs are held at once unless a
-    single anchor's row is longer.  Each bin keeps a running pair count
-    and peak, which equal those of the whole pair set exactly.
+    A tile is a square cell of side ``_TILE_SIDE * reach`` holding at least
+    one anchor.  Yields ``(anchor ids, node ids)`` per tile: the nodes in
+    the bounding box of the tile's anchors dilated by ``reach``, edges
+    included.  The x-range comes from two ``searchsorted`` calls, since
+    nodes come in lattice ``(i, j)`` order with x non-decreasing (see
+    :class:`~amce.grid.Grid`), and the y-range from a mask.
+    """
+    x, y = nodes[:, 0], nodes[:, 1]
+    keys = np.floor(anchor_pts / (_TILE_SIDE * reach)).astype(np.int64)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    for tile in np.split(order, starts[1:]):
+        lo = anchor_pts[tile].min(axis=0) - reach
+        hi = anchor_pts[tile].max(axis=0) + reach
+        first = np.searchsorted(x, lo[0], side="left")
+        last = np.searchsorted(x, hi[0], side="right")
+        ys = y[first:last]
+        yield tile, first + np.flatnonzero((ys >= lo[1]) & (ys <= hi[1]))
+
+
+def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
+    """Modulus fit over the pairs of the anchors and the nodes of ``field``.
+
+    Only pairs that can fall below the last bin edge are computed: with
+    ``reach = edges[-1] + 2h``, each tile of :func:`_anchor_tiles` meets
+    only the nodes within ``reach`` of its anchors' bounding box in x and
+    in y.  A pair left out is more than ``edges[-1] + 2h`` apart in one
+    coordinate, so its computed distance ``sqrt(dx*dx + dy*dy)`` is at
+    least ``edges[-1]`` and it was never binned; the 2h absorb the
+    round-off of the box.  A tile's anchors are taken in chunks of at most
+    ``_TILE_CHUNK``, fewer when a chunk would hold more than
+    ``_PAIR_BUDGET`` pairs, and never fewer than one.  Each bin keeps a
+    running pair count and peak; counts add and peaks take the maximum,
+    so neither depends on which pairs come in which chunk, and both equal
+    those of the whole pair set exactly.
     """
     grid = field.grid
     bin_lo, bin_hi = 4.0 * grid.h, grid.domain.diameter / 4.0
@@ -100,30 +144,31 @@ def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
     nb = edges.size - 1
     counts = np.zeros(nb, dtype=np.int64)
     peaks = np.full(nb, -np.inf)
-    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-    step = max(1, _PAIR_BUDGET // grid.n_nodes)
-    for s in range(0, len(anchor_vals), step):
-        chunk = slice(s, s + step)
-        # sqrt(dx*dx + dy*dy), the same floats, in two chunk-sized buffers
-        dist = x - anchor_pts[chunk, 0, None]
-        dist *= dist
-        osc = y - anchor_pts[chunk, 1, None]
-        osc *= osc
-        dist += osc
-        dist = np.sqrt(dist, out=dist).ravel()
-        np.subtract(field.values, anchor_vals[chunk, None], out=osc)
-        osc = np.abs(osc, out=osc).ravel()
-        keep = (dist >= edges[0]) & (dist < edges[-1])
-        if not keep.any():
-            continue
-        dist, osc = dist[keep], osc[keep]
-        bins = np.searchsorted(edges, dist, side="right") - 1
-        counts += np.bincount(bins, minlength=nb)
-        order = np.argsort(bins, kind="stable")
-        bins, osc = bins[order], osc[order]
-        starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
-        hit = bins[starts]
-        peaks[hit] = np.maximum(peaks[hit], np.maximum.reduceat(osc, starts))
+    reach = edges[-1] + 2.0 * grid.h
+    for tile, near in _anchor_tiles(grid.nodes, anchor_pts, reach):
+        # every anchor is a node or a hit within one arm of a node, so
+        # ``near`` is never empty
+        x, y = grid.nodes[near, 0], grid.nodes[near, 1]
+        values = field.values[near]
+        step = min(_TILE_CHUNK, max(1, _PAIR_BUDGET // near.size))
+        for s in range(0, tile.size, step):
+            chunk = tile[s : s + step]
+            # sqrt(dx*dx + dy*dy), the same floats, in two chunk-sized buffers
+            dist = x - anchor_pts[chunk, 0, None]
+            dist *= dist
+            osc = y - anchor_pts[chunk, 1, None]
+            osc *= osc
+            dist += osc
+            np.sqrt(dist, out=dist)
+            np.subtract(values, anchor_vals[chunk, None], out=osc)
+            np.abs(osc, out=osc)
+            for j in range(nb):
+                sel = (dist >= edges[j]) & (dist < edges[j + 1])
+                n = np.count_nonzero(sel)
+                if n:
+                    counts[j] += n
+                    top = osc.max(where=sel, initial=-np.inf)
+                    peaks[j] = np.maximum(peaks[j], top)
 
     used = counts > 0
     centers = np.sqrt(edges[:-1] * edges[1:])[used]

@@ -222,7 +222,7 @@ def test_every_package_error_keeps_the_exit_code_contract(
     non-convergence or a degenerate operator and 3 otherwise, without a
     traceback, and the failed run's report names the error class."""
 
-    def fail(cfg, out_dir):
+    def fail(cfg, out_dir, timing):
         raise error("injected failure")
 
     monkeypatch.setitem(cli._DISPATCH, "fixture", fail)
@@ -717,6 +717,10 @@ def test_verify_command_writes_battery(tmp_path):
         assert isinstance(check["margin"], float)
     names = [c["name"] for c in battery["checks"]]
     assert names[0] == "min_principle"
+    timing = read_report(out)["timing"]
+    assert set(timing) == {"wall_time_s", "solve_s", "checks_s"}
+    for phase in ("solve_s", "checks_s"):
+        assert 0.0 < timing[phase] <= timing["wall_time_s"]
 
 
 def test_converge_command_table(tmp_path):

@@ -130,6 +130,16 @@ def test_every_grid_has_a_boundary_hit(name, h):
     assert g.arm_kind[last, 0] == ARM_HIT
 
 
+@pytest.mark.parametrize("name", ["disk", "offcentre_ellipse", "levelset"])
+def test_nodes_come_in_lattice_order(name):
+    """Nodes are in lattice (i, j) order, so x never decreases: the Hölder
+    fit finds a tile's nodes by binary search on x."""
+    g = build_grid(_DOMAINS[name], 1 / 32)
+    order = np.lexsort((g.lattice[:, 1], g.lattice[:, 0]))
+    assert np.array_equal(order, np.arange(g.n_nodes))
+    assert (np.diff(g.nodes[:, 0]) >= 0.0).all()
+
+
 def test_scalar_field_from_callable_and_sup(grid16):
     f = ScalarField.from_callable(grid16, lambda p: p[:, 0])
     assert np.array_equal(f.hit_values, grid16.hit_points[:, 0])

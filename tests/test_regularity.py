@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import amce.regularity
 from amce.coupled import problem_from_exact
 from amce.fixtures import get_fixture
-from amce.geometry import Disk, Ellipse
+from amce.geometry import Disk, Ellipse, polynomial_levelset
 from amce.grid import ScalarField, build_grid
 from amce.lma import LMA_TOL
 from amce.regularity import (
@@ -262,10 +262,16 @@ _PROFILES = {
 }
 
 
+_LEVELSET = polynomial_levelset({"20": 1.0, "02": 2.0, "40": 0.5})
+_OFF_CENTRE = Disk(radius=0.9, center_xy=(-0.37, 0.21))
+
+
 @pytest.fixture(scope="module", params=[
     (Disk(radius=1.0), 4), (Disk(radius=1.0), 16), (Disk(radius=1.0), 32),
     (Ellipse(a=1.2, b=0.9), 16), (Ellipse(a=1.2, b=0.9), 32),
-], ids=["disk-4", "disk-16", "disk-32", "ellipse-16", "ellipse-32"])
+    (_LEVELSET, 32), (_OFF_CENTRE, 32),
+], ids=["disk-4", "disk-16", "disk-32", "ellipse-16", "ellipse-32",
+        "levelset-32", "off-centre-32"])
 def audit_grid(request):
     domain, n = request.param
     return build_grid(domain, 1.0 / n)
@@ -289,14 +295,59 @@ def test_streamed_fit_equals_all_pairs_reference(
 
 
 def test_reference_cases_cover_ragged_chunks_and_empty_bins(grid32):
-    """The 1/32 disk's hits fill several chunks, the last one partly; the
-    1/4 disk has no dyadic bin between 4h and diam/4 at all."""
-    step = amce.regularity._PAIR_BUDGET // grid32.n_nodes
-    assert grid32.n_hits > step and grid32.n_hits % step != 0
+    """A tile of the 1/32 disk's hits fills several chunks, the last one
+    partly; the 1/4 disk has no dyadic bin between 4h and diam/4 at all."""
+    reach = grid32.domain.diameter / 4.0 + 2.0 * grid32.h
+    ragged = []
+    for tile, near in amce.regularity._anchor_tiles(
+        grid32.nodes, grid32.hit_points, reach
+    ):
+        step = min(
+            amce.regularity._TILE_CHUNK,
+            max(1, amce.regularity._PAIR_BUDGET // near.size),
+        )
+        ragged.append(tile.size > step and tile.size % step != 0)
+    assert any(ragged)
     coarse = build_grid(Disk(radius=1.0), 0.25)
     fld = ScalarField(coarse, coarse.nodes[:, 0], coarse.hit_points[:, 0])
     fit = boundary_holder_fit(fld)
     assert fit.n_bins == 0 and fit.n_pairs == 0 and fit.degenerate
+
+
+@pytest.mark.parametrize("budget", ["default", "one_anchor"])
+def test_pairs_on_bin_and_tile_edges_match_all_pairs(monkeypatch, grid32, budget):
+    """On the 1/32 disk the edges are 4h, 8h and 16h and the reach 18h, all
+    lattice multiples.  Lattice anchors then meet nodes at exactly
+    edges[0] (counted), exactly edges[-1] (not counted) and exactly on
+    their tile's dilated box.  The origin is exactly edges[-1] or farther
+    from every anchor; a spike there would show in the top bin's peak if
+    such a pair were counted."""
+    if budget == "one_anchor":
+        monkeypatch.setattr(amce.regularity, "_PAIR_BUDGET", 1)
+    h = grid32.h
+    edges = np.array([4.0 * h, 8.0 * h, 16.0 * h])
+    reach = edges[-1] + 2.0 * h
+    anchors = np.array([[-0.5, 0.0], [0.0, 0.5], [0.5, -0.25], [-0.5, -0.5]])
+    values = (grid32.nodes**2).sum(axis=1)
+    values[grid32.node_at([0.0, 0.0])] += 10.0
+    fld = ScalarField(grid32, values, (grid32.hit_points**2).sum(axis=1))
+    anchor_vals = (anchors**2).sum(axis=1)
+
+    diff = grid32.nodes[None, :, :] - anchors[:, None, :]
+    dist = np.sqrt((diff**2).sum(-1))
+    assert (dist == edges[0]).any()
+    assert (dist[:2] == edges[-1]).any(axis=1).all()
+    # each anchor has a tile of its own, whose box is the anchor dilated
+    # by reach, and a node sits on that box's edge
+    tiles = list(amce.regularity._anchor_tiles(grid32.nodes, anchors, reach))
+    assert sorted(t.tolist() for t, _ in tiles) == [[0], [1], [2], [3]]
+    for corner in (anchors[0] + [reach, 0.0], anchors[1] - [0.0, reach]):
+        assert np.array_equal(grid32.nodes[grid32.node_at(corner)], corner)
+
+    got = amce.regularity._oscillation_fit(fld, anchors, anchor_vals)
+    want = _all_pairs_oscillation_fit(fld, anchors, anchor_vals)
+    _assert_same_fit(got, want)
+    assert got.n_bins == 2 and got.bin_oscillation.max() < 10.0
 
 
 def test_boundary_holder_memory_does_not_scale_with_pairs(grid64):
