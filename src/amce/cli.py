@@ -15,7 +15,8 @@ overrides.  Field dumps are CSV with an ``x,y,value`` header at 17
 significant digits, node rows first, then boundary hit rows.
 Each run writes ``report.json`` embedding the canonical config; wall time
 lives only under the ``"timing"`` key (``verify`` adds its ``solve_s`` and
-``checks_s`` phases there) so that identical configs produce
+``checks_s`` phases there, ``sections`` its ``solve_s``, ``boundary_scan_s``
+and ``interior_s``) so that identical configs produce
 byte-identical reports after dropping that key.  A run that fails once its
 output directory exists writes one too, with ``"status"`` (``"exit 2"`` or
 ``"exit 3"``) and ``"error"`` (class, message and, for a non-convergence,
@@ -309,7 +310,9 @@ def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
     for y in sc.get("interior_points", []):
         require_interior_point(grid, y)
     problem = _coupled_problem(cfg, grid)
+    t = time.perf_counter()
     u, _, solve_report = solve_system(problem, cfg.coupled_options())
+    timing["solve_s"] = time.perf_counter() - t
 
     results: dict = {
         "solve": solve_report,
@@ -318,6 +321,7 @@ def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
     }
 
     if "boundary_point" in sc:
+        t = time.perf_counter()
         scan = localization_scan(
             u, sc["boundary_point"], sc["heights"], min_nodes=sc["min_nodes"]
         )
@@ -337,8 +341,10 @@ def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
             hull_files.append({"h": row["h"], "file": name, "n_vertices": len(hull)})
         results["outputs"].extend(e["file"] for e in hull_files)
         results["boundary_scan"] = dataclasses.replace(scan, hulls=hull_files)
+        timing["boundary_scan_s"] = time.perf_counter() - t
 
     if "interior_points" in sc:
+        t = time.perf_counter()
         interior = []
         for y in sc["interior_points"]:
             entry: dict = {"point": [float(y[0]), float(y[1])]}
@@ -349,6 +355,7 @@ def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
                 entry["normalized"] = normalize_section(u, y)
             interior.append(entry)
         results["interior_points"] = interior
+        timing["interior_s"] = time.perf_counter() - t
 
     return results, 0
 

@@ -19,6 +19,7 @@ Each operator is a pair ``(D, B)``: ``D`` maps interior node values and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,10 @@ from .grid import ARM_HIT, Grid, ScalarField
 Array = np.ndarray
 
 _FIT_RADIUS = 3.5  # local-fit radius in grid spacings
+#: Points per stacked solve of :func:`local_quadratic_fit`.  It bounds the
+#: fit's temporary arrays: under tracemalloc a 4 225-point smooth resample at
+#: h = 1/64 peaks at 31 MiB in one piece and at 7 MiB in chunks of 256.
+_FIT_CHUNK = 256
 
 #: Settings of every sparse LU factorization in the package: SuperLU's
 #: symmetric mode, with a minimum-degree column ordering on ``A^T + A`` and
@@ -233,6 +238,23 @@ def solve_poisson(grid: Grid, rhs: Array, hit_values: Array) -> Array:
     return solve(rhs, hit_values)
 
 
+def lstsq_stack(A: Array, b: Array) -> Array:
+    """Minimum-norm least-squares solutions of a stack of problems.
+
+    ``A`` is ``(K, m, n)`` and ``b`` is ``(K, m)``; row ``i`` of the result
+    minimizes ``|A[i] x - b[i]|`` with the least ``|x|``.  Singular values
+    at or below ``eps * max(m, n)`` times the largest are treated as zero,
+    the rank rule of ``np.linalg.lstsq``.  LAPACK factors each matrix on
+    its own and the sums run in a fixed order, so a problem gets the same
+    bits alone as in any stack.
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = s > np.finfo(float).eps * max(A.shape[1:]) * s[:, :1]
+    y = (U * b[:, :, None]).sum(axis=1)
+    y = np.where(rank, y / np.where(rank, s, 1.0), 0.0)
+    return (Vt * y[:, :, None]).sum(axis=1)
+
+
 def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     """Least-squares quadratic models of the field around arbitrary points.
 
@@ -249,6 +271,13 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     scattered data piecewise leaves O(1) noise in second differences.  A
     point outside the domain, or with fewer than ten positive weights, gets
     NaN.
+
+    The weighted problems are solved ``_FIT_CHUNK`` points at a time, which
+    bounds the temporary memory.  Within a chunk the points with the same
+    number of rows form one stack for :func:`lstsq_stack`, so nothing is
+    padded, ``np.linalg.lstsq``'s rank rule gives a rank-deficient
+    neighbourhood its minimum-norm fit, and a point gets the same bits
+    alone as in any batch.
 
     Returns ``(value, gradient, hessian)`` of the fitted quadratic at each
     point: a float, ``(2,)`` and ``(2, 2)`` for one point, arrays with a
@@ -281,16 +310,21 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
                 "not enough data points near the requested location for a local fit"
             )
 
+    sizes = np.fromiter(map(len, hoods), dtype=np.intp, count=len(hoods))
+    flat = np.fromiter(chain.from_iterable(hoods), dtype=np.intp, count=sizes.sum())
+    owner = np.repeat(where, sizes)
+    del hoods  # the lists of ids outweigh a chunk's arrays
+    starts = np.concatenate([[0], np.cumsum(sizes)])
     coef = np.full((len(pts), 6), np.nan)
-    for k, ids in zip(where, hoods):
+    for c in range(0, len(where), _FIT_CHUNK):
+        rows = slice(starts[c], starts[min(c + _FIT_CHUNK, len(where))])
+        ids, k = flat[rows], owner[rows]
         d = (data_pts[ids] - pts[k]) / grid.h  # normalize for conditioning
         vals, sw = data_val[ids], np.ones(len(d))
         if smooth:
             wts = np.maximum(1.0 - (d * d).sum(axis=1) / _FIT_RADIUS**2, 0.0) ** 2
             keep = wts > 0.0
-            if keep.sum() < 10:
-                continue
-            d, vals, sw = d[keep], vals[keep], np.sqrt(wts[keep])
+            d, vals, k, sw = d[keep], vals[keep], k[keep], np.sqrt(wts[keep])
         A = np.stack(
             [
                 np.ones(len(d)),
@@ -302,7 +336,13 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
             ],
             axis=1,
         )
-        coef[k] = np.linalg.lstsq(A * sw[:, None], vals * sw, rcond=None)[0]
+        A, vals = A * sw[:, None], vals * sw
+        # each point's rows are contiguous: one stacked solve per row count
+        pt, first, m = np.unique(k, return_index=True, return_counts=True)
+        for size in np.unique(m[m >= (10 if smooth else 8)]):
+            sel = m == size
+            take = first[sel, None] + np.arange(size)
+            coef[pt[sel]] = lstsq_stack(A[take], vals[take])
     value = coef[:, 0]
     grad = coef[:, 1:3] / grid.h
     hess = coef[:, [3, 4, 4, 5]].reshape(-1, 2, 2) / grid.h**2

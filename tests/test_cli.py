@@ -629,6 +629,7 @@ def test_sections_command_interior_point(tmp_path):
     pt = results["interior_points"][0]
     assert pt["hbar"] == pytest.approx(0.5, rel=1e-6)
     assert np.hypot(*pt["touch_point"]) == pytest.approx(1.0, abs=1e-2)
+    _assert_phase_times(out, "solve_s", "interior_s")
 
 
 def test_sections_command_boundary_scan(tmp_path):
@@ -653,6 +654,16 @@ def test_sections_command_boundary_scan(tmp_path):
         assert os.path.exists(os.path.join(out, fname))
     hulls = [f for f in results["outputs"] if f.startswith("hull_")]
     assert len(hulls) == len(kept)
+    _assert_phase_times(out, "solve_s", "boundary_scan_s")
+
+
+def _assert_phase_times(out, *phases):
+    """``timing`` holds exactly the wall time and these phases, each
+    positive and within the wall time."""
+    timing = read_report(out)["timing"]
+    assert set(timing) == {"wall_time_s", *phases}
+    for phase in phases:
+        assert 0.0 < timing[phase] <= timing["wall_time_s"]
 
 
 @pytest.mark.parametrize(
@@ -717,10 +728,7 @@ def test_verify_command_writes_battery(tmp_path):
         assert isinstance(check["margin"], float)
     names = [c["name"] for c in battery["checks"]]
     assert names[0] == "min_principle"
-    timing = read_report(out)["timing"]
-    assert set(timing) == {"wall_time_s", "solve_s", "checks_s"}
-    for phase in ("solve_s", "checks_s"):
-        assert 0.0 < timing[phase] <= timing["wall_time_s"]
+    _assert_phase_times(out, "solve_s", "checks_s")
 
 
 def test_converge_command_table(tmp_path):

@@ -1,9 +1,12 @@
 """Finite-difference operators: quadratic exactness, Poisson, local fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from amce import (
     Disk,
@@ -16,6 +19,8 @@ from amce import (
     solve_poisson,
     value_and_gradient_at,
 )
+from amce.geometry import Ellipse, polynomial_levelset
+from amce.operators import lstsq_stack
 
 coef = st.floats(-2.0, 2.0)
 
@@ -115,6 +120,123 @@ def test_local_quadratic_fit_smooth_rule(grid32):
     np.testing.assert_allclose(hesses[:3], [[[1.0, 0.0], [0.0, 0.5]]] * 3, atol=1e-7)
     assert np.isnan(vals[3:]).all()
     assert np.isnan(grads[3:]).all() and np.isnan(hesses[3:]).all()
+
+
+def _per_point_lstsq_fit(field, points, smooth):
+    """Reference: one KD-tree query and one weighted ``np.linalg.lstsq``
+    per point.  Returns the ``(K, 6)`` coefficients in ``h``-scaled
+    coordinates (value, ``h`` grad, ``h^2`` hess_xx, hess_xy, hess_yy), NaN
+    where a point gets no fit."""
+    grid = field.grid
+    data_pts = np.vstack([grid.nodes, grid.hit_points])
+    data_val = np.concatenate([field.values, field.hit_values])
+    tree = cKDTree(data_pts)
+    coef = np.full((len(points), 6), np.nan)
+    for k, p in enumerate(points):
+        r = 3.5 * grid.h
+        if smooth:
+            if not grid.domain.contains(p[None])[0]:
+                continue
+            ids = tree.query_ball_point(p, r)
+        else:
+            for _ in range(4):
+                ids = tree.query_ball_point(p, r, p=np.inf)
+                if len(ids) >= 8:
+                    break
+                r *= 1.6
+        d = (data_pts[ids] - p) / grid.h
+        vals, sw = data_val[ids], np.ones(len(d))
+        if smooth:
+            wts = np.maximum(1.0 - (d * d).sum(axis=1) / 3.5**2, 0.0) ** 2
+            keep = wts > 0.0
+            if keep.sum() < 10:
+                continue
+            d, vals, sw = d[keep], vals[keep], np.sqrt(wts[keep])
+        A = np.column_stack(
+            [np.ones(len(d)), d[:, 0], d[:, 1],
+             0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1], 0.5 * d[:, 1] ** 2]
+        )
+        coef[k] = np.linalg.lstsq(A * sw[:, None], vals * sw, rcond=None)[0]
+    return coef
+
+
+_FIT_DOMAINS = {
+    "disk": Disk(radius=1.0),
+    "ellipse": Ellipse(a=1.2, b=0.9),
+    "levelset": polynomial_levelset({"20": 1.0, "02": 2.0, "40": 0.5}),
+}
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["box", "smooth"])
+@pytest.mark.parametrize("domain", sorted(_FIT_DOMAINS))
+def test_local_quadratic_fit_matches_per_point_lstsq(domain, smooth):
+    """The stacked kernel against one ``lstsq`` per point on a field that
+    is not quadratic: the same NaN set, and coefficients within 1e-12 of
+    the data's size.  The smooth rule sees a lattice over the bounding box
+    (points outside get NaN); the box rule the lattice points inside, the
+    hits and points just outside.  Farther out the widened box holds data
+    on one side only, cond(A) reaches 1e9 and any two backward-stable
+    solvers part by eps * cond; the widening itself is pinned bit for bit
+    by ``test_local_quadratic_fit_widens_per_point``."""
+    grid = build_grid(_FIT_DOMAINS[domain], 1.0 / 32.0)
+    prof = lambda p: np.exp(0.3 * p[:, 0]) * np.cos(p[:, 1]) + p[:, 0] ** 4
+    u = ScalarField(grid, prof(grid.nodes), prof(grid.hit_points))
+    lo, hi = grid.hit_points.min(axis=0) - 0.1, grid.hit_points.max(axis=0) + 0.1
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], 41), np.linspace(lo[1], hi[1], 41))
+    lattice = np.column_stack([X.ravel(), Y.ravel()])
+    if smooth:
+        pts = lattice
+    else:
+        pts = np.vstack(
+            [lattice[grid.domain.contains(lattice)], grid.hit_points,
+             grid.hit_points[::7] * 1.02]
+        )
+    value, grad, hess = local_quadratic_fit(u, pts, smooth=smooth)
+    h = grid.h
+    got = np.column_stack(
+        [value, grad * h, hess[:, 0, 0] * h**2, hess[:, 0, 1] * h**2,
+         hess[:, 1, 1] * h**2]
+    )
+    want = _per_point_lstsq_fit(u, pts, smooth)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(want).any() == smooth
+    scale = np.abs(u.values).max()
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_lstsq_stack_takes_lstsq_minimum_norm_on_rank_deficient_rows():
+    """Rows on the two vertical lines x = +-1 make the column of x^2/2 half
+    the column of ones: rank 5 of 6, where lstsq returns the least-norm
+    solution.  A full-rank problem shares the stack."""
+    def basis(x, y):
+        return np.column_stack([np.ones(12), x, y, 0.5 * x**2, x * y, 0.5 * y**2])
+
+    rng = np.random.default_rng(3)
+    lines = basis(np.repeat([-1.0, 1.0], 6), rng.uniform(-2.0, 2.0, 12))
+    A = np.array([basis(*rng.uniform(-2.0, 2.0, (2, 12))), lines])
+    b = rng.uniform(-1.0, 1.0, (2, 12))
+    assert np.linalg.matrix_rank(A[1]) == 5
+    got = lstsq_stack(A, b)
+    for k in range(2):
+        want = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
+        np.testing.assert_allclose(got[k], want, rtol=0.0, atol=1e-13)
+
+
+def test_local_quadratic_fit_memory_is_chunked(grid64):
+    """The smooth resample of 65 x 65 points at h = 1/64 solves its points
+    in chunks: it peaks at about 7 MiB under tracemalloc, and at 31 MiB
+    with all 4 225 points stacked at once."""
+    u = ScalarField.from_callable(grid64, lambda p: (p**2).sum(axis=1))
+    X, Y = np.meshgrid(np.linspace(-1.0, 1.0, 65), np.linspace(-1.0, 1.0, 65))
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    tracemalloc.start()
+    try:
+        value, _, _ = local_quadratic_fit(u, pts, smooth=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value).sum() > 3000
+    assert peak < 12 * 2**20
 
 
 def test_value_and_gradient_at_boundary_point(grid32):

@@ -362,6 +362,25 @@ def test_boundary_holder_memory_does_not_scale_with_pairs(grid64):
     assert peak < 64 * 2**20
 
 
+def test_pair_budget_caps_the_chunks_of_a_tile(monkeypatch, grid64):
+    """With the budget cut to 2**12 pairs, tiles of the 1/64 disk that reach
+    more than 256 nodes take fewer than 16 anchors per chunk: the same fit
+    bit for bit, at about 0.21 MiB of temporaries against 1.26 MiB with chunks
+    of 16 anchors."""
+    prof = _PROFILES["half_power"]
+    fld = ScalarField(grid64, prof(grid64.nodes), prof(grid64.hit_points))
+    want = boundary_holder_fit(fld)
+    monkeypatch.setattr(amce.regularity, "_PAIR_BUDGET", 2**12)
+    tracemalloc.start()
+    try:
+        got = boundary_holder_fit(fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_fit(got, want)
+    assert peak <= 0.5 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # extremum principle and sup-norm chain reports
 # ---------------------------------------------------------------------------
