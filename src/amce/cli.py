@@ -33,6 +33,7 @@ import dataclasses
 import os
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -94,14 +95,16 @@ def _jsonable(obj):
 def _write_csv(path: str, header: str, columns) -> None:
     """``header``, then one row per index of the equal-length ``columns``.
 
-    Every entry is written with ``{:.17g}``: floats round-trip exactly and
-    integers print as integers.
+    Every entry is written with ``%.17g``: floats round-trip exactly and
+    integers print as integers.  The body is one ``%`` format over the
+    entries in row order.
     """
     cols = [np.asarray(c).tolist() for c in columns]
-    fmt = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    flat = tuple(chain.from_iterable(zip(*cols)))
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(fmt.format(*row) for row in zip(*cols))
+        fh.write((row * len(cols[0])) % flat)
 
 
 def write_field_csv(path: str, field: ScalarField) -> None:

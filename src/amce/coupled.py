@@ -219,7 +219,7 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
     Hu = discrete_hessian(u)
     A, _ = assemble_lma(Hu)
     try:
-        lu, refactors = factor_lu(splu, A)
+        lu, refactors = factor_lu(splu, A, data.grid)
     except RuntimeError:
         return None, 1
     C, _ = assemble_lma(discrete_hessian(w))

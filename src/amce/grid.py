@@ -68,6 +68,7 @@ class Grid:
     arm_frac: Array  # (N, 8) fractional arm length in (0, 1]
     hit_points: Array  # (M, 2) boundary crossings
     _ops: dict = dc_field(default_factory=dict, repr=False)
+    _order: Array | None = dc_field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:

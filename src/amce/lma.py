@@ -136,7 +136,7 @@ def solve_lma(
         )
     D, B = assemble_lma(H)
     try:
-        lu, refactors = factor_lu(splu, D)
+        lu, refactors = factor_lu(splu, D, grid)
     except RuntimeError as exc:
         raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
     field, resid_sup, backward = _refined_solve(problem, D, B, lu)

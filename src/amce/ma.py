@@ -186,7 +186,7 @@ def solve_ma(
             )
         J, _ = assemble_lma(H.clamped(opts.eps_clamp))
         try:
-            lu, retried = factor_lu(splu, J)
+            lu, retried = factor_lu(splu, J, problem.grid)
         except RuntimeError as exc:
             raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
         refactors += retried

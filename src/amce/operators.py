@@ -38,14 +38,20 @@ _FIT_RADIUS = 3.5  # local-fit radius in grid spacings
 #: h = 1/64 peaks at 31 MiB in one piece and at 7 MiB in chunks of 256.
 _FIT_CHUNK = 256
 
-#: Settings of every sparse LU factorization in the package: SuperLU's
-#: symmetric mode, with a minimum-degree column ordering on ``A^T + A`` and
-#: pivots taken from the diagonal.  The 9-point ``cof H : D^2`` operators
-#: are nearly symmetric in structure, the case the SuperLU Users' Guide
-#: (Demmel, Gilbert, Li) recommends this mode for; it about halves the fill
-#: of SciPy's default ordering.
+#: Largest part of the lattice that :func:`dissection_order` leaves in node
+#: order.  With the ``radial_quartic`` LMA operator at h = 1/128 (51 429
+#: nodes) leaves of 16, 32, 64 and 256 nodes give 4.16, 4.28, 4.55 and
+#: 5.95 million factor entries; smaller leaves make more parts to order.
+_DISSECTION_LEAF = 16
+
+#: Settings of every sparse LU factorization in the package, which
+#: :func:`factor_lu` applies to the matrix permuted by
+#: :func:`dissection_order`: SuperLU's symmetric mode, the given order kept
+#: (``NATURAL``) and pivots taken from the diagonal.  The 9-point
+#: ``cof H : D^2`` operators are nearly symmetric in structure, the case
+#: the SuperLU Users' Guide (Demmel, Gilbert, Li) recommends this mode for.
 SYMMETRIC_LU = {
-    "permc_spec": "MMD_AT_PLUS_A",
+    "permc_spec": "NATURAL",
     "diag_pivot_thresh": 0.0,
     "options": {"SymmetricMode": True},
 }
@@ -198,16 +204,74 @@ def discrete_gradient(field: ScalarField) -> Array:
     )
 
 
-def factor_lu(splu, A: sp.csc_matrix):
-    """``(lu, refactors)``: the LU factor of ``A`` with :data:`SYMMETRIC_LU`.
+def dissection_order(grid: Grid) -> Array:
+    """Nested-dissection order of the grid's nodes, built once and cached.
 
-    Symmetric mode does not pivot for size, so when ``splu`` raises, ``A``
-    is factored once more with SciPy's default partial pivoting and
-    ``refactors`` is 1; that second ``RuntimeError`` propagates.  ``splu``
-    is the caller's own binding of :func:`scipy.sparse.linalg.splu`.
+    A part of the lattice is split by the lattice line through its median
+    node across its longer side; the part below the line is ordered first,
+    the part above it next, each in the same way, and the line's nodes
+    last.  Every arm of a node ends at the next lattice index, so the line
+    separates the two parts in any operator built from the grid's stencils,
+    and their blocks of the permuted matrix are uncoupled (George, "Nested
+    dissection of a regular finite element mesh", SIAM J. Numer. Anal.
+    1973).  A part of at most ``_DISSECTION_LEAF`` nodes keeps node order.
+    Returns ``p`` with ``p[k]`` the node eliminated ``k``-th.
     """
+    if grid._order is None:
+        parts: list[Array] = []
+        _dissect(np.ascontiguousarray(grid.lattice.T), np.arange(grid.n_nodes), parts)
+        grid._order = np.concatenate(parts)
+    return grid._order
+
+
+def _dissect(lattice_t: Array, part: Array, parts: list[Array]) -> None:
+    """Append the dissection order of the nodes ``part`` to ``parts``.
+
+    ``lattice_t`` is the transposed ``grid.lattice``, ``(2, N)``.
+    """
+    if len(part) <= _DISSECTION_LEAF:
+        parts.append(part)
+        return
+    i, j = lattice_t[:, part]
+    key = j if j.max() - j.min() > i.max() - i.min() else i
+    line = np.partition(key, len(key) // 2)[len(key) // 2]
+    _dissect(lattice_t, part[key < line], parts)
+    _dissect(lattice_t, part[key > line], parts)
+    parts.append(part[key == line])
+
+
+@dataclass
+class PermutedLU:
+    """LU factor of ``A[perm][:, perm]`` that solves systems in ``A``."""
+
+    lu: object  # the factor ``splu`` returned
+    perm: Array
+
+    def solve(self, b: Array, trans: str = "N") -> Array:
+        """``x`` with ``A x = b``, or ``A^T x = b`` for ``trans="T"``.
+
+        ``b`` is ``(n,)`` or ``(n, k)``, like SuperLU's own ``solve``.
+        """
+        y = self.lu.solve(np.asarray(b)[self.perm], trans=trans)
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+
+def factor_lu(splu, A: sp.csc_matrix, grid: Grid):
+    """``(lu, refactors)``: an LU factor of the grid operator ``A``.
+
+    ``A`` is permuted into :func:`dissection_order` and factored with
+    :data:`SYMMETRIC_LU`, and ``lu`` is the :class:`PermutedLU` that
+    solves with ``A`` itself.  Symmetric mode does not pivot for size, so
+    when ``splu`` raises, the unpermuted ``A`` is factored once more with
+    SciPy's defaults (its own ordering and partial pivoting), ``lu`` is that
+    factor and ``refactors`` is 1; that second ``RuntimeError`` propagates.
+    ``splu`` is the caller's own binding of :func:`scipy.sparse.linalg.splu`.
+    """
+    p = dissection_order(grid)
     try:
-        return splu(A, **SYMMETRIC_LU), 0
+        return PermutedLU(splu(A[p][:, p], **SYMMETRIC_LU), p), 0
     except RuntimeError:
         return splu(A), 1
 
@@ -221,7 +285,7 @@ def poisson_solver(grid: Grid) -> tuple[Callable[[Array, Array], Array], int]:
     """
     lap = grid_operators(grid)["lap"]
     try:
-        lu, refactors = factor_lu(splu, lap.D.tocsc())
+        lu, refactors = factor_lu(splu, lap.D.tocsc(), grid)
     except RuntimeError as exc:
         raise DegenerateOperatorError(f"Poisson operator: {exc}") from exc
 

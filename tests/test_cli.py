@@ -396,6 +396,28 @@ def test_field_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.hit_values, field.hit_values)
 
 
+def test_csv_bytes_match_the_per_row_formatter(tmp_path):
+    """One ``%.17g`` format over every entry writes the bytes that
+    ``{:.17g}`` row by row wrote: on integers, signed zeros, NaN, the
+    infinities, subnormals and 2^60."""
+    from amce.cli import _write_csv
+
+    specials = [0, 7, -3, 2**60, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                -2.2250738585072014e-309, 0.1, 1 / 3, 1e300]
+    columns = [np.arange(len(specials)), specials, np.asarray(specials[::-1], dtype=float)]
+    path = str(tmp_path / "t.csv")
+    _write_csv(path, "i,a,b", columns)
+    reference = "i,a,b\n" + "".join(
+        "{:.17g},{:.17g},{:.17g}\n".format(*row)
+        for row in zip(*(np.asarray(c).tolist() for c in columns))
+    )
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == reference
+    _write_csv(path, "x,y", [[], []])
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "x,y\n"
+
+
 def test_field_csv_wrong_grid_rejected(tmp_path):
     coarse = build_grid(Disk(radius=1.0), 1.0 / 8.0)
     fine = build_grid(Disk(radius=1.0), 1.0 / 16.0)

@@ -312,6 +312,12 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     assert w.hit_values.tobytes() == fresh.hit_values.tobytes()
 
 
+# a newton_tol below every residual the paraboloid_r2 solves at h = 1/88
+# reach, whatever the round-off of the factor, so only the backward error
+# can end their Newton iterations
+_BELOW_REACH = 1e-14
+
+
 def _paraboloid_r2_88():
     from amce import Disk, build_grid
 
@@ -321,9 +327,10 @@ def _paraboloid_r2_88():
 
 
 def test_newton_stops_at_its_backward_error(monkeypatch):
-    """paraboloid_r2 at h = 1/88, where both determinant solves stop above
-    newton_tol: each stops within BERR_TOL round-off floors at every node,
-    without a backtrack, and the solve reproduces the quadratic."""
+    """paraboloid_r2 at h = 1/88 with newton_tol = 1e-14, below any
+    residual the determinant solves reach, so both stop above it: each
+    stops within BERR_TOL round-off floors at every node, without a
+    backtrack, and the solve reproduces the quadratic."""
     import amce.coupled
     import amce.ma
 
@@ -340,8 +347,9 @@ def test_newton_stops_at_its_backward_error(monkeypatch):
 
     solve_ma = amce.coupled.solve_ma
     monkeypatch.setattr(amce.coupled, "solve_ma", recorded)
-    u, w, report = solve_system(problem)
-    tol = amce.ma.MASolveOptions().newton_tol
+    options = CoupledOptions(newton_tol=_BELOW_REACH)
+    u, w, report = solve_system(problem, options)
+    tol = options.newton_tol
     assert report.backtracks_total == 0
     assert len(ends) == 2
     for sup, berr in ends:
@@ -353,7 +361,8 @@ def test_newton_stops_at_its_backward_error(monkeypatch):
 
 def test_newton_stall_above_the_floor_raises(monkeypatch):
     """With every round-off floor a millionth of its size, the same solve
-    cannot reach BERR_TOL, and its stalled line search raises."""
+    cannot reach BERR_TOL, nor the newton_tol below reach, and its stalled
+    line search raises."""
     import amce.ma
     from amce import NonConvergenceError
 
@@ -363,7 +372,7 @@ def test_newton_stall_above_the_floor_raises(monkeypatch):
         amce.ma, "roundoff_floor", lambda u, H, g: 1e-6 * floor(u, H, g)
     )
     with pytest.raises(NonConvergenceError, match="line search stalled"):
-        solve_system(problem)
+        solve_system(problem, CoupledOptions(newton_tol=_BELOW_REACH))
 
 
 def _constant_forcing(grid, value):
