@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .config import FieldSpec, RunConfig, canonical_json, load_config
+from .config import LmaBlock, RunConfig, canonical_json, load_config
 from .convergence import convergence_study
 from .coupled import (
     ProblemData,
@@ -193,14 +193,14 @@ def _write_report(
 
 
 def _make_grid(cfg: RunConfig) -> Grid:
-    domain = build_domain(cfg.domain_kind, cfg.domain_params)
-    return build_grid(domain, cfg.h)
+    domain = build_domain(cfg.domain.kind, cfg.domain.params)
+    return build_grid(domain, cfg.domain.h_grid)
 
 
 def _fixture_exact(cfg: RunConfig):
-    theta = cfg.fixture.get("theta", _DEFAULT_FIXTURE_THETA)
+    theta = _DEFAULT_FIXTURE_THETA if cfg.fixture.theta is None else cfg.fixture.theta
     check_theta(theta)
-    return get_fixture(cfg.fixture["name"], theta=theta)
+    return get_fixture(cfg.fixture.name, theta=theta)
 
 
 def _coupled_problem(cfg: RunConfig, grid: Grid) -> ProblemData:
@@ -208,10 +208,10 @@ def _coupled_problem(cfg: RunConfig, grid: Grid) -> ProblemData:
         pb = cfg.problem
         return ProblemData.from_callables(
             grid,
-            pb["theta"],
-            f_fn=pb["f"].to_callable(),
-            phi_fn=pb["phi"].to_callable(),
-            psi_fn=pb["psi"].to_callable(),
+            pb.theta,
+            f_fn=pb.f.to_callable(),
+            phi_fn=pb.phi.to_callable(),
+            psi_fn=pb.psi.to_callable(),
         )
     if cfg.fixture is not None:
         return problem_from_exact(grid, _fixture_exact(cfg))
@@ -222,8 +222,8 @@ def _ma_problem(cfg: RunConfig, grid: Grid) -> MAProblem:
     if cfg.ma is not None:
         return MAProblem.from_callables(
             grid,
-            g_fn=cfg.ma["g"].to_callable(),
-            phi_fn=cfg.ma["phi"].to_callable(),
+            g_fn=cfg.ma.g.to_callable(),
+            phi_fn=cfg.ma.phi.to_callable(),
         )
     if cfg.fixture is not None:
         exact = _fixture_exact(cfg)
@@ -241,7 +241,7 @@ def _ma_problem(cfg: RunConfig, grid: Grid) -> MAProblem:
 def _cmd_solve(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
-    u, w, report = solve_system(problem, cfg.coupled_options())
+    u, w, report = solve_system(problem, cfg.solver)
     write_field_csv(os.path.join(out_dir, "u.csv"), u)
     write_field_csv(os.path.join(out_dir, "w.csv"), w)
     results = {
@@ -258,7 +258,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
 def _cmd_ma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _ma_problem(cfg, grid)
-    u, report = solve_ma(problem, cfg.coupled_options())
+    u, report = solve_ma(problem, cfg.solver)
     write_field_csv(os.path.join(out_dir, "u.csv"), u)
     results = dataclasses.asdict(report)
     results.update(
@@ -269,26 +269,22 @@ def _cmd_ma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
 
 def _cmd_lma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     grid = _make_grid(cfg)
-    opts = cfg.coupled_options()
-    lma_cfg = cfg.lma or {
-        "g": FieldSpec("const", 0.0),
-        "psi": FieldSpec("const", 1.0),
-    }
-    if "u_csv" in lma_cfg:
-        u = read_field_csv(lma_cfg["u_csv"], grid)
-        u_source = lma_cfg["u_csv"]
+    lma_cfg = cfg.lma or LmaBlock()
+    if lma_cfg.u_csv is not None:
+        u = read_field_csv(lma_cfg.u_csv, grid)
+        u_source = lma_cfg.u_csv
     elif cfg.ma is not None or cfg.fixture is not None:
-        u, _ = solve_ma(_ma_problem(cfg, grid), opts)
+        u, _ = solve_ma(_ma_problem(cfg, grid), cfg.solver)
         u_source = "ma-solve"
     else:
         raise ConfigError(
             "the lma command needs coefficients: lma.u_csv, an 'ma' block, "
             "or a 'fixture' block"
         )
-    g = lma_cfg["g"].to_callable()(grid.nodes)
-    psi = lma_cfg["psi"].to_callable()(grid.hit_points)
+    g = lma_cfg.g.to_callable()(grid.nodes)
+    psi = lma_cfg.psi.to_callable()(grid.hit_points)
     problem = LMAProblem(hessian=discrete_hessian(u), g=g, psi_hits=psi)
-    v, report = solve_lma(problem, tol=opts.lma_tol, report_condition=True)
+    v, report = solve_lma(problem, tol=cfg.solver.lma_tol, report_condition=True)
     write_field_csv(os.path.join(out_dir, "v.csv"), v)
     results = dataclasses.asdict(report)
     results.update(
@@ -308,25 +304,25 @@ def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
     sc = cfg.sections
     grid = _make_grid(cfg)
     # the points are checked before the solve, which they do not depend on
-    if "boundary_point" in sc:
-        require_boundary_point(grid, sc["boundary_point"])
-    for y in sc.get("interior_points", []):
+    if sc.boundary_point is not None:
+        require_boundary_point(grid, sc.boundary_point)
+    for y in sc.interior_points or []:
         require_interior_point(grid, y)
     problem = _coupled_problem(cfg, grid)
     t = time.perf_counter()
-    u, _, solve_report = solve_system(problem, cfg.coupled_options())
+    u, _, solve_report = solve_system(problem, cfg.solver)
     timing["solve_s"] = time.perf_counter() - t
 
     results: dict = {
         "solve": solve_report,
-        "heights": sc["heights"],
+        "heights": sc.heights,
         "outputs": [],
     }
 
-    if "boundary_point" in sc:
+    if sc.boundary_point is not None:
         t = time.perf_counter()
         scan = localization_scan(
-            u, sc["boundary_point"], sc["heights"], min_nodes=sc["min_nodes"]
+            u, sc.boundary_point, sc.heights, min_nodes=sc.min_nodes
         )
         keys = ["h", "tau", "vol_ratio", "k_inner", "k_outer"]
         _write_csv(
@@ -346,15 +342,15 @@ def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
         results["boundary_scan"] = dataclasses.replace(scan, hulls=hull_files)
         timing["boundary_scan_s"] = time.perf_counter() - t
 
-    if "interior_points" in sc:
+    if sc.interior_points is not None:
         t = time.perf_counter()
         interior = []
-        for y in sc["interior_points"]:
+        for y in sc.interior_points:
             entry: dict = {"point": [float(y[0]), float(y[1])]}
             hbar, touch = maximal_height(u, y)
             entry["hbar"] = hbar
             entry["touch_point"] = list(map(float, touch))
-            if sc["normalize"]:
+            if sc.normalize:
                 entry["normalized"] = normalize_section(u, y)
             interior.append(entry)
         results["interior_points"] = interior
@@ -367,14 +363,14 @@ def _cmd_verify(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
     t = time.perf_counter()
-    u, w, solve_report = solve_system(problem, cfg.coupled_options())
+    u, w, solve_report = solve_system(problem, cfg.solver)
     timing["solve_s"] = time.perf_counter() - t
     t = time.perf_counter()
     checks = verify(
         problem,
         u,
         w,
-        boundary_alpha=cfg.verify["boundary_alpha"],
+        boundary_alpha=cfg.verify.boundary_alpha,
         seed=cfg.seed,
     )
     timing["checks_s"] = time.perf_counter() - t
@@ -398,12 +394,12 @@ def _cmd_converge(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
         raise ConfigError("the converge command needs a 'converge' config block")
     if cfg.fixture is None:
         raise ConfigError("the converge command needs a 'fixture' config block")
-    domain = build_domain(cfg.domain_kind, cfg.domain_params)
+    domain = build_domain(cfg.domain.kind, cfg.domain.params)
     study = convergence_study(
         _fixture_exact(cfg),
-        cfg.converge["h_list"],
+        cfg.converge.h_list,
         domain=domain,
-        options=cfg.coupled_options(),
+        options=cfg.solver,
     )
     keys = ["h", "n_nodes", "err_u", "err_w", "outer_iterations"]
     _write_csv(
@@ -488,15 +484,7 @@ def main(argv=None) -> int:
 
     out_dir = None
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            if not args.out:
-                raise ConfigError("--out must be a non-empty path")
-            cfg.output_dir = args.out
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            cfg.seed = args.seed
+        cfg = load_config(args.config, output_dir=args.out, seed=args.seed)
 
         try:
             os.makedirs(cfg.output_dir, exist_ok=True)

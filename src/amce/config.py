@@ -4,18 +4,19 @@ A run configuration is a nested JSON object with blocks for the domain
 (including the grid spacing ``h_grid``), problem data (or a named
 manufactured fixture), solver options, verification, section diagnostics,
 convergence studies, and the standalone determinant / linearized
-subproblems.  Parsing is strict — unknown keys anywhere raise
-:class:`ConfigError` — and the canonical serialized form is stable, so
-parse → serialize → parse is idempotent and reports embedding the
-canonical config are byte-stable.
+subproblems.  Each block is a dataclass whose fields are its keys and
+defaults (``solver`` is :class:`~amce.coupled.CoupledOptions`), read by one
+parser from the field types; every range rule sits in ``_RULES``.  Unknown
+keys anywhere raise :class:`ConfigError`, and parse → canonical → parse is
+idempotent, so reports embedding the canonical config are byte-stable.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Any, Callable, NewType, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,13 +24,10 @@ from .coupled import CoupledOptions
 from .errors import ConfigError
 from .fixtures import fixture_names
 
-__all__ = [
-    "FieldSpec",
-    "RunConfig",
-    "parse_config",
-    "load_config",
-    "canonical_json",
-]
+__all__ = ["FieldSpec", "RunConfig", "parse_config", "load_config", "canonical_json"]
+
+Point = NewType("Point", list)  # [x, y]
+Poly = NewType("Poly", dict)  # {"ij": c} for c x^i y^j
 
 
 def _require_mapping(obj, ctx: str) -> dict:
@@ -58,10 +56,15 @@ def _number(value, ctx: str) -> float:
     raise ConfigError(f"{ctx} must be a finite number, got {value!r}")
 
 
-def _integer(value, ctx: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{ctx} must be an integer, got {value!r}")
-    return int(value)
+def _exact(kind: type, what: str):
+    """A parser of values of exactly ``kind`` (no bool as an int), never ``""``."""
+
+    def parse(value, ctx: str):
+        if type(value) is not kind or value == "":
+            raise ConfigError(f"{ctx} must be {what}, got {value!r}")
+        return value
+
+    return parse
 
 
 def _point(value, ctx: str) -> list[float]:
@@ -83,24 +86,47 @@ def _poly_coeffs(value, ctx: str) -> dict[str, float]:
     return dict(sorted(coeffs.items()))
 
 
+def _default_list(*items):
+    """A list default, fresh for every instance."""
+    return field(default_factory=lambda: list(items))
+
+
 # ---------------------------------------------------------------------------
 # scalar field specifications
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Gaussian:
+    """``a * exp(-|p - center|^2 / (2 s^2))``."""
+
+    amplitude: float = 1.0
+    sigma: float = 1.0
+    center: Point = _default_list(0.0, 0.0)
+
+
+@dataclass
+class AbsPow:
+    """``scale * |p_axis|^power + offset``."""
+
+    power: float = 1.0
+    axis: int = 0
+    scale: float = 1.0
+    offset: float = 0.0
+
+
+# form -> the type of its payload
+_FORMS = {"const": float, "poly": Poly, "gaussian": Gaussian, "abs_pow": AbsPow}
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Declarative scalar field: constant, polynomial, gaussian, or |x_i|^p.
-
-    Exactly one of the forms is set:
+    """Declarative scalar field, in exactly one of four forms:
 
     - ``{"const": v}`` — the constant ``v``;
-    - ``{"poly": {"ij": c, ...}}`` — sum of ``c * x^i * y^j`` with two-digit
-      string keys;
-    - ``{"gaussian": {"amplitude": a, "sigma": s, "center": [x, y]}}`` —
-      ``a * exp(-|p - center|^2 / (2 s^2))``;
-    - ``{"abs_pow": {"power": p, "axis": 0|1, "scale": c, "offset": b}}`` —
-      ``c * |p_axis|^power + b``.
+    - ``{"poly": {"ij": c, ...}}`` — the sum of the ``c * x^i * y^j``;
+    - ``{"gaussian": {...}}`` — a :class:`Gaussian`;
+    - ``{"abs_pow": {...}}`` — an :class:`AbsPow`.
     """
 
     kind: str
@@ -109,88 +135,39 @@ class FieldSpec:
     @staticmethod
     def parse(obj, ctx: str) -> "FieldSpec":
         d = _require_mapping(obj, ctx)
-        _check_keys(d, {"const", "poly", "gaussian", "abs_pow"}, ctx)
+        _check_keys(d, set(_FORMS), ctx)
         if len(d) != 1:
-            raise ConfigError(
-                f"{ctx} must contain exactly one of const/poly/gaussian/abs_pow"
-            )
+            raise ConfigError(f"{ctx} must contain exactly one of {sorted(_FORMS)}")
         kind, payload = next(iter(d.items()))
-        if kind == "const":
-            return FieldSpec("const", _number(payload, f"{ctx}.const"))
-        if kind == "poly":
-            return FieldSpec("poly", _poly_coeffs(payload, f"{ctx}.poly"))
-        if kind == "gaussian":
-            p = _require_mapping(payload, f"{ctx}.gaussian")
-            _check_keys(p, {"amplitude", "sigma", "center"}, f"{ctx}.gaussian")
-            amp = _number(p.get("amplitude", 1.0), f"{ctx}.gaussian.amplitude")
-            sigma = _number(p.get("sigma", 1.0), f"{ctx}.gaussian.sigma")
-            if sigma <= 0:
-                raise ConfigError(f"{ctx}.gaussian.sigma must be positive")
-            center = _point(p.get("center", [0.0, 0.0]), f"{ctx}.gaussian.center")
-            return FieldSpec(
-                "gaussian", {"amplitude": amp, "sigma": sigma, "center": center}
-            )
-        p = _require_mapping(payload, f"{ctx}.abs_pow")
-        _check_keys(p, {"power", "axis", "scale", "offset"}, f"{ctx}.abs_pow")
-        power = _number(p.get("power", 1.0), f"{ctx}.abs_pow.power")
-        axis = _integer(p.get("axis", 0), f"{ctx}.abs_pow.axis")
-        if axis not in (0, 1):
-            raise ConfigError(f"{ctx}.abs_pow.axis must be 0 or 1")
-        scale = _number(p.get("scale", 1.0), f"{ctx}.abs_pow.scale")
-        offset = _number(p.get("offset", 0.0), f"{ctx}.abs_pow.offset")
-        return FieldSpec(
-            "abs_pow",
-            {"power": power, "axis": axis, "scale": scale, "offset": offset},
-        )
+        return FieldSpec(kind, _parse_value(payload, _FORMS[kind], f"{ctx}.{kind}"))
 
     def to_json(self) -> dict:
-        return {self.kind: self.payload}
+        return {self.kind: _canonical(self.payload)}
 
     def to_callable(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The field as a function of points ``(n, 2)``.
+        """The field as a function of points ``(n, 2)``.  Floating-point
+        warnings are off: a pole or an overflow gives inf or NaN, which the
+        problem classes reject as non-finite sampled data."""
+        return self._sample
 
-        Floating-point warnings are off while it runs: a pole or an
-        overflow gives inf or NaN, which the problem classes reject as
-        non-finite sampled data.
-        """
-        formula = self._formula()
-
-        def sampled(p):
-            with np.errstate(all="ignore"):
-                return formula(p)
-
-        return sampled
-
-    def _formula(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self.kind == "const":
-            v = self.payload
-            return lambda p: np.full(len(p), v, dtype=float)
-        if self.kind == "poly":
-            items = [(int(k[0]), int(k[1]), c) for k, c in self.payload.items()]
-
-            def poly(p, items=items):
+    def _sample(self, p: np.ndarray) -> np.ndarray:
+        form = self.payload
+        with np.errstate(all="ignore"):
+            if self.kind == "const":
+                return np.full(len(p), form, dtype=float)
+            if self.kind == "poly":
                 out = np.zeros(len(p))
-                for i, j, c in items:
-                    out += c * p[:, 0] ** i * p[:, 1] ** j
+                for key, c in form.items():
+                    out += c * p[:, 0] ** int(key[0]) * p[:, 1] ** int(key[1])
                 return out
-
-            return poly
-        if self.kind == "gaussian":
-            a = self.payload["amplitude"]
-            s = self.payload["sigma"]
-            cx, cy = self.payload["center"]
-            return lambda p: a * np.exp(
-                -((p[:, 0] - cx) ** 2 + (p[:, 1] - cy) ** 2) / (2.0 * s * s)
-            )
-        power = self.payload["power"]
-        axis = self.payload["axis"]
-        scale = self.payload["scale"]
-        offset = self.payload["offset"]
-        return lambda p: scale * np.abs(p[:, axis]) ** power + offset
+            if self.kind == "gaussian":
+                r2 = (p[:, 0] - form.center[0]) ** 2 + (p[:, 1] - form.center[1]) ** 2
+                return form.amplitude * np.exp(-r2 / (2.0 * form.sigma * form.sigma))
+            return form.scale * np.abs(p[:, form.axis]) ** form.power + form.offset
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# run configuration: one dataclass per block
 # ---------------------------------------------------------------------------
 
 # domain kind -> its params, each parsed by a function of (value, ctx)
@@ -199,93 +176,196 @@ _DOMAIN_PARAMS = {
     "ellipse": {"a": _number, "b": _number, "center": _point},
     "levelset": {"coeffs": _poly_coeffs, "level": _number, "center": _point},
 }
-_FIXTURE_FIELD_KEYS = {"name", "theta"}
-_PROBLEM_KEYS = {"theta", "f", "phi", "psi"}
-_VERIFY_KEYS = {"boundary_alpha"}
-_SECTIONS_KEYS = {
-    "interior_points",
-    "boundary_point",
-    "heights",
-    "min_nodes",
-    "normalize",
-}
-_CONVERGE_KEYS = {"h_list"}
-_MA_KEYS = {"g", "phi"}
-_LMA_KEYS = {"u_csv", "g", "psi"}
-_TOP_KEYS = {
-    "domain",
-    "problem",
-    "fixture",
-    "solver",
-    "verify",
-    "sections",
-    "converge",
-    "ma",
-    "lma",
-    "output_dir",
-    "seed",
-}
 
 
-# the option class owns the keys and their defaults
-_SOLVER_DEFAULTS = asdict(CoupledOptions())
-_SOLVER_KEYS = set(_SOLVER_DEFAULTS)
+@dataclass
+class DomainBlock:
+    """``params`` keeps only the keys given: ``build_domain`` owns their defaults."""
+
+    kind: str
+    params: dict = field(default_factory=dict)
+    h_grid: float = 1.0 / 32.0
+
+    def __post_init__(self):
+        table = _DOMAIN_PARAMS[self.kind]
+        _check_keys(self.params, set(table), "domain.params")
+        self.params = {
+            key: parse(self.params[key], f"domain.params.{key}")
+            for key, parse in sorted(table.items())
+            if key in self.params
+        }
+        if self.kind == "levelset" and "coeffs" not in self.params:
+            raise ConfigError("domain.params.coeffs is required for a levelset domain")
+
+
+@dataclass
+class ProblemBlock:
+    theta: float
+    f: FieldSpec
+    phi: FieldSpec
+    psi: FieldSpec
+
+
+@dataclass
+class FixtureBlock:
+    """A manufactured solution; ``theta`` absent means the command's default."""
+
+    name: str
+    theta: float | None = None
+
+
+@dataclass
+class VerifyBlock:
+    boundary_alpha: float = 1.0
+
+
+@dataclass
+class SectionsBlock:
+    interior_points: list[Point] | None = None
+    boundary_point: Point | None = None
+    heights: list[float] = _default_list(0.125, 0.0625, 0.03125, 0.015625)
+    min_nodes: int = 12
+    normalize: bool = False
+
+
+@dataclass
+class ConvergeBlock:
+    h_list: list[float] = _default_list(0.0625, 0.03125)
+
+
+@dataclass
+class MaBlock:
+    g: FieldSpec = FieldSpec("const", 1.0)
+    phi: FieldSpec = FieldSpec("poly", {"02": 0.5, "20": 0.5})
+
+
+@dataclass
+class LmaBlock:
+    u_csv: str | None = None
+    g: FieldSpec = FieldSpec("const", 0.0)
+    psi: FieldSpec = FieldSpec("const", 1.0)
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration with defaults materialized."""
+    """One field per top-level key; an optional block is None when absent."""
 
-    domain_kind: str
-    domain_params: dict
-    h: float
-    problem: dict | None
-    fixture: dict | None
-    solver: dict
-    verify: dict
-    sections: dict | None
-    converge: dict | None
-    ma: dict | None
-    lma: dict | None
-    output_dir: str
-    seed: int
-
-    def coupled_options(self) -> CoupledOptions:
-        return CoupledOptions(**self.solver)
+    domain: DomainBlock = field(
+        default_factory=lambda: DomainBlock("disk", {"radius": 1.0})
+    )
+    problem: ProblemBlock | None = None
+    fixture: FixtureBlock | None = None
+    solver: CoupledOptions = field(default_factory=CoupledOptions)
+    verify: VerifyBlock = field(default_factory=VerifyBlock)
+    sections: SectionsBlock | None = None
+    converge: ConvergeBlock | None = None
+    ma: MaBlock | None = None
+    lma: LmaBlock | None = None
+    output_dir: str = "out"
+    seed: int = 0
 
     def canonical(self) -> dict:
-        """Canonical JSON object: defaults filled, stable key content."""
-        out: dict[str, Any] = {
-            "domain": {
-                "kind": self.domain_kind,
-                "params": self.domain_params,
-                "h_grid": self.h,
-            },
-            "solver": dict(self.solver),
-            "verify": dict(self.verify),
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
-        if self.problem is not None:
-            p = dict(self.problem)
-            for key in ("f", "phi", "psi"):
-                p[key] = p[key].to_json()
-            out["problem"] = p
-        if self.fixture is not None:
-            out["fixture"] = dict(self.fixture)
-        if self.sections is not None:
-            out["sections"] = dict(self.sections)
-        if self.converge is not None:
-            out["converge"] = dict(self.converge)
-        if self.ma is not None:
-            out["ma"] = {k: v.to_json() for k, v in self.ma.items()}
-        if self.lma is not None:
-            lma = dict(self.lma)
-            for key in ("g", "psi"):
-                if isinstance(lma.get(key), FieldSpec):
-                    lma[key] = lma[key].to_json()
-            out["lma"] = lma
-        return out
+        """Canonical JSON object: defaults filled, absent blocks left out."""
+        return _canonical(self)
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
+_UNIT = (lambda x: 0.0 < x <= 1.0, "must be in (0, 1]")
+
+
+def _one_of(options):
+    return (lambda v: v in options, f"must be one of {sorted(options)}")
+
+
+# "block.key" -> (predicate, message) on the parsed value; a field spec's
+# payload is the block named after its form, wherever the spec sits
+_RULES = {
+    "domain.kind": _one_of(list(_DOMAIN_PARAMS)),
+    "domain.h_grid": _POSITIVE,
+    "fixture.name": _one_of(fixture_names()),
+    "solver.outer_tol": _POSITIVE,
+    "solver.max_outer_iters": _AT_LEAST_ONE,
+    "solver.relaxation": _UNIT,
+    "solver.newton_tol": _POSITIVE,
+    "solver.max_newton_iters": _AT_LEAST_ONE,
+    "solver.lma_tol": _POSITIVE,
+    "verify.boundary_alpha": _UNIT,
+    "sections.interior_points": (bool, "must be a non-empty list"),
+    "sections.heights": (lambda xs: xs and min(xs) > 0, "must be nonempty, positive"),
+    "sections.min_nodes": _AT_LEAST_ONE,
+    "converge.h_list": (
+        lambda xs: len(xs) > 1 and min(xs) > 0, "must list 2+ positive spacings"
+    ),
+    "gaussian.sigma": _POSITIVE,
+    "abs_pow.axis": _one_of([0, 1]),
+    "seed": (lambda s: s >= 0, "must be nonnegative"),
+}
+
+# field type -> parser of (value, ctx); looked up before the dataclass
+# case, since FieldSpec is a dataclass too
+_PARSERS = {
+    float: _number,
+    int: _exact(int, "an integer"),
+    bool: _exact(bool, "true or false"),
+    str: _exact(str, "a non-empty string"),
+    dict: _require_mapping,
+    Point: _point,
+    Poly: _poly_coeffs,
+    FieldSpec: FieldSpec.parse,
+}
+
+
+def _parse_value(value, kind, ctx: str):
+    """``value`` read as a field of type ``kind``."""
+    if kind in _PARSERS:
+        return _PARSERS[kind](value, ctx)
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{ctx} must be a list, got {value!r}")
+        (item,) = get_args(kind)
+        return [_parse_value(v, item, f"{ctx}[{i}]") for i, v in enumerate(value)]
+    return _parse_block(value, kind, ctx)
+
+
+def _parse_block(obj, cls, ctx: str):
+    """The dataclass ``cls`` from a JSON object: its fields are the allowed
+    keys, a field without a default is required, and a field's rule in
+    ``_RULES`` is checked on the parsed value."""
+    d = _require_mapping(obj, ctx)
+    _check_keys(d, {f.name for f in fields(cls)}, ctx)
+    types = get_type_hints(cls)
+    prefix = "" if cls is RunConfig else f"{ctx}."
+    given = {}
+    for f in fields(cls):
+        path = prefix + f.name
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{path} is required")
+            continue
+        kind = types[f.name]
+        if type(None) in get_args(kind):  # an optional field, given
+            kind = get_args(kind)[0]
+        value = _parse_value(d[f.name], kind, path)
+        rule = _RULES.get(".".join(path.split(".")[-2:]))
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{path} {rule[1]}, got {value!r}")
+        given[f.name] = value
+    return cls(**given)
+
+
+def _canonical(value):
+    """Blocks as dicts of their fields, None left out; specs as their JSON."""
+    if isinstance(value, FieldSpec):
+        return value.to_json()
+    if not is_dataclass(value):
+        return value
+    items = ((f.name, getattr(value, f.name)) for f in fields(value))
+    return {key: _canonical(v) for key, v in items if v is not None}
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -295,183 +375,12 @@ def parse_config(obj: dict) -> RunConfig:
     out-of-range scalars.  Deeper semantic validation (theta window,
     domain convexity) happens when the run is assembled.
     """
-    top = _require_mapping(obj, "config")
-    _check_keys(top, _TOP_KEYS, "config")
-
-    dom = _require_mapping(
-        top.get("domain", {"kind": "disk", "params": {"radius": 1.0}}), "domain"
-    )
-    _check_keys(dom, {"kind", "params", "h_grid"}, "domain")
-    kind = dom.get("kind")
-    if not isinstance(kind, str) or kind not in _DOMAIN_PARAMS:
-        raise ConfigError(
-            f"domain.kind must be one of {sorted(_DOMAIN_PARAMS)}, got {kind!r}"
-        )
-    params_in = _require_mapping(dom.get("params", {}), "domain.params")
-    _check_keys(params_in, set(_DOMAIN_PARAMS[kind]), "domain.params")
-    # only the given keys: build_domain owns the defaults
-    params = {
-        key: parse(params_in[key], f"domain.params.{key}")
-        for key, parse in sorted(_DOMAIN_PARAMS[kind].items())
-        if key in params_in
-    }
-    if kind == "levelset" and "coeffs" not in params:
-        raise ConfigError("domain.params.coeffs is required for a levelset domain")
-
-    h = _number(dom.get("h_grid", 1.0 / 32.0), "domain.h_grid")
-    if h <= 0:
-        raise ConfigError(f"domain.h_grid must be positive, got {h}")
-
-    problem = None
-    if "problem" in top:
-        pb = _require_mapping(top["problem"], "problem")
-        _check_keys(pb, _PROBLEM_KEYS, "problem")
-        for req in ("theta", "f", "phi", "psi"):
-            if req not in pb:
-                raise ConfigError(f"problem.{req} is required")
-        problem = {
-            "theta": _number(pb["theta"], "problem.theta"),
-            "f": FieldSpec.parse(pb["f"], "problem.f"),
-            "phi": FieldSpec.parse(pb["phi"], "problem.phi"),
-            "psi": FieldSpec.parse(pb["psi"], "problem.psi"),
-        }
-
-    fixture = None
-    if "fixture" in top:
-        fx = _require_mapping(top["fixture"], "fixture")
-        _check_keys(fx, _FIXTURE_FIELD_KEYS, "fixture")
-        if "name" not in fx or not isinstance(fx["name"], str):
-            raise ConfigError("fixture.name must be a string")
-        if fx["name"] not in fixture_names():
-            raise ConfigError(
-                f"unknown fixture {fx['name']!r}; available: "
-                f"{', '.join(fixture_names())}"
-            )
-        fixture = {"name": fx["name"]}
-        if "theta" in fx:
-            fixture["theta"] = _number(fx["theta"], "fixture.theta")
-
-    solver_in = _require_mapping(top.get("solver", {}), "solver")
-    _check_keys(solver_in, _SOLVER_KEYS, "solver")
-    solver = dict(_SOLVER_DEFAULTS)
-    for key, val in solver_in.items():
-        if key in ("max_outer_iters", "max_newton_iters"):
-            solver[key] = _integer(val, f"solver.{key}")
-            if solver[key] < 1:
-                raise ConfigError(f"solver.{key} must be >= 1")
-        else:
-            solver[key] = _number(val, f"solver.{key}")
-            if key == "relaxation" and not 0.0 < solver[key] <= 1.0:
-                raise ConfigError("solver.relaxation must be in (0, 1]")
-            if solver[key] <= 0 and key != "eps_clamp":
-                raise ConfigError(f"solver.{key} must be positive")
-
-    verify_in = _require_mapping(top.get("verify", {}), "verify")
-    _check_keys(verify_in, _VERIFY_KEYS, "verify")
-    verify = {
-        "boundary_alpha": _number(
-            verify_in.get("boundary_alpha", 1.0), "verify.boundary_alpha"
-        )
-    }
-    if not 0.0 < verify["boundary_alpha"] <= 1.0:
-        raise ConfigError("verify.boundary_alpha must be in (0, 1]")
-
-    sections = None
-    if "sections" in top:
-        sc = _require_mapping(top["sections"], "sections")
-        _check_keys(sc, _SECTIONS_KEYS, "sections")
-        sections = {}
-        if "interior_points" in sc:
-            pts = sc["interior_points"]
-            if not isinstance(pts, list) or not pts:
-                raise ConfigError("sections.interior_points must be a non-empty list")
-            sections["interior_points"] = [
-                _point(p, f"sections.interior_points[{i}]") for i, p in enumerate(pts)
-            ]
-        if "boundary_point" in sc:
-            sections["boundary_point"] = _point(
-                sc["boundary_point"], "sections.boundary_point"
-            )
-        heights = sc.get("heights", [2.0**-k for k in range(3, 7)])
-        if not isinstance(heights, list) or not heights:
-            raise ConfigError("sections.heights must be a non-empty list")
-        sections["heights"] = [
-            _number(x, f"sections.heights[{i}]") for i, x in enumerate(heights)
-        ]
-        if any(x <= 0 for x in sections["heights"]):
-            raise ConfigError("sections.heights must be positive")
-        sections["min_nodes"] = _integer(sc.get("min_nodes", 12), "sections.min_nodes")
-        if sections["min_nodes"] < 1:
-            raise ConfigError("sections.min_nodes must be >= 1")
-        normalize = sc.get("normalize", False)
-        if not isinstance(normalize, bool):
-            raise ConfigError(
-                f"sections.normalize must be true or false, got {normalize!r}"
-            )
-        sections["normalize"] = normalize
-
-    converge = None
-    if "converge" in top:
-        cv = _require_mapping(top["converge"], "converge")
-        _check_keys(cv, _CONVERGE_KEYS, "converge")
-        h_list = cv.get("h_list", [1.0 / 16.0, 1.0 / 32.0])
-        if not isinstance(h_list, list) or len(h_list) < 2:
-            raise ConfigError("converge.h_list must list at least two spacings")
-        converge = {
-            "h_list": [_number(x, f"converge.h_list[{i}]") for i, x in enumerate(h_list)]
-        }
-        if any(x <= 0 for x in converge["h_list"]):
-            raise ConfigError("converge.h_list entries must be positive")
-
-    ma = None
-    if "ma" in top:
-        mb = _require_mapping(top["ma"], "ma")
-        _check_keys(mb, _MA_KEYS, "ma")
-        ma = {
-            "g": FieldSpec.parse(mb.get("g", {"const": 1.0}), "ma.g"),
-            "phi": FieldSpec.parse(
-                mb.get("phi", {"poly": {"20": 0.5, "02": 0.5}}), "ma.phi"
-            ),
-        }
-
-    lma = None
-    if "lma" in top:
-        lm = _require_mapping(top["lma"], "lma")
-        _check_keys(lm, _LMA_KEYS, "lma")
-        lma = {
-            "g": FieldSpec.parse(lm.get("g", {"const": 0.0}), "lma.g"),
-            "psi": FieldSpec.parse(lm.get("psi", {"const": 1.0}), "lma.psi"),
-        }
-        if "u_csv" in lm:
-            if not isinstance(lm["u_csv"], str) or not lm["u_csv"]:
-                raise ConfigError("lma.u_csv must be a non-empty path string")
-            lma["u_csv"] = lm["u_csv"]
-
-    output_dir = top.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir must be a non-empty string")
-    seed = _integer(top.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-
-    return RunConfig(
-        domain_kind=kind,
-        domain_params=params,
-        h=h,
-        problem=problem,
-        fixture=fixture,
-        solver=solver,
-        verify=verify,
-        sections=sections,
-        converge=converge,
-        ma=ma,
-        lma=lma,
-        output_dir=output_dir,
-        seed=seed,
-    )
+    return _parse_block(obj, RunConfig, "config")
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, **overrides) -> RunConfig:
+    """Parse the config file at ``path``; each override that is not None
+    first replaces its top-level key, so it obeys the same rules."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -479,6 +388,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    given = {key: value for key, value in overrides.items() if value is not None}
+    if given and isinstance(obj, dict):
+        obj = {**obj, **given}
     return parse_config(obj)
 
 

@@ -2,17 +2,28 @@
 
 import dataclasses
 import json
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from amce.config import (
+    ConvergeBlock,
     FieldSpec,
+    LmaBlock,
+    MaBlock,
+    RunConfig,
+    SectionsBlock,
+    VerifyBlock,
     canonical_json,
     load_config,
     parse_config,
 )
+from amce.coupled import CoupledOptions
 from amce.errors import ConfigError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RICH_CONFIG = {
     "domain": {"kind": "ellipse", "params": {"a": 1.5, "b": 1.0}, "h_grid": 0.0625},
@@ -147,23 +158,21 @@ def test_fieldspec_poly_coefficients_sorted():
 
 def test_empty_config_materializes_defaults():
     cfg = parse_config({})
-    assert cfg.domain_kind == "disk"
-    assert cfg.domain_params == {"radius": 1.0}
-    assert cfg.h == pytest.approx(1.0 / 32.0)
+    assert cfg.domain.kind == "disk"
+    assert cfg.domain.params == {"radius": 1.0}
+    assert cfg.domain.h_grid == pytest.approx(1.0 / 32.0)
     assert cfg.problem is None and cfg.fixture is None
-    assert cfg.solver["outer_tol"] == 1e-8
-    assert cfg.solver["max_outer_iters"] == 200
-    assert cfg.solver["relaxation"] == 0.5
-    assert cfg.verify == {"boundary_alpha": 1.0}
+    assert cfg.solver.outer_tol == 1e-8
+    assert cfg.solver.max_outer_iters == 200
+    assert cfg.solver.relaxation == 0.5
+    assert cfg.verify == VerifyBlock(boundary_alpha=1.0)
     assert cfg.output_dir == "out"
     assert cfg.seed == 0
 
 
 def test_default_solver_block_is_default_options():
-    from amce.coupled import CoupledOptions
-
     cfg = parse_config({})
-    assert cfg.coupled_options() == CoupledOptions()
+    assert cfg.solver == CoupledOptions()
     assert cfg.canonical()["solver"] == dataclasses.asdict(CoupledOptions())
 
 
@@ -183,7 +192,7 @@ SOLVER_NON_DEFAULTS = {
 def test_solver_key_reaches_same_named_option(key):
     value = SOLVER_NON_DEFAULTS[key]
     cfg = parse_config({"solver": {key: value}})
-    opts = cfg.coupled_options()
+    opts = cfg.solver
     assert getattr(opts, key) == value != getattr(type(opts)(), key)
     assert type(getattr(opts, key)) is type(value)
     assert cfg.canonical()["solver"] == dataclasses.asdict(opts)
@@ -191,15 +200,16 @@ def test_solver_key_reaches_same_named_option(key):
 
 def test_solver_block_is_the_option_fields():
     cfg = parse_config({"solver": SOLVER_NON_DEFAULTS})
-    assert dataclasses.asdict(cfg.coupled_options()) == SOLVER_NON_DEFAULTS
-    assert cfg.canonical()["solver"] == dataclasses.asdict(cfg.coupled_options())
+    assert dataclasses.asdict(cfg.solver) == SOLVER_NON_DEFAULTS
+    assert cfg.canonical()["solver"] == dataclasses.asdict(cfg.solver)
 
 
 def test_sections_defaults():
     cfg = parse_config({"sections": {"boundary_point": [0.0, -1.0]}})
-    assert cfg.sections["heights"] == [2.0**-k for k in range(3, 7)]
-    assert cfg.sections["min_nodes"] == 12
-    assert cfg.sections["normalize"] is False
+    assert cfg.sections.heights == [2.0**-k for k in range(3, 7)]
+    assert cfg.sections.min_nodes == 12
+    assert cfg.sections.normalize is False
+    assert cfg.sections.interior_points is None
 
 
 @pytest.mark.parametrize(
@@ -241,6 +251,8 @@ def test_sections_defaults():
         {"sections": {"normalize": "no"}},
         {"sections": {"min_nodes": 0}},
         {"fixture": {"name": "nope"}},
+        {"domain": {"params": {}}},
+        {"fixture": {"theta": 0.25}},
     ],
 )
 def test_out_of_range_values_rejected(obj):
@@ -253,19 +265,20 @@ def test_domain_params_parsed_per_kind():
     cfg = parse_config(
         {"domain": {"kind": "levelset", "params": {"level": 2, "coeffs": {"20": 1, "02": 2}}}}
     )
-    assert cfg.domain_params == {"coeffs": {"02": 2.0, "20": 1.0}, "level": 2.0}
+    assert cfg.domain.params == {"coeffs": {"02": 2.0, "20": 1.0}, "level": 2.0}
     assert canonical_json(cfg.canonical()["domain"]["params"]) == canonical_json(
         {"coeffs": {"02": 2.0, "20": 1.0}, "level": 2.0}
     )
-    assert parse_config({"domain": {"kind": "disk", "params": {}}}).domain_params == {}
+    assert parse_config({"domain": {"kind": "disk", "params": {}}}).domain.params == {}
+    assert parse_config({"domain": {"kind": "disk"}}).domain.params == {}
     ellipse = parse_config({"domain": {"kind": "ellipse", "params": {"a": 2, "center": [0, 1]}}})
-    assert ellipse.domain_params == {"a": 2.0, "center": [0.0, 1.0]}
-    assert all(type(v) is float for v in ellipse.domain_params["center"])
+    assert ellipse.domain.params == {"a": 2.0, "center": [0.0, 1.0]}
+    assert all(type(v) is float for v in ellipse.domain.params["center"])
 
 
 def test_eps_clamp_may_be_zero():
     cfg = parse_config({"solver": {"eps_clamp": 0.0}})
-    assert cfg.solver["eps_clamp"] == 0.0
+    assert cfg.solver.eps_clamp == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +306,145 @@ def test_canonical_minimal_round_trip():
     }
 
 
+# canonical text at the time the schema became dataclasses; the bytes are
+# embedded in every report, so they must not drift
+RICH_CANONICAL = """\
+{
+  "converge": {
+    "h_list": [
+      0.0625,
+      0.03125
+    ]
+  },
+  "domain": {
+    "h_grid": 0.0625,
+    "kind": "ellipse",
+    "params": {
+      "a": 1.5,
+      "b": 1.0
+    }
+  },
+  "lma": {
+    "g": {
+      "const": 0.0
+    },
+    "psi": {
+      "const": 2.0
+    },
+    "u_csv": "u.csv"
+  },
+  "ma": {
+    "g": {
+      "const": 4.0
+    },
+    "phi": {
+      "poly": {
+        "02": 0.5,
+        "20": 0.5
+      }
+    }
+  },
+  "output_dir": "results",
+  "problem": {
+    "f": {
+      "gaussian": {
+        "amplitude": -0.5,
+        "center": [
+          0.1,
+          -0.2
+        ],
+        "sigma": 0.4
+      }
+    },
+    "phi": {
+      "poly": {
+        "02": 0.5,
+        "20": 0.5
+      }
+    },
+    "psi": {
+      "const": 1.0
+    },
+    "theta": 0.25
+  },
+  "sections": {
+    "boundary_point": [
+      0.0,
+      -1.0
+    ],
+    "heights": [
+      0.125,
+      0.0625
+    ],
+    "interior_points": [
+      [
+        0.0,
+        0.0
+      ],
+      [
+        0.3,
+        0.1
+      ]
+    ],
+    "min_nodes": 10,
+    "normalize": true
+  },
+  "seed": 7,
+  "solver": {
+    "eps_clamp": 1e-10,
+    "lma_tol": 1e-10,
+    "max_newton_iters": 50,
+    "max_outer_iters": 64,
+    "newton_tol": 1e-10,
+    "outer_tol": 1e-07,
+    "relaxation": 0.5
+  },
+  "verify": {
+    "boundary_alpha": 0.5
+  }
+}"""
+
+EMPTY_CANONICAL = """\
+{
+  "domain": {
+    "h_grid": 0.03125,
+    "kind": "disk",
+    "params": {
+      "radius": 1.0
+    }
+  },
+  "output_dir": "out",
+  "seed": 0,
+  "solver": {
+    "eps_clamp": 1e-10,
+    "lma_tol": 1e-10,
+    "max_newton_iters": 50,
+    "max_outer_iters": 200,
+    "newton_tol": 1e-10,
+    "outer_tol": 1e-08,
+    "relaxation": 0.5
+  },
+  "verify": {
+    "boundary_alpha": 1.0
+  }
+}"""
+
+
+def test_canonical_text_is_pinned():
+    assert canonical_json(parse_config(RICH_CONFIG).canonical()) == RICH_CANONICAL
+    assert canonical_json(parse_config({}).canonical()) == EMPTY_CANONICAL
+
+
+def test_absent_optional_keys_left_out_of_canonical():
+    canon = parse_config(
+        {"fixture": {"name": "paraboloid"}, "sections": {}, "lma": {}}
+    ).canonical()
+    assert canon["fixture"] == {"name": "paraboloid"}
+    assert set(canon["sections"]) == {"heights", "min_nodes", "normalize"}
+    assert set(canon["lma"]) == {"g", "psi"}
+    assert "problem" not in canon and "converge" not in canon
+
+
 def test_canonical_json_is_key_sorted_text():
     text = canonical_json({"b": 1, "a": {"d": 2, "c": 3}})
     assert text.index('"a"') < text.index('"b"')
@@ -309,11 +461,11 @@ def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(RICH_CONFIG))
     cfg = load_config(str(path))
-    assert cfg.domain_kind == "ellipse"
+    assert cfg.domain.kind == "ellipse"
     assert cfg.seed == 7
-    assert cfg.lma["u_csv"] == "u.csv"
-    assert cfg.ma["g"].payload == 4.0
-    assert cfg.ma["phi"].kind == "poly"
+    assert cfg.lma.u_csv == "u.csv"
+    assert cfg.ma.g.payload == 4.0
+    assert cfg.ma.phi.kind == "poly"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -333,3 +485,73 @@ def test_load_config_not_utf8(tmp_path):
     path.write_bytes(b'{"domain": {"kind": "disk"\xff}}')
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(path))
+
+
+def test_load_config_overrides_obey_the_rules(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(RICH_CONFIG))
+    cfg = load_config(str(path), output_dir="elsewhere", seed=None)
+    assert (cfg.output_dir, cfg.seed) == ("elsewhere", 7)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        load_config(str(path), seed=-1)
+    with pytest.raises(ConfigError, match="output_dir"):
+        load_config(str(path), output_dir="")
+
+
+# ---------------------------------------------------------------------------
+# README's table of keys and defaults
+# ---------------------------------------------------------------------------
+
+README_BLOCKS = {
+    "solver": CoupledOptions,
+    "verify": VerifyBlock,
+    "sections": SectionsBlock,
+    "converge": ConvergeBlock,
+    "ma": MaBlock,
+    "lma": LmaBlock,
+}
+
+
+def _readme_table() -> dict:
+    """README's ``| block | key | default | rule |`` rows: block -> key -> default."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("| block | key | default | rule |\n")[1].split("\n\n")[0]
+    rows: dict = {}
+    block = None
+    for line in table.splitlines()[1:]:
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        block = cells[0] or block
+        rows.setdefault(block, {})[cells[1]] = cells[2]
+    return rows
+
+
+def _readme_default(cell: str):
+    """A default cell as a value: ``none``, JSON, a field spec, or a list of
+    fractions such as ``[1/16, 1/32]``."""
+    if cell == "none":
+        return None
+    if cell.startswith("[") and "/" in cell:
+        return [float(Fraction(x.strip())) for x in cell.strip("[]").split(",")]
+    value = json.loads(cell)
+    return FieldSpec.parse(value, cell) if isinstance(value, dict) else value
+
+
+def _field_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def test_readme_config_table_matches_schema():
+    table = _readme_table()
+    assert set(table) == set(README_BLOCKS) | {"top level"}
+    scalars = {
+        key: value
+        for key, value in _field_values(RunConfig()).items()
+        if isinstance(value, (str, int))
+    }
+    for block, rows in table.items():
+        cls = README_BLOCKS.get(block)
+        defaults = scalars if cls is None else _field_values(cls())
+        assert set(rows) == set(defaults), block
+        for key, cell in rows.items():
+            assert _readme_default(cell) == defaults[key], (block, key)
