@@ -19,8 +19,9 @@ lives only under the ``"timing"`` key (``verify`` adds its ``solve_s`` and
 and ``interior_s``) so that identical configs produce
 byte-identical reports after dropping that key.  A run that fails once its
 output directory exists writes one too, with ``"status"`` (``"exit 2"`` or
-``"exit 3"``) and ``"error"`` (class, message and, for a non-convergence,
-the residual history) in place of ``"results"``.
+``"exit 3"``) and ``"error"`` (class, message, the solver counts made
+before the failure and, for a non-convergence, the residual history) in
+place of ``"results"``; its ``"timing"`` includes the phase that failed.
 
 Exit codes: 0 on success, 2 when an iteration fails to converge (or the
 operator degenerates mid-solve), 3 for invalid configs, domains, or data.
@@ -33,6 +34,7 @@ import dataclasses
 import os
 import sys
 import time
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -40,6 +42,7 @@ import numpy as np
 from .config import LmaBlock, RunConfig, canonical_json, load_config
 from .convergence import convergence_study
 from .coupled import (
+    COUNTED,
     ProblemData,
     check_theta,
     forcing_nonpositive,
@@ -53,7 +56,7 @@ from .geometry import build_domain
 from .grid import Grid, ScalarField, build_grid
 from .lma import LMAProblem, solve_lma
 from .ma import MAProblem, solve_ma
-from .operators import discrete_hessian
+from .operators import COUNTS, discrete_hessian
 from .regularity import verify
 from .sections import (
     localization_scan,
@@ -177,13 +180,24 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _write_report(
-    out_dir: str, command: str, cfg: RunConfig, t0: float, timing: dict, **body
-) -> None:
-    """``report.json``: command, canonical config, ``body``, and under
-    ``"timing"`` the wall time since t0 beside the command's phase times."""
-    report = {"command": command, "config": cfg.canonical(), **body}
-    report["timing"] = {"wall_time_s": time.perf_counter() - t0, **timing}
+#: Wall time of each phase of the running command, in seconds.
+_TIMING: dict[str, float] = {}
+
+
+@contextmanager
+def _phase(name: str):
+    """Time the block into ``_TIMING[name]``, also when it raises."""
+    t = time.perf_counter()
+    try:
+        yield
+    finally:
+        _TIMING[name] = time.perf_counter() - t
+
+
+def _write_report(out_dir: str, command: str, cfg: RunConfig, **body) -> None:
+    """``report.json``: command, canonical config, ``body`` and the phase
+    times under ``"timing"``."""
+    report = {"command": command, "config": cfg.canonical(), **body, "timing": _TIMING}
     _write_json(os.path.join(out_dir, "report.json"), report)
 
 
@@ -238,7 +252,7 @@ def _ma_problem(cfg: RunConfig, grid: Grid) -> MAProblem:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
+def _cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
     u, w, report = solve_system(problem, cfg.solver)
@@ -255,7 +269,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_ma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
+def _cmd_ma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _ma_problem(cfg, grid)
     u, report = solve_ma(problem, cfg.solver)
@@ -267,7 +281,7 @@ def _cmd_ma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_lma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
+def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     lma_cfg = cfg.lma or LmaBlock()
     if lma_cfg.u_csv is not None:
@@ -298,7 +312,7 @@ def _cmd_lma(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
+def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     if cfg.sections is None:
         raise ConfigError("the sections command needs a 'sections' config block")
     sc = cfg.sections
@@ -309,9 +323,8 @@ def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
     for y in sc.interior_points or []:
         require_interior_point(grid, y)
     problem = _coupled_problem(cfg, grid)
-    t = time.perf_counter()
-    u, _, solve_report = solve_system(problem, cfg.solver)
-    timing["solve_s"] = time.perf_counter() - t
+    with _phase("solve_s"):
+        u, _, solve_report = solve_system(problem, cfg.solver)
 
     results: dict = {
         "solve": solve_report,
@@ -320,60 +333,52 @@ def _cmd_sections(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
     }
 
     if sc.boundary_point is not None:
-        t = time.perf_counter()
-        scan = localization_scan(
-            u, sc.boundary_point, sc.heights, min_nodes=sc.min_nodes
-        )
-        keys = ["h", "tau", "vol_ratio", "k_inner", "k_outer"]
-        _write_csv(
-            os.path.join(out_dir, "sections.csv"),
-            ",".join(keys),
-            [[row[k] for row in scan.kept_rows()] for k in keys],
-        )
-        results["outputs"].append("sections.csv")
+        with _phase("boundary_scan_s"):
+            scan = localization_scan(
+                u, sc.boundary_point, sc.heights, min_nodes=sc.min_nodes
+            )
+            keys = ["h", "tau", "vol_ratio", "k_inner", "k_outer"]
+            _write_csv(
+                os.path.join(out_dir, "sections.csv"),
+                ",".join(keys),
+                [[row[k] for row in scan.kept_rows()] for k in keys],
+            )
+            results["outputs"].append("sections.csv")
 
-        # hull polygons, one file per kept height
-        hull_files = []
-        for k, (row, hull) in enumerate(zip(scan.kept_rows(), scan.hulls)):
-            name = f"hull_{k:03d}.csv"
-            _write_csv(os.path.join(out_dir, name), "x,y", hull.T)
-            hull_files.append({"h": row["h"], "file": name, "n_vertices": len(hull)})
-        results["outputs"].extend(e["file"] for e in hull_files)
-        results["boundary_scan"] = dataclasses.replace(scan, hulls=hull_files)
-        timing["boundary_scan_s"] = time.perf_counter() - t
+            # hull polygons, one file per kept height
+            hull_files = []
+            for k, (row, hull) in enumerate(zip(scan.kept_rows(), scan.hulls)):
+                name = f"hull_{k:03d}.csv"
+                _write_csv(os.path.join(out_dir, name), "x,y", hull.T)
+                hull_files.append({"h": row["h"], "file": name, "n_vertices": len(hull)})
+            results["outputs"].extend(e["file"] for e in hull_files)
+            results["boundary_scan"] = dataclasses.replace(scan, hulls=hull_files)
 
     if sc.interior_points is not None:
-        t = time.perf_counter()
-        interior = []
-        for y in sc.interior_points:
-            entry: dict = {"point": [float(y[0]), float(y[1])]}
-            hbar, touch = maximal_height(u, y)
-            entry["hbar"] = hbar
-            entry["touch_point"] = list(map(float, touch))
-            if sc.normalize:
-                entry["normalized"] = normalize_section(u, y)
-            interior.append(entry)
-        results["interior_points"] = interior
-        timing["interior_s"] = time.perf_counter() - t
+        with _phase("interior_s"):
+            interior = []
+            for y in sc.interior_points:
+                entry: dict = {"point": [float(y[0]), float(y[1])]}
+                hbar, touch = maximal_height(u, y)
+                entry["hbar"] = hbar
+                entry["touch_point"] = list(map(float, touch))
+                if sc.normalize:
+                    entry["normalized"] = normalize_section(u, y)
+                interior.append(entry)
+            results["interior_points"] = interior
 
     return results, 0
 
 
-def _cmd_verify(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
+def _cmd_verify(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     problem = _coupled_problem(cfg, grid)
-    t = time.perf_counter()
-    u, w, solve_report = solve_system(problem, cfg.solver)
-    timing["solve_s"] = time.perf_counter() - t
-    t = time.perf_counter()
-    checks = verify(
-        problem,
-        u,
-        w,
-        boundary_alpha=cfg.verify.boundary_alpha,
-        seed=cfg.seed,
-    )
-    timing["checks_s"] = time.perf_counter() - t
+    with _phase("solve_s"):
+        u, w, solve_report = solve_system(problem, cfg.solver)
+    with _phase("checks_s"):
+        checks = verify(
+            problem, u, w, boundary_alpha=cfg.verify.boundary_alpha, seed=cfg.seed
+        )
     summary = {
         "checks": checks,
         "n_pass": sum(c.status == "pass" for c in checks),
@@ -389,7 +394,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_converge(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
+def _cmd_converge(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     if cfg.converge is None:
         raise ConfigError("the converge command needs a 'converge' config block")
     if cfg.fixture is None:
@@ -412,7 +417,7 @@ def _cmd_converge(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int
     return results, 2 if study.partial else 0
 
 
-def _cmd_fixture(cfg: RunConfig, out_dir: str, timing: dict) -> tuple[dict, int]:
+def _cmd_fixture(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     results: dict = {"available": fixture_names(), "outputs": []}
     if cfg.fixture is not None:
         exact = _fixture_exact(cfg)
@@ -482,7 +487,8 @@ def main(argv=None) -> int:
         # with the invalid-input code and let --help keep its clean exit
         return 0 if exc.code == 0 else 3
 
-    out_dir = None
+    out_dir, start = None, COUNTS.copy()
+    _TIMING.clear()
     try:
         cfg = load_config(args.config, output_dir=args.out, seed=args.seed)
 
@@ -492,9 +498,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
         out_dir = cfg.output_dir
 
-        t0, timing = time.perf_counter(), {}
-        results, code = _DISPATCH[args.command](cfg, out_dir, timing)
-        _write_report(out_dir, args.command, cfg, t0, timing, results=results)
+        with _phase("wall_time_s"):
+            results, code = _DISPATCH[args.command](cfg, out_dir)
+        _write_report(out_dir, args.command, cfg, results=results)
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{args.command}: {status}, outputs in {out_dir}")
         return code
@@ -506,17 +512,10 @@ def main(argv=None) -> int:
     print(f"error: {message}", file=sys.stderr)
     if out_dir is not None:
         detail = {"class": type(error).__name__, "message": message}
+        detail["counts"] = {name: COUNTS[name] - start[name] for name in COUNTED}
         if getattr(error, "history", None) is not None:
             detail["history"] = error.history
-        _write_report(
-            out_dir,
-            args.command,
-            cfg,
-            t0,
-            timing,
-            status=f"exit {code}",
-            error=detail,
-        )
+        _write_report(out_dir, args.command, cfg, status=f"exit {code}", error=detail)
     return code
 
 

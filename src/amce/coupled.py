@@ -50,7 +50,13 @@ from .errors import (
 from .grid import Grid, ScalarField, require_finite
 from .lma import LMA_TOL, LMAProblem, assemble_lma, lma_residual, solve_lma
 from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
-from .operators import discrete_hessian, factor_lu, local_quadratic_fit, poisson_solver
+from .operators import (
+    COUNTS,
+    discrete_hessian,
+    factor_lu,
+    local_quadratic_fit,
+    poisson_solver,
+)
 
 Array = np.ndarray
 
@@ -138,13 +144,20 @@ class SolveReport:
     min_w: float
     max_w: float
     min_hessian_eigenvalue: float
-    newton_iterations_total: int
+    newton_iterations_total: int  # Newton steps of the determinant solves
     hypothesis_flags: dict
     factorizations: int = 0  # every LU factorization, the Poisson factor included
     coupled_newton_steps: int = 0  # Newton steps on (u, w) together
-    krylov_iterations_total: int = 0  # GMRES iterations of those steps
+    krylov_iterations_total: int = 0  # GMRES iterations of the Newton steps tried
     backtracks_total: int = 0  # line-search backtracks of the determinant solves
     pivoting_refactors: int = 0  # default-pivoting retries among the factorizations
+
+
+#: The fields of :class:`SolveReport` read off :data:`amce.operators.COUNTS`.
+COUNTED = (
+    "newton_iterations_total", "factorizations", "coupled_newton_steps",
+    "krylov_iterations_total", "backtracks_total", "pivoting_refactors",
+)
 
 
 def w_from_u(u: ScalarField, theta: float) -> ScalarField:
@@ -207,27 +220,27 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
     ``e = 1/(theta-1)``; the Jacobian ``[[A, -diag(e w^(e-1))], [C, A]]``
     has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
     it, left-preconditioned by ``[[A, 0], [C, A]]`` through one LU factor of
-    ``A``, made first and dropped on return: every call factors exactly
-    once, and once more when :func:`amce.operators.factor_lu` retries.
+    ``A``, made first and dropped on return.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
-    Returns ``(step, refactors)``: ``step`` is ``(u, w, change,
-    krylov_iterations)``, or None when ``A`` cannot be factored, GMRES fails
-    or the trial loses ``det H(u) > 0`` or ``w > 0``; ``refactors`` is 0 or 1.
+    Returns ``(u, w, change)``, or None when ``A`` cannot be factored, GMRES
+    fails or the trial loses ``det H(u) > 0`` or ``w > 0``.  Every GMRES
+    iteration counts in ``COUNTS["krylov_iterations_total"]``, and a
+    returned step in ``COUNTS["coupled_newton_steps"]``.
     """
     n = data.grid.n_nodes
     e = 1.0 / (data.theta - 1.0)
     Hu = discrete_hessian(u)
-    A, _ = assemble_lma(Hu)
+    A = assemble_lma(Hu)
     try:
-        lu, refactors = factor_lu(splu, A, data.grid)
+        lu = factor_lu(splu, A, data.grid)
     except RuntimeError:
-        return None, 1
-    C, _ = assemble_lma(discrete_hessian(w))
+        return None
+    C = assemble_lma(discrete_hessian(w))
     with np.errstate(over="ignore"):
         we = w.values**e
         dw_coef = -e * we / w.values
     if not (np.isfinite(we).all() and np.isfinite(dw_coef).all()):
-        return None, refactors
+        return None
     F = np.concatenate([Hu.det() - we, lma_residual(w, Hu, data.f.values)])
 
     def jacobian(x):
@@ -238,11 +251,8 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
         yu = lu.solve(r[:n])
         return np.concatenate([yu, lu.solve(r[n:] - C @ yu)])
 
-    krylov = 0
-
     def count(_):
-        nonlocal krylov
-        krylov += 1
+        COUNTS["krylov_iterations_total"] += 1
 
     shape = (2 * n, 2 * n)
     delta, info = gmres(
@@ -260,7 +270,7 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
     # the solve's peak RSS by about 5 MiB
     del lu
     if info != 0:
-        return None, refactors
+        return None
     size = float(np.max(np.abs(delta[n:])))
     alpha = min(1.0, cap / size) if size > 0.0 else 1.0
     u_new = u.with_values(u.values + alpha * delta[:n])
@@ -269,8 +279,9 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
         float(w_new.values.min()) <= 0.0
         or float(discrete_hessian(u_new).det().min()) <= 0.0
     ):
-        return None, refactors
-    return (u_new, w_new, alpha * size, krylov), refactors
+        return None
+    COUNTS["coupled_newton_steps"] += 1
+    return u_new, w_new, alpha * size
 
 
 def _require_positive(w: ScalarField, history: list[float]) -> ScalarField:
@@ -303,9 +314,10 @@ def solve_system(
     A sweep whose determinant solve takes no Newton step leaves ``u``
     bitwise unchanged and keeps the previous linear solution; a sweep that
     follows a Newton step always solves the linear equation.
-    ``report.factorizations`` counts every ``splu`` call: the Laplacian's,
-    one per coupled Newton step tried, those of the sweeps, and the
-    ``report.pivoting_refactors`` retries among them.  The one Laplacian
+    The report's counts are those :data:`amce.operators.COUNTS` gained
+    during the call: ``factorizations`` is every ``splu`` call, the
+    Laplacian's, one per coupled Newton step tried, those of the sweeps,
+    and the ``pivoting_refactors`` retries among them.  The one Laplacian
     factor solves for the harmonic extension of ``psi``, the first weight,
     and then for the determinant solve's Poisson start (see
     :func:`amce.ma.initial_guess`); it is dropped before any other factor
@@ -319,7 +331,8 @@ def solve_system(
 
     flags = {"f_le_0_violated": not data.f_nonpositive}
     history: list[float] = []
-    poisson, refactors = poisson_solver(grid)
+    start = COUNTS.copy()
+    poisson = poisson_solver(grid)
     w = ScalarField(
         grid=grid,
         values=poisson(np.zeros(grid.n_nodes), data.psi_hits),
@@ -329,40 +342,28 @@ def solve_system(
     u = initial_guess(MAProblem(grid=grid, g=g, phi_hits=data.phi_hits), poisson)
     del poisson  # its factor's memory serves the next factorization
     w_half: ScalarField | None = None
-    newton_total = backtracks = coupled_steps = krylov_total = 0
-    factorizations = 1  # the Laplacian's
     polish = False
 
     while True:
         _require_positive(w, history)
         step = None
         if history and not polish:
-            step, retried = _newton_step(data, u, w, cap=history[-1])
-            factorizations += 1
-            refactors += retried
+            step = _newton_step(data, u, w, cap=history[-1])
         if step is not None:
-            u, w, change, krylov = step
+            u, w, change = step
             w_half = None  # the last linear solution belongs to the old u
-            coupled_steps += 1
-            krylov_total += krylov
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
             u, ma_rep = solve_ma(problem, opts, initial=u)
-            newton_total += ma_rep.iterations
-            backtracks += ma_rep.backtracks
-            factorizations += ma_rep.iterations  # one factor per Newton step
-            refactors += ma_rep.pivoting_refactors
             # a solve without Newton steps returns the u of the last linear
             # step bitwise, so that step's w_half stands
             if w_half is None or ma_rep.iterations:
                 H = discrete_hessian(u)
-                w_half, lma_rep = solve_lma(
+                w_half, _ = solve_lma(
                     LMAProblem(hessian=H, g=data.f.values, psi_hits=data.psi_hits),
                     tol=opts.lma_tol,
                 )
-                factorizations += 1
-                refactors += lma_rep.pivoting_refactors
             if polish:
                 break
             new_vals = (1.0 - sigma) * w.values + sigma * w_half.values
@@ -381,6 +382,7 @@ def solve_system(
     w = _require_positive(w_half, history)
     final_ma = float(np.max(np.abs(ma_residual(u, g_from_w(w, data.theta)))))
     final_lma = float(np.max(np.abs(lma_residual(w, H, data.f.values))))
+    counts = COUNTS - start
     report = SolveReport(
         outer_iterations=len(history),
         w_change_history=history,
@@ -389,13 +391,8 @@ def solve_system(
         min_w=float(w.values.min()),
         max_w=float(w.values.max()),
         min_hessian_eigenvalue=H.min_eigenvalue(),
-        newton_iterations_total=newton_total,
         hypothesis_flags=flags,
-        factorizations=factorizations + refactors,
-        coupled_newton_steps=coupled_steps,
-        krylov_iterations_total=krylov_total,
-        backtracks_total=backtracks,
-        pivoting_refactors=refactors,
+        **{name: counts[name] for name in COUNTED},
     )
     return u, w, report
 

@@ -25,7 +25,14 @@ from scipy.sparse.linalg import splu
 
 from .errors import DegenerateOperatorError, NonConvergenceError
 from .grid import ScalarField, require_finite
-from .operators import HessianField, discrete_hessian, factor_lu, grid_operators
+from .operators import (
+    COUNTS,
+    HessianField,
+    PermutedLU,
+    discrete_hessian,
+    factor_lu,
+    grid_operators,
+)
 
 Array = np.ndarray
 
@@ -61,23 +68,17 @@ class LMAReport:
     pivoting_refactors: int = 0  # default-pivoting retries of the factor
 
 
-def assemble_lma(H: HessianField) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """Interior matrix and boundary map of ``cof H : D^2``.
+def assemble_lma(H: HessianField) -> sp.csc_matrix:
+    """Interior matrix of ``cof H : D^2``; see :func:`_cofactor_contraction`."""
+    return _cofactor_contraction(H, "D").tocsc()
 
-    ``hyy Dxx - 2 hxy Dxy + hxx Dyy``, node-wise.
-    """
+
+def _cofactor_contraction(H: HessianField, part: str) -> sp.spmatrix:
+    """``hyy Dxx - 2 hxy Dxy + hxx Dyy``, node-wise, on the ``part``
+    (``"D"`` interior, ``"B"`` boundary) of the second-difference operators."""
     ops = grid_operators(H.grid)
-    D = (
-        sp.diags(H.hyy) @ ops["dxx"].D
-        - 2.0 * sp.diags(H.hxy) @ ops["dxy"].D
-        + sp.diags(H.hxx) @ ops["dyy"].D
-    ).tocsc()
-    B = (
-        sp.diags(H.hyy) @ ops["dxx"].B
-        - 2.0 * sp.diags(H.hxy) @ ops["dxy"].B
-        + sp.diags(H.hxx) @ ops["dyy"].B
-    ).tocsr()
-    return D, B
+    xx, xy, yy = (getattr(ops[name], part) for name in ("dxx", "dxy", "dyy"))
+    return sp.diags(H.hyy) @ xx - 2.0 * sp.diags(H.hxy) @ xy + sp.diags(H.hxx) @ yy
 
 
 def offdiagonal_sign_audit(D: sp.spmatrix) -> dict:
@@ -118,8 +119,10 @@ def solve_lma(
     The factor is made by :func:`amce.operators.factor_lu`.  Symmetric mode
     keeps a diagonal pivot however small, so when its solve leaves the
     backward error above ``tol``, ``D`` is factored once more with partial
-    pivoting and solved again; ``report.pivoting_refactors`` counts either
-    retry.  The tolerance then judges the second solve.
+    pivoting and solved again; that retry counts in
+    :data:`amce.operators.COUNTS` like :func:`~amce.operators.factor_lu`'s
+    own, and ``report.pivoting_refactors`` is 1 after either.  The
+    tolerance then judges the second solve.
     """
     H = problem.hessian
     grid = H.grid
@@ -134,15 +137,17 @@ def solve_lma(
             node=k,
             point=(float(x), float(y)),
         )
-    D, B = assemble_lma(H)
+    D = assemble_lma(H)
+    B = _cofactor_contraction(H, "B").tocsr()
     try:
-        lu, refactors = factor_lu(splu, D, grid)
+        lu = factor_lu(splu, D, grid)
     except RuntimeError as exc:
         raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
     field, resid_sup, backward = _refined_solve(problem, D, B, lu)
-    if not backward <= tol and not refactors:
+    if not backward <= tol and isinstance(lu, PermutedLU):
+        COUNTS.update(factorizations=1, pivoting_refactors=1)
         try:
-            lu, refactors = splu(D), 1
+            lu = splu(D)
         except RuntimeError as exc:
             raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
         field, resid_sup, backward = _refined_solve(problem, D, B, lu)
@@ -159,7 +164,7 @@ def solve_lma(
         backward_error=backward,
         sign_audit=offdiagonal_sign_audit(D),
         condition_estimate=cond,
-        pivoting_refactors=refactors,
+        pivoting_refactors=int(not isinstance(lu, PermutedLU)),
     )
     return field, report
 

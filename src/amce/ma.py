@@ -35,6 +35,7 @@ from .errors import (
 from .grid import Grid, ScalarField, require_finite
 from .lma import assemble_lma
 from .operators import (
+    COUNTS,
     HessianField,
     discrete_hessian,
     factor_lu,
@@ -147,9 +148,10 @@ def solve_ma(
     """Damped Newton solve; returns the solution field and an iteration report.
 
     Every Newton step factors its own clamped matrix and drops the factor
-    before the line search, so each of ``report.iterations`` made one LU
-    factorization, and one more for each of ``report.pivoting_refactors``
-    (see :func:`amce.operators.factor_lu`).
+    before the line search.  Steps and backtracks count in
+    :data:`amce.operators.COUNTS` as they are taken, and the report reads
+    them, with the factorizations' ``pivoting_refactors``, off the counts
+    made since the call began.
 
     Newton stops when the backward error is at most ``BERR_TOL`` or when
     ``max |det H(u) - g| <= newton_tol``; the line search measures each
@@ -160,6 +162,7 @@ def solve_ma(
     discrete Hessian is not positive definite.
     """
     opts = options or MASolveOptions()
+    start = COUNTS.copy()
     u = initial.copy() if initial is not None else initial_guess(problem)
     if initial is not None:
         u.hit_values = problem.phi_hits.copy()
@@ -176,20 +179,18 @@ def solve_ma(
     floor = roundoff_floor(u, H, g)
     berr = float(np.max(np.abs(res) / floor))
 
-    iters = total_backtracks = refactors = 0
     while res_norm > opts.newton_tol and berr > BERR_TOL:
-        if iters >= opts.max_newton_iters:
+        if len(history) > opts.max_newton_iters:
             raise NonConvergenceError(
                 f"Newton did not reach tol {opts.newton_tol} in "
                 f"{opts.max_newton_iters} iterations (last residual {res_norm:.3e})",
                 history=history,
             )
-        J, _ = assemble_lma(H.clamped(opts.eps_clamp))
+        J = assemble_lma(H.clamped(opts.eps_clamp))
         try:
-            lu, retried = factor_lu(splu, J, problem.grid)
+            lu = factor_lu(splu, J, problem.grid)
         except RuntimeError as exc:
             raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
-        refactors += retried
         delta = lu.solve(-res)
         del lu  # two factors would be alive at the next splu
 
@@ -201,7 +202,7 @@ def solve_ma(
             if np.max(np.abs(res_trial) / floor) <= (1.0 - _ARMIJO * alpha) * berr:
                 break
             alpha *= _BACKTRACK_FACTOR
-            total_backtracks += 1
+            COUNTS["backtracks_total"] += 1
         else:
             raise NonConvergenceError(
                 f"line search stalled at {berr:.3g} round-off floors", history=history
@@ -211,18 +212,19 @@ def solve_ma(
         history.append(res_norm)
         floor = roundoff_floor(u, H, g)
         berr = float(np.max(np.abs(res) / floor))
-        iters += 1
+        COUNTS["newton_iterations_total"] += 1
 
     min_eig = H.min_eigenvalue()
     if min_eig <= 0.0:
         raise ConvexityFailureError(
             f"converged iterate is not convex: min Hessian eigenvalue {min_eig:.3e}"
         )
+    counts = COUNTS - start
     report = MAReport(
-        iterations=iters,
+        iterations=counts["newton_iterations_total"],
         residual_history=history,
         min_hessian_eigenvalue=min_eig,
-        backtracks=total_backtracks,
-        pivoting_refactors=refactors,
+        backtracks=counts["backtracks_total"],
+        pivoting_refactors=counts["pivoting_refactors"],
     )
     return u, report

@@ -18,6 +18,7 @@ Each operator is a pair ``(D, B)``: ``D`` maps interior node values and
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -55,6 +56,12 @@ SYMMETRIC_LU = {
     "diag_pivot_thresh": 0.0,
     "options": {"SymmetricMode": True},
 }
+
+#: Solver events of the process, each counted where it happens, under the
+#: names of :class:`amce.coupled.SolveReport`'s count fields.  A solve
+#: reports the difference from a copy taken when it starts, so solves made
+#: one after another in one process stay apart.
+COUNTS: Counter = Counter()
 
 
 @dataclass
@@ -259,33 +266,36 @@ class PermutedLU:
 
 
 def factor_lu(splu, A: sp.csc_matrix, grid: Grid):
-    """``(lu, refactors)``: an LU factor of the grid operator ``A``.
+    """An LU factor of the grid operator ``A``.
 
     ``A`` is permuted into :func:`dissection_order` and factored with
-    :data:`SYMMETRIC_LU`, and ``lu`` is the :class:`PermutedLU` that
-    solves with ``A`` itself.  Symmetric mode does not pivot for size, so
-    when ``splu`` raises, the unpermuted ``A`` is factored once more with
-    SciPy's defaults (its own ordering and partial pivoting), ``lu`` is that
-    factor and ``refactors`` is 1; that second ``RuntimeError`` propagates.
-    ``splu`` is the caller's own binding of :func:`scipy.sparse.linalg.splu`.
+    :data:`SYMMETRIC_LU`; the result is the :class:`PermutedLU` that solves
+    with ``A`` itself.  Symmetric mode does not pivot for size, so when
+    ``splu`` raises, the unpermuted ``A`` is factored once more with SciPy's
+    defaults (its own ordering and partial pivoting) and that factor is
+    returned; a second ``RuntimeError`` propagates.  Every ``splu`` call
+    counts in ``COUNTS["factorizations"]``, the retry also in
+    ``COUNTS["pivoting_refactors"]``.  ``splu`` is the caller's own binding
+    of :func:`scipy.sparse.linalg.splu`.
     """
     p = dissection_order(grid)
+    COUNTS["factorizations"] += 1
     try:
-        return PermutedLU(splu(A[p][:, p], **SYMMETRIC_LU), p), 0
+        return PermutedLU(splu(A[p][:, p], **SYMMETRIC_LU), p)
     except RuntimeError:
-        return splu(A), 1
+        COUNTS.update(factorizations=1, pivoting_refactors=1)
+        return splu(A)
 
 
-def poisson_solver(grid: Grid) -> tuple[Callable[[Array, Array], Array], int]:
-    """``(solve, refactors)`` through one LU factor of the discrete Laplacian.
+def poisson_solver(grid: Grid) -> Callable[[Array, Array], Array]:
+    """``solve`` through one LU factor of the discrete Laplacian.
 
     ``solve(rhs, hit_values)`` solves ``lap u = rhs`` with Dirichlet data
     ``hit_values``; the factor lives as long as ``solve`` does.
-    ``refactors`` is that of :func:`factor_lu`.
     """
     lap = grid_operators(grid)["lap"]
     try:
-        lu, refactors = factor_lu(splu, lap.D.tocsc(), grid)
+        lu = factor_lu(splu, lap.D.tocsc(), grid)
     except RuntimeError as exc:
         raise DegenerateOperatorError(f"Poisson operator: {exc}") from exc
 
@@ -293,13 +303,12 @@ def poisson_solver(grid: Grid) -> tuple[Callable[[Array, Array], Array], int]:
         b = np.asarray(rhs, dtype=float) - lap.B @ np.asarray(hit_values, dtype=float)
         return lu.solve(b)
 
-    return solve, refactors
+    return solve
 
 
 def solve_poisson(grid: Grid, rhs: Array, hit_values: Array) -> Array:
     """Solve the discrete Poisson problem ``lap u = rhs`` with Dirichlet data."""
-    solve, _ = poisson_solver(grid)
-    return solve(rhs, hit_values)
+    return poisson_solver(grid)(rhs, hit_values)
 
 
 def lstsq_stack(A: Array, b: Array) -> Array:

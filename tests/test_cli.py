@@ -201,6 +201,16 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert report["config"]["solver"]["max_outer_iters"] == 1
     assert report["error"]["class"] == "NonConvergenceError"
     assert len(report["error"]["history"]) > 0
+    # the Laplacian's factor and the damped sweep's linear step; the sweep's
+    # determinant solve takes no Newton step
+    assert report["error"]["counts"] == {
+        "newton_iterations_total": 0,
+        "factorizations": 2,
+        "coupled_newton_steps": 0,
+        "krylov_iterations_total": 0,
+        "backtracks_total": 0,
+        "pivoting_refactors": 0,
+    }
     assert "results" not in report
     assert report["timing"]["wall_time_s"] > 0.0
 
@@ -222,7 +232,7 @@ def test_every_package_error_keeps_the_exit_code_contract(
     non-convergence or a degenerate operator and 3 otherwise, without a
     traceback, and the failed run's report names the error class."""
 
-    def fail(cfg, out_dir, timing):
+    def fail(cfg, out_dir):
         raise error("injected failure")
 
     monkeypatch.setitem(cli._DISPATCH, "fixture", fail)
@@ -714,6 +724,23 @@ def test_sections_off_boundary_point_is_invalid_input(
 
 def _no_solve(*args, **kwargs):
     raise AssertionError("the coupled solve ran")
+
+
+def test_failed_phase_keeps_its_time(tmp_path):
+    """A verify whose solve raises reports the solve's time and counts."""
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "fixture": {"name": "radial_quartic", "theta": 0.25},
+            "solver": {"max_outer_iters": 1, "outer_tol": 1e-14},
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    report = read_report(out)
+    assert report["error"]["counts"]["factorizations"] == 2
+    _assert_phase_times(out, "solve_s")
 
 
 def test_sections_interior_point_near_the_boundary_is_refused_before_the_solve(

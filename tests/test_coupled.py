@@ -225,6 +225,16 @@ def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
     assert d["krylov_iterations_total"] == report.krylov_iterations_total > 0
 
 
+def test_back_to_back_solves_report_alike(grid16):
+    """A solve reports the counts made during its own call only, so a second
+    solve of one problem in the same process reports the same."""
+    problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
+    _, _, first = solve_system(problem)
+    _, _, second = solve_system(problem)
+    assert first == second
+    assert first.factorizations > 0 and first.krylov_iterations_total > 0
+
+
 def _failing_gmres(A, b, **kwargs):
     return np.zeros_like(b), 1
 

@@ -64,12 +64,12 @@ def test_sign_audit_reports_offdiagonal_violations(grid16):
     H = discrete_hessian(us)
     from amce.lma import assemble_lma
 
-    D, _ = assemble_lma(H)
+    D = assemble_lma(H)
     audit = offdiagonal_sign_audit(D)
     assert audit["rows_with_negative_offdiagonal"] > 0
     # identity coefficients keep the clean sign pattern away from shear
     uq = ScalarField.from_callable(grid16, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
-    D2, _ = assemble_lma(discrete_hessian(uq))
+    D2 = assemble_lma(discrete_hessian(uq))
     audit2 = offdiagonal_sign_audit(D2)
     assert audit2["rows_with_negative_offdiagonal"] == 0
 

@@ -26,6 +26,7 @@ from amce.lma import assemble_lma
 from amce.operators import (
     SYMMETRIC_LU,
     HessianField,
+    PermutedLU,
     dissection_order,
     factor_lu,
     lstsq_stack,
@@ -270,7 +271,7 @@ def _anisotropic_operator(grid):
     """A 9-point ``cof H : D^2`` operator with ``hxy != 0`` at every node."""
     x = grid.nodes[:, 0]
     H = HessianField(grid, hxx=2.0 + x, hxy=np.full_like(x, 0.5), hyy=np.full_like(x, 1.5))
-    return assemble_lma(H)[0]
+    return assemble_lma(H)
 
 
 @pytest.mark.parametrize("domain", sorted(_FIT_DOMAINS))
@@ -313,8 +314,8 @@ def test_permuted_factor_solves_like_splu(domain):
     with SciPy's default factor of ``A`` to 1e-12 relative."""
     grid = build_grid(_FIT_DOMAINS[domain], 1.0 / 16.0)
     A = _anisotropic_operator(grid)
-    lu, refactors = factor_lu(splu, A, grid)
-    assert refactors == 0
+    lu = factor_lu(splu, A, grid)
+    assert isinstance(lu, PermutedLU)
     ref = splu(A)
     b = np.random.default_rng(0).standard_normal(grid.n_nodes)
     for rhs in (b, b[:, None]):
@@ -329,7 +330,7 @@ def test_dissection_fill_is_below_minimum_degree(grid64):
     leaves less fill than SuperLU's minimum degree on ``A^T + A`` in the
     same symmetric mode: 0.85 against 1.01 million entries."""
     u = ScalarField.from_callable(grid64, get_fixture("radial_quartic", theta=0.25).u)
-    A, _ = assemble_lma(discrete_hessian(u))
-    lu, _ = factor_lu(splu, A, grid64)
+    A = assemble_lma(discrete_hessian(u))
+    lu = factor_lu(splu, A, grid64)
     mmd = splu(A, **dict(SYMMETRIC_LU, permc_spec="MMD_AT_PLUS_A"))
     assert lu.lu.nnz < mmd.nnz
