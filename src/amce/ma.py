@@ -150,8 +150,8 @@ def solve_ma(
     Every Newton step factors its own clamped matrix and drops the factor
     before the line search.  Steps and backtracks count in
     :data:`amce.operators.COUNTS` as they are taken, and the report reads
-    them, with the factorizations' ``pivoting_refactors``, off the counts
-    made since the call began.
+    them, with the steps' ``pivoting_refactors``, off the counts made since
+    the first step.
 
     Newton stops when the backward error is at most ``BERR_TOL`` or when
     ``max |det H(u) - g| <= newton_tol``; the line search measures each
@@ -162,7 +162,6 @@ def solve_ma(
     discrete Hessian is not positive definite.
     """
     opts = options or MASolveOptions()
-    start = COUNTS.copy()
     u = initial.copy() if initial is not None else initial_guess(problem)
     if initial is not None:
         u.hit_values = problem.phi_hits.copy()
@@ -179,6 +178,7 @@ def solve_ma(
     floor = roundoff_floor(u, H, g)
     berr = float(np.max(np.abs(res) / floor))
 
+    start = COUNTS.copy()  # the Poisson start's factor is not a step's
     while res_norm > opts.newton_tol and berr > BERR_TOL:
         if len(history) > opts.max_newton_iters:
             raise NonConvergenceError(
