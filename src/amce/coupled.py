@@ -14,18 +14,23 @@ harmonic extension of ``psi`` with one damped sweep of the splitting: given
 the weight, the nonlinear step solves ``det D^2 u = w^e`` for ``u``; given
 ``u``, the linear step solves ``U^ij w_ij = f`` with frozen cofactor, and the
 weight moves part of the way to that solution.  From there on it takes
-exact Newton steps on ``(u, w)`` together (Newton-Krylov with the splitting
-as preconditioner, after Knoll and Keyes, J. Comput. Phys. 193, 2004).  In
-two dimensions ``cof H(u) : H(w)`` is bilinear and symmetric in ``(u, w)``,
-so every Jacobian block is an operator the linear step already assembles.
-GMRES solves the Newton system, preconditioned by the block lower-triangular
-splitting applied through an LU factor of the step's own ``cof H(u) : D^2``.
-A Newton step whose operator cannot be factored, that GMRES cannot solve,
-or that would lose convexity or the weight's sign, is replaced by a damped
-sweep, and a sweep whose weight is not positive ends the solve.  Once the
-weight stops moving in sup norm, one more sweep runs undamped (the polish)
-and its linear solution is the returned ``w``, so both sub-equation
-residuals are reported at their floor.
+inexact Newton steps on ``(u, w)`` together (Newton-Krylov with the
+splitting as preconditioner, after Knoll and Keyes, J. Comput. Phys. 193,
+2004).  In two dimensions ``cof H(u) : H(w)`` is bilinear and symmetric in
+``(u, w)``, so every Jacobian block is an operator the linear step already
+assembles.  GMRES solves the Newton system to a tolerance that tightens as
+``F`` falls (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996),
+preconditioned by the block lower-triangular splitting applied through an
+LU factor of the step's own ``cof H(u) : D^2``.  A Newton step whose
+operator cannot be factored, that GMRES cannot solve, or that would lose
+convexity or the weight's sign, is replaced by a damped sweep, and a sweep
+whose weight is not positive ends the solve.  Once the weight stops moving
+in sup norm, one more sweep runs undamped (the polish) and its linear
+solution is the returned ``w``, so both sub-equation residuals are reported
+at their floor.  After a Newton step the polish refines its linear solve
+through that step's factor, whose ``u`` differs from the polish's at
+round-off, and factors afresh only when the backward error misses
+``lma_tol``.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -206,26 +211,36 @@ def g_from_w(w: ScalarField, theta: float) -> ScalarField:
     return ScalarField(grid=w.grid, values=values, hit_values=hit_values)
 
 
-# coupled Newton step: GMRES restart length, its tolerance on the residual
-# 2-norm relative to |F|, and the restart cycles before the step falls back
+# coupled Newton step: GMRES restart length, the floor and ceiling of its
+# tolerance on the residual 2-norm relative to |F|, and the restart cycles
+# before the step falls back
 _KRYLOV_RESTART = 10
 _KRYLOV_RTOL = 1e-10
+_KRYLOV_RTOL_MAX = 1e-2
 _KRYLOV_CYCLES = 10
 
 
-def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
-    """One exact Newton step on ``F(u, w) = 0``, or None when it is unusable.
+def _newton_step(
+    data: ProblemData, u: ScalarField, w: ScalarField, cap: float, outer_tol: float
+):
+    """One inexact Newton step on ``F(u, w) = 0``, or None when it is unusable.
 
     ``F1 = det H(u) - w^e`` and ``F2 = cof H(u) : H(w) - f`` with
     ``e = 1/(theta-1)``; the Jacobian ``[[A, -diag(e w^(e-1))], [C, A]]``
     has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
     it, left-preconditioned by ``[[A, 0], [C, A]]`` through one LU factor of
-    ``A``, made first and dropped on return.
+    ``A``, to the relative tolerance ``max(1e-10, min(1e-2, max |F|))``: a
+    forcing term in the sense of Dembo, Eisenstat and Steihaug (SIAM J.
+    Numer. Anal. 19, 1982), loose while ``F`` is large and the step is
+    capped anyway, and at the floor once Newton converges.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
-    Returns ``(u, w, change)``, or None when ``A`` cannot be factored, GMRES
-    fails or the trial loses ``det H(u) > 0`` or ``w > 0``.  Every GMRES
-    iteration counts in ``COUNTS["krylov_iterations_total"]``, and a
-    returned step in ``COUNTS["coupled_newton_steps"]``.
+    Returns ``(u, w, change, lu)``, or None when ``A`` cannot be factored,
+    GMRES fails or the trial loses ``det H(u) > 0`` or ``w > 0``.  ``lu`` is
+    the factor of ``A`` when ``change <= outer_tol``, for the polish that
+    follows, and None otherwise: the factor is then dropped before the
+    trial is formed.
+    Every GMRES iteration counts in ``COUNTS["krylov_iterations_total"]``,
+    and a returned step in ``COUNTS["coupled_newton_steps"]``.
     """
     n = data.grid.n_nodes
     e = 1.0 / (data.theta - 1.0)
@@ -255,24 +270,26 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
         COUNTS["krylov_iterations_total"] += 1
 
     shape = (2 * n, 2 * n)
+    rtol = max(_KRYLOV_RTOL, min(_KRYLOV_RTOL_MAX, float(np.max(np.abs(F)))))
     delta, info = gmres(
         LinearOperator(shape, matvec=jacobian, dtype=float),
         -F,
-        rtol=_KRYLOV_RTOL,
+        rtol=rtol,
         restart=_KRYLOV_RESTART,
         maxiter=_KRYLOV_CYCLES,
         M=LinearOperator(shape, matvec=precondition, dtype=float),
         callback=count,
         callback_type="pr_norm",
     )
-    # freed before the trial's arrays are allocated, the factor's memory
-    # serves the next factorization: in most runs at h = 1/64 this lowers
-    # the solve's peak RSS by about 5 MiB
-    del lu
     if info != 0:
         return None
     size = float(np.max(np.abs(delta[n:])))
     alpha = min(1.0, cap / size) if size > 0.0 else 1.0
+    if alpha * size > outer_tol:
+        # freed before the trial's arrays are allocated, the factor's memory
+        # serves the next factorization: in most runs at h = 1/64 this
+        # lowers the solve's peak RSS by about 5 MiB
+        lu = None
     u_new = u.with_values(u.values + alpha * delta[:n])
     w_new = w.with_values(w.values + alpha * delta[n:])
     if (
@@ -281,7 +298,7 @@ def _newton_step(data: ProblemData, u: ScalarField, w: ScalarField, cap: float):
     ):
         return None
     COUNTS["coupled_newton_steps"] += 1
-    return u_new, w_new, alpha * size
+    return u_new, w_new, alpha * size, lu
 
 
 def _require_positive(w: ScalarField, history: list[float]) -> ScalarField:
@@ -317,11 +334,18 @@ def solve_system(
     The report's counts are those :data:`amce.operators.COUNTS` gained
     during the call: ``factorizations`` is every ``splu`` call, the
     Laplacian's, one per coupled Newton step tried, those of the sweeps,
-    and the ``pivoting_refactors`` retries among them.  The one Laplacian
+    and the ``pivoting_refactors`` retries among them.  A polish that
+    follows a Newton step makes no linear factor of its own when that
+    step's factor meets ``lma_tol`` (see :func:`amce.lma.solve_lma`), so
+    ``radial_quartic`` takes 9 at h = 1/16 to 1/64: the Laplacian's, the
+    damped sweep's linear step and 7 Newton steps.  The one Laplacian
     factor solves for the harmonic extension of ``psi``, the first weight,
     and then for the determinant solve's Poisson start (see
     :func:`amce.ma.initial_guess`); it is dropped before any other factor
-    is made.
+    is made.  At most one factor is alive at a time: a Newton step's
+    factor is kept only when its change is at most ``outer_tol``, and
+    dropped before the polish's determinant solve factors a step of its
+    own.
     """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
@@ -343,19 +367,25 @@ def solve_system(
     del poisson  # its factor's memory serves the next factorization
     w_half: ScalarField | None = None
     polish = False
+    # the factor of a Newton step whose change is at most outer_tol, held for
+    # the polish: a list, so that its only reference can be handed over
+    kept: list = []
 
     while True:
         _require_positive(w, history)
         step = None
         if history and not polish:
-            step = _newton_step(data, u, w, cap=history[-1])
+            step = _newton_step(data, u, w, cap=history[-1], outer_tol=opts.outer_tol)
         if step is not None:
-            u, w, change = step
+            u, w, change, lu = step
             w_half = None  # the last linear solution belongs to the old u
+            kept = [lu] if lu is not None else []
+            del step, lu
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
-            u, ma_rep = solve_ma(problem, opts, initial=u)
+            # a determinant step makes its own factor: the kept one goes first
+            u, ma_rep = solve_ma(problem, opts, initial=u, before_factor=kept.clear)
             # a solve without Newton steps returns the u of the last linear
             # step bitwise, so that step's w_half stands
             if w_half is None or ma_rep.iterations:
@@ -363,6 +393,7 @@ def solve_system(
                 w_half, _ = solve_lma(
                     LMAProblem(hessian=H, g=data.f.values, psi_hits=data.psi_hits),
                     tol=opts.lma_tol,
+                    lu=kept.pop() if kept else None,
                 )
             if polish:
                 break

@@ -12,8 +12,9 @@ operators by :func:`assemble_lma` (the Newton step of the nonlinear solver
 factors the same operator), and solved with a sparse direct factorization.
 The matrix is not symmetric and carries no M-matrix guarantee; a
 sign-pattern audit and a condition estimate are reported instead of a
-monotonicity assumption.  Each call of :func:`solve_lma` makes its own
-factorization and drops it on return.
+monotonicity assumption.  A call of :func:`solve_lma` makes its own
+factorization and drops it on return, unless it is handed a factor of a
+nearby operator whose refined solve already meets the tolerance.
 """
 from __future__ import annotations
 
@@ -105,6 +106,7 @@ def solve_lma(
     problem: LMAProblem,
     tol: float = LMA_TOL,
     report_condition: bool = False,
+    lu=None,
 ) -> tuple[ScalarField, LMAReport]:
     """Direct solve of the frozen-coefficient problem.
 
@@ -116,13 +118,18 @@ def solve_lma(
     reported residual is recomputed through the discrete Hessian route,
     i.e. it is ``U : H(v) - g`` node-wise.
 
-    The factor is made by :func:`amce.operators.factor_lu`.  Symmetric mode
-    keeps a diagonal pivot however small, so when its solve leaves the
-    backward error above ``tol``, ``D`` is factored once more with partial
-    pivoting and solved again; that retry counts in
-    :data:`amce.operators.COUNTS` like :func:`~amce.operators.factor_lu`'s
-    own, and ``report.pivoting_refactors`` is 1 after either.  The
-    tolerance then judges the second solve.
+    ``lu``, when given, is a factor of a nearby operator (the coupled
+    solve's polish passes the last Newton step's, whose ``u`` differs at
+    round-off): the refinement runs against the exact ``D`` through it, and
+    no factor is made when the backward error meets ``tol``.  Otherwise
+    that factor is dropped and ``D``'s own is made by
+    :func:`amce.operators.factor_lu`.  Symmetric mode keeps a diagonal pivot
+    however small, so when its solve leaves the backward error above
+    ``tol``, ``D`` is factored once more with partial pivoting and solved
+    again; that retry counts in :data:`amce.operators.COUNTS` like
+    :func:`~amce.operators.factor_lu`'s own, and
+    ``report.pivoting_refactors`` is 1 when the factor that solved was made
+    with partial pivoting.  The tolerance then judges the last solve.
     """
     H = problem.hessian
     grid = H.grid
@@ -139,11 +146,16 @@ def solve_lma(
         )
     D = assemble_lma(H)
     B = _cofactor_contraction(H, "B").tocsr()
-    try:
-        lu = factor_lu(splu, D, grid)
-    except RuntimeError as exc:
-        raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
-    field, resid_sup, backward = _refined_solve(problem, D, B, lu)
+    if lu is not None:
+        field, resid_sup, backward = _refined_solve(problem, D, B, lu)
+        if not backward <= tol:
+            lu = None  # dropped before D's own factor is made
+    if lu is None:
+        try:
+            lu = factor_lu(splu, D, grid)
+        except RuntimeError as exc:
+            raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
+        field, resid_sup, backward = _refined_solve(problem, D, B, lu)
     if not backward <= tol and isinstance(lu, PermutedLU):
         COUNTS.update(factorizations=1, pivoting_refactors=1)
         try:

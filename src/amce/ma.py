@@ -22,6 +22,7 @@ determinant where the Hessian is isotropic and is exact for quadratic data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -144,11 +145,14 @@ def solve_ma(
     problem: MAProblem,
     options: MASolveOptions | None = None,
     initial: ScalarField | None = None,
+    before_factor: Callable[[], object] | None = None,
 ) -> tuple[ScalarField, MAReport]:
     """Damped Newton solve; returns the solution field and an iteration report.
 
     Every Newton step factors its own clamped matrix and drops the factor
-    before the line search.  Steps and backtracks count in
+    before the line search; ``before_factor``, when given, is called before
+    each of those factorizations, so a caller holding a factor can drop it
+    and keep one factor alive.  Steps and backtracks count in
     :data:`amce.operators.COUNTS` as they are taken, and the report reads
     them, with the steps' ``pivoting_refactors``, off the counts made since
     the first step.
@@ -187,6 +191,8 @@ def solve_ma(
                 history=history,
             )
         J = assemble_lma(H.clamped(opts.eps_clamp))
+        if before_factor is not None:
+            before_factor()
         try:
             lu = factor_lu(splu, J, problem.grid)
         except RuntimeError as exc:

@@ -183,15 +183,16 @@ def test_sweep_budget_counts_damped_sweeps(grid16):
     assert exact_budget.w_change_history == report.w_change_history
 
 
-def _count_splu(monkeypatch) -> list:
-    """Record the shape of every ``splu`` call made by any amce module."""
+def _count_splu(monkeypatch, record=lambda A: A.shape) -> list:
+    """Record ``record(A)``, by default the shape, at every ``splu`` call
+    made by any amce module."""
     import sys
 
     calls = []
 
     def counted(splu):
         def wrapper(A, **kwargs):
-            calls.append(A.shape)
+            calls.append(record(A))
             return splu(A, **kwargs)
 
         return wrapper
@@ -205,9 +206,11 @@ def _count_splu(monkeypatch) -> list:
 def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
     """Every coupled Newton step is preconditioned by a factor of its own ``A``.
 
-    The 10 factorizations are the Laplacian's, the linear steps of the
-    damped sweep and of the polish, and one per Newton step (7).  GMRES
-    then needs 47 iterations in all, the same at h = 1/32 and 1/64.
+    The 9 factorizations are the Laplacian's, the linear step of the
+    damped sweep, and one per Newton step (7); the polish refines through
+    the last step's factor and makes none.  GMRES, solving each step only
+    as far as its forcing term asks, needs 24 iterations in all, the same
+    at h = 1/32 and 1/64.
     """
     calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -215,12 +218,12 @@ def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
     assert report.outer_iterations == 8
     assert report.coupled_newton_steps == 7
     assert report.newton_iterations_total == 0
-    assert len(calls) == 10
-    assert report.factorizations == 10
+    assert len(calls) == 9
+    assert report.factorizations == 9
     assert report.pivoting_refactors == 0
-    assert report.krylov_iterations_total == 47
+    assert report.krylov_iterations_total == 24
     d = dataclasses.asdict(report)
-    assert d["factorizations"] == 10
+    assert d["factorizations"] == 9
     assert d["coupled_newton_steps"] == 7
     assert d["krylov_iterations_total"] == report.krylov_iterations_total > 0
 
@@ -322,6 +325,96 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     assert w.hit_values.tobytes() == fresh.hit_values.tobytes()
 
 
+def _track_live_factors(monkeypatch) -> list:
+    """Record, at every ``splu`` call, how many symmetric-mode factors live."""
+    import weakref
+
+    import amce.operators
+
+    made, permuted_lu = [], amce.operators.PermutedLU
+
+    def tracked(lu, perm):
+        factor = permuted_lu(lu, perm)
+        made.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(amce.operators, "PermutedLU", tracked)
+    return _count_splu(monkeypatch, lambda A: sum(r() is not None for r in made))
+
+
+def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
+    """The polish's linear solve makes no factor: it refines through the
+    last Newton step's, and at no factorization is a second factor alive."""
+    import amce.coupled
+
+    problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
+    lma_factors = []
+
+    def recorded(*args, **kwargs):
+        lma_factors.append(kwargs["lu"] is not None)
+        return solve_lma(*args, **kwargs)
+
+    solve_lma = amce.coupled.solve_lma
+    monkeypatch.setattr(amce.coupled, "solve_lma", recorded)
+    live = _track_live_factors(monkeypatch)
+    _, _, report = solve_system(problem)
+    assert lma_factors == [False, True]
+    assert len(live) == report.factorizations == 9
+    assert max(live) == 0
+
+
+def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypatch):
+    """When the polish's determinant solve takes a step (forced here by
+    moving its start), the kept factor is dropped before that step's factor
+    is made, and the polish's linear solve factors afresh."""
+    import amce.coupled
+
+    problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
+    _, w_ref, _ = solve_system(problem)
+    starts = []
+
+    def moved(ma_problem, options=None, initial=None, **kwargs):
+        starts.append(initial)
+        if len(starts) == 2:  # the polish's
+            initial = initial.with_values(initial.values * (1.0 + 1e-6))
+        return solve_ma(ma_problem, options, initial, **kwargs)
+
+    solve_ma = amce.coupled.solve_ma
+    monkeypatch.setattr(amce.coupled, "solve_ma", moved)
+    live = _track_live_factors(monkeypatch)
+    _, w, report = solve_system(problem)
+    assert len(starts) == 2
+    assert report.newton_iterations_total > 0
+    assert len(live) == report.factorizations == 10 + report.newton_iterations_total
+    assert max(live) == 0
+    assert np.abs(w.values - w_ref.values).max() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["radial_quartic", "radial_mild"])
+@pytest.mark.parametrize("grid_name", ["grid32", "grid64"])
+def test_poisson_start_of_a_radial_fixture_takes_no_newton_step(name, grid_name, request):
+    """A radial fixture's first weight is constant, so the coupled solve's
+    Poisson start is its first determinant solve's solution up to round-off:
+    refined once through the shared Laplacian factor, it is within
+    ``BERR_TOL`` round-off floors, and ``solve_ma`` takes no step.  Without
+    the refinement both fixtures take one at h = 1/64."""
+    from amce import ScalarField
+    from amce.ma import MAProblem, initial_guess, solve_ma
+    from amce.operators import poisson_solver
+
+    grid = request.getfixturevalue(grid_name)
+    data = problem_from_exact(grid, get_fixture(name, theta=0.25))
+    poisson = poisson_solver(grid)
+    w = ScalarField(
+        grid=grid,
+        values=poisson(np.zeros(grid.n_nodes), data.psi_hits),
+        hit_values=data.psi_hits,
+    )
+    problem = MAProblem(grid=grid, g=g_from_w(w, data.theta), phi_hits=data.phi_hits)
+    _, report = solve_ma(problem, initial=initial_guess(problem, poisson))
+    assert report.iterations == 0
+
+
 # a newton_tol below every residual the paraboloid_r2 solves at h = 1/88
 # reach, whatever the round-off of the factor, so only the backward error
 # can end their Newton iterations
@@ -347,8 +440,8 @@ def test_newton_stops_at_its_backward_error(monkeypatch):
     grid, exact, problem = _paraboloid_r2_88()
     ends = []
 
-    def recorded(ma_problem, options=None, initial=None):
-        u, rep = solve_ma(ma_problem, options, initial)
+    def recorded(ma_problem, options=None, initial=None, **kwargs):
+        u, rep = solve_ma(ma_problem, options, initial, **kwargs)
         g = ma_problem.g.values
         H = amce.ma.discrete_hessian(u)
         res = np.abs(H.det() - g)

@@ -9,11 +9,12 @@ from amce import Disk, ScalarField, build_grid
 from amce.errors import DegenerateOperatorError
 from amce.lma import (
     LMAProblem,
+    assemble_lma,
     divergence_of_cofactor,
     offdiagonal_sign_audit,
     solve_lma,
 )
-from amce.operators import discrete_hessian
+from amce.operators import COUNTS, discrete_hessian, factor_lu
 
 def test_quadratic_solution_reproduced(grid32):
     """With identity coefficients, the solve is a Poisson solve: the
@@ -102,3 +103,62 @@ def test_report_carries_backward_error_and_condition(grid16):
     assert d["backward_error"] < 1e-12
     assert d["condition_estimate"] > 1.0
     assert "sign_audit" in d
+
+
+def _smooth_convex(grid):
+    return ScalarField.from_callable(
+        grid,
+        lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2) + 0.1 * np.exp(p[:, 0] + 0.5 * p[:, 1]),
+    )
+
+
+def _given_factor_problem(grid):
+    u = _smooth_convex(grid)
+    problem = LMAProblem(
+        hessian=discrete_hessian(u),
+        g=np.full(grid.n_nodes, -1.0),
+        psi_hits=1.0 + 0.2 * grid.hit_points[:, 0],
+    )
+    # the operator of a u moved by about 1e-11, as between the coupled
+    # solve's last Newton step and its polish
+    nearby = u.with_values(u.values + 1e-11 * np.sin(7.0 * grid.nodes[:, 0]))
+    return problem, assemble_lma(discrete_hessian(nearby))
+
+
+def _solve_counting(problem, lu):
+    start = COUNTS.copy()
+    v, report = solve_lma(problem, lu=lu)
+    return v, report, COUNTS - start
+
+
+def test_nearby_factor_is_used_without_a_factorization(grid32):
+    """A factor of a nearby operator refines to the tolerance: no factor is
+    made, and ``v`` is a fresh solve's up to round-off."""
+    from scipy.sparse.linalg import splu
+
+    problem, A = _given_factor_problem(grid32)
+    want, _ = solve_lma(problem)
+    v, report, counts = _solve_counting(problem, factor_lu(splu, A, grid32))
+    assert counts["factorizations"] == 0
+    assert report.backward_error <= 1e-10
+    assert report.pivoting_refactors == 0
+    assert np.abs(v.values - want.values).max() < 1e-12
+
+
+def test_bad_factor_is_replaced_by_one_fresh_factor(grid32):
+    """A factor whose refined solve misses the tolerance (a factor of
+    ``2 A``, whose solves return half the correction) is dropped, and one
+    symmetric-mode factor of the operator itself is made in its place."""
+    from scipy.sparse.linalg import splu
+
+    def factor_of_double(A, **kwargs):
+        return splu(2.0 * A, **kwargs)
+
+    problem, A = _given_factor_problem(grid32)
+    want, _ = solve_lma(problem)
+    v, report, counts = _solve_counting(problem, factor_lu(factor_of_double, A, grid32))
+    assert counts["factorizations"] == 1
+    assert counts["pivoting_refactors"] == 0
+    assert report.backward_error <= 1e-10
+    assert report.pivoting_refactors == 0
+    assert np.abs(v.values - want.values).max() < 1e-12
