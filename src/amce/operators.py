@@ -430,6 +430,18 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     return value, grad, hess
 
 
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line ``y ~ slope * x + intercept`` and its ``r2``.
+
+    Returns ``(slope, intercept, r2)``; ``r2`` is 1 when ``y`` is constant.
+    """
+    coeffs, res = np.polyfit(x, y, 1, full=True)[:2]
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    ss_res = float(res[0]) if res.size else 0.0
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(coeffs[0]), float(coeffs[1]), r2
+
+
 def value_and_gradient_at(field: ScalarField, point) -> tuple[float, Array]:
     """Field value and gradient at an arbitrary point of the closed domain.
 

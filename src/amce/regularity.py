@@ -8,7 +8,7 @@ checks with explicit margins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .coupled import ProblemData
 from .grid import Grid, ScalarField
 from .lma import LMA_TOL
 from .sections import quadratic_separation
-from .operators import discrete_hessian
+from .operators import discrete_hessian, line_fit
 
 __all__ = [
     "HolderFit",
@@ -176,24 +176,11 @@ def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
     n_pairs = int(counts.sum())
     flat = peaks.size > 0 and bool((peaks <= LMA_TOL * field.sup_norm()).all())
     if len(centers) < 2 or (peaks <= 0.0).any():
-        return HolderFit(
-            beta=np.nan,
-            raw_slope=np.nan,
-            constant=np.nan,
-            r2=np.nan,
-            n_pairs=n_pairs,
-            n_bins=len(centers),
-            bin_centers=centers,
-            bin_oscillation=peaks,
-            degenerate=True,
-            flat=flat,
-        )
-    lx, ly = np.log(centers), np.log(peaks)
-    coeffs, res = np.polyfit(lx, ly, 1, full=True)[:2]
-    slope = float(coeffs[0])
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 - (float(res[0]) if res.size else 0.0) / ss_tot if ss_tot > 0 else 1.0
-    degenerate = slope <= 0.0
+        slope = r2 = np.nan
+        degenerate = True
+    else:
+        slope, _, r2 = line_fit(np.log(centers), np.log(peaks))
+        degenerate = slope <= 0.0
     beta = np.nan if degenerate else min(slope, _BETA_CAP)
     # seminorm estimate: smallest C with (bin oscillation) <= C * d^beta
     constant = np.nan if degenerate else float(np.max(peaks / centers**beta))
@@ -201,7 +188,7 @@ def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
         beta=beta,
         raw_slope=slope,
         constant=constant,
-        r2=float(r2),
+        r2=r2,
         n_pairs=n_pairs,
         n_bins=len(centers),
         bin_centers=centers,
@@ -346,13 +333,8 @@ def cell_areas(grid: Grid) -> np.ndarray:
     Full interior cells weigh ``h^2``; cut cells are shrunk by the product
     of mean axis arm fractions, a separable model of the clipped cell.
     """
-    fx = 0.5 * (
-        np.minimum(grid.arm_frac[:, 0], 1.0) + np.minimum(grid.arm_frac[:, 1], 1.0)
-    )
-    fy = 0.5 * (
-        np.minimum(grid.arm_frac[:, 2], 1.0) + np.minimum(grid.arm_frac[:, 3], 1.0)
-    )
-    return grid.h**2 * fx * fy
+    f = np.minimum(grid.arm_frac[:, :4], 1.0)  # arms +x, -x, +y, -y
+    return grid.h**2 * (0.5 * (f[:, 0] + f[:, 1])) * (0.5 * (f[:, 2] + f[:, 3]))
 
 
 def abp_chain_report(problem: ProblemData, w: ScalarField) -> CheckResult:
@@ -437,12 +419,7 @@ def verify(
             name="quadratic_separation",
             status="pass" if sep.rho_low > 0.0 else "fail",
             margin=sep.rho_low,
-            details={
-                "rho_low": sep.rho_low,
-                "rho_high": sep.rho_high,
-                "n_pairs": sep.n_pairs,
-                "worst_gap": sep.worst_gap,
-            },
+            details=asdict(sep),
         )
     )
 

@@ -26,9 +26,10 @@ from .errors import (
     InvalidProblemError,
     TooCloseToBoundaryError,
 )
-from .grid import DIRS, ARM_INTERIOR, ARM_HIT, Grid, ScalarField
+from .grid import DIRS, ARM_HIT, Grid, ScalarField
 from .operators import (
     discrete_hessian,
+    line_fit,
     local_quadratic_fit,
     value_and_gradient_at,
 )
@@ -88,12 +89,10 @@ class Section:
         return int(self.node_ids.size)
 
 
-def _section_values(u: ScalarField, center, center_value, center_gradient, h):
-    """Gap values s = u - tangent - h at nodes and at boundary hits."""
-    g = u.grid
-    sn = u.values - (center_value + (g.nodes - center) @ center_gradient) - h
-    sh = u.hit_values - (center_value + (g.hit_points - center) @ center_gradient) - h
-    return sn, sh
+def _tangent_gap(values, points, x, value, gradient):
+    """``values`` at ``points`` minus the plane through ``(x, value)`` of slope
+    ``gradient``: the supporting-plane gap of the section definition."""
+    return values - (value + (points - x) @ gradient)
 
 
 def extract_section(
@@ -106,72 +105,49 @@ def extract_section(
     """Extract the section of ``u`` at base point ``x`` and height ``h > 0``.
 
     The base value and gradient are estimated from the grid data unless
-    supplied.  The hull is refined below grid resolution: along every
-    stencil arm leaving a member node, the exit point where the section
-    gap changes sign is located by linear interpolation, and boundary hit
-    points interior to the section are included verbatim.
+    both are supplied.  The hull is refined below grid resolution: along
+    every stencil arm leaving a member node, the exit point where the
+    section gap changes sign is located by linear interpolation, and
+    boundary hit points interior to the section are included verbatim.
     """
     if h <= 0:
         raise ValueError(f"section height must be positive, got {h}")
     x = np.asarray(x, float)
     grid = u.grid
     if center_value is None or center_gradient is None:
-        cv, cg = value_and_gradient_at(u, x)
-        center_value = cv if center_value is None else center_value
-        center_gradient = cg if center_gradient is None else center_gradient
-    center_gradient = np.asarray(center_gradient, float)
+        center_value, center_gradient = value_and_gradient_at(u, x)
 
-    sn, sh = _section_values(u, x, center_value, center_gradient, h)
-    inside = sn < 0.0
-    node_ids = np.where(inside)[0]
-    pts: list[np.ndarray] = [grid.nodes[node_ids]]
-
+    sn = _tangent_gap(u.values, grid.nodes, x, center_value, center_gradient) - h
+    sh = _tangent_gap(u.hit_values, grid.hit_points, x, center_value, center_gradient) - h
+    node_ids = np.where(sn < 0.0)[0]
     # every boundary hit interior to the section is a hull sample, whether
     # or not its source node is a member (thin boundary slivers)
     hits_in = sh < 0.0
-    pts.append(grid.hit_points[hits_in])
     boundary_clipped = bool(hits_in.any())
 
-    base = np.asarray(DIRS, float) * grid.h
-    for k in range(len(DIRS)):
-        ref = grid.arm_ref[node_ids, k]
-        kind = grid.arm_kind[node_ids, k]
-        frac = grid.arm_frac[node_ids, k]
-        vec = base[k]
+    # every arm of a member node ends at a node (gap in sn) or at a hit (gap
+    # in sh); an interior arm has arm_frac 1, so both kinds of exit are
+    # node + t * arm_frac * arm
+    k = np.repeat(np.arange(len(DIRS)), node_ids.size)
+    i = np.tile(node_ids, len(DIRS))
+    hit = grid.arm_kind[i, k] == ARM_HIT
+    s_end = np.concatenate([sn, sh])[grid.arm_ref[i, k] + hit * grid.n_nodes]
+    # the arms that leave the section, in direction order and, within one
+    # direction, interior ends before hit ends: the hull's input order
+    out = np.flatnonzero(s_end >= 0.0)
+    out = out[np.argsort(2 * k[out] + hit[out], kind="stable")]
+    i, k, s_end = i[out], k[out], s_end[out]
+    t = sn[i] / (sn[i] - s_end) * grid.arm_frac[i, k]
+    exits = grid.nodes[i] + t[:, None] * (np.asarray(DIRS, float)[k] * grid.h)
+    cloud = np.concatenate([grid.nodes[node_ids], grid.hit_points[hits_in], exits])
 
-        m = kind == ARM_INTERIOR
-        if m.any():
-            i = node_ids[m]
-            s_other = sn[ref[m]]
-            crossing = s_other >= 0.0
-            ii = i[crossing]
-            if ii.size:
-                t = sn[ii] / (sn[ii] - s_other[crossing])
-                pts.append(grid.nodes[ii] + t[:, None] * vec)
-
-        m = kind == ARM_HIT
-        if m.any():
-            i = node_ids[m]
-            s_hit = sh[ref[m]]
-            crossing = s_hit >= 0.0
-            ii = i[crossing]
-            if ii.size:
-                t = sn[ii] / (sn[ii] - s_hit[crossing])
-                pts.append(
-                    grid.nodes[ii] + (t * frac[m][crossing])[:, None] * vec
-                )
-
-    parts = [p for p in pts if p.size]
-    cloud = np.concatenate(parts, axis=0) if parts else np.empty((0, 2))
-    empty = node_ids.size == 0 and not boundary_clipped
     hull_points = None
-    if not empty and cloud.shape[0] >= 3:
+    if cloud.shape[0] >= 3:  # an empty section has an empty cloud
         try:
-            hull = ConvexHull(cloud)
-            hull_points = cloud[hull.vertices]
+            hull_points = cloud[ConvexHull(cloud).vertices]
         except QhullError:
-            hull_points = None
-    if empty:
+            pass
+    if node_ids.size == 0 and not boundary_clipped:
         warnings.warn(
             f"section at {x.tolist()} with height {h:g} contains no grid "
             "nodes and touches no boundary point",
@@ -478,7 +454,7 @@ def maximal_height(u: ScalarField, y):
     grid = u.grid
     y = require_interior_point(grid, y)
     center_value, center_gradient = value_and_gradient_at(u, y)
-    gaps = u.hit_values - (center_value + (grid.hit_points - y) @ center_gradient)
+    gaps = _tangent_gap(u.hit_values, grid.hit_points, y, center_value, center_gradient)
     touch = int(np.argmin(gaps))
     hbar = float(gaps[touch])
     return (hbar if hbar > 0.0 else 0.0), grid.hit_points[touch]
@@ -622,43 +598,38 @@ def localization_scan(
     scan = LocalizationScan(x0=x0, normal=normal)
     for h in heights:
         sec = extract_section(u, x0, h, center_value=val, center_gradient=grad)
-        row = {
-            "h": float(h),
-            "n_nodes": sec.n_nodes,
-            "skipped": False,
-            "tau": np.nan,
-            "vol_ratio": np.nan,
-            "k_inner": np.nan,
-            "k_outer": np.nan,
-            "norm_A": np.nan,
-        }
-        if sec.n_nodes < min_nodes or sec.hull_points is None:
+        skipped = sec.n_nodes < min_nodes or sec.hull_points is None
+        if skipped:
             warnings.warn(
                 f"section at h={h:g} has {sec.n_nodes} nodes "
                 f"(< {min_nodes}); skipping row",
                 stacklevel=2,
             )
-            row["skipped"] = True
-            scan.rows.append(row)
-            continue
-        fit = fit_john_ellipsoid(sec, center=x0, normal=normal, grid=grid)
-        row["tau"] = fit.tau
-        row["vol_ratio"] = fit.volume / (np.pi * h)
-        row["k_inner"] = fit.k_inner
-        row["k_outer"] = fit.k_outer
-        row["norm_A"] = float(np.linalg.norm(fit.A, 2))
-        scan.rows.append(row)
-        scan.hulls.append(sec.hull_points)
+            tau = vol_ratio = k_inner = k_outer = norm_A = np.nan
+        else:
+            fit = fit_john_ellipsoid(sec, center=x0, normal=normal, grid=grid)
+            tau, k_inner, k_outer = fit.tau, fit.k_inner, fit.k_outer
+            vol_ratio = fit.volume / (np.pi * h)
+            norm_A = float(np.linalg.norm(fit.A, 2))
+            scan.hulls.append(sec.hull_points)
+        scan.rows.append(
+            {
+                "h": float(h),
+                "n_nodes": sec.n_nodes,
+                "skipped": skipped,
+                "tau": tau,
+                "vol_ratio": vol_ratio,
+                "k_inner": k_inner,
+                "k_outer": k_outer,
+                "norm_A": norm_A,
+            }
+        )
 
     kept = scan.kept_rows()
     if len(kept) >= 2:
         logs = np.abs(np.log([r["h"] for r in kept]))
         taus = np.abs([r["tau"] for r in kept])
-        coeffs, res = np.polyfit(logs, taus, 1, full=True)[:2]
-        scan.slide_c1, scan.slide_c0 = float(coeffs[0]), float(coeffs[1])
-        ss_tot = float(((taus - taus.mean()) ** 2).sum())
-        ss_res = float(res[0]) if res.size else 0.0
-        scan.slide_r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        scan.slide_c1, scan.slide_c0, scan.slide_r2 = line_fit(logs, taus)
     return scan
 
 
@@ -710,6 +681,13 @@ def _masked_fd(values2d, mask2d, spacing):
     return det, ok
 
 
+def _value_range(values) -> tuple[float, float]:
+    """``(min, max)`` of ``values`` ignoring NaN, or NaNs when it is empty."""
+    if values.size == 0:
+        return (np.nan, np.nan)
+    return float(np.nanmin(values)), float(np.nanmax(values))
+
+
 def normalize_section(u: ScalarField, y) -> NormalizedSection:
     """Renormalize the maximal section of ``u`` at interior point ``y``.
 
@@ -726,9 +704,7 @@ def normalize_section(u: ScalarField, y) -> NormalizedSection:
     grid = u.grid
     hbar, touch = maximal_height(u, y)
     val, grad = value_and_gradient_at(u, y)
-    sec = extract_section(
-        u, y, hbar, center_value=val, center_gradient=grad
-    )
+    sec = extract_section(u, y, hbar, center_value=val, center_gradient=grad)
     if sec.hull_points is None:
         raise DegenerateSectionError(
             f"maximal section at {y.tolist()} has a degenerate hull"
@@ -756,8 +732,7 @@ def normalize_section(u: ScalarField, y) -> NormalizedSection:
 
     raw, _, _ = local_quadratic_fit(u, phys, smooth=True)
 
-    gap = raw - (val + (phys - y) @ grad)
-    values = gap / hbar
+    values = _tangent_gap(raw, phys, y, val, grad) / hbar
     mask = np.isfinite(values) & (values < 1.0 + 1e-9)
     values = np.where(mask, values, np.nan)
 
@@ -768,24 +743,11 @@ def normalize_section(u: ScalarField, y) -> NormalizedSection:
     # section edge the resampling stencil straddles exterior data and its
     # second differences are interpolation noise, on both routes
     ok &= np.nan_to_num(v2[1:-1, 1:-1], nan=np.inf) < 0.9
-    det_norm = (
-        (float(np.nanmin(det_n[ok])), float(np.nanmax(det_n[ok])))
-        if ok.any()
-        else (np.nan, np.nan)
-    )
 
-    full = grid.full_stencil_mask()
     sel = np.zeros(grid.n_nodes, dtype=bool)
     sel[sec.node_ids] = True
-    sel &= full
-    gap_nodes = u.values - (val + (grid.nodes - y) @ grad)
-    sel &= gap_nodes < 0.9 * hbar
-    if sel.any():
-        H = discrete_hessian(u)
-        det_o = H.det()[sel]
-        det_orig = (float(det_o.min()), float(det_o.max()))
-    else:
-        det_orig = (np.nan, np.nan)
+    sel &= grid.full_stencil_mask()
+    sel &= _tangent_gap(u.values, grid.nodes, y, val, grad) < 0.9 * hbar
 
     ic = _NORMALIZED_N // 2
     if m2[ic - 1 : ic + 2, ic - 1 : ic + 2].all():
@@ -799,8 +761,8 @@ def normalize_section(u: ScalarField, y) -> NormalizedSection:
         c_inner=float(c_inner),
         c_outer=c_outer,
         grad_at_center=grad0,
-        det_range_original=det_orig,
-        det_range_normalized=det_norm,
+        det_range_original=_value_range(discrete_hessian(u).det()[sel]),
+        det_range_normalized=_value_range(det_n[ok]),
         tau=fit.tau,
         h_eff=fit.h_eff,
     )

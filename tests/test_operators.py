@@ -29,6 +29,7 @@ from amce.operators import (
     PermutedLU,
     dissection_order,
     factor_lu,
+    line_fit,
     lstsq_stack,
 )
 
@@ -334,3 +335,19 @@ def test_dissection_fill_is_below_minimum_degree(grid64):
     lu = factor_lu(splu, A, grid64)
     mmd = splu(A, **dict(SYMMETRIC_LU, permc_spec="MMD_AT_PLUS_A"))
     assert lu.lu.nnz < mmd.nnz
+
+
+def test_line_fit_recovers_an_exact_line():
+    x = np.array([0.5, 1.0, 2.0, 3.5])
+    slope, intercept, r2 = line_fit(x, 0.75 * x - 1.25)
+    assert slope == pytest.approx(0.75, abs=1e-12)
+    assert intercept == pytest.approx(-1.25, abs=1e-12)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_line_fit_of_a_constant_has_unit_r2():
+    """A constant ``y`` has no spread to explain: r2 is 1 by convention."""
+    slope, intercept, r2 = line_fit(np.array([1.0, 2.0, 4.0]), np.full(3, 2.5))
+    assert slope == pytest.approx(0.0, abs=1e-12)
+    assert intercept == pytest.approx(2.5, abs=1e-12)
+    assert r2 == 1.0
