@@ -108,7 +108,9 @@ def extract_section(
     both are supplied.  The hull is refined below grid resolution: along
     every stencil arm leaving a member node, the exit point where the
     section gap changes sign is located by linear interpolation, and
-    boundary hit points interior to the section are included verbatim.
+    boundary hit points interior to the section are included verbatim.  A
+    gap within ``1e-12 max(1, sup |u|)`` of zero is zero: its point is
+    no member, and an arm toward it ends exactly there.
     """
     if h <= 0:
         raise ValueError(f"section height must be positive, got {h}")
@@ -119,6 +121,9 @@ def extract_section(
 
     sn = _tangent_gap(u.values, grid.nodes, x, center_value, center_gradient) - h
     sh = _tangent_gap(u.hit_values, grid.hit_points, x, center_value, center_gradient) - h
+    tol = 1e-12 * max(1.0, u.sup_norm())
+    for s in (sn, sh):
+        s[np.abs(s) <= tol] = 0.0
     node_ids = np.where(sn < 0.0)[0]
     # every boundary hit interior to the section is a hull sample, whether
     # or not its source node is a member (thin boundary slivers)

@@ -239,6 +239,32 @@ def test_boundary_scan_recovers_shear(grid64):
     np.testing.assert_allclose(taus, 0.5, atol=0.01)
 
 
+@pytest.mark.parametrize(
+    "shift", [[1e-13, 0.0], [-1e-13, 0.0], [0.0, 1e-13], [0.0, -1e-13], [3e-13, -3e-13]]
+)
+def test_section_membership_is_stable_under_round_off(grid64, shift):
+    """At the dyadic heights some nodes of sheared_half lie on the section
+    boundary; a round-off change of the base gradient moves neither the
+    member count nor the number of hull vertices."""
+    from amce import get_fixture, value_and_gradient_at
+
+    exact = get_fixture("sheared_half", theta=0.25)
+    u = ScalarField.from_callable(grid64, exact.u)
+    x0 = np.array([0.0, -1.0])
+    val, grad = value_and_gradient_at(u, x0)
+
+    def counts(g):
+        secs = [
+            extract_section(u, x0, 2.0**-k, center_value=val, center_gradient=g)
+            for k in range(3, 7)
+        ]
+        return [(s.n_nodes, len(s.hull_points)) for s in secs]
+
+    base = counts(grad)
+    assert [n for n, _ in base] == [1419, 739, 371, 191]
+    assert counts(grad + np.asarray(shift)) == base
+
+
 def test_interior_fit_unimodular_shape(paraboloid64_exact):
     sec = extract_section(paraboloid64_exact, np.array([0.0, 0.0]), 0.125)
     fit = fit_john_ellipsoid(sec)
