@@ -143,7 +143,7 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
     tol = 1e-9 * max(1.0, float(np.abs(grid.nodes).max(initial=1.0)))
     node = grid.ids_at(np.rint(pts / grid.h))
     on_node = node >= 0
-    # the tolerance rule of Grid.node_at, applied to all rows at once
+    # Grid.node_at's 1e-9 max(1, h) rule times max(1, largest |node coordinate|)
     on_node[on_node] = np.max(
         np.abs(grid.nodes[node[on_node]] - pts[on_node]), axis=1
     ) <= tol * max(1.0, grid.h)
