@@ -136,6 +136,51 @@ def test_section_affine_invariance_under_rotation(grid32):
     assert set_u == set_v
 
 
+def _reference_hull(u, x, h, val, grad):
+    """Section node ids and hull built in plain loops: the exits direction by
+    direction and, within a direction, interior ends before hit ends."""
+    from scipy.spatial import ConvexHull
+
+    from amce.grid import ARM_HIT, ARM_INTERIOR, DIRS
+
+    g = u.grid
+    tol = 1e-12 * max(1.0, u.sup_norm())
+
+    def gap(values, points):
+        s = values - (val + (points - x) @ grad) - h
+        return np.where(np.abs(s) <= tol, 0.0, s)
+
+    sn, sh = gap(u.values, g.nodes), gap(u.hit_values, g.hit_points)
+    members = np.flatnonzero(sn < 0.0)
+    pts = list(g.nodes[members]) + list(g.hit_points[sh < 0.0])
+    for k, d in enumerate(DIRS):
+        for kind, ends in ((ARM_INTERIOR, sn), (ARM_HIT, sh)):
+            for i in members:
+                if g.arm_kind[i, k] != kind or ends[g.arm_ref[i, k]] < 0.0:
+                    continue
+                t = sn[i] / (sn[i] - ends[g.arm_ref[i, k]]) * g.arm_frac[i, k]
+                pts.append(g.nodes[i] + t * (d * g.h))
+    cloud = np.array(pts)
+    return members, cloud[ConvexHull(cloud).vertices]
+
+
+@pytest.mark.parametrize(
+    "x, h", [([0.0, -1.0], 0.125), ([0.0, -1.0], 0.015625), ([0.3, 0.1], 0.05)]
+)
+def test_section_hull_matches_the_loop_reference(grid32, x, h):
+    """The one-pass arm exits give the loop reference's hull bit for bit,
+    on boundary-clipped and interior sections of sheared_half."""
+    from amce import get_fixture, value_and_gradient_at
+
+    u = ScalarField.from_callable(grid32, get_fixture("sheared_half", theta=0.25).u)
+    x = np.array(x)
+    val, grad = value_and_gradient_at(u, x)
+    sec = extract_section(u, x, h, center_value=val, center_gradient=grad)
+    members, hull = _reference_hull(u, x, h, val, grad)
+    np.testing.assert_array_equal(sec.node_ids, members)
+    np.testing.assert_array_equal(sec.hull_points, hull)
+
+
 def test_tiny_section_warns_and_has_no_hull(paraboloid64_exact):
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
