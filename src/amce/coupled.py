@@ -27,10 +27,11 @@ convexity or the weight's sign, is replaced by a damped sweep, and a sweep
 whose weight is not positive ends the solve.  Once the weight stops moving
 in sup norm, one more sweep runs undamped (the polish) and its linear
 solution is the returned ``w``, so both sub-equation residuals are reported
-at their floor.  After a Newton step the polish refines its linear solve
-through that step's factor, whose ``u`` differs from the polish's at
-round-off, and factors afresh only when the backward error misses
-``lma_tol``.
+at their floor.  When the step right before a linear solve changed its
+unknowns by at most ``outer_tol`` (a coupled Newton step, or the sweep's
+last determinant step), the solve refines through that step's factor,
+whose operator differs from its own at the size of that change, and
+factors afresh only when the backward error misses ``lma_tol``.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -334,18 +335,21 @@ def solve_system(
     The report's counts are those :data:`amce.operators.COUNTS` gained
     during the call: ``factorizations`` is every ``splu`` call, the
     Laplacian's, one per coupled Newton step tried, those of the sweeps,
-    and the ``pivoting_refactors`` retries among them.  A polish that
-    follows a Newton step makes no linear factor of its own when that
-    step's factor meets ``lma_tol`` (see :func:`amce.lma.solve_lma`), so
-    ``radial_quartic`` takes 9 at h = 1/16 to 1/64: the Laplacian's, the
-    damped sweep's linear step and 7 Newton steps.  The one Laplacian
-    factor solves for the harmonic extension of ``psi``, the first weight,
-    and then for the determinant solve's Poisson start (see
-    :func:`amce.ma.initial_guess`); it is dropped before any other factor
-    is made.  At most one factor is alive at a time: a Newton step's
-    factor is kept only when its change is at most ``outer_tol``, and
-    dropped before the polish's determinant solve factors a step of its
-    own.
+    and the ``pivoting_refactors`` retries among them.  A sweep's linear
+    solve makes no factor of its own when the factor kept before it meets
+    ``lma_tol`` (see :func:`amce.lma.solve_lma`): that of a coupled Newton
+    step whose change is at most ``outer_tol``, or of the sweep's last
+    determinant step when its update is at most ``outer_tol`` (see
+    :func:`amce.ma.solve_ma`).  So ``radial_quartic`` takes 9 at h = 1/16
+    to 1/64: the Laplacian's, the damped sweep's linear step and 7 Newton
+    steps; ``sheared_half``, one sweep whose determinant solve ends on a
+    step within ``outer_tol``, takes 5 at 1/16 to 1/64: the Laplacian's
+    and 4 determinant steps.  The one Laplacian factor solves for the
+    harmonic extension of ``psi``, the first weight, and then for the
+    determinant solve's Poisson start (see :func:`amce.ma.initial_guess`);
+    it is dropped before any other factor is made.  At most one factor is
+    alive at a time: ``kept`` holds the one handed to the next linear
+    solve, and a determinant step empties it before it factors.
     """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
@@ -367,8 +371,9 @@ def solve_system(
     del poisson  # its factor's memory serves the next factorization
     w_half: ScalarField | None = None
     polish = False
-    # the factor of a Newton step whose change is at most outer_tol, held for
-    # the polish: a list, so that its only reference can be handed over
+    # the factor of the last step within outer_tol, a coupled Newton step's
+    # or a determinant step's, held for the next linear solve: a list, so
+    # that its only reference can be handed over
     kept: list = []
 
     while True:
@@ -384,8 +389,11 @@ def solve_system(
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
-            # a determinant step makes its own factor: the kept one goes first
-            u, ma_rep = solve_ma(problem, opts, initial=u, before_factor=kept.clear)
+            # a determinant step drops the kept factor before making its own,
+            # and keeps that one when the step is within outer_tol
+            u, ma_rep = solve_ma(
+                problem, opts, initial=u, kept=kept, keep_tol=opts.outer_tol
+            )
             # a solve without Newton steps returns the u of the last linear
             # step bitwise, so that step's w_half stands
             if w_half is None or ma_rep.iterations:

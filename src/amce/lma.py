@@ -118,10 +118,12 @@ def solve_lma(
     reported residual is recomputed through the discrete Hessian route,
     i.e. it is ``U : H(v) - g`` node-wise.
 
-    ``lu``, when given, is a factor of a nearby operator (the coupled
-    solve's polish passes the last Newton step's, whose ``u`` differs at
-    round-off): the refinement runs against the exact ``D`` through it, and
-    no factor is made when the backward error meets ``tol``.  Otherwise
+    ``lu``, when given, is a factor of a nearby operator: the coupled solve
+    passes that of the step just before when the step's change is at most
+    ``outer_tol``, a coupled Newton step's or a determinant Newton step's
+    (:func:`amce.ma.solve_ma`).  The refinement runs against the
+    exact ``D`` through it, and no factor is made when the backward error
+    meets ``tol``.  Otherwise
     that factor is dropped and ``D``'s own is made by
     :func:`amce.operators.factor_lu`.  Symmetric mode keeps a diagonal pivot
     however small, so when its solve leaves the backward error above

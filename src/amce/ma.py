@@ -22,7 +22,6 @@ determinant where the Hessian is isotropic and is exact for quadratic data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -145,14 +144,20 @@ def solve_ma(
     problem: MAProblem,
     options: MASolveOptions | None = None,
     initial: ScalarField | None = None,
-    before_factor: Callable[[], object] | None = None,
+    kept: list | None = None,
+    keep_tol: float = 0.0,
 ) -> tuple[ScalarField, MAReport]:
     """Damped Newton solve; returns the solution field and an iteration report.
 
-    Every Newton step factors its own clamped matrix and drops the factor
-    before the line search; ``before_factor``, when given, is called before
-    each of those factorizations, so a caller holding a factor can drop it
-    and keep one factor alive.  Steps and backtracks count in
+    Every Newton step factors its own clamped matrix.  ``kept``, when
+    given, is the caller's list of held factors: it is emptied before each
+    of those factorizations, so one factor is alive at a time, and a step
+    whose Newton update is at most ``keep_tol`` in sup norm (so it moves
+    ``u`` by no more) leaves its factor in it.  A linear solve on the
+    returned ``u``, whose operator differs from the last step's at the size
+    of that update, can then refine through that factor in place of making
+    one (see :func:`amce.lma.solve_lma`).  Any other step's factor is
+    dropped before the line search.  Steps and backtracks count in
     :data:`amce.operators.COUNTS` as they are taken, and the report reads
     them, with the steps' ``pivoting_refactors``, off the counts made since
     the first step.
@@ -191,14 +196,16 @@ def solve_ma(
                 history=history,
             )
         J = assemble_lma(H.clamped(opts.eps_clamp))
-        if before_factor is not None:
-            before_factor()
+        if kept is not None:
+            kept.clear()
         try:
             lu = factor_lu(splu, J, problem.grid)
         except RuntimeError as exc:
             raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
         delta = lu.solve(-res)
-        del lu  # two factors would be alive at the next splu
+        if kept is not None and float(np.max(np.abs(delta))) <= keep_tol:
+            kept.append(lu)
+        del lu  # kept or not, it is gone before the next splu
 
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):

@@ -94,6 +94,14 @@ class HolderFit:
     flat: bool
 
 
+def _bin_edges(grid: Grid) -> np.ndarray:
+    """Edges of the dyadic distance bins: ``4h * 2^k`` up to ``diam/4``."""
+    edges = [4.0 * grid.h]
+    while edges[-1] * 2.0 <= grid.domain.diameter / 4.0 * (1.0 + 1e-12):
+        edges.append(edges[-1] * 2.0)
+    return np.asarray(edges)
+
+
 def _anchor_tiles(nodes, anchor_pts, reach: float):
     """Group the anchors into tiles and find the nodes each tile can reach.
 
@@ -135,12 +143,7 @@ def _oscillation_fit(field: ScalarField, anchor_pts, anchor_vals) -> HolderFit:
     those of the whole pair set exactly.
     """
     grid = field.grid
-    bin_lo, bin_hi = 4.0 * grid.h, grid.domain.diameter / 4.0
-    edges = [bin_lo]
-    while edges[-1] * 2.0 <= bin_hi * (1.0 + 1e-12):
-        edges.append(edges[-1] * 2.0)
-    edges = np.asarray(edges)
-
+    edges = _bin_edges(grid)
     nb = edges.size - 1
     counts = np.zeros(nb, dtype=np.int64)
     peaks = np.full(nb, -np.inf)
@@ -244,6 +247,36 @@ class CheckResult:
     details: dict
 
 
+def _flat_fit(field: ScalarField) -> HolderFit | None:
+    """The fit of a flat ``field`` without its pairs, or None.
+
+    When the bins are two or more and ``max - min`` of ``field`` over its
+    nodes and hits is at most ``LMA_TOL`` times its sup norm, every pair's
+    computed oscillation (rounding is monotone), and so every bin peak, is
+    at most that too: the fit would be ``flat`` whatever the anchors.  The
+    record then skips without computing a pair: its ``n_bins`` counts the
+    bins, it has no slope, and it is ``degenerate``.  With fewer than two
+    bins the fit itself runs.
+    """
+    n_bins = _bin_edges(field.grid).size - 1
+    values = np.concatenate([field.values, field.hit_values])
+    if n_bins < 2 or not np.ptp(values) <= LMA_TOL * field.sup_norm():
+        return None
+    empty = np.empty(0)
+    return HolderFit(
+        beta=np.nan,
+        raw_slope=np.nan,
+        constant=np.nan,
+        r2=np.nan,
+        n_pairs=0,
+        n_bins=n_bins,
+        bin_centers=empty,
+        bin_oscillation=empty,
+        degenerate=True,
+        flat=True,
+    )
+
+
 def _unresolved(fit: HolderFit) -> bool:
     """A fit with no slope to judge: a flat field or fewer than two bins.
 
@@ -265,11 +298,12 @@ def boundary_holder_check(field: ScalarField, alpha: float) -> CheckResult:
     ``alpha / (alpha + 2)``; the check passes when the exponent of
     :func:`boundary_holder_fit` clears that threshold minus a slack, and
     its margin is the exponent's excess over the slackened threshold.  It
-    skips a flat or unbinned fit (see :func:`verify`).
+    skips a flat or unbinned fit (see :func:`verify`), and a flat field
+    with two or more bins before any pair is computed (see :func:`_flat_fit`).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"boundary data exponent must be in (0, 1], got {alpha}")
-    fit = boundary_holder_fit(field)
+    fit = _flat_fit(field) or boundary_holder_fit(field)
     threshold = alpha / (alpha + 2.0)
     passed = (not fit.degenerate) and fit.beta >= threshold - _BOUNDARY_SLACK
     return CheckResult(
@@ -390,11 +424,13 @@ def verify(
     ``alpha/(alpha+2)`` threshold, two-sided quadratic separation of the
     convex component, discrete Hessian positivity, and weight positivity.
     Both modulus checks are skipped for a flat weight (see :class:`HolderFit`)
-    and on a grid too coarse to give their fit two distance bins.
+    and on a grid too coarse to give their fit two distance bins; with two
+    or more bins, a weight whose range is flat skips before its fit runs
+    (see :func:`_flat_fit`).
     """
     checks = [min_principle_check(problem, w), abp_chain_report(problem, w)]
 
-    hf = fit_holder_exponent(w, seed=seed)
+    hf = _flat_fit(w) or fit_holder_exponent(w, seed=seed)
     hf_ok = (not hf.degenerate) and 0.0 < hf.beta <= _BETA_CAP
     checks.append(
         CheckResult(

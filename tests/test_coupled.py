@@ -269,9 +269,10 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
 
     The sweeps stop about 1e-8 short of the discrete solution that Newton
     reaches.  The determinant solves' steps and backtracks are summed.  The
-    191 factorizations are the 94 of the splitting alone, the factor of each
-    of the 48 failed Newton steps, and 49 first determinant Newton steps of
-    a sweep, which factor again the matrix of the linear step before them.
+    170 factorizations are the Laplacian's, the factor of each of the 48
+    failed Newton steps, one per determinant Newton step (92), and 29 of
+    the 50 linear steps: the other 21 follow a determinant step that moved
+    ``u`` by at most ``outer_tol`` and refine through its factor.
     A factor that raises is retried once with partial pivoting, so
     ``_raising_splu`` adds one factorization per Newton step.
     """
@@ -297,7 +298,7 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
     assert report.krylov_iterations_total == 0
     retried = 48 if name == "splu" else 0
     assert report.pivoting_refactors == retried
-    assert report.factorizations == len(calls) == 191 + retried
+    assert report.factorizations == len(calls) == 170 + retried
     assert report.newton_iterations_total == sum(r.iterations for r in ma_reports)
     assert report.backtracks_total == sum(r.backtracks for r in ma_reports)
     assert np.abs(u.values - u_newton.values).max() < 1e-8
@@ -308,21 +309,34 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     """A polish without Newton steps keeps the last sweep's linear solution.
 
     ``sheared_half`` converges in one sweep and its polish takes no Newton
-    step; solving the linear step again would make 7 factorizations.
+    step; solving the linear step again would make 6 factorizations.  The
+    returned ``w`` is, bit for bit, the one linear solve's, on the returned
+    ``u``'s Hessian.
     """
-    from amce import LMAProblem, discrete_hessian, solve_lma
+    import amce.coupled
+    from amce import discrete_hessian
 
+    solved = []
+
+    def recorded(lma_problem, **kwargs):
+        field, rep = solve_lma(lma_problem, **kwargs)
+        solved.append((lma_problem.hessian, field))
+        return field, rep
+
+    solve_lma = amce.coupled.solve_lma
+    monkeypatch.setattr(amce.coupled, "solve_lma", recorded)
     calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("sheared_half", theta=0.25))
     u, w, report = solve_system(problem)
     assert report.outer_iterations == 1
-    assert len(calls) == 6
-    assert report.factorizations == 6
-    fresh, _ = solve_lma(
-        LMAProblem(hessian=discrete_hessian(u), g=problem.f.values, psi_hits=problem.psi_hits)
-    )
-    assert w.values.tobytes() == fresh.values.tobytes()
-    assert w.hit_values.tobytes() == fresh.hit_values.tobytes()
+    assert len(calls) == 5
+    assert report.factorizations == 5
+    assert len(solved) == 1
+    (H, linear), H_u = solved[0], discrete_hessian(u)
+    for name in ("hxx", "hxy", "hyy"):
+        assert getattr(H, name).tobytes() == getattr(H_u, name).tobytes()
+    assert w.values.tobytes() == linear.values.tobytes()
+    assert w.hit_values.tobytes() == linear.hit_values.tobytes()
 
 
 def _track_live_factors(monkeypatch) -> list:
@@ -363,10 +377,49 @@ def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
     assert max(live) == 0
 
 
+def test_linear_step_refines_through_the_last_determinant_step_factor(
+    grid16, monkeypatch
+):
+    """``sheared_half``'s one sweep ends on a determinant step that moves
+    ``u`` by at most ``outer_tol``; its linear solve refines through that
+    step's factor and makes none, so the solve makes 5 factors, never two
+    alive at once.  The refined ``w`` is at the round-off floor and within
+    1e-13 of a solve that factors its own operator."""
+    import amce.coupled
+    from amce import LMAProblem, discrete_hessian
+    from amce.operators import COUNTS
+
+    solves = []
+
+    def recorded(*args, **kwargs):
+        made = COUNTS["factorizations"]
+        field, rep = solve_lma(*args, **kwargs)
+        made = COUNTS["factorizations"] - made
+        solves.append((kwargs["lu"] is not None, made, rep.backward_error))
+        return field, rep
+
+    solve_lma = amce.coupled.solve_lma
+    monkeypatch.setattr(amce.coupled, "solve_lma", recorded)
+    live = _track_live_factors(monkeypatch)
+    problem = problem_from_exact(grid16, get_fixture("sheared_half", theta=0.25))
+    u, w, report = solve_system(problem)
+    [(handed, made, backward)] = solves
+    assert handed and made == 0
+    assert len(live) == report.factorizations == 5
+    assert max(live) == 0
+    assert backward <= 1e-15
+    fresh, _ = solve_lma(
+        LMAProblem(hessian=discrete_hessian(u), g=problem.f.values, psi_hits=problem.psi_hits)
+    )
+    assert np.abs(w.values - fresh.values).max() <= 1e-13
+
+
 def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypatch):
     """When the polish's determinant solve takes a step (forced here by
     moving its start), the kept factor is dropped before that step's factor
-    is made, and the polish's linear solve factors afresh."""
+    is made.  The moved start's last step is within ``outer_tol``, so the
+    polish's linear solve refines through that step's factor in place of
+    making its own."""
     import amce.coupled
 
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -385,7 +438,7 @@ def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypa
     _, w, report = solve_system(problem)
     assert len(starts) == 2
     assert report.newton_iterations_total > 0
-    assert len(live) == report.factorizations == 10 + report.newton_iterations_total
+    assert len(live) == report.factorizations == 9 + report.newton_iterations_total
     assert max(live) == 0
     assert np.abs(w.values - w_ref.values).max() < 1e-8
 

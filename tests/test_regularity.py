@@ -109,14 +109,20 @@ def test_holder_fit_constant_field_degenerate(grid16):
     assert np.isnan(fit.beta)
 
 
+def _noisy_paraboloid(grid):
+    """paraboloid's data, exact u, and its constant weight plus 1e-14 noise."""
+    exact = get_fixture("paraboloid", theta=0.25)
+    problem = problem_from_exact(grid, exact)
+    u = ScalarField.from_callable(grid, exact.u)
+    w = ScalarField.from_callable(grid, exact.w)
+    w.values += 1e-14 * np.random.default_rng(0).standard_normal(grid.n_nodes)
+    return problem, u, w
+
+
 def test_flat_weight_skips_both_modulus_checks(grid16):
     """paraboloid's weight is constant; computed, it spreads by about 1e-14.
     That noise has no modulus to fit, so both checks skip instead."""
-    exact = get_fixture("paraboloid", theta=0.25)
-    problem = problem_from_exact(grid16, exact)
-    u = ScalarField.from_callable(grid16, exact.u)
-    w = ScalarField.from_callable(grid16, exact.w)
-    w.values += 1e-14 * np.random.default_rng(0).standard_normal(grid16.n_nodes)
+    problem, u, w = _noisy_paraboloid(grid16)
     assert fit_holder_exponent(w, seed=0).flat
     assert boundary_holder_fit(w).flat
     checks = {c.name: c for c in verify(problem, u, w, seed=0)}
@@ -142,6 +148,56 @@ def test_too_coarse_grid_skips_both_modulus_checks(name, n, n_bins):
     for check in ("interior_holder_w", "boundary_holder_w"):
         assert checks[check].status == "skip"
         assert checks[check].details["flat"] is False
+
+
+def test_flat_weight_skips_before_any_pair(monkeypatch, grid32):
+    """At h = 1/32 the fits have two bins or more, so the range of
+    paraboloid's solved weight decides both records: they skip as flat
+    without forming an anchor tile, and have no fitted exponent."""
+    from amce.coupled import solve_system
+
+    problem = problem_from_exact(grid32, get_fixture("paraboloid", theta=0.25))
+    u, w, _ = solve_system(problem)
+
+    def no_pairs(*args):
+        raise AssertionError("a flat weight's fit streamed its pairs")
+
+    monkeypatch.setattr(amce.regularity, "_anchor_tiles", no_pairs)
+    checks = {c.name: c for c in verify(problem, u, w, seed=0)}
+    for name in ("interior_holder_w", "boundary_holder_w"):
+        assert checks[name].status == "skip"
+        assert checks[name].details["flat"] is True
+        assert checks[name].details["beta"] is None
+        assert checks[name].details["r2"] is None
+    assert checks["interior_holder_w"].details["raw_slope"] is None
+    assert checks["interior_holder_w"].details["degenerate"] is True
+
+
+def test_range_rule_gives_the_status_of_the_full_fit(monkeypatch, grid16, grid32):
+    """On the solved weights of all five fixtures at h = 1/32 and on the
+    noisy constant weight at 1/16 and 1/32, both Hölder records have the
+    status and ``flat`` the full fits give.  The range rule decides the
+    three flat solved weights and the noisy one at 1/32; at 1/16 there is
+    one bin, and the fits run."""
+    from amce.coupled import solve_system
+
+    cases = {}
+    for name in ("paraboloid", "paraboloid_r2", "radial_mild", "radial_quartic", "sheared_half"):
+        problem = problem_from_exact(grid32, get_fixture(name, theta=0.25))
+        u, w, _ = solve_system(problem)
+        cases[name] = (problem, u, w)
+    cases["noise16"] = _noisy_paraboloid(grid16)
+    cases["noise32"] = _noisy_paraboloid(grid32)
+    decided = {k for k, (_, _, w) in cases.items() if amce.regularity._flat_fit(w)}
+    assert decided == {"paraboloid", "paraboloid_r2", "sheared_half", "noise32"}
+    for key, case in cases.items():
+        fast = {c.name: c for c in verify(*case, seed=0)}
+        with monkeypatch.context() as m:
+            m.setattr(amce.regularity, "_flat_fit", lambda field: None)
+            full = {c.name: c for c in verify(*case, seed=0)}
+        for name in ("interior_holder_w", "boundary_holder_w"):
+            assert fast[name].status == full[name].status, (key, name)
+            assert fast[name].details["flat"] == full[name].details["flat"], (key, name)
 
 
 def test_degenerate_fit_with_bins_still_fails(grid32):
