@@ -31,7 +31,12 @@ at their floor.  When the step right before a linear solve changed its
 unknowns by at most ``outer_tol`` (a coupled Newton step, or the sweep's
 last determinant step), the solve refines through that step's factor,
 whose operator differs from its own at the size of that change, and
-factors afresh only when the backward error misses ``lma_tol``.
+factors afresh only when the backward error misses ``lma_tol``.  The
+Laplacian factor of the start is handed on the same way: when the start
+is a paraboloid, as for radial boundary data, the first linear operator
+is a multiple of the Laplacian, and minimal-residual passes through that
+factor solve it; the first Newton step, whose operator is the same bit for
+bit, then takes the scaled factor in place of making one.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -58,6 +63,7 @@ from .lma import LMA_TOL, LMAProblem, assemble_lma, lma_residual, solve_lma
 from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
 from .operators import (
     COUNTS,
+    ScaledLU,
     discrete_hessian,
     factor_lu,
     local_quadratic_fit,
@@ -157,12 +163,14 @@ class SolveReport:
     krylov_iterations_total: int = 0  # GMRES iterations of the Newton steps tried
     backtracks_total: int = 0  # line-search backtracks of the determinant solves
     pivoting_refactors: int = 0  # default-pivoting retries among the factorizations
+    lu_solves: int = 0  # solves through any LU factor, scaled or handed ones included
 
 
 #: The fields of :class:`SolveReport` read off :data:`amce.operators.COUNTS`.
 COUNTED = (
     "newton_iterations_total", "factorizations", "coupled_newton_steps",
     "krylov_iterations_total", "backtracks_total", "pivoting_refactors",
+    "lu_solves",
 )
 
 
@@ -222,7 +230,12 @@ _KRYLOV_CYCLES = 10
 
 
 def _newton_step(
-    data: ProblemData, u: ScalarField, w: ScalarField, cap: float, outer_tol: float
+    data: ProblemData,
+    u: ScalarField,
+    w: ScalarField,
+    cap: float,
+    outer_tol: float,
+    kept: list,
 ):
     """One inexact Newton step on ``F(u, w) = 0``, or None when it is unusable.
 
@@ -235,11 +248,16 @@ def _newton_step(
     Numer. Anal. 19, 1982), loose while ``F`` is large and the step is
     capped anyway, and at the floor once Newton converges.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
-    Returns ``(u, w, change, lu)``, or None when ``A`` cannot be factored,
-    GMRES fails or the trial loses ``det H(u) > 0`` or ``w > 0``.  ``lu`` is
-    the factor of ``A`` when ``change <= outer_tol``, for the polish that
-    follows, and None otherwise: the factor is then dropped before the
-    trial is formed.
+    Returns ``(u, w, change)``, or None when ``A`` cannot be factored,
+    GMRES fails or the trial loses ``det H(u) > 0`` or ``w > 0``.
+
+    ``kept`` is the coupled solve's list of held factors, and the factor
+    held there is taken out of it.  When it is a
+    :class:`~amce.operators.ScaledLU` of ``A`` bit for bit, as after the
+    first sweep of a radial fixture, it is the step's factor; any other is
+    dropped before ``A``'s own is made.  When ``change <= outer_tol`` the
+    step's factor goes back into ``kept``, for the polish that follows;
+    otherwise it is dropped before the trial is formed.
     Every GMRES iteration counts in ``COUNTS["krylov_iterations_total"]``,
     and a returned step in ``COUNTS["coupled_newton_steps"]``.
     """
@@ -247,10 +265,13 @@ def _newton_step(
     e = 1.0 / (data.theta - 1.0)
     Hu = discrete_hessian(u)
     A = assemble_lma(Hu)
-    try:
-        lu = factor_lu(splu, A, data.grid)
-    except RuntimeError:
-        return None
+    lu = kept.pop() if kept else None
+    if not (isinstance(lu, ScaledLU) and lu.factors(A)):
+        lu = None  # dropped before A's own factor is made
+        try:
+            lu = factor_lu(splu, A, data.grid)
+        except RuntimeError:
+            return None
     C = assemble_lma(discrete_hessian(w))
     with np.errstate(over="ignore"):
         we = w.values**e
@@ -299,7 +320,9 @@ def _newton_step(
     ):
         return None
     COUNTS["coupled_newton_steps"] += 1
-    return u_new, w_new, alpha * size, lu
+    if lu is not None:
+        kept.append(lu)
+    return u_new, w_new, alpha * size
 
 
 def _require_positive(w: ScalarField, history: list[float]) -> ScalarField:
@@ -334,22 +357,32 @@ def solve_system(
     follows a Newton step always solves the linear equation.
     The report's counts are those :data:`amce.operators.COUNTS` gained
     during the call: ``factorizations`` is every ``splu`` call, the
-    Laplacian's, one per coupled Newton step tried, those of the sweeps,
-    and the ``pivoting_refactors`` retries among them.  A sweep's linear
-    solve makes no factor of its own when the factor kept before it meets
-    ``lma_tol`` (see :func:`amce.lma.solve_lma`): that of a coupled Newton
-    step whose change is at most ``outer_tol``, or of the sweep's last
-    determinant step when its update is at most ``outer_tol`` (see
-    :func:`amce.ma.solve_ma`).  So ``radial_quartic`` takes 9 at h = 1/16
-    to 1/64: the Laplacian's, the damped sweep's linear step and 7 Newton
-    steps; ``sheared_half``, one sweep whose determinant solve ends on a
-    step within ``outer_tol``, takes 5 at 1/16 to 1/64: the Laplacian's
-    and 4 determinant steps.  The one Laplacian factor solves for the
-    harmonic extension of ``psi``, the first weight, and then for the
-    determinant solve's Poisson start (see :func:`amce.ma.initial_guess`);
-    it is dropped before any other factor is made.  At most one factor is
-    alive at a time: ``kept`` holds the one handed to the next linear
-    solve, and a determinant step empties it before it factors.
+    Laplacian's, one per coupled Newton step that makes a factor, those of
+    the sweeps, and the ``pivoting_refactors`` retries among them;
+    ``lu_solves`` is every solve through any of those factors.  Every
+    factor passes through one list, ``kept``, which holds at most one:
+    first the Laplacian's, then that of a step within ``outer_tol`` or a
+    scaled factor, for the next step to try.  A sweep's linear solve
+    makes no factor of its own when the kept factor brings it within
+    ``lma_tol`` (see :func:`amce.lma.solve_lma`): the Laplacian's, whose
+    operator its own is a multiple of after a Poisson start that is a
+    paraboloid; that of a coupled Newton step whose change is at most
+    ``outer_tol``; or that of the sweep's last determinant step when its
+    update is at most ``outer_tol`` (see :func:`amce.ma.solve_ma`).  A
+    coupled Newton step makes none when the kept factor is a scaled one of
+    its own operator (see :func:`_newton_step`).  So ``radial_quartic``
+    takes 7 at h = 1/16 to 1/128: the Laplacian's, whose scaled factor
+    serves the damped sweep's linear step and the first Newton step, and 6
+    more Newton steps; the two paraboloids take the Laplacian's alone;
+    ``sheared_half``, one sweep whose determinant solve ends on a step
+    within ``outer_tol``, takes 5 at 1/16 to 1/64: the Laplacian's and 4
+    determinant steps.  The one Laplacian factor solves for the harmonic
+    extension of ``psi``, the first weight, and then for the determinant
+    solve's Poisson start (see :func:`amce.ma.initial_guess`), and then
+    waits in ``kept``.  At most one factor is alive at any factorization:
+    a determinant step empties ``kept`` before it factors, and a linear
+    solve or a Newton step takes the factor out and drops it before it
+    makes its own.
     """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
@@ -360,7 +393,11 @@ def solve_system(
     flags = {"f_le_0_violated": not data.f_nonpositive}
     history: list[float] = []
     start = COUNTS.copy()
-    poisson = poisson_solver(grid)
+    # the one held factor, for the next step to try: the Laplacian's, then
+    # that of a step within outer_tol or a scaled one; a list, so that its
+    # only reference can be handed over
+    kept: list = []
+    poisson = poisson_solver(grid, kept)
     w = ScalarField(
         grid=grid,
         values=poisson(np.zeros(grid.n_nodes), data.psi_hits),
@@ -368,24 +405,18 @@ def solve_system(
     )
     g = g_from_w(_require_positive(w, history), data.theta)
     u = initial_guess(MAProblem(grid=grid, g=g, phi_hits=data.phi_hits), poisson)
-    del poisson  # its factor's memory serves the next factorization
+    del poisson  # kept holds the Laplacian factor's only reference
     w_half: ScalarField | None = None
     polish = False
-    # the factor of the last step within outer_tol, a coupled Newton step's
-    # or a determinant step's, held for the next linear solve: a list, so
-    # that its only reference can be handed over
-    kept: list = []
 
     while True:
         _require_positive(w, history)
         step = None
         if history and not polish:
-            step = _newton_step(data, u, w, cap=history[-1], outer_tol=opts.outer_tol)
+            step = _newton_step(data, u, w, history[-1], opts.outer_tol, kept)
         if step is not None:
-            u, w, change, lu = step
+            u, w, change = step
             w_half = None  # the last linear solution belongs to the old u
-            kept = [lu] if lu is not None else []
-            del step, lu
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
@@ -401,7 +432,7 @@ def solve_system(
                 w_half, _ = solve_lma(
                     LMAProblem(hessian=H, g=data.f.values, psi_hits=data.psi_hits),
                     tol=opts.lma_tol,
-                    lu=kept.pop() if kept else None,
+                    kept=kept,
                 )
             if polish:
                 break

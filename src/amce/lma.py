@@ -13,8 +13,10 @@ factors the same operator), and solved with a sparse direct factorization.
 The matrix is not symmetric and carries no M-matrix guarantee; a
 sign-pattern audit and a condition estimate are reported instead of a
 monotonicity assumption.  A call of :func:`solve_lma` makes its own
-factorization and drops it on return, unless it is handed a factor of a
-nearby operator whose refined solve already meets the tolerance.
+factorization and drops it on return, unless it is handed a factor whose
+refined solve already meets the tolerance: a factor of a nearby operator,
+refined by plain passes, or one of an operator that ``D`` is a multiple of,
+refined by minimal-residual passes that fit the multiple.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .operators import (
     COUNTS,
     HessianField,
     PermutedLU,
+    ScaledLU,
     discrete_hessian,
     factor_lu,
     grid_operators,
@@ -106,7 +109,7 @@ def solve_lma(
     problem: LMAProblem,
     tol: float = LMA_TOL,
     report_condition: bool = False,
-    lu=None,
+    kept: list | None = None,
 ) -> tuple[ScalarField, LMAReport]:
     """Direct solve of the frozen-coefficient problem.
 
@@ -118,20 +121,27 @@ def solve_lma(
     reported residual is recomputed through the discrete Hessian route,
     i.e. it is ``U : H(v) - g`` node-wise.
 
-    ``lu``, when given, is a factor of a nearby operator: the coupled solve
-    passes that of the step just before when the step's change is at most
-    ``outer_tol``, a coupled Newton step's or a determinant Newton step's
-    (:func:`amce.ma.solve_ma`).  The refinement runs against the
-    exact ``D`` through it, and no factor is made when the backward error
-    meets ``tol``.  Otherwise
-    that factor is dropped and ``D``'s own is made by
-    :func:`amce.operators.factor_lu`.  Symmetric mode keeps a diagonal pivot
+    ``kept``, when given, is the coupled solve's list of held factors, and
+    the factor held there is taken out of it and tried first: the
+    Laplacian's, or that of the step just before when the step's change is
+    at most ``outer_tol``, a coupled Newton step's or a determinant Newton
+    step's (:func:`amce.ma.solve_ma`).  The plain refinement runs against
+    the exact ``D`` through it.  When that misses ``tol``, up to four
+    minimal-residual passes follow (see :func:`_refined_solve`), which
+    are exact when ``D`` is a multiple of the factored operator; a factor
+    they bring within ``tol`` goes back into ``kept`` as a
+    :class:`~amce.operators.ScaledLU` of ``D``.  No factor is made when
+    either meets ``tol``.  Otherwise that factor is dropped and ``D``'s own
+    is made by :func:`amce.operators.factor_lu`; so it is too when
+    ``report_condition`` asks for the condition estimate, which must come
+    from ``D``'s own factor.  Symmetric mode keeps a diagonal pivot
     however small, so when its solve leaves the backward error above
     ``tol``, ``D`` is factored once more with partial pivoting and solved
     again; that retry counts in :data:`amce.operators.COUNTS` like
     :func:`~amce.operators.factor_lu`'s own, and
-    ``report.pivoting_refactors`` is 1 when the factor that solved was made
-    with partial pivoting.  The tolerance then judges the last solve.
+    ``report.pivoting_refactors`` is 1 when ``D``'s own factor that solved
+    was made with partial pivoting.  The tolerance then judges the last
+    solve.
     """
     H = problem.hessian
     grid = H.grid
@@ -148,23 +158,34 @@ def solve_lma(
         )
     D = assemble_lma(H)
     B = _cofactor_contraction(H, "B").tocsr()
+    lu = kept.pop() if kept else None
+    if report_condition:
+        lu = None  # the estimate must come from D's own factor
     if lu is not None:
-        field, resid_sup, backward = _refined_solve(problem, D, B, lu)
+        field, resid_sup, backward, _ = _refined_solve(problem, D, B, lu)
+        if not backward <= tol:
+            field, resid_sup, backward, scale = _refined_solve(
+                problem, D, B, lu, start=field.values
+            )
+            if backward <= tol:
+                kept.append(ScaledLU(lu, scale, D))
         if not backward <= tol:
             lu = None  # dropped before D's own factor is made
-    if lu is None:
+    own = lu is None
+    if own:
         try:
             lu = factor_lu(splu, D, grid)
         except RuntimeError as exc:
             raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
-        field, resid_sup, backward = _refined_solve(problem, D, B, lu)
-    if not backward <= tol and isinstance(lu, PermutedLU):
-        COUNTS.update(factorizations=1, pivoting_refactors=1)
-        try:
-            lu = splu(D)
-        except RuntimeError as exc:
-            raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
-        field, resid_sup, backward = _refined_solve(problem, D, B, lu)
+        field, resid_sup, backward, _ = _refined_solve(problem, D, B, lu)
+        if not backward <= tol and lu.perm is not None:
+            COUNTS.update(factorizations=1, pivoting_refactors=1)
+            lu = None  # dropped before the retry is made
+            try:
+                lu = PermutedLU(splu(D), None)
+            except RuntimeError as exc:
+                raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
+            field, resid_sup, backward, _ = _refined_solve(problem, D, B, lu)
     if not np.isfinite(backward) or backward > tol:
         raise NonConvergenceError(
             f"direct solve left componentwise backward error {backward:.3e} "
@@ -178,30 +199,52 @@ def solve_lma(
         backward_error=backward,
         sign_audit=offdiagonal_sign_audit(D),
         condition_estimate=cond,
-        pivoting_refactors=int(not isinstance(lu, PermutedLU)),
+        pivoting_refactors=int(own and lu.perm is None),
     )
     return field, report
 
 
-def _refined_solve(problem: LMAProblem, D, B, lu) -> tuple[ScalarField, float, float]:
-    """``(v, residual sup, componentwise backward error)`` through ``lu``."""
+def _refined_solve(
+    problem: LMAProblem, D, B, lu, start: Array | None = None
+) -> tuple[ScalarField, float, float, float]:
+    """``(v, residual sup, componentwise backward error, scale)`` through ``lu``.
+
+    Without ``start``, ``v = lu.solve(rhs)`` is refined by plain passes
+    ``v += lu.solve(r)``.  From ``start``, each pass is a minimal-residual
+    step instead: ``z = lu.solve(r)``, ``v += a z`` with
+    ``a = (Dz . r) / (Dz . Dz)``, the ``a`` that minimizes the next residual
+    in the 2-norm.  This is GMRES(1), Saad's MR iteration preconditioned by
+    ``lu`` (*Iterative Methods for Sparse Linear Systems*, 2nd ed., §5.3.2);
+    when ``D`` is ``c`` times the factored operator, ``a = 1/c`` and one
+    pass reaches the round-off floor.  Either way at most four passes run,
+    while the residual sup shrinks.  ``scale`` is the first pass's ``a``
+    (1 for plain passes).
+    """
     psi = problem.psi_hits
     rhs = problem.g - B @ psi
-    v = lu.solve(rhs)
-    prev = np.inf
+    v = lu.solve(rhs) if start is None else start
+    prev, scale = np.inf, None
     for _ in range(4):
         r = rhs - D @ v
         rn = float(np.max(np.abs(r)))
-        if not np.isfinite(rn) or rn >= prev:
+        if not 0.0 < rn < prev:
             break
-        v = v + lu.solve(r)
+        z = lu.solve(r)
+        if start is not None:
+            Dz = D @ z
+            a = float(Dz @ r) / float(Dz @ Dz)
+            scale = a if scale is None else scale
+            z *= a
+        v = v + z
         prev = rn
 
     field = ScalarField(grid=problem.hessian.grid, values=v, hit_values=psi.copy())
     resid = lma_residual(field, problem.hessian, problem.g)
     denom = abs(D) @ np.abs(v) + np.abs(problem.g) + abs(B) @ np.abs(psi)
     denom = np.maximum(denom, np.finfo(float).tiny)
-    return field, float(np.max(np.abs(resid))), float(np.max(np.abs(resid) / denom))
+    backward = float(np.max(np.abs(resid) / denom))
+    scale = 1.0 if scale is None else scale
+    return field, float(np.max(np.abs(resid))), backward, scale
 
 
 def lma_residual(v: ScalarField, H: HessianField, g: Array) -> Array:

@@ -249,23 +249,61 @@ def _dissect(lattice_t: Array, part: Array, parts: list[Array]) -> None:
 
 @dataclass
 class PermutedLU:
-    """LU factor of ``A[perm][:, perm]`` that solves systems in ``A``."""
+    """LU factor of ``A[perm][:, perm]`` that solves systems in ``A``.
+
+    ``perm`` is None for a factor of ``A`` itself in SciPy's default
+    ordering and pivoting, the retry of :func:`factor_lu` and
+    :func:`amce.lma.solve_lma`.  Every factor the package makes is one, so
+    every solve counts in ``COUNTS["lu_solves"]`` here.
+    """
 
     lu: object  # the factor ``splu`` returned
-    perm: Array
+    perm: Array | None
 
     def solve(self, b: Array, trans: str = "N") -> Array:
         """``x`` with ``A x = b``, or ``A^T x = b`` for ``trans="T"``.
 
         ``b`` is ``(n,)`` or ``(n, k)``, like SuperLU's own ``solve``.
         """
+        COUNTS["lu_solves"] += 1
+        if self.perm is None:
+            return self.lu.solve(b, trans=trans)
         y = self.lu.solve(np.asarray(b)[self.perm], trans=trans)
         x = np.empty_like(y)
         x[self.perm] = y
         return x
 
 
-def factor_lu(splu, A: sp.csc_matrix, grid: Grid):
+@dataclass
+class ScaledLU:
+    """A factor ``lu`` of ``L`` that stands for one of ``matrix = L / scale``.
+
+    Its solves are ``lu``'s times ``scale``, exact when ``matrix`` is that
+    multiple of ``L``, as the linearized operator of a paraboloid is of the
+    Laplacian.  :func:`amce.lma.solve_lma` makes one when its
+    minimal-residual passes through a handed factor meet the tolerance, and
+    ``scale`` is the multiple the first pass fitted.
+    """
+
+    lu: object
+    scale: float
+    matrix: sp.csc_matrix
+
+    def solve(self, b: Array, trans: str = "N") -> Array:
+        return self.scale * self.lu.solve(b, trans=trans)
+
+    def factors(self, A: sp.csc_matrix) -> bool:
+        """Whether ``A`` is ``matrix`` bit for bit, structure and values."""
+        M = self.matrix
+        return (
+            A.shape == M.shape
+            and np.array_equal(A.indptr, M.indptr)
+            and np.array_equal(A.indices, M.indices)
+            and A.data.tobytes() == M.data.tobytes()
+        )
+
+
+def factor_lu(splu, A: sp.csc_matrix, grid: Grid) -> PermutedLU:
     """An LU factor of the grid operator ``A``.
 
     ``A`` is permuted into :func:`dissection_order` and factored with
@@ -273,10 +311,10 @@ def factor_lu(splu, A: sp.csc_matrix, grid: Grid):
     with ``A`` itself.  Symmetric mode does not pivot for size, so when
     ``splu`` raises, the unpermuted ``A`` is factored once more with SciPy's
     defaults (its own ordering and partial pivoting) and that factor is
-    returned; a second ``RuntimeError`` propagates.  Every ``splu`` call
-    counts in ``COUNTS["factorizations"]``, the retry also in
-    ``COUNTS["pivoting_refactors"]``.  ``splu`` is the caller's own binding
-    of :func:`scipy.sparse.linalg.splu`.
+    returned, with ``perm`` None; a second ``RuntimeError`` propagates.
+    Every ``splu`` call counts in ``COUNTS["factorizations"]``, the retry
+    also in ``COUNTS["pivoting_refactors"]``.  ``splu`` is the caller's own
+    binding of :func:`scipy.sparse.linalg.splu`.
     """
     p = dissection_order(grid)
     COUNTS["factorizations"] += 1
@@ -284,10 +322,12 @@ def factor_lu(splu, A: sp.csc_matrix, grid: Grid):
         return PermutedLU(splu(A[p][:, p], **SYMMETRIC_LU), p)
     except RuntimeError:
         COUNTS.update(factorizations=1, pivoting_refactors=1)
-        return splu(A)
+        return PermutedLU(splu(A), None)
 
 
-def poisson_solver(grid: Grid) -> Callable[[Array, Array], Array]:
+def poisson_solver(
+    grid: Grid, kept: list | None = None
+) -> Callable[[Array, Array], Array]:
     """``solve`` through one LU factor of the discrete Laplacian.
 
     ``solve(rhs, hit_values)`` solves ``lap u = rhs`` with Dirichlet data
@@ -297,12 +337,19 @@ def poisson_solver(grid: Grid) -> Callable[[Array, Array], Array]:
     round-off, leaves the first determinant solve outside
     :data:`amce.ma.BERR_TOL` at h = 1/64, and that solve takes a Newton step
     and makes a factor.
+
+    ``kept``, when given, receives the factor too, so that it outlives
+    ``solve``: the coupled solve hands it on to its first linear solve,
+    whose operator is a multiple of the Laplacian when the Poisson start is
+    a paraboloid (see :func:`amce.lma.solve_lma`).
     """
     lap = grid_operators(grid)["lap"]
     try:
         lu = factor_lu(splu, lap.D.tocsc(), grid)
     except RuntimeError as exc:
         raise DegenerateOperatorError(f"Poisson operator: {exc}") from exc
+    if kept is not None:
+        kept.append(lu)
 
     def solve(rhs: Array, hit_values: Array) -> Array:
         b = np.asarray(rhs, dtype=float) - lap.B @ np.asarray(hit_values, dtype=float)

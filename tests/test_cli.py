@@ -201,15 +201,18 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert report["config"]["solver"]["max_outer_iters"] == 1
     assert report["error"]["class"] == "NonConvergenceError"
     assert len(report["error"]["history"]) > 0
-    # the Laplacian's factor and the damped sweep's linear step; the sweep's
-    # determinant solve takes no Newton step
+    # the Laplacian's factor alone: the sweep's determinant solve takes no
+    # Newton step, and its linear step, a multiple of the Laplacian, solves
+    # through that factor; 4 Poisson solves (two starts, each refined once),
+    # then 2 plain and 3 minimal-residual passes of the linear step
     assert report["error"]["counts"] == {
         "newton_iterations_total": 0,
-        "factorizations": 2,
+        "factorizations": 1,
         "coupled_newton_steps": 0,
         "krylov_iterations_total": 0,
         "backtracks_total": 0,
         "pivoting_refactors": 0,
+        "lu_solves": 9,
     }
     assert "results" not in report
     assert report["timing"]["wall_time_s"] > 0.0
@@ -530,10 +533,12 @@ def _factor_of_double(splu, A, **kwargs):
 def test_symmetric_factor_that_raises_is_refactored_once(tmp_path, monkeypatch):
     """The raise is retried with partial pivoting; both factors count.
 
-    The unpatched solve makes 9 factors (the Laplacian's, the damped
-    sweep's linear step and 7 Newton steps; the polish refines through the
-    last step's factor), the patched one 10: the Laplacian's retry is one
-    more.
+    The unpatched solve makes 7 factors (the Laplacian's and 6 Newton
+    steps: the damped sweep's linear step solves through the Laplacian
+    factor scaled, the first Newton step takes that scaled factor, and the
+    polish refines through the last step's factor), the patched one 8: the
+    Laplacian's retry is one more, and its partial-pivoting factor serves
+    the linear step and the first Newton step the same way.
     """
     import amce.coupled
     import amce.lma
@@ -551,11 +556,11 @@ def test_symmetric_factor_that_raises_is_refactored_once(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     solve = read_report(out)["results"]["solve"]
     assert solve["pivoting_refactors"] == 1
-    assert solve["factorizations"] == len(calls) == 10
+    assert solve["factorizations"] == len(calls) == 8
     assert calls[:2] == [True, False]
     expected = read_report(ref)["results"]["solve"]
     assert expected["pivoting_refactors"] == 0
-    assert expected["factorizations"] == 9
+    assert expected["factorizations"] == 7
     assert solve["outer_iterations"] == expected["outer_iterations"]
     grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
     for name in ("u.csv", "w.csv"):
@@ -745,7 +750,8 @@ def test_failed_phase_keeps_its_time(tmp_path):
     out = tmp_path / "o"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     report = read_report(out)
-    assert report["error"]["counts"]["factorizations"] == 2
+    # the Laplacian's, which also serves the sweep's linear step
+    assert report["error"]["counts"]["factorizations"] == 1
     _assert_phase_times(out, "solve_s")
 
 
@@ -934,7 +940,7 @@ def test_report_key_sets(tmp_path):
         "final_lma_residual", "min_w", "max_w", "min_hessian_eigenvalue",
         "newton_iterations_total", "hypothesis_flags", "factorizations",
         "coupled_newton_steps", "krylov_iterations_total", "backtracks_total",
-        "pivoting_refactors",
+        "pivoting_refactors", "lu_solves",
     }
     cfg = write_cfg(tmp_path, fixture, name="ma.json")
     out = str(tmp_path / "ma")

@@ -206,11 +206,14 @@ def _count_splu(monkeypatch, record=lambda A: A.shape) -> list:
 def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
     """Every coupled Newton step is preconditioned by a factor of its own ``A``.
 
-    The 9 factorizations are the Laplacian's, the linear step of the
-    damped sweep, and one per Newton step (7); the polish refines through
-    the last step's factor and makes none.  GMRES, solving each step only
-    as far as its forcing term asks, needs 24 iterations in all, the same
-    at h = 1/32 and 1/64.
+    The 7 factorizations are the Laplacian's and one per Newton step but
+    the first (6).  The Poisson start is a paraboloid, so the damped
+    sweep's linear step, whose operator is a multiple of the Laplacian,
+    solves through the Laplacian factor scaled, and the first Newton step,
+    whose ``A`` is that operator bit for bit, takes the scaled factor; the
+    polish refines through the last step's factor and makes none.  GMRES,
+    solving each step only as far as its forcing term asks, needs 24
+    iterations in all, the same at h = 1/32 and 1/64.
     """
     calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -218,12 +221,12 @@ def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
     assert report.outer_iterations == 8
     assert report.coupled_newton_steps == 7
     assert report.newton_iterations_total == 0
-    assert len(calls) == 9
-    assert report.factorizations == 9
+    assert len(calls) == 7
+    assert report.factorizations == 7
     assert report.pivoting_refactors == 0
     assert report.krylov_iterations_total == 24
     d = dataclasses.asdict(report)
-    assert d["factorizations"] == 9
+    assert d["factorizations"] == 7
     assert d["coupled_newton_steps"] == 7
     assert d["krylov_iterations_total"] == report.krylov_iterations_total > 0
 
@@ -255,26 +258,31 @@ def _raising_splu(A, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "name, replacement",
+    "name, replacement, newton, ma_steps, factors",
     [
-        pytest.param("gmres", _failing_gmres, id="_failing_gmres"),
-        pytest.param("gmres", _nonconvex_gmres, id="_nonconvex_gmres"),
-        pytest.param("splu", _raising_splu, id="_raising_splu"),
+        pytest.param("gmres", _failing_gmres, 0, 92, 168, id="_failing_gmres"),
+        pytest.param("gmres", _nonconvex_gmres, 0, 92, 168, id="_nonconvex_gmres"),
+        pytest.param("splu", _raising_splu, 1, 87, 209, id="_raising_splu"),
     ],
 )
 def test_unusable_newton_step_falls_back_to_damped_sweeps(
-    grid16, monkeypatch, name, replacement
+    grid16, monkeypatch, name, replacement, newton, ma_steps, factors
 ):
-    """Every unusable Newton step is a damped sweep: the splitting's 49 sweeps.
+    """Every unusable Newton step is a damped sweep: 49 iterations in all.
 
     The sweeps stop about 1e-8 short of the discrete solution that Newton
-    reaches.  The determinant solves' steps and backtracks are summed.  The
-    170 factorizations are the Laplacian's, the factor of each of the 48
-    failed Newton steps, one per determinant Newton step (92), and 29 of
-    the 50 linear steps: the other 21 follow a determinant step that moved
-    ``u`` by at most ``outer_tol`` and refine through its factor.
-    A factor that raises is retried once with partial pivoting, so
-    ``_raising_splu`` adds one factorization per Newton step.
+    reaches.  The determinant solves' steps and backtracks are summed.
+    With GMRES replaced, all 48 Newton steps are unusable, and the 168
+    factorizations are the Laplacian's, one per determinant Newton step
+    (92), the factor of each failed Newton step but the first (47), which
+    takes the first sweep's scaled Laplacian factor, and 28 of the 50
+    linear steps: the first solves through the Laplacian factor, and 21
+    follow a determinant step that moved ``u`` by at most ``outer_tol`` and
+    refine through its factor.  With ``splu`` raising, that first Newton
+    step makes no factor and is usable; the 47 after it fail, each with
+    two ``splu`` calls, the symmetric-mode one and its partial-pivoting
+    retry, and the 48 damped sweeps take 87 determinant Newton steps:
+    209 factorizations in all.
     """
     import amce.coupled
 
@@ -293,12 +301,12 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
     calls = _count_splu(monkeypatch)
     u, w, report = solve_system(problem)
     assert report.outer_iterations == 49
-    assert report.newton_iterations_total == 92
-    assert report.coupled_newton_steps == 0
-    assert report.krylov_iterations_total == 0
-    retried = 48 if name == "splu" else 0
+    assert report.newton_iterations_total == ma_steps
+    assert report.coupled_newton_steps == newton
+    assert (report.krylov_iterations_total > 0) == (newton > 0)
+    retried = 47 if name == "splu" else 0
     assert report.pivoting_refactors == retried
-    assert report.factorizations == len(calls) == 170 + retried
+    assert report.factorizations == len(calls) == factors
     assert report.newton_iterations_total == sum(r.iterations for r in ma_reports)
     assert report.backtracks_total == sum(r.backtracks for r in ma_reports)
     assert np.abs(u.values - u_newton.values).max() < 1e-8
@@ -340,7 +348,10 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
 
 
 def _track_live_factors(monkeypatch) -> list:
-    """Record, at every ``splu`` call, how many symmetric-mode factors live."""
+    """Record, at every ``splu`` call, how many factors live.
+
+    Every factor ``factor_lu`` makes is tracked, the Laplacian's and the
+    default-pivoting retries included."""
     import weakref
 
     import amce.operators
@@ -357,23 +368,24 @@ def _track_live_factors(monkeypatch) -> list:
 
 
 def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
-    """The polish's linear solve makes no factor: it refines through the
-    last Newton step's, and at no factorization is a second factor alive."""
+    """Both linear solves are handed a factor and make none: the sweep's
+    the Laplacian's, the polish's the last Newton step's.  At no
+    factorization is a second factor alive, the handed ones included."""
     import amce.coupled
 
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
     lma_factors = []
 
     def recorded(*args, **kwargs):
-        lma_factors.append(kwargs["lu"] is not None)
+        lma_factors.append(bool(kwargs["kept"]))
         return solve_lma(*args, **kwargs)
 
     solve_lma = amce.coupled.solve_lma
     monkeypatch.setattr(amce.coupled, "solve_lma", recorded)
     live = _track_live_factors(monkeypatch)
     _, _, report = solve_system(problem)
-    assert lma_factors == [False, True]
-    assert len(live) == report.factorizations == 9
+    assert lma_factors == [True, True]
+    assert len(live) == report.factorizations == 7
     assert max(live) == 0
 
 
@@ -392,10 +404,10 @@ def test_linear_step_refines_through_the_last_determinant_step_factor(
     solves = []
 
     def recorded(*args, **kwargs):
-        made = COUNTS["factorizations"]
+        made, handed = COUNTS["factorizations"], bool(kwargs["kept"])
         field, rep = solve_lma(*args, **kwargs)
         made = COUNTS["factorizations"] - made
-        solves.append((kwargs["lu"] is not None, made, rep.backward_error))
+        solves.append((handed, made, rep.backward_error))
         return field, rep
 
     solve_lma = amce.coupled.solve_lma
@@ -438,9 +450,81 @@ def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypa
     _, w, report = solve_system(problem)
     assert len(starts) == 2
     assert report.newton_iterations_total > 0
-    assert len(live) == report.factorizations == 9 + report.newton_iterations_total
+    assert len(live) == report.factorizations == 7 + report.newton_iterations_total
     assert max(live) == 0
     assert np.abs(w.values - w_ref.values).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "name, grid_name, factors",
+    [
+        ("paraboloid", "grid32", 1),
+        ("paraboloid", "grid64", 1),
+        ("paraboloid_r2", "grid32", 1),
+        ("paraboloid_r2", "grid64", 1),
+        ("radial_quartic", "grid32", 7),
+        ("sheared_half", "grid16", 5),
+    ],
+)
+def test_laplacian_factor_is_handed_to_the_first_sweep(
+    name, grid_name, factors, request, monkeypatch
+):
+    """The first determinant solve is handed the Laplacian factor.
+
+    A radial fixture's solve takes no Newton step there, so its linear
+    step, a multiple of the Laplacian, solves through that factor: the
+    paraboloids make the Laplacian's factor alone, and ``radial_quartic``
+    7 (the first Newton step takes the scaled factor), with GMRES at 24
+    iterations.  ``sheared_half``'s determinant solve steps, and the
+    Laplacian factor is dropped before its first step's factor is made:
+    the live-factor count, the Laplacian's included, is 0 at every
+    ``splu``.
+    """
+    import amce.coupled
+
+    handed = []
+
+    def recorded(*args, **kwargs):
+        handed.append(len(kwargs["kept"]))
+        return solve_ma(*args, **kwargs)
+
+    solve_ma = amce.coupled.solve_ma
+    monkeypatch.setattr(amce.coupled, "solve_ma", recorded)
+    live = _track_live_factors(monkeypatch)
+    grid = request.getfixturevalue(grid_name)
+    _, _, report = solve_system(problem_from_exact(grid, get_fixture(name, theta=0.25)))
+    assert handed[0] == 1
+    assert len(live) == report.factorizations == factors
+    assert max(live) == 0
+    assert report.pivoting_refactors == 0
+    if name == "radial_quartic":
+        assert report.krylov_iterations_total == 24
+
+
+def test_newton_step_takes_a_kept_factor_only_of_its_own_operator(grid16):
+    """A kept scaled factor serves a Newton step only when its matrix is the
+    step's ``A`` bit for bit; one of an operator 1e-12 away is dropped, and
+    ``A``'s own factor is made."""
+    from scipy.sparse.linalg import splu
+
+    from amce import ScalarField, discrete_hessian
+    from amce.coupled import _newton_step
+    from amce.lma import assemble_lma
+    from amce.operators import COUNTS, ScaledLU, factor_lu
+
+    exact = get_fixture("radial_quartic", theta=0.25)
+    data = problem_from_exact(grid16, exact)
+    u = ScalarField.from_callable(grid16, exact.u)
+    w = ScalarField.from_callable(grid16, exact.w)
+    A = assemble_lma(discrete_hessian(u))
+    moved = assemble_lma(discrete_hessian(u.with_values(u.values * (1.0 + 1e-12))))
+    for matrix, made in ((A, 0), (moved, 1)):
+        kept = [ScaledLU(factor_lu(splu, A, grid16), 1.0, matrix)]
+        start = COUNTS.copy()
+        step = _newton_step(data, u, w, 1.0, 1e-8, kept)
+        assert step is not None and step[2] > 1e-8
+        assert (COUNTS - start)["factorizations"] == made
+        assert kept == []
 
 
 @pytest.mark.parametrize("name", ["radial_quartic", "radial_mild"])

@@ -14,7 +14,7 @@ from amce.lma import (
     offdiagonal_sign_audit,
     solve_lma,
 )
-from amce.operators import COUNTS, discrete_hessian, factor_lu
+from amce.operators import COUNTS, ScaledLU, discrete_hessian, factor_lu
 
 def test_quadratic_solution_reproduced(grid32):
     """With identity coefficients, the solve is a Poisson solve: the
@@ -125,40 +125,91 @@ def _given_factor_problem(grid):
     return problem, assemble_lma(discrete_hessian(nearby))
 
 
-def _solve_counting(problem, lu):
+def _solve_counting(problem, lu, **kwargs):
     start = COUNTS.copy()
-    v, report = solve_lma(problem, lu=lu)
-    return v, report, COUNTS - start
+    kept = [lu]
+    v, report = solve_lma(problem, kept=kept, **kwargs)
+    return v, report, COUNTS - start, kept
 
 
 def test_nearby_factor_is_used_without_a_factorization(grid32):
     """A factor of a nearby operator refines to the tolerance: no factor is
-    made, and ``v`` is a fresh solve's up to round-off."""
+    made, ``v`` is a fresh solve's up to round-off, and the factor is not
+    kept, since it is not one of ``D``."""
     from scipy.sparse.linalg import splu
 
     problem, A = _given_factor_problem(grid32)
     want, _ = solve_lma(problem)
-    v, report, counts = _solve_counting(problem, factor_lu(splu, A, grid32))
+    v, report, counts, kept = _solve_counting(problem, factor_lu(splu, A, grid32))
     assert counts["factorizations"] == 0
     assert report.backward_error <= 1e-10
     assert report.pivoting_refactors == 0
     assert np.abs(v.values - want.values).max() < 1e-12
+    assert kept == []
+
+
+def _factor_of_double(A, **kwargs):
+    from scipy.sparse.linalg import splu
+
+    return splu(2.0 * A, **kwargs)
+
+
+def test_factor_of_a_multiple_is_used_through_scaled_passes(grid32):
+    """A factor of ``2 D``, whose plain refinement halves the error per pass
+    and misses the tolerance, is rescued by the minimal-residual passes: no
+    factor is made, the backward error is at the round-off floor, and the
+    factor goes back into ``kept`` as a factor of ``D`` scaled by 2."""
+    problem, _ = _given_factor_problem(grid32)
+    D = assemble_lma(problem.hessian)
+    want, _ = solve_lma(problem)
+    v, report, counts, kept = _solve_counting(
+        problem, factor_lu(_factor_of_double, D, grid32)
+    )
+    assert counts["factorizations"] == 0
+    assert report.backward_error <= 1e-15
+    assert report.pivoting_refactors == 0
+    assert np.abs(v.values - want.values).max() < 1e-12
+    [scaled] = kept
+    assert isinstance(scaled, ScaledLU) and scaled.factors(D)
+    assert abs(scaled.scale - 2.0) < 1e-12
+
+
+def test_condition_estimate_comes_from_the_operators_own_factor(grid32):
+    """With ``report_condition`` a handed factor is dropped unused: ``D``'s
+    own is made and the estimate is a plain solve's, bit for bit."""
+    problem, _ = _given_factor_problem(grid32)
+    D = assemble_lma(problem.hessian)
+    _, want = solve_lma(problem, report_condition=True)
+    _, report, counts, kept = _solve_counting(
+        problem, factor_lu(_factor_of_double, D, grid32), report_condition=True
+    )
+    assert counts["factorizations"] == 1
+    assert kept == []
+    assert report.condition_estimate == want.condition_estimate
 
 
 def test_bad_factor_is_replaced_by_one_fresh_factor(grid32):
-    """A factor whose refined solve misses the tolerance (a factor of
-    ``2 A``, whose solves return half the correction) is dropped, and one
-    symmetric-mode factor of the operator itself is made in its place."""
-    from scipy.sparse.linalg import splu
+    """A factor that neither refinement brings within the tolerance (the
+    Laplacian's, for the operator of ``sheared_half``, which is no multiple
+    of it) is dropped, and one symmetric-mode factor of the operator itself
+    is made in its place."""
+    from amce.fixtures import get_fixture
+    from amce.operators import poisson_solver
 
-    def factor_of_double(A, **kwargs):
-        return splu(2.0 * A, **kwargs)
-
-    problem, A = _given_factor_problem(grid32)
+    exact = get_fixture("sheared_half", theta=0.25)
+    u = ScalarField.from_callable(grid32, exact.u)
+    problem = LMAProblem(
+        hessian=discrete_hessian(u),
+        g=np.full(grid32.n_nodes, -1.0),
+        psi_hits=1.0 + 0.2 * grid32.hit_points[:, 0],
+    )
     want, _ = solve_lma(problem)
-    v, report, counts = _solve_counting(problem, factor_lu(factor_of_double, A, grid32))
+    handed: list = []
+    poisson_solver(grid32, handed)
+    v, report, counts, kept = _solve_counting(problem, handed.pop())
     assert counts["factorizations"] == 1
     assert counts["pivoting_refactors"] == 0
     assert report.backward_error <= 1e-10
     assert report.pivoting_refactors == 0
     assert np.abs(v.values - want.values).max() < 1e-12
+    assert kept == []
