@@ -27,16 +27,9 @@ convexity or the weight's sign, is replaced by a damped sweep, and a sweep
 whose weight is not positive ends the solve.  Once the weight stops moving
 in sup norm, one more sweep runs undamped (the polish) and its linear
 solution is the returned ``w``, so both sub-equation residuals are reported
-at their floor.  When the step right before a linear solve changed its
-unknowns by at most ``outer_tol`` (a coupled Newton step, or the sweep's
-last determinant step), the solve refines through that step's factor,
-whose operator differs from its own at the size of that change, and
-factors afresh only when the backward error misses ``lma_tol``.  The
-Laplacian factor of the start is handed on the same way: when the start
-is a paraboloid, as for radial boundary data, the first linear operator
-is a multiple of the Laplacian, and minimal-residual passes through that
-factor solve it; the first Newton step, whose operator is the same bit for
-bit, then takes the scaled factor in place of making one.
+at their floor.  Factors are handed on from step to step, so that a step
+whose operator is near or a multiple of the last one's makes none; the
+rule is stated once, in :func:`solve_system`.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -63,7 +56,6 @@ from .lma import LMA_TOL, LMAProblem, assemble_lma, lma_residual, solve_lma
 from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
 from .operators import (
     COUNTS,
-    ScaledLU,
     discrete_hessian,
     factor_lu,
     local_quadratic_fit,
@@ -252,12 +244,13 @@ def _newton_step(
     GMRES fails or the trial loses ``det H(u) > 0`` or ``w > 0``.
 
     ``kept`` is the coupled solve's list of held factors, and the factor
-    held there is taken out of it.  When it is a
-    :class:`~amce.operators.ScaledLU` of ``A`` bit for bit, as after the
-    first sweep of a radial fixture, it is the step's factor; any other is
-    dropped before ``A``'s own is made.  When ``change <= outer_tol`` the
-    step's factor goes back into ``kept``, for the polish that follows;
-    otherwise it is dropped before the trial is formed.
+    held there is taken out of it.  When it stands for ``A`` bit for bit
+    (:meth:`~amce.operators.PermutedLU.factors`), as the scaled factor
+    after the first sweep of a radial fixture does, it is the step's
+    factor; any other is dropped before ``A``'s own is made.  When
+    ``change <= outer_tol`` the step's factor goes back into ``kept``, for
+    the polish that follows; otherwise it is dropped before the trial is
+    formed.
     Every GMRES iteration counts in ``COUNTS["krylov_iterations_total"]``,
     and a returned step in ``COUNTS["coupled_newton_steps"]``.
     """
@@ -266,7 +259,7 @@ def _newton_step(
     Hu = discrete_hessian(u)
     A = assemble_lma(Hu)
     lu = kept.pop() if kept else None
-    if not (isinstance(lu, ScaledLU) and lu.factors(A)):
+    if lu is None or not lu.factors(A):
         lu = None  # dropped before A's own factor is made
         try:
             lu = factor_lu(splu, A, data.grid)
@@ -359,30 +352,35 @@ def solve_system(
     during the call: ``factorizations`` is every ``splu`` call, the
     Laplacian's, one per coupled Newton step that makes a factor, those of
     the sweeps, and the ``pivoting_refactors`` retries among them;
-    ``lu_solves`` is every solve through any of those factors.  Every
-    factor passes through one list, ``kept``, which holds at most one:
-    first the Laplacian's, then that of a step within ``outer_tol`` or a
-    scaled factor, for the next step to try.  A sweep's linear solve
-    makes no factor of its own when the kept factor brings it within
-    ``lma_tol`` (see :func:`amce.lma.solve_lma`): the Laplacian's, whose
-    operator its own is a multiple of after a Poisson start that is a
-    paraboloid; that of a coupled Newton step whose change is at most
-    ``outer_tol``; or that of the sweep's last determinant step when its
-    update is at most ``outer_tol`` (see :func:`amce.ma.solve_ma`).  A
-    coupled Newton step makes none when the kept factor is a scaled one of
-    its own operator (see :func:`_newton_step`).  So ``radial_quartic``
-    takes 7 at h = 1/16 to 1/128: the Laplacian's, whose scaled factor
-    serves the damped sweep's linear step and the first Newton step, and 6
-    more Newton steps; the two paraboloids take the Laplacian's alone;
-    ``sheared_half``, one sweep whose determinant solve ends on a step
-    within ``outer_tol``, takes 5 at 1/16 to 1/64: the Laplacian's and 4
-    determinant steps.  The one Laplacian factor solves for the harmonic
-    extension of ``psi``, the first weight, and then for the determinant
-    solve's Poisson start (see :func:`amce.ma.initial_guess`), and then
-    waits in ``kept``.  At most one factor is alive at any factorization:
-    a determinant step empties ``kept`` before it factors, and a linear
-    solve or a Newton step takes the factor out and drops it before it
-    makes its own.
+    ``lu_solves`` is every solve through any of those factors.
+
+    Factors are handed on from step to step through one list, ``kept``,
+    which holds at most one factor for the next step to try: first the
+    Laplacian's; then that of a coupled Newton step, or of a sweep's last
+    determinant step (see :func:`amce.ma.solve_ma`), whose change is at
+    most ``outer_tol``, so that the next operator differs from its own at
+    the size of that change; or a factor that a linear solve's
+    minimal-residual passes rescued, scaled to stand for that solve's
+    operator (:meth:`~amce.operators.PermutedLU.scaled`).  A sweep's linear
+    solve makes no factor of its own when the kept one brings it within
+    ``lma_tol`` (see :func:`amce.lma.solve_lma`): plain refinement serves a
+    nearby operator, and minimal-residual passes a multiple of the
+    factored one, as the first linear operator is of the Laplacian when
+    the Poisson start is a paraboloid.  A coupled Newton step makes none
+    when the kept factor stands for its own operator bit for bit (see
+    :func:`_newton_step`).  Every other step drops the kept factor before
+    it makes its own (a determinant step empties ``kept``), so at most one
+    factor is alive at any factorization.
+
+    So ``radial_quartic`` takes 7 factors at h = 1/16 to 1/128: the
+    Laplacian's, whose scaled factor serves the damped sweep's linear step
+    and the first Newton step, and 6 more Newton steps; the two paraboloids
+    take the Laplacian's alone; ``sheared_half``, one sweep whose
+    determinant solve ends on a step within ``outer_tol``, takes 5 at 1/16
+    to 1/64: the Laplacian's and 4 determinant steps.  The one Laplacian
+    factor solves for the harmonic extension of ``psi``, the first weight,
+    and then for the determinant solve's Poisson start (see
+    :func:`amce.ma.initial_guess`), and then waits in ``kept``.
     """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:
@@ -393,9 +391,8 @@ def solve_system(
     flags = {"f_le_0_violated": not data.f_nonpositive}
     history: list[float] = []
     start = COUNTS.copy()
-    # the one held factor, for the next step to try: the Laplacian's, then
-    # that of a step within outer_tol or a scaled one; a list, so that its
-    # only reference can be handed over
+    # the one held factor, for the next step to try (see the docstring); a
+    # list, so that its only reference can be handed over
     kept: list = []
     poisson = poisson_solver(grid, kept)
     w = ScalarField(

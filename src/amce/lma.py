@@ -13,10 +13,9 @@ factors the same operator), and solved with a sparse direct factorization.
 The matrix is not symmetric and carries no M-matrix guarantee; a
 sign-pattern audit and a condition estimate are reported instead of a
 monotonicity assumption.  A call of :func:`solve_lma` makes its own
-factorization and drops it on return, unless it is handed a factor whose
-refined solve already meets the tolerance: a factor of a nearby operator,
-refined by plain passes, or one of an operator that ``D`` is a multiple of,
-refined by minimal-residual passes that fit the multiple.
+factorization and drops it on return, unless a factor handed to it already
+solves within the tolerance; :func:`amce.coupled.solve_system` states
+which factor is handed on.
 """
 from __future__ import annotations
 
@@ -31,11 +30,10 @@ from .grid import ScalarField, require_finite
 from .operators import (
     COUNTS,
     HessianField,
-    PermutedLU,
-    ScaledLU,
     discrete_hessian,
     factor_lu,
     grid_operators,
+    pivoting_lu,
 )
 
 Array = np.ndarray
@@ -121,27 +119,24 @@ def solve_lma(
     reported residual is recomputed through the discrete Hessian route,
     i.e. it is ``U : H(v) - g`` node-wise.
 
-    ``kept``, when given, is the coupled solve's list of held factors, and
-    the factor held there is taken out of it and tried first: the
-    Laplacian's, or that of the step just before when the step's change is
-    at most ``outer_tol``, a coupled Newton step's or a determinant Newton
-    step's (:func:`amce.ma.solve_ma`).  The plain refinement runs against
-    the exact ``D`` through it.  When that misses ``tol``, up to four
-    minimal-residual passes follow (see :func:`_refined_solve`), which
+    ``kept``, when given, is the coupled solve's list of held factors
+    (:func:`amce.coupled.solve_system` says which), and the factor held
+    there is taken out of it and tried first.  The plain refinement runs
+    against the exact ``D`` through it.  When that misses ``tol``, up to
+    four minimal-residual passes follow (see :func:`_refined_solve`), which
     are exact when ``D`` is a multiple of the factored operator; a factor
-    they bring within ``tol`` goes back into ``kept`` as a
-    :class:`~amce.operators.ScaledLU` of ``D``.  No factor is made when
-    either meets ``tol``.  Otherwise that factor is dropped and ``D``'s own
-    is made by :func:`amce.operators.factor_lu`; so it is too when
-    ``report_condition`` asks for the condition estimate, which must come
-    from ``D``'s own factor.  Symmetric mode keeps a diagonal pivot
+    they bring within ``tol`` goes back into ``kept`` scaled, as a factor
+    of ``D`` (:meth:`~amce.operators.PermutedLU.scaled`).  No factor is
+    made when either meets ``tol``.  Otherwise that factor is dropped and
+    ``D``'s own is made by :func:`amce.operators.factor_lu`; so it is too
+    when ``report_condition`` asks for the condition estimate, which must
+    come from ``D``'s own factor.  Symmetric mode keeps a diagonal pivot
     however small, so when its solve leaves the backward error above
-    ``tol``, ``D`` is factored once more with partial pivoting and solved
-    again; that retry counts in :data:`amce.operators.COUNTS` like
-    :func:`~amce.operators.factor_lu`'s own, and
-    ``report.pivoting_refactors`` is 1 when ``D``'s own factor that solved
-    was made with partial pivoting.  The tolerance then judges the last
-    solve.
+    ``tol``, ``D`` is factored once more by
+    :func:`amce.operators.pivoting_lu` and solved again, and the tolerance
+    judges that solve.  ``report.pivoting_refactors`` is the number of
+    default-pivoting factors the call made, by either retry, read off
+    :data:`amce.operators.COUNTS`: 0 or 1.
     """
     H = problem.hessian
     grid = H.grid
@@ -158,6 +153,7 @@ def solve_lma(
         )
     D = assemble_lma(H)
     B = _cofactor_contraction(H, "B").tocsr()
+    start = COUNTS["pivoting_refactors"]
     lu = kept.pop() if kept else None
     if report_condition:
         lu = None  # the estimate must come from D's own factor
@@ -168,21 +164,19 @@ def solve_lma(
                 problem, D, B, lu, start=field.values
             )
             if backward <= tol:
-                kept.append(ScaledLU(lu, scale, D))
+                kept.append(lu.scaled(scale, D))
         if not backward <= tol:
             lu = None  # dropped before D's own factor is made
-    own = lu is None
-    if own:
+    if lu is None:
         try:
             lu = factor_lu(splu, D, grid)
         except RuntimeError as exc:
             raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
         field, resid_sup, backward, _ = _refined_solve(problem, D, B, lu)
         if not backward <= tol and lu.perm is not None:
-            COUNTS.update(factorizations=1, pivoting_refactors=1)
             lu = None  # dropped before the retry is made
             try:
-                lu = PermutedLU(splu(D), None)
+                lu = pivoting_lu(splu, D)
             except RuntimeError as exc:
                 raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
             field, resid_sup, backward, _ = _refined_solve(problem, D, B, lu)
@@ -199,7 +193,7 @@ def solve_lma(
         backward_error=backward,
         sign_audit=offdiagonal_sign_audit(D),
         condition_estimate=cond,
-        pivoting_refactors=int(own and lu.perm is None),
+        pivoting_refactors=COUNTS["pivoting_refactors"] - start,
     )
     return field, report
 

@@ -252,13 +252,17 @@ class PermutedLU:
     """LU factor of ``A[perm][:, perm]`` that solves systems in ``A``.
 
     ``perm`` is None for a factor of ``A`` itself in SciPy's default
-    ordering and pivoting, the retry of :func:`factor_lu` and
-    :func:`amce.lma.solve_lma`.  Every factor the package makes is one, so
-    every solve counts in ``COUNTS["lu_solves"]`` here.
+    ordering and pivoting (see :func:`pivoting_lu`).  Every solve is
+    multiplied by ``scale``; a factor with ``scale`` other than 1 stands
+    for one of ``matrix = A / scale`` (see :meth:`scaled`).  Every factor
+    the package makes is one, so every solve counts in
+    ``COUNTS["lu_solves"]`` here.
     """
 
     lu: object  # the factor ``splu`` returned
     perm: Array | None
+    scale: float = 1.0
+    matrix: sp.csc_matrix | None = None  # set by ``scaled``, read by ``factors``
 
     def solve(self, b: Array, trans: str = "N") -> Array:
         """``x`` with ``A x = b``, or ``A^T x = b`` for ``trans="T"``.
@@ -267,40 +271,44 @@ class PermutedLU:
         """
         COUNTS["lu_solves"] += 1
         if self.perm is None:
-            return self.lu.solve(b, trans=trans)
+            return self.scale * self.lu.solve(b, trans=trans)
         y = self.lu.solve(np.asarray(b)[self.perm], trans=trans)
         x = np.empty_like(y)
         x[self.perm] = y
-        return x
+        return self.scale * x
 
+    def scaled(self, scale: float, matrix: sp.csc_matrix) -> "PermutedLU":
+        """A new factor of ``matrix`` whose solves are this one's times ``scale``.
 
-@dataclass
-class ScaledLU:
-    """A factor ``lu`` of ``L`` that stands for one of ``matrix = L / scale``.
-
-    Its solves are ``lu``'s times ``scale``, exact when ``matrix`` is that
-    multiple of ``L``, as the linearized operator of a paraboloid is of the
-    Laplacian.  :func:`amce.lma.solve_lma` makes one when its
-    minimal-residual passes through a handed factor meet the tolerance, and
-    ``scale`` is the multiple the first pass fitted.
-    """
-
-    lu: object
-    scale: float
-    matrix: sp.csc_matrix
-
-    def solve(self, b: Array, trans: str = "N") -> Array:
-        return self.scale * self.lu.solve(b, trans=trans)
+        Exact when ``matrix`` is ``1/scale`` times the operator this factor
+        solves, as the linearized operator of a paraboloid is a multiple of
+        the Laplacian.  This factor is left as it is: it may still serve
+        elsewhere, as the Laplacian's serves a Poisson solve.
+        """
+        return PermutedLU(self.lu, self.perm, self.scale * scale, matrix)
 
     def factors(self, A: sp.csc_matrix) -> bool:
         """Whether ``A`` is ``matrix`` bit for bit, structure and values."""
         M = self.matrix
         return (
-            A.shape == M.shape
+            M is not None
+            and A.shape == M.shape
             and np.array_equal(A.indptr, M.indptr)
             and np.array_equal(A.indices, M.indices)
             and A.data.tobytes() == M.data.tobytes()
         )
+
+
+def pivoting_lu(splu, A: sp.csc_matrix) -> PermutedLU:
+    """The factor of ``A`` in SciPy's default ordering and partial pivoting.
+
+    The retry for a symmetric-mode factor that cannot be made or does not
+    solve; it counts in ``COUNTS["factorizations"]`` and
+    ``COUNTS["pivoting_refactors"]``.  ``splu`` is the caller's own binding
+    of :func:`scipy.sparse.linalg.splu`.
+    """
+    COUNTS.update(factorizations=1, pivoting_refactors=1)
+    return PermutedLU(splu(A), None)
 
 
 def factor_lu(splu, A: sp.csc_matrix, grid: Grid) -> PermutedLU:
@@ -309,20 +317,17 @@ def factor_lu(splu, A: sp.csc_matrix, grid: Grid) -> PermutedLU:
     ``A`` is permuted into :func:`dissection_order` and factored with
     :data:`SYMMETRIC_LU`; the result is the :class:`PermutedLU` that solves
     with ``A`` itself.  Symmetric mode does not pivot for size, so when
-    ``splu`` raises, the unpermuted ``A`` is factored once more with SciPy's
-    defaults (its own ordering and partial pivoting) and that factor is
-    returned, with ``perm`` None; a second ``RuntimeError`` propagates.
-    Every ``splu`` call counts in ``COUNTS["factorizations"]``, the retry
-    also in ``COUNTS["pivoting_refactors"]``.  ``splu`` is the caller's own
-    binding of :func:`scipy.sparse.linalg.splu`.
+    ``splu`` raises, :func:`pivoting_lu`'s factor is returned; a second
+    ``RuntimeError`` propagates.  Every ``splu`` call counts in
+    ``COUNTS["factorizations"]``.  ``splu`` is the caller's own binding of
+    :func:`scipy.sparse.linalg.splu`.
     """
     p = dissection_order(grid)
     COUNTS["factorizations"] += 1
     try:
         return PermutedLU(splu(A[p][:, p], **SYMMETRIC_LU), p)
     except RuntimeError:
-        COUNTS.update(factorizations=1, pivoting_refactors=1)
-        return PermutedLU(splu(A), None)
+        return pivoting_lu(splu, A)
 
 
 def poisson_solver(

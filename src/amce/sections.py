@@ -137,10 +137,10 @@ def extract_section(
     i = np.tile(node_ids, len(DIRS))
     hit = grid.arm_kind[i, k] == ARM_HIT
     s_end = np.concatenate([sn, sh])[grid.arm_ref[i, k] + hit * grid.n_nodes]
-    # the arms that leave the section, in direction order and, within one
-    # direction, interior ends before hit ends: the hull's input order
+    # the arms that leave the section, direction by direction; Qhull keeps
+    # the first of two near-coincident points (a hit and an exit), so the
+    # cloud's order, exits after nodes and hits, is part of the hull
     out = np.flatnonzero(s_end >= 0.0)
-    out = out[np.argsort(2 * k[out] + hit[out], kind="stable")]
     i, k, s_end = i[out], k[out], s_end[out]
     t = sn[i] / (sn[i] - s_end) * grid.arm_frac[i, k]
     exits = grid.nodes[i] + t[:, None] * (np.asarray(DIRS, float)[k] * grid.h)
@@ -666,7 +666,9 @@ class NormalizedSection:
 
 
 def _masked_fd(values2d, mask2d, spacing):
-    """Centered first/second differences where the 5-point stencil is valid."""
+    """``(det, ok)``: the centered-difference Hessian determinant at the
+    inner points and where it is valid, i.e. where all nine points of the
+    3x3 stencil are in ``mask2d`` (the corners feed ``u_xy``)."""
     ok = (
         mask2d[1:-1, 1:-1]
         & mask2d[2:, 1:-1]

@@ -351,20 +351,35 @@ def _track_live_factors(monkeypatch) -> list:
     """Record, at every ``splu`` call, how many factors live.
 
     Every factor ``factor_lu`` makes is tracked, the Laplacian's and the
-    default-pivoting retries included."""
+    default-pivoting retries included, and so is every scaled factor
+    ``PermutedLU.scaled`` makes of one."""
     import weakref
 
     import amce.operators
 
     made, permuted_lu = [], amce.operators.PermutedLU
 
-    def tracked(lu, perm):
-        factor = permuted_lu(lu, perm)
+    def tracked(*args, **kwargs):
+        factor = permuted_lu(*args, **kwargs)
         made.append(weakref.ref(factor))
         return factor
 
     monkeypatch.setattr(amce.operators, "PermutedLU", tracked)
     return _count_splu(monkeypatch, lambda A: sum(r() is not None for r in made))
+
+
+def test_live_factor_tracker_sees_a_scaled_factor(grid16, monkeypatch):
+    """A factor that ``PermutedLU.scaled`` makes of another counts as live
+    once the one it came from is dropped."""
+    import amce.operators
+    from amce.operators import factor_lu, grid_operators
+
+    live = _track_live_factors(monkeypatch)
+    lap = grid_operators(grid16)["lap"].D.tocsc()
+    scaled = factor_lu(amce.operators.splu, lap, grid16).scaled(2.0, lap)
+    factor_lu(amce.operators.splu, lap, grid16)
+    assert live == [0, 1]
+    assert scaled.factors(lap)
 
 
 def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
@@ -502,15 +517,16 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
 
 
 def test_newton_step_takes_a_kept_factor_only_of_its_own_operator(grid16):
-    """A kept scaled factor serves a Newton step only when its matrix is the
-    step's ``A`` bit for bit; one of an operator 1e-12 away is dropped, and
-    ``A``'s own factor is made."""
+    """A kept factor serves a Newton step only when its matrix is the step's
+    ``A`` bit for bit; one of an operator 1e-12 away, or one with no matrix
+    (a plain factor, even of ``A`` itself), is dropped, and ``A``'s own
+    factor is made."""
     from scipy.sparse.linalg import splu
 
     from amce import ScalarField, discrete_hessian
     from amce.coupled import _newton_step
     from amce.lma import assemble_lma
-    from amce.operators import COUNTS, ScaledLU, factor_lu
+    from amce.operators import COUNTS, factor_lu
 
     exact = get_fixture("radial_quartic", theta=0.25)
     data = problem_from_exact(grid16, exact)
@@ -518,8 +534,9 @@ def test_newton_step_takes_a_kept_factor_only_of_its_own_operator(grid16):
     w = ScalarField.from_callable(grid16, exact.w)
     A = assemble_lma(discrete_hessian(u))
     moved = assemble_lma(discrete_hessian(u.with_values(u.values * (1.0 + 1e-12))))
-    for matrix, made in ((A, 0), (moved, 1)):
-        kept = [ScaledLU(factor_lu(splu, A, grid16), 1.0, matrix)]
+    lu = factor_lu(splu, A, grid16)
+    for factor, made in ((lu.scaled(1.0, A), 0), (lu.scaled(1.0, moved), 1), (lu, 1)):
+        kept = [factor]
         start = COUNTS.copy()
         step = _newton_step(data, u, w, 1.0, 1e-8, kept)
         assert step is not None and step[2] > 1e-8

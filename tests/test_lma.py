@@ -14,7 +14,7 @@ from amce.lma import (
     offdiagonal_sign_audit,
     solve_lma,
 )
-from amce.operators import COUNTS, ScaledLU, discrete_hessian, factor_lu
+from amce.operators import COUNTS, PermutedLU, discrete_hessian, factor_lu, pivoting_lu
 
 def test_quadratic_solution_reproduced(grid32):
     """With identity coefficients, the solve is a Poisson solve: the
@@ -148,6 +148,22 @@ def test_nearby_factor_is_used_without_a_factorization(grid32):
     assert kept == []
 
 
+def test_nearby_default_pivoting_factor_is_no_retry(grid32):
+    """A handed factor made with partial pivoting (``perm`` None) refines to
+    the tolerance like any other: no factor is made, and the report counts
+    no default-pivoting retry, since this solve made none."""
+    from scipy.sparse.linalg import splu
+
+    problem, A = _given_factor_problem(grid32)
+    lu = pivoting_lu(splu, A)
+    assert lu.perm is None
+    v, report, counts, kept = _solve_counting(problem, lu)
+    assert counts["factorizations"] == 0
+    assert report.backward_error <= 1e-10
+    assert report.pivoting_refactors == 0
+    assert kept == []
+
+
 def _factor_of_double(A, **kwargs):
     from scipy.sparse.linalg import splu
 
@@ -162,16 +178,17 @@ def test_factor_of_a_multiple_is_used_through_scaled_passes(grid32):
     problem, _ = _given_factor_problem(grid32)
     D = assemble_lma(problem.hessian)
     want, _ = solve_lma(problem)
-    v, report, counts, kept = _solve_counting(
-        problem, factor_lu(_factor_of_double, D, grid32)
-    )
+    handed = factor_lu(_factor_of_double, D, grid32)
+    v, report, counts, kept = _solve_counting(problem, handed)
     assert counts["factorizations"] == 0
     assert report.backward_error <= 1e-15
     assert report.pivoting_refactors == 0
     assert np.abs(v.values - want.values).max() < 1e-12
     [scaled] = kept
-    assert isinstance(scaled, ScaledLU) and scaled.factors(D)
+    assert isinstance(scaled, PermutedLU) and scaled.factors(D)
     assert abs(scaled.scale - 2.0) < 1e-12
+    # the handed factor itself is left as it was
+    assert handed.scale == 1.0 and not handed.factors(D)
 
 
 def test_condition_estimate_comes_from_the_operators_own_factor(grid32):

@@ -138,13 +138,20 @@ def test_section_affine_invariance_under_rotation(grid32):
 
 def _reference_hull(u, x, h, val, grad):
     """Section node ids and hull built in plain loops: the exits direction by
-    direction and, within a direction, interior ends before hit ends."""
+    direction, each direction's in a seeded random order.
+
+    Within one direction every exit ends on its own arm, so their order
+    cannot matter.  Across the cloud it can: Qhull keeps the first of two
+    near-coincident points, such as the hit at (0, -1) and an exit
+    5.6e-17 from it, so a shuffle of the whole cloud may change the hull.
+    """
     from scipy.spatial import ConvexHull
 
     from amce.grid import ARM_HIT, ARM_INTERIOR, DIRS
 
     g = u.grid
     tol = 1e-12 * max(1.0, u.sup_norm())
+    rng = np.random.default_rng(7)
 
     def gap(values, points):
         s = values - (val + (points - x) @ grad) - h
@@ -154,12 +161,14 @@ def _reference_hull(u, x, h, val, grad):
     members = np.flatnonzero(sn < 0.0)
     pts = list(g.nodes[members]) + list(g.hit_points[sh < 0.0])
     for k, d in enumerate(DIRS):
+        exits = []
         for kind, ends in ((ARM_INTERIOR, sn), (ARM_HIT, sh)):
             for i in members:
                 if g.arm_kind[i, k] != kind or ends[g.arm_ref[i, k]] < 0.0:
                     continue
                 t = sn[i] / (sn[i] - ends[g.arm_ref[i, k]]) * g.arm_frac[i, k]
-                pts.append(g.nodes[i] + t * (d * g.h))
+                exits.append(g.nodes[i] + t * (d * g.h))
+        pts += [exits[j] for j in rng.permutation(len(exits))]
     cloud = np.array(pts)
     return members, cloud[ConvexHull(cloud).vertices]
 
