@@ -40,8 +40,10 @@ _NODE_TOL = 1e-9  # coordinate match tolerance of node_at, relative to max(1, h)
 # a lattice point within this many h of the boundary, to first order, lies on
 # it up to round-off and is not a node
 _ON_BOUNDARY_TOL = 1e-9
-# build_grid peaks at about 255 bytes per cell of the lattice box, so this
-# caps it near 4 GiB; h = 1/512 on the unit disk takes 1.05e6 cells
+# build_grid peaks at about 265 bytes per cell of the lattice box, in the
+# neighbor gather (tracemalloc, the unit disk and the 1 x 0.5 ellipse at
+# h = 1/256 and 1/512), so this caps it near 4.1 GiB; h = 1/512 on the unit
+# disk takes 1.05e6 cells
 _MAX_BOX_CELLS = 2**24
 
 
@@ -49,10 +51,11 @@ _MAX_BOX_CELLS = 2**24
 class Grid:
     """Interior nodes, their eight arms and the boundary hits of the arms.
 
-    ``id_map`` covers the lattice box ``id_origin + [0, shape)`` that
-    contains every node and its eight neighbors: cell ``ij - id_origin``
-    holds the id of the node at lattice index ``ij``, or -1 where there is
-    none.  Look ids up through :meth:`ids_at`, which bounds-checks.
+    ``id_map`` covers the lattice box ``id_origin + [0, shape)``: cell
+    ``ij - id_origin`` holds the id of the node at lattice index ``ij``, or
+    -1 where there is none.  Its outermost rows and columns hold no node,
+    so every node's eight neighbors lie inside it.  Look ids up through
+    :meth:`ids_at`, which bounds-checks.
     ``build_grid`` emits nodes in lattice ``(i, j)`` order, so
     ``nodes[:, 0]`` is non-decreasing.
     """
@@ -121,6 +124,11 @@ def build_grid(domain: Domain, h: float) -> Grid:
     ``_MAX_BOX_CELLS`` cells.  A spacing coarser than a quarter of
     the diameter is allowed but warned about, since single-node grids are
     only useful as degenerate cases.
+
+    All eight neighbor ids of every node are gathered from the padded
+    ``id_map`` at once, and one bisection runs over every cut arm of the
+    eight directions together.  Hit ids run direction by direction, in node
+    order within a direction.
     """
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"h must be positive, got {h}")
@@ -166,45 +174,36 @@ def build_grid(domain: Domain, h: float) -> Grid:
             f"no lattice point of spacing {h} lies strictly inside the domain"
         )
 
-    id_origin = np.array([i_range[0], j_range[0]])
-    id_map = np.full(len(lattice_all), -1, dtype=np.int64)
-    id_map[inside] = np.arange(n)
-    id_map = id_map.reshape(len(i_range), len(j_range))
+    # the map pads the box with one cell of -1 on every side, so the unchecked
+    # gather below never wraps: domain.bbox() comes from boundary samples and
+    # may understate the domain, putting nodes on the box's edge rows
+    id_origin = np.array([i_range[0] - 1, j_range[0] - 1])
+    id_map = np.full((len(i_range) + 2, len(j_range) + 2), -1, dtype=np.int64)
+    id_map[1:-1, 1:-1][inside.reshape(len(i_range), len(j_range))] = np.arange(n)
 
-    arm_kind = np.zeros((n, 8), dtype=np.uint8)
-    arm_ref = np.zeros((n, 8), dtype=np.int64)
+    k = lattice - id_origin
+    # neighbor ids; a cut arm's -1 becomes its hit id below
+    arm_ref = id_map[k[:, 0, None] + DIRS[:, 0], k[:, 1, None] + DIRS[:, 1]]
+    # cut arms direction by direction, each in node order: hit ids follow
+    cut_d, cut = np.nonzero(arm_ref.T < 0)
+    p0 = nodes[cut]
+    delta = DIRS[cut_d] * h
+    # Bisect F(p0 + t * delta) = 0 on t in (0, 1]; F(p0) < 0 and the
+    # neighbor is outside or on the boundary, so the root is unique.
+    t_lo = np.zeros(len(cut))
+    t_hi = np.ones(len(cut))
+    for _ in range(_BISECT_ITERS):
+        t_mid = 0.5 * (t_lo + t_hi)
+        neg = domain.level(p0 + t_mid[:, None] * delta) < 0.0
+        t_lo = np.where(neg, t_mid, t_lo)
+        t_hi = np.where(neg, t_hi, t_mid)
+    t = t_hi  # first nonnegative level along the arm
+
+    arm_kind = np.full((n, 8), ARM_INTERIOR, dtype=np.uint8)
     arm_frac = np.ones((n, 8), dtype=float)
-    hit_points: list[Array] = []
-
-    for d in range(8):
-        step = DIRS[d]
-        nbr_ids = _ids_at(id_map, id_origin, lattice + step)
-        is_int = nbr_ids >= 0
-        arm_kind[is_int, d] = ARM_INTERIOR
-        arm_ref[is_int, d] = nbr_ids[is_int]
-
-        cut = np.nonzero(~is_int)[0]
-        if len(cut) == 0:
-            continue
-        p0 = nodes[cut]
-        delta = (step * h)[None, :]
-        # Bisect F(p0 + t * delta) = 0 on t in (0, 1]; F(p0) < 0 and the
-        # neighbor is outside or on the boundary, so the root is unique.
-        t_lo = np.zeros(len(cut))
-        t_hi = np.ones(len(cut))
-        for _ in range(_BISECT_ITERS):
-            t_mid = 0.5 * (t_lo + t_hi)
-            neg = domain.level(p0 + t_mid[:, None] * delta) < 0.0
-            t_lo = np.where(neg, t_mid, t_lo)
-            t_hi = np.where(neg, t_hi, t_mid)
-        t = t_hi  # first nonnegative level along the arm
-        crossings = p0 + t[:, None] * delta
-        base = len(hit_points)
-        ids = base + np.arange(len(cut))
-        arm_kind[cut, d] = ARM_HIT
-        arm_ref[cut, d] = ids
-        arm_frac[cut, d] = t
-        hit_points.extend(crossings)
+    arm_kind[cut, cut_d] = ARM_HIT
+    arm_ref[cut, cut_d] = np.arange(len(cut))
+    arm_frac[cut, cut_d] = t
 
     return Grid(
         domain=domain,
@@ -216,7 +215,7 @@ def build_grid(domain: Domain, h: float) -> Grid:
         arm_kind=arm_kind,
         arm_ref=arm_ref,
         arm_frac=arm_frac,
-        hit_points=np.array(hit_points).reshape(-1, 2),
+        hit_points=p0 + t[:, None] * delta,
     )
 
 

@@ -223,28 +223,71 @@ def dissection_order(grid: Grid) -> Array:
     dissection of a regular finite element mesh", SIAM J. Numer. Anal.
     1973).  A part of at most ``_DISSECTION_LEAF`` nodes keeps node order.
     Returns ``p`` with ``p[k]`` the node eliminated ``k``-th.
+
+    The order is built level by level, every part of a level at once: each
+    part owns a block of ``p``, its below and above parts the front of that
+    block and its line the back, each in node order.
     """
     if grid._order is None:
-        parts: list[Array] = []
-        _dissect(np.ascontiguousarray(grid.lattice.T), np.arange(grid.n_nodes), parts)
-        grid._order = np.concatenate(parts)
+        grid._order = _nested_dissection(grid.lattice)
     return grid._order
 
 
-def _dissect(lattice_t: Array, part: Array, parts: list[Array]) -> None:
-    """Append the dissection order of the nodes ``part`` to ``parts``.
+def _nested_dissection(lattice: Array) -> Array:
+    """:func:`dissection_order` of the lattice indices ``(N, 2)``."""
+    order = np.empty(len(lattice), dtype=np.int64)
+    # the nodes of the open parts, part after part, each in node order
+    nodes = np.arange(len(lattice))
+    sizes = np.array([len(lattice)])
+    slots = np.array([0])  # where each part's block of ``order`` begins
+    while len(nodes):
+        starts = np.cumsum(sizes) - sizes
+        ends = starts + sizes - 1
+        part = np.repeat(np.arange(len(sizes)), sizes)
+        i, j = lattice[nodes, 0], lattice[nodes, 1]
+        i_lo, j_lo = np.minimum.reduceat(i, starts), np.minimum.reduceat(j, starts)
+        i_span = np.maximum.reduceat(i, starts) - i_lo
+        j_span = np.maximum.reduceat(j, starts) - j_lo
+        across_j = j_span > i_span
+        key = np.where(across_j[part], j, i)
+        key_lo = np.where(across_j, j_lo, i_lo)
+        # each part's median key from its histogram: the first bin whose
+        # running count passes the part's middle node
+        bins = np.where(across_j, j_span, i_span) + 1
+        first_bin = np.cumsum(bins) - bins
+        running = np.cumsum(np.bincount(first_bin[part] + key - key_lo[part]))
+        line = np.searchsorted(running, starts + sizes // 2, side="right")
+        line = (line + key_lo - first_bin)[part]
+        # a leaf's nodes all go where a line's would
+        split = (sizes > _DISSECTION_LEAF)[part]
+        below, above = split & (key < line), split & (key > line)
+        on = ~(below | above)
+        rank_below, n_below = _ranks(below, part, starts, ends)
+        rank_above, n_above = _ranks(above, part, starts, ends)
+        rank_on, _ = _ranks(on, part, starts, ends)
+        order[(slots + n_below + n_above)[part[on]] + rank_on[on]] = nodes[on]
+        # the next level's parts: each part's below part, then its above part
+        new_sizes = np.stack([n_below, n_above], axis=1).ravel()
+        new_starts = np.cumsum(new_sizes) - new_sizes
+        dest = new_starts[2 * part + above] + np.where(above, rank_above, rank_below)
+        moved = ~on
+        next_nodes = np.empty(len(nodes) - int(on.sum()), dtype=np.int64)
+        next_nodes[dest[moved]] = nodes[moved]
+        kept = new_sizes > 0
+        slots = np.stack([slots, slots + n_below], axis=1).ravel()[kept]
+        nodes, sizes = next_nodes, new_sizes[kept]
+    return order
 
-    ``lattice_t`` is the transposed ``grid.lattice``, ``(2, N)``.
+
+def _ranks(mask: Array, part: Array, starts: Array, ends: Array) -> tuple[Array, Array]:
+    """Rank of each node among the ``mask`` nodes of its part, and their count.
+
+    The parts are the runs ``starts[k]`` to ``ends[k]`` of ``mask``, and
+    ``part`` holds each node's run.
     """
-    if len(part) <= _DISSECTION_LEAF:
-        parts.append(part)
-        return
-    i, j = lattice_t[:, part]
-    key = j if j.max() - j.min() > i.max() - i.min() else i
-    line = np.partition(key, len(key) // 2)[len(key) // 2]
-    _dissect(lattice_t, part[key < line], parts)
-    _dissect(lattice_t, part[key > line], parts)
-    parts.append(part[key == line])
+    running = np.cumsum(mask)
+    before = running[starts] - mask[starts]
+    return running - 1 - before[part], running[ends] - before
 
 
 @dataclass

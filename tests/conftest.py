@@ -10,12 +10,14 @@ from hypothesis import settings
 
 from amce import (
     Disk,
+    Ellipse,
     ScalarField,
     build_grid,
     get_fixture,
     problem_from_exact,
     solve_system,
 )
+from amce.geometry import polynomial_levelset
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
 settings.load_profile("suite")
@@ -35,6 +37,21 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in _ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+_REFERENCE_DOMAINS = {
+    "disk": Disk(radius=1.0),
+    "ellipse": Ellipse(a=1.0, b=0.5),
+    "offset_disk": Disk(radius=0.7, center_xy=(0.31, -0.53)),
+    "levelset": polynomial_levelset({"20": 1.0, "02": 2.0, "40": 0.5, "11": 0.3}),
+}
+
+
+@pytest.fixture(params=sorted(_REFERENCE_DOMAINS))
+def reference_domain(request):
+    """Each domain on which the grid and its dissection order are compared
+    with their plain-loop references."""
+    return _REFERENCE_DOMAINS[request.param]
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,14 @@ from amce import (
     build_grid,
 )
 from amce.geometry import polynomial_levelset
-from amce.grid import ARM_HIT, ARM_INTERIOR, DIRS
+from amce.grid import (
+    _BISECT_ITERS,
+    _ON_BOUNDARY_TOL,
+    ARM_HIT,
+    ARM_INTERIOR,
+    DIRS,
+    _ids_at,
+)
 
 
 def test_arm_fractions_in_unit_interval(grid32):
@@ -188,3 +195,102 @@ def test_lattice_id_map(grid16):
         shifted = g.lattice + np.array(off) - 2
         expect = [ref.get((int(i), int(j)), -1) for i, j in shifted]
         assert np.array_equal(g.ids_at(shifted), expect)
+
+
+def _reference_grid(domain, h):
+    """The grid's node and arm arrays by a plain loop over the directions.
+
+    Each direction looks its neighbors up through the bounds-checked
+    ``_ids_at`` on an unpadded map of the lattice box, and bisects its own
+    cut arms; hits are numbered as they are found.
+    """
+    xmin, xmax, ymin, ymax = domain.bbox()
+    i_range = np.arange(int(np.ceil(xmin / h) - 1), int(np.floor(xmax / h) + 1) + 1)
+    j_range = np.arange(int(np.ceil(ymin / h) - 1), int(np.floor(ymax / h) + 1) + 1)
+    II, JJ = np.meshgrid(i_range, j_range, indexing="ij")
+    lattice_all = np.stack([II.ravel(), JJ.ravel()], axis=1)
+    pts_all = lattice_all * h
+    level = domain.level(pts_all)
+    slope = np.linalg.norm(domain.grad(pts_all), axis=1)
+    inside = (level < 0.0) & ~(-level <= _ON_BOUNDARY_TOL * h * slope)
+    lattice, nodes = lattice_all[inside], pts_all[inside]
+    n = len(nodes)
+    id_origin = np.array([i_range[0], j_range[0]])
+    id_map = np.full(len(lattice_all), -1, dtype=np.int64)
+    id_map[inside] = np.arange(n)
+    id_map = id_map.reshape(len(i_range), len(j_range))
+
+    arm_kind = np.zeros((n, 8), dtype=np.uint8)
+    arm_ref = np.zeros((n, 8), dtype=np.int64)
+    arm_frac = np.ones((n, 8), dtype=float)
+    hit_points = []
+    for d in range(8):
+        step = DIRS[d]
+        nbr_ids = _ids_at(id_map, id_origin, lattice + step)
+        is_int = nbr_ids >= 0
+        arm_kind[is_int, d] = ARM_INTERIOR
+        arm_ref[is_int, d] = nbr_ids[is_int]
+        cut = np.nonzero(~is_int)[0]
+        if len(cut) == 0:
+            continue
+        p0 = nodes[cut]
+        delta = (step * h)[None, :]
+        t_lo = np.zeros(len(cut))
+        t_hi = np.ones(len(cut))
+        for _ in range(_BISECT_ITERS):
+            t_mid = 0.5 * (t_lo + t_hi)
+            neg = domain.level(p0 + t_mid[:, None] * delta) < 0.0
+            t_lo = np.where(neg, t_mid, t_lo)
+            t_hi = np.where(neg, t_hi, t_mid)
+        arm_kind[cut, d] = ARM_HIT
+        arm_ref[cut, d] = len(hit_points) + np.arange(len(cut))
+        arm_frac[cut, d] = t_hi
+        hit_points.extend(p0 + t_hi[:, None] * delta)
+    return {
+        "nodes": nodes,
+        "lattice": lattice,
+        "arm_kind": arm_kind,
+        "arm_ref": arm_ref,
+        "arm_frac": arm_frac,
+        "hit_points": np.array(hit_points).reshape(-1, 2),
+    }
+
+
+def _assert_same_bytes(grid, reference):
+    for name, want in reference.items():
+        got = getattr(grid, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [16, 50, 64, 128])
+def test_grid_matches_the_per_direction_reference(reference_domain, n):
+    """One gather and one bisection over all eight directions give the
+    per-direction loop's arrays bit for bit, hit ids in the same order."""
+    grid = build_grid(reference_domain, 1.0 / n)
+    _assert_same_bytes(grid, _reference_grid(reference_domain, 1.0 / n))
+
+
+class _ShortBoxDisk(Disk):
+    """The unit disk whose box is reported as [-1/2, 1/2]^2: the lattice box
+    is cut inside the domain, so nodes sit on its edge rows."""
+
+    def bbox(self):
+        return (-0.5, 0.5, -0.5, 0.5)
+
+
+@pytest.mark.parametrize("n", [16, 50])
+def test_nodes_on_the_box_edge_see_no_wrapped_neighbor(n):
+    """A node on the lattice box's edge has a neighbor outside the box; the
+    map's padding of -1 makes that arm cut, as the bounds-checked lookup
+    does, where an unpadded gather would wrap to the far side of the map."""
+    domain, h = _ShortBoxDisk(radius=1.0), 1.0 / n
+    grid = build_grid(domain, h)
+    lo = grid.id_origin + 1
+    hi = grid.id_origin + np.array(grid.id_map.shape) - 2
+    for axis in (0, 1):
+        assert (grid.lattice[:, axis] == lo[axis]).any()
+        assert (grid.lattice[:, axis] == hi[axis]).any()
+    assert (grid.id_map[[0, -1], :] == -1).all()
+    assert (grid.id_map[:, [0, -1]] == -1).all()
+    _assert_same_bytes(grid, _reference_grid(domain, h))

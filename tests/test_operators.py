@@ -24,10 +24,12 @@ from amce.geometry import Ellipse, polynomial_levelset
 from amce.fixtures import get_fixture
 from amce.lma import assemble_lma
 from amce.operators import (
+    _DISSECTION_LEAF,
     SYMMETRIC_LU,
     HessianField,
     PermutedLU,
     dissection_order,
+    _nested_dissection,
     factor_lu,
     line_fit,
     lstsq_stack,
@@ -306,6 +308,50 @@ def test_dissection_top_split_uncouples_its_halves(domain):
     Ap = A[p][:, p]
     assert Ap[:a, a:b].nnz == 0 and Ap[a:b, :a].nnz == 0
     assert Ap[:a, b:].nnz > 0 and Ap[a:b, b:].nnz > 0
+
+
+def _reference_order(lattice):
+    """The dissection order by plain recursion, one part per call."""
+    parts = []
+
+    def dissect(part):
+        if len(part) <= _DISSECTION_LEAF:
+            parts.append(part)
+            return
+        i, j = lattice[part, 0], lattice[part, 1]
+        key = j if j.max() - j.min() > i.max() - i.min() else i
+        line = np.partition(key, len(key) // 2)[len(key) // 2]
+        dissect(part[key < line])
+        dissect(part[key > line])
+        parts.append(part[key == line])
+
+    dissect(np.arange(len(lattice)))
+    return np.concatenate(parts)
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+@pytest.mark.parametrize("n", [2, 3, 16, 50, 64, 128])
+def test_dissection_order_matches_the_recursive_reference(reference_domain, n):
+    """The level-by-level order is the recursion's exactly, on grids of 3 to
+    51 429 nodes, from a single leaf up."""
+    grid = build_grid(reference_domain, 1.0 / n)
+    p = dissection_order(grid)
+    want = _reference_order(grid.lattice)
+    assert p.dtype == want.dtype and np.array_equal(p, want)
+    if n == 2:
+        assert grid.n_nodes <= _DISSECTION_LEAF
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(-6, 6)), min_size=1, unique=True
+    )
+)
+def test_dissection_order_matches_the_reference_on_any_point_set(points):
+    """Scattered lattice points, in any order: parts with empty halves,
+    single lines and ties in the median split as the recursion does."""
+    lattice = np.array(points, dtype=np.int64)
+    assert np.array_equal(_nested_dissection(lattice), _reference_order(lattice))
 
 
 @pytest.mark.parametrize("domain", sorted(_FIT_DOMAINS))
