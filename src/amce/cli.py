@@ -16,7 +16,8 @@ significant digits, node rows first, then boundary hit rows.
 Each run writes ``report.json`` embedding the canonical config; wall time
 lives only under the ``"timing"`` key (``verify`` adds its ``solve_s`` and
 ``checks_s`` phases there, ``sections`` its ``solve_s``, ``boundary_scan_s``
-and ``interior_s``) so that identical configs produce
+and ``interior_s``; ``csv_write_s`` and ``csv_read_s`` sum the time of a
+command's CSV dumps) so that identical configs produce
 byte-identical reports after dropping that key.  A run that fails once its
 output directory exists writes one too, with ``"status"`` (``"exit 2"`` or
 ``"exit 3"``) and ``"error"`` (class, message, the solver counts made
@@ -35,7 +36,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from itertools import chain
 
 import numpy as np
 
@@ -99,15 +99,19 @@ def _write_csv(path: str, header: str, columns) -> None:
     """``header``, then one row per index of the equal-length ``columns``.
 
     Every entry is written with ``%.17g``: floats round-trip exactly and
-    integers print as integers.  The body is one ``%`` format over the
-    entries in row order.
+    integers print as integers.  Each distinct entry (distinct bits, so
+    ``-0.0`` and ``0.0`` stay apart) is formatted once; the body is one
+    ``%s`` format over the gathered strings in row order.
     """
-    cols = [np.asarray(c).tolist() for c in columns]
-    flat = tuple(chain.from_iterable(zip(*cols)))
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write((row * len(cols[0])) % flat)
+    with _phase("csv_write_s"):
+        table = np.stack([np.asarray(c, dtype=np.float64) for c in columns], axis=1)
+        distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
+        text = "%.17g\n" * distinct.size % tuple(distinct.view(np.float64).tolist())
+        cells = np.array(text.split("\n"), dtype=object)[where.ravel()]
+        row = ",".join(["%s"] * table.shape[1]) + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.write((row * table.shape[0]) % tuple(cells.tolist()))
 
 
 def write_field_csv(path: str, field: ScalarField) -> None:
@@ -118,13 +122,25 @@ def write_field_csv(path: str, field: ScalarField) -> None:
     _write_csv(path, "x,y,value", [pts[:, 0], pts[:, 1], vals])
 
 
+def _earlier_equal(keys: np.ndarray) -> np.ndarray:
+    """For each entry of ``keys``, how many earlier entries equal it."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    count = np.empty_like(order)
+    count[order] = np.arange(keys.size) - np.searchsorted(ranked, ranked)
+    return count
+
+
 def read_field_csv(path: str, grid: Grid) -> ScalarField:
     """Read an ``x,y,value`` dump back onto a grid.
 
     Rows are matched to lattice nodes by index and to boundary hits by
-    nearest point, all rows at once.  Non-finite entries, unmatched rows
-    and missing nodes or hits raise IncompleteDataError — the dump must
-    come from the same domain/spacing combination.
+    nearest point, all rows at once.  Hits at one point (``write_field_csv``
+    lists them in id order) are matched in row order: the k-th row at the
+    point takes the k-th hit id there.  Non-finite entries, unmatched rows,
+    a node listed twice, more rows at a point than it has hits, and missing
+    nodes or hits raise IncompleteDataError — the dump must come from the
+    same domain/spacing combination.
     """
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
@@ -162,9 +178,33 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
         )
     values = np.full(grid.n_nodes, np.nan)
     values[node[on_node]] = vals[on_node]
-    on_hit = hit >= 0
+    # k counts the earlier rows at a hit row's point; the row takes the k-th
+    # id of that point's group of coincident hits, and one past the group
+    # repeats a hit.  Node rows repeat only if fewer nodes than rows got a
+    # value.
+    on_hit = ~on_node
+    _, group, size = np.unique(
+        grid.hit_points, axis=0, return_inverse=True, return_counts=True
+    )
+    group = group.ravel()
+    at = group[hit[on_hit]]
+    k = _earlier_equal(at)
+    repeat = np.zeros(len(data), dtype=bool)
+    repeat[on_hit] = k >= size[at]
+    if np.count_nonzero(on_node) > np.count_nonzero(~np.isnan(values)):
+        repeat[on_node] = _earlier_equal(node[on_node]) > 0
+    if repeat.any():
+        i = np.argmax(repeat)
+        x, y = pts[i]
+        fault = (
+            "repeats a grid node"
+            if on_node[i]
+            else f"is one row more than the {size[group[hit[i]]]} boundary hits there"
+        )
+        raise IncompleteDataError(f"{path}: row {i + 1} ({x:.17g}, {y:.17g}) {fault}")
+    members = np.argsort(group, kind="stable")  # hit ids group by group, in id order
     hit_values = np.full(grid.n_hits, np.nan)
-    hit_values[hit[on_hit]] = vals[on_hit]
+    hit_values[members[np.cumsum(size)[at] - size[at] + k]] = vals[on_hit]
     if np.isnan(values).any():
         missing = int(np.isnan(values).sum())
         raise IncompleteDataError(f"{path}: {missing} grid nodes have no value")
@@ -180,18 +220,19 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-#: Wall time of each phase of the running command, in seconds.
+#: Wall time of each phase of the running command, in seconds, summed
+#: over the phase's blocks (``csv_write_s`` over every dump).
 _TIMING: dict[str, float] = {}
 
 
 @contextmanager
 def _phase(name: str):
-    """Time the block into ``_TIMING[name]``, also when it raises."""
+    """Add the block's time to ``_TIMING[name]``, also when it raises."""
     t = time.perf_counter()
     try:
         yield
     finally:
-        _TIMING[name] = time.perf_counter() - t
+        _TIMING[name] = _TIMING.get(name, 0.0) + time.perf_counter() - t
 
 
 def _write_report(out_dir: str, command: str, cfg: RunConfig, **body) -> None:
@@ -285,7 +326,8 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     grid = _make_grid(cfg)
     lma_cfg = cfg.lma or LmaBlock()
     if lma_cfg.u_csv is not None:
-        u = read_field_csv(lma_cfg.u_csv, grid)
+        with _phase("csv_read_s"):
+            u = read_field_csv(lma_cfg.u_csv, grid)
         u_source = lma_cfg.u_csv
     elif cfg.ma is not None or cfg.fixture is not None:
         u, _ = solve_ma(_ma_problem(cfg, grid), cfg.solver)

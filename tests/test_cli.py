@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from amce import cli
 from amce.cli import main, read_field_csv, write_field_csv
 from amce.errors import SOLVE_FAILURES, AmceError, IncompleteDataError
-from amce.geometry import Disk
+from amce.geometry import Disk, Ellipse
 from amce.grid import ScalarField, build_grid
 
 DISK16 = {"kind": "disk", "params": {"radius": 1.0}, "h_grid": 0.0625}
@@ -479,6 +480,156 @@ def test_field_csv_ragged_rows_rejected(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _reference_write_csv(path, header, columns):
+    """The writer that formatted every entry of the table anew: one
+    ``%.17g`` format over the entries in row order."""
+    cols = [np.asarray(c).tolist() for c in columns]
+    flat = tuple(chain.from_iterable(zip(*cols)))
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write((row * len(cols[0])) % flat)
+
+
+def _same_bytes(path_a, path_b):
+    with open(path_a, "rb") as a, open(path_b, "rb") as b:
+        return a.read() == b.read()
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 64, 1 / 128], ids=["h16", "h64", "h128"])
+def test_field_dump_bytes_match_the_reference_writer(tmp_path, reference_domain, h):
+    grid = build_grid(reference_domain, h)
+    pts = np.concatenate([grid.nodes, grid.hit_points])
+    # a smooth field repeats values across symmetric nodes; noise does not
+    smooth = ScalarField.from_callable(grid, lambda p: 0.5 * (p**2).sum(axis=1))
+    noise = np.random.default_rng(7).standard_normal(len(pts))
+    for k, vals in enumerate(
+        [np.concatenate([smooth.values, smooth.hit_values]), noise]
+    ):
+        field = ScalarField(grid, vals[: grid.n_nodes], vals[grid.n_nodes :])
+        path, ref = str(tmp_path / f"f{k}.csv"), str(tmp_path / f"r{k}.csv")
+        write_field_csv(path, field)
+        _reference_write_csv(ref, "x,y,value", [pts[:, 0], pts[:, 1], vals])
+        assert _same_bytes(path, ref)
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-309,
+    2.0**53 + 2.0, -(2.0**60), 0.1, 1.0, 1e300,
+]
+_SPECIAL_INTS = [0, 1, -1, 2**53 + 1, 2**62 + 3, -(2**63), 2**63 - 1]
+
+
+@st.composite
+def _tables(draw):
+    """Columns of floats or int64s, zero, one or more rows.  Each column
+    picks its entries from the special values and a few drawn ones, so
+    entries repeat within and across columns."""
+    n_rows = draw(st.sampled_from([0, 1, draw(st.integers(2, 40))]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            pool = _SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=4))
+            dtype = np.float64
+        else:
+            pool = _SPECIAL_INTS + draw(
+                st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4)
+            )
+            dtype = np.int64
+        picks = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        columns.append(np.asarray(picks, dtype=dtype))
+    return columns
+
+
+@given(_tables())
+def test_csv_bytes_match_the_reference_writer_on_any_table(columns):
+    from amce.cli import _write_csv
+
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = os.path.join(tmp, "t.csv"), os.path.join(tmp, "r.csv")
+        _write_csv(path, header, columns)
+        _reference_write_csv(ref, header, columns)
+        assert _same_bytes(path, ref)
+
+
+ELLIPSE06 = {"kind": "ellipse", "params": {"a": 1.2, "b": 0.9}, "h_grid": 0.06}
+
+
+def test_field_csv_round_trip_with_coincident_hits(tmp_path):
+    """Hits at one point are read back in row order, so each keeps its own
+    value bit for bit."""
+    grid = build_grid(Ellipse(a=1.2, b=0.9), 0.06)
+    _, counts = np.unique(grid.hit_points, axis=0, return_counts=True)
+    assert counts.max() > 1
+    rng = np.random.default_rng(5)
+    field = ScalarField(
+        grid, rng.standard_normal(grid.n_nodes), rng.standard_normal(grid.n_hits)
+    )
+    path = str(tmp_path / "f.csv")
+    write_field_csv(path, field)
+    back = read_field_csv(path, grid)
+    assert np.array_equal(back.values, field.values)
+    assert np.array_equal(back.hit_values, field.hit_values)
+
+
+def test_lma_reads_back_the_fixture_dump_on_the_ellipse(tmp_path):
+    cfg = write_cfg(
+        tmp_path, {"domain": ELLIPSE06, "fixture": {"name": "paraboloid"}}
+    )
+    dump = str(tmp_path / "fixture")
+    assert main(["fixture", "--config", cfg, "--out", dump]) == 0
+    u_csv = os.path.join(dump, "u_exact.csv")
+    cfg = write_cfg(
+        tmp_path, {"domain": ELLIPSE06, "lma": {"u_csv": u_csv}}, name="lma.json"
+    )
+    out = str(tmp_path / "lma")
+    assert main(["lma", "--config", cfg, "--out", out]) == 0
+    _assert_phase_times(out, "csv_read_s", "csv_write_s")
+    _assert_phase_times(dump, "csv_write_s")
+
+
+def _duplicate_row(src, dst, line):
+    """Copy ``src`` to ``dst`` with data row ``line`` (1-based) listed
+    twice, the copy carrying the value 999."""
+    with open(src, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    x, y, _ = lines[line].split(",")
+    lines.insert(line + 1, f"{x},{y},999\n")
+    with open(dst, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
+@pytest.mark.parametrize("where", ["node", "hit"])
+def test_field_csv_repeated_row_rejected(tmp_path, capsys, where):
+    """A node listed twice, or a hit point with one row more than it has
+    hits, used to be read with the last row winning."""
+    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
+    field = ScalarField(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_hits))
+    path, bad = str(tmp_path / "f.csv"), str(tmp_path / "bad.csv")
+    write_field_csv(path, field)
+    line = 5 if where == "node" else grid.n_nodes + 3
+    _duplicate_row(path, bad, line)
+    fault = "repeats a grid node" if where == "node" else "one row more"
+    with pytest.raises(IncompleteDataError, match=f"row {line + 1} .*{fault}"):
+        read_field_csv(bad, grid)
+    cfg = write_cfg(tmp_path, {"domain": DISK8, "lma": {"u_csv": bad}})
+    out = str(tmp_path / "o")
+    assert main(["lma", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and fault in err
+    assert read_report(out)["error"]["class"] == "IncompleteDataError"
+    _assert_phase_times(out, "csv_read_s")
+
+
+def test_phase_times_add_up(monkeypatch):
+    """Each block of a phase adds its time to the phase's entry."""
+    monkeypatch.setattr(cli, "_TIMING", {"csv_write_s": 1.0})
+    with cli._phase("csv_write_s"):
+        pass
+    assert cli._TIMING["csv_write_s"] > 1.0
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -697,16 +848,21 @@ def test_sections_command_boundary_scan(tmp_path):
         assert os.path.exists(os.path.join(out, fname))
     hulls = [f for f in results["outputs"] if f.startswith("hull_")]
     assert len(hulls) == len(kept)
-    _assert_phase_times(out, "solve_s", "boundary_scan_s")
+    _assert_phase_times(out, "solve_s", "boundary_scan_s", "csv_write_s")
 
 
 def _assert_phase_times(out, *phases):
     """``timing`` holds exactly the wall time and these phases, each
-    positive and within the wall time."""
+    positive and within the wall time.  The CSV phases, each summed over
+    the command's dumps, add up to at most the wall time, and so do the
+    command's own phases."""
     timing = read_report(out)["timing"]
     assert set(timing) == {"wall_time_s", *phases}
     for phase in phases:
         assert 0.0 < timing[phase] <= timing["wall_time_s"]
+    csv = sum(timing[p] for p in phases if p.startswith("csv_"))
+    steps = sum(timing[p] for p in phases if not p.startswith("csv_"))
+    assert csv <= timing["wall_time_s"] and steps <= timing["wall_time_s"]
 
 
 @pytest.mark.parametrize(
