@@ -16,7 +16,8 @@ significant digits, node rows first, then boundary hit rows.
 Each run writes ``report.json`` embedding the canonical config; wall time
 lives only under the ``"timing"`` key (``verify`` adds its ``solve_s`` and
 ``checks_s`` phases there, ``sections`` its ``solve_s``, ``boundary_scan_s``
-and ``interior_s``; ``csv_write_s`` and ``csv_read_s`` sum the time of a
+and ``interior_s``; ``grid_s`` times the grid build of every command but
+``converge``; ``csv_write_s`` and ``csv_read_s`` sum the time of a
 command's CSV dumps) so that identical configs produce
 byte-identical reports after dropping that key.  A run that fails once its
 output directory exists writes one too, with ``"status"`` (``"exit 2"`` or
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
 import time
@@ -160,9 +162,8 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
     node = grid.ids_at(np.rint(pts / grid.h))
     on_node = node >= 0
     # Grid.node_at's 1e-9 max(1, h) rule times max(1, largest |node coordinate|)
-    on_node[on_node] = np.max(
-        np.abs(grid.nodes[node[on_node]] - pts[on_node]), axis=1
-    ) <= tol * max(1.0, grid.h)
+    gap = np.abs(grid.nodes[node[on_node]] - pts[on_node])
+    on_node[on_node] = np.maximum(gap[:, 0], gap[:, 1]) <= tol * max(1.0, grid.h)
     hit = np.full(len(data), -1)
     rest = np.nonzero(~on_node)[0]
     if rest.size:
@@ -249,7 +250,8 @@ def _write_report(out_dir: str, command: str, cfg: RunConfig, **body) -> None:
 
 def _make_grid(cfg: RunConfig) -> Grid:
     domain = build_domain(cfg.domain.kind, cfg.domain.params)
-    return build_grid(domain, cfg.domain.h_grid)
+    with _phase("grid_s"):
+        return build_grid(domain, cfg.domain.h_grid)
 
 
 def _fixture_exact(cfg: RunConfig):
@@ -521,6 +523,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; returns its exit code.
+
+    The objects that exist at entry, the imported modules' above all,
+    outlive the command, so they are frozen out of the collector's passes
+    for its duration (``gc.freeze``); cycles made by the command are still
+    collected.  A caller that froze objects itself keeps its freeze as it is.
+    """
+    thaw = gc.get_freeze_count() == 0
+    if thaw:
+        gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        if thaw:
+            gc.unfreeze()
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

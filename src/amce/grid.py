@@ -70,7 +70,7 @@ class Grid:
     arm_ref: Array  # (N, 8) neighbor node id or hit id
     arm_frac: Array  # (N, 8) fractional arm length in (0, 1]
     hit_points: Array  # (M, 2) boundary crossings
-    _ops: dict = dc_field(default_factory=dict, repr=False)
+    _ops: dict = dc_field(default_factory=dict, repr=False)  # see grid_operators
     _order: Array | None = dc_field(default=None, repr=False)
 
     @property

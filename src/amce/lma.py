@@ -95,11 +95,13 @@ def offdiagonal_sign_audit(D: sp.spmatrix) -> dict:
     coo = D.tocoo()
     off = coo.row != coo.col
     scale = float(np.max(np.abs(coo.data))) if coo.nnz else 1.0
-    bad_rows = np.unique(coo.row[off & (coo.data < -1e-14 * scale)])
     n = D.shape[0]
+    bad = np.zeros(n, dtype=bool)
+    bad[coo.row[off & (coo.data < -1e-14 * scale)]] = True
+    n_bad = int(np.count_nonzero(bad))
     return {
-        "rows_with_negative_offdiagonal": int(len(bad_rows)),
-        "fraction": float(len(bad_rows) / max(n, 1)),
+        "rows_with_negative_offdiagonal": n_bad,
+        "fraction": float(n_bad / max(n, 1)),
     }
 
 

@@ -19,6 +19,7 @@ Each operator is a pair ``(D, B)``: ``D`` maps interior node values and
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -120,27 +121,69 @@ def _line_ops(grid: Grid, d_plus: int, d_minus: int, arm_len: float, order: int)
     return OpPair(D=D, B=B)
 
 
-def grid_operators(grid: Grid) -> dict[str, OpPair]:
-    """All difference operators for the grid, built once and cached."""
-    if grid._ops:
-        return grid._ops
-    h = grid.h
-    diag_len = h * np.sqrt(2.0)
-    dxx = _line_ops(grid, 0, 1, h, order=2)
-    dyy = _line_ops(grid, 2, 3, h, order=2)
+def _cross_ops(grid: Grid, ops: Mapping[str, OpPair]) -> OpPair:
+    diag_len = grid.h * np.sqrt(2.0)
     dpp = _line_ops(grid, 4, 5, diag_len, order=2)  # along (1, 1)/sqrt 2
     dmm = _line_ops(grid, 6, 7, diag_len, order=2)  # along (1, -1)/sqrt 2
-    dxy = OpPair(
+    return OpPair(
         D=((dpp.D - dmm.D) * 0.5).tocsr(),
         B=((dpp.B - dmm.B) * 0.5).tocsr(),
     )
-    dx = _line_ops(grid, 0, 1, h, order=1)
-    dy = _line_ops(grid, 2, 3, h, order=1)
-    lap = OpPair(D=(dxx.D + dyy.D).tocsr(), B=(dxx.B + dyy.B).tocsr())
-    grid._ops.update(
-        dxx=dxx, dyy=dyy, dxy=dxy, dx=dx, dy=dy, lap=lap
-    )
-    return grid._ops
+
+
+def _laplacian(grid: Grid, ops: Mapping[str, OpPair]) -> OpPair:
+    dxx, dyy = ops["dxx"], ops["dyy"]
+    return OpPair(D=(dxx.D + dyy.D).tocsr(), B=(dxx.B + dyy.B).tocsr())
+
+
+#: How each operator of :func:`grid_operators` is built from the grid and
+#: the grid's other operators.
+_BUILDERS: dict[str, Callable[[Grid, Mapping[str, OpPair]], OpPair]] = {
+    "dxx": lambda grid, ops: _line_ops(grid, 0, 1, grid.h, order=2),
+    "dyy": lambda grid, ops: _line_ops(grid, 2, 3, grid.h, order=2),
+    "dxy": _cross_ops,
+    "dx": lambda grid, ops: _line_ops(grid, 0, 1, grid.h, order=1),
+    "dy": lambda grid, ops: _line_ops(grid, 2, 3, grid.h, order=1),
+    "lap": _laplacian,
+}
+
+
+class _GridOperators(Mapping):
+    """The operators of one grid by name, each built the first time it is read.
+
+    Built operators are cached in the grid's ``_ops`` dict.  The view holds
+    the grid and the grid never holds a view, so no reference cycle keeps a
+    grid's arrays alive until the collector's next full pass.
+    """
+
+    def __init__(self, grid: Grid):
+        self._grid = grid
+
+    def __getitem__(self, name: str) -> OpPair:
+        built = self._grid._ops
+        if name not in built:
+            built[name] = _BUILDERS[name](self._grid, self)
+        return built[name]
+
+    def __contains__(self, name) -> bool:
+        return name in _BUILDERS
+
+    def __iter__(self):
+        return iter(_BUILDERS)
+
+    def __len__(self) -> int:
+        return len(_BUILDERS)
+
+
+def grid_operators(grid: Grid) -> Mapping[str, OpPair]:
+    """The grid's difference operators by name: ``"dxx"``, ``"dyy"``,
+    ``"dxy"``, ``"dx"``, ``"dy"`` and ``"lap"``.
+
+    Each is built the first time it is read and cached on the grid, so a
+    command pays only for the operators it uses: the linearized solve never
+    builds the first differences or the Laplacian.
+    """
+    return _GridOperators(grid)
 
 
 @dataclass
@@ -496,7 +539,8 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
         d = (data_pts[ids] - pts[k]) / grid.h  # normalize for conditioning
         vals, sw = data_val[ids], np.ones(len(d))
         if smooth:
-            wts = np.maximum(1.0 - (d * d).sum(axis=1) / _FIT_RADIUS**2, 0.0) ** 2
+            dd = d * d  # summed column by column: the bits of a row sum
+            wts = np.maximum(1.0 - (dd[:, 0] + dd[:, 1]) / _FIT_RADIUS**2, 0.0) ** 2
             keep = wts > 0.0
             d, vals, k, sw = d[keep], vals[keep], k[keep], np.sqrt(wts[keep])
         A = np.stack(

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -585,8 +586,28 @@ def test_lma_reads_back_the_fixture_dump_on_the_ellipse(tmp_path):
     )
     out = str(tmp_path / "lma")
     assert main(["lma", "--config", cfg, "--out", out]) == 0
-    _assert_phase_times(out, "csv_read_s", "csv_write_s")
-    _assert_phase_times(dump, "csv_write_s")
+    _assert_phase_times(out, "grid_s", "csv_read_s", "csv_write_s")
+    _assert_phase_times(dump, "grid_s", "csv_write_s")
+
+
+def test_lma_command_builds_only_the_second_differences(tmp_path, monkeypatch):
+    """``amce lma`` reads ``dxx``, ``dxy`` and ``dyy``; the first
+    differences and the Laplacian stay unbuilt."""
+    cfg = write_cfg(tmp_path, {"domain": DISK16, "fixture": {"name": "radial_mild"}})
+    dump = str(tmp_path / "fixture")
+    assert main(["fixture", "--config", cfg, "--out", dump]) == 0
+    grids = []
+
+    def build_and_keep(domain, h):
+        grids.append(build_grid(domain, h))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "build_grid", build_and_keep)
+    u_csv = os.path.join(dump, "u_exact.csv")
+    cfg = write_cfg(tmp_path, {"domain": DISK16, "lma": {"u_csv": u_csv}}, "lma.json")
+    assert main(["lma", "--config", cfg, "--out", str(tmp_path / "lma")]) == 0
+    (grid,) = grids
+    assert sorted(grid._ops) == ["dxx", "dxy", "dyy"]
 
 
 def _duplicate_row(src, dst, line):
@@ -619,7 +640,56 @@ def test_field_csv_repeated_row_rejected(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert "Traceback" not in err and fault in err
     assert read_report(out)["error"]["class"] == "IncompleteDataError"
-    _assert_phase_times(out, "csv_read_s")
+    _assert_phase_times(out, "grid_s", "csv_read_s")
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [
+        ("fixture", {"domain": DISK16, "fixture": {"name": "paraboloid"}}, 0),
+        (
+            "solve",
+            {
+                "domain": DISK16,
+                "fixture": {"name": "radial_quartic"},
+                "solver": {"max_outer_iters": 1, "outer_tol": 1e-14},
+            },
+            2,
+        ),
+        ("fixture", {"domain": DISK16, "mesh": {}}, 3),
+    ],
+    ids=["exit0", "exit2", "exit3"],
+)
+def test_main_freezes_the_heap_only_while_it_runs(
+    tmp_path, monkeypatch, command, config, code
+):
+    """The objects that exist at entry are frozen out of the collector
+    during the command and thawed on every exit."""
+    frozen = []
+    run = cli._DISPATCH[command]
+
+    def run_and_count(*args):
+        frozen.append(gc.get_freeze_count())
+        return run(*args)
+
+    monkeypatch.setitem(cli._DISPATCH, command, run_and_count)
+    assert gc.get_freeze_count() == 0
+    cfg = write_cfg(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert gc.get_freeze_count() == 0
+    assert all(n > 0 for n in frozen) and len(frozen) == (code != 3)
+
+
+def test_main_keeps_the_callers_own_freeze(tmp_path):
+    cfg = write_cfg(tmp_path, {"domain": DISK16, "fixture": {"name": "paraboloid"}})
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert main(["fixture", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        # neither thawed nor frozen more; frozen objects that died left it
+        assert 0 < gc.get_freeze_count() <= before
+    finally:
+        gc.unfreeze()
 
 
 def test_phase_times_add_up(monkeypatch):
@@ -823,7 +893,7 @@ def test_sections_command_interior_point(tmp_path):
     pt = results["interior_points"][0]
     assert pt["hbar"] == pytest.approx(0.5, rel=1e-6)
     assert np.hypot(*pt["touch_point"]) == pytest.approx(1.0, abs=1e-2)
-    _assert_phase_times(out, "solve_s", "interior_s")
+    _assert_phase_times(out, "grid_s", "solve_s", "interior_s")
 
 
 def test_sections_command_boundary_scan(tmp_path):
@@ -848,7 +918,7 @@ def test_sections_command_boundary_scan(tmp_path):
         assert os.path.exists(os.path.join(out, fname))
     hulls = [f for f in results["outputs"] if f.startswith("hull_")]
     assert len(hulls) == len(kept)
-    _assert_phase_times(out, "solve_s", "boundary_scan_s", "csv_write_s")
+    _assert_phase_times(out, "grid_s", "solve_s", "boundary_scan_s", "csv_write_s")
 
 
 def _assert_phase_times(out, *phases):
@@ -908,7 +978,7 @@ def test_failed_phase_keeps_its_time(tmp_path):
     report = read_report(out)
     # the Laplacian's, which also serves the sweep's linear step
     assert report["error"]["counts"]["factorizations"] == 1
-    _assert_phase_times(out, "solve_s")
+    _assert_phase_times(out, "grid_s", "solve_s")
 
 
 def test_sections_interior_point_near_the_boundary_is_refused_before_the_solve(
@@ -945,7 +1015,7 @@ def test_verify_command_writes_battery(tmp_path):
         assert isinstance(check["margin"], float)
     names = [c["name"] for c in battery["checks"]]
     assert names[0] == "min_principle"
-    _assert_phase_times(out, "solve_s", "checks_s")
+    _assert_phase_times(out, "grid_s", "solve_s", "checks_s")
 
 
 def test_converge_command_table(tmp_path):
@@ -972,6 +1042,8 @@ def test_converge_command_table(tmp_path):
         f"{r['outer_iterations']}\n"
         for r in results["rows"]
     ]
+    # the study builds its own grids, outside any phase
+    _assert_phase_times(out, "csv_write_s")
 
 
 @pytest.mark.parametrize(

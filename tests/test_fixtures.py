@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amce import (
     Disk,
@@ -14,6 +16,7 @@ from amce import (
     w_from_u,
 )
 from amce.errors import NonConvexProfileError
+from amce.fixtures import _D1_W, _D2_W, _OFFSETS, FD_STEP, _fd8_forcing
 
 
 def _sample_points(n=200, r=0.95, seed=1):
@@ -30,6 +33,76 @@ def test_dual_route_forcing_agreement(name):
     pts = _sample_points()
     gap = np.abs(exact.f(pts) - exact.f_fd(pts)).max()
     assert gap < 1e-8
+
+
+def _reference_fd8_forcing(w_fn, hess_u, step=FD_STEP):
+    """The stencil that shifted the whole ``(N, 2)`` point array by each
+    ``(2,)`` offset."""
+
+    def f(pts):
+        p = np.asarray(pts, dtype=float)
+        ex = np.array([step, 0.0])
+        ey = np.array([0.0, step])
+        wxx = np.zeros(len(p))
+        wyy = np.zeros(len(p))
+        wxy = np.zeros(len(p))
+        for k, off in enumerate(_OFFSETS):
+            wxx += _D2_W[k] * w_fn(p + off * ex)
+            wyy += _D2_W[k] * w_fn(p + off * ey)
+        for ki, oi in enumerate(_OFFSETS):
+            if _D1_W[ki] == 0.0:
+                continue
+            row = np.zeros(len(p))
+            for kj, oj in enumerate(_OFFSETS):
+                if _D1_W[kj] == 0.0:
+                    continue
+                row += _D1_W[kj] * w_fn(p + oi * ex + oj * ey)
+            wxy += _D1_W[ki] * row
+        wxx /= step**2
+        wyy /= step**2
+        wxy /= step**2
+        H = hess_u(p)
+        return H[:, 1, 1] * wxx - 2.0 * H[:, 0, 1] * wxy + H[:, 0, 0] * wyy
+
+    return f
+
+
+def _assert_same_bytes(got, want, name):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def _assert_fd8_matches_the_reference(name, pts):
+    exact = get_fixture(name, theta=0.25)
+    want = _reference_fd8_forcing(exact.w, exact.hess_u)(pts)
+    _assert_same_bytes(exact.f_fd(pts), want, name)
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 64, 1 / 128], ids=["h16", "h64", "h128"])
+def test_fd8_forcing_bytes_match_the_row_wise_reference(h):
+    """The column-wise shifts give the forcing of the row-wise stencil bit
+    for bit, at every node and every boundary hit."""
+    grid = build_grid(Disk(radius=1.0), h)
+    for name in fixture_names():
+        _assert_fd8_matches_the_reference(name, grid.nodes)
+        _assert_fd8_matches_the_reference(name, grid.hit_points)
+
+
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+
+
+@given(
+    st.lists(st.tuples(_COORD, _COORD), max_size=20),
+    st.sampled_from(fixture_names()),
+)
+def test_fd8_forcing_bytes_match_the_reference_on_any_point_cloud(points, name):
+    """Signed zeros, points on the axes and off the disk, and no points.
+    The angle weight tells ``-0.0`` from ``0.0`` in every shifted point."""
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    _assert_fd8_matches_the_reference(name, pts)
+    angle = lambda p: np.arctan2(p[:, 1], p[:, 0])
+    hess_u = get_fixture(name, theta=0.25).hess_u
+    want = _reference_fd8_forcing(angle, hess_u)(pts)
+    _assert_same_bytes(_fd8_forcing(angle, hess_u)(pts), want, "angle")
 
 
 def test_symbolic_oracle_radial_quartic():

@@ -75,6 +75,40 @@ def test_sign_audit_reports_offdiagonal_violations(grid16):
     assert audit2["rows_with_negative_offdiagonal"] == 0
 
 
+def _reference_sign_audit(D):
+    """The audit that counted the offending rows with ``np.unique``."""
+    coo = D.tocoo()
+    off = coo.row != coo.col
+    scale = float(np.max(np.abs(coo.data))) if coo.nnz else 1.0
+    bad_rows = np.unique(coo.row[off & (coo.data < -1e-14 * scale)])
+    n = D.shape[0]
+    return {
+        "rows_with_negative_offdiagonal": int(len(bad_rows)),
+        "fraction": float(len(bad_rows) / max(n, 1)),
+    }
+
+
+@pytest.mark.parametrize("shear", [0.0, 0.2, 0.45])
+def test_sign_audit_counts_rows_as_the_unique_reference(grid32, shear):
+    """The row mask counts each offending row once, as ``np.unique`` did,
+    also on a matrix with repeated entries, empty rows and no rows."""
+    u = ScalarField.from_callable(
+        grid32,
+        lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2) + shear * p[:, 0] * p[:, 1],
+    )
+    from amce.lma import assemble_lma
+    import scipy.sparse as sps
+
+    D = assemble_lma(discrete_hessian(u))
+    assert offdiagonal_sign_audit(D) == _reference_sign_audit(D)
+    rng = np.random.default_rng(3)
+    rows, cols = rng.integers(0, 40, size=(2, 300))  # repeated (row, col) pairs
+    M = sps.coo_matrix((rng.standard_normal(300), (rows, cols)), shape=(45, 40))
+    assert offdiagonal_sign_audit(M) == _reference_sign_audit(M)
+    empty = sps.csr_matrix((0, 0))
+    assert offdiagonal_sign_audit(empty) == _reference_sign_audit(empty)
+
+
 def test_indefinite_coefficients_rejected(grid16):
     saddle = ScalarField.from_callable(grid16, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
     H = discrete_hessian(saddle)

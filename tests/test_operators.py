@@ -1,6 +1,8 @@
 """Finite-difference operators: quadratic exactness, Poisson, local fits."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,10 @@ from amce.operators import (
     PermutedLU,
     dissection_order,
     _nested_dissection,
+    OpPair,
+    _line_ops,
     factor_lu,
+    grid_operators,
     line_fit,
     lstsq_stack,
 )
@@ -397,3 +402,92 @@ def test_line_fit_of_a_constant_has_unit_r2():
     assert slope == pytest.approx(0.0, abs=1e-12)
     assert intercept == pytest.approx(2.5, abs=1e-12)
     assert r2 == 1.0
+
+
+def _reference_grid_operators(grid):
+    """Every operator of the grid, built at once by the eager builder."""
+    h = grid.h
+    diag_len = h * np.sqrt(2.0)
+    dxx = _line_ops(grid, 0, 1, h, order=2)
+    dyy = _line_ops(grid, 2, 3, h, order=2)
+    dpp = _line_ops(grid, 4, 5, diag_len, order=2)
+    dmm = _line_ops(grid, 6, 7, diag_len, order=2)
+    dxy = OpPair(D=((dpp.D - dmm.D) * 0.5).tocsr(), B=((dpp.B - dmm.B) * 0.5).tocsr())
+    dx = _line_ops(grid, 0, 1, h, order=1)
+    dy = _line_ops(grid, 2, 3, h, order=1)
+    lap = OpPair(D=(dxx.D + dyy.D).tocsr(), B=(dxx.B + dyy.B).tocsr())
+    return dict(dxx=dxx, dyy=dyy, dxy=dxy, dx=dx, dy=dy, lap=lap)
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_lazy_operators_match_the_eager_reference(reference_domain, n):
+    """Each operator built on first read has the eager builder's structure
+    and values bit for bit, whatever order they are read in."""
+    grid = build_grid(reference_domain, 1.0 / n)
+    want = _reference_grid_operators(grid)
+    ops = grid_operators(grid)
+    assert list(ops) == list(want) and len(ops) == len(want)
+    for name in reversed(list(want)):  # "lap" before the dxx and dyy it sums
+        for part in "DB":
+            got, ref = getattr(ops[name], part), getattr(want[name], part)
+            assert got.format == ref.format and got.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got, attr), getattr(ref, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, attr)
+
+
+def test_operators_are_built_on_first_read_and_cached():
+    grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
+    ops = grid_operators(grid)
+    assert "dx" in ops and "lap" in ops and "nope" not in ops
+    assert grid._ops == {}
+    lap = ops["lap"]
+    assert sorted(grid._ops) == ["dxx", "dyy", "lap"]
+    assert grid_operators(grid)["lap"] is lap
+    with pytest.raises(KeyError):
+        ops["nope"]
+    assert dict(ops).keys() == {"dxx", "dyy", "dxy", "dx", "dy", "lap"}
+
+
+def test_operator_cache_keeps_no_grid_alive():
+    """The cache makes no reference cycle: a grid whose operators were read
+    is freed as soon as its last reference goes, with the collector off."""
+    grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
+    ops = grid_operators(grid)
+    for name in ops:
+        ops[name]
+    discrete_hessian(ScalarField.from_callable(grid, _quadratic))
+    alive = weakref.ref(grid)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del grid, ops
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=40))
+def test_column_reductions_give_the_row_reductions_bits(rows):
+    """The identities behind the column-wise smooth weights of
+    :func:`local_quadratic_fit` and the node check of ``read_field_csv``:
+    on ``(K, 2)`` arrays the column sum of squares is NumPy's row sum bit
+    for bit, signed zeros, NaN and infinities included, and the column
+    maximum is the row maximum up to NaN payloads, which the node check
+    never sees (it reads finite tables and compares with a tolerance)."""
+    d = np.array(rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd = d * d
+        assert (dd[:, 0] + dd[:, 1]).tobytes() == dd.sum(axis=1).tobytes()
+    gap = np.abs(d)
+    got, want = np.maximum(gap[:, 0], gap[:, 1]), np.max(gap, axis=1)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
