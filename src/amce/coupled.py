@@ -27,9 +27,10 @@ convexity or the weight's sign, is replaced by a damped sweep, and a sweep
 whose weight is not positive ends the solve.  Once the weight stops moving
 in sup norm, one more sweep runs undamped (the polish) and its linear
 solution is the returned ``w``, so both sub-equation residuals are reported
-at their floor.  Factors are handed on from step to step, so that a step
-whose operator is near or a multiple of the last one's makes none; the
-rule is stated once, in :func:`solve_system`.
+at their floor.  Factors are handed on from step to step, and a
+determinant step or a linear solve runs GMRES through the factor it is
+handed, so that only a step that GMRES cannot serve through it makes one;
+the rule is stated once, in :func:`solve_system`.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import gmres, splu
 
 from .errors import (
     ConvexityFailureError,
@@ -56,8 +57,11 @@ from .lma import LMA_TOL, LMAProblem, assemble_lma, lma_residual, solve_lma
 from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
 from .operators import (
     COUNTS,
+    KRYLOV_CYCLES,
     discrete_hessian,
     factor_lu,
+    forcing_term,
+    krylov_solve,
     local_quadratic_fit,
     poisson_solver,
 )
@@ -141,6 +145,16 @@ class CoupledOptions(MASolveOptions):
 
 @dataclass
 class SolveReport:
+    """What one :func:`solve_system` call did, its counts read off
+    :data:`amce.operators.COUNTS` (see :data:`COUNTED`).
+
+    ``krylov_iterations_total`` sums the GMRES iterations of every solve
+    that runs GMRES through a held factor: the coupled Newton steps tried,
+    the determinant Newton steps (:func:`amce.ma.solve_ma`) and the linear
+    solves that a handed factor's refinement left above ``lma_tol``
+    (:func:`amce.lma.solve_lma`).
+    """
+
     outer_iterations: int
     w_change_history: list[float]
     final_ma_residual: float
@@ -152,7 +166,7 @@ class SolveReport:
     hypothesis_flags: dict
     factorizations: int = 0  # every LU factorization, the Poisson factor included
     coupled_newton_steps: int = 0  # Newton steps on (u, w) together
-    krylov_iterations_total: int = 0  # GMRES iterations of the Newton steps tried
+    krylov_iterations_total: int = 0  # GMRES iterations of every solve (see above)
     backtracks_total: int = 0  # line-search backtracks of the determinant solves
     pivoting_refactors: int = 0  # default-pivoting retries among the factorizations
     lu_solves: int = 0  # solves through any LU factor, scaled or handed ones included
@@ -212,15 +226,6 @@ def g_from_w(w: ScalarField, theta: float) -> ScalarField:
     return ScalarField(grid=w.grid, values=values, hit_values=hit_values)
 
 
-# coupled Newton step: GMRES restart length, the floor and ceiling of its
-# tolerance on the residual 2-norm relative to |F|, and the restart cycles
-# before the step falls back
-_KRYLOV_RESTART = 10
-_KRYLOV_RTOL = 1e-10
-_KRYLOV_RTOL_MAX = 1e-2
-_KRYLOV_CYCLES = 10
-
-
 def _newton_step(
     data: ProblemData,
     u: ScalarField,
@@ -234,14 +239,16 @@ def _newton_step(
     ``F1 = det H(u) - w^e`` and ``F2 = cof H(u) : H(w) - f`` with
     ``e = 1/(theta-1)``; the Jacobian ``[[A, -diag(e w^(e-1))], [C, A]]``
     has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
-    it, left-preconditioned by ``[[A, 0], [C, A]]`` through one LU factor of
-    ``A``, to the relative tolerance ``max(1e-10, min(1e-2, max |F|))``: a
-    forcing term in the sense of Dembo, Eisenstat and Steihaug (SIAM J.
-    Numer. Anal. 19, 1982), loose while ``F`` is large and the step is
-    capped anyway, and at the floor once Newton converges.
+    it (:func:`amce.operators.krylov_solve`, within ``KRYLOV_CYCLES``
+    restart cycles), left-preconditioned by ``[[A, 0], [C, A]]`` through
+    one LU factor of ``A``, to the relative tolerance
+    :func:`amce.operators.forcing_term` of ``F``: loose while ``F`` is
+    large and the step is capped anyway, and at the floor once Newton
+    converges.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
     Returns ``(u, w, change)``, or None when ``A`` cannot be factored,
-    GMRES fails or the trial loses ``det H(u) > 0`` or ``w > 0``.
+    GMRES fails or returns a non-finite step, or the trial loses
+    ``det H(u) > 0`` or ``w > 0``.
 
     ``kept`` is the coupled solve's list of held factors, and the factor
     held there is taken out of it.  When it stands for ``A`` bit for bit
@@ -281,22 +288,10 @@ def _newton_step(
         yu = lu.solve(r[:n])
         return np.concatenate([yu, lu.solve(r[n:] - C @ yu)])
 
-    def count(_):
-        COUNTS["krylov_iterations_total"] += 1
-
-    shape = (2 * n, 2 * n)
-    rtol = max(_KRYLOV_RTOL, min(_KRYLOV_RTOL_MAX, float(np.max(np.abs(F)))))
-    delta, info = gmres(
-        LinearOperator(shape, matvec=jacobian, dtype=float),
-        -F,
-        rtol=rtol,
-        restart=_KRYLOV_RESTART,
-        maxiter=_KRYLOV_CYCLES,
-        M=LinearOperator(shape, matvec=precondition, dtype=float),
-        callback=count,
-        callback_type="pr_norm",
+    delta = krylov_solve(
+        gmres, jacobian, precondition, -F, forcing_term(F), KRYLOV_CYCLES
     )
-    if info != 0:
+    if delta is None:
         return None
     size = float(np.max(np.abs(delta[n:])))
     alpha = min(1.0, cap / size) if size > 0.0 else 1.0
@@ -356,28 +351,31 @@ def solve_system(
 
     Factors are handed on from step to step through one list, ``kept``,
     which holds at most one factor for the next step to try: first the
-    Laplacian's; then that of a coupled Newton step, or of a sweep's last
-    determinant step (see :func:`amce.ma.solve_ma`), whose change is at
-    most ``outer_tol``, so that the next operator differs from its own at
-    the size of that change; or a factor that a linear solve's
-    minimal-residual passes rescued, scaled to stand for that solve's
-    operator (:meth:`~amce.operators.PermutedLU.scaled`).  A sweep's linear
-    solve makes no factor of its own when the kept one brings it within
-    ``lma_tol`` (see :func:`amce.lma.solve_lma`): plain refinement serves a
-    nearby operator, and minimal-residual passes a multiple of the
-    factored one, as the first linear operator is of the Laplacian when
-    the Poisson start is a paraboloid.  A coupled Newton step makes none
-    when the kept factor stands for its own operator bit for bit (see
-    :func:`_newton_step`).  Every other step drops the kept factor before
-    it makes its own (a determinant step empties ``kept``), so at most one
-    factor is alive at any factorization.
+    Laplacian's; then the factor a sweep's determinant solve held (see
+    :func:`amce.ma.solve_ma`) or a coupled Newton step used, when the last
+    change it made is at most ``outer_tol``, so that the next operator
+    differs from the one its GMRES or its own factor solved at the size of
+    that change; or a factor that a linear solve rescued, by
+    minimal-residual passes (then scaled to stand for that solve's
+    operator, :meth:`~amce.operators.PermutedLU.scaled`) or by GMRES.  A
+    determinant solve takes the kept factor and solves every step by GMRES
+    through it, factoring a step's own matrix only when GMRES fails.  A
+    sweep's linear solve makes no factor of its own when the kept one
+    brings it within ``lma_tol`` (see :func:`amce.lma.solve_lma`): plain
+    refinement serves a nearby operator, minimal-residual passes a
+    multiple of the factored one, as the first linear operator is of the
+    Laplacian when the Poisson start is a paraboloid, and GMRES any
+    operator the factor preconditions well.  A coupled Newton step makes
+    none when the kept factor stands for its own operator bit for bit (see
+    :func:`_newton_step`).  Every step that makes a factor drops the kept
+    one first, so at most one factor is alive at any factorization.
 
     So ``radial_quartic`` takes 7 factors at h = 1/16 to 1/128: the
     Laplacian's, whose scaled factor serves the damped sweep's linear step
     and the first Newton step, and 6 more Newton steps; the two paraboloids
-    take the Laplacian's alone; ``sheared_half``, one sweep whose
-    determinant solve ends on a step within ``outer_tol``, takes 5 at 1/16
-    to 1/64: the Laplacian's and 4 determinant steps.  The one Laplacian
+    take the Laplacian's alone; ``sheared_half``, one sweep, takes the
+    Laplacian's alone too at 1/16 to 1/128: its 4 determinant steps and
+    its linear step run GMRES through that factor.  The one Laplacian
     factor solves for the harmonic extension of ``psi``, the first weight,
     and then for the determinant solve's Poisson start (see
     :func:`amce.ma.initial_guess`), and then waits in ``kept``.
@@ -417,8 +415,8 @@ def solve_system(
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
-            # a determinant step drops the kept factor before making its own,
-            # and keeps that one when the step is within outer_tol
+            # the determinant solve runs GMRES through the kept factor, and
+            # keeps the factor it holds when its last step is within outer_tol
             u, ma_rep = solve_ma(
                 problem, opts, initial=u, kept=kept, keep_tol=opts.outer_tol
             )

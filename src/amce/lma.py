@@ -9,13 +9,13 @@ puts the operator in both divergence and non-divergence form in the
 continuum.  The discretization here is the non-divergence form with
 node-wise frozen coefficients, assembled from the cut-cell second-difference
 operators by :func:`assemble_lma` (the Newton step of the nonlinear solver
-factors the same operator), and solved with a sparse direct factorization.
+solves with the same operator), and solved through a sparse LU factor.
 The matrix is not symmetric and carries no M-matrix guarantee; a
 sign-pattern audit and a condition estimate are reported instead of a
 monotonicity assumption.  A call of :func:`solve_lma` makes its own
 factorization and drops it on return, unless a factor handed to it already
-solves within the tolerance; :func:`amce.coupled.solve_system` states
-which factor is handed on.
+solves within the tolerance, by refinement or by GMRES through it;
+:func:`amce.coupled.solve_system` states which factor is handed on.
 """
 from __future__ import annotations
 
@@ -23,16 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import gmres, splu
 
 from .errors import DegenerateOperatorError, NonConvergenceError
 from .grid import ScalarField, require_finite
 from .operators import (
     COUNTS,
+    KRYLOV_HELD_CYCLES,
     HessianField,
     discrete_hessian,
     factor_lu,
     grid_operators,
+    krylov_solve,
     pivoting_lu,
 )
 
@@ -40,6 +42,10 @@ Array = np.ndarray
 
 #: Default bound on the componentwise backward error of :func:`solve_lma`.
 LMA_TOL = 1e-10
+#: GMRES tolerance, relative to the right-hand side in the 2-norm, of a
+#: solve through a handed factor that refinement leaves above the bound: a
+#: few ulps, about what a direct solve refined once leaves.
+_RESCUE_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -128,9 +134,14 @@ def solve_lma(
     four minimal-residual passes follow (see :func:`_refined_solve`), which
     are exact when ``D`` is a multiple of the factored operator; a factor
     they bring within ``tol`` goes back into ``kept`` scaled, as a factor
-    of ``D`` (:meth:`~amce.operators.PermutedLU.scaled`).  No factor is
-    made when either meets ``tol``.  Otherwise that factor is dropped and
-    ``D``'s own is made by :func:`amce.operators.factor_lu`; so it is too
+    of ``D`` (:meth:`~amce.operators.PermutedLU.scaled`).  When they miss
+    it too, restarted GMRES left-preconditioned by the factor runs from
+    their last iterate (:func:`amce.operators.krylov_solve`, within
+    ``KRYLOV_HELD_CYCLES`` cycles, to a relative residual of a few ulps,
+    ``_RESCUE_RTOL``), and a factor it brings within ``tol`` goes back
+    into ``kept`` as it was.  No factor is made when any of the three
+    meets ``tol``.  Otherwise that factor is dropped and ``D``'s own is
+    made by :func:`amce.operators.factor_lu`; so it is too
     when ``report_condition`` asks for the condition estimate, which must
     come from ``D``'s own factor.  Symmetric mode keeps a diagonal pivot
     however small, so when its solve leaves the backward error above
@@ -167,6 +178,15 @@ def solve_lma(
             )
             if backward <= tol:
                 kept.append(lu.scaled(scale, D))
+        if not backward <= tol:
+            v = krylov_solve(
+                gmres, D.dot, lu.solve, problem.g - B @ problem.psi_hits,
+                _RESCUE_RTOL, KRYLOV_HELD_CYCLES, x0=field.values,
+            )
+            if v is not None:
+                field, resid_sup, backward = _measured(problem, D, B, v)
+                if backward <= tol:
+                    kept.append(lu)
         if not backward <= tol:
             lu = None  # dropped before D's own factor is made
     if lu is None:
@@ -234,13 +254,19 @@ def _refined_solve(
         v = v + z
         prev = rn
 
+    scale = 1.0 if scale is None else scale
+    return *_measured(problem, D, B, v), scale
+
+
+def _measured(problem: LMAProblem, D, B, v: Array) -> tuple[ScalarField, float, float]:
+    """``(v, residual sup, componentwise backward error)`` of the solution ``v``."""
+    psi = problem.psi_hits
     field = ScalarField(grid=problem.hessian.grid, values=v, hit_values=psi.copy())
     resid = lma_residual(field, problem.hessian, problem.g)
     denom = abs(D) @ np.abs(v) + np.abs(problem.g) + abs(B) @ np.abs(psi)
     denom = np.maximum(denom, np.finfo(float).tiny)
     backward = float(np.max(np.abs(resid) / denom))
-    scale = 1.0 if scale is None else scale
-    return field, float(np.max(np.abs(resid))), backward, scale
+    return field, float(np.max(np.abs(resid))), backward
 
 
 def lma_residual(v: ScalarField, H: HessianField, g: Array) -> Array:

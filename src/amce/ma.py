@@ -9,9 +9,12 @@ determinant is the cofactor contraction
 so each Newton step solves the sparse linearized problem
 ``(U11 Dxx + 2 U12 Dxy + U22 Dyy) delta = -(det H(u) - g)`` with the
 cofactor frozen at the current iterate: the operator of
-:func:`amce.lma.assemble_lma`, factored afresh at every step.  Eigenvalues
-of ``H`` are clamped from below before forming ``U`` so the linearization
-stays elliptic when an iterate grazes the convexity boundary.  One number
+:func:`amce.lma.assemble_lma`.  The solve holds one LU factor and solves
+each step by GMRES through it to a forcing term, so Newton still converges
+quadratically; a step factors its own matrix only when no factor is held
+or GMRES cannot solve through the held one.  Eigenvalues of ``H`` are
+clamped from below before forming ``U`` so the linearization stays
+elliptic when an iterate grazes the convexity boundary.  One number
 measures every iterate, the backward error ``max_i |det H(u) - g|_i /
 floor_i`` (:func:`roundoff_floor`): a backtracking line search enforces
 its decrease, and Newton stops once it is at most ``BERR_TOL``.
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import gmres, splu
 
 from .errors import (
     ConvexityFailureError,
@@ -36,10 +39,13 @@ from .grid import Grid, ScalarField, require_finite
 from .lma import assemble_lma
 from .operators import (
     COUNTS,
+    KRYLOV_HELD_CYCLES,
     HessianField,
     discrete_hessian,
     factor_lu,
+    forcing_term,
     grid_operators,
+    krylov_solve,
     solve_poisson,
 )
 
@@ -96,6 +102,7 @@ class MAReport:
     min_hessian_eigenvalue: float
     backtracks: int = 0
     pivoting_refactors: int = 0  # default-pivoting retries of a step's factor
+    krylov_iterations: int = 0  # GMRES iterations of the steps through a held factor
 
 
 def initial_guess(problem: MAProblem, poisson=None) -> ScalarField:
@@ -149,18 +156,24 @@ def solve_ma(
 ) -> tuple[ScalarField, MAReport]:
     """Damped Newton solve; returns the solution field and an iteration report.
 
-    Every Newton step factors its own clamped matrix.  ``kept``, when
-    given, is the caller's list of held factors: it is emptied before each
-    of those factorizations, so one factor is alive at a time, and a step
-    whose Newton update is at most ``keep_tol`` in sup norm (so it moves
-    ``u`` by no more) leaves its factor in it.  A linear solve on the
-    returned ``u``, whose operator differs from the last step's at the size
-    of that update, can then refine through that factor in place of making
-    one (see :func:`amce.lma.solve_lma`).  Any other step's factor is
-    dropped before the line search.  Steps and backtracks count in
-    :data:`amce.operators.COUNTS` as they are taken, and the report reads
-    them, with the steps' ``pivoting_refactors``, off the counts made since
-    the first step.
+    The solve holds at most one LU factor: the one handed in ``kept``,
+    taken out of it by the first step, or else the last one a step made.
+    Each step solves its clamped system by GMRES left-preconditioned by
+    that factor (:func:`amce.operators.krylov_solve`), to the relative
+    tolerance :func:`amce.operators.forcing_term` of the residual, within
+    ``KRYLOV_HELD_CYCLES`` restart cycles.  A step factors its own matrix
+    (:func:`amce.operators.factor_lu`) and solves through that factor
+    exactly in three cases only: no factor is held, GMRES does not
+    converge, or it returns a non-finite update; the held factor is
+    dropped before that ``splu``, so one factor is alive at a time.  When
+    the last step's update is at most ``keep_tol`` in sup norm (so it moves
+    ``u`` by no more), the held factor goes back into ``kept``: a linear
+    solve on the returned ``u`` can then solve through it in place of
+    making one (see :func:`amce.lma.solve_lma`).  Otherwise it is dropped,
+    and a solve that takes no step leaves ``kept`` as it was.  Steps,
+    backtracks and GMRES iterations count in :data:`amce.operators.COUNTS`
+    as they are taken, and the report reads them, with the steps'
+    ``pivoting_refactors``, off the counts made since the first step.
 
     Newton stops when the backward error is at most ``BERR_TOL`` or when
     ``max |det H(u) - g| <= newton_tol``; the line search measures each
@@ -188,6 +201,7 @@ def solve_ma(
     berr = float(np.max(np.abs(res) / floor))
 
     start = COUNTS.copy()  # the Poisson start's factor is not a step's
+    lu = None  # the held factor
     while res_norm > opts.newton_tol and berr > BERR_TOL:
         if len(history) > opts.max_newton_iters:
             raise NonConvergenceError(
@@ -196,16 +210,20 @@ def solve_ma(
                 history=history,
             )
         J = assemble_lma(H.clamped(opts.eps_clamp))
-        if kept is not None:
-            kept.clear()
-        try:
-            lu = factor_lu(splu, J, problem.grid)
-        except RuntimeError as exc:
-            raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
-        delta = lu.solve(-res)
-        if kept is not None and float(np.max(np.abs(delta))) <= keep_tol:
-            kept.append(lu)
-        del lu  # kept or not, it is gone before the next splu
+        if lu is None and kept:
+            lu = kept.pop()
+        delta = None
+        if lu is not None:
+            delta = krylov_solve(
+                gmres, J.dot, lu.solve, -res, forcing_term(res), KRYLOV_HELD_CYCLES
+            )
+        if delta is None:
+            lu = None  # dropped before J's own factor is made
+            try:
+                lu = factor_lu(splu, J, problem.grid)
+            except RuntimeError as exc:
+                raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
+            delta = lu.solve(-res)
 
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
@@ -227,6 +245,9 @@ def solve_ma(
         berr = float(np.max(np.abs(res) / floor))
         COUNTS["newton_iterations_total"] += 1
 
+    # a held factor means a step was taken, and delta is the last one's
+    if lu is not None and kept is not None and np.max(np.abs(delta)) <= keep_tol:
+        kept.append(lu)
     min_eig = H.min_eigenvalue()
     if min_eig <= 0.0:
         raise ConvexityFailureError(
@@ -239,5 +260,6 @@ def solve_ma(
         min_hessian_eigenvalue=min_eig,
         backtracks=counts["backtracks_total"],
         pivoting_refactors=counts["pivoting_refactors"],
+        krylov_iterations=counts["krylov_iterations_total"],
     )
     return u, report

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateOperatorError, IncompleteDataError
@@ -414,6 +414,71 @@ def factor_lu(splu, A: sp.csc_matrix, grid: Grid) -> PermutedLU:
         return PermutedLU(splu(A[p][:, p], **SYMMETRIC_LU), p)
     except RuntimeError:
         return pivoting_lu(splu, A)
+
+
+# GMRES of :func:`krylov_solve`: its restart length, and the floor and
+# ceiling of :func:`forcing_term`
+_KRYLOV_RESTART = 10
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_RTOL_MAX = 1e-2
+#: Restart cycles of a coupled Newton step's GMRES.
+KRYLOV_CYCLES = 10
+#: Restart cycles of a determinant step's GMRES, or of a linear solve's,
+#: through a factor held from another operator: 30 iterations at most, about
+#: one factorization's cost when they fail.
+KRYLOV_HELD_CYCLES = 3
+
+
+def forcing_term(residual: Array) -> float:
+    """GMRES tolerance of a Newton step: ``max(1e-10, min(1e-2, max |F|))``.
+
+    A forcing term in the sense of Dembo, Eisenstat and Steihaug (SIAM J.
+    Numer. Anal. 19, 1982): loose while the residual ``F`` is large, and at
+    the floor once Newton converges, so the steps still converge
+    quadratically.
+    """
+    return max(_KRYLOV_RTOL, min(_KRYLOV_RTOL_MAX, float(np.max(np.abs(residual)))))
+
+
+def krylov_solve(
+    gmres,
+    matvec: Callable[[Array], Array],
+    precondition: Callable[[Array], Array],
+    b: Array,
+    rtol: float,
+    cycles: int,
+    x0: Array | None = None,
+) -> Array | None:
+    """``x`` with ``|b - A x|_2 <= rtol |b|_2`` by restarted GMRES, or None.
+
+    ``matvec`` applies ``A`` and ``precondition`` solves through a held LU
+    factor (:class:`PermutedLU`), as the left preconditioner.  GMRES
+    restarts every ``_KRYLOV_RESTART`` iterations and starts from ``x0``
+    (zero when None); None when ``cycles`` restart cycles do not reach
+    ``rtol`` or ``x`` is not finite.  Every iteration counts in
+    ``COUNTS["krylov_iterations_total"]``.  ``gmres`` is the caller's own
+    binding of :func:`scipy.sparse.linalg.gmres`, so that a test can
+    replace it at one call site.
+    """
+    shape = (len(b), len(b))
+
+    def count(_):
+        COUNTS["krylov_iterations_total"] += 1
+
+    x, info = gmres(
+        LinearOperator(shape, matvec=matvec, dtype=float),
+        b,
+        x0=x0,
+        rtol=rtol,
+        restart=_KRYLOV_RESTART,
+        maxiter=cycles,
+        M=LinearOperator(shape, matvec=precondition, dtype=float),
+        callback=count,
+        callback_type="pr_norm",
+    )
+    if info != 0 or not np.isfinite(x).all():
+        return None
+    return x
 
 
 def poisson_solver(

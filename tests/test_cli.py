@@ -856,6 +856,18 @@ def test_ma_command_consistent_quadratic(tmp_path):
     assert np.allclose(u.values, (grid.nodes**2).sum(axis=1), atol=1e-8)
 
 
+def test_ma_command_reports_its_krylov_iterations(tmp_path):
+    """``amce ma`` factors its first step's matrix and solves the later
+    steps by GMRES through it; the report counts those GMRES iterations."""
+    cfg = write_cfg(tmp_path, {"domain": DISK16, "fixture": {"name": "sheared_half"}})
+    out = str(tmp_path / "o")
+    assert main(["ma", "--config", cfg, "--out", out]) == 0
+    results = read_report(out)["results"]
+    assert results["iterations"] == 4
+    assert results["krylov_iterations"] == 6
+    assert results["pivoting_refactors"] == 0
+
+
 def test_lma_command_from_csv(tmp_path):
     grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
     quad = 0.5 * (grid.nodes**2).sum(axis=1)
@@ -1175,7 +1187,8 @@ def test_report_key_sets(tmp_path):
     assert main(["ma", "--config", cfg, "--out", out]) == 0
     assert set(read_report(out)["results"]) == {
         "iterations", "residual_history", "min_hessian_eigenvalue",
-        "backtracks", "pivoting_refactors", "n_nodes", "n_hits", "outputs",
+        "backtracks", "pivoting_refactors", "krylov_iterations", "n_nodes",
+        "n_hits", "outputs",
     }
     cfg = write_cfg(tmp_path, fixture, name="lma.json")
     out = str(tmp_path / "lma")

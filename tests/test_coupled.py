@@ -245,6 +245,10 @@ def _failing_gmres(A, b, **kwargs):
     return np.zeros_like(b), 1
 
 
+def _non_finite_gmres(A, b, **kwargs):
+    return np.full_like(b, np.nan), 0
+
+
 def _nonconvex_gmres(A, b, **kwargs):
     # leaves w alone, so the step is not capped, and breaks the convexity of u
     step = np.zeros_like(b)
@@ -258,31 +262,46 @@ def _raising_splu(A, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "name, replacement, newton, ma_steps, factors",
+    "name, replacement, outer, newton, ma_steps, factors, krylov, ma_krylov",
     [
-        pytest.param("gmres", _failing_gmres, 0, 92, 168, id="_failing_gmres"),
-        pytest.param("gmres", _nonconvex_gmres, 0, 92, 168, id="_nonconvex_gmres"),
-        pytest.param("splu", _raising_splu, 1, 87, 209, id="_raising_splu"),
+        pytest.param(
+            "gmres", _failing_gmres, 49, 0, 94, 120, 141, 132, id="_failing_gmres"
+        ),
+        pytest.param(
+            "gmres", _non_finite_gmres, 49, 0, 94, 120, 141, 132, id="_non_finite_gmres"
+        ),
+        pytest.param(
+            "gmres", _nonconvex_gmres, 49, 0, 94, 120, 141, 132, id="_nonconvex_gmres"
+        ),
+        pytest.param("splu", _raising_splu, 48, 2, 82, 163, 100, 95, id="_raising_splu"),
     ],
 )
 def test_unusable_newton_step_falls_back_to_damped_sweeps(
-    grid16, monkeypatch, name, replacement, newton, ma_steps, factors
+    grid16, monkeypatch, name, replacement, outer, newton, ma_steps, factors,
+    krylov, ma_krylov,
 ):
-    """Every unusable Newton step is a damped sweep: 49 iterations in all.
+    """Every unusable Newton step is a damped sweep.
 
     The sweeps stop about 1e-8 short of the discrete solution that Newton
-    reaches.  The determinant solves' steps and backtracks are summed.
-    With GMRES replaced, all 48 Newton steps are unusable, and the 168
-    factorizations are the Laplacian's, one per determinant Newton step
-    (92), the factor of each failed Newton step but the first (47), which
-    takes the first sweep's scaled Laplacian factor, and 28 of the 50
-    linear steps: the first solves through the Laplacian factor, and 21
-    follow a determinant step that moved ``u`` by at most ``outer_tol`` and
-    refine through its factor.  With ``splu`` raising, that first Newton
-    step makes no factor and is usable; the 47 after it fail, each with
-    two ``splu`` calls, the symmetric-mode one and its partial-pivoting
-    retry, and the 48 damped sweeps take 87 determinant Newton steps:
-    209 factorizations in all.
+    reaches.  The determinant solves' steps, backtracks and GMRES
+    iterations are summed.  A determinant solve factors its first step's
+    matrix, since the failed Newton step before it leaves nothing kept,
+    and solves its later steps by GMRES through that factor.  With the
+    coupled step's GMRES replaced (not converged, a non-finite step, or a
+    step that breaks convexity), all 48 Newton steps are unusable, and
+    the 120 factorizations are the Laplacian's, one per determinant solve
+    that steps (49 of 50; the first sweep's takes no step), 44 of the 48
+    failed Newton steps (the first takes the first sweep's scaled
+    Laplacian factor, and 3 follow a linear solve whose minimal-residual
+    passes rescued the factor it was handed, which so stands for their
+    ``A`` bit for bit), and 26 of the 50 linear steps (the first solves
+    through the Laplacian factor, 23 through the factor a determinant
+    solve handed on after moving ``u`` by at most ``outer_tol``).  With
+    ``splu`` raising, the Newton steps that take a kept factor are usable
+    (2, the first and one after such a rescue); the 45 that fail make two
+    ``splu`` calls each, the symmetric-mode one and its partial-pivoting
+    retry, and 46 of the 47 determinant solves step: 163 factorizations
+    in 48 iterations.
     """
     import amce.coupled
 
@@ -300,15 +319,16 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
     monkeypatch.setattr(amce.coupled, name, replacement)
     calls = _count_splu(monkeypatch)
     u, w, report = solve_system(problem)
-    assert report.outer_iterations == 49
+    assert report.outer_iterations == outer
     assert report.newton_iterations_total == ma_steps
     assert report.coupled_newton_steps == newton
-    assert (report.krylov_iterations_total > 0) == (newton > 0)
-    retried = 47 if name == "splu" else 0
+    assert report.krylov_iterations_total == krylov
+    retried = 45 if name == "splu" else 0
     assert report.pivoting_refactors == retried
     assert report.factorizations == len(calls) == factors
     assert report.newton_iterations_total == sum(r.iterations for r in ma_reports)
     assert report.backtracks_total == sum(r.backtracks for r in ma_reports)
+    assert sum(r.krylov_iterations for r in ma_reports) == ma_krylov
     assert np.abs(u.values - u_newton.values).max() < 1e-8
     assert np.abs(w.values - w_newton.values).max() < 1e-8
 
@@ -317,9 +337,10 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     """A polish without Newton steps keeps the last sweep's linear solution.
 
     ``sheared_half`` converges in one sweep and its polish takes no Newton
-    step; solving the linear step again would make 6 factorizations.  The
-    returned ``w`` is, bit for bit, the one linear solve's, on the returned
-    ``u``'s Hessian.
+    step; solving the linear step again would run GMRES through the kept
+    Laplacian factor once more.  The whole solve makes that one factor.
+    The returned ``w`` is, bit for bit, the one linear solve's, on the
+    returned ``u``'s Hessian.
     """
     import amce.coupled
     from amce import discrete_hessian
@@ -337,8 +358,8 @@ def test_unmoved_polish_reuses_last_linear_step(grid16, monkeypatch):
     problem = problem_from_exact(grid16, get_fixture("sheared_half", theta=0.25))
     u, w, report = solve_system(problem)
     assert report.outer_iterations == 1
-    assert len(calls) == 5
-    assert report.factorizations == 5
+    assert len(calls) == 1
+    assert report.factorizations == 1
     assert len(solved) == 1
     (H, linear), H_u = solved[0], discrete_hessian(u)
     for name in ("hxx", "hxy", "hyy"):
@@ -408,10 +429,12 @@ def test_linear_step_refines_through_the_last_determinant_step_factor(
     grid16, monkeypatch
 ):
     """``sheared_half``'s one sweep ends on a determinant step that moves
-    ``u`` by at most ``outer_tol``; its linear solve refines through that
-    step's factor and makes none, so the solve makes 5 factors, never two
-    alive at once.  The refined ``w`` is at the round-off floor and within
-    1e-13 of a solve that factors its own operator."""
+    ``u`` by at most ``outer_tol``; every step solved by GMRES through the
+    Laplacian factor it was handed, and that factor is handed on to the
+    linear solve, which makes none either: the solve makes the Laplacian's
+    factor alone, and no other factor is alive when it is made.  The
+    linear solution is at the round-off floor and within 1e-13 of a solve
+    that factors its own operator."""
     import amce.coupled
     from amce import LMAProblem, discrete_hessian
     from amce.operators import COUNTS
@@ -432,7 +455,7 @@ def test_linear_step_refines_through_the_last_determinant_step_factor(
     u, w, report = solve_system(problem)
     [(handed, made, backward)] = solves
     assert handed and made == 0
-    assert len(live) == report.factorizations == 5
+    assert len(live) == report.factorizations == 1
     assert max(live) == 0
     assert backward <= 1e-15
     fresh, _ = solve_lma(
@@ -442,11 +465,12 @@ def test_linear_step_refines_through_the_last_determinant_step_factor(
 
 
 def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypatch):
-    """When the polish's determinant solve takes a step (forced here by
-    moving its start), the kept factor is dropped before that step's factor
-    is made.  The moved start's last step is within ``outer_tol``, so the
-    polish's linear solve refines through that step's factor in place of
-    making its own."""
+    """When the polish's determinant solve takes steps (forced here by
+    moving its start), they solve by GMRES through the kept factor, the
+    last Newton step's, and make none.  The moved start's last step is
+    within ``outer_tol``, so that factor is kept again and the polish's
+    linear solve refines through it in place of making its own: the
+    forced steps add no factor, and no two factors are ever alive."""
     import amce.coupled
 
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -464,8 +488,8 @@ def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypa
     live = _track_live_factors(monkeypatch)
     _, w, report = solve_system(problem)
     assert len(starts) == 2
-    assert report.newton_iterations_total > 0
-    assert len(live) == report.factorizations == 7 + report.newton_iterations_total
+    assert report.newton_iterations_total == 2
+    assert len(live) == report.factorizations == 7
     assert max(live) == 0
     assert np.abs(w.values - w_ref.values).max() < 1e-8
 
@@ -478,7 +502,7 @@ def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypa
         ("paraboloid_r2", "grid32", 1),
         ("paraboloid_r2", "grid64", 1),
         ("radial_quartic", "grid32", 7),
-        ("sheared_half", "grid16", 5),
+        ("sheared_half", "grid16", 1),
     ],
 )
 def test_laplacian_factor_is_handed_to_the_first_sweep(
@@ -490,10 +514,10 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
     step, a multiple of the Laplacian, solves through that factor: the
     paraboloids make the Laplacian's factor alone, and ``radial_quartic``
     7 (the first Newton step takes the scaled factor), with GMRES at 24
-    iterations.  ``sheared_half``'s determinant solve steps, and the
-    Laplacian factor is dropped before its first step's factor is made:
-    the live-factor count, the Laplacian's included, is 0 at every
-    ``splu``.
+    iterations.  ``sheared_half``'s determinant solve steps by GMRES
+    through the Laplacian factor and hands it on to its linear step, so
+    that solve too makes the Laplacian's factor alone; at that ``splu`` no
+    factor is alive.
     """
     import amce.coupled
 
@@ -514,6 +538,26 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
     assert report.pivoting_refactors == 0
     if name == "radial_quartic":
         assert report.krylov_iterations_total == 24
+
+
+@pytest.mark.parametrize("k", [16, 32, 64, 128])
+def test_sheared_half_makes_one_factor_at_every_spacing(k, monkeypatch):
+    """``sheared_half`` makes the Laplacian's factor alone at h = 1/16 to
+    1/128: its determinant steps and its linear solve all run GMRES through
+    that factor.  Its 4 determinant steps are the same at every spacing
+    (none in the polish), and ``u`` and ``w`` stay at round-off."""
+    from amce import Disk, build_grid
+
+    grid = build_grid(Disk(radius=1.0), 1.0 / k)
+    exact = get_fixture("sheared_half", theta=0.25)
+    live = _track_live_factors(monkeypatch)
+    u, w, report = solve_system(problem_from_exact(grid, exact))
+    assert len(live) == report.factorizations == 1
+    assert max(live) == 0
+    assert report.newton_iterations_total == 4
+    assert report.krylov_iterations_total > 0
+    assert np.abs(u.values - exact.u(grid.nodes)).max() <= (1e-13 if k == 128 else 1e-14)
+    assert np.abs(w.values - exact.w(grid.nodes)).max() <= 1e-13
 
 
 def test_newton_step_takes_a_kept_factor_only_of_its_own_operator(grid16):

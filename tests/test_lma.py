@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from amce import Disk, ScalarField, build_grid
 from amce.errors import DegenerateOperatorError
@@ -239,27 +240,61 @@ def test_condition_estimate_comes_from_the_operators_own_factor(grid32):
     assert report.condition_estimate == want.condition_estimate
 
 
-def test_bad_factor_is_replaced_by_one_fresh_factor(grid32):
-    """A factor that neither refinement brings within the tolerance (the
-    Laplacian's, for the operator of ``sheared_half``, which is no multiple
-    of it) is dropped, and one symmetric-mode factor of the operator itself
-    is made in its place."""
-    from amce.fixtures import get_fixture
-    from amce.operators import poisson_solver
+def _factor_of_diagonal(A, **kwargs):
+    from scipy.sparse.linalg import splu
 
-    exact = get_fixture("sheared_half", theta=0.25)
-    u = ScalarField.from_callable(grid32, exact.u)
-    problem = LMAProblem(
+    return splu(sp.diags(A.diagonal()).tocsc(), **kwargs)
+
+
+def _sheared_problem(grid):
+    from amce.fixtures import get_fixture
+
+    u = ScalarField.from_callable(grid, get_fixture("sheared_half", theta=0.25).u)
+    return LMAProblem(
         hessian=discrete_hessian(u),
-        g=np.full(grid32.n_nodes, -1.0),
-        psi_hits=1.0 + 0.2 * grid32.hit_points[:, 0],
+        g=np.full(grid.n_nodes, -1.0),
+        psi_hits=1.0 + 0.2 * grid.hit_points[:, 0],
     )
+
+
+def test_factor_of_another_operator_is_rescued_by_gmres(grid32):
+    """The Laplacian's factor, for the operator of ``sheared_half``, which is
+    no multiple of it, misses the tolerance through both refinements; GMRES
+    through it, from their last iterate, reaches the round-off floor within
+    its budget.  No factor is made, and the handed factor goes back into
+    ``kept`` as it was."""
+    from amce.operators import KRYLOV_HELD_CYCLES, poisson_solver
+
+    problem = _sheared_problem(grid32)
     want, _ = solve_lma(problem)
     handed: list = []
     poisson_solver(grid32, handed)
+    lap = handed[0]
     v, report, counts, kept = _solve_counting(problem, handed.pop())
+    assert counts["factorizations"] == 0
+    assert 0 < counts["krylov_iterations_total"] < 10 * KRYLOV_HELD_CYCLES
+    assert report.backward_error <= 1e-15
+    assert report.pivoting_refactors == 0
+    assert np.abs(v.values - want.values).max() < 1e-12
+    assert kept == [lap] and kept[0].scale == 1.0
+
+
+def test_bad_factor_is_replaced_by_one_fresh_factor(grid32):
+    """A factor that neither refinement nor GMRES's budget brings within the
+    tolerance (the factor of ``D``'s diagonal alone, for the operator of
+    ``sheared_half``) is dropped, and one symmetric-mode factor of the
+    operator itself is made in its place."""
+    from amce.operators import KRYLOV_HELD_CYCLES
+
+    problem = _sheared_problem(grid32)
+    want, _ = solve_lma(problem)
+    D = assemble_lma(problem.hessian)
+    v, report, counts, kept = _solve_counting(
+        problem, factor_lu(_factor_of_diagonal, D, grid32)
+    )
     assert counts["factorizations"] == 1
     assert counts["pivoting_refactors"] == 0
+    assert counts["krylov_iterations_total"] == 10 * KRYLOV_HELD_CYCLES
     assert report.backward_error <= 1e-10
     assert report.pivoting_refactors == 0
     assert np.abs(v.values - want.values).max() < 1e-12

@@ -46,9 +46,11 @@ def test_newton_history_strictly_decreasing(grid32, monkeypatch):
     hist = report.residual_history
     assert all(hist[i + 1] < hist[i] for i in range(len(hist) - 1))
     assert report.min_hessian_eigenvalue > 0.0
-    # every Newton step factors its own matrix
+    # with no factor handed, the first step factors its matrix and every
+    # later step solves by GMRES through that factor
     assert report.iterations >= 2
-    assert len(calls) == report.iterations
+    assert len(calls) == 1
+    assert report.krylov_iterations > 0
 
 
 def test_residual_defined_through_hessian(grid16):
@@ -113,3 +115,112 @@ def test_anisotropic_domain_solve():
     assert report.residual_history[-1] < 1e-10
     exact = phi(grid.nodes)
     assert np.abs(u.values - exact).max() < 1e-9
+
+
+def _reference_solve_ma(problem, options=None):
+    """The factor-per-step Newton loop of :func:`solve_ma`: every step
+    factors its clamped matrix and solves through that factor once.  The
+    same start, line search and stop; no factor is handed in or kept."""
+    from amce.lma import assemble_lma
+    from amce.ma import (
+        _ARMIJO,
+        _BACKTRACK_FACTOR,
+        _MAX_BACKTRACKS,
+        BERR_TOL,
+        roundoff_floor,
+    )
+    from amce.operators import discrete_hessian, factor_lu
+
+    opts = options or MASolveOptions()
+    u = initial_guess(problem)
+    g = problem.g.values
+    H = discrete_hessian(u)
+    res = H.det() - g
+    history = [float(np.max(np.abs(res)))]
+    floor = roundoff_floor(u, H, g)
+    berr = float(np.max(np.abs(res) / floor))
+    while history[-1] > opts.newton_tol and berr > BERR_TOL:
+        assert len(history) <= opts.max_newton_iters
+        J = assemble_lma(H.clamped(opts.eps_clamp))
+        delta = factor_lu(splu, J, problem.grid).solve(-res)
+        alpha = 1.0
+        for _ in range(_MAX_BACKTRACKS + 1):
+            trial = u.with_values(u.values + alpha * delta)
+            H_trial = discrete_hessian(trial)
+            res_trial = H_trial.det() - g
+            if np.max(np.abs(res_trial) / floor) <= (1.0 - _ARMIJO * alpha) * berr:
+                break
+            alpha *= _BACKTRACK_FACTOR
+        u, H, res = trial, H_trial, res_trial
+        history.append(float(np.max(np.abs(res))))
+        floor = roundoff_floor(u, H, g)
+        berr = float(np.max(np.abs(res) / floor))
+    return u, history
+
+
+def _bump_problem(grid):
+    g = lambda p: 1.0 + 0.5 * np.exp(-4.0 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+    return MAProblem.from_callables(grid, g, _quad_phi)
+
+
+def _unconverged_gmres(A, b, **kwargs):
+    return np.zeros_like(b), 1
+
+
+def _non_finite_gmres(A, b, **kwargs):
+    return np.full_like(b, np.nan), 0
+
+
+@pytest.mark.parametrize("gmres", [_unconverged_gmres, _non_finite_gmres])
+def test_step_that_gmres_cannot_solve_factors_its_matrix(grid32, monkeypatch, gmres):
+    """When GMRES through the held factor does not converge, or returns a
+    non-finite step, the step factors its own matrix and solves through it:
+    every step makes one factor, and ``u`` and the residual history are the
+    factor-per-step loop's, bit for bit."""
+    import amce.ma
+
+    problem = _bump_problem(grid32)
+    want, want_history = _reference_solve_ma(problem)
+    monkeypatch.setattr(amce.ma, "gmres", gmres)
+    calls = []
+
+    def counted(A, **kwargs):
+        calls.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(amce.ma, "splu", counted)
+    u, report = solve_ma(problem)
+    assert report.iterations == len(want_history) - 1 >= 2
+    assert len(calls) == report.iterations
+    assert report.krylov_iterations == 0
+    assert report.residual_history == want_history
+    assert u.values.tobytes() == want.values.tobytes()
+
+
+def test_steps_through_the_held_factor_reach_the_reference_solution(grid32):
+    """Steps solved by GMRES through the first step's factor take as many
+    steps as the factor-per-step loop and end within round-off of its ``u``."""
+    problem = _bump_problem(grid32)
+    want, want_history = _reference_solve_ma(problem)
+    u, report = solve_ma(problem)
+    assert report.iterations == len(want_history) - 1
+    assert report.krylov_iterations > 0
+    assert np.abs(u.values - want.values).max() <= 1e-14
+
+
+def test_handed_factor_is_held_and_kept_back(grid32):
+    """A factor handed in ``kept`` serves every step, so the solve makes
+    none; it goes back into ``kept`` when the last update is at most
+    ``keep_tol``, and is dropped otherwise."""
+    from amce.operators import COUNTS, poisson_solver
+
+    problem = _bump_problem(grid32)
+    for keep_tol, back in ((1.0, True), (0.0, False)):
+        kept: list = []
+        initial = initial_guess(problem, poisson_solver(grid32, kept))
+        lap = kept[0]
+        start = COUNTS.copy()
+        _, report = solve_ma(problem, initial=initial, kept=kept, keep_tol=keep_tol)
+        assert report.iterations >= 2
+        assert (COUNTS - start)["factorizations"] == 0
+        assert kept == ([lap] if back else [])
