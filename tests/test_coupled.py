@@ -544,17 +544,40 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
 def test_sheared_half_makes_one_factor_at_every_spacing(k, monkeypatch):
     """``sheared_half`` makes the Laplacian's factor alone at h = 1/16 to
     1/128: its determinant steps and its linear solve all run GMRES through
-    that factor.  Its 4 determinant steps are the same at every spacing
-    (none in the polish), and ``u`` and ``w`` stay at round-off."""
-    from amce import Disk, build_grid
+    that factor.  The determinant solve before the polish takes 4 steps at
+    every spacing.  The polish solves again at the ``g`` of the linear
+    solve's ``w``, which differs from the last ``g`` by round-off alone, so
+    its starting backward error sits at a few floors: it takes one step
+    exactly when that error is above ``BERR_TOL`` (at 1/128 it is 1.9 or
+    5.6 as the BLAS's summation order has it, with one thread or two) and
+    none otherwise.  ``u`` and ``w`` stay at round-off."""
+    import amce.coupled
+    from amce import Disk, build_grid, discrete_hessian
+    from amce.ma import BERR_TOL, roundoff_floor
 
+    solves = []  # (starting backward error, steps) of each determinant solve
+
+    def recorded(problem, *args, initial, **kwargs):
+        start = initial.copy()
+        start.hit_values = problem.phi_hits.copy()
+        H, g = discrete_hessian(start), problem.g.values
+        berr = float(np.max(np.abs(H.det() - g) / roundoff_floor(start, H, g)))
+        u, rep = solve_ma(problem, *args, initial=initial, **kwargs)
+        solves.append((berr, rep.iterations))
+        return u, rep
+
+    solve_ma = amce.coupled.solve_ma
+    monkeypatch.setattr(amce.coupled, "solve_ma", recorded)
     grid = build_grid(Disk(radius=1.0), 1.0 / k)
     exact = get_fixture("sheared_half", theta=0.25)
     live = _track_live_factors(monkeypatch)
     u, w, report = solve_system(problem_from_exact(grid, exact))
     assert len(live) == report.factorizations == 1
     assert max(live) == 0
-    assert report.newton_iterations_total == 4
+    (_, steps), (edge, polish_steps) = solves
+    assert steps == 4
+    assert polish_steps == (1 if edge > BERR_TOL else 0)
+    assert report.newton_iterations_total == steps + polish_steps
     assert report.krylov_iterations_total > 0
     assert np.abs(u.values - exact.u(grid.nodes)).max() <= (1e-13 if k == 128 else 1e-14)
     assert np.abs(w.values - exact.w(grid.nodes)).max() <= 1e-13
