@@ -20,17 +20,17 @@ splitting as preconditioner, after Knoll and Keyes, J. Comput. Phys. 193,
 ``(u, w)``, so every Jacobian block is an operator the linear step already
 assembles.  GMRES solves the Newton system to a tolerance that tightens as
 ``F`` falls (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996),
-preconditioned by the block lower-triangular splitting applied through an
-LU factor of the step's own ``cof H(u) : D^2``.  A Newton step whose
-operator cannot be factored, that GMRES cannot solve, or that would lose
-convexity or the weight's sign, is replaced by a damped sweep, and a sweep
-whose weight is not positive ends the solve.  Once the weight stops moving
-in sup norm, one more sweep runs undamped (the polish) and its linear
-solution is the returned ``w``, so both sub-equation residuals are reported
-at their floor.  Factors are handed on from step to step, and a
-determinant step or a linear solve runs GMRES through the factor it is
-handed, so that only a step that GMRES cannot serve through it makes one;
-the rule is stated once, in :func:`solve_system`.
+preconditioned by the block lower-triangular splitting applied through a
+held LU factor of a nearby ``cof H : D^2``, or of the step's own.  A
+Newton step whose operator cannot be factored, that GMRES cannot solve, or
+that would lose convexity or the weight's sign, is replaced by a damped
+sweep, and a sweep whose weight is not positive ends the solve.  Once the
+weight stops moving in sup norm, one more sweep runs undamped (the polish)
+and its linear solution is the returned ``w``, so both sub-equation
+residuals are reported at their floor.  Factors are handed on from step
+to step, and every step solves through the factor it is handed, so that
+only a step that GMRES cannot serve through it makes one; the rule is
+stated once, in :func:`solve_system`.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -57,7 +57,7 @@ from .lma import LMA_TOL, LMAProblem, assemble_lma, lma_residual, solve_lma
 from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
 from .operators import (
     COUNTS,
-    KRYLOV_CYCLES,
+    KRYLOV_HELD_CYCLES,
     discrete_hessian,
     factor_lu,
     forcing_term,
@@ -169,7 +169,7 @@ class SolveReport:
     krylov_iterations_total: int = 0  # GMRES iterations of every solve (see above)
     backtracks_total: int = 0  # line-search backtracks of the determinant solves
     pivoting_refactors: int = 0  # default-pivoting retries among the factorizations
-    lu_solves: int = 0  # solves through any LU factor, scaled or handed ones included
+    lu_solves: int = 0  # solves through any LU factor, held ones included
 
 
 #: The fields of :class:`SolveReport` read off :data:`amce.operators.COUNTS`.
@@ -239,25 +239,25 @@ def _newton_step(
     ``F1 = det H(u) - w^e`` and ``F2 = cof H(u) : H(w) - f`` with
     ``e = 1/(theta-1)``; the Jacobian ``[[A, -diag(e w^(e-1))], [C, A]]``
     has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
-    it (:func:`amce.operators.krylov_solve`, within ``KRYLOV_CYCLES``
-    restart cycles), left-preconditioned by ``[[A, 0], [C, A]]`` through
-    one LU factor of ``A``, to the relative tolerance
+    it (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
+    restart cycles), left-preconditioned by ``[[A, 0], [C, A]]`` with ``A``
+    applied through one LU factor, to the relative tolerance
     :func:`amce.operators.forcing_term` of ``F``: loose while ``F`` is
     large and the step is capped anyway, and at the floor once Newton
     converges.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
-    Returns ``(u, w, change)``, or None when ``A`` cannot be factored,
-    GMRES fails or returns a non-finite step, or the trial loses
-    ``det H(u) > 0`` or ``w > 0``.
+    Returns ``(u, w, change)``, or None when ``w^e`` overflows, ``A``
+    cannot be factored, GMRES fails or returns a non-finite step, or the
+    trial loses ``det H(u) > 0`` or ``w > 0``.
 
-    ``kept`` is the coupled solve's list of held factors, and the factor
-    held there is taken out of it.  When it stands for ``A`` bit for bit
-    (:meth:`~amce.operators.PermutedLU.factors`), as the scaled factor
-    after the first sweep of a radial fixture does, it is the step's
-    factor; any other is dropped before ``A``'s own is made.  When
-    ``change <= outer_tol`` the step's factor goes back into ``kept``, for
-    the polish that follows; otherwise it is dropped before the trial is
-    formed.
+    ``kept`` is the coupled solve's list of held factors, and the step
+    follows :func:`solve_system`'s rule for the factor held there: GMRES
+    runs through it, and only when that fails is it dropped, ``A``'s own
+    made, and GMRES run through that.  When GMRES fails through ``A``'s own
+    factor too, that factor goes back into ``kept``, for the damped sweep
+    at the same ``u``.  When ``change <= outer_tol`` the step's factor goes
+    back into ``kept``, for the polish that follows; otherwise it is
+    dropped before the trial is formed.
     Every GMRES iteration counts in ``COUNTS["krylov_iterations_total"]``,
     and a returned step in ``COUNTS["coupled_newton_steps"]``.
     """
@@ -265,13 +265,6 @@ def _newton_step(
     e = 1.0 / (data.theta - 1.0)
     Hu = discrete_hessian(u)
     A = assemble_lma(Hu)
-    lu = kept.pop() if kept else None
-    if lu is None or not lu.factors(A):
-        lu = None  # dropped before A's own factor is made
-        try:
-            lu = factor_lu(splu, A, data.grid)
-        except RuntimeError:
-            return None
     C = assemble_lma(discrete_hessian(w))
     with np.errstate(over="ignore"):
         we = w.values**e
@@ -288,10 +281,22 @@ def _newton_step(
         yu = lu.solve(r[:n])
         return np.concatenate([yu, lu.solve(r[n:] - C @ yu)])
 
-    delta = krylov_solve(
-        gmres, jacobian, precondition, -F, forcing_term(F), KRYLOV_CYCLES
-    )
+    def direction():
+        return krylov_solve(
+            gmres, jacobian, precondition, -F, forcing_term(F), KRYLOV_HELD_CYCLES
+        )
+
+    lu = kept.pop() if kept else None
+    delta = None if lu is None else direction()
     if delta is None:
+        lu = None  # dropped before A's own factor is made
+        try:
+            lu = factor_lu(splu, A, data.grid)
+        except RuntimeError:
+            return None
+        delta = direction()
+    if delta is None:
+        kept.append(lu)  # for the damped sweep at this u
         return None
     size = float(np.max(np.abs(delta[n:])))
     alpha = min(1.0, cap / size) if size > 0.0 else 1.0
@@ -355,25 +360,26 @@ def solve_system(
     :func:`amce.ma.solve_ma`) or a coupled Newton step used, when the last
     change it made is at most ``outer_tol``, so that the next operator
     differs from the one its GMRES or its own factor solved at the size of
-    that change; or a factor that a linear solve rescued, by
-    minimal-residual passes (then scaled to stand for that solve's
-    operator, :meth:`~amce.operators.PermutedLU.scaled`) or by GMRES.  A
-    determinant solve takes the kept factor and solves every step by GMRES
-    through it, factoring a step's own matrix only when GMRES fails.  A
-    sweep's linear solve makes no factor of its own when the kept one
-    brings it within ``lma_tol`` (see :func:`amce.lma.solve_lma`): plain
-    refinement serves a nearby operator, minimal-residual passes a
-    multiple of the factored one, as the first linear operator is of the
-    Laplacian when the Poisson start is a paraboloid, and GMRES any
-    operator the factor preconditions well.  A coupled Newton step makes
-    none when the kept factor stands for its own operator bit for bit (see
-    :func:`_newton_step`).  Every step that makes a factor drops the kept
-    one first, so at most one factor is alive at any factorization.
+    that change; the factor of a coupled Newton step whose GMRES failed,
+    for the damped sweep at the same ``u``; or a factor that a linear solve
+    rescued, by minimal-residual passes or by GMRES.  One rule serves every
+    held factor: a coupled Newton step (see :func:`_newton_step`) or a
+    determinant step runs GMRES through it
+    (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
+    restart cycles), and only when that fails drops it and makes its own
+    operator's factor.  Any nearby factor preconditions a Newton-Krylov
+    step (Knoll and Keyes), so no held factor is checked against the
+    operator it serves.  A sweep's linear solve refines through the held
+    factor before its GMRES (see :func:`amce.lma.solve_lma`), and the
+    Laplacian's serves the first linear operator after a paraboloid
+    Poisson start, a multiple of the Laplacian.  Every step that makes a
+    factor drops the held one first, so at most one factor is alive at any
+    factorization.
 
     So ``radial_quartic`` takes 7 factors at h = 1/16 to 1/128: the
-    Laplacian's, whose scaled factor serves the damped sweep's linear step
-    and the first Newton step, and 6 more Newton steps; the two paraboloids
-    take the Laplacian's alone; ``sheared_half``, one sweep, takes the
+    Laplacian's, which serves the damped sweep's linear step and the first
+    Newton step's GMRES, and 6 more Newton steps; the two paraboloids take
+    the Laplacian's alone; ``sheared_half``, one sweep, takes the
     Laplacian's alone too at 1/16 to 1/128: its 4 determinant steps and
     its linear step run GMRES through that factor.  The one Laplacian
     factor solves for the harmonic extension of ``psi``, the first weight,

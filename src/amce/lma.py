@@ -132,16 +132,14 @@ def solve_lma(
     there is taken out of it and tried first.  The plain refinement runs
     against the exact ``D`` through it.  When that misses ``tol``, up to
     four minimal-residual passes follow (see :func:`_refined_solve`), which
-    are exact when ``D`` is a multiple of the factored operator; a factor
-    they bring within ``tol`` goes back into ``kept`` scaled, as a factor
-    of ``D`` (:meth:`~amce.operators.PermutedLU.scaled`).  When they miss
-    it too, restarted GMRES left-preconditioned by the factor runs from
+    are exact when ``D`` is a multiple of the factored operator.  When they
+    miss it too, restarted GMRES left-preconditioned by the factor runs from
     their last iterate (:func:`amce.operators.krylov_solve`, within
     ``KRYLOV_HELD_CYCLES`` cycles, to a relative residual of a few ulps,
-    ``_RESCUE_RTOL``), and a factor it brings within ``tol`` goes back
-    into ``kept`` as it was.  No factor is made when any of the three
-    meets ``tol``.  Otherwise that factor is dropped and ``D``'s own is
-    made by :func:`amce.operators.factor_lu`; so it is too
+    ``_RESCUE_RTOL``).  No factor is made when any of the three meets
+    ``tol``, and a factor that the second or third brings within it goes
+    back into ``kept`` as it was.  Otherwise that factor is dropped and
+    ``D``'s own is made by :func:`amce.operators.factor_lu`; so it is too
     when ``report_condition`` asks for the condition estimate, which must
     come from ``D``'s own factor.  Symmetric mode keeps a diagonal pivot
     however small, so when its solve leaves the backward error above
@@ -171,22 +169,20 @@ def solve_lma(
     if report_condition:
         lu = None  # the estimate must come from D's own factor
     if lu is not None:
-        field, resid_sup, backward, _ = _refined_solve(problem, D, B, lu)
+        field, resid_sup, backward = _refined_solve(problem, D, B, lu)
         if not backward <= tol:
-            field, resid_sup, backward, scale = _refined_solve(
+            field, resid_sup, backward = _refined_solve(
                 problem, D, B, lu, start=field.values
             )
+            if not backward <= tol:
+                v = krylov_solve(
+                    gmres, D.dot, lu.solve, problem.g - B @ problem.psi_hits,
+                    _RESCUE_RTOL, KRYLOV_HELD_CYCLES, x0=field.values,
+                )
+                if v is not None:
+                    field, resid_sup, backward = _measured(problem, D, B, v)
             if backward <= tol:
-                kept.append(lu.scaled(scale, D))
-        if not backward <= tol:
-            v = krylov_solve(
-                gmres, D.dot, lu.solve, problem.g - B @ problem.psi_hits,
-                _RESCUE_RTOL, KRYLOV_HELD_CYCLES, x0=field.values,
-            )
-            if v is not None:
-                field, resid_sup, backward = _measured(problem, D, B, v)
-                if backward <= tol:
-                    kept.append(lu)
+                kept.append(lu)
         if not backward <= tol:
             lu = None  # dropped before D's own factor is made
     if lu is None:
@@ -194,14 +190,14 @@ def solve_lma(
             lu = factor_lu(splu, D, grid)
         except RuntimeError as exc:
             raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
-        field, resid_sup, backward, _ = _refined_solve(problem, D, B, lu)
+        field, resid_sup, backward = _refined_solve(problem, D, B, lu)
         if not backward <= tol and lu.perm is not None:
             lu = None  # dropped before the retry is made
             try:
                 lu = pivoting_lu(splu, D)
             except RuntimeError as exc:
                 raise DegenerateOperatorError(f"LMA operator: {exc}") from exc
-            field, resid_sup, backward, _ = _refined_solve(problem, D, B, lu)
+            field, resid_sup, backward = _refined_solve(problem, D, B, lu)
     if not np.isfinite(backward) or backward > tol:
         raise NonConvergenceError(
             f"direct solve left componentwise backward error {backward:.3e} "
@@ -222,8 +218,8 @@ def solve_lma(
 
 def _refined_solve(
     problem: LMAProblem, D, B, lu, start: Array | None = None
-) -> tuple[ScalarField, float, float, float]:
-    """``(v, residual sup, componentwise backward error, scale)`` through ``lu``.
+) -> tuple[ScalarField, float, float]:
+    """``(v, residual sup, componentwise backward error)`` through ``lu``.
 
     Without ``start``, ``v = lu.solve(rhs)`` is refined by plain passes
     ``v += lu.solve(r)``.  From ``start``, each pass is a minimal-residual
@@ -233,13 +229,12 @@ def _refined_solve(
     ``lu`` (*Iterative Methods for Sparse Linear Systems*, 2nd ed., §5.3.2);
     when ``D`` is ``c`` times the factored operator, ``a = 1/c`` and one
     pass reaches the round-off floor.  Either way at most four passes run,
-    while the residual sup shrinks.  ``scale`` is the first pass's ``a``
-    (1 for plain passes).
+    while the residual sup shrinks.
     """
     psi = problem.psi_hits
     rhs = problem.g - B @ psi
     v = lu.solve(rhs) if start is None else start
-    prev, scale = np.inf, None
+    prev = np.inf
     for _ in range(4):
         r = rhs - D @ v
         rn = float(np.max(np.abs(r)))
@@ -248,14 +243,10 @@ def _refined_solve(
         z = lu.solve(r)
         if start is not None:
             Dz = D @ z
-            a = float(Dz @ r) / float(Dz @ Dz)
-            scale = a if scale is None else scale
-            z *= a
+            z *= float(Dz @ r) / float(Dz @ Dz)
         v = v + z
         prev = rn
-
-    scale = 1.0 if scale is None else scale
-    return *_measured(problem, D, B, v), scale
+    return _measured(problem, D, B, v)
 
 
 def _measured(problem: LMAProblem, D, B, v: Array) -> tuple[ScalarField, float, float]:

@@ -338,17 +338,13 @@ class PermutedLU:
     """LU factor of ``A[perm][:, perm]`` that solves systems in ``A``.
 
     ``perm`` is None for a factor of ``A`` itself in SciPy's default
-    ordering and pivoting (see :func:`pivoting_lu`).  Every solve is
-    multiplied by ``scale``; a factor with ``scale`` other than 1 stands
-    for one of ``matrix = A / scale`` (see :meth:`scaled`).  Every factor
-    the package makes is one, so every solve counts in
-    ``COUNTS["lu_solves"]`` here.
+    ordering and pivoting (see :func:`pivoting_lu`).  Every factor the
+    package makes is one, so every solve counts in ``COUNTS["lu_solves"]``
+    here.
     """
 
     lu: object  # the factor ``splu`` returned
     perm: Array | None
-    scale: float = 1.0
-    matrix: sp.csc_matrix | None = None  # set by ``scaled``, read by ``factors``
 
     def solve(self, b: Array, trans: str = "N") -> Array:
         """``x`` with ``A x = b``, or ``A^T x = b`` for ``trans="T"``.
@@ -357,32 +353,11 @@ class PermutedLU:
         """
         COUNTS["lu_solves"] += 1
         if self.perm is None:
-            return self.scale * self.lu.solve(b, trans=trans)
+            return self.lu.solve(b, trans=trans)
         y = self.lu.solve(np.asarray(b)[self.perm], trans=trans)
         x = np.empty_like(y)
         x[self.perm] = y
-        return self.scale * x
-
-    def scaled(self, scale: float, matrix: sp.csc_matrix) -> "PermutedLU":
-        """A new factor of ``matrix`` whose solves are this one's times ``scale``.
-
-        Exact when ``matrix`` is ``1/scale`` times the operator this factor
-        solves, as the linearized operator of a paraboloid is a multiple of
-        the Laplacian.  This factor is left as it is: it may still serve
-        elsewhere, as the Laplacian's serves a Poisson solve.
-        """
-        return PermutedLU(self.lu, self.perm, self.scale * scale, matrix)
-
-    def factors(self, A: sp.csc_matrix) -> bool:
-        """Whether ``A`` is ``matrix`` bit for bit, structure and values."""
-        M = self.matrix
-        return (
-            M is not None
-            and A.shape == M.shape
-            and np.array_equal(A.indptr, M.indptr)
-            and np.array_equal(A.indices, M.indices)
-            and A.data.tobytes() == M.data.tobytes()
-        )
+        return x
 
 
 def pivoting_lu(splu, A: sp.csc_matrix) -> PermutedLU:
@@ -421,11 +396,10 @@ def factor_lu(splu, A: sp.csc_matrix, grid: Grid) -> PermutedLU:
 _KRYLOV_RESTART = 10
 _KRYLOV_RTOL = 1e-10
 _KRYLOV_RTOL_MAX = 1e-2
-#: Restart cycles of a coupled Newton step's GMRES.
-KRYLOV_CYCLES = 10
-#: Restart cycles of a determinant step's GMRES, or of a linear solve's,
-#: through a factor held from another operator: 30 iterations at most, about
-#: one factorization's cost when they fail.
+#: Restart cycles of every GMRES through a held factor: a coupled Newton
+#: step's, a determinant step's or a linear solve's.  30 iterations at most,
+#: about one factorization's cost when they fail through a factor of another
+#: operator; through a step's own factor they take a few.
 KRYLOV_HELD_CYCLES = 3
 
 

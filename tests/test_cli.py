@@ -756,10 +756,11 @@ def test_symmetric_factor_that_raises_is_refactored_once(tmp_path, monkeypatch):
 
     The unpatched solve makes 7 factors (the Laplacian's and 6 Newton
     steps: the damped sweep's linear step solves through the Laplacian
-    factor scaled, the first Newton step takes that scaled factor, and the
-    polish refines through the last step's factor), the patched one 8: the
-    Laplacian's retry is one more, and its partial-pivoting factor serves
-    the linear step and the first Newton step the same way.
+    factor by minimal-residual passes, the first Newton step runs GMRES
+    through it, and the polish refines through the last step's factor),
+    the patched one 8: the Laplacian's retry is one more, and its
+    partial-pivoting factor serves the linear step and the first Newton
+    step the same way.
     """
     import amce.coupled
     import amce.lma

@@ -204,16 +204,18 @@ def _count_splu(monkeypatch, record=lambda A: A.shape) -> list:
 
 
 def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
-    """Every coupled Newton step is preconditioned by a factor of its own ``A``.
+    """Every coupled Newton step but the first is preconditioned by a
+    factor of its own ``A``.
 
     The 7 factorizations are the Laplacian's and one per Newton step but
     the first (6).  The Poisson start is a paraboloid, so the damped
     sweep's linear step, whose operator is a multiple of the Laplacian,
-    solves through the Laplacian factor scaled, and the first Newton step,
-    whose ``A`` is that operator bit for bit, takes the scaled factor; the
+    solves through the Laplacian factor by minimal-residual passes, which
+    hand it on, and the first Newton step runs GMRES through it; the
     polish refines through the last step's factor and makes none.  GMRES,
-    solving each step only as far as its forcing term asks, needs 24
-    iterations in all, the same at h = 1/32 and 1/64.
+    solving each step only as far as its forcing term asks, needs 27
+    iterations in all here, and 26 at h = 1/32, 1/64 and 1/128, where the
+    last step takes 7 iterations, not 8.
     """
     calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -224,7 +226,7 @@ def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
     assert len(calls) == 7
     assert report.factorizations == 7
     assert report.pivoting_refactors == 0
-    assert report.krylov_iterations_total == 24
+    assert report.krylov_iterations_total == 27
     d = dataclasses.asdict(report)
     assert d["factorizations"] == 7
     assert d["coupled_newton_steps"] == 7
@@ -265,15 +267,15 @@ def _raising_splu(A, **kwargs):
     "name, replacement, outer, newton, ma_steps, factors, krylov, ma_krylov",
     [
         pytest.param(
-            "gmres", _failing_gmres, 49, 0, 94, 120, 141, 132, id="_failing_gmres"
+            "gmres", _failing_gmres, 49, 0, 94, 76, 189, 180, id="_failing_gmres"
         ),
         pytest.param(
-            "gmres", _non_finite_gmres, 49, 0, 94, 120, 141, 132, id="_non_finite_gmres"
+            "gmres", _non_finite_gmres, 49, 0, 94, 76, 189, 180, id="_non_finite_gmres"
         ),
         pytest.param(
-            "gmres", _nonconvex_gmres, 49, 0, 94, 120, 141, 132, id="_nonconvex_gmres"
+            "gmres", _nonconvex_gmres, 49, 0, 94, 119, 141, 132, id="_nonconvex_gmres"
         ),
-        pytest.param("splu", _raising_splu, 48, 2, 82, 163, 100, 95, id="_raising_splu"),
+        pytest.param("splu", _raising_splu, 48, 2, 82, 163, 102, 95, id="_raising_splu"),
     ],
 )
 def test_unusable_newton_step_falls_back_to_damped_sweeps(
@@ -284,24 +286,29 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
 
     The sweeps stop about 1e-8 short of the discrete solution that Newton
     reaches.  The determinant solves' steps, backtracks and GMRES
-    iterations are summed.  A determinant solve factors its first step's
-    matrix, since the failed Newton step before it leaves nothing kept,
-    and solves its later steps by GMRES through that factor.  With the
-    coupled step's GMRES replaced (not converged, a non-finite step, or a
-    step that breaks convexity), all 48 Newton steps are unusable, and
-    the 120 factorizations are the Laplacian's, one per determinant solve
-    that steps (49 of 50; the first sweep's takes no step), 44 of the 48
-    failed Newton steps (the first takes the first sweep's scaled
-    Laplacian factor, and 3 follow a linear solve whose minimal-residual
-    passes rescued the factor it was handed, which so stands for their
-    ``A`` bit for bit), and 26 of the 50 linear steps (the first solves
-    through the Laplacian factor, 23 through the factor a determinant
-    solve handed on after moving ``u`` by at most ``outer_tol``).  With
-    ``splu`` raising, the Newton steps that take a kept factor are usable
-    (2, the first and one after such a rescue); the 45 that fail make two
-    ``splu`` calls each, the symmetric-mode one and its partial-pivoting
-    retry, and 46 of the 47 determinant solves step: 163 factorizations
-    in 48 iterations.
+    iterations are summed, and at no factorization is a second factor
+    alive.  With the coupled step's GMRES not converged or returning a
+    non-finite step, all 48 Newton steps are unusable.  Each drops the
+    factor it is handed, if any (5 are, each after a linear solve that
+    rescued the factor it was handed), and makes its own; when GMRES fails
+    through that too, it hands that factor to the damped sweep at the same
+    ``u``, whose determinant solve runs GMRES through it.  So the 76
+    factorizations are the Laplacian's, the 48 Newton steps', one
+    determinant solve's (the polish's, after a linear solve whose plain
+    passes kept no factor) and 26 of the 50 linear steps' (those after a
+    determinant solve whose last step moved ``u`` by more than
+    ``outer_tol``, which drops its factor).  With GMRES returning a step
+    that breaks convexity, the 5 Newton steps handed a factor solve
+    through it and make none, and a failed trial hands no factor on, so
+    a determinant solve factors its first step's matrix and solves its
+    later steps by GMRES through that factor: 119 factorizations, the
+    Laplacian's, 43 Newton steps', 49 determinant solves' (the first
+    sweep's takes no step) and the same 26 linear steps'.  With ``splu``
+    raising, the Newton steps handed a factor are usable (2, the first and
+    one after such a rescue); the 45 that fail make two ``splu`` calls
+    each, the symmetric-mode one and its partial-pivoting retry, and hold
+    no factor to hand on, and 46 of the 47 determinant solves step: 163
+    factorizations in 48 iterations.
     """
     import amce.coupled
 
@@ -317,7 +324,7 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
     solve_ma = amce.coupled.solve_ma
     monkeypatch.setattr(amce.coupled, "solve_ma", recorded)
     monkeypatch.setattr(amce.coupled, name, replacement)
-    calls = _count_splu(monkeypatch)
+    live = _track_live_factors(monkeypatch)
     u, w, report = solve_system(problem)
     assert report.outer_iterations == outer
     assert report.newton_iterations_total == ma_steps
@@ -325,7 +332,8 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
     assert report.krylov_iterations_total == krylov
     retried = 45 if name == "splu" else 0
     assert report.pivoting_refactors == retried
-    assert report.factorizations == len(calls) == factors
+    assert report.factorizations == len(live) == factors
+    assert max(live) == 0
     assert report.newton_iterations_total == sum(r.iterations for r in ma_reports)
     assert report.backtracks_total == sum(r.backtracks for r in ma_reports)
     assert sum(r.krylov_iterations for r in ma_reports) == ma_krylov
@@ -372,8 +380,7 @@ def _track_live_factors(monkeypatch) -> list:
     """Record, at every ``splu`` call, how many factors live.
 
     Every factor ``factor_lu`` makes is tracked, the Laplacian's and the
-    default-pivoting retries included, and so is every scaled factor
-    ``PermutedLU.scaled`` makes of one."""
+    default-pivoting retries included."""
     import weakref
 
     import amce.operators
@@ -387,20 +394,6 @@ def _track_live_factors(monkeypatch) -> list:
 
     monkeypatch.setattr(amce.operators, "PermutedLU", tracked)
     return _count_splu(monkeypatch, lambda A: sum(r() is not None for r in made))
-
-
-def test_live_factor_tracker_sees_a_scaled_factor(grid16, monkeypatch):
-    """A factor that ``PermutedLU.scaled`` makes of another counts as live
-    once the one it came from is dropped."""
-    import amce.operators
-    from amce.operators import factor_lu, grid_operators
-
-    live = _track_live_factors(monkeypatch)
-    lap = grid_operators(grid16)["lap"].D.tocsc()
-    scaled = factor_lu(amce.operators.splu, lap, grid16).scaled(2.0, lap)
-    factor_lu(amce.operators.splu, lap, grid16)
-    assert live == [0, 1]
-    assert scaled.factors(lap)
 
 
 def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
@@ -513,7 +506,7 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
     A radial fixture's solve takes no Newton step there, so its linear
     step, a multiple of the Laplacian, solves through that factor: the
     paraboloids make the Laplacian's factor alone, and ``radial_quartic``
-    7 (the first Newton step takes the scaled factor), with GMRES at 24
+    7 (the first Newton step runs GMRES through it), with GMRES at 26
     iterations.  ``sheared_half``'s determinant solve steps by GMRES
     through the Laplacian factor and hands it on to its linear step, so
     that solve too makes the Laplacian's factor alone; at that ``splu`` no
@@ -537,7 +530,7 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
     assert max(live) == 0
     assert report.pivoting_refactors == 0
     if name == "radial_quartic":
-        assert report.krylov_iterations_total == 24
+        assert report.krylov_iterations_total == 26
 
 
 @pytest.mark.parametrize("k", [16, 32, 64, 128])
@@ -583,11 +576,15 @@ def test_sheared_half_makes_one_factor_at_every_spacing(k, monkeypatch):
     assert np.abs(w.values - exact.w(grid.nodes)).max() <= 1e-13
 
 
-def test_newton_step_takes_a_kept_factor_only_of_its_own_operator(grid16):
-    """A kept factor serves a Newton step only when its matrix is the step's
-    ``A`` bit for bit; one of an operator 1e-12 away, or one with no matrix
-    (a plain factor, even of ``A`` itself), is dropped, and ``A``'s own
-    factor is made."""
+def test_newton_step_solves_through_any_held_factor_gmres_can_use(grid16):
+    """A held factor serves a Newton step whenever GMRES through it
+    converges: one of ``A`` and one of an operator 1e-12 away make no
+    factor, and GMRES takes 4 iterations through either.  Through a factor
+    of ``A``'s diagonal GMRES spends its 30-iteration budget, so that
+    factor is dropped and ``A``'s own made, through which it takes 4 more.
+    A step that moves the weight by more than ``outer_tol`` keeps no
+    factor."""
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     from amce import ScalarField, discrete_hessian
@@ -601,14 +598,38 @@ def test_newton_step_takes_a_kept_factor_only_of_its_own_operator(grid16):
     w = ScalarField.from_callable(grid16, exact.w)
     A = assemble_lma(discrete_hessian(u))
     moved = assemble_lma(discrete_hessian(u.with_values(u.values * (1.0 + 1e-12))))
-    lu = factor_lu(splu, A, grid16)
-    for factor, made in ((lu.scaled(1.0, A), 0), (lu.scaled(1.0, moved), 1), (lu, 1)):
-        kept = [factor]
+    diagonal = sp.diags(A.diagonal()).tocsc()
+    for operator, made, krylov in ((A, 0, 4), (moved, 0, 4), (diagonal, 1, 34)):
+        kept = [factor_lu(splu, operator, grid16)]
         start = COUNTS.copy()
         step = _newton_step(data, u, w, 1.0, 1e-8, kept)
         assert step is not None and step[2] > 1e-8
         assert (COUNTS - start)["factorizations"] == made
+        assert (COUNTS - start)["krylov_iterations_total"] == krylov
         assert kept == []
+
+
+def test_newton_step_whose_weight_power_overflows_leaves_the_held_factor(grid16):
+    """A step whose ``w^e`` overflows is unusable before any solve: it makes
+    no factor, and the held one stays in ``kept`` for the damped sweep."""
+    from scipy.sparse.linalg import splu
+
+    from amce import ScalarField, discrete_hessian
+    from amce.coupled import _newton_step
+    from amce.lma import assemble_lma
+    from amce.operators import COUNTS, factor_lu
+
+    exact = get_fixture("radial_quartic", theta=0.25)
+    data = problem_from_exact(grid16, exact)
+    u = ScalarField.from_callable(grid16, exact.u)
+    w = ScalarField.from_callable(grid16, exact.w)
+    w.values[0] = 1e-300
+    held = factor_lu(splu, assemble_lma(discrete_hessian(u)), grid16)
+    kept = [held]
+    start = COUNTS.copy()
+    assert _newton_step(data, u, w, 1.0, 1e-8, kept) is None
+    assert (COUNTS - start)["factorizations"] == 0
+    assert kept == [held]
 
 
 @pytest.mark.parametrize("name", ["radial_quartic", "radial_mild"])
