@@ -27,8 +27,8 @@ that would lose convexity or the weight's sign, is replaced by a damped
 sweep, and a sweep whose weight is not positive ends the solve.  Once the
 weight stops moving in sup norm, one more sweep runs undamped (the polish)
 and its linear solution is the returned ``w``, so both sub-equation
-residuals are reported at their floor.  Factors are handed on from step
-to step, and every step solves through the factor it is handed, so that
+residuals are reported at their floor.  Every step solves through the
+factor it is handed and hands on the factor it solved through, so that
 only a step that GMRES cannot serve through it makes one; the rule is
 stated once, in :func:`solve_system`.
 
@@ -231,7 +231,6 @@ def _newton_step(
     u: ScalarField,
     w: ScalarField,
     cap: float,
-    outer_tol: float,
     kept: list,
 ):
     """One inexact Newton step on ``F(u, w) = 0``, or None when it is unusable.
@@ -253,11 +252,8 @@ def _newton_step(
     ``kept`` is the coupled solve's list of held factors, and the step
     follows :func:`solve_system`'s rule for the factor held there: GMRES
     runs through it, and only when that fails is it dropped, ``A``'s own
-    made, and GMRES run through that.  When GMRES fails through ``A``'s own
-    factor too, that factor goes back into ``kept``, for the damped sweep
-    at the same ``u``.  When ``change <= outer_tol`` the step's factor goes
-    back into ``kept``, for the polish that follows; otherwise it is
-    dropped before the trial is formed.
+    made, and GMRES run through that.  Once GMRES has solved, ``kept``
+    holds the factor it solved through.
     Every GMRES iteration counts in ``COUNTS["krylov_iterations_total"]``,
     and a returned step in ``COUNTS["coupled_newton_steps"]``.
     """
@@ -295,16 +291,11 @@ def _newton_step(
         except RuntimeError:
             return None
         delta = direction()
-    if delta is None:
-        kept.append(lu)  # for the damped sweep at this u
-        return None
+        if delta is None:
+            return None
+    kept.append(lu)
     size = float(np.max(np.abs(delta[n:])))
     alpha = min(1.0, cap / size) if size > 0.0 else 1.0
-    if alpha * size > outer_tol:
-        # freed before the trial's arrays are allocated, the factor's memory
-        # serves the next factorization: in most runs at h = 1/64 this
-        # lowers the solve's peak RSS by about 5 MiB
-        lu = None
     u_new = u.with_values(u.values + alpha * delta[:n])
     w_new = w.with_values(w.values + alpha * delta[n:])
     if (
@@ -313,8 +304,6 @@ def _newton_step(
     ):
         return None
     COUNTS["coupled_newton_steps"] += 1
-    if lu is not None:
-        kept.append(lu)
     return u_new, w_new, alpha * size
 
 
@@ -354,36 +343,27 @@ def solve_system(
     the sweeps, and the ``pivoting_refactors`` retries among them;
     ``lu_solves`` is every solve through any of those factors.
 
-    Factors are handed on from step to step through one list, ``kept``,
-    which holds at most one factor for the next step to try: first the
-    Laplacian's; then the factor a sweep's determinant solve held (see
-    :func:`amce.ma.solve_ma`) or a coupled Newton step used, when the last
-    change it made is at most ``outer_tol``, so that the next operator
-    differs from the one its GMRES or its own factor solved at the size of
-    that change; the factor of a coupled Newton step whose GMRES failed,
-    for the damped sweep at the same ``u``; or a factor that a linear solve
-    rescued, by minimal-residual passes or by GMRES.  One rule serves every
-    held factor: a coupled Newton step (see :func:`_newton_step`) or a
-    determinant step runs GMRES through it
+    Factors are handed on through one list, ``kept``, which holds the
+    Laplacian's factor and then, after each step, the factor that step
+    solved through.  A coupled Newton step (see :func:`_newton_step`), a
+    determinant step (see :func:`amce.ma.solve_ma`) or a linear solve (see
+    :func:`amce.lma.solve_lma`) solves through the held factor by GMRES
     (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
-    restart cycles), and only when that fails drops it and makes its own
-    operator's factor.  Any nearby factor preconditions a Newton-Krylov
-    step (Knoll and Keyes), so no held factor is checked against the
-    operator it serves.  A sweep's linear solve refines through the held
-    factor before its GMRES (see :func:`amce.lma.solve_lma`), and the
-    Laplacian's serves the first linear operator after a paraboloid
-    Poisson start, a multiple of the Laplacian.  Every step that makes a
-    factor drops the held one first, so at most one factor is alive at any
-    factorization.
+    restart cycles), a linear solve by refinement first, and only when
+    that fails drops it and makes its own operator's.  Any nearby factor
+    preconditions a Newton-Krylov step (Knoll and Keyes), so no held
+    factor is checked against the operator it serves, and at most one
+    factor is alive at any factorization.
 
-    So ``radial_quartic`` takes 7 factors at h = 1/16 to 1/128: the
-    Laplacian's, which serves the damped sweep's linear step and the first
-    Newton step's GMRES, and 6 more Newton steps; the two paraboloids take
-    the Laplacian's alone; ``sheared_half``, one sweep, takes the
-    Laplacian's alone too at 1/16 to 1/128: its 4 determinant steps and
-    its linear step run GMRES through that factor.  The one Laplacian
-    factor solves for the harmonic extension of ``psi``, the first weight,
-    and then for the determinant solve's Poisson start (see
+    So ``radial_quartic`` and ``radial_mild`` take the Laplacian's factor
+    alone at h = 1/16 to 1/128: it serves the damped sweep's linear step,
+    whose operator is a multiple of the Laplacian after a paraboloid
+    Poisson start, and then every Newton step's GMRES and the polish.  The
+    two paraboloids take the Laplacian's alone too, and so does
+    ``sheared_half``, one sweep: its 4 determinant steps and its linear
+    step run GMRES through that factor.  The one Laplacian factor solves
+    for the harmonic extension of ``psi``, the first weight, and then for
+    the determinant solve's Poisson start (see
     :func:`amce.ma.initial_guess`), and then waits in ``kept``.
     """
     opts = options or CoupledOptions()
@@ -414,18 +394,14 @@ def solve_system(
         _require_positive(w, history)
         step = None
         if history and not polish:
-            step = _newton_step(data, u, w, history[-1], opts.outer_tol, kept)
+            step = _newton_step(data, u, w, history[-1], kept)
         if step is not None:
             u, w, change = step
             w_half = None  # the last linear solution belongs to the old u
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
-            # the determinant solve runs GMRES through the kept factor, and
-            # keeps the factor it holds when its last step is within outer_tol
-            u, ma_rep = solve_ma(
-                problem, opts, initial=u, kept=kept, keep_tol=opts.outer_tol
-            )
+            u, ma_rep = solve_ma(problem, opts, initial=u, kept=kept)
             # a solve without Newton steps returns the u of the last linear
             # step bitwise, so that step's w_half stands
             if w_half is None or ma_rep.iterations:

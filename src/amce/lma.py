@@ -12,10 +12,11 @@ operators by :func:`assemble_lma` (the Newton step of the nonlinear solver
 solves with the same operator), and solved through a sparse LU factor.
 The matrix is not symmetric and carries no M-matrix guarantee; a
 sign-pattern audit and a condition estimate are reported instead of a
-monotonicity assumption.  A call of :func:`solve_lma` makes its own
-factorization and drops it on return, unless a factor handed to it already
-solves within the tolerance, by refinement or by GMRES through it;
-:func:`amce.coupled.solve_system` states which factor is handed on.
+monotonicity assumption.  A call of :func:`solve_lma` solves through a
+factor handed to it when that meets the tolerance, by refinement or by
+GMRES through it, and through its own factorization otherwise; it hands on
+the factor it solved through, the one rule of
+:func:`amce.coupled.solve_system`.
 """
 from __future__ import annotations
 
@@ -137,11 +138,11 @@ def solve_lma(
     their last iterate (:func:`amce.operators.krylov_solve`, within
     ``KRYLOV_HELD_CYCLES`` cycles, to a relative residual of a few ulps,
     ``_RESCUE_RTOL``).  No factor is made when any of the three meets
-    ``tol``, and a factor that the second or third brings within it goes
-    back into ``kept`` as it was.  Otherwise that factor is dropped and
-    ``D``'s own is made by :func:`amce.operators.factor_lu`; so it is too
-    when ``report_condition`` asks for the condition estimate, which must
-    come from ``D``'s own factor.  Symmetric mode keeps a diagonal pivot
+    ``tol``.  Otherwise that factor is dropped and ``D``'s own is made by
+    :func:`amce.operators.factor_lu`; so it is too when ``report_condition``
+    asks for the condition estimate, which must come from ``D``'s own
+    factor.  When the call is done, ``kept`` holds the factor it solved
+    through, handed or its own.  Symmetric mode keeps a diagonal pivot
     however small, so when its solve leaves the backward error above
     ``tol``, ``D`` is factored once more by
     :func:`amce.operators.pivoting_lu` and solved again, and the tolerance
@@ -181,8 +182,6 @@ def solve_lma(
                 )
                 if v is not None:
                     field, resid_sup, backward = _measured(problem, D, B, v)
-            if backward <= tol:
-                kept.append(lu)
         if not backward <= tol:
             lu = None  # dropped before D's own factor is made
     if lu is None:
@@ -203,6 +202,8 @@ def solve_lma(
             f"direct solve left componentwise backward error {backward:.3e} "
             f"above tolerance {tol} (residual sup {resid_sup:.3e})"
         )
+    if kept is not None:
+        kept.append(lu)
     cond = None
     if report_condition:
         cond = _condition_estimate(D, lu)

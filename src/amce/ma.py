@@ -152,7 +152,6 @@ def solve_ma(
     options: MASolveOptions | None = None,
     initial: ScalarField | None = None,
     kept: list | None = None,
-    keep_tol: float = 0.0,
 ) -> tuple[ScalarField, MAReport]:
     """Damped Newton solve; returns the solution field and an iteration report.
 
@@ -166,11 +165,9 @@ def solve_ma(
     exactly in three cases only: no factor is held, GMRES does not
     converge, or it returns a non-finite update; the held factor is
     dropped before that ``splu``, so one factor is alive at a time.  When
-    the last step's update is at most ``keep_tol`` in sup norm (so it moves
-    ``u`` by no more), the held factor goes back into ``kept``: a linear
-    solve on the returned ``u`` can then solve through it in place of
-    making one (see :func:`amce.lma.solve_lma`).  Otherwise it is dropped,
-    and a solve that takes no step leaves ``kept`` as it was.  Steps,
+    the solve is done, ``kept`` holds the factor its last step solved
+    through, for the next solve to try (see :func:`amce.lma.solve_lma`);
+    a solve that takes no step leaves ``kept`` as it was.  Steps,
     backtracks and GMRES iterations count in :data:`amce.operators.COUNTS`
     as they are taken, and the report reads them, with the steps'
     ``pivoting_refactors``, off the counts made since the first step.
@@ -245,8 +242,7 @@ def solve_ma(
         berr = float(np.max(np.abs(res) / floor))
         COUNTS["newton_iterations_total"] += 1
 
-    # a held factor means a step was taken, and delta is the last one's
-    if lu is not None and kept is not None and np.max(np.abs(delta)) <= keep_tol:
+    if lu is not None and kept is not None:  # a held factor means a step was taken
         kept.append(lu)
     min_eig = H.min_eigenvalue()
     if min_eig <= 0.0:

@@ -203,19 +203,16 @@ def _count_splu(monkeypatch, record=lambda A: A.shape) -> list:
     return calls
 
 
-def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
-    """Every coupled Newton step but the first is preconditioned by a
-    factor of its own ``A``.
+def test_newton_steps_solve_through_the_laplacian_factor(grid16, monkeypatch):
+    """Every coupled Newton step is preconditioned by the Laplacian factor.
 
-    The 7 factorizations are the Laplacian's and one per Newton step but
-    the first (6).  The Poisson start is a paraboloid, so the damped
-    sweep's linear step, whose operator is a multiple of the Laplacian,
-    solves through the Laplacian factor by minimal-residual passes, which
-    hand it on, and the first Newton step runs GMRES through it; the
-    polish refines through the last step's factor and makes none.  GMRES,
-    solving each step only as far as its forcing term asks, needs 27
-    iterations in all here, and 26 at h = 1/32, 1/64 and 1/128, where the
-    last step takes 7 iterations, not 8.
+    The Poisson start is a paraboloid, so the damped sweep's linear step,
+    whose operator is a multiple of the Laplacian, solves through the
+    Laplacian factor by minimal-residual passes and hands it on; every
+    Newton step runs GMRES through it and hands it on, and the polish
+    refines through it: the solve makes that one factor.  GMRES, solving
+    each step only as far as its forcing term asks, needs 76 iterations in
+    all here, 100 at h = 1/32 and 98 at 1/64 and 1/128.
     """
     calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -223,12 +220,12 @@ def test_newton_steps_factor_their_own_iterate(grid16, monkeypatch):
     assert report.outer_iterations == 8
     assert report.coupled_newton_steps == 7
     assert report.newton_iterations_total == 0
-    assert len(calls) == 7
-    assert report.factorizations == 7
+    assert len(calls) == 1
+    assert report.factorizations == 1
     assert report.pivoting_refactors == 0
-    assert report.krylov_iterations_total == 27
+    assert report.krylov_iterations_total == 76
     d = dataclasses.asdict(report)
-    assert d["factorizations"] == 7
+    assert d["factorizations"] == 1
     assert d["coupled_newton_steps"] == 7
     assert d["krylov_iterations_total"] == report.krylov_iterations_total > 0
 
@@ -264,23 +261,28 @@ def _raising_splu(A, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "name, replacement, outer, newton, ma_steps, factors, krylov, ma_krylov",
+    "replacements, outer, newton, ma_steps, factors, krylov, ma_krylov, retried",
     [
         pytest.param(
-            "gmres", _failing_gmres, 49, 0, 94, 76, 189, 180, id="_failing_gmres"
+            {"gmres": _failing_gmres}, 49, 0, 94, 97, 142, 133, 0, id="_failing_gmres"
         ),
         pytest.param(
-            "gmres", _non_finite_gmres, 49, 0, 94, 76, 189, 180, id="_non_finite_gmres"
+            {"gmres": _non_finite_gmres}, 49, 0, 94, 97, 142, 133, 0,
+            id="_non_finite_gmres",
         ),
         pytest.param(
-            "gmres", _nonconvex_gmres, 49, 0, 94, 119, 141, 132, id="_nonconvex_gmres"
+            {"gmres": _nonconvex_gmres}, 49, 0, 99, 1, 2032, 978, 0,
+            id="_nonconvex_gmres",
         ),
-        pytest.param("splu", _raising_splu, 48, 2, 82, 163, 102, 95, id="_raising_splu"),
+        pytest.param(
+            {"gmres": _failing_gmres, "splu": _raising_splu},
+            49, 0, 94, 145, 142, 133, 48, id="_raising_splu",
+        ),
     ],
 )
 def test_unusable_newton_step_falls_back_to_damped_sweeps(
-    grid16, monkeypatch, name, replacement, outer, newton, ma_steps, factors,
-    krylov, ma_krylov,
+    grid16, monkeypatch, replacements, outer, newton, ma_steps, factors,
+    krylov, ma_krylov, retried,
 ):
     """Every unusable Newton step is a damped sweep.
 
@@ -288,27 +290,21 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
     reaches.  The determinant solves' steps, backtracks and GMRES
     iterations are summed, and at no factorization is a second factor
     alive.  With the coupled step's GMRES not converged or returning a
-    non-finite step, all 48 Newton steps are unusable.  Each drops the
-    factor it is handed, if any (5 are, each after a linear solve that
-    rescued the factor it was handed), and makes its own; when GMRES fails
-    through that too, it hands that factor to the damped sweep at the same
-    ``u``, whose determinant solve runs GMRES through it.  So the 76
-    factorizations are the Laplacian's, the 48 Newton steps', one
-    determinant solve's (the polish's, after a linear solve whose plain
-    passes kept no factor) and 26 of the 50 linear steps' (those after a
-    determinant solve whose last step moved ``u`` by more than
-    ``outer_tol``, which drops its factor).  With GMRES returning a step
-    that breaks convexity, the 5 Newton steps handed a factor solve
-    through it and make none, and a failed trial hands no factor on, so
-    a determinant solve factors its first step's matrix and solves its
-    later steps by GMRES through that factor: 119 factorizations, the
-    Laplacian's, 43 Newton steps', 49 determinant solves' (the first
-    sweep's takes no step) and the same 26 linear steps'.  With ``splu``
-    raising, the Newton steps handed a factor are usable (2, the first and
-    one after such a rescue); the 45 that fail make two ``splu`` calls
-    each, the symmetric-mode one and its partial-pivoting retry, and hold
-    no factor to hand on, and 46 of the 47 determinant solves step: 163
-    factorizations in 48 iterations.
+    non-finite step, all 48 Newton steps are unusable: each drops the
+    factor it is handed, makes its own, fails through that too and hands
+    no factor on.  So each of the 48 determinant solves that follow one
+    factors its first step's matrix, and hands that factor on to its
+    linear solve, which hands it on to the next Newton step: the 97
+    factorizations are the Laplacian's and 48 each of the Newton steps and
+    the determinant solves (the first sweep's takes no step, and the
+    polish's solves through the last linear solve's factor).  With GMRES
+    returning a step that breaks convexity, every Newton step solves
+    through the held factor and hands it on before its trial fails, so the
+    Laplacian's factor serves the whole solve: 1 factorization, paid for
+    by 2032 GMRES iterations through that one factor.  With ``splu``
+    raising as well, each of the 48 Newton steps reaches it twice, the
+    symmetric-mode call and its partial-pivoting retry, and makes no
+    factor: 145 factorizations, 48 of them retries.
     """
     import amce.coupled
 
@@ -323,14 +319,14 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
 
     solve_ma = amce.coupled.solve_ma
     monkeypatch.setattr(amce.coupled, "solve_ma", recorded)
-    monkeypatch.setattr(amce.coupled, name, replacement)
+    for name, replacement in replacements.items():
+        monkeypatch.setattr(amce.coupled, name, replacement)
     live = _track_live_factors(monkeypatch)
     u, w, report = solve_system(problem)
     assert report.outer_iterations == outer
     assert report.newton_iterations_total == ma_steps
     assert report.coupled_newton_steps == newton
     assert report.krylov_iterations_total == krylov
-    retried = 45 if name == "splu" else 0
     assert report.pivoting_refactors == retried
     assert report.factorizations == len(live) == factors
     assert max(live) == 0
@@ -398,8 +394,9 @@ def _track_live_factors(monkeypatch) -> list:
 
 def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
     """Both linear solves are handed a factor and make none: the sweep's
-    the Laplacian's, the polish's the last Newton step's.  At no
-    factorization is a second factor alive, the handed ones included."""
+    the Laplacian's, the polish's the last Newton step's, which is the
+    Laplacian's too.  At no factorization is a second factor alive, the
+    handed ones included."""
     import amce.coupled
 
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -414,16 +411,16 @@ def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
     live = _track_live_factors(monkeypatch)
     _, _, report = solve_system(problem)
     assert lma_factors == [True, True]
-    assert len(live) == report.factorizations == 7
+    assert len(live) == report.factorizations == 1
     assert max(live) == 0
 
 
 def test_linear_step_refines_through_the_last_determinant_step_factor(
     grid16, monkeypatch
 ):
-    """``sheared_half``'s one sweep ends on a determinant step that moves
-    ``u`` by at most ``outer_tol``; every step solved by GMRES through the
-    Laplacian factor it was handed, and that factor is handed on to the
+    """Every step of ``sheared_half``'s one determinant solve solves by
+    GMRES through the Laplacian factor it was handed, and that factor is
+    handed on to the
     linear solve, which makes none either: the solve makes the Laplacian's
     factor alone, and no other factor is alive when it is made.  The
     linear solution is at the round-off floor and within 1e-13 of a solve
@@ -460,10 +457,10 @@ def test_linear_step_refines_through_the_last_determinant_step_factor(
 def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypatch):
     """When the polish's determinant solve takes steps (forced here by
     moving its start), they solve by GMRES through the kept factor, the
-    last Newton step's, and make none.  The moved start's last step is
-    within ``outer_tol``, so that factor is kept again and the polish's
-    linear solve refines through it in place of making its own: the
-    forced steps add no factor, and no two factors are ever alive."""
+    last Newton step's, and make none; the determinant solve hands that
+    factor on and the polish's linear solve refines through it in place of
+    making its own: the forced steps add no factor to the Laplacian's, and
+    no two factors are ever alive."""
     import amce.coupled
 
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -482,7 +479,7 @@ def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypa
     _, w, report = solve_system(problem)
     assert len(starts) == 2
     assert report.newton_iterations_total == 2
-    assert len(live) == report.factorizations == 7
+    assert len(live) == report.factorizations == 1
     assert max(live) == 0
     assert np.abs(w.values - w_ref.values).max() < 1e-8
 
@@ -494,7 +491,7 @@ def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypa
         ("paraboloid", "grid64", 1),
         ("paraboloid_r2", "grid32", 1),
         ("paraboloid_r2", "grid64", 1),
-        ("radial_quartic", "grid32", 7),
+        ("radial_quartic", "grid32", 1),
         ("sheared_half", "grid16", 1),
     ],
 )
@@ -505,9 +502,9 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
 
     A radial fixture's solve takes no Newton step there, so its linear
     step, a multiple of the Laplacian, solves through that factor: the
-    paraboloids make the Laplacian's factor alone, and ``radial_quartic``
-    7 (the first Newton step runs GMRES through it), with GMRES at 26
-    iterations.  ``sheared_half``'s determinant solve steps by GMRES
+    paraboloids make the Laplacian's factor alone, and so does
+    ``radial_quartic``, whose Newton steps all run GMRES through it, 100
+    iterations in all.  ``sheared_half``'s determinant solve steps by GMRES
     through the Laplacian factor and hands it on to its linear step, so
     that solve too makes the Laplacian's factor alone; at that ``splu`` no
     factor is alive.
@@ -530,7 +527,7 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
     assert max(live) == 0
     assert report.pivoting_refactors == 0
     if name == "radial_quartic":
-        assert report.krylov_iterations_total == 26
+        assert report.krylov_iterations_total == 100
 
 
 @pytest.mark.parametrize("k", [16, 32, 64, 128])
@@ -582,8 +579,7 @@ def test_newton_step_solves_through_any_held_factor_gmres_can_use(grid16):
     factor, and GMRES takes 4 iterations through either.  Through a factor
     of ``A``'s diagonal GMRES spends its 30-iteration budget, so that
     factor is dropped and ``A``'s own made, through which it takes 4 more.
-    A step that moves the weight by more than ``outer_tol`` keeps no
-    factor."""
+    Either way ``kept`` ends holding the factor GMRES solved through."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
@@ -600,13 +596,15 @@ def test_newton_step_solves_through_any_held_factor_gmres_can_use(grid16):
     moved = assemble_lma(discrete_hessian(u.with_values(u.values * (1.0 + 1e-12))))
     diagonal = sp.diags(A.diagonal()).tocsc()
     for operator, made, krylov in ((A, 0, 4), (moved, 0, 4), (diagonal, 1, 34)):
-        kept = [factor_lu(splu, operator, grid16)]
+        held = factor_lu(splu, operator, grid16)
+        kept = [held]
         start = COUNTS.copy()
-        step = _newton_step(data, u, w, 1.0, 1e-8, kept)
+        step = _newton_step(data, u, w, 1.0, kept)
         assert step is not None and step[2] > 1e-8
         assert (COUNTS - start)["factorizations"] == made
         assert (COUNTS - start)["krylov_iterations_total"] == krylov
-        assert kept == []
+        [solved_through] = kept
+        assert (solved_through is held) == (made == 0)
 
 
 def test_newton_step_whose_weight_power_overflows_leaves_the_held_factor(grid16):
@@ -627,9 +625,131 @@ def test_newton_step_whose_weight_power_overflows_leaves_the_held_factor(grid16)
     held = factor_lu(splu, assemble_lma(discrete_hessian(u)), grid16)
     kept = [held]
     start = COUNTS.copy()
-    assert _newton_step(data, u, w, 1.0, 1e-8, kept) is None
+    assert _newton_step(data, u, w, 1.0, kept) is None
     assert (COUNTS - start)["factorizations"] == 0
     assert kept == [held]
+
+
+def _handed(u, factor_of):
+    """``kept`` holding one factor: of the operator of ``u`` moved by 1e-12,
+    which every solve can use, or of its diagonal, which none can."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    from amce import discrete_hessian
+    from amce.lma import assemble_lma
+    from amce.operators import factor_lu
+
+    A = assemble_lma(discrete_hessian(u.with_values(u.values * (1.0 + 1e-12))))
+    if factor_of == "diagonal":
+        A = sp.diags(A.diagonal()).tocsc()
+    return [factor_lu(splu, A, u.grid)]
+
+
+def _exact(grid):
+    from amce import ScalarField
+
+    exact = get_fixture("radial_quartic", theta=0.25)
+    return (
+        problem_from_exact(grid, exact),
+        ScalarField.from_callable(grid, exact.u),
+        ScalarField.from_callable(grid, exact.w),
+    )
+
+
+def _determinant_solve(grid, factor_of, monkeypatch):
+    from amce.ma import MAProblem, solve_ma
+
+    data, u, w = _exact(grid)
+    kept = _handed(u, factor_of)
+    problem = MAProblem(grid=grid, g=g_from_w(w, data.theta), phi_hits=data.phi_hits)
+    _, report = solve_ma(problem, initial=u.with_values(u.values * (1.0 + 1e-6)), kept=kept)
+    assert report.iterations > 0
+    return kept
+
+
+def _linear_solve(grid, factor_of, monkeypatch):
+    from amce import discrete_hessian
+    from amce.lma import LMAProblem, solve_lma
+
+    data, u, _ = _exact(grid)
+    kept = _handed(u, factor_of)
+    problem = LMAProblem(
+        hessian=discrete_hessian(u), g=data.f.values, psi_hits=data.psi_hits
+    )
+    solve_lma(problem, kept=kept)
+    return kept
+
+
+def _coupled_step(grid, factor_of, monkeypatch):
+    from amce.coupled import _newton_step
+
+    data, u, w = _exact(grid)
+    kept = _handed(u, factor_of)
+    assert _newton_step(data, u, w, 1.0, kept) is not None
+    return kept
+
+
+def _full_solve(name):
+    def call(grid, factor_of, monkeypatch):
+        import amce.coupled
+
+        lists = []
+
+        def recorded(grid, kept):
+            lists.append(kept)
+            return poisson_solver(grid, kept)
+
+        poisson_solver = amce.coupled.poisson_solver
+        monkeypatch.setattr(amce.coupled, "poisson_solver", recorded)
+        solve_system(problem_from_exact(grid, get_fixture(name, theta=0.25)))
+        [kept] = lists
+        return kept
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "call, factor_of, made",
+    [
+        pytest.param(_determinant_solve, "nearby", 0, id="solve_ma-handed"),
+        pytest.param(_determinant_solve, "diagonal", 1, id="solve_ma-own"),
+        pytest.param(_linear_solve, "nearby", 0, id="solve_lma-handed"),
+        pytest.param(_linear_solve, "diagonal", 1, id="solve_lma-own"),
+        pytest.param(_coupled_step, "nearby", 0, id="_newton_step-handed"),
+        pytest.param(_coupled_step, "diagonal", 1, id="_newton_step-own"),
+        pytest.param(_full_solve("radial_quartic"), None, 1, id="radial_quartic"),
+        pytest.param(_full_solve("radial_mild"), None, 1, id="radial_mild"),
+    ],
+)
+def test_kept_holds_the_factor_the_call_solved_through(
+    grid16, monkeypatch, call, factor_of, made
+):
+    """When a determinant solve, a linear solve or a coupled Newton step is
+    done, ``kept`` holds the factor it last solved through: the handed
+    one when it serves, and otherwise the call's own, made after the
+    handed one is dropped.  After a whole ``radial_quartic`` or
+    ``radial_mild`` solve ``kept`` holds the Laplacian's factor, the only
+    one made.  ``made`` counts the call's factorizations, and at none is a
+    second factor alive, the handed one included."""
+    import weakref
+
+    from amce.operators import PermutedLU
+
+    solved = []  # a weak reference to each factor solved through, in order
+    solve = PermutedLU.solve
+
+    def recorded(self, *args, **kwargs):
+        solved.append(weakref.ref(self))
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermutedLU, "solve", recorded)
+    live = _track_live_factors(monkeypatch)
+    kept = call(grid16, factor_of, monkeypatch)
+    assert len(live) == made
+    assert max(live, default=0) == 0
+    [last] = kept
+    assert last is solved[-1]()
 
 
 @pytest.mark.parametrize("name", ["radial_quartic", "radial_mild"])

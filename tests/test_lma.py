@@ -169,24 +169,27 @@ def _solve_counting(problem, lu, **kwargs):
 
 def test_nearby_factor_is_used_without_a_factorization(grid32):
     """A factor of a nearby operator refines to the tolerance: no factor is
-    made, ``v`` is a fresh solve's up to round-off, and the factor is not
-    kept, since it is not one of ``D``."""
+    made, ``v`` is a fresh solve's up to round-off, and the factor, the
+    one the solve solved through, goes back into ``kept``."""
     from scipy.sparse.linalg import splu
 
     problem, A = _given_factor_problem(grid32)
     want, _ = solve_lma(problem)
-    v, report, counts, kept = _solve_counting(problem, factor_lu(splu, A, grid32))
+    handed = factor_lu(splu, A, grid32)
+    v, report, counts, kept = _solve_counting(problem, handed)
     assert counts["factorizations"] == 0
     assert report.backward_error <= 1e-10
     assert report.pivoting_refactors == 0
     assert np.abs(v.values - want.values).max() < 1e-12
-    assert kept == []
+    [back] = kept
+    assert back is handed
 
 
 def test_nearby_default_pivoting_factor_is_no_retry(grid32):
     """A handed factor made with partial pivoting (``perm`` None) refines to
     the tolerance like any other: no factor is made, and the report counts
-    no default-pivoting retry, since this solve made none."""
+    no default-pivoting retry, since this solve made none; the factor goes
+    back into ``kept``."""
     from scipy.sparse.linalg import splu
 
     problem, A = _given_factor_problem(grid32)
@@ -196,7 +199,8 @@ def test_nearby_default_pivoting_factor_is_no_retry(grid32):
     assert counts["factorizations"] == 0
     assert report.backward_error <= 1e-10
     assert report.pivoting_refactors == 0
-    assert kept == []
+    [back] = kept
+    assert back is lu
 
 
 def _factor_of_double(A, **kwargs):
@@ -224,15 +228,16 @@ def test_factor_of_a_multiple_is_used_through_scaled_passes(grid32):
 
 def test_condition_estimate_comes_from_the_operators_own_factor(grid32):
     """With ``report_condition`` a handed factor is dropped unused: ``D``'s
-    own is made and the estimate is a plain solve's, bit for bit."""
+    own is made, goes into ``kept``, and the estimate is a plain solve's,
+    bit for bit."""
     problem, _ = _given_factor_problem(grid32)
     D = assemble_lma(problem.hessian)
     _, want = solve_lma(problem, report_condition=True)
-    _, report, counts, kept = _solve_counting(
-        problem, factor_lu(_factor_of_double, D, grid32), report_condition=True
-    )
+    handed = factor_lu(_factor_of_double, D, grid32)
+    _, report, counts, kept = _solve_counting(problem, handed, report_condition=True)
     assert counts["factorizations"] == 1
-    assert kept == []
+    [own] = kept
+    assert own is not handed
     assert report.condition_estimate == want.condition_estimate
 
 
@@ -279,19 +284,19 @@ def test_bad_factor_is_replaced_by_one_fresh_factor(grid32):
     """A factor that neither refinement nor GMRES's budget brings within the
     tolerance (the factor of ``D``'s diagonal alone, for the operator of
     ``sheared_half``) is dropped, and one symmetric-mode factor of the
-    operator itself is made in its place."""
+    operator itself is made in its place and goes into ``kept``."""
     from amce.operators import KRYLOV_HELD_CYCLES
 
     problem = _sheared_problem(grid32)
     want, _ = solve_lma(problem)
     D = assemble_lma(problem.hessian)
-    v, report, counts, kept = _solve_counting(
-        problem, factor_lu(_factor_of_diagonal, D, grid32)
-    )
+    handed = factor_lu(_factor_of_diagonal, D, grid32)
+    v, report, counts, kept = _solve_counting(problem, handed)
     assert counts["factorizations"] == 1
     assert counts["pivoting_refactors"] == 0
     assert counts["krylov_iterations_total"] == 10 * KRYLOV_HELD_CYCLES
     assert report.backward_error <= 1e-10
     assert report.pivoting_refactors == 0
     assert np.abs(v.values - want.values).max() < 1e-12
-    assert kept == []
+    [own] = kept
+    assert own is not handed and own.perm is not None

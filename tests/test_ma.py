@@ -210,17 +210,17 @@ def test_steps_through_the_held_factor_reach_the_reference_solution(grid32):
 
 def test_handed_factor_is_held_and_kept_back(grid32):
     """A factor handed in ``kept`` serves every step, so the solve makes
-    none; it goes back into ``kept`` when the last update is at most
-    ``keep_tol``, and is dropped otherwise."""
+    none, and it goes back into ``kept``: the factor the steps solved
+    through."""
     from amce.operators import COUNTS, poisson_solver
 
     problem = _bump_problem(grid32)
-    for keep_tol, back in ((1.0, True), (0.0, False)):
-        kept: list = []
-        initial = initial_guess(problem, poisson_solver(grid32, kept))
-        lap = kept[0]
-        start = COUNTS.copy()
-        _, report = solve_ma(problem, initial=initial, kept=kept, keep_tol=keep_tol)
-        assert report.iterations >= 2
-        assert (COUNTS - start)["factorizations"] == 0
-        assert kept == ([lap] if back else [])
+    kept: list = []
+    initial = initial_guess(problem, poisson_solver(grid32, kept))
+    lap = kept[0]
+    start = COUNTS.copy()
+    _, report = solve_ma(problem, initial=initial, kept=kept)
+    assert report.iterations >= 2
+    assert (COUNTS - start)["factorizations"] == 0
+    [back] = kept
+    assert back is lap
