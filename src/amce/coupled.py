@@ -151,8 +151,8 @@ class SolveReport:
     ``krylov_iterations_total`` sums the GMRES iterations of every solve
     that runs GMRES through a held factor: the coupled Newton steps tried,
     the determinant Newton steps (:func:`amce.ma.solve_ma`) and the linear
-    solves that a handed factor's refinement left above ``lma_tol``
-    (:func:`amce.lma.solve_lma`).
+    solves that a handed factor's minimal-residual passes left above
+    ``lma_tol`` (:func:`amce.lma.solve_lma`).
     """
 
     outer_iterations: int
@@ -349,19 +349,20 @@ def solve_system(
     determinant step (see :func:`amce.ma.solve_ma`) or a linear solve (see
     :func:`amce.lma.solve_lma`) solves through the held factor by GMRES
     (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
-    restart cycles), a linear solve by refinement first, and only when
-    that fails drops it and makes its own operator's.  Any nearby factor
-    preconditions a Newton-Krylov step (Knoll and Keyes), so no held
-    factor is checked against the operator it serves, and at most one
-    factor is alive at any factorization.
+    restart cycles), a linear solve by minimal-residual passes first, and
+    only when that fails drops it and makes its own operator's.  Any
+    nearby factor preconditions a Newton-Krylov step (Knoll and Keyes), so
+    no held factor is checked against the operator it serves, and at most
+    one factor is alive at any factorization.
 
     So ``radial_quartic`` and ``radial_mild`` take the Laplacian's factor
     alone at h = 1/16 to 1/128: it serves the damped sweep's linear step,
     whose operator is a multiple of the Laplacian after a paraboloid
-    Poisson start, and then every Newton step's GMRES and the polish.  The
-    two paraboloids take the Laplacian's alone too, and so does
-    ``sheared_half``, one sweep: its 4 determinant steps and its linear
-    step run GMRES through that factor.  The one Laplacian factor solves
+    Poisson start, so that the passes alone solve it exactly, and then
+    every Newton step's GMRES and the polish.  The two paraboloids take
+    the Laplacian's alone too, and so does ``sheared_half``, one sweep:
+    its 4 determinant steps and its linear step run GMRES through that
+    factor.  The one Laplacian factor solves
     for the harmonic extension of ``psi``, the first weight, and then for
     the determinant solve's Poisson start (see
     :func:`amce.ma.initial_guess`), and then waits in ``kept``.

@@ -13,9 +13,9 @@ solves with the same operator), and solved through a sparse LU factor.
 The matrix is not symmetric and carries no M-matrix guarantee; a
 sign-pattern audit and a condition estimate are reported instead of a
 monotonicity assumption.  A call of :func:`solve_lma` solves through a
-factor handed to it when that meets the tolerance, by refinement or by
-GMRES through it, and through its own factorization otherwise; it hands on
-the factor it solved through, the one rule of
+factor handed to it when that meets the tolerance, by minimal-residual
+passes through it and then GMRES, and through its own factorization
+otherwise; it hands on the factor it solved through, the one rule of
 :func:`amce.coupled.solve_system`.
 """
 from __future__ import annotations
@@ -120,8 +120,8 @@ def solve_lma(
 ) -> tuple[ScalarField, LMAReport]:
     """Direct solve of the frozen-coefficient problem.
 
-    Iterative refinement (up to four passes, stopping when the algebraic
-    residual no longer shrinks) keeps the solve at the round-off floor.
+    Every solve through a factor is refined by the minimal-residual passes
+    of :func:`_refined_solve`, which keep it at the round-off floor.
     Acceptance is judged by the componentwise backward error
     ``max_i |r_i| / (|D||v| + |B||psi| + |g|)_i``, which stays near
     machine epsilon even on cut cells whose stencil weights are huge; the
@@ -130,25 +130,22 @@ def solve_lma(
 
     ``kept``, when given, is the coupled solve's list of held factors
     (:func:`amce.coupled.solve_system` says which), and the factor held
-    there is taken out of it and tried first.  The plain refinement runs
-    against the exact ``D`` through it.  When that misses ``tol``, up to
-    four minimal-residual passes follow (see :func:`_refined_solve`), which
-    are exact when ``D`` is a multiple of the factored operator.  When they
-    miss it too, restarted GMRES left-preconditioned by the factor runs from
-    their last iterate (:func:`amce.operators.krylov_solve`, within
-    ``KRYLOV_HELD_CYCLES`` cycles, to a relative residual of a few ulps,
-    ``_RESCUE_RTOL``).  No factor is made when any of the three meets
-    ``tol``.  Otherwise that factor is dropped and ``D``'s own is made by
-    :func:`amce.operators.factor_lu`; so it is too when ``report_condition``
-    asks for the condition estimate, which must come from ``D``'s own
-    factor.  When the call is done, ``kept`` holds the factor it solved
-    through, handed or its own.  Symmetric mode keeps a diagonal pivot
-    however small, so when its solve leaves the backward error above
-    ``tol``, ``D`` is factored once more by
-    :func:`amce.operators.pivoting_lu` and solved again, and the tolerance
-    judges that solve.  ``report.pivoting_refactors`` is the number of
-    default-pivoting factors the call made, by either retry, read off
-    :data:`amce.operators.COUNTS`: 0 or 1.
+    there is taken out of it and tried first: the passes run against the
+    exact ``D`` through it.  When they miss ``tol``, restarted GMRES
+    left-preconditioned by the factor runs from their last iterate
+    (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
+    cycles, to a relative residual of a few ulps, ``_RESCUE_RTOL``).  No
+    factor is made when either meets ``tol``.  Otherwise that factor is
+    dropped and ``D``'s own is made by :func:`amce.operators.factor_lu`; so
+    it is too when ``report_condition`` asks for the condition estimate,
+    which must come from ``D``'s own factor.  When the call is done,
+    ``kept`` holds the factor it solved through, handed or its own.
+    Symmetric mode keeps a diagonal pivot however small, so when the passes
+    through it leave the backward error above ``tol``, ``D`` is factored
+    once more by :func:`amce.operators.pivoting_lu` and solved again, and
+    the tolerance judges that solve.  ``report.pivoting_refactors`` is the
+    number of default-pivoting factors the call made, by either retry, read
+    off :data:`amce.operators.COUNTS`: 0 or 1.
     """
     H = problem.hessian
     grid = H.grid
@@ -172,16 +169,12 @@ def solve_lma(
     if lu is not None:
         field, resid_sup, backward = _refined_solve(problem, D, B, lu)
         if not backward <= tol:
-            field, resid_sup, backward = _refined_solve(
-                problem, D, B, lu, start=field.values
+            v = krylov_solve(
+                gmres, D.dot, lu.solve, problem.g - B @ problem.psi_hits,
+                _RESCUE_RTOL, KRYLOV_HELD_CYCLES, x0=field.values,
             )
-            if not backward <= tol:
-                v = krylov_solve(
-                    gmres, D.dot, lu.solve, problem.g - B @ problem.psi_hits,
-                    _RESCUE_RTOL, KRYLOV_HELD_CYCLES, x0=field.values,
-                )
-                if v is not None:
-                    field, resid_sup, backward = _measured(problem, D, B, v)
+            if v is not None:
+                field, resid_sup, backward = _measured(problem, D, B, v)
         if not backward <= tol:
             lu = None  # dropped before D's own factor is made
     if lu is None:
@@ -217,34 +210,28 @@ def solve_lma(
     return field, report
 
 
-def _refined_solve(
-    problem: LMAProblem, D, B, lu, start: Array | None = None
-) -> tuple[ScalarField, float, float]:
+def _refined_solve(problem: LMAProblem, D, B, lu) -> tuple[ScalarField, float, float]:
     """``(v, residual sup, componentwise backward error)`` through ``lu``.
 
-    Without ``start``, ``v = lu.solve(rhs)`` is refined by plain passes
-    ``v += lu.solve(r)``.  From ``start``, each pass is a minimal-residual
-    step instead: ``z = lu.solve(r)``, ``v += a z`` with
-    ``a = (Dz . r) / (Dz . Dz)``, the ``a`` that minimizes the next residual
-    in the 2-norm.  This is GMRES(1), Saad's MR iteration preconditioned by
-    ``lu`` (*Iterative Methods for Sparse Linear Systems*, 2nd ed., §5.3.2);
-    when ``D`` is ``c`` times the factored operator, ``a = 1/c`` and one
-    pass reaches the round-off floor.  Either way at most four passes run,
-    while the residual sup shrinks.
+    ``v = lu.solve(rhs)`` is refined by minimal-residual passes:
+    ``z = lu.solve(r)``, ``v += a z`` with ``a = (Dz . r) / (Dz . Dz)``, the
+    ``a`` that minimizes the next residual in the 2-norm.  This is GMRES(1),
+    Saad's MR iteration preconditioned by ``lu`` (*Iterative Methods for
+    Sparse Linear Systems*, 2nd ed., §5.3.2); when ``D`` is ``c`` times the
+    factored operator, ``a = 1/c`` and one pass reaches the round-off floor.
+    At most eight passes run, while the residual sup shrinks.
     """
-    psi = problem.psi_hits
-    rhs = problem.g - B @ psi
-    v = lu.solve(rhs) if start is None else start
+    rhs = problem.g - B @ problem.psi_hits
+    v = lu.solve(rhs)
     prev = np.inf
-    for _ in range(4):
+    for _ in range(8):
         r = rhs - D @ v
         rn = float(np.max(np.abs(r)))
         if not 0.0 < rn < prev:
             break
         z = lu.solve(r)
-        if start is not None:
-            Dz = D @ z
-            z *= float(Dz @ r) / float(Dz @ Dz)
+        Dz = D @ z
+        z *= float(Dz @ r) / float(Dz @ Dz)
         v = v + z
         prev = rn
     return _measured(problem, D, B, v)

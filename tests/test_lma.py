@@ -203,23 +203,28 @@ def test_nearby_default_pivoting_factor_is_no_retry(grid32):
     assert back is lu
 
 
-def _factor_of_double(A, **kwargs):
-    from scipy.sparse.linalg import splu
+def _factor_of_multiple(c):
+    def factor(A, **kwargs):
+        from scipy.sparse.linalg import splu
 
-    return splu(2.0 * A, **kwargs)
+        return splu(c * A, **kwargs)
+
+    return factor
 
 
-def test_factor_of_a_multiple_is_used_through_scaled_passes(grid32):
-    """A factor of ``2 D``, whose plain refinement halves the error per pass
-    and misses the tolerance, is rescued by the minimal-residual passes: no
-    factor is made, the backward error is at the round-off floor, and the
-    factor goes back into ``kept`` as it was."""
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_factor_of_a_multiple_is_used_through_scaled_passes(grid32, c):
+    """A factor of ``c D`` is solved through exactly by the minimal-residual
+    passes, which scale each correction by ``1/c``: no factor is made, no
+    GMRES iteration runs, the backward error is at the round-off floor, and
+    the factor goes back into ``kept`` as it was."""
     problem, _ = _given_factor_problem(grid32)
     D = assemble_lma(problem.hessian)
     want, _ = solve_lma(problem)
-    handed = factor_lu(_factor_of_double, D, grid32)
+    handed = factor_lu(_factor_of_multiple(c), D, grid32)
     v, report, counts, kept = _solve_counting(problem, handed)
     assert counts["factorizations"] == 0
+    assert counts["krylov_iterations_total"] == 0
     assert report.backward_error <= 1e-15
     assert report.pivoting_refactors == 0
     assert np.abs(v.values - want.values).max() < 1e-12
@@ -233,7 +238,7 @@ def test_condition_estimate_comes_from_the_operators_own_factor(grid32):
     problem, _ = _given_factor_problem(grid32)
     D = assemble_lma(problem.hessian)
     _, want = solve_lma(problem, report_condition=True)
-    handed = factor_lu(_factor_of_double, D, grid32)
+    handed = factor_lu(_factor_of_multiple(2.0), D, grid32)
     _, report, counts, kept = _solve_counting(problem, handed, report_condition=True)
     assert counts["factorizations"] == 1
     [own] = kept
@@ -260,9 +265,9 @@ def _sheared_problem(grid):
 
 def test_factor_of_another_operator_is_rescued_by_gmres(grid32):
     """The Laplacian's factor, for the operator of ``sheared_half``, which is
-    no multiple of it, misses the tolerance through both refinements; GMRES
-    through it, from their last iterate, reaches the round-off floor within
-    its budget.  No factor is made, and the handed factor goes back into
+    no multiple of it, misses the tolerance through the minimal-residual
+    passes; GMRES through it, from their last iterate, reaches the round-off
+    floor within its budget.  No factor is made, and the handed factor goes back into
     ``kept`` as it was."""
     from amce.operators import KRYLOV_HELD_CYCLES, poisson_solver
 
@@ -281,10 +286,11 @@ def test_factor_of_another_operator_is_rescued_by_gmres(grid32):
 
 
 def test_bad_factor_is_replaced_by_one_fresh_factor(grid32):
-    """A factor that neither refinement nor GMRES's budget brings within the
-    tolerance (the factor of ``D``'s diagonal alone, for the operator of
-    ``sheared_half``) is dropped, and one symmetric-mode factor of the
-    operator itself is made in its place and goes into ``kept``."""
+    """A factor that neither the minimal-residual passes nor GMRES's budget
+    brings within the tolerance (the factor of ``D``'s diagonal alone, for
+    the operator of ``sheared_half``) is dropped, and one symmetric-mode
+    factor of the operator itself is made in its place and goes into
+    ``kept``."""
     from amce.operators import KRYLOV_HELD_CYCLES
 
     problem = _sheared_problem(grid32)
