@@ -28,9 +28,10 @@ sweep, and a sweep whose weight is not positive ends the solve.  Once the
 weight stops moving in sup norm, one more sweep runs undamped (the polish)
 and its linear solution is the returned ``w``, so both sub-equation
 residuals are reported at their floor.  Every step solves through the
-factor it is handed and hands on the factor it solved through, so that
-only a step that GMRES cannot serve through it makes one; the rule is
-stated once, in :func:`solve_system`.
+factor it is handed and hands on the factor it solved through, unless a
+coupled Newton step's GMRES through it stopped paying, so that a factor is
+made only where a held one cannot serve or no longer serves cheaply; the
+rule is stated once, in :func:`solve_system`.
 
 The exponent window ``0 <= theta < 1/2`` is enforced: the two-dimensional
 estimates behind the scheme need ``theta < 1/n`` with ``n = 2``, and
@@ -58,6 +59,7 @@ from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
 from .operators import (
     COUNTS,
     KRYLOV_HELD_CYCLES,
+    KRYLOV_REFACTOR_ITERATIONS,
     discrete_hessian,
     factor_lu,
     forcing_term,
@@ -253,7 +255,9 @@ def _newton_step(
     follows :func:`solve_system`'s rule for the factor held there: GMRES
     runs through it, and only when that fails is it dropped, ``A``'s own
     made, and GMRES run through that.  Once GMRES has solved, ``kept``
-    holds the factor it solved through.
+    holds the factor it solved through, or nothing when that solve took
+    more than ``KRYLOV_REFACTOR_ITERATIONS`` iterations; the iterations of
+    a failed attempt through a dropped factor do not count.
     Every GMRES iteration counts in ``COUNTS["krylov_iterations_total"]``,
     and a returned step in ``COUNTS["coupled_newton_steps"]``.
     """
@@ -283,6 +287,7 @@ def _newton_step(
         )
 
     lu = kept.pop() if kept else None
+    spent = COUNTS["krylov_iterations_total"]
     delta = None if lu is None else direction()
     if delta is None:
         lu = None  # dropped before A's own factor is made
@@ -290,10 +295,12 @@ def _newton_step(
             lu = factor_lu(splu, A, data.grid)
         except RuntimeError:
             return None
+        spent = COUNTS["krylov_iterations_total"]  # only the solving attempt's count
         delta = direction()
         if delta is None:
             return None
-    kept.append(lu)
+    if COUNTS["krylov_iterations_total"] - spent <= KRYLOV_REFACTOR_ITERATIONS:
+        kept.append(lu)
     size = float(np.max(np.abs(delta[n:])))
     alpha = min(1.0, cap / size) if size > 0.0 else 1.0
     u_new = u.with_values(u.values + alpha * delta[:n])
@@ -340,7 +347,8 @@ def solve_system(
     The report's counts are those :data:`amce.operators.COUNTS` gained
     during the call: ``factorizations`` is every ``splu`` call, the
     Laplacian's, one per coupled Newton step that makes a factor, those of
-    the sweeps, and the ``pivoting_refactors`` retries among them;
+    the sweeps, the refactors that follow a step handing on no factor (see
+    below), and the ``pivoting_refactors`` retries among them;
     ``lu_solves`` is every solve through any of those factors.
 
     Factors are handed on through one list, ``kept``, which holds the
@@ -353,19 +361,30 @@ def solve_system(
     only when that fails drops it and makes its own operator's.  Any
     nearby factor preconditions a Newton-Krylov step (Knoll and Keyes), so
     no held factor is checked against the operator it serves, and at most
-    one factor is alive at any factorization.
+    one factor is alive at any factorization.  A lagged factor costs a
+    coupled Newton step more GMRES iterations as its forcing term
+    tightens, so a step whose GMRES took more than
+    ``KRYLOV_REFACTOR_ITERATIONS`` iterations through the factor that
+    solved it still takes its direction but hands that factor on to
+    nobody: the next solve finds ``kept`` empty and makes its own
+    operator's factor, which it hands on under the same rule (Knoll and
+    Keyes refresh a lagged preconditioner alike).
 
-    So ``radial_quartic`` and ``radial_mild`` take the Laplacian's factor
-    alone at h = 1/16 to 1/128: it serves the damped sweep's linear step,
-    whose operator is a multiple of the Laplacian after a paraboloid
-    Poisson start, so that the passes alone solve it exactly, and then
-    every Newton step's GMRES and the polish.  The two paraboloids take
-    the Laplacian's alone too, and so does ``sheared_half``, one sweep:
-    its 4 determinant steps and its linear step run GMRES through that
-    factor.  The one Laplacian factor solves
-    for the harmonic extension of ``psi``, the first weight, and then for
-    the determinant solve's Poisson start (see
-    :func:`amce.ma.initial_guess`), and then waits in ``kept``.
+    So ``radial_quartic`` at h = 1/16 to 1/128 makes 2 factors: the
+    Laplacian's serves the damped sweep's linear step, whose operator is a
+    multiple of the Laplacian after a paraboloid Poisson start, so that
+    the passes alone solve it exactly, and then the Newton steps' GMRES
+    until one takes more than ``KRYLOV_REFACTOR_ITERATIONS`` iterations
+    (the fourth to the sixth step, as the spacing has it); the next step's
+    own factor serves the rest and the polish.  ``radial_mild`` makes 2 at
+    h = 1/32 to 1/128, where its last Newton step stops paying and the
+    polish's linear solve makes its own, and the Laplacian's alone at
+    1/16.  The two paraboloids take the Laplacian's alone, and so does
+    ``sheared_half``, one sweep: its 4 determinant steps and its linear
+    step run GMRES through that factor.  The Laplacian factor solves for
+    the harmonic extension of ``psi``, the first weight, and then for the
+    determinant solve's Poisson start (see :func:`amce.ma.initial_guess`),
+    and then waits in ``kept``.
     """
     opts = options or CoupledOptions()
     if not 0.0 < opts.relaxation <= 1.0:

@@ -401,6 +401,15 @@ _KRYLOV_RTOL_MAX = 1e-2
 #: about one factorization's cost when they fail through a factor of another
 #: operator; through a step's own factor they take a few.
 KRYLOV_HELD_CYCLES = 3
+#: Most GMRES iterations a coupled Newton step may take through the factor
+#: it solved through and still hand that factor on; past them the next solve
+#: makes its own operator's.  At h = 1/64 a factor costs about 15-30 solves,
+#: as the machine has it, and a coupled step's GMRES iteration 2 solves plus
+#: 4 matrix-vector products, while a step through its own factor takes 3-4
+#: iterations.  Through a lagged factor the iterations grow as the forcing
+#: term tightens, so the excess of a step past 8 pays for a factor within a
+#: step or two (Knoll and Keyes refresh a lagged preconditioner alike).
+KRYLOV_REFACTOR_ITERATIONS = 8
 
 
 def forcing_term(residual: Array) -> float:

@@ -204,17 +204,19 @@ def _count_splu(monkeypatch, record=lambda A: A.shape) -> list:
 
 
 def test_newton_steps_solve_through_the_laplacian_factor(grid16, monkeypatch):
-    """Every coupled Newton step is preconditioned by the Laplacian factor.
+    """The coupled Newton steps are preconditioned by the Laplacian factor
+    until GMRES through it stops paying.
 
     The Poisson start is a paraboloid, so the damped sweep's linear step,
     whose operator is a multiple of the Laplacian, solves through the
-    Laplacian factor by minimal-residual passes alone and hands it on;
-    every Newton step runs GMRES through it and hands it on, and the
-    polish's linear solve runs the same passes through it: the solve makes
-    that one factor.  GMRES, solving each step only as far as its forcing
-    term asks, and rescuing the linear solves the passes leave above
-    ``lma_tol``, needs 74 iterations in all here, 96 at h = 1/32 and 1/128
-    and 94 at 1/64.
+    Laplacian factor by minimal-residual passes alone and hands it on.
+    The Newton steps run GMRES through it, 4, 6, 6, 6, 7 and 9 iterations
+    as the forcing term tightens; the sixth, past
+    ``KRYLOV_REFACTOR_ITERATIONS``, hands it on to nobody, so the seventh
+    makes its own factor and hands that to the polish: the solve makes 2
+    factors.  GMRES, solving each step only as far as its forcing term
+    asks, needs 44 iterations in all here, 41 at h = 1/32, 40 at 1/64 and
+    43 at 1/128 (74, 96, 94 and 96 through the Laplacian's factor alone).
     """
     calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -222,12 +224,12 @@ def test_newton_steps_solve_through_the_laplacian_factor(grid16, monkeypatch):
     assert report.outer_iterations == 8
     assert report.coupled_newton_steps == 7
     assert report.newton_iterations_total == 0
-    assert len(calls) == 1
-    assert report.factorizations == 1
+    assert len(calls) == 2
+    assert report.factorizations == 2
     assert report.pivoting_refactors == 0
-    assert report.krylov_iterations_total == 74
+    assert report.krylov_iterations_total == 44
     d = dataclasses.asdict(report)
-    assert d["factorizations"] == 1
+    assert d["factorizations"] == 2
     assert d["coupled_newton_steps"] == 7
     assert d["krylov_iterations_total"] == report.krylov_iterations_total > 0
 
@@ -396,9 +398,11 @@ def _track_live_factors(monkeypatch) -> list:
 
 def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
     """Both linear solves are handed a factor and make none: the sweep's
-    the Laplacian's, the polish's the last Newton step's, which is the
-    Laplacian's too.  At no factorization is a second factor alive, the
-    handed ones included."""
+    the Laplacian's, the polish's the last Newton step's own, made after
+    the step before it took more than ``KRYLOV_REFACTOR_ITERATIONS`` GMRES
+    iterations through the Laplacian's.  The solve makes those 2 factors,
+    and at no factorization is a second factor alive, the handed ones
+    included."""
     import amce.coupled
 
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -413,7 +417,7 @@ def test_polish_refines_through_the_last_step_factor(grid16, monkeypatch):
     live = _track_live_factors(monkeypatch)
     _, _, report = solve_system(problem)
     assert lma_factors == [True, True]
-    assert len(live) == report.factorizations == 1
+    assert len(live) == report.factorizations == 2
     assert max(live) == 0
 
 
@@ -459,10 +463,10 @@ def test_linear_step_refines_through_the_last_determinant_step_factor(
 def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypatch):
     """When the polish's determinant solve takes steps (forced here by
     moving its start), they solve by GMRES through the kept factor, the
-    last Newton step's, and make none; the determinant solve hands that
+    last Newton step's own, and make none; the determinant solve hands that
     factor on and the polish's linear solve refines through it in place of
-    making its own: the forced steps add no factor to the Laplacian's, and
-    no two factors are ever alive."""
+    making its own: the forced steps add no factor to the Laplacian's and
+    the last Newton step's, and no two factors are ever alive."""
     import amce.coupled
 
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -481,7 +485,7 @@ def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypa
     _, w, report = solve_system(problem)
     assert len(starts) == 2
     assert report.newton_iterations_total == 2
-    assert len(live) == report.factorizations == 1
+    assert len(live) == report.factorizations == 2
     assert max(live) == 0
     assert np.abs(w.values - w_ref.values).max() < 1e-8
 
@@ -493,7 +497,7 @@ def test_polish_drops_the_kept_factor_before_a_determinant_step(grid16, monkeypa
         ("paraboloid", "grid64", 1),
         ("paraboloid_r2", "grid32", 1),
         ("paraboloid_r2", "grid64", 1),
-        ("radial_quartic", "grid32", 1),
+        ("radial_quartic", "grid32", 2),
         ("sheared_half", "grid16", 1),
     ],
 )
@@ -504,9 +508,11 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
 
     A radial fixture's solve takes no Newton step there, so its linear
     step, a multiple of the Laplacian, solves through that factor: the
-    paraboloids make the Laplacian's factor alone, and so does
-    ``radial_quartic``, whose Newton steps all run GMRES through it, 96
-    iterations in all.  ``sheared_half``'s determinant solve steps by GMRES
+    paraboloids make the Laplacian's factor alone.  ``radial_quartic``'s
+    Newton steps run GMRES through it until the fourth takes 10 iterations,
+    past ``KRYLOV_REFACTOR_ITERATIONS``, so the fifth makes its own, which
+    serves the rest: 2 factors, and 41 GMRES iterations in all.
+    ``sheared_half``'s determinant solve steps by GMRES
     through the Laplacian factor and hands it on to its linear step, so
     that solve too makes the Laplacian's factor alone; at that ``splu`` no
     factor is alive.
@@ -529,7 +535,7 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
     assert max(live) == 0
     assert report.pivoting_refactors == 0
     if name == "radial_quartic":
-        assert report.krylov_iterations_total == 96
+        assert report.krylov_iterations_total == 41
 
 
 @pytest.mark.parametrize("k", [16, 32, 64, 128])
@@ -607,6 +613,76 @@ def test_newton_step_solves_through_any_held_factor_gmres_can_use(grid16):
         assert (COUNTS - start)["krylov_iterations_total"] == krylov
         [solved_through] = kept
         assert (solved_through is held) == (made == 0)
+
+
+@pytest.mark.parametrize(
+    "held_of, handed_on",
+    [
+        pytest.param(1e-3, "held", id="served"),
+        pytest.param(3e-3, "nothing", id="stopped-paying"),
+        pytest.param("diagonal", "own", id="failed-then-own"),
+    ],
+)
+def test_newton_step_hands_on_a_factor_within_the_refactor_threshold(
+    grid16, monkeypatch, held_of, handed_on
+):
+    """A coupled Newton step hands on the factor it solved through only when
+    GMRES took at most ``KRYLOV_REFACTOR_ITERATIONS`` iterations through it.
+
+    The held factor is of the operator of ``u + c x^2``.  At c = 1e-3 GMRES
+    serves the step within the threshold and the factor stays in ``kept``.
+    At c = 3e-3 it needs more: the step still uses that direction but
+    leaves ``kept`` empty, and the next step makes exactly one factor, with
+    the dropped one no longer alive.  Through a factor of ``A``'s diagonal
+    GMRES fails after its whole budget, more than the threshold, and the
+    step hands on ``A``'s own, since only the iterations through the factor
+    that solved count."""
+    import weakref
+
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    from amce import discrete_hessian
+    from amce.coupled import _newton_step
+    from amce.lma import assemble_lma
+    from amce.operators import COUNTS, KRYLOV_REFACTOR_ITERATIONS, factor_lu
+
+    data, u, w = _exact(grid16)
+    live = _track_live_factors(monkeypatch)
+    if held_of == "diagonal":
+        operator = sp.diags(assemble_lma(discrete_hessian(u)).diagonal()).tocsc()
+    else:
+        x = grid16.nodes[:, 0]
+        operator = assemble_lma(discrete_hessian(u.with_values(u.values + held_of * x**2)))
+    kept = [factor_lu(splu, operator, grid16)]
+    held = weakref.ref(kept[0])
+    start = COUNTS.copy()
+    step = _newton_step(data, u, w, 1.0, kept)
+    spent = COUNTS - start
+    assert step is not None and step[2] > 1e-8
+    assert spent["coupled_newton_steps"] == 1
+    if handed_on == "held":
+        assert spent["krylov_iterations_total"] <= KRYLOV_REFACTOR_ITERATIONS
+        assert spent["factorizations"] == 0
+        [solved_through] = kept
+        assert solved_through is held()
+    elif handed_on == "nothing":
+        assert spent["krylov_iterations_total"] > KRYLOV_REFACTOR_ITERATIONS
+        assert spent["factorizations"] == 0
+        assert kept == [] and held() is None
+        start = COUNTS.copy()
+        assert _newton_step(data, step[0], step[1], 1.0, kept) is not None
+        assert (COUNTS - start)["factorizations"] == 1
+        assert len(kept) == 1
+    else:
+        assert spent["krylov_iterations_total"] > KRYLOV_REFACTOR_ITERATIONS
+        assert spent["factorizations"] == 1
+        assert len(kept) == 1 and held() is None
+    # the held factor is made through SciPy's own splu, so live counts the
+    # step's factorizations and the next step's, and the held one is dropped
+    # at each
+    assert len(live) == spent["factorizations"] + (handed_on == "nothing")
+    assert max(live, default=0) == 0
 
 
 def test_newton_step_whose_weight_power_overflows_leaves_the_held_factor(grid16):
@@ -720,7 +796,7 @@ def _full_solve(name):
         pytest.param(_linear_solve, "diagonal", 1, id="solve_lma-own"),
         pytest.param(_coupled_step, "nearby", 0, id="_newton_step-handed"),
         pytest.param(_coupled_step, "diagonal", 1, id="_newton_step-own"),
-        pytest.param(_full_solve("radial_quartic"), None, 1, id="radial_quartic"),
+        pytest.param(_full_solve("radial_quartic"), None, 2, id="radial_quartic"),
         pytest.param(_full_solve("radial_mild"), None, 1, id="radial_mild"),
     ],
 )
@@ -730,9 +806,10 @@ def test_kept_holds_the_factor_the_call_solved_through(
     """When a determinant solve, a linear solve or a coupled Newton step is
     done, ``kept`` holds the factor it last solved through: the handed
     one when it serves, and otherwise the call's own, made after the
-    handed one is dropped.  After a whole ``radial_quartic`` or
-    ``radial_mild`` solve ``kept`` holds the Laplacian's factor, the only
-    one made.  ``made`` counts the call's factorizations, and at none is a
+    handed one is dropped.  After a whole ``radial_quartic`` solve
+    ``kept`` holds the last factor made, its seventh Newton step's own,
+    and after a ``radial_mild`` one the Laplacian's, the only one made.
+    ``made`` counts the call's factorizations, and at none is a
     second factor alive, the handed one included."""
     import weakref
 
