@@ -17,14 +17,17 @@ weight moves part of the way to that solution.  From there on it takes
 inexact Newton steps on ``(u, w)`` together (Newton-Krylov with the
 splitting as preconditioner, after Knoll and Keyes, J. Comput. Phys. 193,
 2004).  In two dimensions ``cof H(u) : H(w)`` is bilinear and symmetric in
-``(u, w)``, so every Jacobian block is an operator the linear step already
-assembles.  GMRES solves the Newton system to a tolerance that tightens as
-``F`` falls (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996),
-preconditioned by the block lower-triangular splitting applied through a
-held LU factor of a nearby ``cof H : D^2``, or of the step's own.  A
-Newton step whose operator cannot be factored, that GMRES cannot solve, or
-that would lose convexity or the weight's sign, is replaced by a damped
-sweep, and a sweep whose weight is not positive ends the solve.  Once the
+``(u, w)``, so every Jacobian block is a ``cof H : D^2`` operator, the
+linear step's.  GMRES solves the Newton system to a tolerance that
+tightens as ``F`` falls (Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+1996), preconditioned by the block lower-triangular splitting applied
+through a held LU factor of a nearby ``cof H : D^2``, or of the step's
+own.  It multiplies by the Jacobian matrix-free
+(:func:`amce.lma.apply_lma`), so an operator is assembled only to be
+factored.  A Newton step whose operator cannot be factored, that GMRES
+cannot solve, or that would lose convexity or the weight's sign, is
+replaced by a damped sweep, and a sweep whose weight is not positive ends
+the solve.  Once the
 weight stops moving in sup norm, one more sweep runs undamped (the polish)
 and its linear solution is the returned ``w``, so both sub-equation
 residuals are reported at their floor.  Every step solves through the
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import gmres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import (
     ConvexityFailureError,
@@ -54,7 +57,14 @@ from .errors import (
     NonConvergenceError,
 )
 from .grid import Grid, ScalarField, require_finite
-from .lma import LMA_TOL, LMAProblem, assemble_lma, lma_residual, solve_lma
+from .lma import (
+    LMA_TOL,
+    LMAProblem,
+    apply_lma,
+    assemble_lma,
+    lma_residual,
+    solve_lma,
+)
 from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
 from .operators import (
     COUNTS,
@@ -63,6 +73,7 @@ from .operators import (
     discrete_hessian,
     factor_lu,
     forcing_term,
+    gmres,
     krylov_solve,
     local_quadratic_fit,
     poisson_solver,
@@ -242,10 +253,14 @@ def _newton_step(
     has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
     it (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
     restart cycles), left-preconditioned by ``[[A, 0], [C, A]]`` with ``A``
-    applied through one LU factor, to the relative tolerance
+    applied through one LU factor, so each iteration makes two LU solves,
+    to the relative tolerance
     :func:`amce.operators.forcing_term` of ``F``: loose while ``F`` is
     large and the step is capped anyway, and at the floor once Newton
     converges.
+    Products with ``A`` and ``C`` are formed from ``H(u)`` and ``H(w)`` by
+    :func:`amce.lma.apply_lma`: ``C`` is never assembled, and ``A`` only
+    when its own factor is made.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
     Returns ``(u, w, change)``, or None when ``w^e`` overflows, ``A``
     cannot be factored, GMRES fails or returns a non-finite step, or the
@@ -263,9 +278,7 @@ def _newton_step(
     """
     n = data.grid.n_nodes
     e = 1.0 / (data.theta - 1.0)
-    Hu = discrete_hessian(u)
-    A = assemble_lma(Hu)
-    C = assemble_lma(discrete_hessian(w))
+    Hu, Hw = discrete_hessian(u), discrete_hessian(w)
     with np.errstate(over="ignore"):
         we = w.values**e
         dw_coef = -e * we / w.values
@@ -275,11 +288,13 @@ def _newton_step(
 
     def jacobian(x):
         xu, xw = x[:n], x[n:]
-        return np.concatenate([A @ xu + dw_coef * xw, C @ xu + A @ xw])
+        return np.concatenate(
+            [apply_lma(Hu, xu) + dw_coef * xw, apply_lma(Hw, xu) + apply_lma(Hu, xw)]
+        )
 
     def precondition(r):
         yu = lu.solve(r[:n])
-        return np.concatenate([yu, lu.solve(r[n:] - C @ yu)])
+        return np.concatenate([yu, lu.solve(r[n:] - apply_lma(Hw, yu))])
 
     def direction():
         return krylov_solve(
@@ -292,7 +307,7 @@ def _newton_step(
     if delta is None:
         lu = None  # dropped before A's own factor is made
         try:
-            lu = factor_lu(splu, A, data.grid)
+            lu = factor_lu(splu, assemble_lma(Hu), data.grid)
         except RuntimeError:
             return None
         spent = COUNTS["krylov_iterations_total"]  # only the solving attempt's count
@@ -375,7 +390,7 @@ def solve_system(
     multiple of the Laplacian after a paraboloid Poisson start, so that
     the passes alone solve it exactly, and then the Newton steps' GMRES
     until one takes more than ``KRYLOV_REFACTOR_ITERATIONS`` iterations
-    (the fourth to the sixth step, as the spacing has it); the next step's
+    (the fourth step, at every spacing); the next step's
     own factor serves the rest and the polish.  ``radial_mild`` makes 2 at
     h = 1/32 to 1/128, where its last Newton step stops paying and the
     polish's linear solve makes its own, and the Laplacian's alone at

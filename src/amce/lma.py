@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import gmres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import DegenerateOperatorError, NonConvergenceError
 from .grid import ScalarField, require_finite
@@ -34,6 +34,7 @@ from .operators import (
     HessianField,
     discrete_hessian,
     factor_lu,
+    gmres,
     grid_operators,
     krylov_solve,
     pivoting_lu,
@@ -252,6 +253,21 @@ def lma_residual(v: ScalarField, H: HessianField, g: Array) -> Array:
     """Node-wise ``cof H : D^2 v - g = hyy v_xx - 2 hxy v_xy + hxx v_yy - g``."""
     Hv = discrete_hessian(v)
     return H.hyy * Hv.hxx - 2.0 * H.hxy * Hv.hxy + H.hxx * Hv.hyy - np.asarray(g)
+
+
+def apply_lma(H: HessianField, x: Array) -> Array:
+    """``assemble_lma(H) @ x`` without the matrix.
+
+    Node-wise ``hyy (Dxx x) - 2 hxy (Dxy x) + hxx (Dyy x)`` through the
+    grid's own interior second-difference operators, so no operator is
+    assembled and no stacked copy of them is made.
+    """
+    ops = grid_operators(H.grid)
+    return (
+        H.hyy * (ops["dxx"].D @ x)
+        - 2.0 * H.hxy * (ops["dxy"].D @ x)
+        + H.hxx * (ops["dyy"].D @ x)
+    )
 
 
 def _condition_estimate(D: sp.csc_matrix, lu) -> float:

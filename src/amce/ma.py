@@ -11,13 +11,15 @@ so each Newton step solves the sparse linearized problem
 cofactor frozen at the current iterate: the operator of
 :func:`amce.lma.assemble_lma`.  The solve holds one LU factor and solves
 each step by GMRES through it to a forcing term, so Newton still converges
-quadratically; a step factors its own matrix only when no factor is held
-or GMRES cannot solve through the held one.  Eigenvalues of ``H`` are
-clamped from below before forming ``U`` so the linearization stays
-elliptic when an iterate grazes the convexity boundary.  One number
-measures every iterate, the backward error ``max_i |det H(u) - g|_i /
-floor_i`` (:func:`roundoff_floor`): a backtracking line search enforces
-its decrease, and Newton stops once it is at most ``BERR_TOL``.
+quadratically; GMRES multiplies by the operator without assembling it
+(:func:`amce.lma.apply_lma`), and a step assembles and factors its own
+matrix only when no factor is held or GMRES cannot solve through the held
+one.  Eigenvalues of ``H`` are clamped from below before forming ``U`` so
+the linearization stays elliptic when an iterate grazes the convexity
+boundary.  One number measures every iterate, the backward error
+``max_i |det H(u) - g|_i / floor_i`` (:func:`roundoff_floor`): a
+backtracking line search enforces its decrease, and Newton stops once it
+is at most ``BERR_TOL``.
 
 The initial iterate solves ``lap u0 = 2 sqrt(g)``, which matches the target
 determinant where the Hessian is isotropic and is exact for quadratic data.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import gmres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import (
     ConvexityFailureError,
@@ -36,7 +38,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .grid import Grid, ScalarField, require_finite
-from .lma import assemble_lma
+from .lma import apply_lma, assemble_lma
 from .operators import (
     COUNTS,
     KRYLOV_HELD_CYCLES,
@@ -44,6 +46,7 @@ from .operators import (
     discrete_hessian,
     factor_lu,
     forcing_term,
+    gmres,
     grid_operators,
     krylov_solve,
     solve_poisson,
@@ -160,17 +163,19 @@ def solve_ma(
     Each step solves its clamped system by GMRES left-preconditioned by
     that factor (:func:`amce.operators.krylov_solve`), to the relative
     tolerance :func:`amce.operators.forcing_term` of the residual, within
-    ``KRYLOV_HELD_CYCLES`` restart cycles.  A step factors its own matrix
-    (:func:`amce.operators.factor_lu`) and solves through that factor
-    exactly in three cases only: no factor is held, GMRES does not
-    converge, or it returns a non-finite update; the held factor is
-    dropped before that ``splu``, so one factor is alive at a time.  When
-    the solve is done, ``kept`` holds the factor its last step solved
-    through, for the next solve to try (see :func:`amce.lma.solve_lma`);
-    a solve that takes no step leaves ``kept`` as it was.  Steps,
-    backtracks and GMRES iterations count in :data:`amce.operators.COUNTS`
-    as they are taken, and the report reads them, with the steps'
-    ``pivoting_refactors``, off the counts made since the first step.
+    ``KRYLOV_HELD_CYCLES`` restart cycles, multiplying by the clamped
+    matrix matrix-free (:func:`amce.lma.apply_lma`).  A step assembles and
+    factors its own matrix (:func:`amce.operators.factor_lu`) and solves
+    through that factor exactly in three cases only: no factor is held,
+    GMRES does not converge, or it returns a non-finite update; the held
+    factor is dropped before that ``splu``, so one factor is alive at a
+    time.  When the solve is done, ``kept`` holds the factor its last step
+    solved through, for the next solve to try (see
+    :func:`amce.lma.solve_lma`); a solve that takes no step leaves
+    ``kept`` as it was.  Steps, backtracks and GMRES iterations count in
+    :data:`amce.operators.COUNTS` as they are taken, and the report reads
+    them, with the steps' ``pivoting_refactors``, off the counts made
+    since the first step.
 
     Newton stops when the backward error is at most ``BERR_TOL`` or when
     ``max |det H(u) - g| <= newton_tol``; the line search measures each
@@ -206,18 +211,19 @@ def solve_ma(
                 f"{opts.max_newton_iters} iterations (last residual {res_norm:.3e})",
                 history=history,
             )
-        J = assemble_lma(H.clamped(opts.eps_clamp))
+        Hc = H.clamped(opts.eps_clamp)
         if lu is None and kept:
             lu = kept.pop()
         delta = None
         if lu is not None:
             delta = krylov_solve(
-                gmres, J.dot, lu.solve, -res, forcing_term(res), KRYLOV_HELD_CYCLES
+                gmres, lambda x: apply_lma(Hc, x), lu.solve, -res,
+                forcing_term(res), KRYLOV_HELD_CYCLES,
             )
         if delta is None:
-            lu = None  # dropped before J's own factor is made
+            lu = None  # dropped before the step's own factor is made
             try:
-                lu = factor_lu(splu, J, problem.grid)
+                lu = factor_lu(splu, assemble_lma(Hc), problem.grid)
             except RuntimeError as exc:
                 raise DegenerateOperatorError(f"Newton matrix: {exc}") from exc
             delta = lu.solve(-res)

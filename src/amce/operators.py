@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateOperatorError, IncompleteDataError
@@ -405,8 +405,8 @@ KRYLOV_HELD_CYCLES = 3
 #: it solved through and still hand that factor on; past them the next solve
 #: makes its own operator's.  At h = 1/64 a factor costs about 15-30 solves,
 #: as the machine has it, and a coupled step's GMRES iteration 2 solves plus
-#: 4 matrix-vector products, while a step through its own factor takes 3-4
-#: iterations.  Through a lagged factor the iterations grow as the forcing
+#: 4 matrix-free ``cof H : D^2`` products, while a step through its own
+#: factor takes 3-4 iterations.  Through a lagged factor the iterations grow as the forcing
 #: term tightens, so the excess of a step past 8 pays for a factor within a
 #: step or two (Knoll and Keyes refresh a lagged preconditioner alike).
 KRYLOV_REFACTOR_ITERATIONS = 8
@@ -423,6 +423,111 @@ def forcing_term(residual: Array) -> float:
     return max(_KRYLOV_RTOL, min(_KRYLOV_RTOL_MAX, float(np.max(np.abs(residual)))))
 
 
+def gmres(
+    A: Callable[[Array], Array],
+    b: Array,
+    x0: Array | None = None,
+    *,
+    rtol: float,
+    maxiter: int,
+    M: Callable[[Array], Array],
+    callback: Callable[[float], None] | None = None,
+) -> tuple[Array, int]:
+    """Restarted GMRES for ``A x = b``, left-preconditioned: ``(x, info)``.
+
+    ``A(v)`` applies the operator and ``M(v)`` the preconditioner's inverse.
+    The contract is SciPy's (:func:`scipy.sparse.linalg.gmres`): Arnoldi by
+    modified Gram-Schmidt, the least-squares problem by Givens rotations, a
+    restart every ``_KRYLOV_RESTART`` iterations and at most ``maxiter``
+    restart cycles, starting from ``x0`` (zero when None).  ``x`` has
+    converged, ``info`` 0, when the Arnoldi estimate of ``|M r|_2`` is at
+    most ``rtol |M b|_2`` and the true ``|r|_2 = |b - A x|_2`` at most
+    ``rtol |b|_2``; otherwise ``info`` is ``maxiter``.  ``callback``, when
+    given, receives the estimate over ``|b|_2`` after every iteration.
+
+    Two things differ from SciPy's.  ``M b`` is computed once, and is the
+    first basis vector when ``x0`` is None.  An estimate that passes while
+    the true residual misses tightens the estimate's target (SciPy's
+    factor of 1/4) and the same basis is extended: a restart comes only
+    with a full basis.  So a call that does not restart applies ``M``
+    ``iterations + 1`` times, or ``iterations + 2`` with ``x0``.
+    """
+    b = np.asarray(b, dtype=float)
+    n = len(b)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros(n), 0
+    atol = rtol * b_norm
+    z = M(b)  # the preconditioned residual that starts each cycle
+    target = float(np.linalg.norm(z)) * min(1.0, rtol)
+    if x0 is None:
+        x = np.zeros(n)
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A(x)
+        if np.linalg.norm(r) <= atol:
+            return x, 0
+        z = M(r)
+    size = min(_KRYLOV_RESTART, n)
+    eps = np.finfo(float).eps
+    V = np.empty((size + 1, n))  # the Arnoldi basis
+    R = np.zeros((size + 1, size))  # the Hessenberg matrix, rotated triangular
+    rotations = []
+    loosen = 1.0  # SciPy's ``ptol_max_factor``
+    for cycle in range(maxiter):
+        s = np.zeros(size + 1)  # the rotated right-hand side
+        s[0] = np.linalg.norm(z)
+        V[0] = z / s[0]
+        rotations.clear()
+        for j in range(size):
+            w = M(A(V[j]))
+            before = np.linalg.norm(w)
+            for k in range(j + 1):
+                R[k, j] = V[k] @ w
+                w -= R[k, j] * V[k]
+            after = float(np.linalg.norm(w))
+            breakdown = after <= eps * before  # the basis spans the solution
+            R[j + 1, j] = 0.0 if breakdown else after
+            if not breakdown:
+                V[j + 1] = w / after
+            for k, (c, sn) in enumerate(rotations):
+                R[k, j], R[k + 1, j] = (
+                    c * R[k, j] + sn * R[k + 1, j], c * R[k + 1, j] - sn * R[k, j]
+                )
+            rho = float(np.hypot(R[j, j], R[j + 1, j]))
+            c, sn = (R[j, j] / rho, R[j + 1, j] / rho) if rho else (1.0, 0.0)
+            rotations.append((c, sn))
+            R[j, j], R[j + 1, j] = rho, 0.0
+            s[j], s[j + 1] = c * s[j], -sn * s[j]
+            estimate = abs(s[j + 1])
+            if callback is not None:
+                callback(estimate / b_norm)
+            checked = breakdown or estimate <= target
+            if checked or j == size - 1:
+                x_j = x + _back_substitute(R[: j + 1, : j + 1], s[: j + 1]) @ V[: j + 1]
+                r = b - A(x_j)
+                r_norm = float(np.linalg.norm(r))
+                if r_norm <= atol:
+                    return x_j, 0
+                if breakdown:
+                    return x_j, maxiter
+                loosen = max(eps, 0.25 * loosen) if checked else min(1.0, 1.5 * loosen)
+                target = estimate * min(loosen, atol / r_norm)
+        x = x_j
+        if cycle + 1 < maxiter:
+            z = M(r)
+    return x, maxiter
+
+
+def _back_substitute(R: Array, s: Array) -> Array:
+    """``y`` with ``R y = s`` for upper-triangular ``R``; a zero pivot gives 0."""
+    y = s.copy()
+    for k in range(len(y) - 1, -1, -1):
+        y[k] = y[k] / R[k, k] if R[k, k] != 0.0 else 0.0
+        y[:k] -= y[k] * R[:k, k]
+    return y
+
+
 def krylov_solve(
     gmres,
     matvec: Callable[[Array], Array],
@@ -435,29 +540,21 @@ def krylov_solve(
     """``x`` with ``|b - A x|_2 <= rtol |b|_2`` by restarted GMRES, or None.
 
     ``matvec`` applies ``A`` and ``precondition`` solves through a held LU
-    factor (:class:`PermutedLU`), as the left preconditioner.  GMRES
-    restarts every ``_KRYLOV_RESTART`` iterations and starts from ``x0``
-    (zero when None); None when ``cycles`` restart cycles do not reach
-    ``rtol`` or ``x`` is not finite.  Every iteration counts in
-    ``COUNTS["krylov_iterations_total"]``.  ``gmres`` is the caller's own
-    binding of :func:`scipy.sparse.linalg.gmres`, so that a test can
-    replace it at one call site.
+    factor (:class:`PermutedLU`), as the left preconditioner; :func:`gmres`
+    applies it once per iteration and once more to ``b`` (twice more with
+    ``x0``).  GMRES restarts every ``_KRYLOV_RESTART`` iterations and
+    starts from ``x0`` (zero when None); None when ``cycles`` restart
+    cycles do not reach ``rtol`` or ``x`` is not finite.  Every iteration
+    counts in ``COUNTS["krylov_iterations_total"]``.  ``gmres`` is the
+    caller's own binding of :func:`gmres`, so that a test can replace it at
+    one call site.
     """
-    shape = (len(b), len(b))
 
     def count(_):
         COUNTS["krylov_iterations_total"] += 1
 
     x, info = gmres(
-        LinearOperator(shape, matvec=matvec, dtype=float),
-        b,
-        x0=x0,
-        rtol=rtol,
-        restart=_KRYLOV_RESTART,
-        maxiter=cycles,
-        M=LinearOperator(shape, matvec=precondition, dtype=float),
-        callback=count,
-        callback_type="pr_norm",
+        matvec, b, x0=x0, rtol=rtol, maxiter=cycles, M=precondition, callback=count
     )
     if info != 0 or not np.isfinite(x).all():
         return None

@@ -210,13 +210,13 @@ def test_newton_steps_solve_through_the_laplacian_factor(grid16, monkeypatch):
     The Poisson start is a paraboloid, so the damped sweep's linear step,
     whose operator is a multiple of the Laplacian, solves through the
     Laplacian factor by minimal-residual passes alone and hands it on.
-    The Newton steps run GMRES through it, 4, 6, 6, 6, 7 and 9 iterations
-    as the forcing term tightens; the sixth, past
-    ``KRYLOV_REFACTOR_ITERATIONS``, hands it on to nobody, so the seventh
-    makes its own factor and hands that to the polish: the solve makes 2
-    factors.  GMRES, solving each step only as far as its forcing term
-    asks, needs 44 iterations in all here, 41 at h = 1/32, 40 at 1/64 and
-    43 at 1/128 (74, 96, 94 and 96 through the Laplacian's factor alone).
+    The Newton steps run GMRES through it, 4, 6, 6 and 9 iterations as the
+    forcing term tightens; the fourth, past ``KRYLOV_REFACTOR_ITERATIONS``,
+    hands it on to nobody, so the fifth makes its own factor, which serves
+    the last three steps (3, 4 and 7 iterations) and the polish: the solve
+    makes 2 factors.  GMRES, solving each step only as far as its forcing
+    term asks, needs 39 iterations in all, here and at h = 1/32, 1/64 and
+    1/128.
     """
     calls = _count_splu(monkeypatch)
     problem = problem_from_exact(grid16, get_fixture("radial_quartic", theta=0.25))
@@ -227,7 +227,7 @@ def test_newton_steps_solve_through_the_laplacian_factor(grid16, monkeypatch):
     assert len(calls) == 2
     assert report.factorizations == 2
     assert report.pivoting_refactors == 0
-    assert report.krylov_iterations_total == 44
+    assert report.krylov_iterations_total == 39
     d = dataclasses.asdict(report)
     assert d["factorizations"] == 2
     assert d["coupled_newton_steps"] == 7
@@ -268,19 +268,19 @@ def _raising_splu(A, **kwargs):
     "replacements, outer, newton, ma_steps, factors, krylov, ma_krylov, retried",
     [
         pytest.param(
-            {"gmres": _failing_gmres}, 49, 0, 94, 97, 142, 133, 0, id="_failing_gmres"
+            {"gmres": _failing_gmres}, 49, 0, 94, 97, 141, 133, 0, id="_failing_gmres"
         ),
         pytest.param(
-            {"gmres": _non_finite_gmres}, 49, 0, 94, 97, 142, 133, 0,
+            {"gmres": _non_finite_gmres}, 49, 0, 94, 97, 141, 133, 0,
             id="_non_finite_gmres",
         ),
         pytest.param(
-            {"gmres": _nonconvex_gmres}, 49, 0, 99, 1, 1923, 978, 0,
+            {"gmres": _nonconvex_gmres}, 49, 0, 98, 1, 1905, 962, 0,
             id="_nonconvex_gmres",
         ),
         pytest.param(
             {"gmres": _failing_gmres, "splu": _raising_splu},
-            49, 0, 94, 145, 142, 133, 48, id="_raising_splu",
+            49, 0, 94, 145, 141, 133, 48, id="_raising_splu",
         ),
     ],
 )
@@ -305,7 +305,7 @@ def test_unusable_newton_step_falls_back_to_damped_sweeps(
     returning a step that breaks convexity, every Newton step solves
     through the held factor and hands it on before its trial fails, so the
     Laplacian's factor serves the whole solve: 1 factorization, paid for
-    by 1923 GMRES iterations through that one factor.  With ``splu``
+    by 1905 GMRES iterations through that one factor.  With ``splu``
     raising as well, each of the 48 Newton steps reaches it twice, the
     symmetric-mode call and its partial-pivoting retry, and makes no
     factor: 145 factorizations, 48 of them retries.
@@ -509,9 +509,9 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
     A radial fixture's solve takes no Newton step there, so its linear
     step, a multiple of the Laplacian, solves through that factor: the
     paraboloids make the Laplacian's factor alone.  ``radial_quartic``'s
-    Newton steps run GMRES through it until the fourth takes 10 iterations,
+    Newton steps run GMRES through it until the fourth takes 9 iterations,
     past ``KRYLOV_REFACTOR_ITERATIONS``, so the fifth makes its own, which
-    serves the rest: 2 factors, and 41 GMRES iterations in all.
+    serves the rest: 2 factors, and 39 GMRES iterations in all.
     ``sheared_half``'s determinant solve steps by GMRES
     through the Laplacian factor and hands it on to its linear step, so
     that solve too makes the Laplacian's factor alone; at that ``splu`` no
@@ -535,7 +535,7 @@ def test_laplacian_factor_is_handed_to_the_first_sweep(
     assert max(live) == 0
     assert report.pivoting_refactors == 0
     if name == "radial_quartic":
-        assert report.krylov_iterations_total == 41
+        assert report.krylov_iterations_total == 39
 
 
 @pytest.mark.parametrize("k", [16, 32, 64, 128])
@@ -584,9 +584,9 @@ def test_sheared_half_makes_one_factor_at_every_spacing(k, monkeypatch):
 def test_newton_step_solves_through_any_held_factor_gmres_can_use(grid16):
     """A held factor serves a Newton step whenever GMRES through it
     converges: one of ``A`` and one of an operator 1e-12 away make no
-    factor, and GMRES takes 4 iterations through either.  Through a factor
+    factor, and GMRES takes 3 iterations through either.  Through a factor
     of ``A``'s diagonal GMRES spends its 30-iteration budget, so that
-    factor is dropped and ``A``'s own made, through which it takes 4 more.
+    factor is dropped and ``A``'s own made, through which it takes 3 more.
     Either way ``kept`` ends holding the factor GMRES solved through."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -603,7 +603,7 @@ def test_newton_step_solves_through_any_held_factor_gmres_can_use(grid16):
     A = assemble_lma(discrete_hessian(u))
     moved = assemble_lma(discrete_hessian(u.with_values(u.values * (1.0 + 1e-12))))
     diagonal = sp.diags(A.diagonal()).tocsc()
-    for operator, made, krylov in ((A, 0, 4), (moved, 0, 4), (diagonal, 1, 34)):
+    for operator, made, krylov in ((A, 0, 3), (moved, 0, 3), (diagonal, 1, 33)):
         held = factor_lu(splu, operator, grid16)
         kept = [held]
         start = COUNTS.copy()
@@ -613,6 +613,46 @@ def test_newton_step_solves_through_any_held_factor_gmres_can_use(grid16):
         assert (COUNTS - start)["krylov_iterations_total"] == krylov
         [solved_through] = kept
         assert (solved_through is held) == (made == 0)
+
+
+@pytest.mark.parametrize(
+    "name, grid_name, ma_gmres, steps_made",
+    [
+        ("radial_quartic", "grid32", None, (1, 0)),
+        ("sheared_half", "grid16", None, (0, 0)),
+        ("sheared_half", "grid16", _failing_gmres, (0, 4)),
+    ],
+)
+def test_operators_are_assembled_only_to_be_factored(
+    name, grid_name, ma_gmres, steps_made, request, monkeypatch
+):
+    """Coupled Newton steps and determinant steps multiply by their
+    operators matrix-free (:func:`amce.lma.apply_lma`); each assembles one
+    only to factor it.  ``radial_quartic`` at h = 1/32 makes one coupled
+    step's factor and takes no determinant step; ``sheared_half``'s 4
+    determinant steps all solve through the Laplacian's factor, or, with
+    their GMRES failing, each assembles and factors its own matrix."""
+    import amce.coupled
+    import amce.ma
+
+    def calls_of(module, fn_name):
+        calls, fn = [], getattr(module, fn_name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn_name, counted)
+        return calls
+
+    assembled = [calls_of(m, "assemble_lma") for m in (amce.coupled, amce.ma)]
+    factored = [calls_of(m, "splu") for m in (amce.coupled, amce.ma)]
+    if ma_gmres is not None:
+        monkeypatch.setattr(amce.ma, "gmres", ma_gmres)
+    grid = request.getfixturevalue(grid_name)
+    _, _, report = solve_system(problem_from_exact(grid, get_fixture(name, theta=0.25)))
+    assert report.newton_iterations_total == (4 if name == "sheared_half" else 0)
+    assert tuple(map(len, assembled)) == tuple(map(len, factored)) == steps_made
 
 
 @pytest.mark.parametrize(

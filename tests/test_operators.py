@@ -27,6 +27,8 @@ from amce.fixtures import get_fixture
 from amce.lma import assemble_lma
 from amce.operators import (
     _DISSECTION_LEAF,
+    COUNTS,
+    KRYLOV_HELD_CYCLES,
     SYMMETRIC_LU,
     HessianField,
     PermutedLU,
@@ -35,7 +37,9 @@ from amce.operators import (
     OpPair,
     _line_ops,
     factor_lu,
+    gmres,
     grid_operators,
+    krylov_solve,
     line_fit,
     lstsq_stack,
 )
@@ -491,3 +495,146 @@ def test_column_reductions_give_the_row_reductions_bits(rows):
     got, want = np.maximum(gap[:, 0], gap[:, 1]), np.max(gap, axis=1)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _held_laplacian_system(grid):
+    """The radial_quartic LMA operator ``D`` on ``grid`` and the Laplacian's
+    factor, a nearby operator's, as GMRES's preconditioner."""
+    u = ScalarField.from_callable(grid, get_fixture("radial_quartic", theta=0.25).u)
+    D = assemble_lma(discrete_hessian(u))
+    lap = factor_lu(splu, grid_operators(grid)["lap"].D.tocsc(), grid)
+    return D, lap
+
+
+def _counted(fn):
+    """``fn`` and the list that grows by one at each of its calls."""
+    calls = []
+
+    def wrapped(v):
+        calls.append(None)
+        return fn(v)
+
+    return wrapped, calls
+
+
+def _scipy_gmres(D, precondition, b, rtol):
+    """SciPy's GMRES under the contract of :func:`amce.operators.gmres`:
+    ``(x, info, iterations, preconditioner applications)``."""
+    from scipy.sparse.linalg import LinearOperator
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    n = len(b)
+    M, calls = _counted(precondition)
+    iterations = []
+    x, info = scipy_gmres(
+        D, b, rtol=rtol, restart=10, maxiter=KRYLOV_HELD_CYCLES,
+        M=LinearOperator((n, n), matvec=M, dtype=float),
+        callback=iterations.append, callback_type="pr_norm",
+    )
+    return x, info, len(iterations), len(calls)
+
+
+def _kernel_gmres(D, precondition, b, rtol, x0=None):
+    """:func:`amce.operators.gmres`: ``(x, info, iterations, preconditioner
+    applications)``."""
+    M, calls = _counted(precondition)
+    iterations = []
+    x, info = gmres(
+        D.dot, b, x0, rtol=rtol, maxiter=KRYLOV_HELD_CYCLES, M=M,
+        callback=iterations.append,
+    )
+    return x, info, len(iterations), len(calls)
+
+
+def _meets_both_residual_tests(D, precondition, b, x, rtol):
+    r = b - D @ x
+    return (
+        np.linalg.norm(r) <= rtol * np.linalg.norm(b)
+        and np.linalg.norm(precondition(r)) <= rtol * np.linalg.norm(precondition(b))
+    )
+
+
+def test_gmres_does_not_restart_where_scipy_restarts_after_its_estimate_passes(grid16):
+    """For a random right-hand side at ``rtol`` 1e-2, SciPy's estimate of the
+    preconditioned residual passes after 5 iterations while the true
+    residual misses, so SciPy restarts: one preconditioner application
+    more than its ``iterations + 2``.  The kernel tightens the estimate's
+    target and extends the same basis: it takes no more iterations, applies
+    the preconditioner ``iterations + 1`` times, and its ``x`` meets both
+    residual tests."""
+    D, lap = _held_laplacian_system(grid16)
+    b = np.random.default_rng(0).standard_normal(grid16.n_nodes)
+    _, info, scipy_iterations, scipy_calls = _scipy_gmres(D, lap.solve, b, 1e-2)
+    assert info == 0 and scipy_iterations < 10
+    assert scipy_calls > scipy_iterations + 2
+    x, info, iterations, calls = _kernel_gmres(D, lap.solve, b, 1e-2)
+    assert info == 0
+    assert iterations <= scipy_iterations
+    assert calls == iterations + 1
+    assert _meets_both_residual_tests(D, lap.solve, b, x, 1e-2)
+
+
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6])
+def test_gmres_takes_scipys_iterations_where_scipy_does_not_restart(grid16, rtol):
+    """For ``b = D 1`` SciPy converges without a restart; the kernel takes
+    the same iterations, applies the preconditioner once less (``M b`` is
+    computed once), and the two solutions agree within ``rtol``."""
+    D, lap = _held_laplacian_system(grid16)
+    b = D @ np.ones(grid16.n_nodes)
+    want, info, scipy_iterations, scipy_calls = _scipy_gmres(D, lap.solve, b, rtol)
+    assert info == 0 and scipy_calls == scipy_iterations + 2
+    x, info, iterations, calls = _kernel_gmres(D, lap.solve, b, rtol)
+    assert info == 0
+    assert iterations == scipy_iterations
+    assert calls == iterations + 1
+    assert np.linalg.norm(x - want) <= rtol * np.linalg.norm(want)
+    assert _meets_both_residual_tests(D, lap.solve, b, x, rtol)
+
+
+def test_gmres_from_x0_applies_the_preconditioner_once_more(grid16):
+    """From a nonzero ``x0`` the kernel preconditions ``b`` and the first
+    residual, and then once per iteration: ``iterations + 2`` in all."""
+    D, lap = _held_laplacian_system(grid16)
+    b = D @ np.ones(grid16.n_nodes)
+    x0 = np.full(grid16.n_nodes, 0.5)
+    x, info, iterations, calls = _kernel_gmres(D, lap.solve, b, 1e-4, x0=x0)
+    assert info == 0 and 0 < iterations < 10
+    assert calls == iterations + 2
+    assert _meets_both_residual_tests(D, lap.solve, b, x, 1e-4)
+
+
+def test_gmres_through_the_operators_own_factor_takes_one_iteration(grid16):
+    """Through ``D``'s own factor the first Arnoldi vector already spans the
+    solution: one iteration and two preconditioner applications."""
+    D, _ = _held_laplacian_system(grid16)
+    own = factor_lu(splu, D, grid16)
+    b = D @ np.ones(grid16.n_nodes)
+    x, info, iterations, calls = _kernel_gmres(D, own.solve, b, 1e-10)
+    assert (info, iterations, calls) == (0, 1, 2)
+    assert np.abs(x - 1.0).max() <= 1e-10
+
+
+def _nan_gmres(A, b, **kwargs):
+    return np.full_like(b, np.nan), 0
+
+
+@pytest.mark.parametrize(
+    "case", ["unconverged", "non-finite operator", "non-finite solution"]
+)
+def test_krylov_solve_returns_none_when_gmres_fails(grid16, case):
+    """``krylov_solve`` gives None when GMRES does not converge within its
+    cycles (an unreachable ``rtol``), when the operator is not finite, or
+    when a converged ``x`` is not finite."""
+    D, lap = _held_laplacian_system(grid16)
+    b = D @ np.ones(grid16.n_nodes)
+    matvec, rtol, kernel = D.dot, 1e-10, gmres
+    if case == "unconverged":
+        rtol = 1e-30
+    elif case == "non-finite operator":
+        matvec = lambda v: np.full_like(v, np.nan)
+    else:
+        kernel = _nan_gmres
+    start = COUNTS.copy()
+    assert krylov_solve(kernel, matvec, lap.solve, b, rtol, 1) is None
+    iterations = (COUNTS - start)["krylov_iterations_total"]
+    assert iterations == {"unconverged": 10, "non-finite operator": 10}.get(case, 0)
