@@ -12,7 +12,9 @@ Subcommands::
 
 Every subcommand takes ``--config`` (required) plus ``--out`` and ``--seed``
 overrides.  Field dumps are CSV with an ``x,y,value`` header at 17
-significant digits, node rows first, then boundary hit rows.
+significant digits, node rows first, then boundary hit rows, in grid
+order.  ``amce lma`` reads ``u_csv`` back by position, so it must be a
+:func:`write_field_csv` dump of the same domain and spacing.
 Each run writes ``report.json`` embedding the canonical config; wall time
 lives only under the ``"timing"`` key (``verify`` adds its ``solve_s`` and
 ``checks_s`` phases there, ``sections`` its ``solve_s``, ``boundary_scan_s``
@@ -124,25 +126,17 @@ def write_field_csv(path: str, field: ScalarField) -> None:
     _write_csv(path, "x,y,value", [pts[:, 0], pts[:, 1], vals])
 
 
-def _earlier_equal(keys: np.ndarray) -> np.ndarray:
-    """For each entry of ``keys``, how many earlier entries equal it."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    count = np.empty_like(order)
-    count[order] = np.arange(keys.size) - np.searchsorted(ranked, ranked)
-    return count
-
-
 def read_field_csv(path: str, grid: Grid) -> ScalarField:
-    """Read an ``x,y,value`` dump back onto a grid.
+    """Read a :func:`write_field_csv` dump back onto a grid.
 
-    Rows are matched to lattice nodes by index and to boundary hits by
-    nearest point, all rows at once.  Hits at one point (``write_field_csv``
-    lists them in id order) are matched in row order: the k-th row at the
-    point takes the k-th hit id there.  Non-finite entries, unmatched rows,
-    a node listed twice, more rows at a point than it has hits, and missing
-    nodes or hits raise IncompleteDataError — the dump must come from the
-    same domain/spacing combination.
+    The dump must come from the same domain and spacing: nodes, then hits,
+    in grid order, so data row ``k`` is node ``k`` and then hit
+    ``k - n_nodes``.  A node row is in place within :meth:`Grid.node_at`'s
+    ``1e-9 max(1, h)`` times ``max(1, largest |node coordinate|)`` in each
+    coordinate, and a hit row within ``1e-9`` times the latter in
+    distance.  Non-finite entries, a row out of place and a row count
+    other than the grid's raise IncompleteDataError naming the first such
+    row.
     """
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
@@ -158,61 +152,32 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField:
         raise IncompleteDataError(f"{path} is not a valid x,y,value table")
 
     pts, vals = data[:, :2], data[:, 2]
+    n = grid.n_nodes
+    want = np.concatenate([grid.nodes, grid.hit_points])
+    rows, k = min(len(pts), len(want)), min(len(pts), n)
     tol = 1e-9 * max(1.0, float(np.abs(grid.nodes).max(initial=1.0)))
-    node = grid.ids_at(np.rint(pts / grid.h))
-    on_node = node >= 0
-    # Grid.node_at's 1e-9 max(1, h) rule times max(1, largest |node coordinate|)
-    gap = np.abs(grid.nodes[node[on_node]] - pts[on_node])
-    on_node[on_node] = np.maximum(gap[:, 0], gap[:, 1]) <= tol * max(1.0, grid.h)
-    hit = np.full(len(data), -1)
-    rest = np.nonzero(~on_node)[0]
-    if rest.size:
-        from scipy.spatial import cKDTree
-
-        dist, hid = cKDTree(grid.hit_points).query(pts[rest])
-        hit[rest[dist <= tol]] = hid[dist <= tol]
-    unmatched = np.nonzero(~on_node & (hit < 0))[0]
-    if unmatched.size:
-        x, y = pts[unmatched[0]]
-        raise IncompleteDataError(
-            f"{path}: row ({x:.17g}, {y:.17g}) matches no node or hit of the grid"
-        )
-    values = np.full(grid.n_nodes, np.nan)
-    values[node[on_node]] = vals[on_node]
-    # k counts the earlier rows at a hit row's point; the row takes the k-th
-    # id of that point's group of coincident hits, and one past the group
-    # repeats a hit.  Node rows repeat only if fewer nodes than rows got a
-    # value.
-    on_hit = ~on_node
-    _, group, size = np.unique(
-        grid.hit_points, axis=0, return_inverse=True, return_counts=True
-    )
-    group = group.ravel()
-    at = group[hit[on_hit]]
-    k = _earlier_equal(at)
-    repeat = np.zeros(len(data), dtype=bool)
-    repeat[on_hit] = k >= size[at]
-    if np.count_nonzero(on_node) > np.count_nonzero(~np.isnan(values)):
-        repeat[on_node] = _earlier_equal(node[on_node]) > 0
-    if repeat.any():
-        i = np.argmax(repeat)
-        x, y = pts[i]
-        fault = (
-            "repeats a grid node"
-            if on_node[i]
-            else f"is one row more than the {size[group[hit[i]]]} boundary hits there"
-        )
-        raise IncompleteDataError(f"{path}: row {i + 1} ({x:.17g}, {y:.17g}) {fault}")
-    members = np.argsort(group, kind="stable")  # hit ids group by group, in id order
-    hit_values = np.full(grid.n_hits, np.nan)
-    hit_values[members[np.cumsum(size)[at] - size[at] + k]] = vals[on_hit]
-    if np.isnan(values).any():
-        missing = int(np.isnan(values).sum())
-        raise IncompleteDataError(f"{path}: {missing} grid nodes have no value")
-    if np.isnan(hit_values).any():
-        missing = int(np.isnan(hit_values).sum())
-        raise IncompleteDataError(f"{path}: {missing} boundary hits have no value")
-    return ScalarField(grid=grid, values=values, hit_values=hit_values)
+    gap = np.abs(pts[:rows] - want[:rows])
+    off = np.empty(rows + 1, dtype=bool)
+    off[:k] = np.maximum(gap[:k, 0], gap[:k, 1]) > tol * max(1.0, grid.h)
+    off[k:rows] = np.hypot(gap[k:, 0], gap[k:, 1]) > tol
+    off[rows] = len(pts) != len(want)  # the row after the shorter of the two
+    i = int(np.argmax(off))
+    if off[i]:
+        place = f"node {i}" if i < n else f"hit {i - n}"
+        if i < rows:
+            fault = (
+                f"({pts[i, 0]:.17g}, {pts[i, 1]:.17g}) is out of place: the "
+                f"grid's {place} is at ({want[i, 0]:.17g}, {want[i, 1]:.17g})"
+            )
+        elif i < len(want):
+            fault = f"is missing: the dump has no row for the grid's {place}"
+        else:
+            fault = (
+                f"({pts[i, 0]:.17g}, {pts[i, 1]:.17g}) is one row past the "
+                f"grid's {n} nodes and {grid.n_hits} hits"
+            )
+        raise IncompleteDataError(f"{path}: row {i + 1} {fault}")
+    return ScalarField(grid=grid, values=vals[:n].copy(), hit_values=vals[n:].copy())
 
 
 def _write_json(path: str, obj: dict) -> None:

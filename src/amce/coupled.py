@@ -68,13 +68,11 @@ from .lma import (
 from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
 from .operators import (
     COUNTS,
-    KRYLOV_HELD_CYCLES,
     KRYLOV_REFACTOR_ITERATIONS,
     discrete_hessian,
     factor_lu,
     forcing_term,
     gmres,
-    krylov_solve,
     local_quadratic_fit,
     poisson_solver,
 )
@@ -236,6 +234,11 @@ def g_from_w(w: ScalarField, theta: float) -> ScalarField:
             "determinant target w^(1/(theta-1)) overflows: the weight is too "
             "small and the operator would be singular"
         )
+    if min(float(values.min()), float(hit_values.min())) <= 0.0:
+        raise DegenerateOperatorError(
+            "determinant target w^(1/(theta-1)) underflows to 0: the weight is too "
+            "large and the target would not be positive"
+        )
     return ScalarField(grid=w.grid, values=values, hit_values=hit_values)
 
 
@@ -251,8 +254,8 @@ def _newton_step(
     ``F1 = det H(u) - w^e`` and ``F2 = cof H(u) : H(w) - f`` with
     ``e = 1/(theta-1)``; the Jacobian ``[[A, -diag(e w^(e-1))], [C, A]]``
     has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
-    it (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
-    restart cycles), left-preconditioned by ``[[A, 0], [C, A]]`` with ``A``
+    it (:func:`amce.operators.gmres`, within ``KRYLOV_HELD_CYCLES`` restart
+    cycles), left-preconditioned by ``[[A, 0], [C, A]]`` with ``A``
     applied through one LU factor, so each iteration makes two LU solves,
     to the relative tolerance
     :func:`amce.operators.forcing_term` of ``F``: loose while ``F`` is
@@ -263,8 +266,8 @@ def _newton_step(
     when its own factor is made.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
     Returns ``(u, w, change)``, or None when ``w^e`` overflows, ``A``
-    cannot be factored, GMRES fails or returns a non-finite step, or the
-    trial loses ``det H(u) > 0`` or ``w > 0``.
+    cannot be factored, GMRES fails, or the trial loses ``det H(u) > 0``
+    or ``w > 0``.
 
     ``kept`` is the coupled solve's list of held factors, and the step
     follows :func:`solve_system`'s rule for the factor held there: GMRES
@@ -297,9 +300,7 @@ def _newton_step(
         return np.concatenate([yu, lu.solve(r[n:] - apply_lma(Hw, yu))])
 
     def direction():
-        return krylov_solve(
-            gmres, jacobian, precondition, -F, forcing_term(F), KRYLOV_HELD_CYCLES
-        )
+        return gmres(jacobian, -F, precondition, forcing_term(F))
 
     lu = kept.pop() if kept else None
     spent = COUNTS["krylov_iterations_total"]
@@ -371,8 +372,8 @@ def solve_system(
     solved through.  A coupled Newton step (see :func:`_newton_step`), a
     determinant step (see :func:`amce.ma.solve_ma`) or a linear solve (see
     :func:`amce.lma.solve_lma`) solves through the held factor by GMRES
-    (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
-    restart cycles), a linear solve by minimal-residual passes first, and
+    (:func:`amce.operators.gmres`, within ``KRYLOV_HELD_CYCLES`` restart
+    cycles), a linear solve by minimal-residual passes first, and
     only when that fails drops it and makes its own operator's.  Any
     nearby factor preconditions a Newton-Krylov step (Knoll and Keyes), so
     no held factor is checked against the operator it serves, and at most

@@ -30,13 +30,11 @@ from .errors import DegenerateOperatorError, NonConvergenceError
 from .grid import ScalarField, require_finite
 from .operators import (
     COUNTS,
-    KRYLOV_HELD_CYCLES,
     HessianField,
     discrete_hessian,
     factor_lu,
     gmres,
     grid_operators,
-    krylov_solve,
     pivoting_lu,
 )
 
@@ -134,8 +132,8 @@ def solve_lma(
     there is taken out of it and tried first: the passes run against the
     exact ``D`` through it.  When they miss ``tol``, restarted GMRES
     left-preconditioned by the factor runs from their last iterate
-    (:func:`amce.operators.krylov_solve`, within ``KRYLOV_HELD_CYCLES``
-    cycles, to a relative residual of a few ulps, ``_RESCUE_RTOL``).  No
+    (:func:`amce.operators.gmres`, within ``KRYLOV_HELD_CYCLES`` cycles,
+    to a relative residual of a few ulps, ``_RESCUE_RTOL``).  No
     factor is made when either meets ``tol``.  Otherwise that factor is
     dropped and ``D``'s own is made by :func:`amce.operators.factor_lu`; so
     it is too when ``report_condition`` asks for the condition estimate,
@@ -170,9 +168,9 @@ def solve_lma(
     if lu is not None:
         field, resid_sup, backward = _refined_solve(problem, D, B, lu)
         if not backward <= tol:
-            v = krylov_solve(
-                gmres, D.dot, lu.solve, problem.g - B @ problem.psi_hits,
-                _RESCUE_RTOL, KRYLOV_HELD_CYCLES, x0=field.values,
+            v = gmres(
+                D.dot, problem.g - B @ problem.psi_hits, lu.solve, _RESCUE_RTOL,
+                x0=field.values,
             )
             if v is not None:
                 field, resid_sup, backward = _measured(problem, D, B, v)

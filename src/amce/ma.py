@@ -41,14 +41,12 @@ from .grid import Grid, ScalarField, require_finite
 from .lma import apply_lma, assemble_lma
 from .operators import (
     COUNTS,
-    KRYLOV_HELD_CYCLES,
     HessianField,
     discrete_hessian,
     factor_lu,
     forcing_term,
     gmres,
     grid_operators,
-    krylov_solve,
     solve_poisson,
 )
 
@@ -161,21 +159,20 @@ def solve_ma(
     The solve holds at most one LU factor: the one handed in ``kept``,
     taken out of it by the first step, or else the last one a step made.
     Each step solves its clamped system by GMRES left-preconditioned by
-    that factor (:func:`amce.operators.krylov_solve`), to the relative
+    that factor (:func:`amce.operators.gmres`), to the relative
     tolerance :func:`amce.operators.forcing_term` of the residual, within
     ``KRYLOV_HELD_CYCLES`` restart cycles, multiplying by the clamped
     matrix matrix-free (:func:`amce.lma.apply_lma`).  A step assembles and
     factors its own matrix (:func:`amce.operators.factor_lu`) and solves
-    through that factor exactly in three cases only: no factor is held,
-    GMRES does not converge, or it returns a non-finite update; the held
-    factor is dropped before that ``splu``, so one factor is alive at a
-    time.  When the solve is done, ``kept`` holds the factor its last step
-    solved through, for the next solve to try (see
-    :func:`amce.lma.solve_lma`); a solve that takes no step leaves
-    ``kept`` as it was.  Steps, backtracks and GMRES iterations count in
-    :data:`amce.operators.COUNTS` as they are taken, and the report reads
-    them, with the steps' ``pivoting_refactors``, off the counts made
-    since the first step.
+    through that factor exactly in two cases only: no factor is held, or
+    GMRES does not converge; the held factor is dropped before that
+    ``splu``, so one factor is alive at a time.  When the solve is done,
+    ``kept`` holds the factor its last step solved through, for the next
+    solve to try (see :func:`amce.lma.solve_lma`); a solve that takes no
+    step leaves ``kept`` as it was.  Steps, backtracks and GMRES
+    iterations count in :data:`amce.operators.COUNTS` as they are taken,
+    and the report reads them, with the steps' ``pivoting_refactors``, off
+    the counts made since the first step.
 
     Newton stops when the backward error is at most ``BERR_TOL`` or when
     ``max |det H(u) - g| <= newton_tol``; the line search measures each
@@ -216,9 +213,8 @@ def solve_ma(
             lu = kept.pop()
         delta = None
         if lu is not None:
-            delta = krylov_solve(
-                gmres, lambda x: apply_lma(Hc, x), lu.solve, -res,
-                forcing_term(res), KRYLOV_HELD_CYCLES,
+            delta = gmres(
+                lambda x: apply_lma(Hc, x), -res, lu.solve, forcing_term(res)
             )
         if delta is None:
             lu = None  # dropped before the step's own factor is made

@@ -19,7 +19,6 @@ Each operator is a pair ``(D, B)``: ``D`` maps interior node values and
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -121,7 +120,7 @@ def _line_ops(grid: Grid, d_plus: int, d_minus: int, arm_len: float, order: int)
     return OpPair(D=D, B=B)
 
 
-def _cross_ops(grid: Grid, ops: Mapping[str, OpPair]) -> OpPair:
+def _cross_ops(grid: Grid, ops: _GridOperators) -> OpPair:
     diag_len = grid.h * np.sqrt(2.0)
     dpp = _line_ops(grid, 4, 5, diag_len, order=2)  # along (1, 1)/sqrt 2
     dmm = _line_ops(grid, 6, 7, diag_len, order=2)  # along (1, -1)/sqrt 2
@@ -131,14 +130,14 @@ def _cross_ops(grid: Grid, ops: Mapping[str, OpPair]) -> OpPair:
     )
 
 
-def _laplacian(grid: Grid, ops: Mapping[str, OpPair]) -> OpPair:
+def _laplacian(grid: Grid, ops: _GridOperators) -> OpPair:
     dxx, dyy = ops["dxx"], ops["dyy"]
     return OpPair(D=(dxx.D + dyy.D).tocsr(), B=(dxx.B + dyy.B).tocsr())
 
 
 #: How each operator of :func:`grid_operators` is built from the grid and
 #: the grid's other operators.
-_BUILDERS: dict[str, Callable[[Grid, Mapping[str, OpPair]], OpPair]] = {
+_BUILDERS: dict[str, Callable[[Grid, _GridOperators], OpPair]] = {
     "dxx": lambda grid, ops: _line_ops(grid, 0, 1, grid.h, order=2),
     "dyy": lambda grid, ops: _line_ops(grid, 2, 3, grid.h, order=2),
     "dxy": _cross_ops,
@@ -148,12 +147,12 @@ _BUILDERS: dict[str, Callable[[Grid, Mapping[str, OpPair]], OpPair]] = {
 }
 
 
-class _GridOperators(Mapping):
+class _GridOperators:
     """The operators of one grid by name, each built the first time it is read.
 
-    Built operators are cached in the grid's ``_ops`` dict.  The view holds
-    the grid and the grid never holds a view, so no reference cycle keeps a
-    grid's arrays alive until the collector's next full pass.
+    Built operators are cached in the grid's ``_ops`` dict.  This object
+    holds the grid and the grid never holds it, so no reference cycle keeps
+    a grid's arrays alive until the collector's next full pass.
     """
 
     def __init__(self, grid: Grid):
@@ -165,17 +164,8 @@ class _GridOperators(Mapping):
             built[name] = _BUILDERS[name](self._grid, self)
         return built[name]
 
-    def __contains__(self, name) -> bool:
-        return name in _BUILDERS
 
-    def __iter__(self):
-        return iter(_BUILDERS)
-
-    def __len__(self) -> int:
-        return len(_BUILDERS)
-
-
-def grid_operators(grid: Grid) -> Mapping[str, OpPair]:
+def grid_operators(grid: Grid) -> _GridOperators:
     """The grid's difference operators by name: ``"dxx"``, ``"dyy"``,
     ``"dxy"``, ``"dx"``, ``"dy"`` and ``"lap"``.
 
@@ -391,15 +381,16 @@ def factor_lu(splu, A: sp.csc_matrix, grid: Grid) -> PermutedLU:
         return pivoting_lu(splu, A)
 
 
-# GMRES of :func:`krylov_solve`: its restart length, and the floor and
-# ceiling of :func:`forcing_term`
+# Restart length of :func:`gmres`, and the floor and ceiling of
+# :func:`forcing_term`
 _KRYLOV_RESTART = 10
 _KRYLOV_RTOL = 1e-10
 _KRYLOV_RTOL_MAX = 1e-2
-#: Restart cycles of every GMRES through a held factor: a coupled Newton
-#: step's, a determinant step's or a linear solve's.  30 iterations at most,
-#: about one factorization's cost when they fail through a factor of another
-#: operator; through a step's own factor they take a few.
+#: Restart cycles of :func:`gmres`, the one budget of every GMRES through a
+#: held factor: a coupled Newton step's, a determinant step's or a linear
+#: solve's.  30 iterations at most, about one factorization's cost when they
+#: fail through a factor of another operator; through a step's own factor
+#: they take a few.
 KRYLOV_HELD_CYCLES = 3
 #: Most GMRES iterations a coupled Newton step may take through the factor
 #: it solved through and still hand that factor on; past them the next solve
@@ -426,24 +417,24 @@ def forcing_term(residual: Array) -> float:
 def gmres(
     A: Callable[[Array], Array],
     b: Array,
-    x0: Array | None = None,
-    *,
-    rtol: float,
-    maxiter: int,
     M: Callable[[Array], Array],
-    callback: Callable[[float], None] | None = None,
-) -> tuple[Array, int]:
-    """Restarted GMRES for ``A x = b``, left-preconditioned: ``(x, info)``.
+    rtol: float,
+    x0: Array | None = None,
+) -> Array | None:
+    """``x`` with ``|b - A x|_2 <= rtol |b|_2`` by restarted, left-preconditioned
+    GMRES, or None.
 
-    ``A(v)`` applies the operator and ``M(v)`` the preconditioner's inverse.
-    The contract is SciPy's (:func:`scipy.sparse.linalg.gmres`): Arnoldi by
-    modified Gram-Schmidt, the least-squares problem by Givens rotations, a
-    restart every ``_KRYLOV_RESTART`` iterations and at most ``maxiter``
+    ``A(v)`` applies the operator and ``M(v)`` the preconditioner's inverse,
+    a solve through a held LU factor (:class:`PermutedLU`).  The contract is
+    SciPy's (:func:`scipy.sparse.linalg.gmres`): Arnoldi by modified
+    Gram-Schmidt, the least-squares problem by Givens rotations, a restart
+    every ``_KRYLOV_RESTART`` iterations and at most ``KRYLOV_HELD_CYCLES``
     restart cycles, starting from ``x0`` (zero when None).  ``x`` has
-    converged, ``info`` 0, when the Arnoldi estimate of ``|M r|_2`` is at
-    most ``rtol |M b|_2`` and the true ``|r|_2 = |b - A x|_2`` at most
-    ``rtol |b|_2``; otherwise ``info`` is ``maxiter``.  ``callback``, when
-    given, receives the estimate over ``|b|_2`` after every iteration.
+    converged when the Arnoldi estimate of ``|M r|_2`` is at most
+    ``rtol |M b|_2`` and the true ``|r|_2 = |b - A x|_2`` at most
+    ``rtol |b|_2``; otherwise the result is None.  The true-residual test
+    fails for any non-finite ``x``.  Every iteration counts in
+    ``COUNTS["krylov_iterations_total"]``.
 
     Two things differ from SciPy's.  ``M b`` is computed once, and is the
     first basis vector when ``x0`` is None.  An estimate that passes while
@@ -456,7 +447,7 @@ def gmres(
     n = len(b)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros(n), 0
+        return np.zeros(n)
     atol = rtol * b_norm
     z = M(b)  # the preconditioned residual that starts each cycle
     target = float(np.linalg.norm(z)) * min(1.0, rtol)
@@ -466,7 +457,7 @@ def gmres(
         x = np.array(x0, dtype=float)
         r = b - A(x)
         if np.linalg.norm(r) <= atol:
-            return x, 0
+            return x
         z = M(r)
     size = min(_KRYLOV_RESTART, n)
     eps = np.finfo(float).eps
@@ -474,7 +465,7 @@ def gmres(
     R = np.zeros((size + 1, size))  # the Hessenberg matrix, rotated triangular
     rotations = []
     loosen = 1.0  # SciPy's ``ptol_max_factor``
-    for cycle in range(maxiter):
+    for cycle in range(KRYLOV_HELD_CYCLES):
         s = np.zeros(size + 1)  # the rotated right-hand side
         s[0] = np.linalg.norm(z)
         V[0] = z / s[0]
@@ -500,23 +491,22 @@ def gmres(
             R[j, j], R[j + 1, j] = rho, 0.0
             s[j], s[j + 1] = c * s[j], -sn * s[j]
             estimate = abs(s[j + 1])
-            if callback is not None:
-                callback(estimate / b_norm)
+            COUNTS["krylov_iterations_total"] += 1
             checked = breakdown or estimate <= target
             if checked or j == size - 1:
                 x_j = x + _back_substitute(R[: j + 1, : j + 1], s[: j + 1]) @ V[: j + 1]
                 r = b - A(x_j)
                 r_norm = float(np.linalg.norm(r))
                 if r_norm <= atol:
-                    return x_j, 0
+                    return x_j
                 if breakdown:
-                    return x_j, maxiter
+                    return None
                 loosen = max(eps, 0.25 * loosen) if checked else min(1.0, 1.5 * loosen)
                 target = estimate * min(loosen, atol / r_norm)
         x = x_j
-        if cycle + 1 < maxiter:
+        if cycle + 1 < KRYLOV_HELD_CYCLES:
             z = M(r)
-    return x, maxiter
+    return None
 
 
 def _back_substitute(R: Array, s: Array) -> Array:
@@ -526,39 +516,6 @@ def _back_substitute(R: Array, s: Array) -> Array:
         y[k] = y[k] / R[k, k] if R[k, k] != 0.0 else 0.0
         y[:k] -= y[k] * R[:k, k]
     return y
-
-
-def krylov_solve(
-    gmres,
-    matvec: Callable[[Array], Array],
-    precondition: Callable[[Array], Array],
-    b: Array,
-    rtol: float,
-    cycles: int,
-    x0: Array | None = None,
-) -> Array | None:
-    """``x`` with ``|b - A x|_2 <= rtol |b|_2`` by restarted GMRES, or None.
-
-    ``matvec`` applies ``A`` and ``precondition`` solves through a held LU
-    factor (:class:`PermutedLU`), as the left preconditioner; :func:`gmres`
-    applies it once per iteration and once more to ``b`` (twice more with
-    ``x0``).  GMRES restarts every ``_KRYLOV_RESTART`` iterations and
-    starts from ``x0`` (zero when None); None when ``cycles`` restart
-    cycles do not reach ``rtol`` or ``x`` is not finite.  Every iteration
-    counts in ``COUNTS["krylov_iterations_total"]``.  ``gmres`` is the
-    caller's own binding of :func:`gmres`, so that a test can replace it at
-    one call site.
-    """
-
-    def count(_):
-        COUNTS["krylov_iterations_total"] += 1
-
-    x, info = gmres(
-        matvec, b, x0=x0, rtol=rtol, maxiter=cycles, M=precondition, callback=count
-    )
-    if info != 0 or not np.isfinite(x).all():
-        return None
-    return x
 
 
 def poisson_solver(

@@ -129,6 +129,29 @@ def test_singular_operator_is_degenerate_not_a_crash(tmp_path, capsys):
     assert "singular" in err
 
 
+def test_underflowing_determinant_target_is_degenerate(tmp_path, capsys):
+    """A huge weight trace underflows w^(1/(theta-1)) to 0 after the
+    Laplacian factor is made: exit 2 naming the weight, not invalid input."""
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK8,
+            "problem": {
+                "theta": 0.25,
+                "f": {"const": 0.0},
+                "phi": {"const": 0.0},
+                "psi": {"const": 1e300},
+            },
+        },
+    )
+    out = str(tmp_path / "o")
+    assert main(["solve", "--config", cfg, "--out", out]) == 2
+    assert "weight is too large" in capsys.readouterr().err
+    error = read_report(out)["error"]
+    assert error["class"] == "DegenerateOperatorError"
+    assert error["counts"]["factorizations"] == 1
+
+
 POLE = {"abs_pow": {"power": -1}}  # +inf on the axis x = 0
 QUAD = {"poly": {"20": 0.5, "02": 0.5}}
 DISK8 = {"kind": "disk", "params": {"radius": 1.0}, "h_grid": 0.125}
@@ -611,29 +634,25 @@ def test_lma_command_builds_only_the_second_differences(tmp_path, monkeypatch):
     assert sorted(grid._ops) == ["dxx", "dxy", "dyy"]
 
 
-def _duplicate_row(src, dst, line):
-    """Copy ``src`` to ``dst`` with data row ``line`` (1-based) listed
-    twice, the copy carrying the value 999."""
-    with open(src, encoding="utf-8") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    x, y, _ = lines[line].split(",")
-    lines.insert(line + 1, f"{x},{y},999\n")
-    with open(dst, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+def _with_copy(lines, k):
+    """``lines`` with data row ``k`` (``lines[k]``) listed twice, the copy
+    carrying the value 999."""
+    x, y, _ = lines[k].split(",")
+    return lines[: k + 1] + [f"{x},{y},999\n"] + lines[k + 1 :]
 
 
-@pytest.mark.parametrize("where", ["node", "hit"])
-def test_field_csv_repeated_row_rejected(tmp_path, capsys, where):
-    """A node listed twice, or a hit point with one row more than it has
-    hits, used to be read with the last row winning."""
-    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
+def _reject_dump(tmp_path, capsys, grid, edit, row, fault):
+    """A dump of ``grid`` whose lines ``edit`` changes (``lines[k]`` is data
+    row ``k``) is rejected with ``fault`` at data row ``row``, by
+    ``read_field_csv`` and by ``amce lma`` with exit 3."""
     field = ScalarField(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_hits))
     path, bad = str(tmp_path / "f.csv"), str(tmp_path / "bad.csv")
     write_field_csv(path, field)
-    line = 5 if where == "node" else grid.n_nodes + 3
-    _duplicate_row(path, bad, line)
-    fault = "repeats a grid node" if where == "node" else "one row more"
-    with pytest.raises(IncompleteDataError, match=f"row {line + 1} .*{fault}"):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.writelines(edit(lines))
+    with pytest.raises(IncompleteDataError, match=f"row {row} .*{fault}"):
         read_field_csv(bad, grid)
     cfg = write_cfg(tmp_path, {"domain": DISK8, "lma": {"u_csv": bad}})
     out = str(tmp_path / "o")
@@ -642,6 +661,47 @@ def test_field_csv_repeated_row_rejected(tmp_path, capsys, where):
     assert "Traceback" not in err and fault in err
     assert read_report(out)["error"]["class"] == "IncompleteDataError"
     _assert_phase_times(out, "grid_s", "csv_read_s")
+
+
+@pytest.mark.parametrize("where", ["node", "hit"])
+def test_field_csv_repeated_row_rejected(tmp_path, capsys, where):
+    """A node listed twice, or a hit point with one row more than it has
+    hits, used to be read with the last row winning."""
+    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
+    line = 5 if where == "node" else grid.n_nodes + 3
+    copy = lambda lines: _with_copy(lines, line)
+    _reject_dump(tmp_path, capsys, grid, copy, line + 1, "out of place")
+
+
+@pytest.mark.parametrize("where", ["node", "hit"])
+def test_field_csv_swapped_rows_rejected(tmp_path, capsys, where):
+    """Two rows swapped, each still at a point of the grid: the first is
+    out of place."""
+    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
+    first = 7 if where == "node" else grid.n_nodes + 5
+    swap = lambda L: L[:first] + [L[first + 2], L[first + 1], L[first]] + L[first + 3 :]
+    _reject_dump(tmp_path, capsys, grid, swap, first, "out of place")
+
+
+@pytest.mark.parametrize(
+    "where, fault",
+    [("node", "out of place"), ("last", "is missing")],
+)
+def test_field_csv_dropped_row_rejected(tmp_path, capsys, where, fault):
+    """A row dropped puts the next one out of place; the last row dropped
+    leaves the grid's last hit with no row."""
+    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
+    line = 9 if where == "node" else grid.n_nodes + grid.n_hits
+    drop = lambda lines: lines[:line] + lines[line + 1 :]
+    _reject_dump(tmp_path, capsys, grid, drop, line, fault)
+
+
+def test_field_csv_row_past_the_grid_rejected(tmp_path, capsys):
+    """The last row listed twice is one row past the grid's last hit."""
+    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
+    line = grid.n_nodes + grid.n_hits
+    copy = lambda lines: _with_copy(lines, line)
+    _reject_dump(tmp_path, capsys, grid, copy, line + 1, "one row past")
 
 
 @pytest.mark.parametrize(

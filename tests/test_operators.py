@@ -39,7 +39,6 @@ from amce.operators import (
     factor_lu,
     gmres,
     grid_operators,
-    krylov_solve,
     line_fit,
     lstsq_stack,
 )
@@ -431,7 +430,6 @@ def test_lazy_operators_match_the_eager_reference(reference_domain, n):
     grid = build_grid(reference_domain, 1.0 / n)
     want = _reference_grid_operators(grid)
     ops = grid_operators(grid)
-    assert list(ops) == list(want) and len(ops) == len(want)
     for name in reversed(list(want)):  # "lap" before the dxx and dyy it sums
         for part in "DB":
             got, ref = getattr(ops[name], part), getattr(want[name], part)
@@ -444,14 +442,15 @@ def test_lazy_operators_match_the_eager_reference(reference_domain, n):
 def test_operators_are_built_on_first_read_and_cached():
     grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
     ops = grid_operators(grid)
-    assert "dx" in ops and "lap" in ops and "nope" not in ops
     assert grid._ops == {}
     lap = ops["lap"]
     assert sorted(grid._ops) == ["dxx", "dyy", "lap"]
     assert grid_operators(grid)["lap"] is lap
     with pytest.raises(KeyError):
         ops["nope"]
-    assert dict(ops).keys() == {"dxx", "dyy", "dxy", "dx", "dy", "lap"}
+    for name in ("dxy", "dx", "dy"):
+        ops[name]
+    assert grid._ops.keys() == {"dxx", "dyy", "dxy", "dx", "dy", "lap"}
 
 
 def test_operator_cache_keeps_no_grid_alive():
@@ -459,7 +458,7 @@ def test_operator_cache_keeps_no_grid_alive():
     is freed as soon as its last reference goes, with the collector off."""
     grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
     ops = grid_operators(grid)
-    for name in ops:
+    for name in ("dxx", "dyy", "dxy", "dx", "dy", "lap"):
         ops[name]
     discrete_hessian(ScalarField.from_callable(grid, _quadratic))
     alive = weakref.ref(grid)
@@ -535,15 +534,12 @@ def _scipy_gmres(D, precondition, b, rtol):
 
 
 def _kernel_gmres(D, precondition, b, rtol, x0=None):
-    """:func:`amce.operators.gmres`: ``(x, info, iterations, preconditioner
-    applications)``."""
+    """:func:`amce.operators.gmres`: ``(x, iterations, preconditioner
+    applications)``, the iterations read off ``COUNTS``."""
     M, calls = _counted(precondition)
-    iterations = []
-    x, info = gmres(
-        D.dot, b, x0, rtol=rtol, maxiter=KRYLOV_HELD_CYCLES, M=M,
-        callback=iterations.append,
-    )
-    return x, info, len(iterations), len(calls)
+    start = COUNTS["krylov_iterations_total"]
+    x = gmres(D.dot, b, M, rtol, x0=x0)
+    return x, COUNTS["krylov_iterations_total"] - start, len(calls)
 
 
 def _meets_both_residual_tests(D, precondition, b, x, rtol):
@@ -567,8 +563,8 @@ def test_gmres_does_not_restart_where_scipy_restarts_after_its_estimate_passes(g
     _, info, scipy_iterations, scipy_calls = _scipy_gmres(D, lap.solve, b, 1e-2)
     assert info == 0 and scipy_iterations < 10
     assert scipy_calls > scipy_iterations + 2
-    x, info, iterations, calls = _kernel_gmres(D, lap.solve, b, 1e-2)
-    assert info == 0
+    x, iterations, calls = _kernel_gmres(D, lap.solve, b, 1e-2)
+    assert x is not None
     assert iterations <= scipy_iterations
     assert calls == iterations + 1
     assert _meets_both_residual_tests(D, lap.solve, b, x, 1e-2)
@@ -583,8 +579,8 @@ def test_gmres_takes_scipys_iterations_where_scipy_does_not_restart(grid16, rtol
     b = D @ np.ones(grid16.n_nodes)
     want, info, scipy_iterations, scipy_calls = _scipy_gmres(D, lap.solve, b, rtol)
     assert info == 0 and scipy_calls == scipy_iterations + 2
-    x, info, iterations, calls = _kernel_gmres(D, lap.solve, b, rtol)
-    assert info == 0
+    x, iterations, calls = _kernel_gmres(D, lap.solve, b, rtol)
+    assert x is not None
     assert iterations == scipy_iterations
     assert calls == iterations + 1
     assert np.linalg.norm(x - want) <= rtol * np.linalg.norm(want)
@@ -597,8 +593,8 @@ def test_gmres_from_x0_applies_the_preconditioner_once_more(grid16):
     D, lap = _held_laplacian_system(grid16)
     b = D @ np.ones(grid16.n_nodes)
     x0 = np.full(grid16.n_nodes, 0.5)
-    x, info, iterations, calls = _kernel_gmres(D, lap.solve, b, 1e-4, x0=x0)
-    assert info == 0 and 0 < iterations < 10
+    x, iterations, calls = _kernel_gmres(D, lap.solve, b, 1e-4, x0=x0)
+    assert x is not None and 0 < iterations < 10
     assert calls == iterations + 2
     assert _meets_both_residual_tests(D, lap.solve, b, x, 1e-4)
 
@@ -609,32 +605,33 @@ def test_gmres_through_the_operators_own_factor_takes_one_iteration(grid16):
     D, _ = _held_laplacian_system(grid16)
     own = factor_lu(splu, D, grid16)
     b = D @ np.ones(grid16.n_nodes)
-    x, info, iterations, calls = _kernel_gmres(D, own.solve, b, 1e-10)
-    assert (info, iterations, calls) == (0, 1, 2)
+    x, iterations, calls = _kernel_gmres(D, own.solve, b, 1e-10)
+    assert (iterations, calls) == (1, 2)
     assert np.abs(x - 1.0).max() <= 1e-10
 
 
-def _nan_gmres(A, b, **kwargs):
-    return np.full_like(b, np.nan), 0
+def _nan(v):
+    return np.full_like(v, np.nan)
 
 
 @pytest.mark.parametrize(
-    "case", ["unconverged", "non-finite operator", "non-finite solution"]
+    "case", ["unconverged", "non-finite operator", "non-finite preconditioner"]
 )
-def test_krylov_solve_returns_none_when_gmres_fails(grid16, case):
-    """``krylov_solve`` gives None when GMRES does not converge within its
-    cycles (an unreachable ``rtol``), when the operator is not finite, or
-    when a converged ``x`` is not finite."""
+def test_gmres_returns_none_when_it_fails(grid16, case):
+    """``gmres`` gives None when it does not converge within
+    ``KRYLOV_HELD_CYCLES`` cycles (an unreachable ``rtol``), and when the
+    operator or the preconditioner returns NaN, whose ``x`` fails the
+    true-residual test; every iteration of the cycles counts."""
     D, lap = _held_laplacian_system(grid16)
     b = D @ np.ones(grid16.n_nodes)
-    matvec, rtol, kernel = D.dot, 1e-10, gmres
+    matvec, precondition, rtol = D.dot, lap.solve, 1e-10
     if case == "unconverged":
         rtol = 1e-30
     elif case == "non-finite operator":
-        matvec = lambda v: np.full_like(v, np.nan)
+        matvec = _nan
     else:
-        kernel = _nan_gmres
+        precondition = _nan
     start = COUNTS.copy()
-    assert krylov_solve(kernel, matvec, lap.solve, b, rtol, 1) is None
+    assert gmres(matvec, b, precondition, rtol) is None
     iterations = (COUNTS - start)["krylov_iterations_total"]
-    assert iterations == {"unconverged": 10, "non-finite operator": 10}.get(case, 0)
+    assert iterations == 10 * KRYLOV_HELD_CYCLES
