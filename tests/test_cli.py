@@ -663,14 +663,16 @@ def _reject_dump(tmp_path, capsys, grid, edit, row, fault):
     _assert_phase_times(out, "grid_s", "csv_read_s")
 
 
-@pytest.mark.parametrize("where", ["node", "hit"])
+@pytest.mark.parametrize("where", ["node", "hit", "last"])
 def test_field_csv_repeated_row_rejected(tmp_path, capsys, where):
     """A node listed twice, or a hit point with one row more than it has
-    hits, used to be read with the last row winning."""
+    hits, used to be read with the last row winning; the last row listed
+    twice is one row past the grid's last hit."""
     grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
-    line = 5 if where == "node" else grid.n_nodes + 3
-    copy = lambda lines: _with_copy(lines, line)
-    _reject_dump(tmp_path, capsys, grid, copy, line + 1, "out of place")
+    line = {"node": 5, "hit": grid.n_nodes + 3, "last": grid.n_nodes + grid.n_hits}
+    fault = "one row past" if where == "last" else "out of place"
+    copy = lambda lines: _with_copy(lines, line[where])
+    _reject_dump(tmp_path, capsys, grid, copy, line[where] + 1, fault)
 
 
 @pytest.mark.parametrize("where", ["node", "hit"])
@@ -694,14 +696,6 @@ def test_field_csv_dropped_row_rejected(tmp_path, capsys, where, fault):
     line = 9 if where == "node" else grid.n_nodes + grid.n_hits
     drop = lambda lines: lines[:line] + lines[line + 1 :]
     _reject_dump(tmp_path, capsys, grid, drop, line, fault)
-
-
-def test_field_csv_row_past_the_grid_rejected(tmp_path, capsys):
-    """The last row listed twice is one row past the grid's last hit."""
-    grid = build_grid(Disk(radius=1.0), 1.0 / 8.0)
-    line = grid.n_nodes + grid.n_hits
-    copy = lambda lines: _with_copy(lines, line)
-    _reject_dump(tmp_path, capsys, grid, copy, line + 1, "one row past")
 
 
 @pytest.mark.parametrize(
