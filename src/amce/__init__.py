@@ -18,12 +18,10 @@ from .coupled import (
     CoupledOptions,
     ProblemData,
     SolveReport,
-    affine_mean_curvature,
     check_theta,
     g_from_w,
     problem_from_exact,
     solve_system,
-    w_from_u,
 )
 from .errors import (
     AmceError,
@@ -54,7 +52,6 @@ from .lma import (
     LMAProblem,
     LMAReport,
     assemble_lma,
-    divergence_of_cofactor,
     offdiagonal_sign_audit,
     solve_lma,
 )

@@ -51,7 +51,6 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import (
-    ConvexityFailureError,
     DegenerateOperatorError,
     InvalidProblemError,
     NonConvergenceError,
@@ -62,18 +61,21 @@ from .lma import (
     LMAProblem,
     apply_lma,
     assemble_lma,
+    cofactor_contraction,
     lma_residual,
+    second_differences,
     solve_lma,
 )
 from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
 from .operators import (
     COUNTS,
     KRYLOV_REFACTOR_ITERATIONS,
+    HessianField,
     discrete_hessian,
     factor_lu,
     forcing_term,
     gmres,
-    local_quadratic_fit,
+    local_quadratic_fit,  # not called here: perfbench/tracing.py expects the binding
     poisson_solver,
 )
 
@@ -191,35 +193,8 @@ COUNTED = (
 )
 
 
-def w_from_u(u: ScalarField, theta: float) -> ScalarField:
-    """Weight ``(det H(u))^(theta-1)`` with boundary trace from one-sided fits.
-
-    No command calls it; it is kept as the test oracle of the weight's
-    defining identity.
-    """
-    check_theta(theta)
-    H = discrete_hessian(u)
-    det = H.det()
-    if float(det.min()) <= 0.0:
-        raise ConvexityFailureError(
-            f"cannot form the weight: min det H = {det.min():.3e} <= 0"
-        )
-    grid = u.grid
-    _, _, Hk = local_quadratic_fit(u, grid.hit_points)
-    hit_vals = Hk[:, 0, 0] * Hk[:, 1, 1] - Hk[:, 0, 1] ** 2
-    if hit_vals.min() <= 0.0:
-        raise ConvexityFailureError(
-            "one-sided boundary determinant is not positive"
-        )
-    return ScalarField(
-        grid=grid,
-        values=det ** (theta - 1.0),
-        hit_values=hit_vals ** (theta - 1.0),
-    )
-
-
 def g_from_w(w: ScalarField, theta: float) -> ScalarField:
-    """Determinant target ``w^(1/(theta-1))``; inverse of ``w_from_u``'s power."""
+    """Determinant target ``w^(1/(theta-1))``, from ``w = (det H(u))^(theta-1)``."""
     check_theta(theta)
     if float(w.values.min()) <= 0.0:
         raise InvalidProblemError(
@@ -242,30 +217,55 @@ def g_from_w(w: ScalarField, theta: float) -> ScalarField:
     return ScalarField(grid=w.grid, values=values, hit_values=hit_values)
 
 
+def step_tolerance(F: Array, outer_tol: float) -> float:
+    """GMRES tolerance of a coupled Newton step on the residual ``F``.
+
+    ``max(forcing_term(F), min(1e-2, 0.5 outer_tol / max |F|))``, and
+    ``forcing_term(F)`` when ``F = 0``: the forcing term
+    (:func:`amce.operators.forcing_term`) with Kelley's safeguard against
+    oversolving (C. T. Kelley, *Iterative Methods for Linear and Nonlinear
+    Equations*, SIAM 1995, ch. 6).  A step solved to the relative
+    tolerance ``eta`` leaves a linear residual of about ``eta max |F|``,
+    and once that is below half the outer stop's ``outer_tol`` a tighter
+    solve moves nothing that stop can see.  The second term is clamped to
+    the forcing term's own range, so it is never above its 1e-2 ceiling.
+    """
+    eta = forcing_term(F)
+    size = float(np.max(np.abs(F)))
+    if size == 0.0:
+        return eta
+    return max(eta, forcing_term(0.5 * outer_tol / size))
+
+
 def _newton_step(
     data: ProblemData,
     u: ScalarField,
+    Hu: HessianField,
     w: ScalarField,
     cap: float,
+    outer_tol: float,
     kept: list,
 ):
     """One inexact Newton step on ``F(u, w) = 0``, or None when it is unusable.
 
     ``F1 = det H(u) - w^e`` and ``F2 = cof H(u) : H(w) - f`` with
     ``e = 1/(theta-1)``; the Jacobian ``[[A, -diag(e w^(e-1))], [C, A]]``
-    has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  GMRES solves
+    has ``A`` and ``C`` the operators of ``H(u)`` and ``H(w)``.  ``Hu`` is
+    ``H(u)``, which the caller already has, and each Hessian is computed
+    once: ``F2`` is formed from the step's own ``H(w)``.  GMRES solves
     it (:func:`amce.operators.gmres`, within ``KRYLOV_HELD_CYCLES`` restart
     cycles), left-preconditioned by ``[[A, 0], [C, A]]`` with ``A``
     applied through one LU factor, so each iteration makes two LU solves,
-    to the relative tolerance
-    :func:`amce.operators.forcing_term` of ``F``: loose while ``F`` is
-    large and the step is capped anyway, and at the floor once Newton
-    converges.
+    to the relative tolerance :func:`step_tolerance` of ``F``: the
+    forcing term, loose while ``F`` is large and the step is capped anyway,
+    and never tighter than the outer stop at ``outer_tol`` can see.
     Products with ``A`` and ``C`` are formed from ``H(u)`` and ``H(w)`` by
-    :func:`amce.lma.apply_lma`: ``C`` is never assembled, and ``A`` only
-    when its own factor is made.
+    :func:`amce.lma.cofactor_contraction`, the ``u`` part's second
+    differences taken once for both: ``C`` is never assembled, and ``A``
+    only when its own factor is made.
     The step is scaled so the weight moves by at most ``cap`` in sup norm.
-    Returns ``(u, w, change)``, or None when ``w^e`` overflows, ``A``
+    Returns ``(u, H(u), w, change)``, the new ``H(u)`` being the one the
+    convexity test computed, or None when ``w^e`` overflows, ``A``
     cannot be factored, GMRES fails, or the trial loses ``det H(u) > 0``
     or ``w > 0``.
 
@@ -279,20 +279,28 @@ def _newton_step(
     Every GMRES iteration counts in ``COUNTS["krylov_iterations_total"]``,
     and a returned step in ``COUNTS["coupled_newton_steps"]``.
     """
-    n = data.grid.n_nodes
+    grid = data.grid
+    n = grid.n_nodes
     e = 1.0 / (data.theta - 1.0)
-    Hu, Hw = discrete_hessian(u), discrete_hessian(w)
+    Hw = discrete_hessian(w)
     with np.errstate(over="ignore"):
         we = w.values**e
         dw_coef = -e * we / w.values
     if not (np.isfinite(we).all() and np.isfinite(dw_coef).all()):
         return None
-    F = np.concatenate([Hu.det() - we, lma_residual(w, Hu, data.f.values)])
+    F = np.concatenate(
+        [Hu.det() - we, cofactor_contraction(Hu, Hw.hxx, Hw.hxy, Hw.hyy) - data.f.values]
+    )
+    rtol = step_tolerance(F, outer_tol)
 
     def jacobian(x):
         xu, xw = x[:n], x[n:]
+        Xu = second_differences(grid, xu)
         return np.concatenate(
-            [apply_lma(Hu, xu) + dw_coef * xw, apply_lma(Hw, xu) + apply_lma(Hu, xw)]
+            [
+                cofactor_contraction(Hu, *Xu) + dw_coef * xw,
+                cofactor_contraction(Hw, *Xu) + apply_lma(Hu, xw),
+            ]
         )
 
     def precondition(r):
@@ -300,7 +308,7 @@ def _newton_step(
         return np.concatenate([yu, lu.solve(r[n:] - apply_lma(Hw, yu))])
 
     def direction():
-        return gmres(jacobian, -F, precondition, forcing_term(F))
+        return gmres(jacobian, -F, precondition, rtol)
 
     lu = kept.pop() if kept else None
     spent = COUNTS["krylov_iterations_total"]
@@ -308,7 +316,7 @@ def _newton_step(
     if delta is None:
         lu = None  # dropped before A's own factor is made
         try:
-            lu = factor_lu(splu, assemble_lma(Hu), data.grid)
+            lu = factor_lu(splu, assemble_lma(Hu), grid)
         except RuntimeError:
             return None
         spent = COUNTS["krylov_iterations_total"]  # only the solving attempt's count
@@ -321,13 +329,13 @@ def _newton_step(
     alpha = min(1.0, cap / size) if size > 0.0 else 1.0
     u_new = u.with_values(u.values + alpha * delta[:n])
     w_new = w.with_values(w.values + alpha * delta[n:])
-    if (
-        float(w_new.values.min()) <= 0.0
-        or float(discrete_hessian(u_new).det().min()) <= 0.0
-    ):
+    if float(w_new.values.min()) <= 0.0:
+        return None
+    H_new = discrete_hessian(u_new)
+    if float(H_new.det().min()) <= 0.0:
         return None
     COUNTS["coupled_newton_steps"] += 1
-    return u_new, w_new, alpha * size
+    return u_new, H_new, w_new, alpha * size
 
 
 def _require_positive(w: ScalarField, history: list[float]) -> ScalarField:
@@ -359,7 +367,9 @@ def solve_system(
 
     A sweep whose determinant solve takes no Newton step leaves ``u``
     bitwise unchanged and keeps the previous linear solution; a sweep that
-    follows a Newton step always solves the linear equation.
+    follows a Newton step always solves the linear equation.  ``H(u)`` is
+    taken once per ``u``: the one a Newton step's convexity test or a
+    sweep's linear step computed is the next Newton step's.
     The report's counts are those :data:`amce.operators.COUNTS` gained
     during the call: ``factorizations`` is every ``splu`` call, the
     Laplacian's, one per coupled Newton step that makes a factor, those of
@@ -392,10 +402,12 @@ def solve_system(
     the passes alone solve it exactly, and then the Newton steps' GMRES
     until one takes more than ``KRYLOV_REFACTOR_ITERATIONS`` iterations
     (the fourth step, at every spacing); the next step's
-    own factor serves the rest and the polish.  ``radial_mild`` makes 2 at
-    h = 1/32 to 1/128, where its last Newton step stops paying and the
-    polish's linear solve makes its own, and the Laplacian's alone at
-    1/16.  The two paraboloids take the Laplacian's alone, and so does
+    own factor serves the rest and the polish, and the steps' GMRES takes
+    35 iterations in all.  ``radial_mild`` makes 1, the Laplacian's, at
+    h = 1/16 to 1/128: its last Newton step, solved only as far as the
+    outer stop can see (see :func:`step_tolerance`), takes at most
+    ``KRYLOV_REFACTOR_ITERATIONS`` iterations through it and hands it on to
+    the polish.  The two paraboloids take the Laplacian's alone, and so does
     ``sheared_half``, one sweep: its 4 determinant steps and its linear
     step run GMRES through that factor.  The Laplacian factor solves for
     the harmonic extension of ``psi``, the first weight, and then for the
@@ -424,22 +436,23 @@ def solve_system(
     u = initial_guess(MAProblem(grid=grid, g=g, phi_hits=data.phi_hits), poisson)
     del poisson  # kept holds the Laplacian factor's only reference
     w_half: ScalarField | None = None
+    H = None  # H(u), set by the first sweep and kept current from then on
     polish = False
 
     while True:
         _require_positive(w, history)
         step = None
         if history and not polish:
-            step = _newton_step(data, u, w, history[-1], kept)
+            step = _newton_step(data, u, H, w, history[-1], opts.outer_tol, kept)
         if step is not None:
-            u, w, change = step
+            u, H, w, change = step
             w_half = None  # the last linear solution belongs to the old u
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
             u, ma_rep = solve_ma(problem, opts, initial=u, kept=kept)
             # a solve without Newton steps returns the u of the last linear
-            # step bitwise, so that step's w_half stands
+            # step bitwise, so that step's w_half and H stand
             if w_half is None or ma_rep.iterations:
                 H = discrete_hessian(u)
                 w_half, _ = solve_lma(
@@ -478,16 +491,6 @@ def solve_system(
         **{name: counts[name] for name in COUNTED},
     )
     return u, w, report
-
-
-def affine_mean_curvature(u: ScalarField, w: ScalarField) -> Array:
-    """Node-wise affine mean curvature ``-(1/3) U^ij w_ij`` (n = 2).
-
-    At a solution of the coupled system this equals ``-f / 3`` up to the
-    linear solver tolerance; no command calls it, it is kept as the test
-    oracle of that identity.
-    """
-    return -lma_residual(w, discrete_hessian(u), 0.0) / 3.0
 
 
 def problem_from_exact(grid: Grid, exact, theta: float | None = None) -> ProblemData:

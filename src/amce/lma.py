@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import DegenerateOperatorError, NonConvergenceError
-from .grid import ScalarField, require_finite
+from .grid import Grid, ScalarField, require_finite
 from .operators import (
     COUNTS,
     HessianField,
@@ -77,11 +77,11 @@ class LMAReport:
 
 
 def assemble_lma(H: HessianField) -> sp.csc_matrix:
-    """Interior matrix of ``cof H : D^2``; see :func:`_cofactor_contraction`."""
-    return _cofactor_contraction(H, "D").tocsc()
+    """Interior matrix of ``cof H : D^2``; see :func:`_cofactor_operator`."""
+    return _cofactor_operator(H, "D").tocsc()
 
 
-def _cofactor_contraction(H: HessianField, part: str) -> sp.spmatrix:
+def _cofactor_operator(H: HessianField, part: str) -> sp.spmatrix:
     """``hyy Dxx - 2 hxy Dxy + hxx Dyy``, node-wise, on the ``part``
     (``"D"`` interior, ``"B"`` boundary) of the second-difference operators."""
     ops = grid_operators(H.grid)
@@ -160,7 +160,7 @@ def solve_lma(
             point=(float(x), float(y)),
         )
     D = assemble_lma(H)
-    B = _cofactor_contraction(H, "B").tocsr()
+    B = _cofactor_operator(H, "B").tocsr()
     start = COUNTS["pivoting_refactors"]
     lu = kept.pop() if kept else None
     if report_condition:
@@ -250,22 +250,28 @@ def _measured(problem: LMAProblem, D, B, v: Array) -> tuple[ScalarField, float, 
 def lma_residual(v: ScalarField, H: HessianField, g: Array) -> Array:
     """Node-wise ``cof H : D^2 v - g = hyy v_xx - 2 hxy v_xy + hxx v_yy - g``."""
     Hv = discrete_hessian(v)
-    return H.hyy * Hv.hxx - 2.0 * H.hxy * Hv.hxy + H.hxx * Hv.hyy - np.asarray(g)
+    return cofactor_contraction(H, Hv.hxx, Hv.hxy, Hv.hyy) - np.asarray(g)
+
+
+def cofactor_contraction(H: HessianField, xx: Array, xy: Array, yy: Array) -> Array:
+    """Node-wise ``cof H : X = hyy xx - 2 hxy xy + hxx yy`` for the second
+    differences ``(xx, xy, yy)`` of some field, the one formula of
+    :func:`lma_residual`, :func:`apply_lma` and the coupled Newton step's
+    Jacobian products (:func:`amce.coupled._newton_step`)."""
+    return H.hyy * xx - 2.0 * H.hxy * xy + H.hxx * yy
+
+
+def second_differences(grid: Grid, x: Array) -> tuple[Array, Array, Array]:
+    """``(Dxx x, Dxy x, Dyy x)`` through the grid's own interior
+    second-difference operators, so no stacked copy of them is made."""
+    ops = grid_operators(grid)
+    return ops["dxx"].D @ x, ops["dxy"].D @ x, ops["dyy"].D @ x
 
 
 def apply_lma(H: HessianField, x: Array) -> Array:
-    """``assemble_lma(H) @ x`` without the matrix.
-
-    Node-wise ``hyy (Dxx x) - 2 hxy (Dxy x) + hxx (Dyy x)`` through the
-    grid's own interior second-difference operators, so no operator is
-    assembled and no stacked copy of them is made.
-    """
-    ops = grid_operators(H.grid)
-    return (
-        H.hyy * (ops["dxx"].D @ x)
-        - 2.0 * H.hxy * (ops["dxy"].D @ x)
-        + H.hxx * (ops["dyy"].D @ x)
-    )
+    """``assemble_lma(H) @ x`` without the matrix: the
+    :func:`cofactor_contraction` of ``x``'s :func:`second_differences`."""
+    return cofactor_contraction(H, *second_differences(H.grid, x))
 
 
 def _condition_estimate(D: sp.csc_matrix, lu) -> float:
@@ -279,32 +285,3 @@ def _condition_estimate(D: sp.csc_matrix, lu) -> float:
     n = D.shape[0]
     inv = LinearOperator((n, n), matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T"))
     return float(abs(D).sum(axis=0).max() * onenormest(inv, t=1))
-
-
-def divergence_of_cofactor(H: HessianField) -> tuple[Array, Array]:
-    """Discrete row divergences of ``U = cof H`` on full-stencil nodes.
-
-    Returns ``(div, mask)`` where ``div[:, j] = d/dx U(1j) + d/dy U(2j)``
-    and the mask marks nodes whose first-difference stencils stay interior
-    (the cofactor has no boundary trace to difference through).  No command
-    calls it; it is kept as the test oracle of the Piola identity
-    ``d_i U^ij = 0``.
-    """
-    grid = H.grid
-    ops = grid_operators(grid)
-    # Valid rows need interior axis neighbors whose own Hessian stencils are
-    # full, so the differenced coefficients carry a smooth error expansion.
-    full = grid.full_stencil_mask()
-    mask = full.copy()
-    for d in range(4):
-        nbr_ok = np.zeros(grid.n_nodes, dtype=bool)
-        is_int = grid.arm_kind[:, d] == 0
-        nbr_ok[is_int] = full[grid.arm_ref[is_int, d]]
-        mask &= nbr_ok
-    zeros = np.zeros(grid.n_hits)
-    ddx = lambda vals: ops["dx"].apply(vals, zeros)
-    ddy = lambda vals: ops["dy"].apply(vals, zeros)
-    div1 = ddx(H.hyy) - ddy(H.hxy)
-    div2 = ddy(H.hxx) - ddx(H.hxy)
-    div = np.stack([div1, div2], axis=1)
-    return div, mask

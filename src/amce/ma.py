@@ -132,7 +132,8 @@ def roundoff_floor(u: ScalarField, H: HessianField, g: Array) -> Array:
     ``e_** = |D_**||u| + |B_**||phi|`` the bound on the round-off of each
     Hessian entry ``D_** u + B_** phi``: the first-order error of the
     determinant, as in a componentwise backward error (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, ch. 7).
+    and Stability of Numerical Algorithms*, ch. 7).  Clamped at the
+    smallest normal float, as :func:`amce.lma.solve_lma`'s denominator is.
     """
     ops = grid_operators(u.grid)
     au, ap = np.abs(u.values), np.abs(u.hit_values)
@@ -140,12 +141,14 @@ def roundoff_floor(u: ScalarField, H: HessianField, g: Array) -> Array:
     def entry_error(name: str) -> Array:
         return abs(ops[name].D) @ au + abs(ops[name].B) @ ap
 
-    return np.finfo(float).eps * (
+    floor = np.finfo(float).eps * (
         np.abs(H.hyy) * entry_error("dxx")
         + 2.0 * np.abs(H.hxy) * entry_error("dxy")
         + np.abs(H.hxx) * entry_error("dyy")
         + np.abs(g)
     )
+    # a subnormal target and iterate would leave 0, and the backward error 0/0
+    return np.maximum(floor, np.finfo(float).tiny)
 
 
 def solve_ma(

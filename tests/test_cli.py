@@ -152,6 +152,35 @@ def test_underflowing_determinant_target_is_degenerate(tmp_path, capsys):
     assert error["counts"]["factorizations"] == 1
 
 
+def test_subnormal_determinant_target_warns_of_nothing(tmp_path, capsys):
+    """A weight trace of 1e240 leaves a subnormal determinant target, and
+    the determinant solve's round-off floor would be 0 there; clamped at
+    the smallest normal float, the backward error is no 0/0: exit 2 with
+    no RuntimeWarning."""
+    import warnings
+
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK8,
+            "problem": {
+                "theta": 0.25,
+                "f": {"const": 0.0},
+                "phi": {"const": 0.0},
+                "psi": {"const": 1e240},
+            },
+        },
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert status == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "Traceback" not in err
+
+
 POLE = {"abs_pow": {"power": -1}}  # +inf on the axis x = 0
 QUAD = {"poly": {"20": 0.5, "02": 0.5}}
 DISK8 = {"kind": "disk", "params": {"radius": 1.0}, "h_grid": 0.125}

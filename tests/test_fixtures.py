@@ -13,10 +13,10 @@ from amce import (
     fixture_names,
     get_fixture,
     radial_solution,
-    w_from_u,
 )
 from amce.errors import NonConvexProfileError
 from amce.fixtures import _D1_W, _D2_W, _OFFSETS, FD_STEP, _fd8_forcing
+from oracles import w_from_u
 
 
 def _sample_points(n=200, r=0.95, seed=1):

@@ -11,11 +11,11 @@ from amce.errors import DegenerateOperatorError
 from amce.lma import (
     LMAProblem,
     assemble_lma,
-    divergence_of_cofactor,
     offdiagonal_sign_audit,
     solve_lma,
 )
 from amce.operators import COUNTS, discrete_hessian, factor_lu, pivoting_lu
+from oracles import divergence_of_cofactor
 
 def test_quadratic_solution_reproduced(grid32):
     """With identity coefficients, the solve is a Poisson solve: the

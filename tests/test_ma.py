@@ -220,3 +220,18 @@ def test_handed_factor_is_held_and_kept_back(grid32):
     assert (COUNTS - start)["factorizations"] == 0
     [back] = kept
     assert back is lap
+
+
+def test_roundoff_floor_is_never_zero(grid16):
+    """A zero iterate against a zero target has no round-off to measure; the
+    floor is then the smallest normal float, so the backward error is
+    ``0 / tiny = 0`` and not ``0 / 0``."""
+    from amce import ScalarField
+    from amce.ma import roundoff_floor
+    from amce.operators import discrete_hessian
+
+    u = ScalarField(
+        grid=grid16, values=np.zeros(grid16.n_nodes), hit_values=np.zeros(grid16.n_hits)
+    )
+    floor = roundoff_floor(u, discrete_hessian(u), np.zeros(grid16.n_nodes))
+    assert np.all(floor == np.finfo(float).tiny)
