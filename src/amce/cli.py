@@ -409,12 +409,7 @@ def _cmd_converge(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     if cfg.fixture is None:
         raise ConfigError("the converge command needs a 'fixture' config block")
     domain = build_domain(cfg.domain.kind, cfg.domain.params)
-    study = convergence_study(
-        _fixture_exact(cfg),
-        cfg.converge.h_list,
-        domain=domain,
-        options=cfg.solver,
-    )
+    study = convergence_study(_fixture_exact(cfg), cfg.converge.h_list, domain, cfg.solver)
     keys = ["h", "n_nodes", "err_u", "err_w", "outer_iterations"]
     _write_csv(
         os.path.join(out_dir, "converge.csv"),

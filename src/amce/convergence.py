@@ -1,7 +1,7 @@
 """Grid-refinement studies against manufactured solutions.
 
-Solves the coupled system for a named manufactured fixture on a sequence
-of spacings, tabulates sup-errors of both unknowns, and reports observed
+Solves the coupled system for a manufactured fixture on a sequence of
+spacings, tabulates sup-errors of both unknowns, and reports observed
 orders from successive Richardson ratios.  A failure on one grid leaves
 the already-computed rows in place and marks the table partial.
 """
@@ -14,8 +14,8 @@ import numpy as np
 
 from .coupled import CoupledOptions, problem_from_exact, solve_system
 from .errors import SOLVE_FAILURES
-from .fixtures import ExactSolution, get_fixture
-from .geometry import Disk, Domain
+from .fixtures import ExactSolution
+from .geometry import Domain
 from .grid import ScalarField, build_grid
 
 __all__ = ["ConvergenceRow", "ConvergenceStudy", "convergence_study"]
@@ -62,11 +62,7 @@ def _observed_orders(rows: list[ConvergenceRow], attr: str) -> list[float]:
 
 
 def convergence_study(
-    fixture: str | ExactSolution,
-    h_list,
-    theta: float | None = None,
-    domain: Domain | None = None,
-    options: CoupledOptions | None = None,
+    exact: ExactSolution, h_list, domain: Domain, options: CoupledOptions
 ) -> ConvergenceStudy:
     """Run the coupled solver against a manufactured fixture per spacing.
 
@@ -75,11 +71,7 @@ def convergence_study(
     earlier rows stay valid, and the study is marked partial.  Any other
     error, such as invalid solver options, propagates.
     """
-    exact = fixture if isinstance(fixture, ExactSolution) else get_fixture(fixture, theta=theta)
     study = ConvergenceStudy(fixture=exact.name, theta=exact.theta)
-    if domain is None:
-        domain = Disk(min(1.0, exact.r_max))
-    opts = options or CoupledOptions()
 
     for h in h_list:
         row = ConvergenceRow(h=float(h))
@@ -88,7 +80,7 @@ def convergence_study(
             grid = build_grid(domain, float(h))
             row.n_nodes = grid.n_nodes
             prob = problem_from_exact(grid, exact)
-            u, w, rep = solve_system(prob, opts)
+            u, w, rep = solve_system(prob, options)
             u_star = ScalarField.from_callable(grid, exact.u)
             w_star = ScalarField.from_callable(grid, exact.w)
             row.err_u = float(np.max(np.abs(u.values - u_star.values)))

@@ -66,7 +66,7 @@ from .lma import (
     second_differences,
     solve_lma,
 )
-from .ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
+from .ma import MAProblem, MASolveOptions, initial_guess, solve_ma
 from .operators import (
     COUNTS,
     KRYLOV_REFACTOR_ITERATIONS,
@@ -369,7 +369,8 @@ def solve_system(
     bitwise unchanged and keeps the previous linear solution; a sweep that
     follows a Newton step always solves the linear equation.  ``H(u)`` is
     taken once per ``u``: the one a Newton step's convexity test or a
-    sweep's linear step computed is the next Newton step's.
+    sweep's linear step computed is the next Newton step's, and the
+    polish's gives both reported residuals.
     The report's counts are those :data:`amce.operators.COUNTS` gained
     during the call: ``factorizations`` is every ``splu`` call, the
     Laplacian's, one per coupled Newton step that makes a factor, those of
@@ -476,7 +477,7 @@ def solve_system(
             )
 
     w = _require_positive(w_half, history)
-    final_ma = float(np.max(np.abs(ma_residual(u, g_from_w(w, data.theta)))))
+    final_ma = float(np.max(np.abs(H.det() - g_from_w(w, data.theta).values)))
     final_lma = float(np.max(np.abs(lma_residual(w, H, data.f.values))))
     counts = COUNTS - start
     report = SolveReport(
@@ -493,12 +494,11 @@ def solve_system(
     return u, w, report
 
 
-def problem_from_exact(grid: Grid, exact, theta: float | None = None) -> ProblemData:
+def problem_from_exact(grid: Grid, exact) -> ProblemData:
     """Problem data whose exact solution is the given manufactured bundle."""
-    th = exact.theta if theta is None else float(theta)
     return ProblemData.from_callables(
         grid,
-        th,
+        exact.theta,
         f_fn=exact.f,
         phi_fn=exact.u,
         psi_fn=exact.w,

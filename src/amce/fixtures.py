@@ -22,9 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coupled import forcing_nonpositive
 from .errors import InvalidShearError, NonConvexProfileError
-from .geometry import Disk, Domain
 
 Array = np.ndarray
 
@@ -52,38 +50,6 @@ class ExactSolution:
     f: Callable[[Array], Array]  # closed-form route
     f_fd: Callable[[Array], Array]  # finite-difference route
     r_max: float
-
-    def sign_audit(
-        self, domain: Domain | None = None, n: int = 10_000, seed: int = 0
-    ) -> dict:
-        """Sample the forcing on the domain and report its sign.
-
-        The nonpositivity flag gates every check that assumes ``f <= 0``.
-        No command calls it; it is kept as the continuum route that tests
-        compare the grid's sign rule against.
-        """
-        dom = domain if domain is not None else Disk(radius=self.r_max)
-        pts = _sample_domain(dom, n, seed)
-        vals = self.f(pts)
-        return {
-            "f_min": float(vals.min()),
-            "f_max": float(vals.max()),
-            "n_samples": int(n),
-            "nonpositive": forcing_nonpositive(vals),
-        }
-
-
-def _sample_domain(dom: Domain, n: int, seed: int) -> Array:
-    rng = np.random.default_rng(seed)
-    xmin, xmax, ymin, ymax = dom.bbox()
-    out = []
-    have = 0
-    while have < n:
-        cand = rng.uniform([xmin, ymin], [xmax, ymax], size=(2 * n, 2))
-        cand = cand[dom.contains(cand)]
-        out.append(cand[: n - have])
-        have += len(out[-1])
-    return np.concatenate(out, axis=0)
 
 
 def _fd8_forcing(

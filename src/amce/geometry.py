@@ -8,10 +8,10 @@ everywhere; :func:`build_domain` checks it for level-set domains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidDomainError
 
@@ -114,17 +114,15 @@ class Domain:
         return num / np.linalg.norm(g, axis=1) ** 3
 
     def distance_to_boundary(self, pts: Array) -> Array:
-        """Approximate distance to the boundary via a dense sample tree."""
+        """Approximate distance to the boundary: the nearest dense boundary sample."""
         p = _as_points(pts)
-        d, _ = self._boundary_tree().query(p)
+        s = self._dense_boundary
+        d = np.array([np.sqrt(np.min(np.sum((s - q) ** 2, axis=1))) for q in p])
         return d if np.asarray(pts).ndim > 1 else float(d[0])
 
-    def _boundary_tree(self) -> cKDTree:
-        tree = getattr(self, "_tree_cache", None)
-        if tree is None:
-            tree = cKDTree(self.boundary_samples(4096))
-            object.__setattr__(self, "_tree_cache", tree)
-        return tree
+    @cached_property
+    def _dense_boundary(self) -> Array:
+        return self.boundary_samples(4096)
 
     @property
     def diameter(self) -> float:

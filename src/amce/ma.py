@@ -120,11 +120,6 @@ def initial_guess(problem: MAProblem, poisson=None) -> ScalarField:
     return ScalarField(grid=problem.grid, values=vals, hit_values=problem.phi_hits)
 
 
-def ma_residual(u: ScalarField, g: ScalarField) -> Array:
-    """Node-wise ``det H(u) - g``."""
-    return discrete_hessian(u).det() - g.values
-
-
 def roundoff_floor(u: ScalarField, H: HessianField, g: Array) -> Array:
     """Node-wise size of the round-off in ``det H(u) - g``.
 

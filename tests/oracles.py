@@ -6,12 +6,16 @@ never forms, so that a test can hold the discretization to the identity:
 - :func:`w_from_u`, the weight's definition ``w = (det D^2 u)^(theta - 1)``;
 - :func:`affine_mean_curvature`, ``-(1/3) U^ij w_ij``, which is ``-f / 3``
   at a solution;
-- :func:`divergence_of_cofactor`, the Piola identity ``d_i U^ij = 0``.
+- :func:`divergence_of_cofactor`, the Piola identity ``d_i U^ij = 0``;
+- :func:`ma_residual`, ``det H(u) - g`` from a fresh Hessian of ``u``;
+- :func:`sign_audit`, the sign of a fixture's continuum forcing on random
+  points of the domain, against which the grid's sign rule is compared.
 """
 
 import numpy as np
 
-from amce import ScalarField, check_theta
+from amce import Disk, Domain, ExactSolution, ScalarField, check_theta
+from amce.coupled import forcing_nonpositive
 from amce.errors import ConvexityFailureError
 from amce.lma import lma_residual
 from amce.operators import HessianField, discrete_hessian, grid_operators, local_quadratic_fit
@@ -76,3 +80,37 @@ def divergence_of_cofactor(H: HessianField) -> tuple[Array, Array]:
     div2 = ddy(H.hxx) - ddx(H.hxy)
     div = np.stack([div1, div2], axis=1)
     return div, mask
+
+
+def ma_residual(u: ScalarField, g: ScalarField) -> Array:
+    """Node-wise ``det H(u) - g``."""
+    return discrete_hessian(u).det() - g.values
+
+
+def sign_audit(
+    exact: ExactSolution, domain: Domain | None = None, n: int = 10_000, seed: int = 0
+) -> dict:
+    """Sample the forcing on the domain (by default the disk of radius
+    ``exact.r_max``) and report its sign."""
+    dom = domain if domain is not None else Disk(radius=exact.r_max)
+    pts = _sample_domain(dom, n, seed)
+    vals = exact.f(pts)
+    return {
+        "f_min": float(vals.min()),
+        "f_max": float(vals.max()),
+        "n_samples": int(n),
+        "nonpositive": forcing_nonpositive(vals),
+    }
+
+
+def _sample_domain(dom: Domain, n: int, seed: int) -> Array:
+    rng = np.random.default_rng(seed)
+    xmin, xmax, ymin, ymax = dom.bbox()
+    out = []
+    have = 0
+    while have < n:
+        cand = rng.uniform([xmin, ymin], [xmax, ymax], size=(2 * n, 2))
+        cand = cand[dom.contains(cand)]
+        out.append(cand[: n - have])
+        have += len(out[-1])
+    return np.concatenate(out, axis=0)

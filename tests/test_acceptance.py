@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from conftest import record_acceptance
+from oracles import sign_audit
 
 from amce.cli import main as cli_main
 from amce.config import canonical_json
@@ -104,7 +105,7 @@ def test_criterion_3_weight_minimum_principle(solved32, tmp_path):
     ok = True
     parts = []
     for name, (exact, problem, _, w, _) in solved32.items():
-        if not exact.sign_audit()["nonpositive"]:
+        if not sign_audit(exact)["nonpositive"]:
             continue
         report = min_principle_check(problem, w)
         d = report.details

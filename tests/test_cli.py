@@ -995,28 +995,38 @@ def test_sections_command_interior_point(tmp_path):
 
 
 def test_sections_command_boundary_scan(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        {
-            "domain": DISK16,
-            "fixture": {"name": "paraboloid_r2"},
-            "sections": {"boundary_point": [0.0, -1.0], "heights": [0.125, 0.0625]},
-        },
-    )
-    out = str(tmp_path / "o")
-    assert main(["sections", "--config", cfg, "--out", out]) == 0
-    results = read_report(out)["results"]
-    with open(os.path.join(out, "sections.csv")) as fh:
-        header = fh.readline().strip()
-        rows = [line for line in fh if line.strip()]
-    assert header == "h,tau,vol_ratio,k_inner,k_outer"
-    kept = [r for r in results["boundary_scan"]["rows"] if not r["skipped"]]
-    assert len(rows) == len(kept)
-    for fname in results["outputs"]:
-        assert os.path.exists(os.path.join(out, fname))
-    hulls = [f for f in results["outputs"] if f.startswith("hull_")]
-    assert len(hulls) == len(kept)
-    _assert_phase_times(out, "grid_s", "solve_s", "boundary_scan_s", "csv_write_s")
+    """At h = 1/16 on two heights, and at h = 1/32 on the default four,
+    every height keeps its section, each with a hull dump, and the slide
+    fit is finite."""
+    for h_grid, heights in ((0.0625, [0.125, 0.0625]), (0.03125, None)):
+        sections = {"boundary_point": [0.0, -1.0]}
+        if heights is not None:
+            sections["heights"] = heights
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "domain": dict(DISK16, h_grid=h_grid),
+                "fixture": {"name": "paraboloid_r2"},
+                "sections": sections,
+            },
+        )
+        out = str(tmp_path / f"o{h_grid}")
+        assert main(["sections", "--config", cfg, "--out", out]) == 0
+        results = read_report(out)["results"]
+        scan = results["boundary_scan"]
+        with open(os.path.join(out, "sections.csv")) as fh:
+            header = fh.readline().strip()
+            rows = [line for line in fh if line.strip()]
+        assert header == "h,tau,vol_ratio,k_inner,k_outer"
+        assert [r["h"] for r in scan["rows"]] == (heights or [0.125, 0.0625, 0.03125, 0.015625])
+        assert not any(r["skipped"] for r in scan["rows"])
+        assert len(rows) == len(scan["rows"])
+        for fname in results["outputs"]:
+            assert os.path.exists(os.path.join(out, fname))
+        hulls = [f for f in os.listdir(out) if f.startswith("hull_")]
+        assert len(hulls) == len(scan["rows"])
+        assert np.isfinite([scan["slide_c0"], scan["slide_c1"], scan["slide_r2"]]).all()
+        _assert_phase_times(out, "grid_s", "solve_s", "boundary_scan_s", "csv_write_s")
 
 
 def _assert_phase_times(out, *phases):
@@ -1117,31 +1127,35 @@ def test_verify_command_writes_battery(tmp_path):
 
 
 def test_converge_command_table(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        {
-            "domain": DISK16,
-            "fixture": {"name": "radial_mild", "theta": 0.25},
-            "converge": {"h_list": [0.125, 0.0625]},
-        },
-    )
-    out = str(tmp_path / "o")
-    assert main(["converge", "--config", cfg, "--out", out]) == 0
-    results = read_report(out)["results"]
-    assert not results["partial"]
-    assert results["orders_u"][0] > 1.5
-    with open(os.path.join(out, "converge.csv")) as fh:
-        header = fh.readline().strip()
-        rows = [line for line in fh if line.strip()]
-    assert header == "h,n_nodes,err_u,err_w,outer_iterations"
-    assert len(rows) == 2
-    assert rows == [
-        f"{r['h']:.17g},{r['n_nodes']},{r['err_u']:.17g},{r['err_w']:.17g},"
-        f"{r['outer_iterations']}\n"
-        for r in results["rows"]
-    ]
-    # the study builds its own grids, outside any phase
-    _assert_phase_times(out, "csv_write_s")
+    for name in ("radial_mild", "radial_quartic"):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "domain": DISK16,
+                "fixture": {"name": name, "theta": 0.25},
+                "converge": {"h_list": [0.125, 0.0625]},
+            },
+        )
+        out = str(tmp_path / name)
+        assert main(["converge", "--config", cfg, "--out", out]) == 0
+        results = read_report(out)["results"]
+        assert results["fixture"] == name
+        assert not results["partial"]
+        assert len(results["orders_u"]) == len(results["orders_w"]) == 1
+        assert results["orders_u"][0] > 1.5
+        with open(os.path.join(out, "converge.csv")) as fh:
+            header = fh.readline().strip()
+            rows = [line for line in fh if line.strip()]
+        assert header == "h,n_nodes,err_u,err_w,outer_iterations"
+        assert [r["h"] for r in results["rows"]] == [0.125, 0.0625]
+        assert not any(r["failed"] for r in results["rows"])
+        assert rows == [
+            f"{r['h']:.17g},{r['n_nodes']},{r['err_u']:.17g},{r['err_w']:.17g},"
+            f"{r['outer_iterations']}\n"
+            for r in results["rows"]
+        ]
+        # the study builds its own grids, outside any phase
+        _assert_phase_times(out, "csv_write_s")
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from amce import (
     solve_system,
 )
 from amce.coupled import CoupledOptions, ProblemData
-from oracles import affine_mean_curvature, w_from_u
+from oracles import affine_mean_curvature, sign_audit, w_from_u
 
 
 def test_theta_window():
@@ -140,7 +140,7 @@ def test_forcing_sign_has_one_rule(grid16):
     for name in ("paraboloid", "radial_mild", "radial_quartic", "sheared_half"):
         exact = get_fixture(name, theta=0.25)
         problem = problem_from_exact(grid16, exact)
-        assert problem.f_nonpositive == exact.sign_audit()["nonpositive"]
+        assert problem.f_nonpositive == sign_audit(exact)["nonpositive"]
         assert problem.f_nonpositive == (name != "radial_quartic")
 
 

@@ -16,7 +16,7 @@ from amce import (
 )
 from amce.errors import NonConvexProfileError
 from amce.fixtures import _D1_W, _D2_W, _OFFSETS, FD_STEP, _fd8_forcing
-from oracles import w_from_u
+from oracles import sign_audit, w_from_u
 
 
 def _sample_points(n=200, r=0.95, seed=1):
@@ -143,10 +143,10 @@ def test_symbolic_oracle_radial_mild_w():
 
 
 def test_sign_audit_flags():
-    assert get_fixture("radial_mild", theta=0.25).sign_audit()["nonpositive"]
-    assert get_fixture("paraboloid", theta=0.25).sign_audit()["nonpositive"]
+    assert sign_audit(get_fixture("radial_mild", theta=0.25))["nonpositive"]
+    assert sign_audit(get_fixture("paraboloid", theta=0.25))["nonpositive"]
     # the full-strength quartic forcing changes sign near the rim
-    audit = get_fixture("radial_quartic", theta=0.25).sign_audit()
+    audit = sign_audit(get_fixture("radial_quartic", theta=0.25))
     assert not audit["nonpositive"]
     assert audit["f_max"] > 0.0 > audit["f_min"]
 

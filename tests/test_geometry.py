@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amce import Disk, Ellipse, InvalidDomainError, build_domain
+from amce.geometry import polynomial_levelset
 
 
 def test_disk_membership_and_radii():
@@ -71,3 +72,30 @@ def test_ellipse_curvature_and_rho():
 def test_ellipse_diameter_formula(a, b):
     e = Ellipse(a=a, b=b)
     assert e.diameter == pytest.approx(2.0 * max(a, b))
+
+
+def _fine_distance(dom, pts, n=1 << 16):
+    """Distance to the nearest of ``n`` boundary samples, pointwise."""
+    bdry = dom.boundary_samples(n)
+    return np.array([np.min(np.linalg.norm(bdry - p, axis=1)) for p in pts])
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        Ellipse(a=1.2, b=0.9),
+        polynomial_levelset({"20": 1.0, "02": 2.0, "40": 0.5, "11": 0.3}),
+    ],
+    ids=["ellipse", "levelset"],
+)
+def test_sampled_distance_to_boundary(dom):
+    """Domains without a closed form take the nearest of 4096 boundary
+    samples, which sits within the samples' spacing of the distance."""
+    pts = np.array([[0.0, 0.0], [0.1, 0.2], [0.3, -0.2], [-0.4, 0.1]])
+    d = dom.distance_to_boundary(pts)
+    assert d.shape == (4,)
+    np.testing.assert_allclose(d, _fine_distance(dom, pts), atol=1e-5)
+    assert dom.distance_to_boundary(pts[0]) == d[0]
+    # the samples are taken once per domain
+    assert dom._dense_boundary is dom._dense_boundary
+

@@ -11,7 +11,8 @@ from amce import (
     NonConvergenceError,
     build_grid,
 )
-from amce.ma import MAProblem, MASolveOptions, initial_guess, ma_residual, solve_ma
+from amce.ma import MAProblem, MASolveOptions, initial_guess, solve_ma
+from oracles import ma_residual
 
 
 def _quad_phi(p):

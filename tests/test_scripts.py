@@ -1,4 +1,4 @@
-"""Smoke tests for the experiment scripts under ``scripts/``."""
+"""Smoke test for the experiment script under ``scripts/``."""
 
 import os
 import subprocess
@@ -20,28 +20,6 @@ def run_script(name, *args):
         env=env,
         timeout=300,
     )
-
-
-def test_run_localization_smoke():
-    proc = run_script("run_localization.py", "--h-grid", "0.03125")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["h", "tau"])
-    rows = lines[header + 1 : header + 5]
-    assert len(rows) == 4
-    assert not any("skipped" in row for row in rows)
-    assert lines[header + 5].startswith("sliding fit")
-
-
-def test_run_convergence_smoke():
-    proc = run_script("run_convergence.py", "--h", "0.125", "0.0625")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["h", "nodes"])
-    rows = lines[header + 1 : header + 3]
-    assert [float(row.split()[0]) for row in rows] == [0.125, 0.0625]
-    assert not any("failed" in row for row in rows)
-    assert any(line.startswith("observed orders (u)") for line in lines)
 
 
 def test_run_forcing_family_smoke():
