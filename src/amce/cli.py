@@ -21,7 +21,8 @@ lives only under the ``"timing"`` key (``verify`` adds its ``solve_s`` and
 and ``interior_s``; ``grid_s`` times the grid build of every command but
 ``converge``; ``csv_write_s`` and ``csv_read_s`` sum the time of a
 command's CSV dumps) so that identical configs produce
-byte-identical reports after dropping that key.  A run that fails once its
+byte-identical reports after dropping that key.  A non-finite float, a
+value that does not exist, is written as ``null``.  A run that fails once its
 output directory exists writes one too, with ``"status"`` (``"exit 2"`` or
 ``"exit 3"``) and ``"error"`` (class, message, the solver counts made
 before the failure and, for a non-convergence, the residual history) in
@@ -81,7 +82,10 @@ _DEFAULT_FIXTURE_THETA = 0.25
 
 
 def _jsonable(obj):
-    """Recursively convert dataclasses and numpy scalars/arrays for json.dumps."""
+    """Recursively convert dataclasses and numpy scalars/arrays for json.dumps.
+
+    A non-finite float becomes None: JSON has no literal for NaN or infinity.
+    """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
@@ -91,7 +95,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -231,9 +235,9 @@ def _coupled_problem(cfg: RunConfig, grid: Grid) -> ProblemData:
         return ProblemData.from_callables(
             grid,
             pb.theta,
-            f_fn=pb.f.to_callable(),
-            phi_fn=pb.phi.to_callable(),
-            psi_fn=pb.psi.to_callable(),
+            f_fn=pb.f,
+            phi_fn=pb.phi,
+            psi_fn=pb.psi,
         )
     if cfg.fixture is not None:
         return problem_from_exact(grid, _fixture_exact(cfg))
@@ -244,8 +248,8 @@ def _ma_problem(cfg: RunConfig, grid: Grid) -> MAProblem:
     if cfg.ma is not None:
         return MAProblem.from_callables(
             grid,
-            g_fn=cfg.ma.g.to_callable(),
-            phi_fn=cfg.ma.phi.to_callable(),
+            g_fn=cfg.ma.g,
+            phi_fn=cfg.ma.phi,
         )
     if cfg.fixture is not None:
         exact = _fixture_exact(cfg)
@@ -304,8 +308,8 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
             "the lma command needs coefficients: lma.u_csv, an 'ma' block, "
             "or a 'fixture' block"
         )
-    g = lma_cfg.g.to_callable()(grid.nodes)
-    psi = lma_cfg.psi.to_callable()(grid.hit_points)
+    g = lma_cfg.g(grid.nodes)
+    psi = lma_cfg.psi(grid.hit_points)
     problem = LMAProblem(hessian=discrete_hessian(u), g=g, psi_hits=psi)
     v, report = solve_lma(problem, tol=cfg.solver.lma_tol, report_condition=True)
     write_field_csv(os.path.join(out_dir, "v.csv"), v)
@@ -526,11 +530,9 @@ def _run(argv) -> int:
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{args.command}: {status}, outputs in {out_dir}")
         return code
-    except SOLVE_FAILURES as exc:
-        error, code, message = exc, 2, str(exc)
     except AmceError as exc:
-        error, code = exc, 3
-        message = str(exc.args[0] if exc.args else exc)
+        error, message = exc, str(exc)
+        code = 2 if isinstance(exc, SOLVE_FAILURES) else 3
     print(f"error: {message}", file=sys.stderr)
     if out_dir is not None:
         detail = {"class": type(error).__name__, "message": message}

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import Any, Callable, NewType, get_args, get_origin, get_type_hints
+from typing import Any, NewType, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -121,7 +121,7 @@ _FORMS = {"const": float, "poly": Poly, "gaussian": Gaussian, "abs_pow": AbsPow}
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Declarative scalar field, in exactly one of four forms:
+    """Declarative scalar field, called on points, in exactly one of four forms:
 
     - ``{"const": v}`` — the constant ``v``;
     - ``{"poly": {"ij": c, ...}}`` — the sum of the ``c * x^i * y^j``;
@@ -144,13 +144,10 @@ class FieldSpec:
     def to_json(self) -> dict:
         return {self.kind: _canonical(self.payload)}
 
-    def to_callable(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The field as a function of points ``(n, 2)``.  Floating-point
-        warnings are off: a pole or an overflow gives inf or NaN, which the
-        problem classes reject as non-finite sampled data."""
-        return self._sample
-
-    def _sample(self, p: np.ndarray) -> np.ndarray:
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        """The field at points ``(n, 2)``.  Floating-point warnings are off:
+        a pole or an overflow gives inf or NaN, which the problem classes
+        reject as non-finite sampled data."""
         form = self.payload
         with np.errstate(all="ignore"):
             if self.kind == "const":
@@ -395,5 +392,6 @@ def load_config(path: str, **overrides) -> RunConfig:
 
 
 def canonical_json(obj: dict) -> str:
-    """Deterministic JSON text: sorted keys, repr-exact floats."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic JSON text: sorted keys, repr-exact floats.  A
+    non-finite float raises ValueError: JSON has no literal for it."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)

@@ -49,7 +49,6 @@ class ExactSolution:
     w: Callable[[Array], Array]
     f: Callable[[Array], Array]  # closed-form route
     f_fd: Callable[[Array], Array]  # finite-difference route
-    r_max: float
 
 
 def _fd8_forcing(
@@ -158,7 +157,7 @@ def radial_solution(
         u_rr = c1 + 3 * c2 * s
         return u_r_over_r * w_rr + u_rr * w_r_over_r
 
-    sol = ExactSolution(
+    return ExactSolution(
         name=name or f"radial(c1={c1}, c2={c2})",
         theta=float(theta),
         u=u,
@@ -167,14 +166,10 @@ def radial_solution(
         w=w,
         f=f,
         f_fd=_fd8_forcing(w, hess_u),
-        r_max=float(r_max),
     )
-    return sol
 
 
-def sheared_quadratic(
-    A, theta: float, r_max: float = 1.0, name: str | None = None
-) -> ExactSolution:
+def sheared_quadratic(A, theta: float, name: str | None = None) -> ExactSolution:
     """Sheared quadratic ``u = |A x|^2 / 2`` for unimodular ``A``.
 
     The Hessian is the constant matrix ``A^T A`` with determinant
@@ -212,7 +207,6 @@ def sheared_quadratic(
         w=w,
         f=f,
         f_fd=_fd8_forcing(w, hess_u),
-        r_max=float(r_max),
     )
 
 

@@ -7,7 +7,7 @@ everywhere; :func:`build_domain` checks it for level-set domains.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -28,9 +28,8 @@ def _as_points(x: Array) -> Array:
 
 
 class Domain:
-    """Base class; subclasses provide the defining function and derivatives."""
-
-    kind: str = "abstract"
+    """Base class; subclasses provide the defining function and derivatives,
+    and a ``center_xy`` pair inside the domain."""
 
     def level(self, pts: Array) -> Array:
         raise NotImplementedError
@@ -43,7 +42,7 @@ class Domain:
 
     @property
     def center(self) -> Array:
-        raise NotImplementedError
+        return np.array(self.center_xy, dtype=float)
 
     # --- derived geometry -------------------------------------------------
 
@@ -136,11 +135,6 @@ class Domain:
 class Disk(Domain):
     radius: float
     center_xy: tuple[float, float] = (0.0, 0.0)
-    kind: str = field(default="disk", init=False)
-
-    @property
-    def center(self) -> Array:
-        return np.array(self.center_xy, dtype=float)
 
     def level(self, pts: Array) -> Array:
         p = _as_points(pts)
@@ -176,11 +170,6 @@ class Ellipse(Domain):
     a: float  # semi-axis along x
     b: float  # semi-axis along y
     center_xy: tuple[float, float] = (0.0, 0.0)
-    kind: str = field(default="ellipse", init=False)
-
-    @property
-    def center(self) -> Array:
-        return np.array(self.center_xy, dtype=float)
 
     def level(self, pts: Array) -> Array:
         p = _as_points(pts)
@@ -221,11 +210,6 @@ class LevelSetDomain(Domain):
     f_grad: Callable[[Array], Array]
     f_hess: Callable[[Array], Array]
     center_xy: tuple[float, float] = (0.0, 0.0)
-    kind: str = field(default="levelset", init=False)
-
-    @property
-    def center(self) -> Array:
-        return np.array(self.center_xy, dtype=float)
 
     def level(self, pts: Array) -> Array:
         return np.asarray(self.f(_as_points(pts)), dtype=float)

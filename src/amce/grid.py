@@ -9,6 +9,9 @@ boundary exactly once; the crossing is located by bisection to a
 fractional distance ``s in (0, 1]`` of the full arm length.
 Axis arms drive the one-dimensional second differences, diagonal arms the
 cross derivative, so every node has a complete (possibly shortened) stencil.
+
+A field is read nodes first, then boundary hits, and an arm's end is its
+index in that order: a node id, or ``n_nodes`` plus a hit id.
 """
 from __future__ import annotations
 
@@ -32,8 +35,6 @@ DIRS = np.array(
     [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]],
     dtype=int,
 )
-ARM_INTERIOR = 0
-ARM_HIT = 1
 
 _BISECT_ITERS = 60  # 2**-60 of an arm length is far below the 1e-12 target
 _NODE_TOL = 1e-9  # coordinate match tolerance of node_at, relative to max(1, h)
@@ -66,8 +67,7 @@ class Grid:
     lattice: Array  # (N, 2) integer lattice indices
     id_map: Array  # (I, J) node id per lattice cell of the box, -1 if none
     id_origin: Array  # (2,) lattice index of id_map[0, 0]
-    arm_kind: Array  # (N, 8) ARM_INTERIOR or ARM_HIT
-    arm_ref: Array  # (N, 8) neighbor node id or hit id
+    arm_ref: Array  # (N, 8) neighbor node id, or N + hit id
     arm_frac: Array  # (N, 8) fractional arm length in (0, 1]
     hit_points: Array  # (M, 2) boundary crossings
     _ops: dict = dc_field(default_factory=dict, repr=False)  # see grid_operators
@@ -83,7 +83,7 @@ class Grid:
 
     def full_stencil_mask(self) -> Array:
         """Nodes whose eight arms all reach interior neighbors."""
-        return (self.arm_kind == ARM_INTERIOR).all(axis=1)
+        return (self.arm_ref < self.n_nodes).all(axis=1)
 
     def ids_at(self, ij) -> Array:
         """Node ids at lattice indices ``ij`` of shape (..., 2), -1 where none.
@@ -182,7 +182,7 @@ def build_grid(domain: Domain, h: float) -> Grid:
     id_map[1:-1, 1:-1][inside.reshape(len(i_range), len(j_range))] = np.arange(n)
 
     k = lattice - id_origin
-    # neighbor ids; a cut arm's -1 becomes its hit id below
+    # neighbor ids; a cut arm's -1 becomes n + its hit id below
     arm_ref = id_map[k[:, 0, None] + DIRS[:, 0], k[:, 1, None] + DIRS[:, 1]]
     # cut arms direction by direction, each in node order: hit ids follow
     cut_d, cut = np.nonzero(arm_ref.T < 0)
@@ -199,10 +199,8 @@ def build_grid(domain: Domain, h: float) -> Grid:
         t_hi = np.where(neg, t_hi, t_mid)
     t = t_hi  # first nonnegative level along the arm
 
-    arm_kind = np.full((n, 8), ARM_INTERIOR, dtype=np.uint8)
     arm_frac = np.ones((n, 8), dtype=float)
-    arm_kind[cut, cut_d] = ARM_HIT
-    arm_ref[cut, cut_d] = np.arange(len(cut))
+    arm_ref[cut, cut_d] = n + np.arange(len(cut))
     arm_frac[cut, cut_d] = t
 
     return Grid(
@@ -212,7 +210,6 @@ def build_grid(domain: Domain, h: float) -> Grid:
         lattice=lattice,
         id_map=id_map,
         id_origin=id_origin,
-        arm_kind=arm_kind,
         arm_ref=arm_ref,
         arm_frac=arm_frac,
         hit_points=p0 + t[:, None] * delta,

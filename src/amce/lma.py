@@ -84,8 +84,7 @@ def assemble_lma(H: HessianField) -> sp.csc_matrix:
 def _cofactor_operator(H: HessianField, part: str) -> sp.spmatrix:
     """``hyy Dxx - 2 hxy Dxy + hxx Dyy``, node-wise, on the ``part``
     (``"D"`` interior, ``"B"`` boundary) of the second-difference operators."""
-    ops = grid_operators(H.grid)
-    xx, xy, yy = (getattr(ops[name], part) for name in ("dxx", "dxy", "dyy"))
+    xx, xy, yy = (getattr(grid_operators(H.grid, n), part) for n in ("dxx", "dxy", "dyy"))
     return sp.diags(H.hyy) @ xx - 2.0 * sp.diags(H.hxy) @ xy + sp.diags(H.hxx) @ yy
 
 
@@ -264,8 +263,7 @@ def cofactor_contraction(H: HessianField, xx: Array, xy: Array, yy: Array) -> Ar
 def second_differences(grid: Grid, x: Array) -> tuple[Array, Array, Array]:
     """``(Dxx x, Dxy x, Dyy x)`` through the grid's own interior
     second-difference operators, so no stacked copy of them is made."""
-    ops = grid_operators(grid)
-    return ops["dxx"].D @ x, ops["dxy"].D @ x, ops["dyy"].D @ x
+    return tuple(grid_operators(grid, name).D @ x for name in ("dxx", "dxy", "dyy"))
 
 
 def apply_lma(H: HessianField, x: Array) -> Array:

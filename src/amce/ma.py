@@ -130,11 +130,11 @@ def roundoff_floor(u: ScalarField, H: HessianField, g: Array) -> Array:
     and Stability of Numerical Algorithms*, ch. 7).  Clamped at the
     smallest normal float, as :func:`amce.lma.solve_lma`'s denominator is.
     """
-    ops = grid_operators(u.grid)
     au, ap = np.abs(u.values), np.abs(u.hit_values)
 
     def entry_error(name: str) -> Array:
-        return abs(ops[name].D) @ au + abs(ops[name].B) @ ap
+        op = grid_operators(u.grid, name)
+        return abs(op.D) @ au + abs(op.B) @ ap
 
     floor = np.finfo(float).eps * (
         np.abs(H.hyy) * entry_error("dxx")

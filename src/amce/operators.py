@@ -15,6 +15,7 @@ classic four-corner formula.
 
 Each operator is a pair ``(D, B)``: ``D`` maps interior node values and
 ``B`` maps boundary hit values, so e.g. ``hxx = D @ u + B @ u_hits``.
+:func:`grid_operators` reads them by name.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateOperatorError, IncompleteDataError
-from .grid import ARM_HIT, Grid, ScalarField
+from .grid import Grid, ScalarField
 
 Array = np.ndarray
 
@@ -99,14 +100,13 @@ def _line_ops(grid: Grid, d_plus: int, d_minus: int, arm_len: float, order: int)
     vals_d.append(cc)
 
     for d, coeff in ((d_plus, cf), (d_minus, cb)):
-        kind = grid.arm_kind[:, d]
         ref = grid.arm_ref[:, d]
-        is_hit = kind == ARM_HIT
+        is_hit = ref >= n
         rows_d.append(node_ids[~is_hit])
         cols_d.append(ref[~is_hit])
         vals_d.append(coeff[~is_hit])
         rows_b.append(node_ids[is_hit])
-        cols_b.append(ref[is_hit])
+        cols_b.append(ref[is_hit] - n)
         vals_b.append(coeff[is_hit])
 
     D = sp.csr_matrix(
@@ -120,7 +120,7 @@ def _line_ops(grid: Grid, d_plus: int, d_minus: int, arm_len: float, order: int)
     return OpPair(D=D, B=B)
 
 
-def _cross_ops(grid: Grid, ops: _GridOperators) -> OpPair:
+def _cross_ops(grid: Grid) -> OpPair:
     diag_len = grid.h * np.sqrt(2.0)
     dpp = _line_ops(grid, 4, 5, diag_len, order=2)  # along (1, 1)/sqrt 2
     dmm = _line_ops(grid, 6, 7, diag_len, order=2)  # along (1, -1)/sqrt 2
@@ -130,50 +130,33 @@ def _cross_ops(grid: Grid, ops: _GridOperators) -> OpPair:
     )
 
 
-def _laplacian(grid: Grid, ops: _GridOperators) -> OpPair:
-    dxx, dyy = ops["dxx"], ops["dyy"]
+def _laplacian(grid: Grid) -> OpPair:
+    dxx, dyy = grid_operators(grid, "dxx"), grid_operators(grid, "dyy")
     return OpPair(D=(dxx.D + dyy.D).tocsr(), B=(dxx.B + dyy.B).tocsr())
 
 
-#: How each operator of :func:`grid_operators` is built from the grid and
-#: the grid's other operators.
-_BUILDERS: dict[str, Callable[[Grid, _GridOperators], OpPair]] = {
-    "dxx": lambda grid, ops: _line_ops(grid, 0, 1, grid.h, order=2),
-    "dyy": lambda grid, ops: _line_ops(grid, 2, 3, grid.h, order=2),
+#: How each operator of :func:`grid_operators` is built from the grid.
+_BUILDERS: dict[str, Callable[[Grid], OpPair]] = {
+    "dxx": lambda grid: _line_ops(grid, 0, 1, grid.h, order=2),
+    "dyy": lambda grid: _line_ops(grid, 2, 3, grid.h, order=2),
     "dxy": _cross_ops,
-    "dx": lambda grid, ops: _line_ops(grid, 0, 1, grid.h, order=1),
-    "dy": lambda grid, ops: _line_ops(grid, 2, 3, grid.h, order=1),
+    "dx": lambda grid: _line_ops(grid, 0, 1, grid.h, order=1),
+    "dy": lambda grid: _line_ops(grid, 2, 3, grid.h, order=1),
     "lap": _laplacian,
 }
 
 
-class _GridOperators:
-    """The operators of one grid by name, each built the first time it is read.
+def grid_operators(grid: Grid, name: str) -> OpPair:
+    """The grid's difference operator ``name``: ``"dxx"``, ``"dyy"``,
+    ``"dxy"``, ``"dx"``, ``"dy"`` or ``"lap"``.
 
-    Built operators are cached in the grid's ``_ops`` dict.  This object
-    holds the grid and the grid never holds it, so no reference cycle keeps
-    a grid's arrays alive until the collector's next full pass.
+    Each is built the first time it is read and cached in the grid's
+    ``_ops``, so a command pays only for the operators it uses: the
+    linearized solve never builds the first differences or the Laplacian.
     """
-
-    def __init__(self, grid: Grid):
-        self._grid = grid
-
-    def __getitem__(self, name: str) -> OpPair:
-        built = self._grid._ops
-        if name not in built:
-            built[name] = _BUILDERS[name](self._grid, self)
-        return built[name]
-
-
-def grid_operators(grid: Grid) -> _GridOperators:
-    """The grid's difference operators by name: ``"dxx"``, ``"dyy"``,
-    ``"dxy"``, ``"dx"``, ``"dy"`` and ``"lap"``.
-
-    Each is built the first time it is read and cached on the grid, so a
-    command pays only for the operators it uses: the linearized solve never
-    builds the first differences or the Laplacian.
-    """
-    return _GridOperators(grid)
+    if name not in grid._ops:
+        grid._ops[name] = _BUILDERS[name](grid)
+    return grid._ops[name]
 
 
 @dataclass
@@ -225,22 +208,20 @@ class HessianField:
 def discrete_hessian(field: ScalarField) -> HessianField:
     """Node-wise discrete Hessian; exact on quadratic polynomials."""
     grid = field.grid
-    ops = grid_operators(grid)
     vals, hits = field.values, field.hit_values
     return HessianField(
         grid=grid,
-        hxx=ops["dxx"].apply(vals, hits),
-        hxy=ops["dxy"].apply(vals, hits),
-        hyy=ops["dyy"].apply(vals, hits),
+        hxx=grid_operators(grid, "dxx").apply(vals, hits),
+        hxy=grid_operators(grid, "dxy").apply(vals, hits),
+        hyy=grid_operators(grid, "dyy").apply(vals, hits),
     )
 
 
 def discrete_gradient(field: ScalarField) -> Array:
     """Node-wise first derivatives, (N, 2)."""
-    ops = grid_operators(field.grid)
-    vals, hits = field.values, field.hit_values
+    grid, vals, hits = field.grid, field.values, field.hit_values
     return np.stack(
-        [ops["dx"].apply(vals, hits), ops["dy"].apply(vals, hits)], axis=1
+        [grid_operators(grid, name).apply(vals, hits) for name in ("dx", "dy")], axis=1
     )
 
 
@@ -536,7 +517,7 @@ def poisson_solver(
     whose operator is a multiple of the Laplacian when the Poisson start is
     a paraboloid (see :func:`amce.lma.solve_lma`).
     """
-    lap = grid_operators(grid)["lap"]
+    lap = grid_operators(grid, "lap")
     try:
         lu = factor_lu(splu, lap.D.tocsc(), grid)
     except RuntimeError as exc:

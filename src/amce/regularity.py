@@ -285,11 +285,6 @@ def _unresolved(fit: HolderFit) -> bool:
     return fit.flat or fit.n_bins < 2
 
 
-def _or_none(x: float) -> float | None:
-    """``x``, or None for NaN (a fit value that does not exist)."""
-    return None if np.isnan(x) else x
-
-
 def boundary_holder_check(field: ScalarField, alpha: float) -> CheckResult:
     """Boundary modulus of ``field`` against the structural threshold.
 
@@ -313,8 +308,8 @@ def boundary_holder_check(field: ScalarField, alpha: float) -> CheckResult:
         details={
             "alpha": alpha,
             "threshold": threshold,
-            "beta": _or_none(fit.beta),
-            "r2": _or_none(fit.r2),
+            "beta": fit.beta,
+            "r2": fit.r2,
             "flat": fit.flat,
         },
     )
@@ -438,9 +433,9 @@ def verify(
             status="skip" if _unresolved(hf) else ("pass" if hf_ok else "fail"),
             margin=0.0 if hf.degenerate else hf.beta,
             details={
-                "beta": _or_none(hf.beta),
-                "raw_slope": _or_none(hf.raw_slope),
-                "r2": _or_none(hf.r2),
+                "beta": hf.beta,
+                "raw_slope": hf.raw_slope,
+                "r2": hf.r2,
                 "n_bins": hf.n_bins,
                 "degenerate": hf.degenerate,
                 "flat": hf.flat,

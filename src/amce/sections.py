@@ -26,7 +26,7 @@ from .errors import (
     InvalidProblemError,
     TooCloseToBoundaryError,
 )
-from .grid import DIRS, ARM_HIT, Grid, ScalarField
+from .grid import DIRS, Grid, ScalarField
 from .operators import (
     discrete_hessian,
     line_fit,
@@ -96,29 +96,23 @@ def _tangent_gap(values, points, x, value, gradient):
 
 
 def extract_section(
-    u: ScalarField,
-    x,
-    h: float,
-    center_value: float | None = None,
-    center_gradient=None,
+    u: ScalarField, x, h: float, center_value: float, center_gradient
 ) -> Section:
-    """Extract the section of ``u`` at base point ``x`` and height ``h > 0``.
+    """Extract the section of ``u`` at base point ``x`` and height ``h > 0``,
+    whose supporting plane has value ``center_value`` and slope
+    ``center_gradient`` at ``x``.
 
-    The base value and gradient are estimated from the grid data unless
-    both are supplied.  The hull is refined below grid resolution: along
-    every stencil arm leaving a member node, the exit point where the
-    section gap changes sign is located by linear interpolation, and
-    boundary hit points interior to the section are included verbatim.  A
-    gap within ``1e-12 max(1, sup |u|)`` of zero is zero: its point is
-    no member, and an arm toward it ends exactly there.
+    The hull is refined below grid resolution: along every stencil arm
+    leaving a member node, the exit point where the section gap changes
+    sign is located by linear interpolation, and boundary hit points
+    interior to the section are included verbatim.  A gap within
+    ``1e-12 max(1, sup |u|)`` of zero is zero: its point is no member, and
+    an arm toward it ends exactly there.
     """
     if h <= 0:
         raise ValueError(f"section height must be positive, got {h}")
     x = np.asarray(x, float)
     grid = u.grid
-    if center_value is None or center_gradient is None:
-        center_value, center_gradient = value_and_gradient_at(u, x)
-
     sn = _tangent_gap(u.values, grid.nodes, x, center_value, center_gradient) - h
     sh = _tangent_gap(u.hit_values, grid.hit_points, x, center_value, center_gradient) - h
     tol = 1e-12 * max(1.0, u.sup_norm())
@@ -130,13 +124,12 @@ def extract_section(
     hits_in = sh < 0.0
     boundary_clipped = bool(hits_in.any())
 
-    # every arm of a member node ends at a node (gap in sn) or at a hit (gap
-    # in sh); an interior arm has arm_frac 1, so both kinds of exit are
-    # node + t * arm_frac * arm
+    # every arm of a member node ends at a node or at a hit, whose gap
+    # arm_ref indexes in [sn, sh]; an interior arm has arm_frac 1, so both
+    # kinds of exit are node + t * arm_frac * arm
     k = np.repeat(np.arange(len(DIRS)), node_ids.size)
     i = np.tile(node_ids, len(DIRS))
-    hit = grid.arm_kind[i, k] == ARM_HIT
-    s_end = np.concatenate([sn, sh])[grid.arm_ref[i, k] + hit * grid.n_nodes]
+    s_end = np.concatenate([sn, sh])[grid.arm_ref[i, k]]
     # the arms that leave the section, direction by direction; Qhull keeps
     # the first of two near-coincident points (a hit and an exit), so the
     # cloud's order, exits after nodes and hits, is part of the hull
@@ -373,20 +366,15 @@ def _hull_dilations(hull_points, center, M, level=None):
     return float(k_inner), k_outer
 
 
-def fit_john_ellipsoid(
-    section: Section,
-    center=None,
-    normal=None,
-    grid: Grid | None = None,
-) -> EllipsoidFit:
+def fit_john_ellipsoid(section: Section, center, normal, grid: Grid) -> EllipsoidFit:
     """Fit the minimum-volume enclosing ellipsoid of a section hull.
 
     ``center=None`` fits center and shape jointly (interior sections);
     passing a center pins it there (boundary localization, where the
     model ellipsoid is centered at the boundary base point).  ``normal``
-    fixes the frame for the sliding factorization; default is the second
-    coordinate axis.  ``grid`` (or the section's own clipping state) marks
-    domain-boundary hull edges so they do not contaminate ``k_inner``.
+    fixes the frame for the sliding factorization.  When the section is
+    boundary-clipped, the hull edges on ``grid``'s domain boundary are
+    left out of ``k_inner``.
     """
     if section.hull_points is None:
         raise DegenerateSectionError(
@@ -394,7 +382,7 @@ def fit_john_ellipsoid(
         )
     c, M, _, _ = mvee(section.hull_points, center=center)
 
-    R = _normal_rotation(normal if normal is not None else (0.0, 1.0))
+    R = _normal_rotation(normal)
     Mr = R.T @ M @ R
     p = Mr[0, 0]
     tau = Mr[0, 1] / p
@@ -408,9 +396,7 @@ def fit_john_ellipsoid(
     h_eff = 1.0 / s
     volume = np.pi / np.sqrt(np.linalg.det(M))
 
-    level = None
-    if grid is not None and section.boundary_clipped:
-        level = grid.domain.level
+    level = grid.domain.level if section.boundary_clipped else None
     k_inner, k_outer = _hull_dilations(section.hull_points, c, M, level=level)
 
     return EllipsoidFit(

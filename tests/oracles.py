@@ -63,19 +63,18 @@ def divergence_of_cofactor(H: HessianField) -> tuple[Array, Array]:
     (the cofactor has no boundary trace to difference through).
     """
     grid = H.grid
-    ops = grid_operators(grid)
     # Valid rows need interior axis neighbors whose own Hessian stencils are
     # full, so the differenced coefficients carry a smooth error expansion.
     full = grid.full_stencil_mask()
     mask = full.copy()
     for d in range(4):
         nbr_ok = np.zeros(grid.n_nodes, dtype=bool)
-        is_int = grid.arm_kind[:, d] == 0
+        is_int = grid.arm_ref[:, d] < grid.n_nodes
         nbr_ok[is_int] = full[grid.arm_ref[is_int, d]]
         mask &= nbr_ok
     zeros = np.zeros(grid.n_hits)
-    ddx = lambda vals: ops["dx"].apply(vals, zeros)
-    ddy = lambda vals: ops["dy"].apply(vals, zeros)
+    ddx = lambda vals: grid_operators(grid, "dx").apply(vals, zeros)
+    ddy = lambda vals: grid_operators(grid, "dy").apply(vals, zeros)
     div1 = ddx(H.hyy) - ddy(H.hxy)
     div2 = ddy(H.hxx) - ddx(H.hxy)
     div = np.stack([div1, div2], axis=1)
@@ -90,9 +89,9 @@ def ma_residual(u: ScalarField, g: ScalarField) -> Array:
 def sign_audit(
     exact: ExactSolution, domain: Domain | None = None, n: int = 10_000, seed: int = 0
 ) -> dict:
-    """Sample the forcing on the domain (by default the disk of radius
-    ``exact.r_max``) and report its sign."""
-    dom = domain if domain is not None else Disk(radius=exact.r_max)
+    """Sample the forcing on the domain (by default the unit disk, the one
+    every registered fixture is convex on) and report its sign."""
+    dom = domain if domain is not None else Disk(radius=1.0)
     pts = _sample_domain(dom, n, seed)
     vals = exact.f(pts)
     return {

@@ -42,12 +42,7 @@ def solved32(grid32):
     out = {}
     for name in fixture_names():
         exact = get_fixture(name, theta=0.25)
-        grid = (
-            grid32
-            if exact.r_max == 1.0
-            else build_grid(Disk(radius=exact.r_max), 1.0 / 32.0)
-        )
-        problem = problem_from_exact(grid, exact)
+        problem = problem_from_exact(grid32, exact)
         u, w, report = solve_system(problem)
         out[name] = (exact, problem, u, w, report)
     return out
@@ -82,7 +77,7 @@ def test_criterion_2_radial_convergence():
     exact = get_fixture("radial_quartic", theta=0.25)
     errs, walls = [], []
     for h in (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0):
-        grid = build_grid(Disk(radius=exact.r_max), h)
+        grid = build_grid(Disk(radius=1.0), h)
         problem = problem_from_exact(grid, exact)
         t0 = time.perf_counter()
         u, _, _ = solve_system(problem)

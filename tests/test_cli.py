@@ -1029,6 +1029,40 @@ def test_sections_command_boundary_scan(tmp_path):
         _assert_phase_times(out, "grid_s", "solve_s", "boundary_scan_s", "csv_write_s")
 
 
+def _strict_json(path):
+    """The JSON file at ``path``; a NaN or infinity literal raises."""
+
+    def refuse(literal):
+        raise ValueError(f"{path} holds the non-JSON literal {literal}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_sections_report_of_a_skipped_row_is_strict_json(tmp_path):
+    """At h = 1/16 the section of height 0.001 has too few nodes and is
+    skipped, and one kept row gives no slide fit.  Those values do not
+    exist, and the report writes them as null, not as NaN."""
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "fixture": {"name": "paraboloid_r2"},
+            "sections": {"boundary_point": [0.0, -1.0], "heights": [0.125, 0.001]},
+        },
+    )
+    out = str(tmp_path / "o")
+    with pytest.warns(UserWarning, match="skipping row"):
+        assert main(["sections", "--config", cfg, "--out", out]) == 0
+    scan = _strict_json(os.path.join(out, "report.json"))["results"]["boundary_scan"]
+    assert [r["skipped"] for r in scan["rows"]] == [False, True]
+    fit_keys = ("tau", "vol_ratio", "k_inner", "k_outer", "norm_A")
+    assert all(scan["rows"][1][k] is None for k in fit_keys)
+    assert all(scan["rows"][0][k] is not None for k in fit_keys)
+    assert scan["slide_c0"] is None and scan["slide_c1"] is None
+    assert scan["slide_r2"] is None
+
+
 def _assert_phase_times(out, *phases):
     """``timing`` holds exactly the wall time and these phases, each
     positive and within the wall time.  The CSV phases, each summed over

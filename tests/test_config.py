@@ -96,11 +96,11 @@ def test_non_object_blocks_rejected():
 def test_fieldspec_const_and_poly_evaluate():
     pts = np.array([[0.5, -0.25], [1.0, 2.0]])
     const = FieldSpec.parse({"const": 3.5}, "t")
-    assert np.allclose(const.to_callable()(pts), 3.5)
+    assert np.allclose(const(pts), 3.5)
 
     poly = FieldSpec.parse({"poly": {"21": 2.0, "00": -1.0}}, "t")
     expected = 2.0 * pts[:, 0] ** 2 * pts[:, 1] - 1.0
-    assert np.allclose(poly.to_callable()(pts), expected)
+    assert np.allclose(poly(pts), expected)
 
 
 def test_fieldspec_gaussian_and_abs_pow_evaluate():
@@ -108,14 +108,14 @@ def test_fieldspec_gaussian_and_abs_pow_evaluate():
     gauss = FieldSpec.parse(
         {"gaussian": {"amplitude": 2.0, "sigma": 0.5, "center": [0.1, -0.2]}}, "t"
     )
-    vals = gauss.to_callable()(pts)
+    vals = gauss(pts)
     assert vals[0] == pytest.approx(2.0)
     assert vals[1] == pytest.approx(2.0 * np.exp(-(0.01 + 0.04) / 0.5))
 
     ap = FieldSpec.parse(
         {"abs_pow": {"power": 0.5, "axis": 1, "scale": 3.0, "offset": 1.0}}, "t"
     )
-    vals = ap.to_callable()(pts)
+    vals = ap(pts)
     assert vals[0] == pytest.approx(3.0 * 0.2**0.5 + 1.0)
     assert vals[1] == pytest.approx(1.0)
 

@@ -17,8 +17,6 @@ from amce.geometry import polynomial_levelset
 from amce.grid import (
     _BISECT_ITERS,
     _ON_BOUNDARY_TOL,
-    ARM_HIT,
-    ARM_INTERIOR,
     DIRS,
     _ids_at,
 )
@@ -28,7 +26,7 @@ def test_arm_fractions_in_unit_interval(grid32):
     assert grid32.arm_frac.min() > 0.0
     assert grid32.arm_frac.max() <= 1.0 + 1e-12
     # interior arms have fraction exactly 1
-    interior = grid32.arm_kind == ARM_INTERIOR
+    interior = grid32.arm_ref < grid32.n_nodes
     np.testing.assert_allclose(grid32.arm_frac[interior], 1.0, atol=1e-12)
 
 
@@ -43,13 +41,13 @@ def test_arm_references_are_consistent(grid32):
         for d in range(8):
             ref = g.arm_ref[node, d]
             step = DIRS[d] * g.h
-            if g.arm_kind[node, d] == ARM_INTERIOR:
+            if ref < g.n_nodes:
                 np.testing.assert_allclose(
                     g.nodes[ref], g.nodes[node] + step, atol=1e-12
                 )
             else:
                 np.testing.assert_allclose(
-                    g.hit_points[ref],
+                    g.hit_points[ref - g.n_nodes],
                     g.nodes[node] + g.arm_frac[node, d] * step,
                     atol=1e-12,
                 )
@@ -134,7 +132,7 @@ def test_every_grid_has_a_boundary_hit(name, h):
         g = build_grid(domain, h)
     assert g.n_hits >= 1
     last = int(np.argmax(g.lattice[:, 0]))
-    assert g.arm_kind[last, 0] == ARM_HIT
+    assert g.arm_ref[last, 0] >= g.n_nodes
 
 
 @pytest.mark.parametrize("name", ["disk", "offcentre_ellipse", "levelset"])
@@ -202,7 +200,7 @@ def _reference_grid(domain, h):
 
     Each direction looks its neighbors up through the bounds-checked
     ``_ids_at`` on an unpadded map of the lattice box, and bisects its own
-    cut arms; hits are numbered as they are found.
+    cut arms; hits are numbered after the nodes, as they are found.
     """
     xmin, xmax, ymin, ymax = domain.bbox()
     i_range = np.arange(int(np.ceil(xmin / h) - 1), int(np.floor(xmax / h) + 1) + 1)
@@ -220,7 +218,6 @@ def _reference_grid(domain, h):
     id_map[inside] = np.arange(n)
     id_map = id_map.reshape(len(i_range), len(j_range))
 
-    arm_kind = np.zeros((n, 8), dtype=np.uint8)
     arm_ref = np.zeros((n, 8), dtype=np.int64)
     arm_frac = np.ones((n, 8), dtype=float)
     hit_points = []
@@ -228,7 +225,6 @@ def _reference_grid(domain, h):
         step = DIRS[d]
         nbr_ids = _ids_at(id_map, id_origin, lattice + step)
         is_int = nbr_ids >= 0
-        arm_kind[is_int, d] = ARM_INTERIOR
         arm_ref[is_int, d] = nbr_ids[is_int]
         cut = np.nonzero(~is_int)[0]
         if len(cut) == 0:
@@ -242,14 +238,12 @@ def _reference_grid(domain, h):
             neg = domain.level(p0 + t_mid[:, None] * delta) < 0.0
             t_lo = np.where(neg, t_mid, t_lo)
             t_hi = np.where(neg, t_hi, t_mid)
-        arm_kind[cut, d] = ARM_HIT
-        arm_ref[cut, d] = len(hit_points) + np.arange(len(cut))
+        arm_ref[cut, d] = n + len(hit_points) + np.arange(len(cut))
         arm_frac[cut, d] = t_hi
         hit_points.extend(p0 + t_hi[:, None] * delta)
     return {
         "nodes": nodes,
         "lattice": lattice,
-        "arm_kind": arm_kind,
         "arm_ref": arm_ref,
         "arm_frac": arm_frac,
         "hit_points": np.array(hit_points).reshape(-1, 2),

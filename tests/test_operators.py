@@ -429,10 +429,10 @@ def test_lazy_operators_match_the_eager_reference(reference_domain, n):
     and values bit for bit, whatever order they are read in."""
     grid = build_grid(reference_domain, 1.0 / n)
     want = _reference_grid_operators(grid)
-    ops = grid_operators(grid)
     for name in reversed(list(want)):  # "lap" before the dxx and dyy it sums
         for part in "DB":
-            got, ref = getattr(ops[name], part), getattr(want[name], part)
+            got = getattr(grid_operators(grid, name), part)
+            ref = getattr(want[name], part)
             assert got.format == ref.format and got.shape == ref.shape
             for attr in ("indptr", "indices", "data"):
                 a, b = getattr(got, attr), getattr(ref, attr)
@@ -441,15 +441,14 @@ def test_lazy_operators_match_the_eager_reference(reference_domain, n):
 
 def test_operators_are_built_on_first_read_and_cached():
     grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
-    ops = grid_operators(grid)
     assert grid._ops == {}
-    lap = ops["lap"]
+    lap = grid_operators(grid, "lap")
     assert sorted(grid._ops) == ["dxx", "dyy", "lap"]
-    assert grid_operators(grid)["lap"] is lap
+    assert grid_operators(grid, "lap") is lap
     with pytest.raises(KeyError):
-        ops["nope"]
+        grid_operators(grid, "nope")
     for name in ("dxy", "dx", "dy"):
-        ops[name]
+        grid_operators(grid, name)
     assert grid._ops.keys() == {"dxx", "dyy", "dxy", "dx", "dy", "lap"}
 
 
@@ -457,15 +456,14 @@ def test_operator_cache_keeps_no_grid_alive():
     """The cache makes no reference cycle: a grid whose operators were read
     is freed as soon as its last reference goes, with the collector off."""
     grid = build_grid(Disk(radius=1.0), 1.0 / 16.0)
-    ops = grid_operators(grid)
     for name in ("dxx", "dyy", "dxy", "dx", "dy", "lap"):
-        ops[name]
+        grid_operators(grid, name)
     discrete_hessian(ScalarField.from_callable(grid, _quadratic))
     alive = weakref.ref(grid)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del grid, ops
+        del grid
         assert alive() is None
     finally:
         if enabled:
@@ -501,7 +499,7 @@ def _held_laplacian_system(grid):
     factor, a nearby operator's, as GMRES's preconditioner."""
     u = ScalarField.from_callable(grid, get_fixture("radial_quartic", theta=0.25).u)
     D = assemble_lma(discrete_hessian(u))
-    lap = factor_lu(splu, grid_operators(grid)["lap"].D.tocsc(), grid)
+    lap = factor_lu(splu, grid_operators(grid, "lap").D.tocsc(), grid)
     return D, lap
 
 
@@ -635,3 +633,21 @@ def test_gmres_returns_none_when_it_fails(grid16, case):
     assert gmres(matvec, b, precondition, rtol) is None
     iterations = (COUNTS - start)["krylov_iterations_total"]
     assert iterations == 10 * KRYLOV_HELD_CYCLES
+
+
+def test_gmres_of_a_zero_right_hand_side_is_zero_without_preconditioning(grid16):
+    """``b = 0`` is solved by ``x = 0`` before ``M`` is ever applied."""
+    D, lap = _held_laplacian_system(grid16)
+    x, iterations, calls = _kernel_gmres(D, lap.solve, np.zeros(grid16.n_nodes), 1e-10)
+    assert (iterations, calls) == (0, 0)
+    assert x.shape == (grid16.n_nodes,) and not x.any()
+
+
+def test_gmres_returns_an_x0_that_already_solves(grid16):
+    """An ``x0`` that meets the true-residual test is returned as it is,
+    after one preconditioning of ``b`` and no iteration."""
+    D, lap = _held_laplacian_system(grid16)
+    x0 = np.ones(grid16.n_nodes)
+    x, iterations, calls = _kernel_gmres(D, lap.solve, D @ x0, 1e-10, x0=x0)
+    assert (iterations, calls) == (0, 1)
+    assert np.array_equal(x, x0)

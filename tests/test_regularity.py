@@ -167,9 +167,9 @@ def test_flat_weight_skips_before_any_pair(monkeypatch, grid32):
     for name in ("interior_holder_w", "boundary_holder_w"):
         assert checks[name].status == "skip"
         assert checks[name].details["flat"] is True
-        assert checks[name].details["beta"] is None
-        assert checks[name].details["r2"] is None
-    assert checks["interior_holder_w"].details["raw_slope"] is None
+        assert np.isnan(checks[name].details["beta"])
+        assert np.isnan(checks[name].details["r2"])
+    assert np.isnan(checks["interior_holder_w"].details["raw_slope"])
     assert checks["interior_holder_w"].details["degenerate"] is True
 
 

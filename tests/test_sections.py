@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from amce import (
+    ConvexityViolationError,
+    Disk,
     ScalarField,
     TooCloseToBoundaryError,
+    build_grid,
     extract_section,
     fit_john_ellipsoid,
     localization_scan,
@@ -15,8 +18,17 @@ from amce import (
     mvee,
     normalize_section,
     quadratic_separation,
+    value_and_gradient_at,
 )
 from amce.errors import DegenerateSectionError
+from amce.sections import Section
+
+
+def _section(u, x, h):
+    """The section of ``u`` at ``x`` and height ``h``, its supporting plane
+    the grid estimate of :func:`value_and_gradient_at`, as the commands
+    take it."""
+    return extract_section(u, x, h, *value_and_gradient_at(u, np.asarray(x, float)))
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +61,11 @@ def test_mvee_pinned_half_disk_is_full_disk():
 def test_mvee_rejects_degenerate_input():
     with pytest.raises(DegenerateSectionError):
         mvee(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # collinear
+
+
+def test_mvee_rejects_a_single_point():
+    with pytest.raises(DegenerateSectionError, match="at least 2"):
+        mvee(np.array([[0.25, -0.5]]))
 
 
 @pytest.mark.parametrize("center", [None, [0.0, 0.0]])
@@ -90,7 +107,7 @@ def test_mvee_free_fit_encloses_dense_section_hull(grid64):
     u = ScalarField.from_callable(grid64, get_fixture("sheared_half", theta=0.25).u)
     y = np.array([0.5, 0.0])
     hbar, _ = maximal_height(u, y)
-    hull = extract_section(u, y, hbar).hull_points
+    hull = _section(u, y, hbar).hull_points
     assert len(hull) > 300
     _, _, _, viol = mvee(hull)
     assert viol <= 1e-10
@@ -106,7 +123,7 @@ def test_section_membership_matches_gap_sign(paraboloid64_exact):
     grid = u.grid
     x = np.array([0.1, -0.2])
     h = 0.04
-    sec = extract_section(u, x, h)
+    sec = _section(u, x, h)
     # u = |p|^2/2: gap = |p - x|^2/2, members satisfy |p - x| < sqrt(2h)
     r = np.linalg.norm(grid.nodes[sec.node_ids] - x, axis=1)
     assert r.max() < np.sqrt(2.0 * h) + 1e-12
@@ -127,8 +144,8 @@ def test_section_affine_invariance_under_rotation(grid32):
     )
     x0 = np.array([0.3, 0.1])
     h = 0.05
-    su = extract_section(u, x0, h)
-    sv = extract_section(v, np.array([-x0[1], x0[0]]), h)
+    su = _section(u, x0, h)
+    sv = _section(v, np.array([-x0[1], x0[0]]), h)
     pu = grid32.nodes[su.node_ids]
     rot = np.stack([-pu[:, 1], pu[:, 0]], axis=1)
     set_u = {(round(a, 9), round(b, 9)) for a, b in rot}
@@ -147,7 +164,7 @@ def _reference_hull(u, x, h, val, grad):
     """
     from scipy.spatial import ConvexHull
 
-    from amce.grid import ARM_HIT, ARM_INTERIOR, DIRS
+    from amce.grid import DIRS
 
     g = u.grid
     tol = 1e-12 * max(1.0, u.sup_norm())
@@ -162,11 +179,12 @@ def _reference_hull(u, x, h, val, grad):
     pts = list(g.nodes[members]) + list(g.hit_points[sh < 0.0])
     for k, d in enumerate(DIRS):
         exits = []
-        for kind, ends in ((ARM_INTERIOR, sn), (ARM_HIT, sh)):
+        for ends, first in ((sn, 0), (sh, g.n_nodes)):
             for i in members:
-                if g.arm_kind[i, k] != kind or ends[g.arm_ref[i, k]] < 0.0:
+                ref = g.arm_ref[i, k] - first
+                if not 0 <= ref < len(ends) or ends[ref] < 0.0:
                     continue
-                t = sn[i] / (sn[i] - ends[g.arm_ref[i, k]]) * g.arm_frac[i, k]
+                t = sn[i] / (sn[i] - ends[ref]) * g.arm_frac[i, k]
                 exits.append(g.nodes[i] + t * (d * g.h))
         pts += [exits[j] for j in rng.permutation(len(exits))]
     cloud = np.array(pts)
@@ -179,7 +197,7 @@ def _reference_hull(u, x, h, val, grad):
 def test_section_hull_matches_the_loop_reference(grid32, x, h):
     """The one-pass arm exits give the loop reference's hull bit for bit,
     on boundary-clipped and interior sections of sheared_half."""
-    from amce import get_fixture, value_and_gradient_at
+    from amce import get_fixture
 
     u = ScalarField.from_callable(grid32, get_fixture("sheared_half", theta=0.25).u)
     x = np.array(x)
@@ -193,9 +211,17 @@ def test_section_hull_matches_the_loop_reference(grid32, x, h):
 def test_tiny_section_warns_and_has_no_hull(paraboloid64_exact):
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        sec = extract_section(paraboloid64_exact, np.array([0.05, 0.05]), 1e-9)
+        sec = _section(paraboloid64_exact, np.array([0.05, 0.05]), 1e-9)
     assert sec.hull_points is None or sec.n_nodes <= 2
     assert rec  # emptiness / degeneracy warned, not silently dropped
+
+
+def test_fit_of_a_section_without_hull_is_degenerate(grid16):
+    empty = Section(
+        node_ids=np.array([], dtype=int), hull_points=None, boundary_clipped=False
+    )
+    with pytest.raises(DegenerateSectionError, match="no usable hull"):
+        fit_john_ellipsoid(empty, center=None, normal=(0.0, 1.0), grid=grid16)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +234,17 @@ def test_quadratic_separation_exact_on_paraboloid(paraboloid64_exact):
     assert rep.rho_low == pytest.approx(0.5, abs=1e-6)
     assert rep.rho_high == pytest.approx(0.5, abs=1e-6)
     assert rep.n_pairs > 100
+
+
+def test_quadratic_separation_rejects_a_concave_field():
+    """u = -|x|^2/2 has tangent-plane gaps -|x - x0|^2/2, far below the
+    -10 h^2 budget.  At h = 1/4 the unit disk has 72 hits, no more than the
+    128 anchors, so every hit is an anchor."""
+    grid = build_grid(Disk(radius=1.0), 0.25)
+    assert grid.n_hits == 72
+    u = ScalarField.from_callable(grid, lambda p: -0.5 * (p**2).sum(axis=1))
+    with pytest.raises(ConvexityViolationError, match="discretization budget"):
+        quadratic_separation(u)
 
 
 def test_quadratic_separation_positive_on_solved_field(mild32):
@@ -247,6 +284,11 @@ def test_maximal_height_rejects_boundary_point(paraboloid64_exact):
         maximal_height(paraboloid64_exact, np.array([0.999, 0.0]))
 
 
+def test_maximal_height_rejects_a_point_outside_the_domain(paraboloid64_exact):
+    with pytest.raises(TooCloseToBoundaryError, match="not interior"):
+        maximal_height(paraboloid64_exact, np.array([1.5, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # localization scans and normalization
 # ---------------------------------------------------------------------------
@@ -267,8 +309,6 @@ def test_boundary_scan_centered_quadratic_no_tilt(r2_64_exact):
 
 def test_boundary_scan_keeps_row_hulls(r2_64_exact):
     """The scan keeps one hull per kept row: the hull of that row's section."""
-    from amce import value_and_gradient_at
-
     x0 = np.array([0.0, -1.0])
     heights = [0.125, 1e-4]  # the second section is too small and skipped
     with warnings.catch_warnings():
@@ -300,7 +340,7 @@ def test_section_membership_is_stable_under_round_off(grid64, shift):
     """At the dyadic heights some nodes of sheared_half lie on the section
     boundary; a round-off change of the base gradient moves neither the
     member count nor the number of hull vertices."""
-    from amce import get_fixture, value_and_gradient_at
+    from amce import get_fixture
 
     exact = get_fixture("sheared_half", theta=0.25)
     u = ScalarField.from_callable(grid64, exact.u)
@@ -320,8 +360,9 @@ def test_section_membership_is_stable_under_round_off(grid64, shift):
 
 
 def test_interior_fit_unimodular_shape(paraboloid64_exact):
-    sec = extract_section(paraboloid64_exact, np.array([0.0, 0.0]), 0.125)
-    fit = fit_john_ellipsoid(sec)
+    u = paraboloid64_exact
+    sec = _section(u, np.array([0.0, 0.0]), 0.125)
+    fit = fit_john_ellipsoid(sec, center=None, normal=(0.0, 1.0), grid=u.grid)
     assert np.linalg.det(fit.A) == pytest.approx(1.0, abs=1e-9)
     assert fit.h_eff == pytest.approx(0.25, rel=1e-3)  # 2h for u = |x|^2/2
     assert abs(fit.tau) < 1e-9
@@ -343,8 +384,8 @@ def test_norm_product_log_growth_recorded(mild32):
         y = np.array([r * np.cos(a), r * np.sin(a)])
         try:
             hb, _ = maximal_height(u, y)
-            sec = extract_section(u, y, 0.999 * hb)
-            fit = fit_john_ellipsoid(sec)
+            sec = _section(u, y, 0.999 * hb)
+            fit = fit_john_ellipsoid(sec, center=None, normal=(0.0, 1.0), grid=u.grid)
         except (TooCloseToBoundaryError, DegenerateSectionError):
             continue
         prod = np.linalg.norm(fit.A, 2) * np.linalg.norm(np.linalg.inv(fit.A), 2)
