@@ -61,7 +61,7 @@ from .geometry import build_domain
 from .grid import Grid, ScalarField, build_grid
 from .lma import LMAProblem, solve_lma
 from .ma import MAProblem, solve_ma
-from .operators import COUNTS, discrete_hessian
+from .operators import COUNTS, discrete_hessian, value_and_gradient_at
 from .regularity import verify
 from .sections import (
     localization_scan,
@@ -372,11 +372,12 @@ def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
             interior = []
             for y in sc.interior_points:
                 entry: dict = {"point": [float(y[0]), float(y[1])]}
-                hbar, touch = maximal_height(u, y)
+                plane = value_and_gradient_at(u, y)
+                hbar, touch = maximal_height(u, y, *plane)
                 entry["hbar"] = hbar
                 entry["touch_point"] = list(map(float, touch))
                 if sc.normalize:
-                    entry["normalized"] = normalize_section(u, y)
+                    entry["normalized"] = normalize_section(u, y, *plane)
                 interior.append(entry)
             results["interior_points"] = interior
 

@@ -62,7 +62,6 @@ from .lma import (
     apply_lma,
     assemble_lma,
     cofactor_contraction,
-    lma_residual,
     second_differences,
     solve_lma,
 )
@@ -437,6 +436,7 @@ def solve_system(
     u = initial_guess(MAProblem(grid=grid, g=g, phi_hits=data.phi_hits), poisson)
     del poisson  # kept holds the Laplacian factor's only reference
     w_half: ScalarField | None = None
+    lma_rep = None
     H = None  # H(u), set by the first sweep and kept current from then on
     polish = False
 
@@ -447,7 +447,7 @@ def solve_system(
             step = _newton_step(data, u, H, w, history[-1], opts.outer_tol, kept)
         if step is not None:
             u, H, w, change = step
-            w_half = None  # the last linear solution belongs to the old u
+            w_half = lma_rep = None  # the last linear solution belongs to the old u
         else:
             g = g_from_w(w, data.theta)
             problem = MAProblem(grid=grid, g=g, phi_hits=data.phi_hits)
@@ -456,7 +456,7 @@ def solve_system(
             # step bitwise, so that step's w_half and H stand
             if w_half is None or ma_rep.iterations:
                 H = discrete_hessian(u)
-                w_half, _ = solve_lma(
+                w_half, lma_rep = solve_lma(
                     LMAProblem(hessian=H, g=data.f.values, psi_hits=data.psi_hits),
                     tol=opts.lma_tol,
                     kept=kept,
@@ -478,13 +478,12 @@ def solve_system(
 
     w = _require_positive(w_half, history)
     final_ma = float(np.max(np.abs(H.det() - g_from_w(w, data.theta).values)))
-    final_lma = float(np.max(np.abs(lma_residual(w, H, data.f.values))))
     counts = COUNTS - start
     report = SolveReport(
         outer_iterations=len(history),
         w_change_history=history,
         final_ma_residual=final_ma,
-        final_lma_residual=final_lma,
+        final_lma_residual=lma_rep.residual_sup,
         min_w=float(w.values.min()),
         max_w=float(w.values.max()),
         min_hessian_eigenvalue=H.min_eigenvalue(),

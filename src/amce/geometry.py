@@ -20,16 +20,11 @@ Array = np.ndarray
 _N_BOUNDARY_SAMPLES = 1024
 
 
-def _as_points(x: Array) -> Array:
-    p = np.asarray(x, dtype=float)
-    if p.ndim == 1:
-        return p[None, :]
-    return p
-
-
 class Domain:
     """Base class; subclasses provide the defining function and derivatives,
-    and a ``center_xy`` pair inside the domain."""
+    and a ``center_xy`` pair inside the domain.  Every point query takes an
+    ``(n, 2)`` array (``boundary_point`` an array of angles) and returns an
+    array with one entry or row per point."""
 
     def level(self, pts: Array) -> Array:
         raise NotImplementedError
@@ -48,7 +43,7 @@ class Domain:
 
     def contains(self, pts: Array) -> Array:
         """Strict interior test."""
-        return self.level(_as_points(pts)) < 0.0
+        return self.level(pts) < 0.0
 
     def bbox(self) -> tuple[float, float, float, float]:
         pts = self.boundary_samples(_N_BOUNDARY_SAMPLES)
@@ -59,17 +54,16 @@ class Domain:
             float(pts[:, 1].max()),
         )
 
-    def boundary_point(self, angle: float | Array) -> Array:
-        """Boundary point along the ray from the center at the given angle(s).
+    def boundary_point(self, angles: Array) -> Array:
+        """Boundary points along the rays from the center at ``angles``.
 
         The domain is convex and the center is interior, so each ray meets
         the boundary exactly once; the crossing is found by bisection.
         """
-        ang = np.atleast_1d(np.asarray(angle, dtype=float))
-        u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         c = self.center
         # Expand until outside, then bisect the crossing of F = 0.
-        t_hi = np.full(len(ang), 1e-3)
+        t_hi = np.full(len(angles), 1e-3)
         for _ in range(200):
             outside = self.level(c + t_hi[:, None] * u) >= 0.0
             if outside.all():
@@ -84,8 +78,7 @@ class Domain:
             t_lo = np.where(inside, t_mid, t_lo)
             t_hi = np.where(inside, t_hi, t_mid)
         t = 0.5 * (t_lo + t_hi)
-        out = c + t[:, None] * u
-        return out[0] if np.ndim(angle) == 0 else out
+        return c + t[:, None] * u
 
     def boundary_samples(self, n: int = _N_BOUNDARY_SAMPLES) -> Array:
         angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -93,17 +86,13 @@ class Domain:
 
     def inner_normal(self, pts: Array) -> Array:
         """Unit inner normal at (near-)boundary points, ``-grad F / |grad F|``."""
-        p = _as_points(pts)
-        g = self.grad(p)
-        nrm = np.linalg.norm(g, axis=1, keepdims=True)
-        out = -g / nrm
-        return out[0] if np.asarray(pts).ndim == 1 else out
+        g = self.grad(pts)
+        return -g / np.linalg.norm(g, axis=1, keepdims=True)
 
     def boundary_curvature(self, pts: Array) -> Array:
         """Curvature of the level curve F = 0 (positive for convex domains)."""
-        p = _as_points(pts)
-        g = self.grad(p)
-        H = self.hess(p)
+        g = self.grad(pts)
+        H = self.hess(pts)
         gx, gy = g[:, 0], g[:, 1]
         num = (
             H[:, 0, 0] * gy * gy
@@ -114,10 +103,8 @@ class Domain:
 
     def distance_to_boundary(self, pts: Array) -> Array:
         """Approximate distance to the boundary: the nearest dense boundary sample."""
-        p = _as_points(pts)
         s = self._dense_boundary
-        d = np.array([np.sqrt(np.min(np.sum((s - q) ** 2, axis=1))) for q in p])
-        return d if np.asarray(pts).ndim > 1 else float(d[0])
+        return np.array([np.sqrt(np.min(np.sum((s - q) ** 2, axis=1))) for q in pts])
 
     @cached_property
     def _dense_boundary(self) -> Array:
@@ -137,32 +124,26 @@ class Disk(Domain):
     center_xy: tuple[float, float] = (0.0, 0.0)
 
     def level(self, pts: Array) -> Array:
-        p = _as_points(pts)
-        d = p - self.center
+        d = pts - self.center
         return np.einsum("ij,ij->i", d, d) - self.radius**2
 
     def grad(self, pts: Array) -> Array:
-        return 2.0 * (_as_points(pts) - self.center)
+        return 2.0 * (pts - self.center)
 
     def hess(self, pts: Array) -> Array:
-        p = _as_points(pts)
-        return np.broadcast_to(2.0 * np.eye(2), (len(p), 2, 2)).copy()
+        return np.broadcast_to(2.0 * np.eye(2), (len(pts), 2, 2)).copy()
 
     @property
     def diameter(self) -> float:
         return 2.0 * float(self.radius)
 
     def distance_to_boundary(self, pts: Array) -> Array:
-        p = _as_points(pts)
-        d = self.radius - np.linalg.norm(p - self.center, axis=1)
-        return d if np.asarray(pts).ndim > 1 else float(d[0])
+        return self.radius - np.linalg.norm(pts - self.center, axis=1)
 
-    def boundary_point(self, angle: float | Array) -> Array:
-        ang = np.atleast_1d(np.asarray(angle, dtype=float))
-        out = self.center + self.radius * np.stack(
-            [np.cos(ang), np.sin(ang)], axis=1
+    def boundary_point(self, angles: Array) -> Array:
+        return self.center + self.radius * np.stack(
+            [np.cos(angles), np.sin(angles)], axis=1
         )
-        return out[0] if np.ndim(angle) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -172,18 +153,15 @@ class Ellipse(Domain):
     center_xy: tuple[float, float] = (0.0, 0.0)
 
     def level(self, pts: Array) -> Array:
-        p = _as_points(pts)
-        d = p - self.center
+        d = pts - self.center
         return (d[:, 0] / self.a) ** 2 + (d[:, 1] / self.b) ** 2 - 1.0
 
     def grad(self, pts: Array) -> Array:
-        p = _as_points(pts)
-        d = p - self.center
+        d = pts - self.center
         return np.stack([2.0 * d[:, 0] / self.a**2, 2.0 * d[:, 1] / self.b**2], axis=1)
 
     def hess(self, pts: Array) -> Array:
-        p = _as_points(pts)
-        H = np.zeros((len(p), 2, 2))
+        H = np.zeros((len(pts), 2, 2))
         H[:, 0, 0] = 2.0 / self.a**2
         H[:, 1, 1] = 2.0 / self.b**2
         return H
@@ -192,14 +170,12 @@ class Ellipse(Domain):
     def diameter(self) -> float:
         return 2.0 * float(max(self.a, self.b))
 
-    def boundary_point(self, angle: float | Array) -> Array:
+    def boundary_point(self, angles: Array) -> Array:
         # Parameterize by the angle of the scaled circle; rays from the
         # center hit these same points, just at a different angle label.
-        ang = np.atleast_1d(np.asarray(angle, dtype=float))
-        out = self.center + np.stack(
-            [self.a * np.cos(ang), self.b * np.sin(ang)], axis=1
+        return self.center + np.stack(
+            [self.a * np.cos(angles), self.b * np.sin(angles)], axis=1
         )
-        return out[0] if np.ndim(angle) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -212,13 +188,13 @@ class LevelSetDomain(Domain):
     center_xy: tuple[float, float] = (0.0, 0.0)
 
     def level(self, pts: Array) -> Array:
-        return np.asarray(self.f(_as_points(pts)), dtype=float)
+        return np.asarray(self.f(pts), dtype=float)
 
     def grad(self, pts: Array) -> Array:
-        return np.asarray(self.f_grad(_as_points(pts)), dtype=float)
+        return np.asarray(self.f_grad(pts), dtype=float)
 
     def hess(self, pts: Array) -> Array:
-        return np.asarray(self.f_hess(_as_points(pts)), dtype=float)
+        return np.asarray(self.f_hess(pts), dtype=float)
 
 
 def polynomial_levelset(

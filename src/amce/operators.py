@@ -558,9 +558,9 @@ def lstsq_stack(A: Array, b: Array) -> Array:
 def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     """Least-squares quadratic models of the field around arbitrary points.
 
-    ``points`` is one point ``(2,)`` or a batch ``(K, 2)``.  Each point is
-    fitted to the nearby interior node values and boundary hit values,
-    found by one KD-tree query for the whole batch.
+    ``points`` is a ``(K, 2)`` array.  Each point is fitted to the nearby
+    interior node values and boundary hit values, found by one KD-tree
+    query for the whole batch.
 
     The default box rule takes the data within ``3.5 h`` in the max norm
     with unit weights, widening the box by 1.6 (up to four tries) until it
@@ -580,13 +580,11 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     alone as in any batch.
 
     Returns ``(value, gradient, hessian)`` of the fitted quadratic at each
-    point: a float, ``(2,)`` and ``(2, 2)`` for one point, arrays with a
-    leading ``K`` for a batch.  Exact when the data is quadratic.
+    point, arrays of shapes ``(K,)``, ``(K, 2)`` and ``(K, 2, 2)``.  Exact
+    when the data is quadratic.
     """
     grid = field.grid
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 2)
     data_pts = np.vstack([grid.nodes, grid.hit_points])
     data_val = np.concatenate([field.values, field.hit_values])
     tree = cKDTree(data_pts)
@@ -647,8 +645,6 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     value = coef[:, 0]
     grad = coef[:, 1:3] / grid.h
     hess = coef[:, [3, 4, 4, 5]].reshape(-1, 2, 2) / grid.h**2
-    if single:
-        return float(value[0]), grad[0], hess[0]
     return value, grad, hess
 
 
@@ -675,5 +671,5 @@ def value_and_gradient_at(field: ScalarField, point) -> tuple[float, Array]:
     nid = field.grid.node_at(p)
     if nid is not None:
         return float(field.values[nid]), discrete_gradient(field)[nid]
-    value, grad, _ = local_quadratic_fit(field, p)
-    return value, grad
+    value, grad, _ = local_quadratic_fit(field, p[None, :])
+    return float(value[0]), grad[0]

@@ -408,8 +408,8 @@ def verify(
     problem: ProblemData,
     u: ScalarField,
     w: ScalarField,
-    boundary_alpha: float = 1.0,
-    seed: int = 0,
+    boundary_alpha: float,
+    seed: int,
 ) -> list[CheckResult]:
     """Run the full audit battery on a computed solution pair.
 

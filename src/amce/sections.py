@@ -431,8 +431,9 @@ def require_interior_point(grid: Grid, y) -> np.ndarray:
     return y
 
 
-def maximal_height(u: ScalarField, y):
-    """Largest height h with the section of ``u`` at interior ``y`` inside the domain.
+def maximal_height(u: ScalarField, y, center_value: float, center_gradient):
+    """Largest height h with the section of ``u`` at interior ``y`` inside the
+    domain, for the plane of value ``center_value`` and slope ``center_gradient``.
 
     A section escapes the domain exactly when some boundary hit point has
     negative section gap, so the escape height of each hit is its tangent
@@ -444,7 +445,6 @@ def maximal_height(u: ScalarField, y):
     """
     grid = u.grid
     y = require_interior_point(grid, y)
-    center_value, center_gradient = value_and_gradient_at(u, y)
     gaps = _tangent_gap(u.hit_values, grid.hit_points, y, center_value, center_gradient)
     touch = int(np.argmin(gaps))
     hbar = float(gaps[touch])
@@ -555,8 +555,8 @@ def require_boundary_point(grid: Grid, x0) -> np.ndarray:
     """``x0`` as an array; InvalidProblemError unless it lies on the domain
     boundary up to round-off: ``|F(x0)| <= 1e-9 max(1, |x0|_inf) |grad F(x0)|``."""
     x0 = np.asarray(x0, float)
-    level = float(grid.domain.level(x0)[0])
-    slope = float(np.linalg.norm(grid.domain.grad(x0)[0]))
+    level = float(grid.domain.level(x0[None, :])[0])
+    slope = float(np.linalg.norm(grid.domain.grad(x0[None, :])[0]))
     # a NaN level or slope fails the comparison too
     if not abs(level) <= 1e-9 * max(1.0, float(np.abs(x0).max())) * slope:
         raise InvalidProblemError(
@@ -570,7 +570,7 @@ def localization_scan(
     u: ScalarField,
     x0,
     heights,
-    min_nodes: int = 12,
+    min_nodes: int,
 ) -> LocalizationScan:
     """Scan pinned-center section ellipsoids at boundary point ``x0``.
 
@@ -681,8 +681,11 @@ def _value_range(values) -> tuple[float, float]:
     return float(np.nanmin(values)), float(np.nanmax(values))
 
 
-def normalize_section(u: ScalarField, y) -> NormalizedSection:
-    """Renormalize the maximal section of ``u`` at interior point ``y``.
+def normalize_section(
+    u: ScalarField, y, center_value: float, center_gradient
+) -> NormalizedSection:
+    """Renormalize the maximal section of ``u`` at interior point ``y`` for
+    the supporting plane of value ``center_value`` and slope ``center_gradient``.
 
     Fits the free minimum-volume ellipsoid of the maximal section, splits
     off the sqrt(hbar) dilation from the unimodular shape factor, and
@@ -695,9 +698,8 @@ def normalize_section(u: ScalarField, y) -> NormalizedSection:
     """
     y = np.asarray(y, float)
     grid = u.grid
-    hbar, touch = maximal_height(u, y)
-    val, grad = value_and_gradient_at(u, y)
-    sec = extract_section(u, y, hbar, center_value=val, center_gradient=grad)
+    hbar, touch = maximal_height(u, y, center_value, center_gradient)
+    sec = extract_section(u, y, hbar, center_value, center_gradient)
     if sec.hull_points is None:
         raise DegenerateSectionError(
             f"maximal section at {y.tolist()} has a degenerate hull"
@@ -725,7 +727,7 @@ def normalize_section(u: ScalarField, y) -> NormalizedSection:
 
     raw, _, _ = local_quadratic_fit(u, phys, smooth=True)
 
-    values = _tangent_gap(raw, phys, y, val, grad) / hbar
+    values = _tangent_gap(raw, phys, y, center_value, center_gradient) / hbar
     mask = np.isfinite(values) & (values < 1.0 + 1e-9)
     values = np.where(mask, values, np.nan)
 
@@ -740,7 +742,7 @@ def normalize_section(u: ScalarField, y) -> NormalizedSection:
     sel = np.zeros(grid.n_nodes, dtype=bool)
     sel[sec.node_ids] = True
     sel &= grid.full_stencil_mask()
-    sel &= _tangent_gap(u.values, grid.nodes, y, val, grad) < 0.9 * hbar
+    sel &= _tangent_gap(u.values, grid.nodes, y, center_value, center_gradient) < 0.9 * hbar
 
     ic = _NORMALIZED_N // 2
     if m2[ic - 1 : ic + 2, ic - 1 : ic + 2].all():

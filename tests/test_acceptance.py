@@ -20,7 +20,7 @@ from amce.fixtures import fixture_names, get_fixture
 from amce.geometry import Disk
 from amce.grid import ScalarField, build_grid
 from amce.lma import LMAProblem, solve_lma
-from amce.operators import discrete_hessian
+from amce.operators import discrete_hessian, value_and_gradient_at
 from amce.regularity import (
     abp_chain_report,
     abp_exponent,
@@ -171,7 +171,7 @@ def test_criterion_5_quadratic_separation(solved32):
 def test_criterion_6_boundary_localization(r2_64, grid64):
     _, u, _, _ = r2_64
     heights = [2.0**-k for k in range(3, 7)]
-    scan = localization_scan(u, np.array([0.0, -1.0]), heights)
+    scan = localization_scan(u, np.array([0.0, -1.0]), heights, min_nodes=12)
     kept = scan.kept_rows()
     taus = [abs(r["tau"]) for r in kept]
     vol_errs = [abs(r["vol_ratio"] - 1.0) for r in kept]
@@ -179,7 +179,7 @@ def test_criterion_6_boundary_localization(r2_64, grid64):
 
     exact = get_fixture("sheared_half", theta=0.25)
     ush = ScalarField.from_callable(grid64, exact.u)
-    scan_sh = localization_scan(ush, np.array([0.0, -1.0]), heights)
+    scan_sh = localization_scan(ush, np.array([0.0, -1.0]), heights, min_nodes=12)
     tau_sh = [r["tau"] for r in scan_sh.kept_rows()]
     ok = ok and bool(tau_sh) and all(abs(t - 0.5) <= 0.01 for t in tau_sh)
     _line(
@@ -194,8 +194,9 @@ def test_criterion_6_boundary_localization(r2_64, grid64):
 
 def test_criterion_7_maximal_heights_and_distance(paraboloid64_exact):
     u = paraboloid64_exact
-    h0, _ = maximal_height(u, np.zeros(2))
-    h1, _ = maximal_height(u, np.array([0.5, 0.0]))
+    y0, y1 = np.zeros(2), np.array([0.5, 0.0])
+    h0, _ = maximal_height(u, y0, *value_and_gradient_at(u, y0))
+    h1, _ = maximal_height(u, y1, *value_and_gradient_at(u, y1))
     ok = abs(h0 - 0.5) <= 1e-5 and abs(h1 - 0.125) <= 1e-5
 
     dom = u.grid.domain
@@ -203,7 +204,7 @@ def test_criterion_7_maximal_heights_and_distance(paraboloid64_exact):
     for r in np.linspace(0.05, 0.85, 8):
         for a in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
             p = np.array([r * np.cos(a), r * np.sin(a)])
-            hb, _ = maximal_height(u, p)
+            hb, _ = maximal_height(u, p, *value_and_gradient_at(u, p))
             d = dom.distance_to_boundary(p[None, :])[0]
             ratios.append(np.sqrt(hb) / d)
     ratios = np.asarray(ratios)

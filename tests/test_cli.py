@@ -994,6 +994,36 @@ def test_sections_command_interior_point(tmp_path):
     _assert_phase_times(out, "grid_s", "solve_s", "interior_s")
 
 
+def test_sections_takes_each_interior_plane_once(tmp_path, monkeypatch):
+    """With ``normalize``, ``amce sections`` takes the supporting plane of
+    each interior point once, at a node and off the nodes: its maximal
+    height and its normalized section share it."""
+    import amce.sections
+    from amce.operators import value_and_gradient_at
+
+    planes = []
+
+    def counted(u, point):
+        planes.append([float(t) for t in point])
+        return value_and_gradient_at(u, point)
+
+    for module in (cli, amce.sections):
+        monkeypatch.setattr(module, "value_and_gradient_at", counted)
+    points = [[0.0, 0.0], [0.1, 0.05]]
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": DISK16,
+            "fixture": {"name": "sheared_half"},
+            "sections": {"interior_points": points, "normalize": True},
+        },
+    )
+    out = str(tmp_path / "o")
+    assert main(["sections", "--config", cfg, "--out", out]) == 0
+    assert planes == points
+    assert all("normalized" in e for e in read_report(out)["results"]["interior_points"])
+
+
 def test_sections_command_boundary_scan(tmp_path):
     """At h = 1/16 on two heights, and at h = 1/32 on the default four,
     every height keeps its section, each with a hull dump, and the slide

@@ -26,7 +26,7 @@ def test_disk_distance_and_boundary_point():
         [0.5, 1.0],
         atol=1e-12,
     )
-    np.testing.assert_allclose(d.boundary_point(0.0), [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(d.boundary_point(np.zeros(1)), [[1.0, 0.0]], atol=1e-12)
 
 
 def test_inner_normal_points_inward():
@@ -95,7 +95,7 @@ def test_sampled_distance_to_boundary(dom):
     d = dom.distance_to_boundary(pts)
     assert d.shape == (4,)
     np.testing.assert_allclose(d, _fine_distance(dom, pts), atol=1e-5)
-    assert dom.distance_to_boundary(pts[0]) == d[0]
+    assert dom.distance_to_boundary(pts[:1])[0] == d[0]
     # the samples are taken once per domain
     assert dom._dense_boundary is dom._dense_boundary
 

@@ -92,7 +92,7 @@ def _quadratic_gradient(p):
 
 def test_local_quadratic_fit_recovers_coefficients(grid32):
     u = ScalarField.from_callable(grid32, _quadratic)
-    val, grad, hess = local_quadratic_fit(u, np.array([0.21, -0.13]))
+    [val], [grad], [hess] = local_quadratic_fit(u, np.array([[0.21, -0.13]]))
     assert val == pytest.approx(
         1.0 + 0.21 + 0.5 * 0.21**2 + 0.25 * 0.13**2, abs=1e-9
     )
@@ -120,7 +120,7 @@ def test_local_quadratic_fit_widens_per_point(grid32):
     pts = np.array([[0.21, -0.13], [1.05, 0.0], [1.2, 0.0]])
     vals, grads, hesses = local_quadratic_fit(u, pts)
     for k, p in enumerate(pts):
-        val, grad, hess = local_quadratic_fit(u, p)
+        [val], [grad], [hess] = local_quadratic_fit(u, p[None, :])
         assert vals[k] == val
         assert (grads[k] == grad).all() and (hesses[k] == hess).all()
     with pytest.raises(IncompleteDataError):
@@ -276,6 +276,55 @@ def test_hessian_det_and_eigenvalues(grid16):
     lo, hi = H.eigenvalues()
     np.testing.assert_allclose(lo, 1.5, atol=1e-8)
     np.testing.assert_allclose(hi, 2.5, atol=1e-8)
+
+
+def _blocks(H):
+    """The node-wise 2x2 matrices of ``H``, ``(N, 2, 2)``."""
+    return np.stack([np.stack([H.hxx, H.hxy], -1), np.stack([H.hxy, H.hyy], -1)], -2)
+
+
+def test_clamped_raises_each_eigenvalue_to_eps_and_keeps_the_larger_eigenvector(grid16):
+    """Node by node, each eigenvalue becomes ``max(lambda, eps)``, and where
+    the larger one is above ``eps`` its eigenvector is kept."""
+    eps = 0.1
+    rng = np.random.default_rng(5)
+    n = grid16.n_nodes
+    H = HessianField(
+        grid16, hxx=rng.normal(size=n), hxy=rng.normal(size=n), hyy=rng.normal(size=n)
+    )
+    lo, hi = H.eigenvalues()
+    assert (lo < eps).any() and (lo >= eps).any() and (hi < eps).any()
+    C = H.clamped(eps)
+    lo_c, hi_c = C.eigenvalues()
+    np.testing.assert_allclose(lo_c, np.maximum(lo, eps), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(hi_c, np.maximum(hi, eps), rtol=1e-12, atol=1e-14)
+    # eigh orders eigenvalues ascending: column 1 is the larger's eigenvector
+    tilted = hi > eps
+    v = np.linalg.eigh(_blocks(H)[tilted])[1][:, :, 1]
+    v_c = np.linalg.eigh(_blocks(C)[tilted])[1][:, :, 1]
+    np.testing.assert_allclose(np.abs((v * v_c).sum(axis=1)), 1.0, atol=1e-12)
+
+
+def test_clamped_diagonal_blocks(grid16):
+    """Diagonal blocks come out diagonal with each entry clamped, whichever
+    entry is larger: ``hxx > hyy`` takes the axis-swap path, ``hxx < hyy``
+    the spectral rebuild."""
+    eps = 0.1
+    hxx = np.array([3.0, -1.0, -1.0, 2.0])
+    hyy = np.array([-1.0, 3.0, -3.0, 2.0])
+    H = HessianField(grid16, hxx=hxx, hxy=np.zeros(4), hyy=hyy)
+    C = H.clamped(eps)
+    np.testing.assert_array_equal(C.hxx, [3.0, eps, eps, 2.0])
+    np.testing.assert_array_equal(C.hyy, [eps, 3.0, eps, 2.0])
+    np.testing.assert_array_equal(C.hxy, 0.0)
+
+
+def test_clamped_returns_itself_when_no_eigenvalue_is_below_eps(grid16):
+    H = HessianField(
+        grid16, hxx=np.array([2.0, 1.0]), hxy=np.array([0.5, 0.0]), hyy=np.array([1.0, 0.1])
+    )
+    assert H.clamped(0.1) is H
+    assert H.clamped(0.2) is not H
 
 
 def _anisotropic_operator(grid):

@@ -125,7 +125,7 @@ def test_flat_weight_skips_both_modulus_checks(grid16):
     problem, u, w = _noisy_paraboloid(grid16)
     assert fit_holder_exponent(w, seed=0).flat
     assert boundary_holder_fit(w).flat
-    checks = {c.name: c for c in verify(problem, u, w, seed=0)}
+    checks = {c.name: c for c in verify(problem, u, w, boundary_alpha=1.0, seed=0)}
     for name in ("interior_holder_w", "boundary_holder_w"):
         assert checks[name].status == "skip"
         assert checks[name].details["flat"] is True
@@ -144,7 +144,7 @@ def test_too_coarse_grid_skips_both_modulus_checks(name, n, n_bins):
     w = ScalarField.from_callable(grid, exact.w)
     assert fit_holder_exponent(w, seed=0).n_bins == n_bins
     assert boundary_holder_fit(w).n_bins == n_bins
-    checks = {c.name: c for c in verify(problem, u, w, seed=0)}
+    checks = {c.name: c for c in verify(problem, u, w, boundary_alpha=1.0, seed=0)}
     for check in ("interior_holder_w", "boundary_holder_w"):
         assert checks[check].status == "skip"
         assert checks[check].details["flat"] is False
@@ -163,7 +163,7 @@ def test_flat_weight_skips_before_any_pair(monkeypatch, grid32):
         raise AssertionError("a flat weight's fit streamed its pairs")
 
     monkeypatch.setattr(amce.regularity, "_anchor_tiles", no_pairs)
-    checks = {c.name: c for c in verify(problem, u, w, seed=0)}
+    checks = {c.name: c for c in verify(problem, u, w, boundary_alpha=1.0, seed=0)}
     for name in ("interior_holder_w", "boundary_holder_w"):
         assert checks[name].status == "skip"
         assert checks[name].details["flat"] is True
@@ -191,10 +191,10 @@ def test_range_rule_gives_the_status_of_the_full_fit(monkeypatch, grid16, grid32
     decided = {k for k, (_, _, w) in cases.items() if amce.regularity._flat_fit(w)}
     assert decided == {"paraboloid", "paraboloid_r2", "sheared_half", "noise32"}
     for key, case in cases.items():
-        fast = {c.name: c for c in verify(*case, seed=0)}
+        fast = {c.name: c for c in verify(*case, boundary_alpha=1.0, seed=0)}
         with monkeypatch.context() as m:
             m.setattr(amce.regularity, "_flat_fit", lambda field: None)
-            full = {c.name: c for c in verify(*case, seed=0)}
+            full = {c.name: c for c in verify(*case, boundary_alpha=1.0, seed=0)}
         for name in ("interior_holder_w", "boundary_holder_w"):
             assert fast[name].status == full[name].status, (key, name)
             assert fast[name].details["flat"] == full[name].details["flat"], (key, name)
@@ -210,7 +210,7 @@ def test_degenerate_fit_with_bins_still_fails(grid32):
     w.values[grid32.node_at([0.75, 0.0])] += 1.0
     for fit in (fit_holder_exponent(w, seed=0), boundary_holder_fit(w)):
         assert fit.degenerate and fit.n_bins >= 2 and not fit.flat
-    checks = {c.name: c for c in verify(problem, u, w, seed=0)}
+    checks = {c.name: c for c in verify(problem, u, w, boundary_alpha=1.0, seed=0)}
     assert checks["interior_holder_w"].status == "fail"
     assert checks["boundary_holder_w"].status == "fail"
 

@@ -106,7 +106,7 @@ def test_mvee_free_fit_encloses_dense_section_hull(grid64):
 
     u = ScalarField.from_callable(grid64, get_fixture("sheared_half", theta=0.25).u)
     y = np.array([0.5, 0.0])
-    hbar, _ = maximal_height(u, y)
+    hbar, _ = maximal_height(u, y, *value_and_gradient_at(u, y))
     hull = _section(u, y, hbar).hull_points
     assert len(hull) > 300
     _, _, _, viol = mvee(hull)
@@ -255,8 +255,10 @@ def test_quadratic_separation_positive_on_solved_field(mild32):
 
 
 def test_maximal_height_exact_values(paraboloid64_exact):
-    h0, _ = maximal_height(paraboloid64_exact, np.array([0.0, 0.0]))
-    h5, touch = maximal_height(paraboloid64_exact, np.array([0.5, 0.0]))
+    u = paraboloid64_exact
+    y0, y5 = np.array([0.0, 0.0]), np.array([0.5, 0.0])
+    h0, _ = maximal_height(u, y0, *value_and_gradient_at(u, y0))
+    h5, touch = maximal_height(u, y5, *value_and_gradient_at(u, y5))
     assert h0 == pytest.approx(0.5, rel=1e-6)
     assert h5 == pytest.approx(0.125, rel=1e-6)
     # the touching point is the nearest boundary point (1, 0)
@@ -271,7 +273,9 @@ def test_maximal_height_ratio_interval(paraboloid64_exact):
         r = rng.uniform(0.3, 0.9)
         a = rng.uniform(0.0, 2.0 * np.pi)
         y = np.array([r * np.cos(a), r * np.sin(a)])
-        hb, _ = maximal_height(paraboloid64_exact, y)
+        hb, _ = maximal_height(
+            paraboloid64_exact, y, *value_and_gradient_at(paraboloid64_exact, y)
+        )
         ratios.append(np.sqrt(hb) / (1.0 - r))
     ratios = np.array(ratios)
     k_fit = max(ratios.max(), 1.0 / ratios.min())
@@ -281,12 +285,12 @@ def test_maximal_height_ratio_interval(paraboloid64_exact):
 
 def test_maximal_height_rejects_boundary_point(paraboloid64_exact):
     with pytest.raises(TooCloseToBoundaryError):
-        maximal_height(paraboloid64_exact, np.array([0.999, 0.0]))
+        maximal_height(paraboloid64_exact, np.array([0.999, 0.0]), 0.0, np.zeros(2))
 
 
 def test_maximal_height_rejects_a_point_outside_the_domain(paraboloid64_exact):
     with pytest.raises(TooCloseToBoundaryError, match="not interior"):
-        maximal_height(paraboloid64_exact, np.array([1.5, 0.0]))
+        maximal_height(paraboloid64_exact, np.array([1.5, 0.0]), 0.0, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +301,7 @@ def test_maximal_height_rejects_a_point_outside_the_domain(paraboloid64_exact):
 def test_boundary_scan_centered_quadratic_no_tilt(r2_64_exact):
     """tau vanishes to fit tolerance at every height for u = |x|^2."""
     scan = localization_scan(
-        r2_64_exact, np.array([0.0, -1.0]), [2.0**-k for k in range(3, 7)]
+        r2_64_exact, np.array([0.0, -1.0]), [2.0**-k for k in range(3, 7)], min_nodes=12
     )
     for row in scan.rows:
         assert not row["skipped"]
@@ -313,7 +317,7 @@ def test_boundary_scan_keeps_row_hulls(r2_64_exact):
     heights = [0.125, 1e-4]  # the second section is too small and skipped
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        scan = localization_scan(r2_64_exact, x0, heights)
+        scan = localization_scan(r2_64_exact, x0, heights, min_nodes=12)
     assert [r["skipped"] for r in scan.rows] == [False, True]
     assert len(scan.hulls) == 1
     val, grad = value_and_gradient_at(r2_64_exact, x0)
@@ -328,7 +332,9 @@ def test_boundary_scan_recovers_shear(grid64):
 
     exact = get_fixture("sheared_half", theta=0.25)
     u = ScalarField.from_callable(grid64, exact.u)
-    scan = localization_scan(u, np.array([0.0, -1.0]), [2.0**-k for k in range(3, 7)])
+    scan = localization_scan(
+        u, np.array([0.0, -1.0]), [2.0**-k for k in range(3, 7)], min_nodes=12
+    )
     taus = [row["tau"] for row in scan.kept_rows()]
     np.testing.assert_allclose(taus, 0.5, atol=0.01)
 
@@ -383,7 +389,7 @@ def test_norm_product_log_growth_recorded(mild32):
         a = rng.uniform(0.0, 2.0 * np.pi)
         y = np.array([r * np.cos(a), r * np.sin(a)])
         try:
-            hb, _ = maximal_height(u, y)
+            hb, _ = maximal_height(u, y, *value_and_gradient_at(u, y))
             sec = _section(u, y, 0.999 * hb)
             fit = fit_john_ellipsoid(sec, center=None, normal=(0.0, 1.0), grid=u.grid)
         except (TooCloseToBoundaryError, DegenerateSectionError):
@@ -400,7 +406,8 @@ def test_norm_product_log_growth_recorded(mild32):
 def test_normalize_section_round_shape(r2_64_exact):
     """For u = |x|^2 the maximal section at (1/2, 0) renormalizes to the
     unit disk: inner and outer ball radii both approach 1."""
-    ns = normalize_section(r2_64_exact, np.array([0.5, 0.0]))
+    y = np.array([0.5, 0.0])
+    ns = normalize_section(r2_64_exact, y, *value_and_gradient_at(r2_64_exact, y))
     assert ns.c_inner == pytest.approx(1.0, rel=0.02)
     assert ns.c_outer == pytest.approx(1.0, rel=0.02)
     np.testing.assert_allclose(ns.grad_at_center, 0.0, atol=1e-3)
