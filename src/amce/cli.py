@@ -59,7 +59,7 @@ from .errors import SOLVE_FAILURES, AmceError, ConfigError, IncompleteDataError
 from .fixtures import fixture_names, get_fixture
 from .geometry import build_domain
 from .grid import Grid, ScalarField, build_grid
-from .lma import LMAProblem, solve_lma
+from .lma import LMAProblem, offdiagonal_sign_audit, solve_lma
 from .ma import MAProblem, solve_ma
 from .operators import COUNTS, discrete_hessian, value_and_gradient_at
 from .regularity import verify
@@ -311,11 +311,15 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
     g = lma_cfg.g(grid.nodes)
     psi = lma_cfg.psi(grid.hit_points)
     problem = LMAProblem(hessian=discrete_hessian(u), g=g, psi_hits=psi)
-    v, report = solve_lma(problem, tol=cfg.solver.lma_tol, report_condition=True)
+    kept: list = []
+    v, report = solve_lma(problem, tol=cfg.solver.lma_tol, kept=kept)
     write_field_csv(os.path.join(out_dir, "v.csv"), v)
+    D = problem.matrix  # the operator that ``kept`` holds the factor of
     results = dataclasses.asdict(report)
     results.update(
         {
+            "sign_audit": offdiagonal_sign_audit(D),
+            "condition_estimate": _condition_estimate(D, kept[0]),
             "u_source": u_source,
             "n_nodes": grid.n_nodes,
             "n_hits": grid.n_hits,
@@ -323,6 +327,20 @@ def _cmd_lma(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:
         }
     )
     return results, 0
+
+
+def _condition_estimate(D, lu) -> float:
+    """``||D||_1 ||D^-1||_1`` through ``D``'s own factor ``lu``, the first
+    factor exact.
+
+    The second is estimated from the all-ones start alone (``t=1``), so no
+    random column is drawn and the estimate repeats from run to run.
+    """
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    n = D.shape[0]
+    inv = LinearOperator((n, n), matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T"))
+    return float(abs(D).sum(axis=0).max() * onenormest(inv, t=1))
 
 
 def _cmd_sections(cfg: RunConfig, out_dir: str) -> tuple[dict, int]:

@@ -71,7 +71,8 @@ class Grid:
     arm_frac: Array  # (N, 8) fractional arm length in (0, 1]
     hit_points: Array  # (M, 2) boundary crossings
     _ops: dict = dc_field(default_factory=dict, repr=False)  # see grid_operators
-    _order: Array | None = dc_field(default=None, repr=False)
+    _order: Array | None = dc_field(default=None, repr=False)  # see dissection_order
+    _hit_cells: tuple | None = dc_field(default=None, repr=False)  # see operators._hit_cells
 
     @property
     def n_nodes(self) -> int:

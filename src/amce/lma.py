@@ -10,8 +10,8 @@ continuum.  The discretization here is the non-divergence form with
 node-wise frozen coefficients, assembled from the cut-cell second-difference
 operators by :func:`assemble_lma` (the Newton step of the nonlinear solver
 solves with the same operator), and solved through a sparse LU factor.
-The matrix is not symmetric and carries no M-matrix guarantee; a
-sign-pattern audit and a condition estimate are reported instead of a
+The matrix is not symmetric and carries no M-matrix guarantee; ``amce
+lma`` reports a sign-pattern audit and a condition estimate instead of a
 monotonicity assumption.  A call of :func:`solve_lma` solves through a
 factor handed to it when that meets the tolerance, by minimal-residual
 passes through it and then GMRES, and through its own factorization
@@ -21,6 +21,7 @@ otherwise; it hands on the factor it solved through, the one rule of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,13 +67,17 @@ class LMAProblem:
             raise ValueError("psi_hits length does not match the grid")
         require_finite(g=self.g, psi=self.psi_hits)
 
+    @cached_property
+    def matrix(self) -> sp.csc_matrix:
+        """:func:`assemble_lma` of the coefficients, assembled once: the
+        matrix :func:`solve_lma` solves with, which ``amce lma`` audits."""
+        return assemble_lma(self.hessian)
+
 
 @dataclass
 class LMAReport:
     residual_sup: float
     backward_error: float
-    sign_audit: dict
-    condition_estimate: float | None = None
     pivoting_refactors: int = 0  # default-pivoting retries of the factor
 
 
@@ -113,7 +118,6 @@ def offdiagonal_sign_audit(D: sp.spmatrix) -> dict:
 def solve_lma(
     problem: LMAProblem,
     tol: float = LMA_TOL,
-    report_condition: bool = False,
     kept: list | None = None,
 ) -> tuple[ScalarField, LMAReport]:
     """Direct solve of the frozen-coefficient problem.
@@ -134,14 +138,13 @@ def solve_lma(
     (:func:`amce.operators.gmres`, within ``KRYLOV_HELD_CYCLES`` cycles,
     to a relative residual of a few ulps, ``_RESCUE_RTOL``).  No
     factor is made when either meets ``tol``.  Otherwise that factor is
-    dropped and ``D``'s own is made by :func:`amce.operators.factor_lu`; so
-    it is too when ``report_condition`` asks for the condition estimate,
-    which must come from ``D``'s own factor.  When the call is done,
-    ``kept`` holds the factor it solved through, handed or its own.
-    Symmetric mode keeps a diagonal pivot however small, so when the passes
-    through it leave the backward error above ``tol``, ``D`` is factored
-    once more by :func:`amce.operators.pivoting_lu` and solved again, and
-    the tolerance judges that solve.  ``report.pivoting_refactors`` is the
+    dropped and ``D``'s own is made by :func:`amce.operators.factor_lu`.
+    When the call is done, ``kept`` holds the factor it solved through,
+    handed or its own.  Symmetric mode keeps a diagonal pivot however
+    small, so when the passes through it leave the backward error above
+    ``tol``, ``D`` is factored once more by
+    :func:`amce.operators.pivoting_lu` and solved again, and the tolerance
+    judges that solve.  ``report.pivoting_refactors`` is the
     number of default-pivoting factors the call made, by either retry, read
     off :data:`amce.operators.COUNTS`: 0 or 1.
     """
@@ -158,12 +161,10 @@ def solve_lma(
             node=k,
             point=(float(x), float(y)),
         )
-    D = assemble_lma(H)
+    D = problem.matrix
     B = _cofactor_operator(H, "B").tocsr()
     start = COUNTS["pivoting_refactors"]
     lu = kept.pop() if kept else None
-    if report_condition:
-        lu = None  # the estimate must come from D's own factor
     if lu is not None:
         field, resid_sup, backward = _refined_solve(problem, D, B, lu)
         if not backward <= tol:
@@ -195,14 +196,9 @@ def solve_lma(
         )
     if kept is not None:
         kept.append(lu)
-    cond = None
-    if report_condition:
-        cond = _condition_estimate(D, lu)
     report = LMAReport(
         residual_sup=resid_sup,
         backward_error=backward,
-        sign_audit=offdiagonal_sign_audit(D),
-        condition_estimate=cond,
         pivoting_refactors=COUNTS["pivoting_refactors"] - start,
     )
     return field, report
@@ -270,16 +266,3 @@ def apply_lma(H: HessianField, x: Array) -> Array:
     """``assemble_lma(H) @ x`` without the matrix: the
     :func:`cofactor_contraction` of ``x``'s :func:`second_differences`."""
     return cofactor_contraction(H, *second_differences(H.grid, x))
-
-
-def _condition_estimate(D: sp.csc_matrix, lu) -> float:
-    """``||D||_1 ||D^-1||_1``, the first factor exact.
-
-    The second is estimated from the all-ones start alone (``t=1``), so no
-    random column is drawn and the estimate repeats from run to run.
-    """
-    from scipy.sparse.linalg import LinearOperator, onenormest
-
-    n = D.shape[0]
-    inv = LinearOperator((n, n), matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T"))
-    return float(abs(D).sum(axis=0).max() * onenormest(inv, t=1))

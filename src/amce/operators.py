@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateOperatorError, IncompleteDataError
 from .grid import Grid, ScalarField
@@ -559,8 +557,8 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     """Least-squares quadratic models of the field around arbitrary points.
 
     ``points`` is a ``(K, 2)`` array.  Each point is fitted to the nearby
-    interior node values and boundary hit values, found by one KD-tree
-    query for the whole batch.
+    interior node values and boundary hit values, gathered from the lattice
+    by :func:`_neighbourhoods`.
 
     The default box rule takes the data within ``3.5 h`` in the max norm
     with unit weights, widening the box by 1.6 (up to four tries) until it
@@ -572,7 +570,7 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     point outside the domain, or with fewer than ten positive weights, gets
     NaN.
 
-    The weighted problems are solved ``_FIT_CHUNK`` points at a time, which
+    The points are gathered and solved ``_FIT_CHUNK`` at a time, which
     bounds the temporary memory.  Within a chunk the points with the same
     number of rows form one stack for :func:`lstsq_stack`, so nothing is
     padded, ``np.linalg.lstsq``'s rank rule gives a rank-deficient
@@ -587,37 +585,12 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     pts = np.asarray(points, dtype=float)
     data_pts = np.vstack([grid.nodes, grid.hit_points])
     data_val = np.concatenate([field.values, field.hit_values])
-    tree = cKDTree(data_pts)
-    r = _FIT_RADIUS * grid.h
-    if smooth:
-        where = np.flatnonzero(grid.domain.contains(pts))
-        hoods = tree.query_ball_point(pts[where], r, return_sorted=True)
-    else:
-        where = todo = np.arange(len(pts))
-        hoods = np.empty(len(pts), dtype=object)
-        for _ in range(4):
-            hoods[todo] = tree.query_ball_point(
-                pts[todo], r, p=np.inf, return_sorted=True
-            )
-            todo = todo[[len(hoods[k]) < 8 for k in todo]]
-            if not todo.size:
-                break
-            r *= 1.6
-        else:
-            raise IncompleteDataError(
-                "not enough data points near the requested location for a local fit"
-            )
-
-    sizes = np.fromiter(map(len, hoods), dtype=np.intp, count=len(hoods))
-    flat = np.fromiter(chain.from_iterable(hoods), dtype=np.intp, count=sizes.sum())
-    owner = np.repeat(where, sizes)
-    del hoods  # the lists of ids outweigh a chunk's arrays
-    starts = np.concatenate([[0], np.cumsum(sizes)])
+    where = np.flatnonzero(grid.domain.contains(pts)) if smooth else np.arange(len(pts))
     coef = np.full((len(pts), 6), np.nan)
     for c in range(0, len(where), _FIT_CHUNK):
-        rows = slice(starts[c], starts[min(c + _FIT_CHUNK, len(where))])
-        ids, k = flat[rows], owner[rows]
-        d = (data_pts[ids] - pts[k]) / grid.h  # normalize for conditioning
+        at = where[c : c + _FIT_CHUNK]
+        k, ids = _neighbourhoods(grid, pts[at], smooth)
+        d = (data_pts[ids] - pts[at[k]]) / grid.h  # normalize for conditioning
         vals, sw = data_val[ids], np.ones(len(d))
         if smooth:
             dd = d * d  # summed column by column: the bits of a row sum
@@ -637,15 +610,129 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
         )
         A, vals = A * sw[:, None], vals * sw
         # each point's rows are contiguous: one stacked solve per row count
-        pt, first, m = np.unique(k, return_index=True, return_counts=True)
+        m = np.bincount(k, minlength=len(at))
+        first = np.cumsum(m) - m
         for size in np.unique(m[m >= (10 if smooth else 8)]):
             sel = m == size
             take = first[sel, None] + np.arange(size)
-            coef[pt[sel]] = lstsq_stack(A[take], vals[take])
+            coef[at[sel]] = lstsq_stack(A[take], vals[take])
     value = coef[:, 0]
     grad = coef[:, 1:3] / grid.h
     hess = coef[:, [3, 4, 4, 5]].reshape(-1, 2, 2) / grid.h**2
     return value, grad, hess
+
+
+def _neighbourhoods(grid: Grid, pts: Array, smooth: bool) -> tuple[Array, Array]:
+    """The data of :func:`local_quadratic_fit` around each point of ``pts``.
+
+    Returns ``(k, ids)``: the ids (nodes, then ``n_nodes`` plus a hit id)
+    near point ``k[i]`` are the run of ``ids`` where ``k`` holds it, in
+    ascending order, point after point.  The smooth rule takes the ball of
+    radius ``3.5 h``; the box rule takes the max-norm ball of that radius,
+    and a point with fewer than eight data gets the ball 1.6 times wider, up
+    to four tries, before :class:`IncompleteDataError` is raised.
+    """
+    r = _FIT_RADIUS * grid.h
+    if smooth:
+        return _gather(grid, pts, r, smooth=True)
+    owners, hoods = [], []
+    todo = np.arange(len(pts))
+    for _ in range(4):
+        k, ids = _gather(grid, pts[todo], r, smooth=False)
+        full = np.bincount(k, minlength=len(todo)) >= 8
+        keep = full[k]
+        owners.append(todo[k[keep]])
+        hoods.append(ids[keep])
+        todo = todo[~full]
+        if not todo.size:
+            break
+        r *= 1.6
+    else:
+        raise IncompleteDataError(
+            "not enough data points near the requested location for a local fit"
+        )
+    k = np.concatenate(owners)
+    order = np.argsort(k, kind="stable")
+    return k[order], np.concatenate(hoods)[order]
+
+
+def _gather(grid: Grid, pts: Array, r: float, smooth: bool) -> tuple[Array, Array]:
+    """The node and hit ids within ``r`` of each point, as :func:`_neighbourhoods`
+    returns them.
+
+    A datum ``q`` is within ``r`` of ``p`` when, with ``d = q - p``,
+    ``d0*d0 + d1*d1 <= r*r`` (``smooth``) or ``max(|d0|, |d1|) <= r``: the
+    tests, and so the ids, of a SciPy KD-tree's ``query_ball_point(p, r,
+    return_sorted=True)`` over the nodes then the hits (with ``p=np.inf``
+    for the box).  The candidates are the lattice cells from one past the
+    cell of ``p - r`` to one past that of ``p + r``: the nodes from
+    ``Grid.id_map``, whose node ``(i, j)`` lies at ``(i h, j h)``, and the
+    hits from :func:`_hit_cells`, each row of cells one run of it.
+    """
+    h, (rows_n, cols_n) = grid.h, grid.id_map.shape
+    lo, hi = _cells(grid, pts - r) - 1, _cells(grid, pts + r) + 1
+    span = np.arange(int((hi - lo).max()) + 1)
+    rows, cols = lo[:, :1] + span, lo[:, 1:] + span  # (K, W) each
+    # cells outside the box read its edge, which holds no node
+    ids = grid.id_map.ravel()[
+        (np.clip(rows, 0, rows_n - 1) * cols_n)[:, :, None]
+        + np.clip(cols, 0, cols_n - 1)[:, None, :]
+    ]
+    d0 = (rows + grid.id_origin[0]) * h - pts[:, :1]
+    d1 = (cols + grid.id_origin[1]) * h - pts[:, 1:]
+    if smooth:
+        near = (d0 * d0)[:, :, None] + (d1 * d1)[:, None, :] <= r * r
+    else:
+        near = (np.abs(d0) <= r)[:, :, None] & (np.abs(d1) <= r)[:, None, :]
+    near &= ids >= 0
+    node_k = np.nonzero(near.reshape(len(pts), -1))[0]
+    node_ids = ids[near]
+
+    # the hits of each point's rows of cells, row by row
+    hits, first = _hit_cells(grid)
+    row = np.maximum(lo[:, :1], 0) + span
+    base = np.minimum(row, rows_n - 1) * cols_n
+    start = first[base + np.maximum(lo[:, 1:], 0)]
+    stop = first[base + np.minimum(hi[:, 1:], cols_n - 1) + 1]
+    count = np.where(row <= np.minimum(hi[:, :1], rows_n - 1), stop - start, 0).ravel()
+    run = np.repeat(np.arange(count.size), count)
+    hit = hits[np.arange(run.size) + (start.ravel() - np.cumsum(count) + count)[run]]
+    hit_k = run // len(span)
+    e0 = grid.hit_points[hit, 0] - pts[hit_k, 0]
+    e1 = grid.hit_points[hit, 1] - pts[hit_k, 1]
+    if smooth:
+        near = e0 * e0 + e1 * e1 <= r * r
+    else:
+        near = (np.abs(e0) <= r) & (np.abs(e1) <= r)
+
+    total = grid.n_nodes + grid.n_hits
+    key = np.concatenate(
+        [node_k * total + node_ids, hit_k[near] * total + grid.n_nodes + hit[near]]
+    )
+    key.sort()
+    return np.divmod(key, total)
+
+
+def _cells(grid: Grid, x: Array) -> Array:
+    """The ``id_map`` cell of each point, ``floor(x / h)`` less the box's
+    origin, clipped into the box; a non-finite coordinate counts as 0."""
+    c = np.nan_to_num(np.floor(x / grid.h)) - grid.id_origin
+    return np.clip(c, 0, np.subtract(grid.id_map.shape, 1)).astype(np.intp)
+
+
+def _hit_cells(grid: Grid) -> tuple[Array, Array]:
+    """The grid's hits bucketed by ``id_map`` cell, built once and cached.
+
+    Returns ``(hits, first)``: the hit ids ordered by :func:`_cells` of the
+    hit, the cells in row-major order, and where each cell's run begins, so
+    that the hits of cell ``c`` are ``hits[first[c]:first[c + 1]]``.
+    """
+    if grid._hit_cells is None:
+        c = _cells(grid, grid.hit_points)
+        key = c[:, 0] * grid.id_map.shape[1] + c[:, 1]
+        hits = np.argsort(key, kind="stable")
+        grid._hit_cells = hits, np.searchsorted(key[hits], np.arange(grid.id_map.size + 1))
+    return grid._hit_cells
 
 
 def line_fit(x, y) -> tuple[float, float, float]:

@@ -238,7 +238,7 @@ def mvee(points, center=None):
         if s.min() <= 0.0:
             return np.inf
         try:
-            L = np.linalg.cholesky(np.tensordot(x, E, axes=1))
+            L = np.linalg.cholesky(_symmetric(x, iu, ju))
         except np.linalg.LinAlgError:
             return np.inf
         return -2.0 * t * np.log(L.diagonal()).sum() - np.log(s).sum()
@@ -248,7 +248,7 @@ def mvee(points, center=None):
         f = barrier(x, s, t)
         lam2_prev = np.inf
         while True:
-            G = np.linalg.inv(np.tensordot(x, E, axes=1)) @ E
+            G = np.linalg.inv(_symmetric(x, iu, ju)) @ E
             grad = -t * np.einsum("aii->a", G) + A.T @ (1.0 / s)
             hess = t * np.einsum("aij,bji->ab", G, G) + (A.T / s**2) @ A
             try:
@@ -283,7 +283,7 @@ def mvee(points, center=None):
         t *= _MVEE_T_GROWTH
 
     # center and shape in whitened coordinates, then mapped back
-    N = np.tensordot(x, E, axes=1)
+    N = _symmetric(x, iu, ju)
     if pinned:
         cw, Mw = np.zeros(2), N
     else:
@@ -294,6 +294,20 @@ def mvee(points, center=None):
     z = W.T - cw
     violation = np.einsum("ki,ij,kj->k", z, Mw, z).max() - 1.0
     return ref + np.linalg.solve(T, cw), T.T @ Mw @ T, iterations, float(violation)
+
+
+def _symmetric(x: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """:func:`mvee`'s ``N = sum_a x_a E_a``, built entry by entry.
+
+    ``(iu, ju)`` are the upper-triangle indices that order the basis, so
+    each entry of ``N`` is one ``x_a``: the bits of
+    ``np.tensordot(x, E, axes=1)`` without its per-call overhead.
+    """
+    n = iu[-1] + 1
+    N = np.empty((n, n))
+    N[iu, ju] = x
+    N[ju, iu] = x
+    return N
 
 
 @dataclass

@@ -972,8 +972,40 @@ def test_lma_command_from_csv(tmp_path):
     report = read_report(out)
     assert report["results"]["u_source"] == u_path
     assert report["results"]["backward_error"] < 1e-12
+    assert report["results"]["condition_estimate"] > 1.0
+    assert "sign_audit" in report["results"]
     v = read_field_csv(os.path.join(out, "v.csv"), grid)
     assert np.allclose(v.values, 1.0, atol=1e-10)
+
+
+def test_lma_condition_estimate_comes_from_the_operators_own_factor(tmp_path):
+    """``amce lma`` reports the audit and the condition estimate of the
+    operator it solved, the estimate through that operator's own factor:
+    bit for bit a fresh factor's, and within the exact ``cond_1`` of the
+    dense inverse (an estimate from below)."""
+    from scipy.sparse.linalg import splu
+
+    from amce.lma import assemble_lma, offdiagonal_sign_audit
+    from amce.operators import discrete_hessian, factor_lu
+
+    cfg = write_cfg(tmp_path, {"domain": DISK16, "fixture": {"name": "radial_mild"}})
+    dump = str(tmp_path / "fixture")
+    assert main(["fixture", "--config", cfg, "--out", dump]) == 0
+    u_csv = os.path.join(dump, "u_exact.csv")
+    cfg = write_cfg(tmp_path, {"domain": DISK16, "lma": {"u_csv": u_csv}}, "lma.json")
+    out = str(tmp_path / "lma")
+    assert main(["lma", "--config", cfg, "--out", out]) == 0
+    results = read_report(out)["results"]
+
+    grid = build_grid(Disk(radius=1.0), DISK16["h_grid"])
+    D = assemble_lma(discrete_hessian(read_field_csv(u_csv, grid)))
+    assert results["sign_audit"] == offdiagonal_sign_audit(D)
+    own = cli._condition_estimate(D, factor_lu(splu, D, grid))
+    assert results["condition_estimate"] == own
+    exact = np.abs(D.toarray()).sum(axis=0).max() * np.abs(
+        np.linalg.inv(D.toarray())
+    ).sum(axis=0).max()
+    assert exact / 3.0 <= own <= exact * (1.0 + 1e-12)
 
 
 def test_sections_command_interior_point(tmp_path):

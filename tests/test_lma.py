@@ -1,7 +1,5 @@
 """Frozen-coefficient linear solve: exactness, maximum principle, audits."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -124,20 +122,22 @@ def test_indefinite_coefficients_rejected(grid16):
 
 
 def test_report_carries_backward_error_and_condition(grid16):
+    """What ``amce lma`` reports beside the solve: the backward error from
+    the report, the condition estimate through the factor left in ``kept``
+    and the sign audit of the operator solved with."""
+    from amce.cli import _condition_estimate
+
     uq = ScalarField.from_callable(grid16, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
-    H = discrete_hessian(uq)
-    _, report = solve_lma(
-        LMAProblem(
-            hessian=H,
-            g=np.zeros(grid16.n_nodes),
-            psi_hits=np.ones(grid16.n_hits),
-        ),
-        report_condition=True,
+    problem = LMAProblem(
+        hessian=discrete_hessian(uq),
+        g=np.zeros(grid16.n_nodes),
+        psi_hits=np.ones(grid16.n_hits),
     )
-    d = dataclasses.asdict(report)
-    assert d["backward_error"] < 1e-12
-    assert d["condition_estimate"] > 1.0
-    assert "sign_audit" in d
+    kept: list = []
+    _, report = solve_lma(problem, kept=kept)
+    assert report.backward_error < 1e-12
+    assert _condition_estimate(problem.matrix, kept[0]) > 1.0
+    assert isinstance(offdiagonal_sign_audit(problem.matrix), dict)
 
 
 def _smooth_convex(grid):
@@ -160,10 +160,10 @@ def _given_factor_problem(grid):
     return problem, assemble_lma(discrete_hessian(nearby))
 
 
-def _solve_counting(problem, lu, **kwargs):
+def _solve_counting(problem, lu):
     start = COUNTS.copy()
     kept = [lu]
-    v, report = solve_lma(problem, kept=kept, **kwargs)
+    v, report = solve_lma(problem, kept=kept)
     return v, report, COUNTS - start, kept
 
 
@@ -229,21 +229,6 @@ def test_factor_of_a_multiple_is_used_through_scaled_passes(grid32, c):
     assert report.pivoting_refactors == 0
     assert np.abs(v.values - want.values).max() < 1e-12
     assert kept == [handed]
-
-
-def test_condition_estimate_comes_from_the_operators_own_factor(grid32):
-    """With ``report_condition`` a handed factor is dropped unused: ``D``'s
-    own is made, goes into ``kept``, and the estimate is a plain solve's,
-    bit for bit."""
-    problem, _ = _given_factor_problem(grid32)
-    D = assemble_lma(problem.hessian)
-    _, want = solve_lma(problem, report_condition=True)
-    handed = factor_lu(_factor_of_multiple(2.0), D, grid32)
-    _, report, counts, kept = _solve_counting(problem, handed, report_condition=True)
-    assert counts["factorizations"] == 1
-    [own] = kept
-    assert own is not handed
-    assert report.condition_estimate == want.condition_estimate
 
 
 def _factor_of_diagonal(A, **kwargs):

@@ -34,6 +34,7 @@ from amce.operators import (
     PermutedLU,
     dissection_order,
     _nested_dissection,
+    _neighbourhoods,
     OpPair,
     _line_ops,
     factor_lu,
@@ -225,6 +226,63 @@ def test_local_quadratic_fit_matches_per_point_lstsq(domain, smooth):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
 
+def _tree_neighbourhoods(grid, pts, smooth):
+    """Reference: the ids of ``cKDTree.query_ball_point(..., return_sorted=True)``
+    over the nodes then the hits, with the box rule's widening, as
+    ``(sizes, ids, widened)``: points the widest box leaves short get size
+    -1, and ``widened`` counts the points the first box leaves short."""
+    tree = cKDTree(np.vstack([grid.nodes, grid.hit_points]))
+    r = 3.5 * grid.h
+    if smooth:
+        hoods, widened = tree.query_ball_point(pts, r, return_sorted=True), 0
+    else:
+        hoods, todo = np.empty(len(pts), dtype=object), np.arange(len(pts))
+        for tries in range(4):
+            hoods[todo] = tree.query_ball_point(pts[todo], r, p=np.inf, return_sorted=True)
+            todo = todo[[len(hoods[k]) < 8 for k in todo]]
+            widened = todo.size if tries == 0 else widened
+            r *= 1.6
+    sizes = np.array([len(ids) for ids in hoods])
+    if not smooth:
+        sizes[todo] = -1
+    ids = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in hoods])
+    return sizes, ids, widened
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["box", "smooth"])
+@pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0])
+@pytest.mark.parametrize("domain", sorted(_FIT_DOMAINS))
+def test_lattice_neighbourhoods_are_the_trees(domain, h, smooth):
+    """The neighbourhoods gathered from the lattice are a KD-tree's, id for
+    id and in order: at nodes, between nodes, half a spacing off nodes
+    (with dyadic ``h`` some node lies exactly 3.5 h away, on the edge of
+    either ball), at hits, at hits moved out by 2%, and at hits moved out
+    along the ray by 4 h and 7 h, where the box rule widens.  A point far
+    outside has no data, and the box rule raises there after its four
+    boxes."""
+    grid = build_grid(_FIT_DOMAINS[domain], h)
+    hits = grid.hit_points
+    ray = hits / np.linalg.norm(hits, axis=1)[:, None]
+    pts = np.vstack(
+        [grid.nodes[::3], grid.nodes[1::5] + [0.3 * h, 0.7 * h],
+         grid.nodes[2::7] + [0.5 * h, 0.0], hits, hits * 1.02,
+         hits + 4.0 * h * ray, hits[::3] + 7.0 * h * ray[::3]]
+    )
+    want_sizes, want, widened = _tree_neighbourhoods(grid, pts, smooth)
+    k, ids = _neighbourhoods(grid, pts, smooth)
+    assert np.array_equal(np.bincount(k, minlength=len(pts)), want_sizes)
+    assert np.array_equal(ids, want)
+    far = np.array([[0.0, 0.0], [5.0, 5.0]])
+    if smooth:
+        assert _tree_neighbourhoods(grid, far, smooth)[0][1] == 0
+        assert np.bincount(_neighbourhoods(grid, far, smooth)[0], minlength=2)[1] == 0
+    else:
+        assert widened > 0 and (want_sizes >= 8).all()
+        assert _tree_neighbourhoods(grid, far, smooth)[0][1] == -1
+        with pytest.raises(IncompleteDataError):
+            _neighbourhoods(grid, far, smooth)
+
+
 def test_lstsq_stack_takes_lstsq_minimum_norm_on_rank_deficient_rows():
     """Rows on the two vertical lines x = +-1 make the column of x^2/2 half
     the column of ones: rank 5 of 6, where lstsq returns the least-norm
@@ -244,9 +302,9 @@ def test_lstsq_stack_takes_lstsq_minimum_norm_on_rank_deficient_rows():
 
 
 def test_local_quadratic_fit_memory_is_chunked(grid64):
-    """The smooth resample of 65 x 65 points at h = 1/64 solves its points
-    in chunks: it peaks at about 7 MiB under tracemalloc, and at 31 MiB
-    with all 4 225 points stacked at once."""
+    """The smooth resample of 65 x 65 points at h = 1/64 gathers and solves
+    its points in chunks: it peaks at about 3 MiB under tracemalloc, and at
+    32 MiB with all 4 225 points in one chunk."""
     u = ScalarField.from_callable(grid64, lambda p: (p**2).sum(axis=1))
     X, Y = np.meshgrid(np.linspace(-1.0, 1.0, 65), np.linspace(-1.0, 1.0, 65))
     pts = np.column_stack([X.ravel(), Y.ravel()])

@@ -21,7 +21,7 @@ from amce import (
     value_and_gradient_at,
 )
 from amce.errors import DegenerateSectionError
-from amce.sections import Section
+from amce.sections import Section, _symmetric
 
 
 def _section(u, x, h):
@@ -111,6 +111,23 @@ def test_mvee_free_fit_encloses_dense_section_hull(grid64):
     assert len(hull) > 300
     _, _, _, viol = mvee(hull)
     assert viol <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mvee_matrix_built_by_index_is_the_tensordot(n):
+    """``mvee``'s ``N``, built entry by entry, has the bits of
+    ``np.tensordot(x, E, axes=1)`` over its basis of symmetric matrices,
+    for coefficients of both signs and magnitudes from 1e-300 to 1e300."""
+    iu, ju = np.triu_indices(n)
+    E = np.zeros((iu.size, n, n))
+    E[np.arange(iu.size), iu, ju] = 1.0
+    E[np.arange(iu.size), ju, iu] = 1.0
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        x = rng.choice([-1.0, 1.0], iu.size) * 10.0 ** rng.uniform(-300, 300, iu.size)
+        want = np.tensordot(x, E, axes=1)
+        got = _symmetric(x, iu, ju)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
