@@ -74,6 +74,7 @@ from .regularity import (
     cell_areas,
     fit_holder_exponent,
     min_principle_check,
+    quadratic_separation,
     verify,
 )
 from .sections import (
@@ -81,14 +82,12 @@ from .sections import (
     LocalizationScan,
     NormalizedSection,
     Section,
-    SeparationReport,
     extract_section,
     fit_john_ellipsoid,
     localization_scan,
     maximal_height,
     mvee,
     normalize_section,
-    quadratic_separation,
 )
 
 __version__ = "0.1.0"

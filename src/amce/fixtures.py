@@ -45,7 +45,6 @@ class ExactSolution:
     theta: float
     u: Callable[[Array], Array]
     hess_u: Callable[[Array], Array]
-    det_hess: Callable[[Array], Array]
     w: Callable[[Array], Array]
     f: Callable[[Array], Array]  # closed-form route
     f_fd: Callable[[Array], Array]  # finite-difference route
@@ -162,7 +161,6 @@ def radial_solution(
         theta=float(theta),
         u=u,
         hess_u=hess_u,
-        det_hess=det_hess,
         w=w,
         f=f,
         f_fd=_fd8_forcing(w, hess_u),
@@ -189,9 +187,6 @@ def sheared_quadratic(A, theta: float, name: str | None = None) -> ExactSolution
     def hess_u(p):
         return np.broadcast_to(M, (len(p), 2, 2)).copy()
 
-    def det_hess(p):
-        return np.ones(len(p))
-
     def w(p):
         return np.ones(len(p))
 
@@ -203,7 +198,6 @@ def sheared_quadratic(A, theta: float, name: str | None = None) -> ExactSolution
         theta=float(theta),
         u=u,
         hess_u=hess_u,
-        det_hess=det_hess,
         w=w,
         f=f,
         f_fd=_fd8_forcing(w, hess_u),

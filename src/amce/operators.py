@@ -35,7 +35,7 @@ Array = np.ndarray
 _FIT_RADIUS = 3.5  # local-fit radius in grid spacings
 #: Points per stacked solve of :func:`local_quadratic_fit`.  It bounds the
 #: fit's temporary arrays: under tracemalloc a 4 225-point smooth resample at
-#: h = 1/64 peaks at 31 MiB in one piece and at 7 MiB in chunks of 256.
+#: h = 1/64 peaks at 32 MiB in one piece and at 3.3 MiB in chunks of 256.
 _FIT_CHUNK = 256
 
 #: Largest part of the lattice that :func:`dissection_order` leaves in node
@@ -558,17 +558,16 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
 
     ``points`` is a ``(K, 2)`` array.  Each point is fitted to the nearby
     interior node values and boundary hit values, gathered from the lattice
-    by :func:`_neighbourhoods`.
+    by :func:`_gather`.
 
     The default box rule takes the data within ``3.5 h`` in the max norm
-    with unit weights, widening the box by 1.6 (up to four tries) until it
-    holds eight points, else it raises :class:`IncompleteDataError`.  The
-    smooth rule weighs the data within the radius ``r = 3.5 h`` by
-    ``(1 - (d/r)^2)^2``, which makes the fit a C^1 function of the point:
-    finite differences of resampled values then converge, where fitting the
-    scattered data piecewise leaves O(1) noise in second differences.  A
-    point outside the domain, or with fewer than ten positive weights, gets
-    NaN.
+    with unit weights, and raises :class:`IncompleteDataError` when a
+    point's box holds fewer than eight.  The smooth rule weighs the data
+    within the radius ``r = 3.5 h`` by ``(1 - (d/r)^2)^2``, which makes the
+    fit a C^1 function of the point: finite differences of resampled values
+    then converge, where fitting the scattered data piecewise leaves O(1)
+    noise in second differences.  A point outside the domain, or with fewer
+    than ten positive weights, gets NaN.
 
     The points are gathered and solved ``_FIT_CHUNK`` at a time, which
     bounds the temporary memory.  Within a chunk the points with the same
@@ -589,7 +588,7 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     coef = np.full((len(pts), 6), np.nan)
     for c in range(0, len(where), _FIT_CHUNK):
         at = where[c : c + _FIT_CHUNK]
-        k, ids = _neighbourhoods(grid, pts[at], smooth)
+        k, ids = _gather(grid, pts[at], smooth)
         d = (data_pts[ids] - pts[at[k]]) / grid.h  # normalize for conditioning
         vals, sw = data_val[ids], np.ones(len(d))
         if smooth:
@@ -611,6 +610,10 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
         A, vals = A * sw[:, None], vals * sw
         # each point's rows are contiguous: one stacked solve per row count
         m = np.bincount(k, minlength=len(at))
+        if not smooth and (m < 8).any():
+            raise IncompleteDataError(
+                "not enough data points near the requested location for a local fit"
+            )
         first = np.cumsum(m) - m
         for size in np.unique(m[m >= (10 if smooth else 8)]):
             sel = m == size
@@ -622,54 +625,24 @@ def local_quadratic_fit(field: ScalarField, points, smooth: bool = False):
     return value, grad, hess
 
 
-def _neighbourhoods(grid: Grid, pts: Array, smooth: bool) -> tuple[Array, Array]:
-    """The data of :func:`local_quadratic_fit` around each point of ``pts``.
+def _gather(grid: Grid, pts: Array, smooth: bool) -> tuple[Array, Array]:
+    """The data of :func:`local_quadratic_fit` around each point of ``pts``:
+    the node and hit ids within ``r = 3.5 h``.
 
     Returns ``(k, ids)``: the ids (nodes, then ``n_nodes`` plus a hit id)
     near point ``k[i]`` are the run of ``ids`` where ``k`` holds it, in
-    ascending order, point after point.  The smooth rule takes the ball of
-    radius ``3.5 h``; the box rule takes the max-norm ball of that radius,
-    and a point with fewer than eight data gets the ball 1.6 times wider, up
-    to four tries, before :class:`IncompleteDataError` is raised.
-    """
-    r = _FIT_RADIUS * grid.h
-    if smooth:
-        return _gather(grid, pts, r, smooth=True)
-    owners, hoods = [], []
-    todo = np.arange(len(pts))
-    for _ in range(4):
-        k, ids = _gather(grid, pts[todo], r, smooth=False)
-        full = np.bincount(k, minlength=len(todo)) >= 8
-        keep = full[k]
-        owners.append(todo[k[keep]])
-        hoods.append(ids[keep])
-        todo = todo[~full]
-        if not todo.size:
-            break
-        r *= 1.6
-    else:
-        raise IncompleteDataError(
-            "not enough data points near the requested location for a local fit"
-        )
-    k = np.concatenate(owners)
-    order = np.argsort(k, kind="stable")
-    return k[order], np.concatenate(hoods)[order]
-
-
-def _gather(grid: Grid, pts: Array, r: float, smooth: bool) -> tuple[Array, Array]:
-    """The node and hit ids within ``r`` of each point, as :func:`_neighbourhoods`
-    returns them.
-
-    A datum ``q`` is within ``r`` of ``p`` when, with ``d = q - p``,
-    ``d0*d0 + d1*d1 <= r*r`` (``smooth``) or ``max(|d0|, |d1|) <= r``: the
-    tests, and so the ids, of a SciPy KD-tree's ``query_ball_point(p, r,
-    return_sorted=True)`` over the nodes then the hits (with ``p=np.inf``
-    for the box).  The candidates are the lattice cells from one past the
-    cell of ``p - r`` to one past that of ``p + r``: the nodes from
-    ``Grid.id_map``, whose node ``(i, j)`` lies at ``(i h, j h)``, and the
-    hits from :func:`_hit_cells`, each row of cells one run of it.
+    ascending order, point after point.  A datum ``q`` is within ``r`` of
+    ``p`` when, with ``d = q - p``, ``d0*d0 + d1*d1 <= r*r`` (``smooth``) or
+    ``max(|d0|, |d1|) <= r``: the tests, and so the ids, of a SciPy
+    KD-tree's ``query_ball_point(p, r, return_sorted=True)`` over the nodes
+    then the hits (with ``p=np.inf`` for the box).  The candidates are the
+    lattice cells from one past the cell of ``p - r`` to one past that of
+    ``p + r``: the nodes from ``Grid.id_map``, whose node ``(i, j)`` lies at
+    ``(i h, j h)``, and the hits from :func:`_hit_cells`, each row of cells
+    one run of it.
     """
     h, (rows_n, cols_n) = grid.h, grid.id_map.shape
+    r = _FIT_RADIUS * h
     lo, hi = _cells(grid, pts - r) - 1, _cells(grid, pts + r) + 1
     span = np.arange(int((hi - lo).max()) + 1)
     rows, cols = lo[:, :1] + span, lo[:, 1:] + span  # (K, W) each

@@ -1,22 +1,24 @@
-"""Numerical regularity audits: Hölder fits, extremum principles, norm chains.
+"""Numerical regularity audits: Hölder fits, extremum principles, norm
+chains and quadratic separation.
 
 These routines *measure* qualitative properties of computed solutions —
-modulus-of-continuity exponents, boundary-data extremum principles and
-the sup-norm chain for the weight — and package them as pass/fail/skip
-checks with explicit margins.
+modulus-of-continuity exponents, boundary-data extremum principles, the
+sup-norm chain for the weight and the tangent-plane separation of the
+convex component — each as the pass/fail/skip :class:`CheckResult`, with
+an explicit margin, that :func:`verify` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coupled import ProblemData
+from .errors import ConvexityViolationError, DegenerateSectionError
 from .grid import Grid, ScalarField
 from .lma import LMA_TOL
-from .sections import quadratic_separation
-from .operators import discrete_hessian, line_fit
+from .operators import discrete_hessian, line_fit, local_quadratic_fit
 
 __all__ = [
     "HolderFit",
@@ -28,6 +30,7 @@ __all__ = [
     "abp_chain_report",
     "abp_exponent",
     "cell_areas",
+    "quadratic_separation",
     "verify",
 ]
 
@@ -52,6 +55,11 @@ _TILE_SIDE = 0.5
 
 #: Most anchors of one tile that the oscillation fit streams at once.
 _TILE_CHUNK = 16
+
+#: Boundary hits sampled as anchors by the quadratic-separation audit, and
+#: its separation floor in grid spacings.
+_SEPARATION_ANCHORS = 128
+_SEPARATION_FLOOR_H = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +408,73 @@ def abp_chain_report(problem: ProblemData, w: ScalarField) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# quadratic separation
+# ---------------------------------------------------------------------------
+
+
+def quadratic_separation(u: ScalarField, seed: int = 0) -> CheckResult:
+    """Audit two-sided quadratic separation over boundary anchor pairs.
+
+    Anchors are boundary hit points (deterministically subsampled).  Over
+    pairs of anchors (x, x0) with |x - x0| above the separation floor,
+    ``rho_low`` and ``rho_high`` bound the ratio
+    (u(x) - u(x0) - Du(x0).(x - x0)) / |x - x0|^2 from below and above,
+    and ``worst_gap`` is the least tangent-plane gap over all pairs.  The
+    check passes when ``rho_low``, its margin, is positive.  A gap below
+    ``-10 h^2`` at any pair — beyond the honest discretization budget —
+    raises :class:`ConvexityViolationError`.
+    """
+    grid = u.grid
+    min_separation = _SEPARATION_FLOOR_H * grid.h
+
+    n_hits = grid.n_hits
+    if n_hits < 2:
+        raise DegenerateSectionError("need at least two boundary hits")
+    if n_hits > _SEPARATION_ANCHORS:
+        rng = np.random.default_rng(seed)
+        idx = np.sort(rng.choice(n_hits, size=_SEPARATION_ANCHORS, replace=False))
+    else:
+        idx = np.arange(n_hits)
+
+    pts = grid.hit_points[idx]
+    vals = u.hit_values[idx]
+    _, grads, _ = local_quadratic_fit(u, pts)
+
+    diff = pts[None, :, :] - pts[:, None, :]  # x - x0, axis 0 = x0
+    dist2 = (diff**2).sum(-1)
+    gap = vals[None, :] - vals[:, None] - np.einsum("oxi,oi->ox", diff, grads)
+
+    worst = float(gap.min())
+    if worst < -10.0 * grid.h**2:
+        bad = np.unravel_index(np.argmin(gap), gap.shape)
+        raise ConvexityViolationError(
+            f"tangent-plane gap {worst:.3e} at pair "
+            f"(x0={pts[bad[0]].tolist()}, x={pts[bad[1]].tolist()}) is below "
+            f"the -10 h^2 = {-10 * grid.h ** 2:.3e} discretization budget"
+        )
+
+    keep = dist2 >= min_separation**2
+    np.fill_diagonal(keep, False)
+    if not keep.any():
+        raise DegenerateSectionError(
+            "no anchor pair exceeds the separation floor; grid too coarse"
+        )
+    ratios = gap[keep] / dist2[keep]
+    rho_low = float(ratios.min())
+    return CheckResult(
+        name="quadratic_separation",
+        status="pass" if rho_low > 0.0 else "fail",
+        margin=rho_low,
+        details={
+            "rho_low": rho_low,
+            "rho_high": float(ratios.max()),
+            "n_pairs": int(keep.sum()),
+            "worst_gap": worst,
+        },
+    )
+
+
+# ---------------------------------------------------------------------------
 # verification battery
 # ---------------------------------------------------------------------------
 
@@ -443,16 +518,7 @@ def verify(
         )
     )
     checks.append(boundary_holder_check(w, alpha=boundary_alpha))
-
-    sep = quadratic_separation(u, seed=seed)
-    checks.append(
-        CheckResult(
-            name="quadratic_separation",
-            status="pass" if sep.rho_low > 0.0 else "fail",
-            margin=sep.rho_low,
-            details=asdict(sep),
-        )
-    )
+    checks.append(quadratic_separation(u, seed=seed))
 
     min_eig = float(discrete_hessian(u).min_eigenvalue())
     checks.append(

@@ -8,7 +8,7 @@ is the sublevel set of the supporting-plane gap,
 This module extracts sections from grid fields, fits minimum-volume
 enclosing ellipsoids (free or with a pinned center), factors the fit into
 a unimodular sliding map in boundary-normal coordinates, measures maximal
-interior heights, audits quadratic separation from tangent planes, and
+interior heights, scans the localization of boundary sections, and
 renormalizes maximal sections to unit scale.
 """
 
@@ -21,7 +21,6 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
-    ConvexityViolationError,
     DegenerateSectionError,
     InvalidProblemError,
     TooCloseToBoundaryError,
@@ -33,18 +32,17 @@ from .operators import (
     local_quadratic_fit,
     value_and_gradient_at,
 )
+from .regularity import quadratic_separation
 
 __all__ = [
     "Section",
     "EllipsoidFit",
-    "SeparationReport",
     "LocalizationScan",
     "NormalizedSection",
     "extract_section",
     "mvee",
     "fit_john_ellipsoid",
     "maximal_height",
-    "quadratic_separation",
     "localization_scan",
     "normalize_section",
     "require_boundary_point",
@@ -54,11 +52,6 @@ __all__ = [
 #: Points closer to the domain boundary than this (relative to the hull
 #: scale) are treated as lying *on* the boundary when classifying hull edges.
 _BOUNDARY_EDGE_TOL = 1e-7
-
-#: Boundary hits sampled as anchors by the quadratic-separation audit, and
-#: its separation floor in grid spacings.
-_SEPARATION_ANCHORS = 128
-_SEPARATION_FLOOR_H = 2.0
 
 #: Points per axis of the lattice a normalized section is resampled on.
 _NORMALIZED_N = 65
@@ -463,77 +456,6 @@ def maximal_height(u: ScalarField, y, center_value: float, center_gradient):
     touch = int(np.argmin(gaps))
     hbar = float(gaps[touch])
     return (hbar if hbar > 0.0 else 0.0), grid.hit_points[touch]
-
-
-# ---------------------------------------------------------------------------
-# quadratic separation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SeparationReport:
-    """Quadratic separation of a convex field from its tangent planes.
-
-    Over pairs of boundary anchor points (x, x0) with |x - x0| above the
-    separation floor, ``rho_low`` and ``rho_high`` bound the ratio
-    (u(x) - u(x0) - Du(x0).(x - x0)) / |x - x0|^2 from below and above.
-    """
-
-    rho_low: float
-    rho_high: float
-    n_pairs: int
-    worst_gap: float
-
-
-def quadratic_separation(u: ScalarField, seed: int = 0) -> SeparationReport:
-    """Audit two-sided quadratic separation over boundary anchor pairs.
-
-    Anchors are boundary hit points (deterministically subsampled).  A
-    tangent-plane gap below ``-10 h^2`` at any pair — beyond the honest
-    discretization budget — raises :class:`ConvexityViolationError`.
-    """
-    grid = u.grid
-    min_separation = _SEPARATION_FLOOR_H * grid.h
-
-    n_hits = grid.n_hits
-    if n_hits < 2:
-        raise DegenerateSectionError("need at least two boundary hits")
-    if n_hits > _SEPARATION_ANCHORS:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n_hits, size=_SEPARATION_ANCHORS, replace=False))
-    else:
-        idx = np.arange(n_hits)
-
-    pts = grid.hit_points[idx]
-    vals = u.hit_values[idx]
-    _, grads, _ = local_quadratic_fit(u, pts)
-
-    diff = pts[None, :, :] - pts[:, None, :]  # x - x0, axis 0 = x0
-    dist2 = (diff**2).sum(-1)
-    gap = vals[None, :] - vals[:, None] - np.einsum("oxi,oi->ox", diff, grads)
-
-    worst = float(gap.min())
-    if worst < -10.0 * grid.h**2:
-        bad = np.unravel_index(np.argmin(gap), gap.shape)
-        raise ConvexityViolationError(
-            f"tangent-plane gap {worst:.3e} at pair "
-            f"(x0={pts[bad[0]].tolist()}, x={pts[bad[1]].tolist()}) is below "
-            f"the -10 h^2 = {-10 * grid.h ** 2:.3e} discretization budget"
-        )
-
-    keep = dist2 >= min_separation**2
-    np.fill_diagonal(keep, False)
-    if not keep.any():
-        raise DegenerateSectionError(
-            "no anchor pair exceeds the separation floor; grid too coarse"
-        )
-    ratios = gap[keep] / dist2[keep]
-    return SeparationReport(
-        rho_low=float(ratios.min()),
-        rho_high=float(ratios.max()),
-        n_pairs=int(keep.sum()),
-        worst_gap=worst,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from amce.regularity import (
     cell_areas,
     fit_holder_exponent,
     min_principle_check,
+    quadratic_separation,
 )
-from amce.sections import localization_scan, maximal_height, quadratic_separation
+from amce.sections import localization_scan, maximal_height
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -151,18 +152,18 @@ def test_criterion_4_weight_power_in_sup_chain(solved32):
 
 
 def test_criterion_5_quadratic_separation(solved32):
-    sep = quadratic_separation(solved32["paraboloid"][2], seed=0)
-    ok = abs(sep.rho_low - 0.5) <= 1e-6 and abs(sep.rho_high - 0.5) <= 1e-6
+    sep = quadratic_separation(solved32["paraboloid"][2], seed=0).details
+    ok = abs(sep["rho_low"] - 0.5) <= 1e-6 and abs(sep["rho_high"] - 0.5) <= 1e-6
     parts = []
     for name, (_, _, u, _, _) in solved32.items():
-        rho_low = quadratic_separation(u, seed=0).rho_low
-        ok = ok and rho_low > 0.0
-        parts.append(f"{name}: rho_low={rho_low:.3f}")
+        check = quadratic_separation(u, seed=0)
+        ok = ok and check.status == "pass"
+        parts.append(f"{name}: rho_low={check.margin:.3f}")
     _line(
         5,
         ok,
-        f"two-sided quadratic separation — paraboloid rho=[{sep.rho_low:.8f},"
-        f"{sep.rho_high:.8f}] (0.5 both); all converged fixtures positive: "
+        f"two-sided quadratic separation — paraboloid rho=[{sep['rho_low']:.8f},"
+        f"{sep['rho_high']:.8f}] (0.5 both); all converged fixtures positive: "
         + ", ".join(parts),
     )
     assert ok, (sep, parts)

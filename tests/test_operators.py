@@ -33,8 +33,8 @@ from amce.operators import (
     HessianField,
     PermutedLU,
     dissection_order,
+    _gather,
     _nested_dissection,
-    _neighbourhoods,
     OpPair,
     _line_ops,
     factor_lu,
@@ -113,19 +113,20 @@ def test_local_quadratic_fit_recovers_coefficients(grid32):
     )
 
 
-def test_local_quadratic_fit_widens_per_point(grid32):
-    """With the hit values among the data, the three points need the box
-    widened 0, 0 and 2 times; a batch gives each point its own single-point
-    fit, and a point with no data within the widest box raises."""
+def test_local_quadratic_fit_batch_is_per_point(grid32):
+    """With the hit values among the data, a batch gives each point its own
+    single-point fit, and a batch holding a point whose box has fewer than
+    eight data, (1.2, 0) or (5, 5), raises."""
     u = ScalarField(grid32, _quadratic(grid32.nodes), _quadratic(grid32.hit_points))
-    pts = np.array([[0.21, -0.13], [1.05, 0.0], [1.2, 0.0]])
+    pts = np.array([[0.21, -0.13], [1.05, 0.0], [-0.6, 0.45]])
     vals, grads, hesses = local_quadratic_fit(u, pts)
     for k, p in enumerate(pts):
         [val], [grad], [hess] = local_quadratic_fit(u, p[None, :])
         assert vals[k] == val
         assert (grads[k] == grad).all() and (hesses[k] == hess).all()
-    with pytest.raises(IncompleteDataError):
-        local_quadratic_fit(u, np.array([[0.0, 0.0], [5.0, 5.0]]))
+    for far in ([1.2, 0.0], [5.0, 5.0]):
+        with pytest.raises(IncompleteDataError):
+            local_quadratic_fit(u, np.array([[0.0, 0.0], far]))
 
 
 def test_local_quadratic_fit_smooth_rule(grid32):
@@ -154,18 +155,14 @@ def _per_point_lstsq_fit(field, points, smooth):
     data_val = np.concatenate([field.values, field.hit_values])
     tree = cKDTree(data_pts)
     coef = np.full((len(points), 6), np.nan)
+    r = 3.5 * grid.h
     for k, p in enumerate(points):
-        r = 3.5 * grid.h
         if smooth:
             if not grid.domain.contains(p[None])[0]:
                 continue
             ids = tree.query_ball_point(p, r)
         else:
-            for _ in range(4):
-                ids = tree.query_ball_point(p, r, p=np.inf)
-                if len(ids) >= 8:
-                    break
-                r *= 1.6
+            ids = tree.query_ball_point(p, r, p=np.inf)
         d = (data_pts[ids] - p) / grid.h
         vals, sw = data_val[ids], np.ones(len(d))
         if smooth:
@@ -196,10 +193,9 @@ def test_local_quadratic_fit_matches_per_point_lstsq(domain, smooth):
     is not quadratic: the same NaN set, and coefficients within 1e-12 of
     the data's size.  The smooth rule sees a lattice over the bounding box
     (points outside get NaN); the box rule the lattice points inside, the
-    hits and points just outside.  Farther out the widened box holds data
-    on one side only, cond(A) reaches 1e9 and any two backward-stable
-    solvers part by eps * cond; the widening itself is pinned bit for bit
-    by ``test_local_quadratic_fit_widens_per_point``."""
+    hits and points just outside.  Farther out the box holds data on one
+    side only, cond(A) reaches 1e9 and any two backward-stable solvers part
+    by eps * cond."""
     grid = build_grid(_FIT_DOMAINS[domain], 1.0 / 32.0)
     prof = lambda p: np.exp(0.3 * p[:, 0]) * np.cos(p[:, 1]) + p[:, 0] ** 4
     u = ScalarField(grid, prof(grid.nodes), prof(grid.hit_points))
@@ -227,26 +223,14 @@ def test_local_quadratic_fit_matches_per_point_lstsq(domain, smooth):
 
 
 def _tree_neighbourhoods(grid, pts, smooth):
-    """Reference: the ids of ``cKDTree.query_ball_point(..., return_sorted=True)``
-    over the nodes then the hits, with the box rule's widening, as
-    ``(sizes, ids, widened)``: points the widest box leaves short get size
-    -1, and ``widened`` counts the points the first box leaves short."""
+    """Reference: the ids of ``cKDTree.query_ball_point(..., r = 3.5 h,
+    return_sorted=True)`` over the nodes then the hits, as ``(sizes, ids)``."""
     tree = cKDTree(np.vstack([grid.nodes, grid.hit_points]))
-    r = 3.5 * grid.h
-    if smooth:
-        hoods, widened = tree.query_ball_point(pts, r, return_sorted=True), 0
-    else:
-        hoods, todo = np.empty(len(pts), dtype=object), np.arange(len(pts))
-        for tries in range(4):
-            hoods[todo] = tree.query_ball_point(pts[todo], r, p=np.inf, return_sorted=True)
-            todo = todo[[len(hoods[k]) < 8 for k in todo]]
-            widened = todo.size if tries == 0 else widened
-            r *= 1.6
+    norm = 2.0 if smooth else np.inf
+    hoods = tree.query_ball_point(pts, 3.5 * grid.h, p=norm, return_sorted=True)
     sizes = np.array([len(ids) for ids in hoods])
-    if not smooth:
-        sizes[todo] = -1
     ids = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in hoods])
-    return sizes, ids, widened
+    return sizes, ids
 
 
 @pytest.mark.parametrize("smooth", [False, True], ids=["box", "smooth"])
@@ -257,9 +241,8 @@ def test_lattice_neighbourhoods_are_the_trees(domain, h, smooth):
     id and in order: at nodes, between nodes, half a spacing off nodes
     (with dyadic ``h`` some node lies exactly 3.5 h away, on the edge of
     either ball), at hits, at hits moved out by 2%, and at hits moved out
-    along the ray by 4 h and 7 h, where the box rule widens.  A point far
-    outside has no data, and the box rule raises there after its four
-    boxes."""
+    along the ray by 4 h and 7 h, where the box holds data on one side
+    only or none.  A point far outside has no data."""
     grid = build_grid(_FIT_DOMAINS[domain], h)
     hits = grid.hit_points
     ray = hits / np.linalg.norm(hits, axis=1)[:, None]
@@ -268,19 +251,41 @@ def test_lattice_neighbourhoods_are_the_trees(domain, h, smooth):
          grid.nodes[2::7] + [0.5 * h, 0.0], hits, hits * 1.02,
          hits + 4.0 * h * ray, hits[::3] + 7.0 * h * ray[::3]]
     )
-    want_sizes, want, widened = _tree_neighbourhoods(grid, pts, smooth)
-    k, ids = _neighbourhoods(grid, pts, smooth)
+    want_sizes, want = _tree_neighbourhoods(grid, pts, smooth)
+    k, ids = _gather(grid, pts, smooth)
     assert np.array_equal(np.bincount(k, minlength=len(pts)), want_sizes)
     assert np.array_equal(ids, want)
+    assert (want_sizes < 8).any()
     far = np.array([[0.0, 0.0], [5.0, 5.0]])
-    if smooth:
-        assert _tree_neighbourhoods(grid, far, smooth)[0][1] == 0
-        assert np.bincount(_neighbourhoods(grid, far, smooth)[0], minlength=2)[1] == 0
-    else:
-        assert widened > 0 and (want_sizes >= 8).all()
-        assert _tree_neighbourhoods(grid, far, smooth)[0][1] == -1
-        with pytest.raises(IncompleteDataError):
-            _neighbourhoods(grid, far, smooth)
+    assert _tree_neighbourhoods(grid, far, smooth)[0][1] == 0
+    assert np.bincount(_gather(grid, far, smooth)[0], minlength=2)[1] == 0
+
+
+@pytest.mark.parametrize(
+    "domain, h",
+    [(name, h) for name in sorted(_FIT_DOMAINS) for h in (1 / 16, 1 / 32, 1 / 64)]
+    + [("disk", 1.4)],
+)
+@pytest.mark.filterwarnings("ignore:grid spacing")
+def test_box_rule_holds_eight_data_where_the_package_fits(domain, h):
+    """The box of every point that the package fits by the box rule holds
+    at least eight data: every hit (the separation audit's anchors), the
+    boundary points at 512 angles (a section scan's base point) and the
+    points of a lattice more than h inside the boundary (an interior base
+    point off the nodes).  The one-node disk at h = 1.4 has its node and
+    eight hits."""
+    grid = build_grid(_FIT_DOMAINS[domain], h)
+    lo, hi = grid.hit_points.min(axis=0), grid.hit_points.max(axis=0)
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], 49), np.linspace(lo[1], hi[1], 49))
+    lattice = np.column_stack([X.ravel(), Y.ravel()])
+    inner = lattice[grid.domain.contains(lattice)]
+    inner = inner[grid.domain.distance_to_boundary(inner) > h]
+    angles = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    pts = np.vstack([grid.hit_points, grid.domain.boundary_point(angles), inner])
+    k, _ = _gather(grid, pts, smooth=False)
+    assert np.bincount(k, minlength=len(pts)).min() >= 8
+    if h == 1.4:
+        assert (grid.n_nodes, grid.n_hits) == (1, 8)
 
 
 def test_lstsq_stack_takes_lstsq_minimum_norm_on_rank_deficient_rows():

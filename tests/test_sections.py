@@ -248,9 +248,10 @@ def test_fit_of_a_section_without_hull_is_degenerate(grid16):
 
 def test_quadratic_separation_exact_on_paraboloid(paraboloid64_exact):
     rep = quadratic_separation(paraboloid64_exact)
-    assert rep.rho_low == pytest.approx(0.5, abs=1e-6)
-    assert rep.rho_high == pytest.approx(0.5, abs=1e-6)
-    assert rep.n_pairs > 100
+    assert rep.status == "pass" and rep.margin == rep.details["rho_low"]
+    assert rep.details["rho_low"] == pytest.approx(0.5, abs=1e-6)
+    assert rep.details["rho_high"] == pytest.approx(0.5, abs=1e-6)
+    assert rep.details["n_pairs"] > 100
 
 
 def test_quadratic_separation_rejects_a_concave_field():
@@ -266,9 +267,9 @@ def test_quadratic_separation_rejects_a_concave_field():
 
 def test_quadratic_separation_positive_on_solved_field(mild32):
     _, u, _, _ = mild32
-    rep = quadratic_separation(u)
-    assert rep.rho_low > 0.0
-    assert rep.rho_high >= rep.rho_low
+    rep = quadratic_separation(u).details
+    assert rep["rho_low"] > 0.0
+    assert rep["rho_high"] >= rep["rho_low"]
 
 
 def test_maximal_height_exact_values(paraboloid64_exact):
